@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torsym.errors import NotASubgroup, RankDeficient, UnmatchedLattice
-from torsym.lattices import TRIVIAL_SUBGROUP, hnf, index, is_subgroup
+from torsym.lattices import TRIVIAL_SUBGROUP, hnf, index, intersect, is_subgroup
 from torsym.spacegroups import (
     CUBIC_FRAME,
     HEX_FRAME,
@@ -18,6 +18,7 @@ from torsym.spacegroups import (
 )
 from torsym.sublattices import (
     LatticeFamily,
+    _prime_power_parts,
     enumerate_sublattices,
     instantiate,
     invariant_sublattices,
@@ -139,17 +140,51 @@ def test_filtering_matches_literal_is_invariant():
 
 
 def test_primary_recombination_matches_literal():
+    # 64..128 take the descent below T0: to a simple M/pM at M = 3·T0 and 5·T0
+    # (cubic), and to lines in no invariant plane, whose 2-dimensional
+    # quotient is simple, at p = 5 and 11 (hexagonal)
     for t0, rots in ((Z3, CUBIC_ROTS), (T2, CUBIC_ROTS), (Z3, HEX_ROTS)):
-        for d in range(1, 49):
+        for d in list(range(1, 49)) + [64, 81, 121, 125, 128]:
             lit = invariant_sublattices(t0, rots, d, method="literal")
             pri = invariant_sublattices(t0, rots, d, method="primary")
             assert pri == lit, (t0, d)
+    # one 2-fold rotation: 2-dimensional common eigenspaces, and at p = 2 a
+    # scalar action whose every line and plane is invariant
+    total = 0
+    for d in range(1, 33):
+        lit = invariant_sublattices(Z3, (ROT_Z,), d, method="literal")
+        assert invariant_sublattices(Z3, (ROT_Z,), d, method="primary") == lit, d
+        total += len(lit)
+    assert total == 2380
+
+
+def test_coprime_recombination_matches_intersect():
+    for name in ("P432", "F4_132", "I4_132", "I432", "P4_232", "P622"):
+        g = make_group(name)
+        rots = tuple(x.rot for x in g.generators)
+        for d in range(2, 257):
+            qs = [p**k for p, k in _prime_power_parts(d)]
+            if len(qs) < 2:
+                continue
+            expected = [g.T0]
+            for q in qs:
+                expected = [intersect(a, b) for a in expected for b in invariant_sublattices(g.T0, rots, q)]
+            expected.sort(key=lambda L: (L.scale, L.basis))
+            assert invariant_sublattices(g.T0, rots, d) == expected, (name, d)
 
 
 def test_invariant_rejects_unstable_t0():
     skew = hnf([(1, 0, 0), (0, 2, 0), (0, 0, 3)])
     with pytest.raises(ValueError):
         invariant_sublattices(skew, (ROT_XYZ,), 2)
+
+
+def test_invariant_rejects_infinite_order_rotation():
+    # integral and invertible, but of infinite order: no root of unity bounds its eigenvalues
+    shear = ((0, 1, 0), (1, 1, 0), (0, 0, 1))
+    for method in ("primary", "literal"):
+        with pytest.raises(ValueError):
+            invariant_sublattices(Z3, (ROT_Z, shear), 5, method=method)
 
 
 def test_cubic_survivors_match_families_to_32():
@@ -195,6 +230,10 @@ def test_match_family_known_values():
     ) == LatticeFamily("CUBIC_BODY", 6)
     assert match_family(Z3, CUBIC_FRAME) == LatticeFamily("CUBIC_PRIMITIVE", 1)
     assert match_family(Z3, HEX_FRAME) == LatticeFamily("HEX_PRIMITIVE", 1, 1)
+    # beyond float range, and just past 2**53 where a float cube root rounds wrongly
+    for n in (10**103, 2**53 + 1):
+        fam = LatticeFamily("CUBIC_PRIMITIVE", n)
+        assert match_family(fam.instantiate(), CUBIC_FRAME) == fam
 
 
 @given(
