@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import NotASubgroup, RankDeficient
@@ -57,17 +58,21 @@ def matvec(m: Mat3, v: Sequence) -> Vec3:
     return tuple(sum(m[i][j] * Fraction(v[j]) for j in range(3)) for i in range(3))  # type: ignore[return-value]
 
 
-def _over_common_denominator(v: Sequence) -> tuple[tuple[int, int, int], int]:
-    """Integer numerators and their least positive common denominator for a rational 3-vector."""
+def _over_common_denominator(v: Sequence) -> tuple[tuple[int, ...], int]:
+    """Integer numerators and their least positive common denominator for a rational vector."""
     fr = [x if type(x) is Fraction else Fraction(x) for x in v]
-    den = math.lcm(fr[0].denominator, fr[1].denominator, fr[2].denominator)
-    nums = tuple(f.numerator * (den // f.denominator) for f in fr)
-    return nums, den  # type: ignore[return-value]
+    den = math.lcm(*(f.denominator for f in fr))
+    return tuple(f.numerator * (den // f.denominator) for f in fr), den
 
 
 def int_matvec(m: Sequence[Sequence[int]], x: Sequence[int]) -> tuple[int, int, int]:
     """Product of an integer 3×3 matrix and an integer vector."""
-    return tuple(m[i][0] * x[0] + m[i][1] * x[1] + m[i][2] * x[2] for i in range(3))  # type: ignore[return-value]
+    x0, x1, x2 = x
+    return (
+        m[0][0] * x0 + m[0][1] * x1 + m[0][2] * x2,
+        m[1][0] * x0 + m[1][1] * x1 + m[1][2] * x2,
+        m[2][0] * x0 + m[2][1] * x1 + m[2][2] * x2,
+    )
 
 
 def int_affine(m: Sequence[Sequence[int]], v: Sequence, t: Sequence = (0, 0, 0)) -> Vec3:
@@ -82,9 +87,14 @@ def int_affine(m: Sequence[Sequence[int]], v: Sequence, t: Sequence = (0, 0, 0))
 
 def matmul(a: Mat3, b: Mat3) -> Mat3:
     """Matrix product; integer matrices stay integer."""
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
+        (
+            r[0] * b00 + r[1] * b10 + r[2] * b20,
+            r[0] * b01 + r[1] * b11 + r[2] * b21,
+            r[0] * b02 + r[1] * b12 + r[2] * b22,
+        )
+        for r in a
     )
 
 
@@ -98,6 +108,7 @@ def mat_det(m: Mat3) -> Fraction:
 
 
 def mat_inv(m: Mat3) -> Mat3:
+    """Exact inverse; an integer matrix of determinant ±1 gives an integer matrix."""
     d = mat_det(m)
     if d == 0:
         raise ZeroDivisionError("singular matrix")
@@ -109,7 +120,9 @@ def mat_inv(m: Mat3) -> Mat3:
         ]
         for j in range(3)
     ]
-    return tuple(tuple(c / d for c in row) for row in cof)
+    if d in (1, -1):
+        return tuple(tuple(c * d for c in row) for row in cof)
+    return tuple(tuple(Fraction(c) / d for c in row) for row in cof)
 
 
 def mat_cols(m: Mat3) -> tuple[Vec3, Vec3, Vec3]:
@@ -258,6 +271,10 @@ def hnf_columns(cols: Iterable[Sequence[int]]) -> tuple[tuple[int, int, int], ..
 
 def hnf(generators: Iterable[Sequence]) -> SubgroupHNF:
     """Canonical form of the subgroup generated by rational (or integer) 3-vectors."""
+    generators = list(generators)
+    if all(type(x) is int for g in generators for x in g):
+        basis = hnf_columns(generators)
+        return SubgroupHNF(rank=len(basis), basis=basis, scale=Fraction(1))
     gens = [tuple(Fraction(x) for x in g) for g in generators]
     gens = [g for g in gens if any(g)]
     if not gens:
@@ -372,11 +389,29 @@ def _integer_frame(sub: SubgroupHNF) -> tuple[tuple[tuple[int, ...], ...], tuple
     return h, adj, det, sub.scale.numerator, sub.scale.denominator
 
 
-def coords_matrix(m: Sequence[Sequence[int]], sub: SubgroupHNF) -> Mat3:
-    """Matrix B⁻¹·m·B of an integer linear map m in the actual basis B of a rank-3 subgroup."""
+def coords_matrix(
+    m: Sequence[Sequence[int]], sub: SubgroupHNF
+) -> tuple[tuple[int, ...], ...] | None:
+    """Integer matrix B⁻¹·m·B of an integer linear map m in the actual basis B of a rank-3 subgroup.
+
+    Returns None when m does not map the subgroup into itself, that is when
+    B⁻¹·m·B = adj(H)·m·H / det H is not integral.
+    """
     h, adj, det, _, _ = _integer_frame(sub)
     prod = matmul(matmul(adj, m), h)
-    return tuple(tuple(Fraction(x, det) for x in row) for row in prod)
+    if any(x % det for row in prod for x in row):
+        return None
+    return tuple(tuple(x // det for x in row) for row in prod)
+
+
+def invariant_coords_matrix(
+    m: Sequence[Sequence[int]], sub: SubgroupHNF
+) -> tuple[tuple[int, ...], ...]:
+    """coords_matrix for a linear map that must preserve the subgroup; ValueError otherwise."""
+    a = coords_matrix(m, sub)
+    if a is None:
+        raise ValueError("subgroup is not invariant under the linear map")
+    return a
 
 
 def coords_in(v: Sequence, sub: SubgroupHNF) -> Vec3:
@@ -399,20 +434,50 @@ def reduce_mod(v: Sequence, sub: SubgroupHNF) -> tuple[Vec3, tuple[int, int, int
     """Reduce v into the fundamental cell [0,1)³ of a rank-3 subgroup.
 
     Returns (representative, k) with v = representative + sub-basis·k.
-    The coordinates are kept as integers over one common denominator.
+    """
+    nums, den = _over_common_denominator(v)
+    f = sub.scale.denominator // math.gcd(den, sub.scale.denominator)
+    rep, k = cell_reducer(sub, den * f)(tuple(x * f for x in nums))
+    return tuple(Fraction(x, den * f) for x in rep), k  # type: ignore[return-value]
+
+
+def numerators(v: Sequence, den: int) -> tuple[int, int, int]:
+    """Integer numerators of a rational vector over den, which must clear its denominators."""
+    return tuple(x.numerator * (den // x.denominator) for x in v)  # type: ignore[return-value]
+
+
+@lru_cache(maxsize=128)
+def cell_reducer(sub: SubgroupHNF, den: int):
+    """reduce_mod for points given as integer numerators over den.
+
+    The returned function maps numerators n to (numerators of the
+    representative over the same den, k).  den must be a multiple of the
+    denominator of the subgroup's scale, so that subgroup translates of a
+    point in (1/den)·ℤ³ stay in it.  With actual basis B = (p/q)·H and
+    B⁻¹ = q·adj(H)/(p·det H), k = ⌊B⁻¹·n/den⌋ and the representative is
+    n − den·B·k.
     """
     h, adj, det, p, q = _integer_frame(sub)
-    nums, den = _over_common_denominator(v)
-    d = det * den * p
-    k = []
-    frac = []
-    for x in int_matvec(adj, nums):
-        f, r = divmod(x * q, d)
-        k.append(f)
-        frac.append(r)
-    d2 = q * d
-    rep = tuple(Fraction(x * p, d2) for x in int_matvec(h, frac))
-    return rep, tuple(k)  # type: ignore[return-value]
+    if den % q:
+        raise ValueError("common denominator does not clear the lattice scale")
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = ((q * x for x in row) for row in adj)
+    mod = det * den * p
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = (
+        (den * p // q * x for x in col) for col in sub.basis
+    )
+
+    def reduce(n: Sequence[int]) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        x, y, z = n
+        k0 = (a0 * x + a1 * y + a2 * z) // mod
+        k1 = (b0 * x + b1 * y + b2 * z) // mod
+        k2 = (c0 * x + c1 * y + c2 * z) // mod
+        return (
+            x - k0 * h00 - k1 * h10 - k2 * h20,
+            y - k0 * h01 - k1 * h11 - k2 * h21,
+            z - k0 * h02 - k1 * h12 - k2 * h22,
+        ), (k0, k1, k2)
+
+    return reduce
 
 
 def coset_reps(sub: SubgroupHNF, sup: SubgroupHNF) -> list[Vec3]:
@@ -456,3 +521,97 @@ def reduce_mod_relative(x: Sequence[int], rel: Sequence[Sequence[int]]) -> tuple
             for i in range(3):
                 w[i] -= q * rel[j][i]
     return (w[0], w[1], w[2])
+
+
+# ============================================================
+# linear congruences modulo the integer lattice
+# ============================================================
+
+
+def smith_form(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """Smith normal form U·m·V = D of an integer matrix (Cohen, GTM 138, §2.4).
+
+    Returns (U, diag, V) with U and V unimodular and D zero except for its
+    leading diagonal entries diag = (d₁, …, d_r), positive with d₁ | d₂ | …,
+    where r is the rank of m.
+    """
+    a = [list(row) for row in m]
+    nr, nc = len(a), len(a[0])
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    diag: list[int] = []
+    for t in range(min(nr, nc)):
+        while True:
+            nonzero = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+            if not nonzero:
+                return u, diag, v
+            _, i0, j0 = min(nonzero)
+            a[t], a[i0] = a[i0], a[t]
+            u[t], u[i0] = u[i0], u[t]
+            for row in a + v:
+                row[t], row[j0] = row[j0], row[t]
+            p = a[t][t]
+            # each division leaves a remainder smaller than |p|, so a nonzero
+            # remainder gives a smaller pivot on the next pass
+            clean = True
+            for i in range(t + 1, nr):
+                q = a[i][t] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                clean = clean and not a[i][t]
+            for j in range(t + 1, nc):
+                q = a[t][j] // p
+                if q:
+                    for row in a + v:
+                        row[j] -= q * row[t]
+                clean = clean and not a[t][j]
+            if not clean:
+                continue
+            bad = next(
+                (i for i in range(t + 1, nr) if any(a[i][j] % p for j in range(t + 1, nc))),
+                None,
+            )
+            if bad is None:
+                break
+            # p must divide the rest; adding the offending row makes it shrink next pass
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        diag.append(a[t][t])
+    return u, diag, v
+
+
+def solve_congruence(
+    m: Sequence[Sequence[int]], r: Sequence
+) -> tuple[list[Vec3], list[tuple[int, int, int]]]:
+    """Solutions y of m·y ≡ r (mod ℤᵏ) for an integer k×3 matrix m and a rational k-vector r.
+
+    Returns (points, kernel).  The solution set is the union of p + span(kernel)
+    + ℤ³ over the listed points p, which are pairwise distinct modulo
+    span(kernel) + ℤ³; there are d₁·…·d_r of them, or none if the system is
+    inconsistent.  The kernel vectors are primitive integer vectors spanning the
+    real null space of m.  With U·m·V = D, the substitution y = V·z turns the
+    system into dᵢ·zᵢ ≡ (U·r)ᵢ, one congruence per coordinate.
+    """
+    u, diag, v = smith_form(m)
+    rank = len(diag)
+    kernel = [(v[0][j], v[1][j], v[2][j]) for j in range(rank, 3)]
+    nums, den = _over_common_denominator(r)
+    # U·r = rhs / den; the rows beyond the rank must be integral
+    rhs = [sum(a * b for a, b in zip(row, nums)) for row in u]
+    if any(x % den for x in rhs[rank:]):
+        return [], kernel
+    # zⱼ = (rhsⱼ / den + k) / dⱼ for k = 0, …, dⱼ − 1, written over den·d_r
+    top = den * diag[-1] if diag else den
+    choices = [
+        [(rhs[j] + k * den) * (diag[-1] // diag[j]) for k in range(diag[j])] for j in range(rank)
+    ]
+    points = []
+    for z in product(*choices):
+        points.append(
+            tuple(Fraction(sum(v[i][j] * z[j] for j in range(rank)), top) for i in range(3))
+        )
+    return points, kernel  # type: ignore[return-value]

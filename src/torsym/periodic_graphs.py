@@ -9,12 +9,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .errors import Disconnected, NotASubgroup, SignatureCountMismatch
 from .lattices import (
     SubgroupHNF,
     Vec3,
+    _integer_frame,
+    _over_common_denominator,
+    cell_reducer,
     coords_in,
     coords_matrix,
     from_coords,
@@ -22,17 +23,19 @@ from .lattices import (
     index,
     int_affine,
     int_matvec,
+    invariant_coords_matrix,
     is_subgroup,
     join,
-    mat,
     mat_det,
     mat_inv,
     matmul,
-    member,
+    numerators,
     primitive_integer,
     reduce_mod,
     reduce_mod_relative,
     relative_integer_basis,
+    smith_form,
+    solve_congruence,
     vadd,
     vneg,
     vscale,
@@ -40,21 +43,22 @@ from .lattices import (
     vec,
 )
 from .spacegroups import (
-    Isometry,
     Axis,
+    Isometry,
     SpaceGroup,
-    apply,
     fixed_axis,
     frame_gram_int,
     is_pure_translation,
     make_group,
     preserves_metric,
-    stabilizer,
+    rotation_order,
+    stabilizer_cosets,
 )
 
 IntVec = tuple[int, int, int]
 Edge = tuple[int, int, IntVec]
 Segment = tuple[Vec3, Vec3]
+IntMat = tuple[tuple[int, int, int], ...]
 
 
 # ============================================================
@@ -146,29 +150,6 @@ def _heading(v: Sequence) -> IntVec:
     return u
 
 
-def _transverse_rows(d1: IntVec, d2: IntVec) -> tuple[int, int, int, int]:
-    """Row pair (r, q), spare row, and 2×2 minor for two non-parallel directions."""
-    for r in range(3):
-        for q in range(r + 1, 3):
-            det2 = d2[r] * d1[q] - d1[r] * d2[q]
-            if det2:
-                return r, q, 3 - r - q, det2
-    raise ValueError("directions are parallel")
-
-
-def _line_intersection(
-    b1: Vec3, d1: IntVec, b2: Vec3, d2: IntVec, rows: tuple[int, int, int, int]
-) -> Vec3 | None:
-    """Intersection point of two non-parallel exact lines, or None when skew."""
-    r, q, spare, det2 = rows
-    rhs = vsub(b2, b1)
-    s = (d2[r] * rhs[q] - d2[q] * rhs[r]) / det2
-    u = (d1[r] * rhs[q] - d1[q] * rhs[r]) / det2
-    if s * d1[spare] - u * d2[spare] != rhs[spare]:
-        return None
-    return vadd(b1, vscale(s, vec(*d1)))
-
-
 def _axis_period(T0: SubgroupHNF, d: IntVec) -> Fraction:
     """Smallest s > 0 with s·d in the lattice, for a primitive direction d."""
     c = coords_in(vec(*d), T0)
@@ -178,79 +159,47 @@ def _axis_period(T0: SubgroupHNF, d: IntVec) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _plane_lattice(T0: SubgroupHNF, d: IntVec) -> SubgroupHNF:
-    """Rank-2 image of the lattice projected along d onto a transverse plane."""
+def _plane_lattice(
+    T0: SubgroupHNF, d: IntVec
+) -> tuple[int, int, tuple[tuple[int, IntVec], ...]]:
+    """The lattice projected along d onto the plane where d's first nonzero coordinate vanishes.
+
+    Returns (i0, D, ((pivot row, column), …)): that coordinate's index, and
+    the rank-2 image as (1/D)·(integer HNF) with each column's pivot row.
+    """
     i0 = next(i for i in range(3) if d[i])
-    gens = []
-    for v in T0.vectors():
-        gens.append(vsub(v, vscale(v[i0] / d[i0], vec(*d))))
-    lam = hnf(gens)
+    lam = hnf(vsub(v, vscale(v[i0] / d[i0], vec(*d))) for v in T0.vectors())
     if lam.rank != 2:
         raise ValueError("projection of a rank-3 lattice must have rank 2")
-    return lam
+    cols = tuple((next(r for r in range(3) if c[r]), c) for c in lam.basis)
+    return i0, lam.scale.denominator, cols
 
 
-def _reduce_in_plane(p: Vec3, lam: SubgroupHNF) -> Vec3:
-    """Translate p by plane-lattice vectors into the canonical fundamental cell."""
-    vs = lam.vectors()
-    pivots = [next(r for r in range(3) if col[r]) for col in lam.basis]
-    w = list(p)
-    for v, r in zip(vs, pivots):
-        k = math.floor(w[r] / v[r])
+def _axis_class(T0: SubgroupHNF, point: Sequence, d: IntVec) -> tuple[IntVec, Vec3]:
+    """Canonical (direction, base) of the line through a point along d, modulo the lattice.
+
+    The base is the projection of the point along d, translated by the plane
+    lattice into its fundamental cell, so two lines along d are lattice
+    translates of each other iff they have the same base.  d is primitive
+    with its first nonzero coordinate positive.
+    """
+    i0, dd, cols = _plane_lattice(T0, d)
+    x, den = _over_common_denominator(point)
+    # the projection (d[i0]·x − x[i0]·d) / (den·d[i0]) as numerators over
+    # den·d[i0]·D, over which a plane-lattice column c has numerators unit·c
+    a, xi, unit = d[i0], x[i0], den * d[i0]
+    w = [dd * (a * x[i] - xi * d[i]) for i in range(3)]
+    for r, col in cols:
+        k = w[r] // (unit * col[r])
         if k:
-            w = [w[i] - k * v[i] for i in range(3)]
-    return (w[0], w[1], w[2])
+            w = [w[i] - k * unit * col[i] for i in range(3)]
+    n = unit * dd
+    return d, (Fraction(w[0], n), Fraction(w[1], n), Fraction(w[2], n))
 
 
-def _axis_class(T0: SubgroupHNF, base: Vec3, d: IntVec) -> tuple[IntVec, Vec3]:
-    """Canonical (direction, base) representative of an axis modulo the lattice."""
-    return d, _reduce_in_plane(base, _plane_lattice(T0, d))
-
-
-@lru_cache(maxsize=None)
-def _t0_window(T0: SubgroupHNF, radius: int) -> tuple[Vec3, ...]:
-    """Lattice vectors with coefficients in a centered cube of the given radius."""
-    rng = range(-radius, radius + 1)
-    return tuple(from_coords((a, b, c), T0) for a in rng for b in rng for c in rng)
-
-
-@lru_cache(maxsize=None)
-def _t0_window_scaled(T0: SubgroupHNF, radius: int, den: int) -> tuple[IntVec, ...]:
-    """den·w for each w in the lattice window, in the same order; den must clear T0's scale."""
-    return tuple(_scaled(den, w) for w in _t0_window(T0, radius))
-
-
-def _common_denominator(T0: SubgroupHNF, points: Sequence[Vec3]) -> int:
-    """Least integer clearing the denominators of T0's scale and of all given points."""
-    return math.lcm(T0.scale.denominator, *(x.denominator for p in points for x in p))
-
-
-def _scaled(den: int, p: Sequence) -> IntVec:
-    return (int(p[0] * den), int(p[1] * den), int(p[2] * den))
-
-
-def _cross(a: Sequence, b: Sequence) -> IntVec:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _dot(a: Sequence, b: Sequence) -> int:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _image_normal(rot: Sequence[Sequence[int]]) -> IntVec:
-    """A nonzero integer normal to the image plane of rot − I (zero if rot − I has rank < 2)."""
-    cols = [
-        tuple(rot[i][j] - (1 if i == j else 0) for i in range(3)) for j in range(3)
-    ]
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        k = _cross(cols[a], cols[b])
-        if any(k):
-            return k
-    return (0, 0, 0)
+def _unscaled(den: int, seg: tuple[IntVec, IntVec]) -> Segment:
+    """The rational segment with the given integer numerators over den."""
+    return tuple(tuple(Fraction(x, den) for x in p) for p in seg)  # type: ignore[return-value]
 
 
 # ============================================================
@@ -260,108 +209,147 @@ def _image_normal(rot: Sequence[Sequence[int]]) -> IntVec:
 
 def _axis_index(G: SpaceGroup, base: Vec3, d: IntVec) -> int:
     """Order of the cyclic group of rotations in G fixing the line pointwise."""
-    n = 0
+    return sum(1 for c in stabilizer_cosets(base, G) if int_matvec(c.rot, d) == d)
+
+
+def _fixed_point_congruences(G: SpaceGroup) -> list[tuple[IntMat, Vec3]]:
+    """(A, −τ) for the rotation cosets (R, t) whose fixed points make up all the others'.
+
+    B·y is fixed by x ↦ R·x + t + w for some w ∈ T0 iff A·y ≡ −τ (mod ℤ³),
+    with A = B⁻¹(R − I)B in the basis B of T0, integral because T0 is
+    invariant, and τ = B⁻¹t.  A rotation fixes the same line as its powers of
+    order 2 or 3, and a coset has the same fixed points as its inverse, so
+    only cosets of order 2, and one of each inverse pair of order 3, are kept.
+    """
+    out = []
     for c in G.cosets:
-        if int_matvec(c.rot, d) != d:
+        order = rotation_order(c.rot)
+        if order not in (2, 3) or (order == 3 and c.rot > matmul(c.rot, c.rot)):
             continue
-        if member(vsub(base, apply(c, base)), G.T0):
-            n += 1
-    return n
+        delta = tuple(
+            tuple(c.rot[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3)
+        )
+        out.append((invariant_coords_matrix(delta, G.T0), vneg(coords_in(c.trans, G.T0))))
+    return out
 
 
-def _axes_mod_t0(G: SpaceGroup, radius: int = 2) -> list[Axis]:
+def _axes_mod_t0(G: SpaceGroup) -> list[Axis]:
     """All rotation-axis classes modulo the lattice, with full rotation indices.
 
-    x ↦ R·x + t + w has a fixed line iff t + w lies in the image plane of
-    R − I, so a translate w reaches the exact solve only when k·(t + w) = 0
-    for the plane's integer normal k, tested in integers scaled by den.
+    A has rank 2, so its Smith form U·A·V = diag(d₁, d₂, 0) splits the fixed
+    points of a coset into d₁·d₂ lines modulo T0, or none for a screw.
     """
-    window = _t0_window(G.T0, radius)
-    den = _common_denominator(G.T0, [c.trans for c in G.cosets])
-    scaled = _t0_window_scaled(G.T0, radius, den)
     found: dict[tuple[IntVec, Vec3], int] = {}
-    for c in G.cosets:
-        if is_pure_translation(c):
-            continue
-        k = _image_normal(c.rot)
-        kt = _dot(k, _scaled(den, c.trans))
-        for w, sw in zip(window, scaled):
-            if kt + _dot(k, sw):
-                continue
-            ax = fixed_axis(Isometry(G.frame, c.rot, vadd(c.trans, w)))
-            if ax is None:
-                continue
-            d, base = _axis_class(G.T0, ax.base, ax.direction)
-            if (d, base) not in found:
-                found[(d, base)] = _axis_index(G, base, d)
+    for a, r in _fixed_point_congruences(G):
+        points, kernel = solve_congruence(a, r)
+        if len(kernel) != 1:
+            raise ValueError("fixed set of a rotation is not a line")
+        d = primitive_integer(from_coords(kernel[0], G.T0))
+        for y in points:
+            key = _axis_class(G.T0, from_coords(y, G.T0), d)
+            if key not in found:
+                found[key] = _axis_index(G, key[1], key[0])
     return [
         Axis(base=base, direction=d, order=found[(d, base)])
         for d, base in sorted(found)
     ]
 
 
-def _vertices_mod_t0(G: SpaceGroup, axes: Sequence[Axis], radius: int = 2) -> list[Vec3]:
-    """Vertex classes: pairwise intersections of axis translates, reduced mod T0.
+def _vertices_mod_t0(G: SpaceGroup) -> list[Vec3]:
+    """Vertex classes: common fixed points of two rotations about non-parallel axes, mod T0.
 
-    Two non-parallel lines meet only if they are coplanar, so a translate w
-    reaches the exact intersection only when (d₁×d₂)·(b₂ − b₁ + w) = 0,
-    tested in integers scaled by den.
+    The two congruences stacked into one 6×3 system have rank 3 exactly when
+    the axes are not parallel, and then finitely many solutions mod ℤ³.
     """
-    window = _t0_window(G.T0, radius)
-    den = _common_denominator(G.T0, [ax.base for ax in axes])
-    scaled = _t0_window_scaled(G.T0, radius, den)
+    congruences = _fixed_point_congruences(G)
     pts = set()
-    for k, ax1 in enumerate(axes):
-        for ax2 in axes[k + 1 :]:
-            if ax1.direction == ax2.direction:
+    for k, (a1, r1) in enumerate(congruences):
+        for a2, r2 in congruences[k + 1 :]:
+            points, kernel = solve_congruence(a1 + a2, r1 + r2)
+            if kernel:  # parallel axes
                 continue
-            rows = _transverse_rows(ax1.direction, ax2.direction)
-            normal = _cross(ax1.direction, ax2.direction)
-            offset = _dot(normal, _scaled(den, vsub(ax2.base, ax1.base)))
-            for w, sw in zip(window, scaled):
-                if offset + _dot(normal, sw):
-                    continue
-                p = _line_intersection(
-                    ax1.base, ax1.direction, vadd(ax2.base, w), ax2.direction, rows
-                )
-                if p is not None:
-                    pts.add(reduce_mod(p, G.T0)[0])
+            pts.update(reduce_mod(from_coords(y, G.T0), G.T0)[0] for y in points)
     return sorted(pts)
 
 
 def _axis_segments(
-    G: SpaceGroup, ax: Axis, verts: Sequence[Vec3], radius: int = 2
-) -> list[Segment]:
-    """Maximal vertex-free straight segments covering one period of an axis.
+    G: SpaceGroup, axes: Sequence[Axis], verts: Sequence[Vec3]
+) -> list[list[Segment]]:
+    """For each axis, the maximal vertex-free straight segments covering one period.
 
-    Returns an empty list when no vertex meets the axis (a circle component).
-    A vertex translate v + w lies on the axis iff (v − b + w)×d = 0, tested in
-    integers scaled by den.
+    An axis gets an empty list when no vertex meets it (a circle component).
+    A vertex class v meets the axis (b, d) iff the line through v along d is
+    in the axis's class.  Then B⁻¹(v − b) = k + λ·e with k ∈ ℤ³ and
+    e = B⁻¹·s₀d, the primitive lattice vector along the axis, so
+    λ ≡ f·B⁻¹(v − b) (mod 1) for any integer f with f·e = 1, and v sits at
+    b + λ·s₀d.  Points are integer numerators over one denominator, and
+    B⁻¹ = q·adj(H)/(p·det H).
     """
-    d = ax.direction
-    dv = vec(*d)
-    i0 = next(i for i in range(3) if d[i])
-    s0 = _axis_period(G.T0, d)
-    window = _t0_window(G.T0, radius)
-    den = _common_denominator(G.T0, [ax.base, *verts])
-    scaled = _t0_window_scaled(G.T0, radius, den)
-    offs: set[Fraction] = set()
-    for v in verts:
-        rel0 = vsub(v, ax.base)
-        a = _scaled(den, rel0)
-        for w, sw in zip(window, scaled):
-            if any(_cross((a[0] + sw[0], a[1] + sw[1], a[2] + sw[2]), d)):
-                continue
-            rel = vadd(rel0, w)
-            offs.add((rel[i0] / d[i0]) % s0)
-    if not offs:
-        return []
-    ss = sorted(offs)
-    ss.append(ss[0] + s0)
-    return [
-        (vadd(ax.base, vscale(a, dv)), vadd(ax.base, vscale(b, dv)))
-        for a, b in zip(ss, ss[1:])
-    ]
+    on_line: dict[tuple[IntVec, Vec3], list[Vec3]] = {}
+    for d in {ax.direction for ax in axes}:
+        for v in verts:
+            on_line.setdefault(_axis_class(G.T0, v, d), []).append(v)
+    _, adj, det, p, q = _integer_frame(G.T0)
+    den = math.lcm(*(x.denominator for pt in (*verts, *(ax.base for ax in axes)) for x in pt))
+    mod = p * det * den
+    out = []
+    for ax in axes:
+        d = ax.direction
+        dv = vec(*d)
+        s0 = _axis_period(G.T0, d)
+        # the Smith form of the primitive column e has U·e = e₁, so f is U's first row
+        u, _, _ = smith_form([[int(x)] for x in coords_in(vscale(s0, dv), G.T0)])
+        row = [q * sum(u[0][i] * adj[i][j] for i in range(3)) for j in range(3)]
+        bn = numerators(ax.base, den)
+        offs = set()
+        for v in on_line.get((d, ax.base), ()):
+            x = numerators(v, den)
+            lam = row[0] * (x[0] - bn[0]) + row[1] * (x[1] - bn[1]) + row[2] * (x[2] - bn[2])
+            offs.add(Fraction(lam % mod, mod) * s0)
+        ss = sorted(offs)
+        if ss:
+            ss.append(ss[0] + s0)
+        out.append(
+            [
+                (vadd(ax.base, vscale(a, dv)), vadd(ax.base, vscale(b, dv)))
+                for a, b in zip(ss, ss[1:])
+            ]
+        )
+    return out
+
+
+# ============================================================
+# disjoint sets
+# ============================================================
+
+
+class _UnionFind:
+    """Disjoint sets over a fixed collection of hashable items, with path halving."""
+
+    def __init__(self, items) -> None:
+        self._parent = {x: x for x in items}
+
+    def __contains__(self, x) -> bool:
+        return x in self._parent
+
+    def find(self, x):
+        parent = self._parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self._parent[ra] = rb
+
+    def groups(self) -> list[list]:
+        """The classes, each listing its items in insertion order."""
+        out: dict = {}
+        for x in self._parent:
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
 
 
 # ============================================================
@@ -369,38 +357,32 @@ def _axis_segments(
 # ============================================================
 
 
+@lru_cache(maxsize=None)
+def _rotation_direction(frame, rot: IntMat) -> IntVec:
+    """Direction of the axis of a rotation; it does not depend on the translation part."""
+    return fixed_axis(Isometry(frame, rot, (0, 0, 0))).direction
+
+
 def _germ_orbits(p: Vec3, G: SpaceGroup) -> tuple[tuple[frozenset[IntVec], int], ...]:
     """Orbits of outgoing axis germs at a singular point, each with its index."""
-    rots = [s for s in stabilizer(p, G) if not is_pure_translation(s)]
+    rots = [c.rot for c in stabilizer_cosets(p, G) if not is_pure_translation(c)]
     by_dir: dict[IntVec, int] = {}
-    for s in rots:
-        ax = fixed_axis(s)
-        by_dir[ax.direction] = by_dir.get(ax.direction, 0) + 1
+    for rot in rots:
+        d = _rotation_direction(G.frame, rot)
+        by_dir[d] = by_dir.get(d, 0) + 1
     index_of: dict[IntVec, int] = {}
     for d, count in by_dir.items():
         index_of[d] = count + 1
         index_of[(-d[0], -d[1], -d[2])] = count + 1
-    parent = {u: u for u in index_of}
-
-    def find(u: IntVec) -> IntVec:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for s in rots:
+    classes = _UnionFind(index_of)
+    for rot in rots:
         for u in index_of:
-            v = int_matvec(s.rot, u)
-            if v not in parent:
+            v = int_matvec(rot, u)
+            if v not in classes:
                 raise ValueError("stabilizer does not permute the germ directions")
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    groups: dict[IntVec, set[IntVec]] = {}
-    for u in index_of:
-        groups.setdefault(find(u), set()).add(u)
+            classes.union(u, v)
     orbits = []
-    for members in groups.values():
+    for members in classes.groups():
         idx = {index_of[u] for u in members}
         if len(idx) != 1:
             raise ValueError("germ orbit mixes axes of different indices")
@@ -437,20 +419,22 @@ def _edge_data(
 # ============================================================
 
 
-def _canon_segment(T0: SubgroupHNF, a: Vec3, b: Vec3) -> Segment:
-    """Canonical lattice translate of the unordered segment (a, b)."""
+def _canon_scaled(reduce, a: IntVec, b: IntVec) -> tuple[IntVec, IntVec]:
+    """Canonical lattice translate of the unordered segment (a, b), on integer numerators."""
     best = None
     for p, q in ((a, b), (b, a)):
-        rep, _ = reduce_mod(p, T0)
-        cand = (rep, vsub(q, vsub(p, rep)))
+        rep = reduce(p)[0]
+        cand = (rep, (q[0] - p[0] + rep[0], q[1] - p[1] + rep[1], q[2] - p[2] + rep[2]))
         if best is None or cand < best:
             best = cand
     return best
 
 
-def _segment_image(c: Isometry, seg: Segment, T0: SubgroupHNF) -> Segment:
-    """Canonical form of the image of a segment under a group element."""
-    return _canon_segment(T0, apply(c, seg[0]), apply(c, seg[1]))
+def _canon_segment(T0: SubgroupHNF, a: Vec3, b: Vec3) -> Segment:
+    """Canonical lattice translate of the unordered segment (a, b)."""
+    den = math.lcm(T0.scale.denominator, *(x.denominator for x in (*a, *b)))
+    seg = _canon_scaled(cell_reducer(T0, den), numerators(a, den), numerators(b, den))
+    return _unscaled(den, seg)
 
 
 @dataclass
@@ -470,35 +454,50 @@ class _SingularData:
 def _singular_data(name: str) -> _SingularData:
     G = make_group(name)
     axes = _axes_mod_t0(G)
-    verts = _vertices_mod_t0(G, axes)
-    segments: dict[Segment, None] = {}
+    verts = _vertices_mod_t0(G)
+    raw: list[Segment] = []
     circles = []
-    for ax in axes:
-        segs = _axis_segments(G, ax, verts)
+    for ax, segs in zip(axes, _axis_segments(G, axes, verts)):
         if not segs:
             circles.append(ax)
-            continue
-        for a, b in segs:
-            segments.setdefault(_canon_segment(G.T0, a, b), None)
+        raw.extend(segs)
+    # the orbit search runs on integer numerators over one common denominator
+    den = math.lcm(
+        G.T0.scale.denominator,
+        *(x.denominator for c in G.cosets for x in c.trans),
+        *(x.denominator for seg in raw for p in seg for x in p),
+    )
+    reduce = cell_reducer(G.T0, den)
+    moves = [(c.rot, numerators(c.trans, den)) for c in G.cosets]
+    segments = {_canon_scaled(reduce, numerators(a, den), numerators(b, den)) for a, b in raw}
+    seen: set[tuple[IntVec, IntVec]] = set()
     orbit_of: dict[Segment, int] = {}
     orbits: list[list[Segment]] = []
     for key in sorted(segments):
-        if key in orbit_of:
+        if key in seen:
             continue
-        oid = len(orbits)
-        orbit_of[key] = oid
-        queue, members = [key], [key]
-        while queue:
-            cur = queue.pop()
-            for c in G.cosets:
-                img = _segment_image(c, cur, G.T0)
-                if img not in segments:
-                    raise ValueError("segment orbit escapes the enumerated window")
-                if img not in orbit_of:
-                    orbit_of[img] = oid
-                    members.append(img)
-                    queue.append(img)
-        orbits.append(sorted(members))
+        # every element of G is a coset representative followed by a lattice
+        # translation, which leaves the canonical form unchanged
+        a, b = key
+        members = set()
+        for rot, t in moves:
+            ra, rb = int_matvec(rot, a), int_matvec(rot, b)
+            members.add(
+                _canon_scaled(
+                    reduce,
+                    (ra[0] + t[0], ra[1] + t[1], ra[2] + t[2]),
+                    (rb[0] + t[0], rb[1] + t[1], rb[2] + t[2]),
+                )
+            )
+        if not members <= segments:
+            raise ValueError(
+                "internal invariant violated: a group element maps a singular "
+                "segment to a segment outside the singular set"
+            )
+        seen |= members
+        orbit = [_unscaled(den, seg) for seg in sorted(members)]
+        orbit_of.update((seg, len(orbits)) for seg in orbit)
+        orbits.append(orbit)
 
     memo: dict[Vec3, tuple] = {}
 
@@ -560,10 +559,6 @@ _EXPECTED_MARKED = {
 }
 
 
-IntMat = tuple[tuple[int, int, int], ...]
-
-_GRID = 24
-
 
 @lru_cache(maxsize=None)
 def _frame_symmetries(frame) -> tuple[IntMat, ...]:
@@ -593,56 +588,44 @@ def _frame_symmetries(frame) -> tuple[IntMat, ...]:
 def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
     """Affine maps x ↦ Sx + t normalizing the group, up to lattice translations.
 
-    S runs over the integer isometries of the frame (improper ones included);
-    the translation part is solved on a (1/24)-grid of lattice coordinates via
-    the congruences (I − SRS⁻¹)t ≡ τ' − Sτ (mod T0) over the rotation generators.
+    S runs over the integer isometries of the frame (improper ones included)
+    that preserve T0.  Conjugating a rotation generator (R, τ) gives
+    (SRS⁻¹, Sτ + (I − SRS⁻¹)t), which lies in G iff
+    (SRS⁻¹ − I)t ≡ Sτ − τ' (mod T0) for the coset (SRS⁻¹, τ') of G.  Stacked
+    over the generators in T0-coordinates, these congruences have full rank
+    and their Smith form lists the finitely many t modulo T0.
     """
     G = make_group(name)
-    gens = [g for g in G.generators if not is_pure_translation(g)]
-    coset_of = {c.rot: c for c in G.cosets}
-    grid = np.array(
-        [(a, b, c) for a in range(_GRID) for b in range(_GRID) for c in range(_GRID)],
-        dtype=np.int64,
-    )
+    T0 = G.T0
+    gens = [
+        (invariant_coords_matrix(g.rot, T0), coords_in(g.trans, T0))
+        for g in G.generators
+        if not is_pure_translation(g)
+    ]
+    coset_of = {invariant_coords_matrix(c.rot, T0): coords_in(c.trans, T0) for c in G.cosets}
     out = []
     for rows in _frame_symmetries(G.frame):
-        if hnf([int_affine(rows, v) for v in G.T0.vectors()]) != G.T0:
+        # integral iff S·T0 ⊆ T0, which means S·T0 = T0 because det S = ±1
+        s = coords_matrix(rows, T0)
+        if s is None:
             continue
-        s_inv = tuple(tuple(int(e) for e in row) for row in mat_inv(mat(rows)))
-        cand = grid
-        valid = True
-        for g in gens:
-            rot = matmul(matmul(rows, g.rot), s_inv)
-            target = coset_of.get(rot)
+        s_inv = mat_inv(s)
+        system: list[IntVec] = []
+        rhs: list[Fraction] = []
+        for rot, tau in gens:
+            conj = matmul(matmul(s, rot), s_inv)
+            target = coset_of.get(conj)
             if target is None:
-                valid = False
                 break
-            delta = tuple(
-                tuple(rot[i][j] - (1 if i == j else 0) for j in range(3))
-                for i in range(3)
+            system.extend(
+                tuple(conj[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3)
             )
-            m = coords_matrix(delta, G.T0)
-            if any(x.denominator != 1 for row in m for x in row):
-                raise ValueError("lattice is not invariant under a conjugated rotation")
-            w = coords_in(vsub(target.trans, int_affine(rows, g.trans)), G.T0)
-            r = [x * _GRID for x in w]
-            if any(x.denominator != 1 for x in r):
-                valid = False
-                break
-            m_arr = np.array([[int(x) for x in row] for row in m], dtype=np.int64)
-            r_arr = np.array([int(x) for x in r], dtype=np.int64)
-            cand = cand[((cand @ m_arr.T + r_arr) % _GRID == 0).all(axis=1)]
-            if not len(cand):
-                valid = False
-                break
-        if not valid:
-            continue
-        for u in cand:
-            t = from_coords(
-                (Fraction(int(u[0]), _GRID), Fraction(int(u[1]), _GRID), Fraction(int(u[2]), _GRID)),
-                G.T0,
-            )
-            out.append((rows, reduce_mod(t, G.T0)[0]))
+            rhs.extend(vsub(int_matvec(s, tau), target))
+        else:
+            points, kernel = solve_congruence(system, rhs)
+            if kernel:
+                raise ValueError("normalizer translations of a group are not discrete")
+            out.extend((rows, reduce_mod(from_coords(y, T0), T0)[0]) for y in points)
     return tuple(sorted(set(out)))
 
 
@@ -650,29 +633,17 @@ def marked_edges(G: SpaceGroup) -> list[SingularEdge]:
     """One representative per orbit class whose neighborhood boundary is S²(2,2,2,3)."""
     data = _singular_data(G.name)
     qualifying = [e for e in data.edges if e.link == _MARKED_LINK]
-    parent = {e.orbit_id: e.orbit_id for e in qualifying}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    classes = _UnionFind(e.orbit_id for e in qualifying)
     for rows, t in _normalizer_maps(G.name):
         for e in qualifying:
             a, b = e.segment
             img = _canon_segment(G.T0, int_affine(rows, a, t), int_affine(rows, b, t))
             other = data.orbit_of.get(img)
-            if other is None or other not in parent:
+            if other is None or other not in classes:
                 raise ValueError("normalizer map does not preserve the marked edges")
-            ra, rb = find(e.orbit_id), find(other)
-            if ra != rb:
-                parent[min(ra, rb)] = max(ra, rb)
-    classes: dict[int, list[int]] = {}
-    for e in qualifying:
-        classes.setdefault(find(e.orbit_id), []).append(e.orbit_id)
+            classes.union(e.orbit_id, other)
     reps = sorted(
-        (data.edges[min(ids)] for ids in classes.values()),
+        (data.edges[min(ids)] for ids in classes.groups()),
         key=lambda e: e.orbit_id,
     )
     if len(reps) != _EXPECTED_MARKED[G.name]:
@@ -817,24 +788,14 @@ def lift_connected_bruteforce(g: PeriodicGraph, T: SubgroupHNF) -> bool:
         for b in range(rel[1][1])
         for c in range(rel[2][2])
     ]
-    nodes = {(v, lab): (v, lab) for v in range(len(g.vertices)) for lab in labels}
-
-    def find(x):
-        while nodes[x] != x:
-            nodes[x] = nodes[nodes[x]]
-            x = nodes[x]
-        return x
-
+    classes = _UnionFind((v, lab) for v in range(len(g.vertices)) for lab in labels)
     for i, j, s in g.edges:
         for lab in labels:
             shifted = reduce_mod_relative(
                 (lab[0] + s[0], lab[1] + s[1], lab[2] + s[2]), rel
             )
-            a, b = find((i, lab)), find((j, shifted))
-            if a != b:
-                nodes[a] = b
-    roots = {find(x) for x in list(nodes)}
-    return len(roots) == 1
+            classes.union((i, lab), (j, shifted))
+    return len(classes.groups()) == 1
 
 
 def lift_genus(g: PeriodicGraph, T: SubgroupHNF) -> int:

@@ -19,15 +19,18 @@ from .errors import ClosureOverflow, FrameMismatch, UnknownGroup
 from .lattices import (
     SubgroupHNF,
     Vec3,
+    cell_reducer,
     hnf,
     hnf_columns,
     int_affine,
+    int_matvec,
     mat,
     mat_det,
     mat_inv,
     matmul,
     matvec,
     member,
+    numerators,
     primitive_integer,
     solve_linear,
     vadd,
@@ -459,16 +462,37 @@ def fixed_axis(g: Isometry) -> Axis | None:
     return Axis(base=base, direction=d, order=rotation_order(g.rot))
 
 
-def stabilizer(p: Sequence, G: SpaceGroup) -> list[Isometry]:
-    """All group elements fixing the point p (one per coset at most)."""
+def stabilizer_cosets(p: Sequence, G: SpaceGroup) -> list[Isometry]:
+    """The coset representatives (R, t) whose coset has an element fixing the point p.
+
+    That holds iff R·p + t − p ∈ T0, tested on integer numerators over a
+    denominator that clears p, T0 and every coset.
+    """
     p = tuple(Fraction(x) for x in p)
+    den = math.lcm(
+        G.T0.scale.denominator,
+        *(x.denominator for x in p),
+        *(x.denominator for c in G.cosets for x in c.trans),
+    )
+    reduce = cell_reducer(G.T0, den)
+    n = numerators(p, den)
     out = []
     for c in G.cosets:
-        delta = vsub(p, apply(c, p))
-        if member(delta, G.T0):
-            out.append(Isometry(G.frame, c.rot, vadd(c.trans, delta)))
+        img, t = int_matvec(c.rot, n), numerators(c.trans, den)
+        move = (img[0] + t[0] - n[0], img[1] + t[1] - n[1], img[2] + t[2] - n[2])
+        if not any(reduce(move)[0]):
+            out.append(c)
     return out
 
 
+def stabilizer(p: Sequence, G: SpaceGroup) -> list[Isometry]:
+    """All group elements fixing the point p (one per coset at most)."""
+    p = tuple(Fraction(x) for x in p)
+    return [
+        Isometry(G.frame, c.rot, vadd(c.trans, vsub(p, apply(c, p))))
+        for c in stabilizer_cosets(p, G)
+    ]
+
+
 def stabilizer_order(p: Sequence, G: SpaceGroup) -> int:
-    return len(stabilizer(p, G))
+    return len(stabilizer_cosets(p, G))

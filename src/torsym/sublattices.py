@@ -7,29 +7,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import NotASubgroup, RankDeficient, UnmatchedLattice
 from .lattices import (
     Mat3,
     SubgroupHNF,
     _integer_frame,
-    basis_matrix,
     covolume,
     from_coords,
     hnf,
     hnf_columns,
     int_matvec,
+    invariant_coords_matrix,
     is_subgroup,
-    mat,
     mat_det,
-    mat_inv,
     matmul,
     member,
 )
 from .spacegroups import Frame, SpaceGroup, conjugate_translation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # ============================================================
 # closed-form lattice families
@@ -150,14 +149,9 @@ def is_invariant(L: SubgroupHNF, G: SpaceGroup) -> bool:
 @lru_cache(maxsize=None)
 def _coord_rotations(T0: SubgroupHNF, rotations: tuple) -> tuple:
     """Rotation matrices rewritten in T0-coordinates (must be integral, of finite order)."""
-    b0 = basis_matrix(T0)
-    b0_inv = mat_inv(b0)
     out = []
     for r in rotations:
-        rt = matmul(b0_inv, matmul(mat(r), b0))
-        if any(x.denominator != 1 for row in rt for x in row):
-            raise ValueError("subgroup is not invariant under the given rotation")
-        rt = tuple(tuple(int(x) for x in row) for row in rt)
+        rt = invariant_coords_matrix(r, T0)
         # a finite-order integer 3×3 matrix has order 1, 2, 3, 4 or 6, so R¹² = I;
         # the descent mod p takes its eigenvalues from the 12th roots of unity
         r12 = _ROT_IDENTITY
@@ -169,8 +163,14 @@ def _coord_rotations(T0: SubgroupHNF, rotations: tuple) -> tuple:
     return tuple(out)
 
 
+# numpy serves only the literal oracle below, so it is imported there and
+# `import torsym` does not load it
+
+
 def _triples_array(d: int) -> np.ndarray:
     """All lower-triangular HNF triples (a, b, c, x, y, z) of determinant d."""
+    import numpy as np
+
     blocks = []
     for a, b, c in _pivot_triples(d):
         x, y, z = np.meshgrid(
@@ -192,6 +192,8 @@ def _triples_array(d: int) -> np.ndarray:
 
 def _invariant_mask(t: np.ndarray, rot: Sequence[Sequence[int]]) -> np.ndarray:
     """Which HNF triples span a lattice mapped into itself by an integer matrix."""
+    import numpy as np
+
     a, b, c, x, y, z = (t[:, i] for i in range(6))
     zero = np.zeros_like(a)
     ok = np.ones(len(t), dtype=bool)
@@ -210,6 +212,8 @@ def _invariant_mask(t: np.ndarray, rot: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def _filtered_triples(T0: SubgroupHNF, coord_rots: tuple, d: int) -> list[SubgroupHNF]:
+    import numpy as np
+
     t = _triples_array(d)
     ok = np.ones(len(t), dtype=bool)
     for rot in coord_rots:
@@ -347,9 +351,12 @@ def _maximal_invariant(coord_rots: tuple, p: int, M: SubgroupHNF) -> tuple:
     M and every N are integer lattices in T0-coordinates; each N is the
     preimage in M of a maximal G-submodule of M/pM.
     """
-    h, adj, det, _, _ = _integer_frame(M)
-    # the action on M/pM in M's own basis: H⁻¹·R·H = adj(H)·R·H / det H, integral since M is invariant
-    acts = [tuple(tuple(x // det % p for x in row) for row in matmul(matmul(adj, r), h)) for r in coord_rots]
+    h = _integer_frame(M)[0]  # columns are M's basis vectors
+    # the action on M/pM in M's own basis
+    acts = [
+        tuple(tuple(x % p for x in row) for row in invariant_coords_matrix(r, M))
+        for r in coord_rots
+    ]
     dual_acts = [tuple(zip(*a)) for a in acts]
     lams = [_eigenvalues_mod_p(r, p) for r in coord_rots]
     lines = [v for s in _common_eigenspaces(acts, lams, p) for v in _lines(s, p)]
@@ -464,15 +471,15 @@ def match_family(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
             if n is not None and instantiate(tag, n) == L:
                 return LatticeFamily(tag, n)
     else:
+        # both hexagonal families meet the vertical axis in m·ℤ·e₃, the third
+        # HNF pivot, and have covolume n²·m (HEX_PRIMITIVE) or 3·n²·m (HEX_ROT)
+        m = L.basis[2][2] * L.scale
         for tag, quad in (("HEX_PRIMITIVE", v), ("HEX_ROT", v / 3)):
-            if quad.denominator != 1:
+            if m.denominator != 1 or quad.denominator != 1 or quad.numerator % m.numerator:
                 continue
-            q = int(quad)
-            n = 1
-            while n * n <= q:
-                if q % (n * n) == 0 and instantiate(tag, n, q // (n * n)) == L:
-                    return LatticeFamily(tag, n, q // (n * n))
-                n += 1
+            n = math.isqrt(quad.numerator // m.numerator)
+            if n * n * m == quad and instantiate(tag, n, int(m)) == L:
+                return LatticeFamily(tag, n, int(m))
     raise UnmatchedLattice(f"no closed-form family matches covolume {v}")
 
 

@@ -14,7 +14,9 @@ from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     _basis_inverse,
     basis_matrix,
+    cell_reducer,
     coords_in,
+    coords_matrix,
     coset_reps,
     covolume,
     dual,
@@ -22,6 +24,7 @@ from torsym.lattices import (
     hnf,
     index,
     intersect,
+    invariant_coords_matrix,
     is_subgroup,
     join,
     mat,
@@ -35,7 +38,10 @@ from torsym.lattices import (
     reduce_mod,
     reduce_mod_relative,
     relative_integer_basis,
+    smith_form,
+    solve_congruence,
     solve_linear,
+    vadd,
     vec,
 )
 from torsym.spacegroups import make_group
@@ -124,6 +130,13 @@ def test_hnf_idempotent_and_presentation_independent():
     alt = hnf([(1, 1, 0), (1, -1, 0), (0, 1, 1), (3, 3, 0)])
     assert alt == T2
     assert hnf(T2.vectors()) == T2
+
+
+@given(st.lists(st.tuples(*[st.integers(min_value=-6, max_value=6)] * 3), max_size=5))
+def test_hnf_integer_generators_match_rational_ones(gens):
+    # all-int generators skip the Fraction conversion; the result, scale type included, is the same
+    as_fractions = [tuple(Fraction(x) for x in g) for g in gens]
+    assert repr(hnf(gens)) == repr(hnf(as_fractions))
 
 
 def test_member_against_parity_oracles():
@@ -381,3 +394,114 @@ def test_integer_coordinates_agree_with_rational_matrices():
         ints = (3, -5, 7)
         assert coords_in(ints, lat) == matvec(inv, ints)
         assert from_coords(ints, lat) == matvec(basis, ints)
+
+
+def test_coords_matrix_is_integral_exactly_on_invariant_maps():
+    for name in ("I432", "I4_132", "P622"):
+        G = make_group(name)
+        inv, basis = _basis_inverse(G.T0), basis_matrix(G.T0)
+        for c in G.cosets:
+            assert coords_matrix(c.rot, G.T0) == matmul(inv, matmul(mat(c.rot), basis))
+    # a shear does not preserve the body-centred lattice
+    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    assert coords_matrix(shear, make_group("I432").T0) is None
+    with pytest.raises(ValueError):
+        invariant_coords_matrix(shear, make_group("I432").T0)
+
+
+def test_cell_reducer_is_independent_of_the_denominator():
+    # reduce_mod runs cell_reducer over the least common denominator, while
+    # the singular-set code shares one larger denominator per group
+    rng = random.Random(5)
+    for name in ("I432", "I4_132", "P622"):
+        T0 = make_group(name).T0
+        for den in (4, 12):
+            reduce = cell_reducer(T0, den)
+            for _ in range(50):
+                n = tuple(rng.randint(-60, 60) for _ in range(3))
+                rep, k = reduce(n)
+                v = tuple(Fraction(x, den) for x in n)
+                rep = tuple(Fraction(x, den) for x in rep)
+                assert (rep, k) == reduce_mod(v, T0)
+                assert vadd(rep, from_coords(k, T0)) == v
+
+
+def test_mat_inv_of_integer_matrices_is_exact():
+    m = ((2, 1, 0), (1, 1, 0), (0, 0, -1))
+    inv = mat_inv(m)
+    assert all(type(x) is int for row in inv for x in row)
+    assert matmul(m, inv) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    # any other integer matrix gets an exact rational inverse, never floats
+    half = mat_inv(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert half[0][0] == Fraction(1, 2) and type(half[0][0]) is Fraction
+
+
+# ============================================================
+# Smith normal form and congruences modulo Z^3
+# ============================================================
+
+small_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda rows: st.lists(
+        st.tuples(*[st.integers(min_value=-4, max_value=4)] * 3), min_size=rows, max_size=rows
+    )
+)
+
+
+@given(small_matrices)
+@settings(max_examples=200)
+def test_smith_form_is_a_unimodular_diagonalisation(m):
+    def product(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    def det(a):
+        a = [[Fraction(x) for x in row] for row in a]
+        out = Fraction(1)
+        for c in range(len(a)):
+            p = next((i for i in range(c, len(a)) if a[i][c]), None)
+            if p is None:
+                return 0
+            if p != c:
+                a[c], a[p], out = a[p], a[c], -out
+            out *= a[c][c]
+            for i in range(c + 1, len(a)):
+                f = a[i][c] / a[c][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+        return out
+
+    u, diag, v = smith_form(m)
+    assert product(product(u, m), v) == [
+        [diag[i] if i == j and i < len(diag) else 0 for j in range(3)] for i in range(len(m))
+    ]
+    assert all(d > 0 for d in diag)
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    assert abs(det(u)) == 1 and abs(det(v)) == 1
+
+
+@given(
+    small_matrices,
+    st.lists(st.integers(min_value=0, max_value=3), min_size=6, max_size=6),
+)
+@settings(max_examples=150)
+def test_solve_congruence_matches_grid_search(m, nums):
+    r = [Fraction(x, 2) for x in nums[: len(m)]]
+    points, kernel = solve_congruence(m, r)
+    for k in kernel:
+        assert all(sum(a * b for a, b in zip(row, k)) == 0 for row in m)
+    # every solution lies in a finite grid once the kernel directions are fixed at 0
+    _, diag, _ = smith_form(m)
+    if kernel or math.prod(diag) > 12:
+        return
+    grid = 2 * math.prod(diag)
+
+    def solves(y):
+        return all(
+            (sum(a * b for a, b in zip(row, y)) - x).denominator == 1 for row, x in zip(m, r)
+        )
+
+    found = {
+        y
+        for y in itertools.product([Fraction(i, grid) for i in range(grid)], repeat=3)
+        if solves(y)
+    }
+    assert {tuple(x % 1 for x in p) for p in points} == found
+    assert len(points) == len(found)

@@ -1,19 +1,28 @@
 """Tests for singular-set extraction, marked edges, and lift criteria."""
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
 from torsym.errors import Disconnected, NotASubgroup, SignatureCountMismatch
 from torsym.lattices import (
+    coords_in,
+    coords_matrix,
     from_coords,
     hnf,
     index,
+    int_affine,
     is_subgroup,
+    mat,
+    mat_inv,
+    matmul,
     member,
     reduce_mod,
     vadd,
+    vec,
     vscale,
     vsub,
 )
@@ -21,6 +30,9 @@ from torsym.periodic_graphs import (
     PeriodicGraph,
     SingularEdge,
     _axes_mod_t0,
+    _axis_class,
+    _axis_period,
+    _axis_segments,
     _canon_segment,
     _frame_symmetries,
     _germ_orbits,
@@ -37,7 +49,17 @@ from torsym.periodic_graphs import (
     suppress_valence_two,
     to_obj_lines,
 )
-from torsym.spacegroups import CUBIC_FRAME, HEX_FRAME, make_group, stabilizer_order
+from torsym.spacegroups import (
+    CUBIC_FRAME,
+    HEX_FRAME,
+    Axis,
+    Isometry,
+    apply,
+    fixed_axis,
+    is_pure_translation,
+    make_group,
+    stabilizer_order,
+)
 from torsym.sublattices import instantiate, normal_translation_subgroups
 
 GROUPS = ["P432", "F4_132", "I4_132", "I432", "P4_232", "P622"]
@@ -131,19 +153,180 @@ def test_singular_set_shape(name):
     assert data.circles == []
 
 
+# ------------------------------------------------------------
+# window and grid oracle: an enumeration independent of the Smith-form
+# solves.  It scans lattice translates in a cube of the given radius, tests
+# each with one integer condition, and solves the normalizer translations
+# on a (1/24)-grid of lattice coordinates.
+# ------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _window(T0, radius):
+    rng = range(-radius, radius + 1)
+    return tuple(from_coords((a, b, c), T0) for a in rng for b in rng for c in rng)
+
+
+def _times(den, p):
+    return (int(p[0] * den), int(p[1] * den), int(p[2] * den))
+
+
+@lru_cache(maxsize=None)
+def _window_times(T0, radius, den):
+    return tuple(_times(den, w) for w in _window(T0, radius))
+
+
+def _common_den(T0, points):
+    return math.lcm(T0.scale.denominator, *(x.denominator for p in points for x in p))
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _window_axis_order(G, base, d):
+    return sum(
+        1
+        for c in G.cosets
+        if tuple(sum(c.rot[i][j] * d[j] for j in range(3)) for i in range(3)) == d
+        and member(vsub(base, apply(c, base)), G.T0)
+    )
+
+
+def window_axes(G, radius):
+    """x ↦ R·x + t + w has a fixed line iff k·(t + w) = 0 for the normal k of the image of R − I."""
+    den = _common_den(G.T0, [c.trans for c in G.cosets])
+    found = {}
+    for c in G.cosets:
+        if is_pure_translation(c):
+            continue
+        cols = [tuple(c.rot[i][j] - (i == j) for i in range(3)) for j in range(3)]
+        k = next(
+            n
+            for n in (_cross(cols[0], cols[1]), _cross(cols[0], cols[2]), _cross(cols[1], cols[2]))
+            if any(n)
+        )
+        kt = _dot(k, _times(den, c.trans))
+        for w, sw in zip(_window(G.T0, radius), _window_times(G.T0, radius, den)):
+            if kt + _dot(k, sw):
+                continue
+            ax = fixed_axis(Isometry(G.frame, c.rot, vadd(c.trans, w)))
+            if ax is not None:
+                key = _axis_class(G.T0, ax.base, ax.direction)
+                found.setdefault(key, _window_axis_order(G, key[1], key[0]))
+    return [Axis(base=b, direction=d, order=found[(d, b)]) for d, b in sorted(found)]
+
+
+def window_vertices(G, axes, radius):
+    """Pairwise intersections of axis translates, which must be coplanar to meet."""
+    den = _common_den(G.T0, [ax.base for ax in axes])
+    pts = set()
+    for k, ax1 in enumerate(axes):
+        for ax2 in axes[k + 1 :]:
+            d1, d2 = ax1.direction, ax2.direction
+            if d1 == d2:
+                continue
+            normal = _cross(d1, d2)
+            offset = _dot(normal, _times(den, vsub(ax2.base, ax1.base)))
+            r, q = next(
+                (r, q) for r, q in ((0, 1), (0, 2), (1, 2)) if d2[r] * d1[q] - d1[r] * d2[q]
+            )
+            det2, spare = d2[r] * d1[q] - d1[r] * d2[q], 3 - r - q
+            for w, sw in zip(_window(G.T0, radius), _window_times(G.T0, radius, den)):
+                if offset + _dot(normal, sw):
+                    continue
+                rhs = vsub(vadd(ax2.base, w), ax1.base)
+                s = (d2[r] * rhs[q] - d2[q] * rhs[r]) / det2
+                u = (d1[r] * rhs[q] - d1[q] * rhs[r]) / det2
+                if s * d1[spare] - u * d2[spare] == rhs[spare]:
+                    pts.add(reduce_mod(vadd(ax1.base, vscale(s, vec(*d1))), G.T0)[0])
+    return sorted(pts)
+
+
+def window_offsets(G, ax, verts, radius):
+    """Offsets mod the axis period of the vertex translates v + w lying on the axis."""
+    d = ax.direction
+    i0 = next(i for i in range(3) if d[i])
+    s0 = _axis_period(G.T0, d)
+    den = _common_den(G.T0, [ax.base, *verts])
+    offs = set()
+    for v in verts:
+        rel0 = vsub(v, ax.base)
+        a = _times(den, rel0)
+        for w, sw in zip(_window(G.T0, radius), _window_times(G.T0, radius, den)):
+            if not any(_cross((a[0] + sw[0], a[1] + sw[1], a[2] + sw[2]), d)):
+                offs.add((vadd(rel0, w)[i0] / d[i0]) % s0)
+    return sorted(offs)
+
+
+def grid_normalizer_maps(name, grid=24):
+    """The congruences (SRS⁻¹ − I)t ≡ Sτ − τ' (mod T0), filtered over a (1/grid)-grid."""
+    import numpy as np
+
+    G = make_group(name)
+    gens = [g for g in G.generators if not is_pure_translation(g)]
+    coset_of = {c.rot: c for c in G.cosets}
+    points = np.array([(a, b, c) for a in range(grid) for b in range(grid) for c in range(grid)])
+    out = []
+    for rows in _frame_symmetries(G.frame):
+        if hnf([int_affine(rows, v) for v in G.T0.vectors()]) != G.T0:
+            continue
+        s_inv = tuple(tuple(int(e) for e in row) for row in mat_inv(mat(rows)))
+        cand = points
+        for g in gens:
+            rot = matmul(matmul(rows, g.rot), s_inv)
+            target = coset_of.get(rot)
+            if target is None:
+                cand = cand[:0]
+                break
+            w = [grid * x for x in coords_in(vsub(target.trans, int_affine(rows, g.trans)), G.T0)]
+            if any(x.denominator != 1 for x in w):
+                cand = cand[:0]
+                break
+            delta = tuple(tuple(rot[i][j] - (i == j) for j in range(3)) for i in range(3))
+            m = np.array(coords_matrix(delta, G.T0))
+            cand = cand[((cand @ m.T + np.array([int(x) for x in w])) % grid == 0).all(axis=1)]
+        for u in cand:
+            t = from_coords(tuple(Fraction(int(x), grid) for x in u), G.T0)
+            out.append((rows, reduce_mod(t, G.T0)[0]))
+    return tuple(sorted(set(out)))
+
+
 @pytest.mark.parametrize("name", GROUPS)
 def test_axis_window_saturates(name):
-    G = make_group(name)
-    small = {(a.direction, a.base, a.order) for a in _axes_mod_t0(G, radius=2)}
-    large = {(a.direction, a.base, a.order) for a in _axes_mod_t0(G, radius=3)}
-    assert small == large
-
-
-@pytest.mark.parametrize("name", ["P432", "I4_132", "P622"])
-def test_vertex_window_saturates(name):
+    # the exact solve finds every axis class, and the windows find no other
     G = make_group(name)
     axes = _axes_mod_t0(G)
-    assert _vertices_mod_t0(G, axes, radius=2) == _vertices_mod_t0(G, axes, radius=3)
+    for radius in (2, 3):
+        assert window_axes(G, radius) == axes
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_vertex_window_saturates(name):
+    G = make_group(name)
+    axes, verts = _axes_mod_t0(G), _vertices_mod_t0(G)
+    for radius in (2, 3):
+        assert window_vertices(G, axes, radius) == verts
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_axis_segments_match_window_oracle(name):
+    G = make_group(name)
+    verts = _vertices_mod_t0(G)
+    axes = _axes_mod_t0(G)
+    for ax, segs in zip(axes, _axis_segments(G, axes, verts)):
+        dv = vec(*ax.direction)
+        starts = [vadd(ax.base, vscale(s, dv)) for s in window_offsets(G, ax, verts, 2)]
+        assert [a for a, _ in segs] == starts
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_normalizer_maps_match_grid_oracle(name):
+    assert _normalizer_maps(name) == grid_normalizer_maps(name)
 
 
 def test_axis_orders_are_crystallographic():

@@ -1,5 +1,11 @@
 """Sublattice enumeration, invariance filtering and family matching."""
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +22,7 @@ from torsym.spacegroups import (
     ROT_Z_HEX,
     make_group,
 )
+import torsym
 from torsym.sublattices import (
     LatticeFamily,
     _prime_power_parts,
@@ -262,6 +269,31 @@ def test_match_family_rejects_non_family_lattices():
         match_family(hnf([(1, 0, 0), (0, 2, 0), (0, 0, 2)]), HEX_FRAME)
     with pytest.raises(RankDeficient):
         match_family(TRIVIAL_SUBGROUP, CUBIC_FRAME)
+
+
+def test_match_family_hexagonal_is_closed_form():
+    # n comes from the third HNF pivot m and the covolume n²·m, not from a search over n
+    start = time.perf_counter()
+    with pytest.raises(UnmatchedLattice):
+        match_family(hnf([(1, 0, 0), (0, 2, 0), (0, 0, 10**12)]), HEX_FRAME)
+    assert time.perf_counter() - start < 0.1
+    for fam in (LatticeFamily("HEX_PRIMITIVE", 10**9, 7), LatticeFamily("HEX_ROT", 10**9 + 7, 10**6)):
+        assert match_family(fam.instantiate(), HEX_FRAME) == fam
+
+
+def test_import_does_not_load_numpy():
+    # numpy serves only the literal oracle, which imports it when it runs
+    src = str(Path(torsym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, torsym; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ============================================================
