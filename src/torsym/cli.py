@@ -19,7 +19,7 @@ from .classify import (
     verify_claims,
     verify_tables,
 )
-from .errors import TorsymError
+from .errors import InvariantViolation, TorsymError
 from .lattices import covolume
 from .periodic_graphs import cycle_image_lattice, edge_orbit_graph, singular_graph
 from .spacegroups import GROUP_NAMES, canonical_group_name, make_group
@@ -223,6 +223,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (TorsymError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

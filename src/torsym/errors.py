@@ -5,6 +5,10 @@ class TorsymError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvariantViolation(TorsymError):
+    """An internal consistency check failed: a fault in the program, not in its input."""
+
+
 class NotASubgroup(TorsymError):
     """A claimed subgroup relation does not hold."""
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import NotASubgroup, RankDeficient
+from .errors import InvariantViolation, NotASubgroup, RankDeficient
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 Mat3 = tuple[tuple[Fraction, ...], ...]
@@ -332,7 +332,8 @@ def index(sub: SubgroupHNF, sup: SubgroupHNF) -> int:
     if not is_subgroup(sub, sup):
         raise NotASubgroup("first argument is not contained in the second")
     ratio = covolume(sub) / covolume(sup)
-    assert ratio.denominator == 1
+    if ratio.denominator != 1:
+        raise InvariantViolation(f"index of a subgroup came out as {ratio}, not an integer")
     return ratio.numerator
 
 
@@ -585,13 +586,14 @@ def smith_form(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], 
 
 
 def solve_congruence(
-    m: Sequence[Sequence[int]], r: Sequence
-) -> tuple[list[Vec3], list[tuple[int, int, int]]]:
-    """Solutions y of m·y ≡ r (mod ℤᵏ) for an integer k×3 matrix m and a rational k-vector r.
+    m: Sequence[Sequence[int]], nums: Sequence[int], den: int
+) -> tuple[list[tuple[int, int, int]], int, list[tuple[int, int, int]]]:
+    """Solutions y of m·y ≡ r (mod ℤᵏ) for an integer k×3 matrix m and r = nums/den.
 
-    Returns (points, kernel).  The solution set is the union of p + span(kernel)
-    + ℤ³ over the listed points p, which are pairwise distinct modulo
-    span(kernel) + ℤ³; there are d₁·…·d_r of them, or none if the system is
+    Returns (points, top, kernel).  The solution set is the union of
+    p/top + span(kernel) + ℤ³ over the listed integer points p, which are
+    pairwise distinct modulo span(kernel) + ℤ³ and share the one positive
+    denominator top; there are d₁·…·d_r of them, or none if the system is
     inconsistent.  The kernel vectors are primitive integer vectors spanning the
     real null space of m.  With U·m·V = D, the substitution y = V·z turns the
     system into dᵢ·zᵢ ≡ (U·r)ᵢ, one congruence per coordinate.
@@ -599,19 +601,17 @@ def solve_congruence(
     u, diag, v = smith_form(m)
     rank = len(diag)
     kernel = [(v[0][j], v[1][j], v[2][j]) for j in range(rank, 3)]
-    nums, den = _over_common_denominator(r)
     # U·r = rhs / den; the rows beyond the rank must be integral
     rhs = [sum(a * b for a, b in zip(row, nums)) for row in u]
     if any(x % den for x in rhs[rank:]):
-        return [], kernel
+        return [], den, kernel
     # zⱼ = (rhsⱼ / den + k) / dⱼ for k = 0, …, dⱼ − 1, written over den·d_r
     top = den * diag[-1] if diag else den
     choices = [
         [(rhs[j] + k * den) * (diag[-1] // diag[j]) for k in range(diag[j])] for j in range(rank)
     ]
-    points = []
-    for z in product(*choices):
-        points.append(
-            tuple(Fraction(sum(v[i][j] * z[j] for j in range(rank)), top) for i in range(3))
-        )
-    return points, kernel  # type: ignore[return-value]
+    points = [
+        tuple(sum(v[i][j] * z[j] for j in range(rank)) for i in range(3))
+        for z in product(*choices)
+    ]
+    return points, top, kernel  # type: ignore[return-value]

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import Disconnected, NotASubgroup, SignatureCountMismatch
+from .errors import Disconnected, InvariantViolation, NotASubgroup, SignatureCountMismatch
 from .lattices import (
     SubgroupHNF,
     Vec3,
@@ -44,21 +44,27 @@ from .lattices import (
 )
 from .spacegroups import (
     Axis,
-    Isometry,
     SpaceGroup,
-    fixed_axis,
+    fixes_modulo,
     frame_gram_int,
     is_pure_translation,
     make_group,
     preserves_metric,
     rotation_order,
-    stabilizer_cosets,
 )
 
 IntVec = tuple[int, int, int]
 Edge = tuple[int, int, IntVec]
 Segment = tuple[Vec3, Vec3]
 IntMat = tuple[tuple[int, int, int], ...]
+# integer numerators over a group's common denominator (see _Scaled)
+ScaledSegment = tuple[IntVec, IntVec]
+ScaledAxis = tuple[IntVec, IntVec, int]  # direction, base, rotation index
+# solved fixed points y/top in the basis of T0 (see _fixed_points)
+Lines = list[tuple[IntVec, list[IntVec], int]]
+Corners = list[tuple[list[IntVec], int]]
+
+_IDENTITY: IntMat = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 # ============================================================
@@ -140,24 +146,6 @@ class SingularEdge:
 # ============================================================
 
 
-def _heading(v: Sequence) -> IntVec:
-    """Primitive integer vector pointing the same way as a nonzero rational v."""
-    u = primitive_integer(v)
-    f = [Fraction(x) for x in v]
-    i0 = next(i for i in range(3) if u[i])
-    if f[i0] * u[i0] < 0:
-        return (-u[0], -u[1], -u[2])
-    return u
-
-
-def _axis_period(T0: SubgroupHNF, d: IntVec) -> Fraction:
-    """Smallest s > 0 with s·d in the lattice, for a primitive direction d."""
-    c = coords_in(vec(*d), T0)
-    lcm = math.lcm(*(x.denominator for x in c))
-    g = math.gcd(*(int(x * lcm) for x in c))
-    return Fraction(lcm, g)
-
-
 @lru_cache(maxsize=None)
 def _plane_lattice(
     T0: SubgroupHNF, d: IntVec
@@ -170,36 +158,40 @@ def _plane_lattice(
     i0 = next(i for i in range(3) if d[i])
     lam = hnf(vsub(v, vscale(v[i0] / d[i0], vec(*d))) for v in T0.vectors())
     if lam.rank != 2:
-        raise ValueError("projection of a rank-3 lattice must have rank 2")
+        raise InvariantViolation("projection of a rank-3 lattice must have rank 2")
     cols = tuple((next(r for r in range(3) if c[r]), c) for c in lam.basis)
     return i0, lam.scale.denominator, cols
 
 
-def _axis_class(T0: SubgroupHNF, point: Sequence, d: IntVec) -> tuple[IntVec, Vec3]:
-    """Canonical (direction, base) of the line through a point along d, modulo the lattice.
+def _axis_base(T0: SubgroupHNF, n: Sequence[int], den: int, d: IntVec) -> IntVec:
+    """Canonical base of the line through the point n/den along d, modulo the lattice.
 
     The base is the projection of the point along d, translated by the plane
     lattice into its fundamental cell, so two lines along d are lattice
     translates of each other iff they have the same base.  d is primitive
-    with its first nonzero coordinate positive.
+    with its first nonzero coordinate d[i0] positive.  Points are integer
+    numerators over den, which the plane lattice's D must divide, and d[i0]
+    must divide n[i0].
     """
     i0, dd, cols = _plane_lattice(T0, d)
-    x, den = _over_common_denominator(point)
-    # the projection (d[i0]·x − x[i0]·d) / (den·d[i0]) as numerators over
-    # den·d[i0]·D, over which a plane-lattice column c has numerators unit·c
-    a, xi, unit = d[i0], x[i0], den * d[i0]
-    w = [dd * (a * x[i] - xi * d[i]) for i in range(3)]
+    f = den // dd
+    s = n[i0] // d[i0]
+    w = [n[0] - s * d[0], n[1] - s * d[1], n[2] - s * d[2]]
     for r, col in cols:
-        k = w[r] // (unit * col[r])
+        k = w[r] // (f * col[r])
         if k:
-            w = [w[i] - k * unit * col[i] for i in range(3)]
-    n = unit * dd
-    return d, (Fraction(w[0], n), Fraction(w[1], n), Fraction(w[2], n))
+            w = [w[i] - k * f * col[i] for i in range(3)]
+    return (w[0], w[1], w[2])
 
 
-def _unscaled(den: int, seg: tuple[IntVec, IntVec]) -> Segment:
+def _unscaled_point(den: int, n: Sequence[int]) -> Vec3:
+    """The rational point with the given integer numerators over den."""
+    return (Fraction(n[0], den), Fraction(n[1], den), Fraction(n[2], den))
+
+
+def _unscaled(den: int, seg: ScaledSegment) -> Segment:
     """The rational segment with the given integer numerators over den."""
-    return tuple(tuple(Fraction(x, den) for x in p) for p in seg)  # type: ignore[return-value]
+    return (_unscaled_point(den, seg[0]), _unscaled_point(den, seg[1]))
 
 
 # ============================================================
@@ -207,12 +199,7 @@ def _unscaled(den: int, seg: tuple[IntVec, IntVec]) -> Segment:
 # ============================================================
 
 
-def _axis_index(G: SpaceGroup, base: Vec3, d: IntVec) -> int:
-    """Order of the cyclic group of rotations in G fixing the line pointwise."""
-    return sum(1 for c in stabilizer_cosets(base, G) if int_matvec(c.rot, d) == d)
-
-
-def _fixed_point_congruences(G: SpaceGroup) -> list[tuple[IntMat, Vec3]]:
+def _fixed_point_congruences(G: SpaceGroup) -> tuple[list[tuple[IntMat, IntVec]], int]:
     """(A, −τ) for the rotation cosets (R, t) whose fixed points make up all the others'.
 
     B·y is fixed by x ↦ R·x + t + w for some w ∈ T0 iff A·y ≡ −τ (mod ℤ³),
@@ -220,6 +207,7 @@ def _fixed_point_congruences(G: SpaceGroup) -> list[tuple[IntMat, Vec3]]:
     invariant, and τ = B⁻¹t.  A rotation fixes the same line as its powers of
     order 2 or 3, and a coset has the same fixed points as its inverse, so
     only cosets of order 2, and one of each inverse pair of order 3, are kept.
+    Every −τ is returned as integer numerators over the one returned denominator.
     """
     out = []
     for c in G.cosets:
@@ -230,91 +218,136 @@ def _fixed_point_congruences(G: SpaceGroup) -> list[tuple[IntMat, Vec3]]:
             tuple(c.rot[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3)
         )
         out.append((invariant_coords_matrix(delta, G.T0), vneg(coords_in(c.trans, G.T0))))
-    return out
+    den = math.lcm(*(x.denominator for _, r in out for x in r))
+    return [(a, numerators(r, den)) for a, r in out], den
 
 
-def _axes_mod_t0(G: SpaceGroup) -> list[Axis]:
-    """All rotation-axis classes modulo the lattice, with full rotation indices.
+def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
+    """Rotation axes and vertices modulo T0, as points y/top in the basis of T0.
 
-    A has rank 2, so its Smith form U·A·V = diag(d₁, d₂, 0) splits the fixed
-    points of a coset into d₁·d₂ lines modulo T0, or none for a screw.
+    Returns (lines, corners).  Each congruence A·y ≡ −τ gives one entry of
+    lines: its axis direction d and one point on each of its d₁·d₂ lines,
+    because A has rank 2 and its Smith form U·A·V = diag(d₁, d₂, 0) splits its
+    fixed points into that many lines modulo T0, or none for a screw.  Each
+    pair of congruences about non-parallel axes gives one entry of corners:
+    their common fixed points, finitely many modulo T0 because the stacked
+    6×3 system has rank 3.
     """
-    found: dict[tuple[IntVec, Vec3], int] = {}
-    for a, r in _fixed_point_congruences(G):
-        points, kernel = solve_congruence(a, r)
+    h, _, _, _, _ = _integer_frame(G.T0)
+    congruences, den = _fixed_point_congruences(G)
+    lines = []
+    for a, r in congruences:
+        points, top, kernel = solve_congruence(a, r, den)
         if len(kernel) != 1:
-            raise ValueError("fixed set of a rotation is not a line")
-        d = primitive_integer(from_coords(kernel[0], G.T0))
-        for y in points:
-            key = _axis_class(G.T0, from_coords(y, G.T0), d)
-            if key not in found:
-                found[key] = _axis_index(G, key[1], key[0])
-    return [
-        Axis(base=base, direction=d, order=found[(d, base)])
-        for d, base in sorted(found)
-    ]
-
-
-def _vertices_mod_t0(G: SpaceGroup) -> list[Vec3]:
-    """Vertex classes: common fixed points of two rotations about non-parallel axes, mod T0.
-
-    The two congruences stacked into one 6×3 system have rank 3 exactly when
-    the axes are not parallel, and then finitely many solutions mod ℤ³.
-    """
-    congruences = _fixed_point_congruences(G)
-    pts = set()
+            raise InvariantViolation("fixed set of a rotation is not a line")
+        lines.append((primitive_integer(int_matvec(h, kernel[0])), points, top))
+    corners = []
     for k, (a1, r1) in enumerate(congruences):
         for a2, r2 in congruences[k + 1 :]:
-            points, kernel = solve_congruence(a1 + a2, r1 + r2)
-            if kernel:  # parallel axes
-                continue
-            pts.update(reduce_mod(from_coords(y, G.T0), G.T0)[0] for y in points)
-    return sorted(pts)
+            points, top, kernel = solve_congruence(a1 + a2, r1 + r2, den)
+            if not kernel:  # kernel means parallel axes
+                corners.append((points, top))
+    return lines, corners
+
+
+class _Scaled:
+    """A group whose points are integer numerators over one common denominator.
+
+    den clears the lattice, every coset translation, the solutions y/top,
+    which sit at B·y/top = p·H·y/(q·top) for the actual basis B = (p/q)·H of
+    T0, and the plane lattice along every axis direction d.  On top of that it
+    carries the factor lcm(d[i0]), so that the projection of a solved point
+    along d, which divides by d[i0], stays integral: `_axis_base` needs both.
+    """
+
+    def __init__(self, G: SpaceGroup, lines: Lines, corners: Corners) -> None:
+        h, _, _, p, q = _integer_frame(G.T0)
+        dirs = {d for d, _, _ in lines}
+        den = math.lcm(
+            *(q * top for _, _, top in lines),
+            *(q * top for _, top in corners),
+            *(x.denominator for c in G.cosets for x in c.trans),
+            *(_plane_lattice(G.T0, d)[1] for d in dirs),
+        )
+        self.G = G
+        self.den = den * math.lcm(*(next(x for x in d if x) for d in dirs))
+        self.reduce = cell_reducer(G.T0, self.den)
+        self.moves = [(c.rot, numerators(c.trans, self.den)) for c in G.cosets]
+        self._h, self._p, self._q = h, p, q
+
+    def from_coords(self, y: Sequence[int], top: int) -> IntVec:
+        """Numerators of the point B·y/top."""
+        f = self._p * (self.den // (self._q * top))
+        x = int_matvec(self._h, y)
+        return (f * x[0], f * x[1], f * x[2])
+
+    def stabilizer(self, n: IntVec) -> list[IntMat]:
+        """Rotation parts of the cosets with an element fixing the point n."""
+        return [rot for rot, t in self.moves if fixes_modulo(self.reduce, rot, t, n)]
+
+
+def _axes_mod_t0(sc: _Scaled, lines: Lines) -> list[ScaledAxis]:
+    """(direction, base, rotation index) of every rotation-axis class modulo the lattice, sorted.
+
+    The index counts the cosets with an element fixing the axis pointwise.
+    """
+    found: dict[tuple[IntVec, IntVec], int] = {}
+    for d, points, top in lines:
+        for y in points:
+            key = (d, _axis_base(sc.G.T0, sc.from_coords(y, top), sc.den, d))
+            if key not in found:
+                found[key] = sum(1 for rot in sc.stabilizer(key[1]) if int_matvec(rot, d) == d)
+    return [(d, b, found[(d, b)]) for d, b in sorted(found)]
+
+
+def _vertices_mod_t0(sc: _Scaled, corners: Corners) -> list[IntVec]:
+    """Vertex classes, reduced into the cell of the lattice and sorted."""
+    return sorted(
+        {sc.reduce(sc.from_coords(y, top))[0] for points, top in corners for y in points}
+    )
 
 
 def _axis_segments(
-    G: SpaceGroup, axes: Sequence[Axis], verts: Sequence[Vec3]
-) -> list[list[Segment]]:
+    sc: _Scaled, axes: Sequence[ScaledAxis], verts: Sequence[IntVec]
+) -> list[list[ScaledSegment]]:
     """For each axis, the maximal vertex-free straight segments covering one period.
 
     An axis gets an empty list when no vertex meets it (a circle component).
     A vertex class v meets the axis (b, d) iff the line through v along d is
-    in the axis's class.  Then B⁻¹(v − b) = k + λ·e with k ∈ ℤ³ and
-    e = B⁻¹·s₀d, the primitive lattice vector along the axis, so
-    λ ≡ f·B⁻¹(v − b) (mod 1) for any integer f with f·e = 1, and v sits at
-    b + λ·s₀d.  Points are integer numerators over one denominator, and
-    B⁻¹ = q·adj(H)/(p·det H).
+    in the axis's class.  Then B⁻¹(v − b) = k + λ·e with k ∈ ℤ³ and e the
+    primitive lattice vector along the axis in the basis of T0, so
+    λ ≡ f·B⁻¹(v − b) (mod 1) for any integer f with f·e = 1, and v sits, up
+    to a lattice vector, at b + λ·B·e.  With B = (p/q)·H and
+    B⁻¹ = q·adj(H)/(p·det H), λ = ℓ/(p·det·den) for an integer ℓ, and the
+    numerators of λ·B·e are ℓ·H·e/(q·det), integral because the point is a
+    lattice translate of v.
     """
-    on_line: dict[tuple[IntVec, Vec3], list[Vec3]] = {}
-    for d in {ax.direction for ax in axes}:
+    T0, den = sc.G.T0, sc.den
+    on_line: dict[tuple[IntVec, IntVec], list[IntVec]] = {}
+    for d in {d for d, _, _ in axes}:
         for v in verts:
-            on_line.setdefault(_axis_class(G.T0, v, d), []).append(v)
-    _, adj, det, p, q = _integer_frame(G.T0)
-    den = math.lcm(*(x.denominator for pt in (*verts, *(ax.base for ax in axes)) for x in pt))
-    mod = p * det * den
+            on_line.setdefault((d, _axis_base(T0, v, den, d)), []).append(v)
+    h, adj, det, p, q = _integer_frame(T0)
+    mod, step_den = p * det * den, q * det
     out = []
-    for ax in axes:
-        d = ax.direction
-        dv = vec(*d)
-        s0 = _axis_period(G.T0, d)
+    for d, b, _ in axes:
+        c = int_matvec(adj, d)
+        g = math.gcd(*c)
+        e = (c[0] // g, c[1] // g, c[2] // g)
         # the Smith form of the primitive column e has U·e = e₁, so f is U's first row
-        u, _, _ = smith_form([[int(x)] for x in coords_in(vscale(s0, dv), G.T0)])
+        u, _, _ = smith_form([[x] for x in e])
         row = [q * sum(u[0][i] * adj[i][j] for i in range(3)) for j in range(3)]
-        bn = numerators(ax.base, den)
-        offs = set()
-        for v in on_line.get((d, ax.base), ()):
-            x = numerators(v, den)
-            lam = row[0] * (x[0] - bn[0]) + row[1] * (x[1] - bn[1]) + row[2] * (x[2] - bn[2])
-            offs.add(Fraction(lam % mod, mod) * s0)
-        ss = sorted(offs)
-        if ss:
-            ss.append(ss[0] + s0)
-        out.append(
-            [
-                (vadd(ax.base, vscale(a, dv)), vadd(ax.base, vscale(b, dv)))
-                for a, b in zip(ss, ss[1:])
-            ]
+        he = int_matvec(h, e)
+        offs = sorted(
+            {
+                (row[0] * (x[0] - b[0]) + row[1] * (x[1] - b[1]) + row[2] * (x[2] - b[2])) % mod
+                for x in on_line.get((d, b), ())
+            }
         )
+        if offs:
+            offs.append(offs[0] + mod)
+        pts = [tuple(b[i] + ell * he[i] // step_den for i in range(3)) for ell in offs]
+        out.append(list(zip(pts, pts[1:])))
     return out
 
 
@@ -358,17 +391,20 @@ class _UnionFind:
 
 
 @lru_cache(maxsize=None)
-def _rotation_direction(frame, rot: IntMat) -> IntVec:
-    """Direction of the axis of a rotation; it does not depend on the translation part."""
-    return fixed_axis(Isometry(frame, rot, (0, 0, 0))).direction
+def _rotation_direction(rot: IntMat) -> IntVec:
+    """Direction of the axis of a rotation, the null space of the rank-2 matrix R − I."""
+    _, _, v = smith_form([[rot[i][j] - (i == j) for j in range(3)] for i in range(3)])
+    return primitive_integer([row[2] for row in v])
 
 
-def _germ_orbits(p: Vec3, G: SpaceGroup) -> tuple[tuple[frozenset[IntVec], int], ...]:
-    """Orbits of outgoing axis germs at a singular point, each with its index."""
-    rots = [c.rot for c in stabilizer_cosets(p, G) if not is_pure_translation(c)]
+def _germ_orbits(rots: Sequence[IntMat]) -> tuple[tuple[frozenset[IntVec], int], ...]:
+    """Orbits of outgoing axis germs at a singular point, each with its index.
+
+    rots are the rotation parts of the point's stabilizer, the identity left out.
+    """
     by_dir: dict[IntVec, int] = {}
     for rot in rots:
-        d = _rotation_direction(G.frame, rot)
+        d = _rotation_direction(rot)
         by_dir[d] = by_dir.get(d, 0) + 1
     index_of: dict[IntVec, int] = {}
     for d, count in by_dir.items():
@@ -379,27 +415,25 @@ def _germ_orbits(p: Vec3, G: SpaceGroup) -> tuple[tuple[frozenset[IntVec], int],
         for u in index_of:
             v = int_matvec(rot, u)
             if v not in classes:
-                raise ValueError("stabilizer does not permute the germ directions")
+                raise InvariantViolation("stabilizer does not permute the germ directions")
             classes.union(u, v)
     orbits = []
     for members in classes.groups():
         idx = {index_of[u] for u in members}
         if len(idx) != 1:
-            raise ValueError("germ orbit mixes axes of different indices")
+            raise InvariantViolation("germ orbit mixes axes of different indices")
         orbits.append((frozenset(members), idx.pop()))
     return tuple(sorted(orbits, key=lambda o: (o[1], min(o[0]))))
 
 
-def _edge_data(
-    G: SpaceGroup,
-    seg: Segment,
-    germs,
-) -> tuple[int, tuple[int, int, int, int]]:
+def _edge_data(seg: ScaledSegment, germs) -> tuple[int, tuple[int, int, int, int]]:
     """Edge index and four-germ link signature of a singular segment."""
     own = set()
     others: list[int] = []
     for p, q in (seg, seg[::-1]):
-        u = _heading(vsub(q, p))
+        diff = (q[0] - p[0], q[1] - p[1], q[2] - p[2])
+        g = math.gcd(*diff)
+        u = (diff[0] // g, diff[1] // g, diff[2] // g)
         rest = []
         for dirs, idx in germs(p):
             if u in dirs:
@@ -407,10 +441,10 @@ def _edge_data(
             else:
                 rest.append(idx)
         if len(rest) != 2:
-            raise ValueError("endpoint of a singular segment must be trivalent")
+            raise InvariantViolation("endpoint of a singular segment must be trivalent")
         others.extend(rest)
     if len(own) != 1:
-        raise ValueError("segment endpoints disagree on the edge index")
+        raise InvariantViolation("segment endpoints disagree on the edge index")
     return own.pop(), tuple(sorted(others))
 
 
@@ -419,7 +453,7 @@ def _edge_data(
 # ============================================================
 
 
-def _canon_scaled(reduce, a: IntVec, b: IntVec) -> tuple[IntVec, IntVec]:
+def _canon_scaled(reduce, a: IntVec, b: IntVec) -> ScaledSegment:
     """Canonical lattice translate of the unordered segment (a, b), on integer numerators."""
     best = None
     for p, q in ((a, b), (b, a)):
@@ -437,6 +471,37 @@ def _canon_segment(T0: SubgroupHNF, a: Vec3, b: Vec3) -> Segment:
     return _unscaled(den, seg)
 
 
+def _segment_orbits(sc: _Scaled, raw: Sequence[ScaledSegment]) -> list[list[ScaledSegment]]:
+    """The canonical segments grouped into G-orbits, each sorted, in order of their first member."""
+    reduce = sc.reduce
+    segments = {_canon_scaled(reduce, a, b) for a, b in raw}
+    seen: set[ScaledSegment] = set()
+    orbits = []
+    for key in sorted(segments):
+        if key in seen:
+            continue
+        # every element of G is a coset representative followed by a lattice
+        # translation, which leaves the canonical form unchanged
+        a, b = key
+        members = set()
+        for rot, t in sc.moves:
+            ra, rb = int_matvec(rot, a), int_matvec(rot, b)
+            members.add(
+                _canon_scaled(
+                    reduce,
+                    (ra[0] + t[0], ra[1] + t[1], ra[2] + t[2]),
+                    (rb[0] + t[0], rb[1] + t[1], rb[2] + t[2]),
+                )
+            )
+        if not members <= segments:
+            raise InvariantViolation(
+                "a group element maps a singular segment outside the singular set"
+            )
+        seen |= members
+        orbits.append(sorted(members))
+    return orbits
+
+
 @dataclass
 class _SingularData:
     """Cached singular-set decomposition of one space group."""
@@ -452,74 +517,47 @@ class _SingularData:
 
 @lru_cache(maxsize=None)
 def _singular_data(name: str) -> _SingularData:
+    """The singular set, computed on integer numerators and turned into rationals at the end."""
     G = make_group(name)
-    axes = _axes_mod_t0(G)
-    verts = _vertices_mod_t0(G)
-    raw: list[Segment] = []
+    lines, corners = _fixed_points(G)
+    sc = _Scaled(G, lines, corners)
+    axes = _axes_mod_t0(sc, lines)
+    verts = _vertices_mod_t0(sc, corners)
+    raw: list[ScaledSegment] = []
     circles = []
-    for ax, segs in zip(axes, _axis_segments(G, axes, verts)):
+    for ax, segs in zip(axes, _axis_segments(sc, axes, verts)):
         if not segs:
             circles.append(ax)
         raw.extend(segs)
-    # the orbit search runs on integer numerators over one common denominator
-    den = math.lcm(
-        G.T0.scale.denominator,
-        *(x.denominator for c in G.cosets for x in c.trans),
-        *(x.denominator for seg in raw for p in seg for x in p),
-    )
-    reduce = cell_reducer(G.T0, den)
-    moves = [(c.rot, numerators(c.trans, den)) for c in G.cosets]
-    segments = {_canon_scaled(reduce, numerators(a, den), numerators(b, den)) for a, b in raw}
-    seen: set[tuple[IntVec, IntVec]] = set()
-    orbit_of: dict[Segment, int] = {}
-    orbits: list[list[Segment]] = []
-    for key in sorted(segments):
-        if key in seen:
-            continue
-        # every element of G is a coset representative followed by a lattice
-        # translation, which leaves the canonical form unchanged
-        a, b = key
-        members = set()
-        for rot, t in moves:
-            ra, rb = int_matvec(rot, a), int_matvec(rot, b)
-            members.add(
-                _canon_scaled(
-                    reduce,
-                    (ra[0] + t[0], ra[1] + t[1], ra[2] + t[2]),
-                    (rb[0] + t[0], rb[1] + t[1], rb[2] + t[2]),
-                )
-            )
-        if not members <= segments:
-            raise ValueError(
-                "internal invariant violated: a group element maps a singular "
-                "segment to a segment outside the singular set"
-            )
-        seen |= members
-        orbit = [_unscaled(den, seg) for seg in sorted(members)]
-        orbit_of.update((seg, len(orbits)) for seg in orbit)
-        orbits.append(orbit)
 
-    memo: dict[Vec3, tuple] = {}
+    memo: dict[IntVec, tuple] = {}
 
-    def germs(p: Vec3):
-        rep = reduce_mod(p, G.T0)[0]
+    def germs(p: IntVec):
+        rep = sc.reduce(p)[0]
         if rep not in memo:
-            memo[rep] = _germ_orbits(rep, G)
+            memo[rep] = _germ_orbits([r for r in sc.stabilizer(rep) if r != _IDENTITY])
         return memo[rep]
 
+    orbit_of: dict[Segment, int] = {}
+    orbits: list[list[Segment]] = []
     edges = []
-    for oid, members in enumerate(orbits):
-        edge_index, link = _edge_data(G, members[0], germs)
+    for oid, members in enumerate(_segment_orbits(sc, raw)):
+        edge_index, link = _edge_data(members[0], germs)
+        orbit = [_unscaled(sc.den, seg) for seg in members]
+        orbit_of.update((seg, oid) for seg in orbit)
+        orbits.append(orbit)
         edges.append(
-            SingularEdge(
-                segment=members[0], edge_index=edge_index, link=link, orbit_id=oid
-            )
+            SingularEdge(segment=orbit[0], edge_index=edge_index, link=link, orbit_id=oid)
         )
+
+    def axis(d: IntVec, b: IntVec, order: int) -> Axis:
+        return Axis(base=_unscaled_point(sc.den, b), direction=d, order=order)
+
     return _SingularData(
         G=G,
-        axes=axes,
-        vertices=verts,
-        circles=circles,
+        axes=[axis(*ax) for ax in axes],
+        vertices=[_unscaled_point(sc.den, v) for v in verts],
+        circles=[axis(*ax) for ax in circles],
         orbit_of=orbit_of,
         orbits=orbits,
         edges=tuple(edges),
@@ -586,10 +624,15 @@ def _frame_symmetries(frame) -> tuple[IntMat, ...]:
 
 @lru_cache(maxsize=None)
 def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
-    """Affine maps x ↦ Sx + t normalizing the group, up to lattice translations.
+    """A transversal of the group in its affine normalizer, up to lattice translations.
 
-    S runs over the integer isometries of the frame (improper ones included)
-    that preserve T0.  Conjugating a rotation generator (R, τ) gives
+    The maps are x ↦ Sx + t.  S runs over the integer isometries of the frame
+    (improper ones included) that preserve T0, one per right coset P·S of the
+    point group P, with the identity standing for P itself:
+    (R, τ)∘(S, t) = (RS, Rt + τ) differs from (S, t) by an element of G, so
+    the other members of the coset add nothing modulo G.  For each such S,
+    t runs over all translations modulo T0 that make the map normalize G.
+    Conjugating a rotation generator (R, τ) gives
     (SRS⁻¹, Sτ + (I − SRS⁻¹)t), which lies in G iff
     (SRS⁻¹ − I)t ≡ Sτ − τ' (mod T0) for the coset (SRS⁻¹, τ') of G.  Stacked
     over the generators in T0-coordinates, these congruences have full rank
@@ -603,8 +646,12 @@ def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
         if not is_pure_translation(g)
     ]
     coset_of = {invariant_coords_matrix(c.rot, T0): coords_in(c.trans, T0) for c in G.cosets}
+    covered: set[IntMat] = set()
     out = []
-    for rows in _frame_symmetries(G.frame):
+    for rows in sorted(_frame_symmetries(G.frame), key=lambda m: m != _IDENTITY):
+        if rows in covered:
+            continue
+        covered.update(matmul(c.rot, rows) for c in G.cosets)
         # integral iff S·T0 ⊆ T0, which means S·T0 = T0 because det S = ±1
         s = coords_matrix(rows, T0)
         if s is None:
@@ -622,15 +669,23 @@ def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
             )
             rhs.extend(vsub(int_matvec(s, tau), target))
         else:
-            points, kernel = solve_congruence(system, rhs)
+            nums, den = _over_common_denominator(rhs)
+            points, top, kernel = solve_congruence(system, nums, den)
             if kernel:
-                raise ValueError("normalizer translations of a group are not discrete")
-            out.extend((rows, reduce_mod(from_coords(y, T0), T0)[0]) for y in points)
+                raise InvariantViolation("normalizer translations of a group are not discrete")
+            out.extend(
+                (rows, reduce_mod(from_coords(_unscaled_point(top, y), T0), T0)[0])
+                for y in points
+            )
     return tuple(sorted(set(out)))
 
 
 def marked_edges(G: SpaceGroup) -> list[SingularEdge]:
-    """One representative per orbit class whose neighborhood boundary is S²(2,2,2,3)."""
+    """One representative per orbit class whose neighborhood boundary is S²(2,2,2,3).
+
+    Orbits are classed up to conjugation: only the normalizer modulo G acts on
+    G-orbits, so the union runs over the transversal of _normalizer_maps.
+    """
     data = _singular_data(G.name)
     qualifying = [e for e in data.edges if e.link == _MARKED_LINK]
     classes = _UnionFind(e.orbit_id for e in qualifying)
@@ -640,7 +695,7 @@ def marked_edges(G: SpaceGroup) -> list[SingularEdge]:
             img = _canon_segment(G.T0, int_affine(rows, a, t), int_affine(rows, b, t))
             other = data.orbit_of.get(img)
             if other is None or other not in classes:
-                raise ValueError("normalizer map does not preserve the marked edges")
+                raise InvariantViolation("normalizer map does not preserve the marked edges")
             classes.union(e.orbit_id, other)
     reps = sorted(
         (data.edges[min(ids)] for ids in classes.groups()),
@@ -684,7 +739,7 @@ def edge_orbit_graph(G: SpaceGroup, e: SingularEdge, suppress: bool = True) -> P
         shift = tuple(x - y for x, y in zip(kb, ka))
         edges.append(_normalize_edge(order[va], order[vb], shift))
     if len(set(edges)) != len(edges):
-        raise ValueError("distinct straight segments produced a duplicate edge")
+        raise InvariantViolation("distinct straight segments produced a duplicate edge")
     g = PeriodicGraph(
         group=G.name,
         T0=G.T0,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import ClosureOverflow, FrameMismatch, UnknownGroup
+from .errors import ClosureOverflow, FrameMismatch, InvariantViolation, UnknownGroup
 from .lattices import (
     SubgroupHNF,
     Vec3,
@@ -284,7 +284,8 @@ def _closure(
         dens.extend(t.denominator for t in g.trans)
     d_all = math.lcm(*dens)
     k = d_all * seed.scale
-    assert k.denominator == 1
+    if k.denominator != 1:
+        raise InvariantViolation("common denominator does not clear the seed lattice")
     mcols = [tuple(int(e) * k.numerator for e in col) for col in seed.basis]
 
     def red(w: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -476,13 +477,14 @@ def stabilizer_cosets(p: Sequence, G: SpaceGroup) -> list[Isometry]:
     )
     reduce = cell_reducer(G.T0, den)
     n = numerators(p, den)
-    out = []
-    for c in G.cosets:
-        img, t = int_matvec(c.rot, n), numerators(c.trans, den)
-        move = (img[0] + t[0] - n[0], img[1] + t[1] - n[1], img[2] + t[2] - n[2])
-        if not any(reduce(move)[0]):
-            out.append(c)
-    return out
+    return [c for c in G.cosets if fixes_modulo(reduce, c.rot, numerators(c.trans, den), n)]
+
+
+def fixes_modulo(reduce, rot, t: Sequence[int], n: Sequence[int]) -> bool:
+    """True iff R·n + t − n lies in the lattice of a `cell_reducer`, all numerators over its den."""
+    img = int_matvec(rot, n)
+    move = (img[0] + t[0] - n[0], img[1] + t[1] - n[1], img[2] + t[2] - n[2])
+    return not any(reduce(move)[0])
 
 
 def stabilizer(p: Sequence, G: SpaceGroup) -> list[Isometry]:

@@ -372,3 +372,19 @@ def test_cli_rejects_unknown_group():
 def test_cli_reports_usage_errors_with_exit_two(capsys):
     assert cli.main(["classify", "P432", "beta"]) == 2
     assert "no edge beta" in capsys.readouterr().err
+
+
+def test_cli_reports_internal_errors_with_exit_three(monkeypatch, capsys):
+    # a normalizer map that moves a marked edge off the singular set is a
+    # fault in the program, not in the command line
+    import torsym.periodic_graphs as pg
+    from fractions import Fraction
+
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    bad = ((identity, (Fraction(1, 3), Fraction(0), Fraction(0))),)
+    monkeypatch.setattr(pg, "_normalizer_maps", lambda name: bad)
+    monkeypatch.setattr(cli, "labeled_marked_edges", labeled_marked_edges.__wrapped__)
+    assert cli.main(["edges", "P432"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ")
+    assert "does not preserve the marked edges" in err

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsym.errors import NotASubgroup, RankDeficient
+from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     _basis_inverse,
@@ -217,6 +217,15 @@ def test_index_examples():
     for n in range(1, 5):
         tn = hnf([(n, 0, 0), (0, n, 0), (0, 0, n)])
         assert index(tn, T1) == n**3
+
+
+def test_index_rejects_a_fractional_covolume_ratio(monkeypatch):
+    # a typed error, not an assert, so the check also runs under python -O
+    import torsym.lattices as lattices
+
+    monkeypatch.setattr(lattices, "covolume", lambda sub: Fraction(3 if sub == T2 else 2))
+    with pytest.raises(InvariantViolation):
+        index(T2, T1)
 
 
 def test_index_by_residue_counting():
@@ -484,7 +493,8 @@ def test_smith_form_is_a_unimodular_diagonalisation(m):
 @settings(max_examples=150)
 def test_solve_congruence_matches_grid_search(m, nums):
     r = [Fraction(x, 2) for x in nums[: len(m)]]
-    points, kernel = solve_congruence(m, r)
+    points, top, kernel = solve_congruence(m, nums[: len(m)], 2)
+    points = [tuple(Fraction(x, top) for x in p) for p in points]
     for k in kernel:
         assert all(sum(a * b for a, b in zip(row, k)) == 0 for row in m)
     # every solution lies in a finite grid once the kernel directions are fixed at 0

@@ -29,16 +29,13 @@ from torsym.lattices import (
 from torsym.periodic_graphs import (
     PeriodicGraph,
     SingularEdge,
-    _axes_mod_t0,
-    _axis_class,
-    _axis_period,
-    _axis_segments,
+    _axis_base,
     _canon_segment,
     _frame_symmetries,
     _germ_orbits,
     _normalizer_maps,
+    _plane_lattice,
     _singular_data,
-    _vertices_mod_t0,
     cycle_image_lattice,
     edge_orbit_graph,
     lift_connected,
@@ -58,6 +55,7 @@ from torsym.spacegroups import (
     fixed_axis,
     is_pure_translation,
     make_group,
+    stabilizer,
     stabilizer_order,
 )
 from torsym.sublattices import instantiate, normal_translation_subgroups
@@ -188,6 +186,22 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+def _axis_class(T0, point, d):
+    """Canonical (direction, base) of the line through a rational point along d, modulo the lattice."""
+    i0, dd, _ = _plane_lattice(T0, d)
+    den = math.lcm(dd, *(Fraction(x).denominator for x in point)) * d[i0]
+    base = _axis_base(T0, [int(x * den) for x in point], den, d)
+    return d, tuple(Fraction(x, den) for x in base)
+
+
+def _axis_period(T0, d):
+    """Smallest s > 0 with s·d in the lattice, for a primitive direction d."""
+    c = coords_in(vec(*d), T0)
+    lcm = math.lcm(*(x.denominator for x in c))
+    g = math.gcd(*(int(x * lcm) for x in c))
+    return Fraction(lcm, g)
+
+
 def _window_axis_order(G, base, d):
     return sum(
         1
@@ -263,8 +277,12 @@ def window_offsets(G, ax, verts, radius):
     return sorted(offs)
 
 
+@lru_cache(maxsize=None)
 def grid_normalizer_maps(name, grid=24):
-    """The congruences (SRS⁻¹ − I)t ≡ Sτ − τ' (mod T0), filtered over a (1/grid)-grid."""
+    """The congruences (SRS⁻¹ − I)t ≡ Sτ − τ' (mod T0), filtered over a (1/grid)-grid.
+
+    S runs over every frame symmetry, so this lists the whole normalizer modulo T0.
+    """
     import numpy as np
 
     G = make_group(name)
@@ -296,11 +314,24 @@ def grid_normalizer_maps(name, grid=24):
     return tuple(sorted(set(out)))
 
 
+def group_closure(G, maps):
+    """All (R·S, R·t + τ) modulo T0 for the maps (S, t) and the cosets (R, τ) of G."""
+    return tuple(
+        sorted(
+            {
+                (matmul(c.rot, rows), reduce_mod(int_affine(c.rot, t, c.trans), G.T0)[0])
+                for rows, t in maps
+                for c in G.cosets
+            }
+        )
+    )
+
+
 @pytest.mark.parametrize("name", GROUPS)
 def test_axis_window_saturates(name):
     # the exact solve finds every axis class, and the windows find no other
     G = make_group(name)
-    axes = _axes_mod_t0(G)
+    axes = _singular_data(name).axes
     for radius in (2, 3):
         assert window_axes(G, radius) == axes
 
@@ -308,25 +339,55 @@ def test_axis_window_saturates(name):
 @pytest.mark.parametrize("name", GROUPS)
 def test_vertex_window_saturates(name):
     G = make_group(name)
-    axes, verts = _axes_mod_t0(G), _vertices_mod_t0(G)
+    data = _singular_data(name)
     for radius in (2, 3):
-        assert window_vertices(G, axes, radius) == verts
+        assert window_vertices(G, data.axes, radius) == data.vertices
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_axis_segments_match_window_oracle(name):
+    # cut every axis at the window's vertex offsets over one period; the
+    # pieces are exactly the singular segments, up to lattice translation
     G = make_group(name)
-    verts = _vertices_mod_t0(G)
-    axes = _axes_mod_t0(G)
-    for ax, segs in zip(axes, _axis_segments(G, axes, verts)):
+    data = _singular_data(name)
+    found = set()
+    for ax in data.axes:
+        offs = window_offsets(G, ax, data.vertices, 2)
+        assert offs, "every axis meets a vertex"
+        offs.append(offs[0] + _axis_period(G.T0, ax.direction))
         dv = vec(*ax.direction)
-        starts = [vadd(ax.base, vscale(s, dv)) for s in window_offsets(G, ax, verts, 2)]
-        assert [a for a, _ in segs] == starts
+        for a, b in zip(offs, offs[1:]):
+            found.add(_canon_segment(G.T0, vadd(ax.base, vscale(a, dv)), vadd(ax.base, vscale(b, dv))))
+    assert found == set(data.orbit_of)
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_normalizer_maps_match_grid_oracle(name):
-    assert _normalizer_maps(name) == grid_normalizer_maps(name)
+    # the maps are a transversal of G in its normalizer: one per coset of G
+    G = make_group(name)
+    maps, oracle = _normalizer_maps(name), grid_normalizer_maps(name)
+    assert group_closure(G, maps) == oracle
+    assert len(maps) * G.point_order == len(oracle)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_marked_edges_match_the_whole_grid_normalizer(name):
+    # the full oracle map set is a group modulo T0, so the class of an orbit
+    # is the set of its images: no union-find and no transversal needed
+    G = make_group(name)
+    data = _singular_data(name)
+    classes = set()
+    for e in data.edges:
+        if e.link != (2, 2, 2, 3):
+            continue
+        a, b = e.segment
+        classes.add(
+            frozenset(
+                data.orbit_of[_canon_segment(G.T0, int_affine(rows, a, t), int_affine(rows, b, t))]
+                for rows, t in grid_normalizer_maps(name)
+            )
+        )
+    assert [e.orbit_id for e in marked_edges(G)] == sorted(min(c) for c in classes)
 
 
 def test_axis_orders_are_crystallographic():
@@ -357,7 +418,8 @@ def test_p432_vertex_stabilizer_orders():
 def test_every_vertex_is_trivalent(name):
     G = make_group(name)
     for v in _singular_data(name).vertices:
-        assert len(_germ_orbits(v, G)) == 3
+        rots = [g.rot for g in stabilizer(v, G) if not is_pure_translation(g)]
+        assert len(_germ_orbits(rots)) == 3
 
 
 # ============================================================
