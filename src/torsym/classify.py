@@ -1,10 +1,11 @@
 """Classification tables: accepted covering lattices, genus census, claim checks."""
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import UnmatchedLattice
-from .lattices import SubgroupHNF, covolume, hnf
+from .errors import InvariantViolation, UnmatchedLattice
+from .lattices import SubgroupHNF, coords_in, covolume, hnf, index, join, smith_form
 from .periodic_graphs import (
     PeriodicGraph,
     SingularEdge,
@@ -188,7 +189,7 @@ class ClassificationRow:
         if self.group_order != 12 * (self.genus - 1):
             raise ValueError("group order must equal twelve times genus minus one")
         if not _constraint_holds(self.constraint, self.n, self.m):
-            raise ValueError("row parameters violate the fitted constraint")
+            raise ValueError("row parameters violate the derived constraint")
 
     @property
     def lattice_label(self) -> str:
@@ -309,6 +310,52 @@ def _case_graph(name: str, label: str) -> PeriodicGraph:
     return edge_orbit_graph(G, labeled_marked_edges(name)[label])
 
 
+def _derived_constraint(g: PeriodicGraph, tag: str, mult: int) -> str | None:
+    """Divisibility constraint of one lattice family, read off T0/I; None rejects it.
+
+    A covering lattice T is accepted iff T + I = T0, with I the cycle image
+    of g.
+
+    Cubic family, I of rank 3: the instance with reduced parameter n is n·L₁,
+    L₁ = instantiate(tag, mult).  T0/I is finite of order N = [T0 : I], and
+    its exponent has the same primes as N.  The image of n·L₁ in T0/I is n
+    times the image of L₁.  If L₁ + I ≠ T0, that image is a proper subgroup
+    for every n.  Otherwise it is n·(T0/I), which is all of T0/I iff
+    gcd(n, N) = 1.
+
+    Hexagonal family, I of rank 2: the instance is n·P + ℤ·m·e₃, with P the
+    planar part of L₁ = instantiate(tag, mult, 1).  If T0/I ≅ ℤ (Smith
+    invariants 1, 1 of I in T0-coordinates), the quotient is torsion-free,
+    so I = T0 ∩ span(I).  When I also lies in the plane z = 0, it contains
+    P.  The image of the instance in T0/I ≅ ℤ is then m times the image of
+    L₁, which is all of ℤ iff m = 1 and L₁ + I = T0.
+    """
+    I = cycle_image_lattice(g)
+    if tag.startswith("HEX"):
+        if I.rank != 2 or any(v[2] for v in I.vectors()):
+            raise InvariantViolation(f"{tag}: cycle image is not a lattice in the plane z = 0")
+        cols = [coords_in(v, g.T0) for v in I.vectors()]
+        _, diag, _ = smith_form([[int(c[i]) for c in cols] for i in range(3)])
+        if diag != [1, 1]:
+            raise InvariantViolation(f"{tag}: T0/I has torsion, Smith invariants {diag}")
+        return "m=1" if join(instantiate(tag, mult, 1), I) == g.T0 else None
+    if I.rank != 3:
+        raise InvariantViolation(f"{tag}: cycle image of rank {I.rank}, not 3")
+    if join(instantiate(tag, mult), I) != g.T0:
+        return None
+    N = index(I, g.T0)
+    # the primes of N all divide 6 iff N | 6^N, since no exponent in N exceeds N
+    constraint = {1: "none", 2: "2∤n", 3: "3∤n"}.get(math.gcd(N, 6))
+    if constraint is None or pow(6, N, N):
+        raise InvariantViolation(f"{tag}: no listed constraint for [T0 : I] = {N}")
+    return constraint
+
+
+@lru_cache(maxsize=None)
+def _case_constraint(name: str, label: str, tag: str) -> str | None:
+    return _derived_constraint(_case_graph(name, label), tag, dict(FAMILY_MULTIPLIERS[name])[tag])
+
+
 # ============================================================
 # classification
 # ============================================================
@@ -326,43 +373,6 @@ def _reduced_parameters(group: str, fam: LatticeFamily) -> tuple[int, int | None
     raise UnmatchedLattice(f"{group}: unexpected family {fam.tag}")
 
 
-def _consistent_constraints(
-    accepted: list[tuple[int, int | None]], rejected: list[tuple[int, int | None]]
-) -> list[str | None]:
-    """Listed predicates separating accepted from rejected; None marks full rejection."""
-    out: list[str | None] = []
-    for constraint in CONSTRAINTS:
-        if all(_constraint_holds(constraint, n, m) for n, m in accepted) and not any(
-            _constraint_holds(constraint, n, m) for n, m in rejected
-        ):
-            out.append(constraint)
-    if not accepted:
-        out.append(None)
-    return out
-
-
-def _probe_constraint(
-    g: PeriodicGraph, group: str, tag: str, mult: int, constraint: str | None
-) -> None:
-    """Re-verify a fitted constraint on one representative per residue class.
-
-    Lift connectivity of a family instance depends on its reduced parameters
-    only through n mod 6 (the join with a fixed image lattice is determined by
-    gcds whose prime support is {2, 3}) and, for the planar hexagonal image,
-    through whether m = 1.  Probing n = 1..6 and m = 1..3 therefore covers
-    every residue class; constraint None means the family is fully rejected.
-    """
-    hexagonal = tag.startswith("HEX")
-    for n in range(1, 7):
-        for m in (1, 2, 3) if hexagonal else (None,):
-            expected = False if constraint is None else _constraint_holds(constraint, n, m)
-            L = instantiate(tag, mult * n, m)
-            if lift_connected(g, L) != expected:
-                raise UnmatchedLattice(
-                    f"{group} {tag}: constraint {constraint!r} fails at n={n}, m={m}"
-                )
-
-
 def classify_case(group: str, edge: str, max_index: int) -> list[ClassificationRow]:
     """All accepted covering lattices for one marked edge up to a lattice index."""
     group = canonical_group_name(group)
@@ -376,41 +386,19 @@ def classify_case(group: str, edge: str, max_index: int) -> list[ClassificationR
     G = make_group(group)
     g = _case_graph(group, edge)
     order = [tag for tag, _ in FAMILY_MULTIPLIERS[group]]
-    mult_of = dict(FAMILY_MULTIPLIERS[group])
-
-    survivors: dict[str, list[tuple[int, int | None, LatticeFamily, SubgroupHNF, int]]] = {}
-    rejected: dict[str, list[tuple[int, int | None]]] = {}
-    for L, fam, pi1 in normal_translation_subgroups(G, max_index):
-        n, m = _reduced_parameters(group, fam)
-        if lift_connected(g, L):
-            survivors.setdefault(fam.tag, []).append((n, m, fam, L, pi1))
-        else:
-            rejected.setdefault(fam.tag, []).append((n, m))
-
-    constraints: dict[str, str] = {}
-    for tag in order:
-        if tag not in survivors and tag not in rejected:
-            continue
-        accepted_nm = [(n, m) for n, m, _, _, _ in survivors.get(tag, [])]
-        for candidate in _consistent_constraints(accepted_nm, rejected.get(tag, [])):
-            try:
-                _probe_constraint(g, group, tag, mult_of[tag], candidate)
-            except UnmatchedLattice:
-                continue
-            if candidate is not None:
-                constraints[tag] = candidate
-            break
-        else:
-            raise UnmatchedLattice(
-                f"{group} {edge}: no divisibility predicate explains the "
-                f"accepted {tag} parameters"
-            )
 
     rows = []
-    for tag in order:
-        for n, m, fam, L, pi1 in survivors.get(tag, []):
-            lattice_index = pi1 // G.point_order
-            genus = pi1 // 12 + 1
+    for L, fam, pi1 in normal_translation_subgroups(G, max_index):
+        n, m = _reduced_parameters(group, fam)
+        constraint = _case_constraint(group, edge, fam.tag)
+        accepted = constraint is not None and _constraint_holds(constraint, n, m)
+        # the lift criterion is the second route to every verdict
+        if lift_connected(g, L) != accepted:
+            raise InvariantViolation(
+                f"{group} {edge}: lift of {fam.tag} n={n}, m={m} disagrees with "
+                f"the derived constraint {constraint!r}"
+            )
+        if accepted:
             rows.append(
                 ClassificationRow(
                     group=group,
@@ -420,10 +408,10 @@ def classify_case(group: str, edge: str, max_index: int) -> list[ClassificationR
                     n=n,
                     m=m,
                     lattice=L,
-                    constraint=constraints[tag],
-                    lattice_index=lattice_index,
+                    constraint=constraint,
+                    lattice_index=pi1 // G.point_order,
                     group_order=pi1,
-                    genus=genus,
+                    genus=pi1 // 12 + 1,
                     knotted=KNOTTED[(group, edge)],
                 )
             )
@@ -523,7 +511,16 @@ def verify_tables(max_index: int) -> VerificationReport:
             pair = (row.family.tag, row.constraint)
             if pair not in found:
                 found.append(pair)
-        expected = list(EXPECTED_ACCEPTED[(group, edge)])
+        # a family shows up once its first instance (n = 1, and m = 1 for the
+        # hexagonal ones) fits under the index bound
+        T0 = make_group(group).T0
+        mult = dict(FAMILY_MULTIPLIERS[group])
+        expected = [
+            (tag, constraint)
+            for tag, constraint in EXPECTED_ACCEPTED[(group, edge)]
+            if index(instantiate(tag, mult[tag], 1 if tag.startswith("HEX") else None), T0)
+            <= max_index
+        ]
         if found != expected:
             errors.append(
                 f"{group} {edge}: survivors {found} do not match {expected}"

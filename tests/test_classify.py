@@ -4,13 +4,18 @@ import json
 
 import pytest
 
-from torsym import cli
+from torsym import classify, cli
 from torsym.classify import (
     CASES,
     EXPECTED_ACCEPTED,
+    FAMILY_MULTIPLIERS,
     GENUS_FORMS,
     KNOTTED,
     ClassificationRow,
+    _case_constraint,
+    _case_graph,
+    _constraint_holds,
+    _derived_constraint,
     classify_case,
     labeled_marked_edges,
     report_to_json,
@@ -25,8 +30,11 @@ from torsym.classify import (
     verify_claims,
     verify_tables,
 )
+from torsym.errors import InvariantViolation
 from torsym.lattices import covolume, index
+from torsym.periodic_graphs import PeriodicGraph, lift_connected_bruteforce
 from torsym.spacegroups import make_group
+from torsym.sublattices import instantiate
 
 # ============================================================
 # marked edge labels
@@ -134,6 +142,65 @@ def test_survivor_families_match_the_fixed_lists():
             if pair not in found:
                 found.append(pair)
         assert found == list(EXPECTED_ACCEPTED[(group, edge)]), (group, edge)
+
+
+# n = 1..7, 9, 12 brings in multiples of 2, 3 and 6 and the primes 5 and 7;
+# 12³ lets every case's index-1 family reach n = 12
+AGREEMENT_NS = (1, 2, 3, 4, 5, 6, 7, 9, 12)
+AGREEMENT_MAX_INDEX = 12**3
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_derived_constraints_agree_with_bruteforce_lifts(case):
+    group, edge = case
+    T0 = make_group(group).T0
+    g = _case_graph(group, edge)
+    checked_ns = set()
+    for tag, mult in FAMILY_MULTIPLIERS[group]:
+        constraint = _case_constraint(group, edge, tag)
+        for n in AGREEMENT_NS:
+            for m in (1, 2, 3) if tag.startswith("HEX") else (None,):
+                L = instantiate(tag, mult * n, m)
+                if index(L, T0) > AGREEMENT_MAX_INDEX:
+                    continue
+                derived = constraint is not None and _constraint_holds(constraint, n, m)
+                assert lift_connected_bruteforce(g, L) == derived, (tag, n, m)
+                checked_ns.add(n)
+    assert checked_ns == set(AGREEMENT_NS)
+
+
+def _single_vertex_graph(shifts):
+    T0 = make_group("P432").T0
+    return PeriodicGraph(
+        group="P432", T0=T0, vertices=((0, 0, 0),), edges=tuple((0, 0, s) for s in shifts)
+    )
+
+
+def test_derived_constraint_rejects_an_index_without_a_listed_word():
+    # T0/I = Z/6 has primes 2 and 3 at once, which no listed constraint names
+    g = _single_vertex_graph([(1, 0, 0), (0, 1, 0), (0, 0, 6)])
+    with pytest.raises(InvariantViolation, match=r"\[T0 : I\] = 6"):
+        _derived_constraint(g, "CUBIC_PRIMITIVE", 1)
+    g = _single_vertex_graph([(1, 0, 0), (0, 1, 0), (0, 0, 4)])
+    assert _derived_constraint(g, "CUBIC_PRIMITIVE", 1) == "2∤n"
+    assert _derived_constraint(g, "CUBIC_PRIMITIVE", 2) is None
+
+
+def test_classify_case_raises_when_a_lift_contradicts_the_constraint(monkeypatch):
+    # I432 beta rejects some lattices up to index 8, so "none" cannot hold
+    monkeypatch.setattr(classify, "_case_constraint", lambda group, edge, tag: "none")
+    with pytest.raises(InvariantViolation, match="disagrees with the derived constraint"):
+        classify_case("I432", "beta", 8)
+
+
+def test_cli_exits_three_on_an_underived_constraint(monkeypatch, capsys):
+    g = _single_vertex_graph([(1, 0, 0), (0, 1, 0), (0, 0, 6)])
+    monkeypatch.setattr(classify, "_case_graph", lambda name, label: g)
+    monkeypatch.setattr(classify, "_case_constraint", _case_constraint.__wrapped__)
+    assert cli.main(["classify", "P432", "alpha", "--max-index", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ")
+    assert "[T0 : I] = 6" in err and "Traceback" not in err
 
 
 def test_classify_rejects_bad_arguments():
@@ -275,6 +342,22 @@ def test_verify_tables_passes_at_moderate_index():
     report = verify_tables(48)
     assert report.ok
     assert report.table_errors == ()
+
+
+def test_verify_tables_passes_at_every_small_index():
+    # families whose first instance lies above the bound are not expected yet
+    for k in range(1, 17):
+        assert verify_tables(k).ok, k
+
+
+def test_verify_tables_fails_when_an_expected_family_is_missing(monkeypatch):
+    # CUBIC_BODY first shows up for F4_132 alpha at index 16
+    case = ("F4_132", "alpha")
+    monkeypatch.setitem(EXPECTED_ACCEPTED, case, EXPECTED_ACCEPTED[case][:2])
+    assert verify_tables(15).ok
+    report = verify_tables(16)
+    assert not report.ok
+    assert any(err.startswith("F4_132 alpha: survivors") for err in report.table_errors)
 
 
 def test_report_rendering():
