@@ -287,6 +287,19 @@ def hnf(generators: Iterable[Sequence]) -> SubgroupHNF:
     return SubgroupHNF(rank=len(basis), basis=basis, scale=Fraction(1, d))
 
 
+def _scaled_hnf(basis: tuple[tuple[int, int, int], ...], factor: Fraction) -> SubgroupHNF:
+    """Canonical form of factor·⟨basis⟩ for a canonical integer column HNF basis, in integers.
+
+    With c the content of the basis and a/b = factor·c in lowest terms, the
+    subgroup is (a/b)·(basis/c).  basis/c has content 1, so b is the least
+    integer that clears the subgroup, and the canonical basis is a·basis/c.
+    """
+    c = math.gcd(*(x for col in basis for x in col))
+    f = factor * c
+    cols = tuple(tuple(f.numerator * x // c for x in col) for col in basis)
+    return SubgroupHNF(len(cols), cols, Fraction(1, f.denominator))
+
+
 def _pivot_rows(basis: Sequence[Sequence[int]]) -> list[int]:
     return [next(r for r in range(3) if col[r]) for col in basis]
 

@@ -199,8 +199,8 @@ def _unscaled(den: int, seg: ScaledSegment) -> Segment:
 # ============================================================
 
 
-def _fixed_point_congruences(G: SpaceGroup) -> tuple[list[tuple[IntMat, IntVec]], int]:
-    """(A, −τ) for the rotation cosets (R, t) whose fixed points make up all the others'.
+def _fixed_point_congruences(G: SpaceGroup) -> tuple[list[tuple[IntMat, IntVec, int]], int]:
+    """(A, −τ, order) for the rotation cosets (R, t) whose fixed points make up all the others'.
 
     B·y is fixed by x ↦ R·x + t + w for some w ∈ T0 iff A·y ≡ −τ (mod ℤ³),
     with A = B⁻¹(R − I)B in the basis B of T0, integral because T0 is
@@ -217,9 +217,9 @@ def _fixed_point_congruences(G: SpaceGroup) -> tuple[list[tuple[IntMat, IntVec]]
         delta = tuple(
             tuple(c.rot[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3)
         )
-        out.append((invariant_coords_matrix(delta, G.T0), vneg(coords_in(c.trans, G.T0))))
-    den = math.lcm(*(x.denominator for _, r in out for x in r))
-    return [(a, numerators(r, den)) for a, r in out], den
+        out.append((invariant_coords_matrix(delta, G.T0), vneg(coords_in(c.trans, G.T0)), order))
+    den = math.lcm(*(x.denominator for _, r, _ in out for x in r))
+    return [(a, numerators(r, den), order) for a, r, order in out], den
 
 
 def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
@@ -229,21 +229,29 @@ def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
     lines: its axis direction d and one point on each of its d₁·d₂ lines,
     because A has rank 2 and its Smith form U·A·V = diag(d₁, d₂, 0) splits its
     fixed points into that many lines modulo T0, or none for a screw.  Each
-    pair of congruences about non-parallel axes gives one entry of corners:
-    their common fixed points, finitely many modulo T0 because the stacked
-    6×3 system has rank 3.
+    pair of half-turn congruences about non-parallel axes gives one entry of
+    corners: their common fixed points, finitely many modulo T0 because the
+    stacked 6×3 system has rank 3.
+
+    Half-turns suffice.  A vertex is fixed by two rotations about
+    non-parallel axes, so its stabilizer, a finite rotation group that is not
+    cyclic, is D_n with n ≥ 2, T or O (I is not crystallographic).  D_n has n
+    half-turns about distinct axes perpendicular to its main axis, and T and O
+    contain the three half-turns of their D_2.  So every vertex is fixed by two
+    half-turns about non-parallel axes, and their cosets are among the pairs.
     """
     h, _, _, _, _ = _integer_frame(G.T0)
     congruences, den = _fixed_point_congruences(G)
     lines = []
-    for a, r in congruences:
+    for a, r, _ in congruences:
         points, top, kernel = solve_congruence(a, r, den)
         if len(kernel) != 1:
             raise InvariantViolation("fixed set of a rotation is not a line")
         lines.append((primitive_integer(int_matvec(h, kernel[0])), points, top))
+    half_turns = [(a, r) for a, r, order in congruences if order == 2]
     corners = []
-    for k, (a1, r1) in enumerate(congruences):
-        for a2, r2 in congruences[k + 1 :]:
+    for k, (a1, r1) in enumerate(half_turns):
+        for a2, r2 in half_turns[k + 1 :]:
             points, top, kernel = solve_congruence(a1 + a2, r1 + r2, den)
             if not kernel:  # kernel means parallel axes
                 corners.append((points, top))
@@ -796,8 +804,9 @@ def suppress_valence_two(g: PeriodicGraph) -> PeriodicGraph:
 # ============================================================
 
 
+@lru_cache(maxsize=128)
 def cycle_image_lattice(g: PeriodicGraph) -> SubgroupHNF:
-    """Lattice generated by the net shifts of the graph's fundamental cycles."""
+    """Lattice generated by the net shifts of the graph's fundamental cycles, memoised per graph."""
     n = len(g.vertices)
     if n == 0:
         raise Disconnected("graph has no vertices")

@@ -269,18 +269,25 @@ def _closure(
     discrepancies enlarge the lattice; otherwise any discrepancy or more than
     `cap` cosets raises ClosureOverflow.
 
+    One breadth-first pass multiplies each representative, as it is found, by
+    each generator once.  The reached rotations are closed under right
+    multiplication by the generators, and each generator's inverse is one of
+    its powers because the point group is finite, so every coset is reached.
+    A product r·g whose coset already has the representative s contributes
+    the translation r·g·s⁻¹, and by Schreier's lemma these elements, over all
+    pairs (r, g), generate the translation subgroup (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 2005).  Reducing a
+    representative modulo the growing lattice changes such an element only by
+    a vector of that lattice, so the final lattice is that subgroup.
+
     All arithmetic happens on integer vectors scaled by the common denominator
     of the seed lattice and every generator translation; composition cannot
     introduce new denominators, so this is exact.
     """
     if seed.rank != 3:
         raise ValueError("coset closure needs a full-rank seed lattice")
-    gens_inv: list[Isometry] = []
-    for g in generators:
-        gens_inv.append(g)
-        gens_inv.append(inverse(g))
     dens = [seed.scale.denominator]
-    for g in gens_inv:
+    for g in generators:
         dens.extend(t.denominator for t in g.trans)
     d_all = math.lcm(*dens)
     k = d_all * seed.scale
@@ -300,13 +307,11 @@ def _closure(
         w2 -= (w2 // mcols[2][2]) * mcols[2][2]
         return (w0, w1, w2)
 
-    reps: dict[tuple, tuple[int, int, int]] = {((1, 0, 0), (0, 1, 0), (0, 0, 1)): (0, 0, 0)}
-    raw = [
-        (g.rot, tuple(int(t * d_all) for t in g.trans))
-        for g in gens_inv
-    ]
+    reps: dict[tuple, tuple[int, int, int]] = {_IDENTITY_ROT: (0, 0, 0)}
+    found = [_IDENTITY_ROT]
+    raw = [(g.rot, tuple(int(t * d_all) for t in g.trans)) for g in generators]
 
-    def merge(rot, trans) -> bool:
+    def merge(rot, trans) -> None:
         nonlocal mcols
         trans = red(trans)
         have = reps.get(rot)
@@ -314,50 +319,23 @@ def _closure(
             if len(reps) >= cap:
                 raise ClosureOverflow(f"more than {cap} cosets; translation lattice is wrong")
             reps[rot] = trans
-            return True
+            found.append(rot)
+            return
         delta = (trans[0] - have[0], trans[1] - have[1], trans[2] - have[2])
         if red(delta) == (0, 0, 0):
-            return False
+            return
         if not grow:
             raise ClosureOverflow(
                 "translation discrepancy: lattice is not the full translation subgroup"
             )
         mcols = list(hnf_columns(list(mcols) + [delta]))
-        for r in list(reps):
+        for r in reps:
             reps[r] = red(reps[r])
-        return True
 
-    guard = 0
-    changed = True
-    while changed:
-        changed = False
-        guard += 1
-        if guard > 100:
-            raise ClosureOverflow("coset closure failed to stabilise")
-        for rot, trans in raw:
-            if merge(rot, trans):
-                changed = True
-        snapshot = list(reps.items())
-        for rot_a, trans_a in snapshot:
-            for rot_b, trans_b in snapshot:
-                rot_c = tuple(
-                    tuple(
-                        rot_a[i][0] * rot_b[0][j]
-                        + rot_a[i][1] * rot_b[1][j]
-                        + rot_a[i][2] * rot_b[2][j]
-                        for j in range(3)
-                    )
-                    for i in range(3)
-                )
-                trans_c = tuple(
-                    rot_a[i][0] * trans_b[0]
-                    + rot_a[i][1] * trans_b[1]
-                    + rot_a[i][2] * trans_b[2]
-                    + trans_a[i]
-                    for i in range(3)
-                )
-                if merge(rot_c, trans_c):
-                    changed = True
+    for rot_a in found:  # grows while the pass runs
+        for rot_b, trans_b in raw:
+            ta, tb = reps[rot_a], int_matvec(rot_a, trans_b)
+            merge(matmul(rot_a, rot_b), (ta[0] + tb[0], ta[1] + tb[1], ta[2] + tb[2]))
     lattice = hnf([vec(*(Fraction(e, d_all) for e in col)) for col in mcols])
     out = {
         rot: vec(*(Fraction(t, d_all) for t in trans)) for rot, trans in reps.items()

@@ -14,8 +14,8 @@ from .lattices import (
     Mat3,
     SubgroupHNF,
     _integer_frame,
+    _scaled_hnf,
     covolume,
-    from_coords,
     hnf,
     hnf_columns,
     int_matvec,
@@ -71,7 +71,8 @@ class LatticeFamily:
 
 
 def instantiate(tag: str, n: int, m: int | None = None) -> SubgroupHNF:
-    """Canonical subgroup for a family tag and parameters."""
+    """Canonical subgroup for a family tag and parameters; ValueError where LatticeFamily rejects them."""
+    LatticeFamily(tag, n, m)
     if tag == "CUBIC_PRIMITIVE":
         gens = [(n, 0, 0), (0, n, 0), (0, 0, n)]
     elif tag == "CUBIC_FACE":
@@ -80,12 +81,8 @@ def instantiate(tag: str, n: int, m: int | None = None) -> SubgroupHNF:
         gens = [(n, 0, 0), (0, n, 0), tuple(n * t for t in T_HALF)]
     elif tag == "HEX_PRIMITIVE":
         gens = [(n, 0, 0), (0, n, 0), (0, 0, m)]
-    elif tag == "HEX_ROT":
-        gens = [(2 * n, n, 0), (n, 2 * n, 0), (0, 0, m)]
     else:
-        raise ValueError(f"unknown family tag {tag!r}")
-    if tag in HEX_TAGS and (m is None or m < 1):
-        raise ValueError("hexagonal families require a positive parameter m")
+        gens = [(2 * n, n, 0), (n, 2 * n, 0), (0, 0, m)]
     return hnf(gens)
 
 
@@ -119,8 +116,7 @@ def enumerate_sublattices(T0: SubgroupHNF, d: int) -> list[SubgroupHNF]:
         for x in range(b):
             for y in range(c):
                 for z in range(c):
-                    cols = [(a, x, y), (0, b, z), (0, 0, c)]
-                    out.append(hnf([from_coords(col, T0) for col in cols]))
+                    out.append(_from_t0_coords(T0, [(a, x, y), (0, b, z), (0, 0, c)]))
     return out
 
 
@@ -221,8 +217,7 @@ def _filtered_triples(T0: SubgroupHNF, coord_rots: tuple, d: int) -> list[Subgro
     out = []
     for row in t[ok]:
         a, b, c, x, y, z = (int(v) for v in row)
-        cols = [(a, x, y), (0, b, z), (0, 0, c)]
-        out.append(hnf([from_coords(col, T0) for col in cols]))
+        out.append(_from_t0_coords(T0, [(a, x, y), (0, b, z), (0, 0, c)]))
     out.sort(key=lambda L: (L.scale, L.basis))
     return out
 
@@ -385,8 +380,10 @@ def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> frozenset:
     return frozenset(out)
 
 
-def _from_t0_coords(T0: SubgroupHNF, basis: tuple) -> SubgroupHNF:
-    return hnf([from_coords(col, T0) for col in basis])
+def _from_t0_coords(T0: SubgroupHNF, basis: Sequence[Sequence[int]]) -> SubgroupHNF:
+    """The sublattice of T0 = (p/q)·H with the given integer T0-coordinate columns M: (p/q)·⟨H·M⟩."""
+    h, _, _, p, q = _integer_frame(T0)
+    return _scaled_hnf(hnf_columns([int_matvec(h, col) for col in basis]), Fraction(p, q))
 
 
 @lru_cache(maxsize=None)
@@ -456,8 +453,15 @@ def _exact_cbrt(x: Fraction) -> int | None:
     return lo if lo**3 == n else None
 
 
+_UNIT_INSTANCES = {tag: instantiate(tag, 1, 1 if tag in HEX_TAGS else None) for tag in FAMILY_TAGS}
+
+
 def match_family(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
-    """The unique closed-form family instance equal to L, if one exists."""
+    """The unique closed-form family instance equal to L, if one exists.
+
+    A cubic instance is n times the n = 1 instance.  A hexagonal instance is
+    n·P + ℤ·m·e₃, with P the planar part of the n = m = 1 instance.
+    """
     if L.rank != 3:
         raise RankDeficient("match_family requires a rank-3 subgroup")
     v = covolume(L)
@@ -468,18 +472,20 @@ def match_family(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
             ("CUBIC_BODY", 2 * v),
         ):
             n = _exact_cbrt(cube)
-            if n is not None and instantiate(tag, n) == L:
+            unit = _UNIT_INSTANCES[tag]
+            if n is not None and _scaled_hnf(unit.basis, n * unit.scale) == L:
                 return LatticeFamily(tag, n)
-    else:
-        # both hexagonal families meet the vertical axis in m·ℤ·e₃, the third
-        # HNF pivot, and have covolume n²·m (HEX_PRIMITIVE) or 3·n²·m (HEX_ROT)
-        m = L.basis[2][2] * L.scale
+    elif L.scale == 1:
+        # both hexagonal families are integer lattices that meet the vertical axis
+        # in m·ℤ·e₃, the third HNF pivot, with covolume n²·m (HEX_PRIMITIVE) or 3·n²·m (HEX_ROT)
+        m = L.basis[2][2]
         for tag, quad in (("HEX_PRIMITIVE", v), ("HEX_ROT", v / 3)):
-            if m.denominator != 1 or quad.denominator != 1 or quad.numerator % m.numerator:
+            if quad.denominator != 1 or quad.numerator % m:
                 continue
-            n = math.isqrt(quad.numerator // m.numerator)
-            if n * n * m == quad and instantiate(tag, n, int(m)) == L:
-                return LatticeFamily(tag, n, int(m))
+            n = math.isqrt(quad.numerator // m)
+            planar = tuple(tuple(n * x for x in col) for col in _UNIT_INSTANCES[tag].basis[:2])
+            if n * n * m == quad and L.basis == (*planar, (0, 0, m)):
+                return LatticeFamily(tag, n, m)
     raise UnmatchedLattice(f"no closed-form family matches covolume {v}")
 
 

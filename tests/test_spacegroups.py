@@ -257,6 +257,34 @@ def test_coset_rotations_form_a_group():
                 assert prod in rots
 
 
+def test_cosets_compose_within_the_group():
+    # the group law with translations: the products of cosets and the generators lie in G;
+    # that conjugation keeps T0 is test_t0_normal_under_cosets
+    for name in GROUP_NAMES:
+        g = make_group(name)
+        assert all(contains(g, gen) for gen in g.generators)
+        for a in g.cosets:
+            for b in g.cosets:
+                assert contains(g, compose(a, b))
+        # the six presentations already list all of T0, so build each group again from
+        # translations spanning 2·T0: the closure must grow the lattice back to T0
+        rots = [gen for gen in g.generators if gen.rot != identity(g.frame).rot]
+        basis = g.T0.vectors()
+        gens = [translation(g.frame, [2 * x for x in b]) for b in basis] + rots
+        gens += [compose(translation(g.frame, b), rots[0]) for b in basis]
+        assert maximal_translation_lattice(gens) == g.T0
+        assert tuple(point_group_cosets(gens, g.T0)) == g.cosets
+
+
+def test_closure_keeps_every_schreier_translation():
+    # with translations 2·ℤ³ and the 3-fold rotation R at 0 and at e₁, the three
+    # Schreier translations are e₁, R·e₁ = e₂ and R²·e₁ = e₃: dropping any one leaves
+    # a proper sublattice of ℤ³
+    gens = [translation(CUBIC_FRAME, [2 * x for x in e]) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    gens += [Isometry(CUBIC_FRAME, ROT_XYZ, (0, 0, 0)), Isometry(CUBIC_FRAME, ROT_XYZ, (1, 0, 0))]
+    assert maximal_translation_lattice(gens) == hnf([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
 def test_split_and_nonsplit_cosets():
     p432 = make_group("P432")
     assert all(c.trans == (0, 0, 0) for c in p432.cosets)

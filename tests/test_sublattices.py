@@ -7,12 +7,13 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from torsym.errors import NotASubgroup, RankDeficient, UnmatchedLattice
-from torsym.lattices import TRIVIAL_SUBGROUP, hnf, index, intersect, is_subgroup
+from torsym.lattices import TRIVIAL_SUBGROUP, covolume, from_coords, hnf, index, intersect, is_subgroup
 from torsym.spacegroups import (
     CUBIC_FRAME,
+    GROUP_NAMES,
     HEX_FRAME,
     ROT_OMEGA,
     ROT_XYZ,
@@ -24,7 +25,10 @@ from torsym.spacegroups import (
 )
 import torsym
 from torsym.sublattices import (
+    CUBIC_TAGS,
+    HEX_TAGS,
     LatticeFamily,
+    _from_t0_coords,
     _prime_power_parts,
     enumerate_sublattices,
     instantiate,
@@ -68,6 +72,19 @@ def test_family_validation():
         LatticeFamily("HEX_PRIMITIVE", 2)
     with pytest.raises(ValueError):
         LatticeFamily("CUBIC_FACE", 2, 3)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("CUBIC_BODY", 1, 7), ("CUBIC_PRIMITIVE", 0), ("CUBIC_PRIMITIVE", -2)],
+    ids=["cubic-with-m", "n-zero", "n-negative"],
+)
+def test_instantiate_rejects_what_the_family_rejects(args):
+    # the same rules as LatticeFamily: n ≥ 1, and m only for hexagonal tags
+    with pytest.raises(ValueError):
+        LatticeFamily(*args)
+    with pytest.raises(ValueError):
+        instantiate(*args)
 
 
 def test_instantiate_known_lattices():
@@ -225,9 +242,44 @@ def test_hex_survivors_match_families_to_16():
     assert got == expected
 
 
+_coord_entries = st.integers(min_value=-6, max_value=6)
+
+
+@given(
+    st.sampled_from(GROUP_NAMES),
+    st.lists(st.tuples(_coord_entries, _coord_entries, _coord_entries), min_size=3, max_size=3),
+)
+@example("I432", [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+@example("I432", [(2, 0, 0), (0, 4, 0), (0, 0, 6)])
+@example("I4_132", [(3, 1, 0), (0, 3, 0), (1, 1, 3)])
+def test_integer_canonicalisation_matches_fraction_route(name, basis):
+    # the reference route maps every column to a Fraction vector and takes its hnf
+    T0 = make_group(name).T0
+    assume(hnf(basis).rank == 3)
+    assert _from_t0_coords(T0, tuple(basis)) == hnf([from_coords(col, T0) for col in basis])
+
+
 # ============================================================
 # family matching
 # ============================================================
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_match_family_agrees_with_a_scan_of_instances(name):
+    G = make_group(name)
+    hexagonal = G.frame.name == "HEXAGONAL"
+    bound = 64 * covolume(G.T0)
+    scan: dict = {}
+    for tag in HEX_TAGS if hexagonal else CUBIC_TAGS:
+        for n in range(1, 9):
+            for m in range(1, 65) if hexagonal else (None,):
+                L = instantiate(tag, n, m)
+                if covolume(L) <= bound:
+                    scan.setdefault(L, []).append(LatticeFamily(tag, n, m))
+    surveyed = normal_translation_subgroups(G, 64)  # each family comes from match_family
+    assert surveyed
+    for L, fam, _ in surveyed:
+        assert scan.get(L) == [fam]
 
 
 def test_match_family_known_values():
