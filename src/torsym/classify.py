@@ -142,8 +142,6 @@ GENUS_FORMS: dict[tuple[str, str], tuple[tuple[str, int, int, str], ...]] = {
     ("P622", "beta"): (("n^2", 1, 2, "HEX_PRIMITIVE"), ("3n^2", 3, 2, "HEX_ROT")),
 }
 
-GENUS_FORM_NAMES = ("2n^3", "4n^3", "8n^3", "n^2", "3n^2", "4(2n)^3")
-
 
 # ============================================================
 # domain types

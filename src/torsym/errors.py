@@ -26,7 +26,7 @@ class FrameMismatch(TorsymError):
 
 
 class ClosureOverflow(TorsymError):
-    """Coset closure exceeded its hard cap, signalling a wrong translation lattice."""
+    """Coset closure found more cosets than its hard cap allows."""
 
 
 class UnmatchedLattice(TorsymError):

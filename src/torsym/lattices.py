@@ -1,7 +1,7 @@
 """Exact rational vector/matrix arithmetic and canonical subgroup (lattice) algebra.
 
 All subgroups of translation vectors are kept in a canonical Hermite normal
-form so that equality, membership, index, join and intersection are exact and
+form so that equality, membership, index and join are exact and
 deterministic.  Convention: column-style HNF, lower triangular, pivot rows
 ascending, positive pivots, entries left of a pivot reduced into [0, pivot).
 """
@@ -28,9 +28,6 @@ Mat3 = tuple[tuple[Fraction, ...], ...]
 
 def vec(x, y, z) -> Vec3:
     return (Fraction(x), Fraction(y), Fraction(z))
-
-
-ZERO3: Vec3 = vec(0, 0, 0)
 
 
 def vadd(a: Vec3, b: Vec3) -> Vec3:
@@ -123,48 +120,6 @@ def mat_inv(m: Mat3) -> Mat3:
     if d in (1, -1):
         return tuple(tuple(c * d for c in row) for row in cof)
     return tuple(tuple(Fraction(c) / d for c in row) for row in cof)
-
-
-def mat_cols(m: Mat3) -> tuple[Vec3, Vec3, Vec3]:
-    return tuple((m[0][j], m[1][j], m[2][j]) for j in range(3))  # type: ignore[return-value]
-
-
-def mat_from_cols(cols: Sequence[Sequence]) -> Mat3:
-    return tuple(tuple(Fraction(cols[j][i]) for j in range(3)) for i in range(3))
-
-
-def solve_linear(a: Mat3, b: Sequence) -> tuple[Vec3, list[Vec3]] | None:
-    """Solve a·x = b exactly; returns (particular solution, kernel basis) or None."""
-    rows = [[Fraction(a[i][j]) for j in range(3)] + [Fraction(b[i])] for i in range(3)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(3):
-        pr = next((i for i in range(r, 3) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        rows[r] = [e / rows[r][c] for e in rows[r]]
-        for i in range(3):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, 3):
-        if rows[i][3] != 0:
-            return None
-    free = [c for c in range(3) if c not in pivots]
-    part = [Fraction(0)] * 3
-    for i, c in enumerate(pivots):
-        part[c] = rows[i][3]
-    kernel: list[Vec3] = []
-    for f in free:
-        k = [Fraction(0)] * 3
-        k[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            k[c] = -rows[i][f]
-        kernel.append(tuple(k))  # type: ignore[arg-type]
-    return tuple(part), kernel  # type: ignore[return-value]
 
 
 def primitive_integer(v: Sequence) -> tuple[int, int, int]:
@@ -356,32 +311,6 @@ def join(a: SubgroupHNF, b: SubgroupHNF) -> SubgroupHNF:
 
 
 @lru_cache(maxsize=None)
-def basis_matrix(sub: SubgroupHNF) -> Mat3:
-    """Actual basis as a 3×3 matrix with basis vectors as columns (rank 3 only)."""
-    if sub.rank != 3:
-        raise RankDeficient("basis_matrix requires rank 3")
-    return mat_from_cols(sub.vectors())
-
-
-@lru_cache(maxsize=None)
-def _basis_inverse(sub: SubgroupHNF) -> Mat3:
-    return mat_inv(basis_matrix(sub))
-
-
-def dual(sub: SubgroupHNF) -> SubgroupHNF:
-    """Dual lattice {y : y·x ∈ Z for all x in sub} (rank 3 only)."""
-    inv = _basis_inverse(sub)
-    return hnf(list(inv))  # rows of the inverse are the dual basis columns
-
-
-def intersect(a: SubgroupHNF, b: SubgroupHNF) -> SubgroupHNF:
-    """Intersection of two rank-3 subgroups, via duality: (A ∩ B)* = A* + B*."""
-    if a.rank != 3 or b.rank != 3:
-        raise RankDeficient("intersect requires two rank-3 subgroups")
-    return dual(join(dual(a), dual(b)))
-
-
-@lru_cache(maxsize=None)
 def _integer_frame(sub: SubgroupHNF) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int, int, int]:
     """Integer data of a rank-3 subgroup with actual basis (p/q)·H.
 
@@ -494,32 +423,20 @@ def cell_reducer(sub: SubgroupHNF, den: int):
     return reduce
 
 
-def coset_reps(sub: SubgroupHNF, sup: SubgroupHNF) -> list[Vec3]:
-    """Representatives of sup/sub, one per coset, in a triangular fundamental cell."""
-    if sub.rank != 3 or sup.rank != 3:
-        raise RankDeficient("coset_reps requires two rank-3 subgroups")
-    if not is_subgroup(sub, sup):
-        raise NotASubgroup("first argument is not contained in the second")
-    rel = relative_integer_basis(sub, sup)
-    d1, d2, d3 = rel[0][0], rel[1][1], rel[2][2]
-    sup_mat = basis_matrix(sup)
-    reps = []
-    for x1 in range(d1):
-        for x2 in range(d2):
-            for x3 in range(d3):
-                reps.append(matvec(sup_mat, (x1, x2, x3)))
-    return reps
-
-
 def relative_integer_basis(sub: SubgroupHNF, sup: SubgroupHNF) -> tuple[tuple[int, int, int], ...]:
-    """HNF of sub expressed in integer coordinates of sup's basis (rank 3, sub ⊆ sup)."""
-    inv = _basis_inverse(sup)
+    """HNF of sub expressed in integer coordinates of sup's basis (rank 3, sub ⊆ sup).
+
+    With sub = (a/b)·⟨H₁⟩ and sup's actual basis (p/q)·H, a column h of H₁ has
+    the coordinates (a·q)/(b·p)·adj(H)·h / det H in sup's basis, as in `coords_in`.
+    """
+    _, adj, det, p, q = _integer_frame(sup)
+    num, den = sub.scale.numerator * q, sub.scale.denominator * p * det
     cols = []
-    for v in sub.vectors():
-        c = matvec(inv, v)
-        if any(x.denominator != 1 for x in c):
+    for h in sub.basis:
+        c = [num * x for x in int_matvec(adj, h)]
+        if any(x % den for x in c):
             raise NotASubgroup("first argument is not contained in the second")
-        cols.append([int(x) for x in c])
+        cols.append([x // den for x in c])
     basis = hnf_columns(cols)
     if len(basis) != 3:
         raise RankDeficient("relative basis is not full rank")

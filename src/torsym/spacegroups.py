@@ -1,6 +1,5 @@
 """Exact affine isometries in lattice coordinates and six cubic/hexagonal
-space-group presentations, with coset closure, rotation-axis extraction and
-point stabilizers.
+space-group presentations, with coset closure and point stabilizers.
 
 Hexagonal arithmetic uses the oblique basis (first two basis vectors at 120°,
 unit length, third orthogonal) so every rotation matrix stays integral and
@@ -15,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import ClosureOverflow, FrameMismatch, InvariantViolation, UnknownGroup
+from .errors import ClosureOverflow, FrameMismatch, UnknownGroup
 from .lattices import (
     SubgroupHNF,
     Vec3,
@@ -31,8 +30,6 @@ from .lattices import (
     matvec,
     member,
     numerators,
-    primitive_integer,
-    solve_linear,
     vadd,
     vec,
     vneg,
@@ -255,19 +252,14 @@ def canonical_group_name(name: str) -> str:
     return _ALIASES[key]
 
 
-def _closure(
-    generators: Sequence[Isometry],
-    seed: SubgroupHNF,
-    grow: bool,
-    cap: int = 96,
-) -> tuple[dict, SubgroupHNF]:
-    """Close coset representatives under composition, splitting off translations.
+def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isometry], SubgroupHNF]:
+    """Coset representatives and translation lattice T0 of the group the isometries generate.
 
-    Returns (reps, lattice): reps maps each rotation matrix to a representative
-    translation reduced into the fundamental cell of the final lattice by
-    pivot-ordered triangular reduction.  In grow mode, translation
-    discrepancies enlarge the lattice; otherwise any discrepancy or more than
-    `cap` cosets raises ClosureOverflow.
+    Returns (cosets, T0): one representative per rotation, its translation
+    reduced into the fundamental cell of T0 by pivot-ordered triangular
+    reduction, sorted by (rot, trans).  The pure translations among the
+    generators seed the lattice and must span rank 3; translation
+    discrepancies enlarge it.  More than `cap` cosets raises ClosureOverflow.
 
     One breadth-first pass multiplies each representative, as it is found, by
     each generator once.  The reached rotations are closed under right
@@ -281,19 +273,16 @@ def _closure(
     a vector of that lattice, so the final lattice is that subgroup.
 
     All arithmetic happens on integer vectors scaled by the common denominator
-    of the seed lattice and every generator translation; composition cannot
-    introduce new denominators, so this is exact.
+    of every generator translation; composition cannot introduce new
+    denominators, so this is exact.
     """
+    seed = hnf([g.trans for g in generators if is_pure_translation(g)])
     if seed.rank != 3:
-        raise ValueError("coset closure needs a full-rank seed lattice")
-    dens = [seed.scale.denominator]
-    for g in generators:
-        dens.extend(t.denominator for t in g.trans)
-    d_all = math.lcm(*dens)
-    k = d_all * seed.scale
-    if k.denominator != 1:
-        raise InvariantViolation("common denominator does not clear the seed lattice")
-    mcols = [tuple(int(e) * k.numerator for e in col) for col in seed.basis]
+        raise ValueError("generators must include a full-rank translation lattice")
+    d_all = math.lcm(*(t.denominator for g in generators for t in g.trans))
+    # seed.scale is 1/D with D | d_all, as D clears the seed's generators
+    k = d_all // seed.scale.denominator
+    mcols = [tuple(e * k for e in col) for col in seed.basis]
 
     def red(w: tuple[int, int, int]) -> tuple[int, int, int]:
         w0, w1, w2 = w
@@ -317,17 +306,13 @@ def _closure(
         have = reps.get(rot)
         if have is None:
             if len(reps) >= cap:
-                raise ClosureOverflow(f"more than {cap} cosets; translation lattice is wrong")
+                raise ClosureOverflow(f"more than {cap} cosets")
             reps[rot] = trans
             found.append(rot)
             return
         delta = (trans[0] - have[0], trans[1] - have[1], trans[2] - have[2])
         if red(delta) == (0, 0, 0):
             return
-        if not grow:
-            raise ClosureOverflow(
-                "translation discrepancy: lattice is not the full translation subgroup"
-            )
         mcols = list(hnf_columns(list(mcols) + [delta]))
         for r in reps:
             reps[r] = red(reps[r])
@@ -337,28 +322,12 @@ def _closure(
             ta, tb = reps[rot_a], int_matvec(rot_a, trans_b)
             merge(matmul(rot_a, rot_b), (ta[0] + tb[0], ta[1] + tb[1], ta[2] + tb[2]))
     lattice = hnf([vec(*(Fraction(e, d_all) for e in col)) for col in mcols])
-    out = {
-        rot: vec(*(Fraction(t, d_all) for t in trans)) for rot, trans in reps.items()
-    }
-    return out, lattice
-
-
-def maximal_translation_lattice(generators: Sequence[Isometry]) -> SubgroupHNF:
-    """The subgroup of all pure translations in the group generated by the given isometries."""
-    seed = hnf([g.trans for g in generators if is_pure_translation(g)])
-    if seed.rank != 3:
-        raise ValueError("generators must include a full-rank translation lattice")
-    _, lattice = _closure(generators, seed, grow=True)
-    return lattice
-
-
-def point_group_cosets(generators: Sequence[Isometry], T0: SubgroupHNF) -> list[Isometry]:
-    """Coset representatives modulo T0, translation parts reduced into its fundamental cell."""
     frame = generators[0].frame
-    reps, _ = _closure(generators, T0, grow=False)
-    out = [Isometry(frame, rot, trans) for rot, trans in reps.items()]
-    out.sort(key=lambda g: (g.rot, g.trans))
-    return out
+    cosets = [
+        Isometry(frame, rot, vec(*(Fraction(t, d_all) for t in trans))) for rot, trans in reps.items()
+    ]
+    cosets.sort(key=lambda g: (g.rot, g.trans))
+    return cosets, lattice
 
 
 def make_group(name: str) -> SpaceGroup:
@@ -371,10 +340,7 @@ def _make_group(name: str) -> SpaceGroup:
     frame, lat_gens, rot_gens = _PRESENTATIONS[name]
     gens = [translation(frame, v) for v in lat_gens]
     gens += [Isometry(frame, rot, vec(*t)) for rot, t in rot_gens]
-    seed = hnf([g.trans for g in gens if is_pure_translation(g)])
-    reps, T0 = _closure(gens, seed, grow=True)
-    cosets = [Isometry(frame, rot, trans) for rot, trans in reps.items()]
-    cosets.sort(key=lambda g: (g.rot, g.trans))
+    cosets, T0 = _closure(gens)
     return SpaceGroup(
         name=name,
         frame=frame,
@@ -407,38 +373,6 @@ class Axis:
     base: Vec3
     direction: tuple[int, int, int]
     order: int
-
-
-def canonical_line(point: Sequence, direction: Sequence) -> tuple[Vec3, tuple[int, int, int]]:
-    """Canonical (base, direction) for the line through `point` along `direction`.
-
-    The direction is primitive with its first nonzero entry positive, and the
-    base is the unique point on the line whose coordinate at that entry is zero.
-    """
-    d = primitive_integer(direction)
-    i0 = next(i for i in range(3) if d[i])
-    p = tuple(Fraction(x) for x in point)
-    s = p[i0] / d[i0]
-    base = tuple(p[i] - s * d[i] for i in range(3))
-    return base, d  # type: ignore[return-value]
-
-
-def fixed_axis(g: Isometry) -> Axis | None:
-    """Fixed line of a non-trivial isometry, or None for a screw motion."""
-    if is_pure_translation(g):
-        raise ValueError("fixed_axis requires a non-identity rotation part")
-    a = mat(g.rot)
-    m = tuple(
-        tuple(a[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3)
-    )
-    sol = solve_linear(m, vneg(g.trans))
-    if sol is None:
-        return None
-    part, kernel = sol
-    if len(kernel) != 1:
-        raise ValueError("fixed set is not a line")
-    base, d = canonical_line(part, kernel[0])
-    return Axis(base=base, direction=d, order=rotation_order(g.rot))
 
 
 def stabilizer_cosets(p: Sequence, G: SpaceGroup) -> list[Isometry]:

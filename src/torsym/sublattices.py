@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .errors import NotASubgroup, RankDeficient, UnmatchedLattice
+from .errors import RankDeficient, UnmatchedLattice
 from .lattices import (
     Mat3,
     SubgroupHNF,
@@ -20,15 +20,10 @@ from .lattices import (
     hnf_columns,
     int_matvec,
     invariant_coords_matrix,
-    is_subgroup,
     mat_det,
     matmul,
-    member,
 )
-from .spacegroups import Frame, SpaceGroup, conjugate_translation
-
-if TYPE_CHECKING:
-    import numpy as np
+from .spacegroups import Frame, SpaceGroup
 
 # ============================================================
 # closed-form lattice families
@@ -87,59 +82,11 @@ def instantiate(tag: str, n: int, m: int | None = None) -> SubgroupHNF:
 
 
 # ============================================================
-# exhaustive enumeration at fixed index
-# ============================================================
-
-
-def _divisors(d: int) -> list[int]:
-    out = [k for k in range(1, d + 1) if d % k == 0]
-    return out
-
-
-def _pivot_triples(d: int) -> list[tuple[int, int, int]]:
-    """All (a, b, c) with a·b·c = d, the diagonal of a lower-triangular HNF."""
-    out = []
-    for a in _divisors(d):
-        for b in _divisors(d // a):
-            out.append((a, b, d // (a * b)))
-    return out
-
-
-def enumerate_sublattices(T0: SubgroupHNF, d: int) -> list[SubgroupHNF]:
-    """All index-d sublattices of a rank-3 subgroup, each in canonical form."""
-    if T0.rank != 3:
-        raise RankDeficient("enumerate_sublattices requires a rank-3 subgroup")
-    if d < 1:
-        raise ValueError("index must be a positive integer")
-    out = []
-    for a, b, c in _pivot_triples(d):
-        for x in range(b):
-            for y in range(c):
-                for z in range(c):
-                    out.append(_from_t0_coords(T0, [(a, x, y), (0, b, z), (0, 0, c)]))
-    return out
-
-
-# ============================================================
-# invariance under the point-group action
+# the point-group action in T0-coordinates
 # ============================================================
 
 
 _ROT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def is_invariant(L: SubgroupHNF, G: SpaceGroup) -> bool:
-    """True iff conjugation by every group element maps L into itself."""
-    if not is_subgroup(L, G.T0):
-        raise NotASubgroup("lattice is not contained in the translation lattice")
-    # generator rotations suffice: conjugation acts linearly and multiplicatively
-    for g in G.generators:
-        if g.rot == _ROT_IDENTITY:
-            continue
-        for b in L.vectors():
-            if not member(conjugate_translation(g, b), L):
-                return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -157,69 +104,6 @@ def _coord_rotations(T0: SubgroupHNF, rotations: tuple) -> tuple:
             raise ValueError("rotation is not of finite order")
         out.append(rt)
     return tuple(out)
-
-
-# numpy serves only the literal oracle below, so it is imported there and
-# `import torsym` does not load it
-
-
-def _triples_array(d: int) -> np.ndarray:
-    """All lower-triangular HNF triples (a, b, c, x, y, z) of determinant d."""
-    import numpy as np
-
-    blocks = []
-    for a, b, c in _pivot_triples(d):
-        x, y, z = np.meshgrid(
-            np.arange(b, dtype=np.int64),
-            np.arange(c, dtype=np.int64),
-            np.arange(c, dtype=np.int64),
-            indexing="ij",
-        )
-        blk = np.empty((b * c * c, 6), dtype=np.int64)
-        blk[:, 0] = a
-        blk[:, 1] = b
-        blk[:, 2] = c
-        blk[:, 3] = x.ravel()
-        blk[:, 4] = y.ravel()
-        blk[:, 5] = z.ravel()
-        blocks.append(blk)
-    return np.concatenate(blocks)
-
-
-def _invariant_mask(t: np.ndarray, rot: Sequence[Sequence[int]]) -> np.ndarray:
-    """Which HNF triples span a lattice mapped into itself by an integer matrix."""
-    import numpy as np
-
-    a, b, c, x, y, z = (t[:, i] for i in range(6))
-    zero = np.zeros_like(a)
-    ok = np.ones(len(t), dtype=bool)
-    for u in ((a, x, y), (zero, b, z), (zero, zero, c)):
-        p = rot[0][0] * u[0] + rot[0][1] * u[1] + rot[0][2] * u[2]
-        q = rot[1][0] * u[0] + rot[1][1] * u[1] + rot[1][2] * u[2]
-        r = rot[2][0] * u[0] + rot[2][1] * u[1] + rot[2][2] * u[2]
-        ok &= p % a == 0
-        alpha = p // a
-        q = q - alpha * x
-        ok &= q % b == 0
-        beta = q // b
-        r = r - alpha * y - beta * z
-        ok &= r % c == 0
-    return ok
-
-
-def _filtered_triples(T0: SubgroupHNF, coord_rots: tuple, d: int) -> list[SubgroupHNF]:
-    import numpy as np
-
-    t = _triples_array(d)
-    ok = np.ones(len(t), dtype=bool)
-    for rot in coord_rots:
-        ok &= _invariant_mask(t, rot)
-    out = []
-    for row in t[ok]:
-        a, b, c, x, y, z = (int(v) for v in row)
-        out.append(_from_t0_coords(T0, [(a, x, y), (0, b, z), (0, 0, c)]))
-    out.sort(key=lambda L: (L.scale, L.basis))
-    return out
 
 
 def _prime_power_parts(d: int) -> list[tuple[int, int]]:
@@ -393,26 +277,20 @@ def _invariant_primary(T0: SubgroupHNF, coord_rots: tuple, p: int, k: int) -> tu
     return tuple(out)
 
 
-def invariant_sublattices(
-    T0: SubgroupHNF, rotations: Iterable[Mat3], d: int, method: str = "primary"
-) -> list[SubgroupHNF]:
+def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) -> list[SubgroupHNF]:
     """Index-d sublattices of T0 invariant under a set of integer rotations of finite order.
 
-    With method="primary", a lattice of composite index is split uniquely into
-    its prime-power parts.  Each part comes from the submodule descent mod p,
-    and coprime parts are recombined by L₁ ∩ L₂ = [T0:L₂]·L₁ + [T0:L₁]·L₂.
-    method="literal" filters the full HNF enumeration at index d with no
-    recombination; it is the independent check of the descent.
+    A lattice of composite index is split uniquely into its prime-power
+    parts.  Each part comes from the submodule descent mod p, and coprime
+    parts are recombined by L₁ ∩ L₂ = [T0:L₂]·L₁ + [T0:L₁]·L₂.  The result is
+    sorted by (scale, basis).  Its independent check is the enumerate-and-filter
+    over every HNF of index d in `tests/oracles.py`.
     """
     if T0.rank != 3:
         raise RankDeficient("invariant_sublattices requires a rank-3 subgroup")
     if d < 1:
         raise ValueError("index must be a positive integer")
     coord_rots = _coord_rotations(T0, tuple(tuple(tuple(row) for row in r) for r in rotations))
-    if method == "literal":
-        return _filtered_triples(T0, coord_rots, d)
-    if method != "primary":
-        raise ValueError(f"unknown method {method!r}")
     if d == 1:
         return [T0]
     factors = _prime_power_parts(d)

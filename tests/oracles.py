@@ -1,0 +1,273 @@
+"""Slow, direct reference routes that the tests hold the package's fast routes against.
+
+- The literal invariant-sublattice filter runs over every HNF of an index and
+  checks the submodule descent mod p of `sublattices.invariant_sublattices`.
+- `fixed_axis` solves for a rotation's fixed line by Gaussian elimination and
+  checks the Smith-form singular set through the window scans of
+  `test_periodic_graph.py`.
+- `dual`, `intersect` and `coset_reps` do lattice algebra on the `Fraction`
+  basis matrix and its inverse, and check the integer routes.
+
+numpy is used only by the literal filter, so it is a test dependency only.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from torsym.errors import NotASubgroup, RankDeficient
+from torsym.lattices import (
+    Mat3,
+    SubgroupHNF,
+    Vec3,
+    hnf,
+    is_subgroup,
+    join,
+    mat,
+    mat_inv,
+    matvec,
+    member,
+    primitive_integer,
+    relative_integer_basis,
+    vneg,
+)
+from torsym.spacegroups import (
+    Axis,
+    Isometry,
+    SpaceGroup,
+    conjugate_translation,
+    is_pure_translation,
+    rotation_order,
+)
+from torsym.sublattices import _coord_rotations, _from_t0_coords
+
+_ROT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+# ============================================================
+# rational linear algebra
+# ============================================================
+
+
+def solve_linear(a: Mat3, b: Sequence) -> tuple[Vec3, list[Vec3]] | None:
+    """Solve a·x = b exactly; returns (particular solution, kernel basis) or None."""
+    rows = [[Fraction(a[i][j]) for j in range(3)] + [Fraction(b[i])] for i in range(3)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(3):
+        pr = next((i for i in range(r, 3) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [e / rows[r][c] for e in rows[r]]
+        for i in range(3):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, 3):
+        if rows[i][3] != 0:
+            return None
+    free = [c for c in range(3) if c not in pivots]
+    part = [Fraction(0)] * 3
+    for i, c in enumerate(pivots):
+        part[c] = rows[i][3]
+    kernel: list[Vec3] = []
+    for f in free:
+        k = [Fraction(0)] * 3
+        k[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            k[c] = -rows[i][f]
+        kernel.append(tuple(k))  # type: ignore[arg-type]
+    return tuple(part), kernel  # type: ignore[return-value]
+
+
+def basis_matrix(sub: SubgroupHNF) -> Mat3:
+    """Actual basis as a 3×3 `Fraction` matrix with basis vectors as columns (rank 3 only)."""
+    if sub.rank != 3:
+        raise RankDeficient("basis_matrix requires rank 3")
+    vs = sub.vectors()
+    return tuple(tuple(v[i] for v in vs) for i in range(3))
+
+
+def dual(sub: SubgroupHNF) -> SubgroupHNF:
+    """Dual lattice {y : y·x ∈ Z for all x in sub} (rank 3 only)."""
+    return hnf(list(mat_inv(basis_matrix(sub))))  # rows of the inverse are the dual basis columns
+
+
+def intersect(a: SubgroupHNF, b: SubgroupHNF) -> SubgroupHNF:
+    """Intersection of two rank-3 subgroups, via duality: (A ∩ B)* = A* + B*."""
+    if a.rank != 3 or b.rank != 3:
+        raise RankDeficient("intersect requires two rank-3 subgroups")
+    return dual(join(dual(a), dual(b)))
+
+
+def coset_reps(sub: SubgroupHNF, sup: SubgroupHNF) -> list[Vec3]:
+    """Representatives of sup/sub, one per coset, in a triangular fundamental cell."""
+    if sub.rank != 3 or sup.rank != 3:
+        raise RankDeficient("coset_reps requires two rank-3 subgroups")
+    if not is_subgroup(sub, sup):
+        raise NotASubgroup("first argument is not contained in the second")
+    rel = relative_integer_basis(sub, sup)
+    sup_mat = basis_matrix(sup)
+    return [
+        matvec(sup_mat, (x1, x2, x3))
+        for x1 in range(rel[0][0])
+        for x2 in range(rel[1][1])
+        for x3 in range(rel[2][2])
+    ]
+
+
+# ============================================================
+# fixed axes by Gaussian elimination
+# ============================================================
+
+
+def canonical_line(point: Sequence, direction: Sequence) -> tuple[Vec3, tuple[int, int, int]]:
+    """Canonical (base, direction) for the line through `point` along `direction`.
+
+    The direction is primitive with its first nonzero entry positive, and the
+    base is the unique point on the line whose coordinate at that entry is zero.
+    """
+    d = primitive_integer(direction)
+    i0 = next(i for i in range(3) if d[i])
+    p = tuple(Fraction(x) for x in point)
+    s = p[i0] / d[i0]
+    base = tuple(p[i] - s * d[i] for i in range(3))
+    return base, d  # type: ignore[return-value]
+
+
+def fixed_axis(g: Isometry) -> Axis | None:
+    """Fixed line of a non-trivial isometry, or None for a screw motion."""
+    if is_pure_translation(g):
+        raise ValueError("fixed_axis requires a non-identity rotation part")
+    a = mat(g.rot)
+    m = tuple(tuple(a[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3))
+    sol = solve_linear(m, vneg(g.trans))
+    if sol is None:
+        return None
+    part, kernel = sol
+    if len(kernel) != 1:
+        raise ValueError("fixed set is not a line")
+    base, d = canonical_line(part, kernel[0])
+    return Axis(base=base, direction=d, order=rotation_order(g.rot))
+
+
+# ============================================================
+# invariant sublattices by enumerate-and-filter
+# ============================================================
+
+
+def _divisors(d: int) -> list[int]:
+    return [k for k in range(1, d + 1) if d % k == 0]
+
+
+def _pivot_triples(d: int) -> list[tuple[int, int, int]]:
+    """All (a, b, c) with a·b·c = d, the diagonal of a lower-triangular HNF."""
+    out = []
+    for a in _divisors(d):
+        for b in _divisors(d // a):
+            out.append((a, b, d // (a * b)))
+    return out
+
+
+def enumerate_sublattices(T0: SubgroupHNF, d: int) -> list[SubgroupHNF]:
+    """All index-d sublattices of a rank-3 subgroup, each in canonical form."""
+    if T0.rank != 3:
+        raise RankDeficient("enumerate_sublattices requires a rank-3 subgroup")
+    if d < 1:
+        raise ValueError("index must be a positive integer")
+    out = []
+    for a, b, c in _pivot_triples(d):
+        for x in range(b):
+            for y in range(c):
+                for z in range(c):
+                    out.append(_from_t0_coords(T0, [(a, x, y), (0, b, z), (0, 0, c)]))
+    return out
+
+
+def is_invariant(L: SubgroupHNF, G: SpaceGroup) -> bool:
+    """True iff conjugation by every group element maps L into itself."""
+    if not is_subgroup(L, G.T0):
+        raise NotASubgroup("lattice is not contained in the translation lattice")
+    # generator rotations suffice: conjugation acts linearly and multiplicatively
+    for g in G.generators:
+        if g.rot == _ROT_IDENTITY:
+            continue
+        for b in L.vectors():
+            if not member(conjugate_translation(g, b), L):
+                return False
+    return True
+
+
+def _triples_array(d: int) -> np.ndarray:
+    """All lower-triangular HNF triples (a, b, c, x, y, z) of determinant d."""
+    blocks = []
+    for a, b, c in _pivot_triples(d):
+        x, y, z = np.meshgrid(
+            np.arange(b, dtype=np.int64),
+            np.arange(c, dtype=np.int64),
+            np.arange(c, dtype=np.int64),
+            indexing="ij",
+        )
+        blk = np.empty((b * c * c, 6), dtype=np.int64)
+        blk[:, 0] = a
+        blk[:, 1] = b
+        blk[:, 2] = c
+        blk[:, 3] = x.ravel()
+        blk[:, 4] = y.ravel()
+        blk[:, 5] = z.ravel()
+        blocks.append(blk)
+    return np.concatenate(blocks)
+
+
+def _invariant_mask(t: np.ndarray, rot: Sequence[Sequence[int]]) -> np.ndarray:
+    """Which HNF triples span a lattice mapped into itself by an integer matrix."""
+    a, b, c, x, y, z = (t[:, i] for i in range(6))
+    zero = np.zeros_like(a)
+    ok = np.ones(len(t), dtype=bool)
+    for u in ((a, x, y), (zero, b, z), (zero, zero, c)):
+        p = rot[0][0] * u[0] + rot[0][1] * u[1] + rot[0][2] * u[2]
+        q = rot[1][0] * u[0] + rot[1][1] * u[1] + rot[1][2] * u[2]
+        r = rot[2][0] * u[0] + rot[2][1] * u[1] + rot[2][2] * u[2]
+        ok &= p % a == 0
+        alpha = p // a
+        q = q - alpha * x
+        ok &= q % b == 0
+        beta = q // b
+        r = r - alpha * y - beta * z
+        ok &= r % c == 0
+    return ok
+
+
+def _filtered_triples(T0: SubgroupHNF, coord_rots: tuple, d: int) -> list[SubgroupHNF]:
+    t = _triples_array(d)
+    ok = np.ones(len(t), dtype=bool)
+    for rot in coord_rots:
+        ok &= _invariant_mask(t, rot)
+    out = []
+    for row in t[ok]:
+        a, b, c, x, y, z = (int(v) for v in row)
+        out.append(_from_t0_coords(T0, [(a, x, y), (0, b, z), (0, 0, c)]))
+    out.sort(key=lambda L: (L.scale, L.basis))
+    return out
+
+
+def literal_invariant_sublattices(
+    T0: SubgroupHNF, rotations: Iterable[Mat3], d: int
+) -> list[SubgroupHNF]:
+    """Index-d sublattices of T0 invariant under the rotations, by filtering every HNF of index d.
+
+    There is no recombination of prime-power parts, so this is an
+    independent check of `invariant_sublattices`, with the same input checks
+    and the same sorted output.
+    """
+    if T0.rank != 3:
+        raise RankDeficient("invariant_sublattices requires a rank-3 subgroup")
+    if d < 1:
+        raise ValueError("index must be a positive integer")
+    coord_rots = _coord_rotations(T0, tuple(tuple(tuple(row) for row in r) for r in rotations))
+    return _filtered_triples(T0, coord_rots, d)

@@ -33,11 +33,9 @@ from torsym.spacegroups import (
     conjugate_translation,
     make_group,
 )
-from torsym.sublattices import (
-    instantiate,
-    invariant_sublattices,
-    normal_translation_subgroups,
-)
+from torsym.sublattices import instantiate, normal_translation_subgroups
+
+from oracles import literal_invariant_sublattices
 
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -154,7 +152,7 @@ def test_acceptance_03_invariant_sublattice_bruteforce():
     cubic_rots = _generator_rotations("P432")
     found = 0
     for d in range(1, 217):
-        literal = invariant_sublattices(z3, cubic_rots, d, method="literal")
+        literal = literal_invariant_sublattices(z3, cubic_rots, d)
         expected = []
         n = 1
         while n**3 <= d:
@@ -173,7 +171,7 @@ def test_acceptance_03_invariant_sublattice_bruteforce():
     hex_rots = _generator_rotations("P622")
     found = 0
     for d in range(1, 145):
-        literal = invariant_sublattices(hex_t0, hex_rots, d, method="literal")
+        literal = literal_invariant_sublattices(hex_t0, hex_rots, d)
         expected = []
         n = 1
         while n * n <= d:

@@ -6,30 +6,25 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
-    _basis_inverse,
-    basis_matrix,
     cell_reducer,
     coords_in,
     coords_matrix,
-    coset_reps,
     covolume,
-    dual,
     from_coords,
     hnf,
+    hnf_columns,
     index,
-    intersect,
     invariant_coords_matrix,
     is_subgroup,
     join,
     mat,
     mat_det,
-    mat_from_cols,
     mat_inv,
     matmul,
     matvec,
@@ -40,11 +35,13 @@ from torsym.lattices import (
     relative_integer_basis,
     smith_form,
     solve_congruence,
-    solve_linear,
     vadd,
     vec,
 )
-from torsym.spacegroups import make_group
+from torsym.spacegroups import GROUP_NAMES, make_group
+from torsym.sublattices import _from_t0_coords
+
+from oracles import basis_matrix, coset_reps, dual, intersect, solve_linear
 
 # the standard cubic lattices with closed-form membership oracles
 T1 = hnf([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -169,7 +166,7 @@ def test_hnf_canonical_under_generator_shuffle(perm):
 )
 @settings(max_examples=150)
 def test_member_agrees_with_exact_coefficient_solving(gens, coeffs):
-    g = mat_from_cols([list(c) for c in gens])
+    g = mat(list(zip(*gens)))  # the generators as columns
     if mat_det(g) == 0:
         return
     lat = hnf(gens)
@@ -322,6 +319,33 @@ def test_relative_integer_basis_and_reduction():
     assert len(seen) == 4
 
 
+_t0_coord = st.integers(min_value=-5, max_value=5)
+
+
+@given(
+    st.sampled_from(GROUP_NAMES),
+    st.lists(st.tuples(_t0_coord, _t0_coord, _t0_coord), min_size=3, max_size=3),
+    st.integers(min_value=2, max_value=6),
+)
+@settings(max_examples=150)
+def test_relative_integer_basis_matches_fraction_inverse(name, cols, k):
+    # the reference takes sub's vectors through the Fraction inverse of T0's basis matrix
+    T0 = make_group(name).T0
+    assume(hnf(cols).rank == 3)
+    sub = _from_t0_coords(T0, cols)
+    inv = mat_inv(basis_matrix(T0))
+    coords = [matvec(inv, v) for v in sub.vectors()]
+    assert all(x.denominator == 1 for c in coords for x in c)
+    expected = hnf_columns([[int(x) for x in c] for c in coords])
+    assert relative_integer_basis(sub, T0) == expected == hnf_columns(cols)
+    # the coordinate 1/k in T0's basis puts a vector outside T0
+    outside = hnf(sub.vectors() + [from_coords((Fraction(1, k), 0, 0), T0)])
+    with pytest.raises(NotASubgroup):
+        relative_integer_basis(outside, T0)
+    with pytest.raises(RankDeficient):
+        relative_integer_basis(hnf(sub.vectors()[:2]), T0)
+
+
 # ============================================================
 # duality and intersection
 # ============================================================
@@ -391,7 +415,8 @@ def test_integer_coordinates_agree_with_rational_matrices():
 
     for name in ("I432", "I4_132", "P622"):
         lat = make_group(name).T0
-        inv, basis = _basis_inverse(lat), basis_matrix(lat)
+        basis = basis_matrix(lat)
+        inv = mat_inv(basis)
         for _ in range(60):
             v = (rational(), rational(), rational())
             c = matvec(inv, v)
@@ -408,7 +433,8 @@ def test_integer_coordinates_agree_with_rational_matrices():
 def test_coords_matrix_is_integral_exactly_on_invariant_maps():
     for name in ("I432", "I4_132", "P622"):
         G = make_group(name)
-        inv, basis = _basis_inverse(G.T0), basis_matrix(G.T0)
+        basis = basis_matrix(G.T0)
+        inv = mat_inv(basis)
         for c in G.cosets:
             assert coords_matrix(c.rot, G.T0) == matmul(inv, matmul(mat(c.rot), basis))
     # a shear does not preserve the body-centred lattice

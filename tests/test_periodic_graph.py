@@ -52,13 +52,14 @@ from torsym.spacegroups import (
     Axis,
     Isometry,
     apply,
-    fixed_axis,
     is_pure_translation,
     make_group,
     stabilizer,
     stabilizer_order,
 )
 from torsym.sublattices import instantiate, normal_translation_subgroups
+
+from oracles import fixed_axis
 
 GROUPS = ["P432", "F4_132", "I4_132", "I432", "P4_232", "P622"]
 

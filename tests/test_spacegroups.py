@@ -18,23 +18,22 @@ from torsym.spacegroups import (
     ROT_Y,
     ROT_Z,
     ROT_Z_HEX,
+    _closure,
     apply,
     canonical_group_name,
-    canonical_line,
     compose,
     conjugate_translation,
     contains,
-    fixed_axis,
     identity,
     inverse,
     make_group,
-    maximal_translation_lattice,
-    point_group_cosets,
     rotation_order,
     stabilizer,
     stabilizer_order,
     translation,
 )
+
+from oracles import canonical_line, fixed_axis
 
 
 def rand_rational(rng, den=(1, 2, 3, 4, 6)):
@@ -272,8 +271,7 @@ def test_cosets_compose_within_the_group():
         basis = g.T0.vectors()
         gens = [translation(g.frame, [2 * x for x in b]) for b in basis] + rots
         gens += [compose(translation(g.frame, b), rots[0]) for b in basis]
-        assert maximal_translation_lattice(gens) == g.T0
-        assert tuple(point_group_cosets(gens, g.T0)) == g.cosets
+        assert _closure(gens) == (list(g.cosets), g.T0)
 
 
 def test_closure_keeps_every_schreier_translation():
@@ -282,7 +280,7 @@ def test_closure_keeps_every_schreier_translation():
     # a proper sublattice of ℤ³
     gens = [translation(CUBIC_FRAME, [2 * x for x in e]) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     gens += [Isometry(CUBIC_FRAME, ROT_XYZ, (0, 0, 0)), Isometry(CUBIC_FRAME, ROT_XYZ, (1, 0, 0))]
-    assert maximal_translation_lattice(gens) == hnf([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert _closure(gens)[1] == hnf([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def test_split_and_nonsplit_cosets():
@@ -295,8 +293,8 @@ def test_split_and_nonsplit_cosets():
 def test_t0_rederivation_and_cosets():
     for name in GROUP_NAMES:
         g = make_group(name)
-        assert maximal_translation_lattice(g.generators) == g.T0
-        cs = point_group_cosets(g.generators, g.T0)
+        cs, t0 = _closure(g.generators)
+        assert t0 == g.T0
         assert len(cs) == g.point_order
         assert {c.rot for c in cs} == {c.rot for c in g.cosets}
 
@@ -309,11 +307,11 @@ def test_t0_normal_under_cosets():
                 assert member(conjugate_translation(c, b), g.T0)
 
 
-def test_wrong_t0_raises_closure_overflow():
-    g = make_group("I432")
-    too_small = hnf([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+def test_closure_beyond_its_cap_raises_closure_overflow():
+    # a finite point group never reaches the default cap of 96, so lower it below 24
     with pytest.raises(ClosureOverflow):
-        point_group_cosets(g.generators, too_small)
+        _closure(make_group("I432").generators, cap=23)
+    assert len(_closure(make_group("I432").generators, cap=24)[0]) == 24
 
 
 def test_contains():

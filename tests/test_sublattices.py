@@ -1,5 +1,8 @@
 """Sublattice enumeration, invariance filtering and family matching."""
 
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from torsym.errors import NotASubgroup, RankDeficient, UnmatchedLattice
-from torsym.lattices import TRIVIAL_SUBGROUP, covolume, from_coords, hnf, index, intersect, is_subgroup
+from torsym.lattices import TRIVIAL_SUBGROUP, covolume, from_coords, hnf, index, is_subgroup
 from torsym.spacegroups import (
     CUBIC_FRAME,
     GROUP_NAMES,
@@ -24,19 +27,20 @@ from torsym.spacegroups import (
     make_group,
 )
 import torsym
+from torsym import cli
 from torsym.sublattices import (
     CUBIC_TAGS,
     HEX_TAGS,
     LatticeFamily,
     _from_t0_coords,
     _prime_power_parts,
-    enumerate_sublattices,
     instantiate,
     invariant_sublattices,
-    is_invariant,
     match_family,
     normal_translation_subgroups,
 )
+
+from oracles import enumerate_sublattices, intersect, is_invariant, literal_invariant_sublattices
 
 Z3 = hnf([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 T2 = hnf([(2, 0, 0), (1, 1, 0), (1, 0, 1)])
@@ -159,7 +163,7 @@ def test_filtering_matches_literal_is_invariant():
             (L for L in enumerate_sublattices(g.T0, d) if is_invariant(L, g)),
             key=lambda L: (L.scale, L.basis),
         )
-        got = invariant_sublattices(g.T0, CUBIC_ROTS, d, method="literal")
+        got = literal_invariant_sublattices(g.T0, CUBIC_ROTS, d)
         assert got == expected
 
 
@@ -169,15 +173,15 @@ def test_primary_recombination_matches_literal():
     # quotient is simple, at p = 5 and 11 (hexagonal)
     for t0, rots in ((Z3, CUBIC_ROTS), (T2, CUBIC_ROTS), (Z3, HEX_ROTS)):
         for d in list(range(1, 49)) + [64, 81, 121, 125, 128]:
-            lit = invariant_sublattices(t0, rots, d, method="literal")
-            pri = invariant_sublattices(t0, rots, d, method="primary")
+            lit = literal_invariant_sublattices(t0, rots, d)
+            pri = invariant_sublattices(t0, rots, d)
             assert pri == lit, (t0, d)
     # one 2-fold rotation: 2-dimensional common eigenspaces, and at p = 2 a
     # scalar action whose every line and plane is invariant
     total = 0
     for d in range(1, 33):
-        lit = invariant_sublattices(Z3, (ROT_Z,), d, method="literal")
-        assert invariant_sublattices(Z3, (ROT_Z,), d, method="primary") == lit, d
+        lit = literal_invariant_sublattices(Z3, (ROT_Z,), d)
+        assert invariant_sublattices(Z3, (ROT_Z,), d) == lit, d
         total += len(lit)
     assert total == 2380
 
@@ -206,9 +210,9 @@ def test_invariant_rejects_unstable_t0():
 def test_invariant_rejects_infinite_order_rotation():
     # integral and invertible, but of infinite order: no root of unity bounds its eigenvalues
     shear = ((0, 1, 0), (1, 1, 0), (0, 0, 1))
-    for method in ("primary", "literal"):
+    for route in (invariant_sublattices, literal_invariant_sublattices):
         with pytest.raises(ValueError):
-            invariant_sublattices(Z3, (ROT_Z, shear), 5, method=method)
+            route(Z3, (ROT_Z, shear), 5)
 
 
 def test_cubic_survivors_match_families_to_32():
@@ -224,7 +228,7 @@ def test_cubic_survivors_match_families_to_32():
             expected.add(instantiate("CUBIC_BODY", 2 * u))
     got = set()
     for d in range(1, 33):
-        got.update(invariant_sublattices(Z3, CUBIC_ROTS, d, method="literal"))
+        got.update(literal_invariant_sublattices(Z3, CUBIC_ROTS, d))
     assert got == expected
 
 
@@ -238,7 +242,7 @@ def test_hex_survivors_match_families_to_16():
                 expected.add(instantiate("HEX_ROT", n, m))
     got = set()
     for d in range(1, 17):
-        got.update(invariant_sublattices(Z3, HEX_ROTS, d, method="literal"))
+        got.update(literal_invariant_sublattices(Z3, HEX_ROTS, d))
     assert got == expected
 
 
@@ -333,8 +337,27 @@ def test_match_family_hexagonal_is_closed_form():
         assert match_family(fam.instantiate(), HEX_FRAME) == fam
 
 
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import torsym
+import torsym.cli
+loaded = sys.modules["numpy"] is not None
+table = io.StringIO()
+with contextlib.redirect_stdout(table):
+    table_code = torsym.cli.main(["table", "--max-genus", "101", "--format", "json"])
+with contextlib.redirect_stdout(io.StringIO()):
+    verify_code = torsym.cli.main(["verify", "--max-index", "64"])
+survey = [
+    repr(torsym.normal_translation_subgroups(torsym.make_group(name), 64))
+    for name in torsym.GROUP_NAMES
+]
+print(json.dumps([loaded, table_code, table.getvalue(), verify_code, survey]))
+"""
+
+
 def test_import_does_not_load_numpy():
-    # numpy serves only the literal oracle, which imports it when it runs
+    # numpy is a test dependency only: torsym neither imports it nor needs it
     src = str(Path(torsym.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
@@ -346,6 +369,25 @@ def test_import_does_not_load_numpy():
         timeout=60,
     )
     assert out.stdout.strip() == "False"
+    # with numpy blocked, the census, the verification and the survey run as in this process
+    out = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+        timeout=300,
+    )
+    loaded, table_code, table, verify_code, survey = json.loads(out.stdout)
+    assert not loaded
+    expected = io.StringIO()
+    with contextlib.redirect_stdout(expected):
+        assert cli.main(["table", "--max-genus", "101", "--format", "json"]) == 0
+    assert (table_code, table) == (0, expected.getvalue())
+    assert verify_code == 0
+    assert survey == [
+        repr(normal_translation_subgroups(make_group(name), 64)) for name in GROUP_NAMES
+    ]
 
 
 # ============================================================
