@@ -149,7 +149,7 @@ class SubgroupHNF:
     The stored value is the pair (scale, basis) with scale = 1/D for the
     minimal positive integer D such that D·L is an integer lattice, and basis
     the canonical integer column HNF of D·L.  Equal subgroups always have
-    bit-identical representations.
+    bit-identical representations; the constructor rejects any other pair.
     """
 
     rank: int
@@ -157,10 +157,30 @@ class SubgroupHNF:
     scale: Fraction
 
     def __post_init__(self) -> None:
-        if self.rank != len(self.basis):
-            raise ValueError("rank must equal the number of basis columns")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        # each check is O(1): the lift path builds a lattice per call, so the
+        # canonical form is checked in place instead of recomputed
+        basis, scale = self.basis, self.scale
+        if type(basis) is not tuple or self.rank != len(basis):
+            raise ValueError("basis must be a tuple of as many columns as the rank")
+        pivot, content = -1, 0
+        for j, col in enumerate(basis):
+            if type(col) is not tuple or len(col) != 3:
+                raise ValueError("basis columns must be integer 3-tuples")
+            c0, c1, c2 = col
+            if type(c0) is not int or type(c1) is not int or type(c2) is not int:
+                raise ValueError("basis columns must be integer 3-tuples")
+            # pivot rows ascend, so a fourth column has nowhere to go
+            r = 0 if c0 else 1 if c1 else 2
+            if r <= pivot or col[r] <= 0:
+                raise ValueError("basis must be a column HNF: ascending pivot rows, positive pivots")
+            for i in range(j):
+                if not 0 <= basis[i][r] < col[r]:
+                    raise ValueError("basis must be a column HNF: entries left of a pivot in [0, pivot)")
+            pivot, content = r, math.gcd(content, c0, c1, c2)
+        if not isinstance(scale, (int, Fraction)) or scale.numerator != 1:
+            raise ValueError("scale must be 1/D for a positive integer D")
+        if math.gcd(scale.denominator, content) != 1:
+            raise ValueError("scale 1/D must be minimal: D and the basis content must be coprime")
 
     def vectors(self) -> list[Vec3]:
         """Actual basis vectors (scale applied)."""
@@ -255,38 +275,43 @@ def _scaled_hnf(basis: tuple[tuple[int, int, int], ...], factor: Fraction) -> Su
     return SubgroupHNF(len(cols), cols, Fraction(1, f.denominator))
 
 
-def _pivot_rows(basis: Sequence[Sequence[int]]) -> list[int]:
-    return [next(r for r in range(3) if col[r]) for col in basis]
+def hnf_reduce(x: Sequence[int], basis: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Reduce an integer vector modulo the lattice of a canonical column HNF basis.
+
+    Each column in turn brings the entry in its pivot row into [0, pivot).
+    The result is the same on each coset of the lattice, and zero on the lattice.
+    """
+    w0, w1, w2 = x
+    for c0, c1, c2 in basis:
+        if c0:
+            q = w0 // c0
+        elif c1:
+            q = w1 // c1
+        else:
+            q = w2 // c2
+        if q:
+            w0, w1, w2 = w0 - q * c0, w1 - q * c1, w2 - q * c2
+    return (w0, w1, w2)
 
 
 def member(v: Sequence, sub: SubgroupHNF) -> bool:
     """True iff the rational vector v lies in the subgroup."""
-    d = sub.scale.denominator if sub.scale.numerator == 1 else None
+    d = sub.scale.denominator
     w: list[int] = []
     for x in v:
-        y = Fraction(x) / sub.scale if d is None else Fraction(x) * d
+        y = Fraction(x) * d
         if y.denominator != 1:
             return False
         w.append(y.numerator)
-    rows = _pivot_rows(sub.basis)
-    for col, r in zip(sub.basis, rows):
-        q, rem = divmod(w[r], col[r])
-        if rem:
-            return False
-        if q:
-            for i in range(3):
-                w[i] -= q * col[i]
-    return not any(w)
+    return not any(hnf_reduce(w, sub.basis))
 
 
 def covolume(sub: SubgroupHNF) -> Fraction:
     """Absolute determinant of the actual basis (rank 3 only)."""
     if sub.rank != 3:
         raise RankDeficient("covolume requires rank 3")
-    p = 1
-    for col, r in zip(sub.basis, _pivot_rows(sub.basis)):
-        p *= col[r]
-    return sub.scale**3 * p
+    # a canonical rank-3 basis has its pivots on the diagonal
+    return sub.scale**3 * (sub.basis[0][0] * sub.basis[1][1] * sub.basis[2][2])
 
 
 def is_subgroup(sub: SubgroupHNF, sup: SubgroupHNF) -> bool:
@@ -311,10 +336,10 @@ def join(a: SubgroupHNF, b: SubgroupHNF) -> SubgroupHNF:
 
 
 @lru_cache(maxsize=None)
-def _integer_frame(sub: SubgroupHNF) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int, int, int]:
-    """Integer data of a rank-3 subgroup with actual basis (p/q)·H.
+def _integer_frame(sub: SubgroupHNF) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int, int]:
+    """Integer data of a rank-3 subgroup with actual basis H/q.
 
-    Returns (H, adj(H), det H, p, q) with H the integer HNF as a matrix whose
+    Returns (H, adj(H), det H, q) with H the integer HNF as a matrix whose
     columns are the basis vectors, so that H⁻¹ = adj(H) / det H.
     """
     if sub.rank != 3:
@@ -329,7 +354,7 @@ def _integer_frame(sub: SubgroupHNF) -> tuple[tuple[tuple[int, ...], ...], tuple
         for i in range(3)
     )
     det = h[0][0] * h[1][1] * h[2][2]  # lower triangular
-    return h, adj, det, sub.scale.numerator, sub.scale.denominator
+    return h, adj, det, sub.scale.denominator
 
 
 def coords_matrix(
@@ -340,7 +365,7 @@ def coords_matrix(
     Returns None when m does not map the subgroup into itself, that is when
     B⁻¹·m·B = adj(H)·m·H / det H is not integral.
     """
-    h, adj, det, _, _ = _integer_frame(sub)
+    h, adj, det, _ = _integer_frame(sub)
     prod = matmul(matmul(adj, m), h)
     if any(x % det for row in prod for x in row):
         return None
@@ -359,29 +384,18 @@ def invariant_coords_matrix(
 
 def coords_in(v: Sequence, sub: SubgroupHNF) -> Vec3:
     """Coordinates of a rational vector in the actual basis of a rank-3 subgroup."""
-    _, adj, det, p, q = _integer_frame(sub)
+    _, adj, det, q = _integer_frame(sub)
     nums, den = _over_common_denominator(v)
-    d = det * den * p
+    d = det * den
     return tuple(Fraction(x * q, d) for x in int_matvec(adj, nums))  # type: ignore[return-value]
 
 
 def from_coords(c: Sequence, sub: SubgroupHNF) -> Vec3:
     """Vector with the given coordinates in the actual basis of a rank-3 subgroup."""
-    h, _, _, p, q = _integer_frame(sub)
+    h, _, _, q = _integer_frame(sub)
     nums, den = _over_common_denominator(c)
     d = q * den
-    return tuple(Fraction(x * p, d) for x in int_matvec(h, nums))  # type: ignore[return-value]
-
-
-def reduce_mod(v: Sequence, sub: SubgroupHNF) -> tuple[Vec3, tuple[int, int, int]]:
-    """Reduce v into the fundamental cell [0,1)³ of a rank-3 subgroup.
-
-    Returns (representative, k) with v = representative + sub-basis·k.
-    """
-    nums, den = _over_common_denominator(v)
-    f = sub.scale.denominator // math.gcd(den, sub.scale.denominator)
-    rep, k = cell_reducer(sub, den * f)(tuple(x * f for x in nums))
-    return tuple(Fraction(x, den * f) for x in rep), k  # type: ignore[return-value]
+    return tuple(Fraction(x, d) for x in int_matvec(h, nums))  # type: ignore[return-value]
 
 
 def numerators(v: Sequence, den: int) -> tuple[int, int, int]:
@@ -391,22 +405,22 @@ def numerators(v: Sequence, den: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=128)
 def cell_reducer(sub: SubgroupHNF, den: int):
-    """reduce_mod for points given as integer numerators over den.
+    """Reduction into the fundamental cell [0,1)³ of a rank-3 subgroup, on integer numerators over den.
 
     The returned function maps numerators n to (numerators of the
-    representative over the same den, k).  den must be a multiple of the
+    representative over the same den, k), with n = representative + den·B·k
+    for the subgroup's actual basis B.  den must be a multiple of the
     denominator of the subgroup's scale, so that subgroup translates of a
-    point in (1/den)·ℤ³ stay in it.  With actual basis B = (p/q)·H and
-    B⁻¹ = q·adj(H)/(p·det H), k = ⌊B⁻¹·n/den⌋ and the representative is
-    n − den·B·k.
+    point in (1/den)·ℤ³ stay in it.  With B = H/q and
+    B⁻¹ = q·adj(H)/det H, k = ⌊B⁻¹·n/den⌋.
     """
-    h, adj, det, p, q = _integer_frame(sub)
+    _, adj, det, q = _integer_frame(sub)
     if den % q:
         raise ValueError("common denominator does not clear the lattice scale")
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = ((q * x for x in row) for row in adj)
-    mod = det * den * p
+    mod = det * den
     (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = (
-        (den * p // q * x for x in col) for col in sub.basis
+        (den // q * x for x in col) for col in sub.basis
     )
 
     def reduce(n: Sequence[int]) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
@@ -426,11 +440,11 @@ def cell_reducer(sub: SubgroupHNF, den: int):
 def relative_integer_basis(sub: SubgroupHNF, sup: SubgroupHNF) -> tuple[tuple[int, int, int], ...]:
     """HNF of sub expressed in integer coordinates of sup's basis (rank 3, sub ⊆ sup).
 
-    With sub = (a/b)·⟨H₁⟩ and sup's actual basis (p/q)·H, a column h of H₁ has
-    the coordinates (a·q)/(b·p)·adj(H)·h / det H in sup's basis, as in `coords_in`.
+    With sub = ⟨H₁⟩/b and sup's actual basis H/q, a column h of H₁ has the
+    coordinates q·adj(H)·h / (b·det H) in sup's basis, as in `coords_in`.
     """
-    _, adj, det, p, q = _integer_frame(sup)
-    num, den = sub.scale.numerator * q, sub.scale.denominator * p * det
+    _, adj, det, q = _integer_frame(sup)
+    num, den = q, sub.scale.denominator * det
     cols = []
     for h in sub.basis:
         c = [num * x for x in int_matvec(adj, h)]
@@ -441,17 +455,6 @@ def relative_integer_basis(sub: SubgroupHNF, sup: SubgroupHNF) -> tuple[tuple[in
     if len(basis) != 3:
         raise RankDeficient("relative basis is not full rank")
     return basis
-
-
-def reduce_mod_relative(x: Sequence[int], rel: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Reduce an integer coordinate vector modulo a full-rank triangular HNF basis."""
-    w = [int(e) for e in x]
-    for j in range(3):
-        q = w[j] // rel[j][j]
-        if q:
-            for i in range(3):
-                w[i] -= q * rel[j][i]
-    return (w[0], w[1], w[2])
 
 
 # ============================================================

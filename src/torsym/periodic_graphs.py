@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -20,8 +20,9 @@ from .lattices import (
     coords_matrix,
     from_coords,
     hnf,
+    hnf_columns,
+    hnf_reduce,
     index,
-    int_affine,
     int_matvec,
     invariant_coords_matrix,
     is_subgroup,
@@ -31,14 +32,11 @@ from .lattices import (
     matmul,
     numerators,
     primitive_integer,
-    reduce_mod,
-    reduce_mod_relative,
     relative_integer_basis,
     smith_form,
     solve_congruence,
     vadd,
     vneg,
-    vscale,
     vsub,
     vec,
 )
@@ -74,7 +72,6 @@ _IDENTITY: IntMat = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 def _normalize_edge(i: int, j: int, s: IntVec) -> Edge:
     """Canonical orientation of an edge under (i, j, s) ≡ (j, i, -s)."""
-    s = (int(s[0]), int(s[1]), int(s[2]))
     r = (-s[0], -s[1], -s[2])
     if j < i or (i == j and r > s):
         return (j, i, r)
@@ -99,7 +96,9 @@ class PeriodicGraph:
         for i, j, s in self.edges:
             if not (0 <= i < len(verts) and 0 <= j < len(verts)):
                 raise ValueError("edge endpoint index out of range")
-            edges.append(_normalize_edge(i, j, s))
+            if len(s) != 3 or any(x != int(x) for x in s):
+                raise ValueError("edge shifts must be integer 3-vectors")
+            edges.append(_normalize_edge(i, j, (int(s[0]), int(s[1]), int(s[2]))))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(sorted(edges)))
 
@@ -153,14 +152,21 @@ def _plane_lattice(
     """The lattice projected along d onto the plane where d's first nonzero coordinate vanishes.
 
     Returns (i0, D, ((pivot row, column), …)): that coordinate's index, and
-    the rank-2 image as (1/D)·(integer HNF) with each column's pivot row.
+    the rank-2 image as (1/D)·(integer HNF) with each column's pivot row.  A
+    column h of T0 = ⟨H⟩/q projects to (d[i0]·h − h[i0]·d)/(q·d[i0]); dividing
+    out the content the HNF shares with q·d[i0] leaves D minimal.
     """
     i0 = next(i for i in range(3) if d[i])
-    lam = hnf(vsub(v, vscale(v[i0] / d[i0], vec(*d))) for v in T0.vectors())
-    if lam.rank != 2:
+    cols = hnf_columns(
+        tuple(d[i0] * h[i] - h[i0] * d[i] for i in range(3)) for h in T0.basis
+    )
+    if len(cols) != 2:
         raise InvariantViolation("projection of a rank-3 lattice must have rank 2")
-    cols = tuple((next(r for r in range(3) if c[r]), c) for c in lam.basis)
-    return i0, lam.scale.denominator, cols
+    den = T0.scale.denominator * d[i0]
+    g = math.gcd(den, *(x for c in cols for x in c))
+    return i0, den // g, tuple(
+        (next(r for r in range(3) if c[r]), tuple(x // g for x in c)) for c in cols
+    )
 
 
 def _axis_base(T0: SubgroupHNF, n: Sequence[int], den: int, d: IntVec) -> IntVec:
@@ -240,7 +246,7 @@ def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
     contain the three half-turns of their D_2.  So every vertex is fixed by two
     half-turns about non-parallel axes, and their cosets are among the pairs.
     """
-    h, _, _, _, _ = _integer_frame(G.T0)
+    h = _integer_frame(G.T0)[0]
     congruences, den = _fixed_point_congruences(G)
     lines = []
     for a, r, _ in congruences:
@@ -261,31 +267,36 @@ def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
 class _Scaled:
     """A group whose points are integer numerators over one common denominator.
 
-    den clears the lattice, every coset translation, the solutions y/top,
-    which sit at B·y/top = p·H·y/(q·top) for the actual basis B = (p/q)·H of
-    T0, and the plane lattice along every axis direction d.  On top of that it
-    carries the factor lcm(d[i0]), so that the projection of a solved point
-    along d, which divides by d[i0], stays integral: `_axis_base` needs both.
+    den clears the lattice, every coset translation, every normalizer
+    translation, the solutions y/top, which sit at B·y/top = H·y/(q·top) for
+    the actual basis B = H/q of T0, and the plane lattice along every axis
+    direction d.  On top of that it carries the factor lcm(d[i0]), so that the
+    projection of a solved point along d, which divides by d[i0], stays
+    integral: `_axis_base` needs both.  moves and normalizer hold the cosets
+    and the `_normalizer_maps` as (rotation, translation numerators).
     """
 
     def __init__(self, G: SpaceGroup, lines: Lines, corners: Corners) -> None:
-        h, _, _, p, q = _integer_frame(G.T0)
+        h, _, _, q = _integer_frame(G.T0)
         dirs = {d for d, _, _ in lines}
+        maps = _normalizer_maps(G.name)
         den = math.lcm(
             *(q * top for _, _, top in lines),
             *(q * top for _, top in corners),
             *(x.denominator for c in G.cosets for x in c.trans),
+            *(x.denominator for _, t in maps for x in t),
             *(_plane_lattice(G.T0, d)[1] for d in dirs),
         )
         self.G = G
         self.den = den * math.lcm(*(next(x for x in d if x) for d in dirs))
         self.reduce = cell_reducer(G.T0, self.den)
         self.moves = [(c.rot, numerators(c.trans, self.den)) for c in G.cosets]
-        self._h, self._p, self._q = h, p, q
+        self.normalizer = [(rows, numerators(t, self.den)) for rows, t in maps]
+        self._h, self._q = h, q
 
     def from_coords(self, y: Sequence[int], top: int) -> IntVec:
         """Numerators of the point B·y/top."""
-        f = self._p * (self.den // (self._q * top))
+        f = self.den // (self._q * top)
         x = int_matvec(self._h, y)
         return (f * x[0], f * x[1], f * x[2])
 
@@ -325,8 +336,8 @@ def _axis_segments(
     in the axis's class.  Then B⁻¹(v − b) = k + λ·e with k ∈ ℤ³ and e the
     primitive lattice vector along the axis in the basis of T0, so
     λ ≡ f·B⁻¹(v − b) (mod 1) for any integer f with f·e = 1, and v sits, up
-    to a lattice vector, at b + λ·B·e.  With B = (p/q)·H and
-    B⁻¹ = q·adj(H)/(p·det H), λ = ℓ/(p·det·den) for an integer ℓ, and the
+    to a lattice vector, at b + λ·B·e.  With B = H/q and
+    B⁻¹ = q·adj(H)/det H, λ = ℓ/(det·den) for an integer ℓ, and the
     numerators of λ·B·e are ℓ·H·e/(q·det), integral because the point is a
     lattice translate of v.
     """
@@ -335,8 +346,8 @@ def _axis_segments(
     for d in {d for d, _, _ in axes}:
         for v in verts:
             on_line.setdefault((d, _axis_base(T0, v, den, d)), []).append(v)
-    h, adj, det, p, q = _integer_frame(T0)
-    mod, step_den = p * det * den, q * det
+    h, adj, det, q = _integer_frame(T0)
+    mod, step_den = det * den, q * det
     out = []
     for d, b, _ in axes:
         c = int_matvec(adj, d)
@@ -472,11 +483,12 @@ def _canon_scaled(reduce, a: IntVec, b: IntVec) -> ScaledSegment:
     return best
 
 
-def _canon_segment(T0: SubgroupHNF, a: Vec3, b: Vec3) -> Segment:
-    """Canonical lattice translate of the unordered segment (a, b)."""
-    den = math.lcm(T0.scale.denominator, *(x.denominator for x in (*a, *b)))
-    seg = _canon_scaled(cell_reducer(T0, den), numerators(a, den), numerators(b, den))
-    return _unscaled(den, seg)
+def _image(reduce, rot: IntMat, t: IntVec, seg: ScaledSegment) -> ScaledSegment:
+    """Canonical form of the image of a segment under x ↦ R·x + t, on integer numerators."""
+    a, b = (int_matvec(rot, p) for p in seg)
+    return _canon_scaled(
+        reduce, (a[0] + t[0], a[1] + t[1], a[2] + t[2]), (b[0] + t[0], b[1] + t[1], b[2] + t[2])
+    )
 
 
 def _segment_orbits(sc: _Scaled, raw: Sequence[ScaledSegment]) -> list[list[ScaledSegment]]:
@@ -490,17 +502,7 @@ def _segment_orbits(sc: _Scaled, raw: Sequence[ScaledSegment]) -> list[list[Scal
             continue
         # every element of G is a coset representative followed by a lattice
         # translation, which leaves the canonical form unchanged
-        a, b = key
-        members = set()
-        for rot, t in sc.moves:
-            ra, rb = int_matvec(rot, a), int_matvec(rot, b)
-            members.add(
-                _canon_scaled(
-                    reduce,
-                    (ra[0] + t[0], ra[1] + t[1], ra[2] + t[2]),
-                    (rb[0] + t[0], rb[1] + t[1], rb[2] + t[2]),
-                )
-            )
+        members = {_image(reduce, rot, t, key) for rot, t in sc.moves}
         if not members <= segments:
             raise InvariantViolation(
                 "a group element maps a singular segment outside the singular set"
@@ -512,20 +514,24 @@ def _segment_orbits(sc: _Scaled, raw: Sequence[ScaledSegment]) -> list[list[Scal
 
 @dataclass
 class _SingularData:
-    """Cached singular-set decomposition of one space group."""
+    """Cached singular-set decomposition of one space group.
 
-    G: SpaceGroup
+    orbit_of and orbits hold segments as integer numerators over sc.den; the
+    other fields hold the rational values that the public functions return.
+    """
+
+    sc: _Scaled
     axes: list[Axis]
     vertices: list[Vec3]
     circles: list[Axis]
-    orbit_of: dict[Segment, int]
-    orbits: list[list[Segment]]
+    orbit_of: dict[ScaledSegment, int]
+    orbits: list[list[ScaledSegment]]
     edges: tuple[SingularEdge, ...]
 
 
 @lru_cache(maxsize=None)
 def _singular_data(name: str) -> _SingularData:
-    """The singular set, computed on integer numerators and turned into rationals at the end."""
+    """The singular set on integer numerators, with rationals built only for the public values."""
     G = make_group(name)
     lines, corners = _fixed_points(G)
     sc = _Scaled(G, lines, corners)
@@ -546,23 +552,19 @@ def _singular_data(name: str) -> _SingularData:
             memo[rep] = _germ_orbits([r for r in sc.stabilizer(rep) if r != _IDENTITY])
         return memo[rep]
 
-    orbit_of: dict[Segment, int] = {}
-    orbits: list[list[Segment]] = []
+    orbits = _segment_orbits(sc, raw)
+    orbit_of = {seg: oid for oid, members in enumerate(orbits) for seg in members}
     edges = []
-    for oid, members in enumerate(_segment_orbits(sc, raw)):
+    for oid, members in enumerate(orbits):
         edge_index, link = _edge_data(members[0], germs)
-        orbit = [_unscaled(sc.den, seg) for seg in members]
-        orbit_of.update((seg, oid) for seg in orbit)
-        orbits.append(orbit)
-        edges.append(
-            SingularEdge(segment=orbit[0], edge_index=edge_index, link=link, orbit_id=oid)
-        )
+        seg = _unscaled(sc.den, members[0])
+        edges.append(SingularEdge(segment=seg, edge_index=edge_index, link=link, orbit_id=oid))
 
     def axis(d: IntVec, b: IntVec, order: int) -> Axis:
         return Axis(base=_unscaled_point(sc.den, b), direction=d, order=order)
 
     return _SingularData(
-        G=G,
+        sc=sc,
         axes=[axis(*ax) for ax in axes],
         vertices=[_unscaled_point(sc.den, v) for v in verts],
         circles=[axis(*ax) for ax in circles],
@@ -575,18 +577,11 @@ def _singular_data(name: str) -> _SingularData:
 def singular_graph(G: SpaceGroup) -> list[SingularEdge]:
     """All singular segments modulo the lattice, grouped into group orbits."""
     data = _singular_data(G.name)
-    out = []
-    for rep in data.edges:
-        for seg in data.orbits[rep.orbit_id]:
-            out.append(
-                SingularEdge(
-                    segment=seg,
-                    edge_index=rep.edge_index,
-                    link=rep.link,
-                    orbit_id=rep.orbit_id,
-                )
-            )
-    return out
+    return [
+        replace(rep, segment=_unscaled(data.sc.den, seg))
+        for rep in data.edges
+        for seg in data.orbits[rep.orbit_id]
+    ]
 
 
 # ============================================================
@@ -648,6 +643,7 @@ def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
     """
     G = make_group(name)
     T0 = G.T0
+    h, _, _, q = _integer_frame(T0)
     gens = [
         (invariant_coords_matrix(g.rot, T0), coords_in(g.trans, T0))
         for g in G.generators
@@ -681,9 +677,10 @@ def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
             points, top, kernel = solve_congruence(system, nums, den)
             if kernel:
                 raise InvariantViolation("normalizer translations of a group are not discrete")
+            # t = B·y/top = H·y/(q·top), reduced into the cell of T0
+            reduce = cell_reducer(T0, q * top)
             out.extend(
-                (rows, reduce_mod(from_coords(_unscaled_point(top, y), T0), T0)[0])
-                for y in points
+                (rows, _unscaled_point(q * top, reduce(int_matvec(h, y))[0])) for y in points
             )
     return tuple(sorted(set(out)))
 
@@ -695,16 +692,14 @@ def marked_edges(G: SpaceGroup) -> list[SingularEdge]:
     G-orbits, so the union runs over the transversal of _normalizer_maps.
     """
     data = _singular_data(G.name)
-    qualifying = [e for e in data.edges if e.link == _MARKED_LINK]
-    classes = _UnionFind(e.orbit_id for e in qualifying)
-    for rows, t in _normalizer_maps(G.name):
-        for e in qualifying:
-            a, b = e.segment
-            img = _canon_segment(G.T0, int_affine(rows, a, t), int_affine(rows, b, t))
-            other = data.orbit_of.get(img)
+    qualifying = [e.orbit_id for e in data.edges if e.link == _MARKED_LINK]
+    classes = _UnionFind(qualifying)
+    for rows, t in data.sc.normalizer:
+        for oid in qualifying:
+            other = data.orbit_of.get(_image(data.sc.reduce, rows, t, data.orbits[oid][0]))
             if other is None or other not in classes:
                 raise InvariantViolation("normalizer map does not preserve the marked edges")
-            classes.union(e.orbit_id, other)
+            classes.union(oid, other)
     reps = sorted(
         (data.edges[min(ids)] for ids in classes.groups()),
         key=lambda e: e.orbit_id,
@@ -723,25 +718,35 @@ def marked_edges(G: SpaceGroup) -> list[SingularEdge]:
 
 
 def edge_orbit_graph(G: SpaceGroup, e: SingularEdge, suppress: bool = True) -> PeriodicGraph:
-    """Quotient graph of the full orbit of one singular edge, modulo the lattice."""
+    """Quotient graph of the full orbit of one singular edge, modulo the lattice.
+
+    A point n/den has the T0-coordinates B⁻¹·n/den = q·adj(H)·n/(det·den) for
+    B = H/q; floor division gives its cell k, and the remainder, over
+    det·den, its vertex in [0,1)³.
+    """
     data = _singular_data(G.name)
-    key = _canon_segment(G.T0, e.segment[0], e.segment[1])
-    oid = data.orbit_of.get(key)
+    sc = data.sc
+    a, b = e.segment
+    oid = None
+    # a point that sc.den does not clear is on no singular segment
+    if not any(sc.den % x.denominator for x in (*a, *b)):
+        key = _canon_scaled(sc.reduce, numerators(a, sc.den), numerators(b, sc.den))
+        oid = data.orbit_of.get(key)
     if oid is None:
         raise ValueError("edge does not belong to this group's singular graph")
-    members = data.orbits[oid]
-    cells: dict[Vec3, int] = {}
+    _, adj, det, q = _integer_frame(G.T0)
+    mod = det * sc.den
+    cells: set[IntVec] = set()
     reduced = []
-    for a, b in members:
+    for seg in data.orbits[oid]:
         pair = []
-        for p in (a, b):
-            c = coords_in(p, G.T0)
-            k = tuple(math.floor(x) for x in c)
-            frac = tuple(x - f for x, f in zip(c, k))
+        for p in seg:
+            k, frac = zip(*(divmod(q * x, mod) for x in int_matvec(adj, p)))
             pair.append((frac, k))
-            cells.setdefault(frac, 0)
+            cells.add(frac)
         reduced.append(pair)
-    order = {v: i for i, v in enumerate(sorted(cells))}
+    verts = sorted(cells)
+    order = {v: i for i, v in enumerate(verts)}
     edges = []
     for (va, ka), (vb, kb) in reduced:
         shift = tuple(x - y for x, y in zip(kb, ka))
@@ -751,7 +756,7 @@ def edge_orbit_graph(G: SpaceGroup, e: SingularEdge, suppress: bool = True) -> P
     g = PeriodicGraph(
         group=G.name,
         T0=G.T0,
-        vertices=tuple(sorted(cells)),
+        vertices=tuple(_unscaled_point(mod, v) for v in verts),
         edges=tuple(edges),
     )
     return suppress_valence_two(g) if suppress else g
@@ -783,9 +788,7 @@ def suppress_valence_two(g: PeriodicGraph) -> PeriodicGraph:
         i2, j2, s2 = edges[p2]
         if i2 != target:
             i2, j2, s2 = j2, i2, vneg(s2)
-        merged = _normalize_edge(
-            i1, j2, tuple(int(x + y) for x, y in zip(s1, s2))
-        )
+        merged = _normalize_edge(i1, j2, (s1[0] + s2[0], s1[1] + s2[1], s1[2] + s2[2]))
         edges = [e for pos, e in enumerate(edges) if pos not in (p1, p2)]
         edges.append(merged)
         alive[target] = False
@@ -855,9 +858,7 @@ def lift_connected_bruteforce(g: PeriodicGraph, T: SubgroupHNF) -> bool:
     classes = _UnionFind((v, lab) for v in range(len(g.vertices)) for lab in labels)
     for i, j, s in g.edges:
         for lab in labels:
-            shifted = reduce_mod_relative(
-                (lab[0] + s[0], lab[1] + s[1], lab[2] + s[2]), rel
-            )
+            shifted = hnf_reduce((lab[0] + s[0], lab[1] + s[1], lab[2] + s[2]), rel)
             classes.union((i, lab), (j, shifted))
     return len(classes.groups()) == 1
 

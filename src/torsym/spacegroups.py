@@ -21,6 +21,7 @@ from .lattices import (
     cell_reducer,
     hnf,
     hnf_columns,
+    hnf_reduce,
     int_affine,
     int_matvec,
     mat,
@@ -284,25 +285,13 @@ def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isomet
     k = d_all // seed.scale.denominator
     mcols = [tuple(e * k for e in col) for col in seed.basis]
 
-    def red(w: tuple[int, int, int]) -> tuple[int, int, int]:
-        w0, w1, w2 = w
-        q = w0 // mcols[0][0]
-        w0 -= q * mcols[0][0]
-        w1 -= q * mcols[0][1]
-        w2 -= q * mcols[0][2]
-        q = w1 // mcols[1][1]
-        w1 -= q * mcols[1][1]
-        w2 -= q * mcols[1][2]
-        w2 -= (w2 // mcols[2][2]) * mcols[2][2]
-        return (w0, w1, w2)
-
     reps: dict[tuple, tuple[int, int, int]] = {_IDENTITY_ROT: (0, 0, 0)}
     found = [_IDENTITY_ROT]
     raw = [(g.rot, tuple(int(t * d_all) for t in g.trans)) for g in generators]
 
     def merge(rot, trans) -> None:
         nonlocal mcols
-        trans = red(trans)
+        trans = hnf_reduce(trans, mcols)
         have = reps.get(rot)
         if have is None:
             if len(reps) >= cap:
@@ -311,11 +300,11 @@ def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isomet
             found.append(rot)
             return
         delta = (trans[0] - have[0], trans[1] - have[1], trans[2] - have[2])
-        if red(delta) == (0, 0, 0):
+        if hnf_reduce(delta, mcols) == (0, 0, 0):
             return
         mcols = list(hnf_columns(list(mcols) + [delta]))
         for r in reps:
-            reps[r] = red(reps[r])
+            reps[r] = hnf_reduce(reps[r], mcols)
 
     for rot_a in found:  # grows while the pass runs
         for rot_b, trans_b in raw:

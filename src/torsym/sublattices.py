@@ -265,9 +265,9 @@ def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> frozenset:
 
 
 def _from_t0_coords(T0: SubgroupHNF, basis: Sequence[Sequence[int]]) -> SubgroupHNF:
-    """The sublattice of T0 = (p/q)·H with the given integer T0-coordinate columns M: (p/q)·⟨H·M⟩."""
-    h, _, _, p, q = _integer_frame(T0)
-    return _scaled_hnf(hnf_columns([int_matvec(h, col) for col in basis]), Fraction(p, q))
+    """The sublattice of T0 = H/q with the given integer T0-coordinate columns M: ⟨H·M⟩/q."""
+    h, _, _, q = _integer_frame(T0)
+    return _scaled_hnf(hnf_columns([int_matvec(h, col) for col in basis]), Fraction(1, q))
 
 
 @lru_cache(maxsize=None)

@@ -7,12 +7,16 @@
   `test_periodic_graph.py`.
 - `dual`, `intersect` and `coset_reps` do lattice algebra on the `Fraction`
   basis matrix and its inverse, and check the integer routes.
+- `reduce_mod` and `canon_segment` reduce points and segments into the cell
+  of a lattice in `Fraction`, and check `lattices.cell_reducer` and the
+  integer segments of the singular set.
 
 numpy is used only by the literal filter, so it is a test dependency only.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -23,6 +27,8 @@ from torsym.lattices import (
     Mat3,
     SubgroupHNF,
     Vec3,
+    coords_in,
+    from_coords,
     hnf,
     is_subgroup,
     join,
@@ -32,7 +38,9 @@ from torsym.lattices import (
     member,
     primitive_integer,
     relative_integer_basis,
+    vadd,
     vneg,
+    vsub,
 )
 from torsym.spacegroups import (
     Axis,
@@ -119,6 +127,25 @@ def coset_reps(sub: SubgroupHNF, sup: SubgroupHNF) -> list[Vec3]:
         for x2 in range(rel[1][1])
         for x3 in range(rel[2][2])
     ]
+
+
+def reduce_mod(v: Sequence, sub: SubgroupHNF) -> tuple[Vec3, tuple[int, int, int]]:
+    """Reduce v into the fundamental cell [0,1)³ of a rank-3 subgroup, in `Fraction`.
+
+    Returns (representative, k) with v = representative + sub-basis·k, k the
+    floor of v's coordinates in the subgroup's basis.
+    """
+    k = tuple(math.floor(x) for x in coords_in(v, sub))
+    return vsub(tuple(Fraction(x) for x in v), from_coords(k, sub)), k  # type: ignore[return-value]
+
+
+def canon_segment(T0: SubgroupHNF, a: Vec3, b: Vec3) -> tuple[Vec3, Vec3]:
+    """Canonical lattice translate of the unordered segment (a, b), in `Fraction`.
+
+    Of the two translates that put one end into the cell of T0, the smaller.
+    """
+    ends = [(reduce_mod(p, T0)[0], p, q) for p, q in ((a, b), (b, a))]
+    return min((rep, vadd(rep, vsub(q, p))) for rep, p, q in ends)
 
 
 # ============================================================

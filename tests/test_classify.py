@@ -466,6 +466,8 @@ def test_cli_reports_internal_errors_with_exit_three(monkeypatch, capsys):
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     bad = ((identity, (Fraction(1, 3), Fraction(0), Fraction(0))),)
     monkeypatch.setattr(pg, "_normalizer_maps", lambda name: bad)
+    # the singular data carry the normalizer maps, so they are rebuilt with the bad one
+    monkeypatch.setattr(pg, "_singular_data", pg._singular_data.__wrapped__)
     monkeypatch.setattr(cli, "labeled_marked_edges", labeled_marked_edges.__wrapped__)
     assert cli.main(["edges", "P432"]) == 3
     err = capsys.readouterr().err

@@ -1,0 +1,62 @@
+"""Every table and CLI output stays byte-identical: SHA-256 of the stdout of each command.
+
+The digests were recorded from the CLI before the singular set was kept in
+integers through the marked edges and quotient graphs.  A refactor that
+changes any printed byte, including an ordering or a `Fraction` string, fails
+here.
+"""
+
+import contextlib
+import hashlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+from torsym import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CENSUS = "e69f0c2bfb698e1bc1bac02414089e03ff890c2e3809728f3d7be7fc4385a618"
+
+GOLDEN = (
+    ("groups --format json", "7b41507432350b144dd8834508373c07525e0c1b53bdb92d03abebf707c82ae5"),
+    ("singular-graph P432 --format json", "897d4e5ad26c531470ffa9016281e3701d48e19455fc5a433c200ce75aa62888"),
+    ("edges P432 --format json", "9ff4d446b9113139def5043075f06559712f6bc808a6ac3dce925c08e2103187"),
+    ("singular-graph F4_132 --format json", "fe0d202f53c9c7fbcd70023c0fafd04a9abece5ddff01adad8772ef24099ba0b"),
+    ("edges F4_132 --format json", "200c8cbf5c4954ccce978196bc56dc02f1cb2d5e02da98bf887262b08771a1ec"),
+    ("singular-graph I4_132 --format json", "fccc7994d209544e81229fa1af9e768f9f672dd41e6ffe2665da14ae36beada8"),
+    ("edges I4_132 --format json", "4046374a653a82ec39779946d70c34702a7ecf6d3ad1c800dfc518a5d1f9fef9"),
+    ("singular-graph I432 --format json", "f0797fabd6d4faa142deed19f91301fd3f56973e16c21c81f5c5bb63e9d06c68"),
+    ("edges I432 --format json", "dd372c074f81246b5b696881e1b4f559344354037da5f74355f4ae66bc6a67db"),
+    ("singular-graph P4_232 --format json", "d7addda870279985b88211b03d8264e8042973c7702f024142c49dd684397924"),
+    ("edges P4_232 --format json", "7eaa7d0311276696df1c52c630219dc0d9deaa0c8b199b57206d1dcfda3c3ebf"),
+    ("singular-graph P622 --format json", "6c6fff8538b8fd03e35861adcd4a787d356449b677fa3d415f3cfe7e396797df"),
+    ("edges P622 --format json", "bc4553d02c337fe960c78a8a83f37376befd1bb77dcf17743c24fbc5d24936a2"),
+    ("table --max-genus 101 --format json", CENSUS),
+    ("verify --max-index 64", "eb3b47f498edb49387d2305b858a3a2b35d90c68beebfcd31c49f2a8784a2f09"),
+    ("classify P432 alpha --max-index 512 --format json", "44c64c4ebe6bb00570bdb5e5aeb0d7a766ca6225e4fc199b3a779cff82965716"),
+    ("classify F4_132 alpha --max-index 512 --format json", "4071ee89c53e18b7c93a124f86afc9dbf9520ac1c446359d71de15a5a00cc9a7"),
+    ("classify I4_132 alpha --max-index 512 --format json", "1fbec6613adb8ebf40aeab60fb35a310c8b81532cb9547efc99885f1d2652c0b"),
+    ("classify I432 beta --max-index 512 --format json", "d73998e09014ff9ee0f081de7d7159138725aed6c1bc03bea60254be914e57fa"),
+    ("classify P4_232 beta --max-index 512 --format json", "c2748eb8ff6f5849a71e65da1579f56ba41e83e1d9dff4ac6bde749efdcbaa4a"),
+    ("classify P4_232 gamma --max-index 512 --format json", "35cda788e33e97fd5ac9af0578dae38c00337af50dc44e422bd3f1000e6f21b7"),
+    ("classify I432 gamma --max-index 512 --format json", "2bfd36415d9df82a7260c7b7827c79bf5c69a22407ae39ecbf9e6c2b337c32dd"),
+    ("classify I4_132 beta --max-index 512 --format json", "8ba70c7386e768db27f05ffdeab9f935153c456d0143c5627afc001129235404"),
+    ("classify P622 beta --max-index 512 --format json", "96347ee6d59ade09375727060f3cd102a7b61e1608a8c66b59b85f900987fa11"),
+)
+
+
+def test_census_digest_is_the_benchmark_oracle_digest():
+    oracle = (ROOT / "perfbench" / "oracle.py").read_text()
+    assert re.search(r'CENSUS_SHA256 = "([0-9a-f]{64})"', oracle).group(1) == CENSUS
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_cli_output_is_byte_identical(command, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
+    SubgroupHNF,
     cell_reducer,
     coords_in,
     coords_matrix,
@@ -19,6 +20,7 @@ from torsym.lattices import (
     from_coords,
     hnf,
     hnf_columns,
+    hnf_reduce,
     index,
     invariant_coords_matrix,
     is_subgroup,
@@ -30,8 +32,6 @@ from torsym.lattices import (
     matvec,
     member,
     primitive_integer,
-    reduce_mod,
-    reduce_mod_relative,
     relative_integer_basis,
     smith_form,
     solve_congruence,
@@ -41,7 +41,7 @@ from torsym.lattices import (
 from torsym.spacegroups import GROUP_NAMES, make_group
 from torsym.sublattices import _from_t0_coords
 
-from oracles import basis_matrix, coset_reps, dual, intersect, solve_linear
+from oracles import basis_matrix, coset_reps, dual, intersect, reduce_mod, solve_linear
 
 # the standard cubic lattices with closed-form membership oracles
 T1 = hnf([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -121,6 +121,35 @@ def test_hnf_trivial_and_identity():
     assert T1.rank == 3
     assert T1.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert T1.scale == 1
+
+
+def test_subgroup_hnf_rejects_non_canonical_forms():
+    # each rejected pair names a lattice that hnf writes differently, so it
+    # would compare unequal to the same lattice built by hnf
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    doubled = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    bad = [
+        (3, identity, Fraction(2)),  # hnf(2·I) has scale 1
+        (3, doubled, Fraction(1, 2)),  # that is hnf(I)
+        (3, ((0, 0, 1), (0, 1, 0), (1, 0, 0)), 1),  # pivot rows descend
+        (3, ((1, 0, 0), (0, -1, 0), (0, 0, 1)), 1),  # negative pivot
+        (3, ((1, 2, 0), (0, 2, 0), (0, 0, 1)), 1),  # entry left of a pivot outside [0, pivot)
+        (2, ((1, 0, 0), (0, 0, 0)), 1),  # zero column
+        (3, ((1, 0, 0), (0, 1, 0), (0, 0, Fraction(1))), 1),  # non-int entry
+        (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1.0)), 1),
+        (2, identity, 1),  # rank is not the column count
+        (4, (*identity, (0, 0, 1)), 1),  # a fourth column
+        (3, list(identity), 1),  # a list would compare unequal to hnf's tuple
+        (3, ((1, 0, 0), [0, 1, 0], (0, 0, 1)), 1),
+        (1, ((1, 0, 0),), Fraction(2, 3)),  # scale is not 1/D
+        (1, ((1, 0, 0),), 0.5),
+    ]
+    for rank, basis, scale in bad:
+        with pytest.raises(ValueError):
+            SubgroupHNF(rank, basis, scale)
+    assert SubgroupHNF(3, doubled, Fraction(1)) == hnf([(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    assert SubgroupHNF(3, ((1, 1, 1), (0, 2, 0), (0, 0, 2)), Fraction(1, 2)) == THALF
+    assert SubgroupHNF(0, (), Fraction(1)) == TRIVIAL_SUBGROUP
 
 
 def test_hnf_idempotent_and_presentation_independent():
@@ -315,7 +344,7 @@ def test_relative_integer_basis_and_reduction():
     assert rel[0][0] * rel[1][1] * rel[2][2] == 4
     seen = set()
     for v in itertools.product(range(-3, 4), repeat=3):
-        seen.add(reduce_mod_relative(v, rel))
+        seen.add(hnf_reduce(v, rel))
     assert len(seen) == 4
 
 
@@ -445,8 +474,8 @@ def test_coords_matrix_is_integral_exactly_on_invariant_maps():
 
 
 def test_cell_reducer_is_independent_of_the_denominator():
-    # reduce_mod runs cell_reducer over the least common denominator, while
-    # the singular-set code shares one larger denominator per group
+    # the Fraction reduce_mod floors the coordinates, while the singular-set
+    # code runs cell_reducer over one larger denominator per group
     rng = random.Random(5)
     for name in ("I432", "I4_132", "P622"):
         T0 = make_group(name).T0

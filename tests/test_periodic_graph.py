@@ -20,7 +20,6 @@ from torsym.lattices import (
     mat_inv,
     matmul,
     member,
-    reduce_mod,
     vadd,
     vec,
     vscale,
@@ -30,7 +29,6 @@ from torsym.periodic_graphs import (
     PeriodicGraph,
     SingularEdge,
     _axis_base,
-    _canon_segment,
     _frame_symmetries,
     _germ_orbits,
     _normalizer_maps,
@@ -59,7 +57,7 @@ from torsym.spacegroups import (
 )
 from torsym.sublattices import instantiate, normal_translation_subgroups
 
-from oracles import fixed_axis
+from oracles import canon_segment, fixed_axis, reduce_mod
 
 GROUPS = ["P432", "F4_132", "I4_132", "I432", "P4_232", "P622"]
 
@@ -98,6 +96,16 @@ def test_periodic_graph_rejects_out_of_cell_vertex():
 def test_periodic_graph_rejects_bad_edge_endpoint():
     with pytest.raises(ValueError):
         PeriodicGraph(group="P432", T0=T1, vertices=((0, 0, 0),), edges=((0, 1, (0, 0, 0)),))
+
+
+def test_periodic_graph_rejects_non_integral_shifts():
+    # int() would make (1/2, 0, 0) a zero-shift loop, which drops the cycle image's rank
+    for s in [(Fraction(1, 2), 0, 0), (0, 1.7, 0), (1, 0)]:
+        with pytest.raises(ValueError):
+            PeriodicGraph(group="P432", T0=T1, vertices=((0, 0, 0),), edges=((0, 0, s),))
+    g = PeriodicGraph(group="P432", T0=T1, vertices=((0, 0, 0),), edges=((0, 0, (Fraction(2), 1.0, 0)),))
+    assert g.edges == ((0, 0, (2, 1, 0)),)
+    assert all(type(x) is int for x in g.edges[0][2])
 
 
 def test_periodic_graph_json_uses_rational_strings():
@@ -139,6 +147,15 @@ EXPECTED_SHAPE = {
     "P4_232": (28, 28, 100, 9),
     "P622": (18, 12, 48, 9),
 }
+
+
+def rational_orbit_of(data):
+    """data.orbit_of keyed by rational segments, the form the Fraction oracles produce."""
+    den = data.sc.den
+    return {
+        tuple(tuple(Fraction(x, den) for x in p) for p in seg): oid
+        for seg, oid in data.orbit_of.items()
+    }
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -358,8 +375,8 @@ def test_axis_segments_match_window_oracle(name):
         offs.append(offs[0] + _axis_period(G.T0, ax.direction))
         dv = vec(*ax.direction)
         for a, b in zip(offs, offs[1:]):
-            found.add(_canon_segment(G.T0, vadd(ax.base, vscale(a, dv)), vadd(ax.base, vscale(b, dv))))
-    assert found == set(data.orbit_of)
+            found.add(canon_segment(G.T0, vadd(ax.base, vscale(a, dv)), vadd(ax.base, vscale(b, dv))))
+    assert found == set(rational_orbit_of(data))
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -377,6 +394,7 @@ def test_marked_edges_match_the_whole_grid_normalizer(name):
     # is the set of its images: no union-find and no transversal needed
     G = make_group(name)
     data = _singular_data(name)
+    orbit_of = rational_orbit_of(data)
     classes = set()
     for e in data.edges:
         if e.link != (2, 2, 2, 3):
@@ -384,7 +402,7 @@ def test_marked_edges_match_the_whole_grid_normalizer(name):
         a, b = e.segment
         classes.add(
             frozenset(
-                data.orbit_of[_canon_segment(G.T0, int_affine(rows, a, t), int_affine(rows, b, t))]
+                orbit_of[canon_segment(G.T0, int_affine(rows, a, t), int_affine(rows, b, t))]
                 for rows, t in grid_normalizer_maps(name)
             )
         )
@@ -501,9 +519,10 @@ def test_i4_132_face_diagonal_segment_lies_in_the_deep_lattice_class():
     exit_point = vadd(a, vscale(Fraction(1, 3), vsub(b, a)))
     assert exit_point == (Fraction(1, 2), Fraction(0), Fraction(1, 4))
     data = _singular_data("I4_132")
-    seg = _canon_segment(G.T0, a, b)
-    assert seg in data.orbit_of
-    e = data.edges[data.orbit_of[seg]]
+    orbit_of = rational_orbit_of(data)
+    seg = canon_segment(G.T0, a, b)
+    assert seg in orbit_of
+    e = data.edges[orbit_of[seg]]
     assert e.link == (2, 2, 2, 3)
     assert cycle_image_lattice(edge_orbit_graph(G, e)) == T108
 
