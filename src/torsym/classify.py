@@ -194,8 +194,7 @@ class ClassificationRow:
         """Volume-subscript name of the lattice, such as T_4 or T_1/2 or Tw_3."""
         v = covolume(self.lattice)
         prefix = "Tw" if self.family.tag.startswith("HEX") else "T"
-        sub = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        return f"{prefix}_{sub}"
+        return f"{prefix}_{v}"
 
     def to_json(self) -> dict:
         return {

@@ -29,10 +29,6 @@ from .spacegroups import GROUP_NAMES, canonical_group_name, make_group
 # ============================================================
 
 
-def _frac(x) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _group_record(name: str) -> dict:
     G = make_group(name)
     return {
@@ -40,9 +36,9 @@ def _group_record(name: str) -> dict:
         "frame": G.frame.name,
         "point_order": G.point_order,
         "t0": G.T0.to_json(),
-        "t0_covolume": _frac(covolume(G.T0)),
+        "t0_covolume": str(covolume(G.T0)),
         "generators": [
-            {"rotation": [list(r) for r in g.rot], "translation": [_frac(t) for t in g.trans]}
+            {"rotation": [list(r) for r in g.rot], "translation": [str(t) for t in g.trans]}
             for g in G.generators
         ],
     }
@@ -55,7 +51,7 @@ def _cmd_groups(args) -> int:
     else:
         for r in records:
             basis = ", ".join(
-                "(" + ", ".join(_frac(x) for x in v) + ")"
+                "(" + ", ".join(str(x) for x in v) + ")"
                 for v in make_group(r["name"]).T0.vectors()
             )
             print(
@@ -75,7 +71,7 @@ def _cmd_singular_graph(args) -> int:
         for e in edges:
             a, b = e.segment
             seg = " -> ".join(
-                "(" + ", ".join(_frac(x) for x in p) + ")" for p in (a, b)
+                "(" + ", ".join(str(x) for x in p) + ")" for p in (a, b)
             )
             link = ",".join(str(k) for k in e.link)
             print(f"  orbit {e.orbit_id}  index {e.edge_index}  link {{{link}}}  {seg}")
@@ -116,7 +112,7 @@ def _cmd_edges(args) -> int:
             print(
                 f"  {label}: orbit {e.orbit_id}, index {e.edge_index}, "
                 f"link {{{link}}}, quotient graph {nv}V/{ne}E, "
-                f"cycle image covolume {_frac(covolume(lat)) if lat.rank == 3 else 'rank ' + str(lat.rank)}"
+                f"cycle image covolume {covolume(lat) if lat.rank == 3 else 'rank ' + str(lat.rank)}"
             )
     return 0
 

@@ -403,40 +403,6 @@ def numerators(v: Sequence, den: int) -> tuple[int, int, int]:
     return tuple(x.numerator * (den // x.denominator) for x in v)  # type: ignore[return-value]
 
 
-@lru_cache(maxsize=128)
-def cell_reducer(sub: SubgroupHNF, den: int):
-    """Reduction into the fundamental cell [0,1)³ of a rank-3 subgroup, on integer numerators over den.
-
-    The returned function maps numerators n to (numerators of the
-    representative over the same den, k), with n = representative + den·B·k
-    for the subgroup's actual basis B.  den must be a multiple of the
-    denominator of the subgroup's scale, so that subgroup translates of a
-    point in (1/den)·ℤ³ stay in it.  With B = H/q and
-    B⁻¹ = q·adj(H)/det H, k = ⌊B⁻¹·n/den⌋.
-    """
-    _, adj, det, q = _integer_frame(sub)
-    if den % q:
-        raise ValueError("common denominator does not clear the lattice scale")
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = ((q * x for x in row) for row in adj)
-    mod = det * den
-    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = (
-        (den // q * x for x in col) for col in sub.basis
-    )
-
-    def reduce(n: Sequence[int]) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-        x, y, z = n
-        k0 = (a0 * x + a1 * y + a2 * z) // mod
-        k1 = (b0 * x + b1 * y + b2 * z) // mod
-        k2 = (c0 * x + c1 * y + c2 * z) // mod
-        return (
-            x - k0 * h00 - k1 * h10 - k2 * h20,
-            y - k0 * h01 - k1 * h11 - k2 * h21,
-            z - k0 * h02 - k1 * h12 - k2 * h22,
-        ), (k0, k1, k2)
-
-    return reduce
-
-
 def relative_integer_basis(sub: SubgroupHNF, sup: SubgroupHNF) -> tuple[tuple[int, int, int], ...]:
     """HNF of sub expressed in integer coordinates of sup's basis (rank 3, sub ⊆ sup).
 

@@ -15,12 +15,10 @@ from .lattices import (
     Vec3,
     _integer_frame,
     _over_common_denominator,
-    cell_reducer,
     coords_in,
     coords_matrix,
     from_coords,
     hnf,
-    hnf_columns,
     hnf_reduce,
     index,
     int_matvec,
@@ -43,7 +41,6 @@ from .lattices import (
 from .spacegroups import (
     Axis,
     SpaceGroup,
-    fixes_modulo,
     frame_gram_int,
     is_pure_translation,
     make_group,
@@ -55,9 +52,9 @@ IntVec = tuple[int, int, int]
 Edge = tuple[int, int, IntVec]
 Segment = tuple[Vec3, Vec3]
 IntMat = tuple[tuple[int, int, int], ...]
-# integer numerators over a group's common denominator (see _Scaled)
+# integer numerators over a group's common denominator in T0-coordinates (see _Scaled)
 ScaledSegment = tuple[IntVec, IntVec]
-ScaledAxis = tuple[IntVec, IntVec, int]  # direction, base, rotation index
+ScaledAxis = tuple[IntVec, int, int, int]  # direction, class (c₁, c₂), rotation index
 # solved fixed points y/top in the basis of T0 (see _fixed_points)
 Lines = list[tuple[IntVec, list[IntVec], int]]
 Corners = list[tuple[list[IntVec], int]]
@@ -88,7 +85,9 @@ class PeriodicGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        verts = tuple(tuple(Fraction(x) for x in v) for v in self.vertices)
+        verts = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in v) for v in self.vertices
+        )
         for v in verts:
             if any(x < 0 or x >= 1 for x in v):
                 raise ValueError("vertex coordinates must lie in the cell [0,1)^3")
@@ -121,7 +120,7 @@ class SingularEdge:
     orbit_id: int
 
     def __post_init__(self) -> None:
-        seg = tuple(tuple(Fraction(x) for x in p) for p in self.segment)
+        seg = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in p) for p in self.segment)
         if seg[0] == seg[1]:
             raise ValueError("segment endpoints must be distinct")
         if self.edge_index < 2:
@@ -141,68 +140,15 @@ class SingularEdge:
 
 
 # ============================================================
-# exact line geometry
-# ============================================================
-
-
-@lru_cache(maxsize=None)
-def _plane_lattice(
-    T0: SubgroupHNF, d: IntVec
-) -> tuple[int, int, tuple[tuple[int, IntVec], ...]]:
-    """The lattice projected along d onto the plane where d's first nonzero coordinate vanishes.
-
-    Returns (i0, D, ((pivot row, column), …)): that coordinate's index, and
-    the rank-2 image as (1/D)·(integer HNF) with each column's pivot row.  A
-    column h of T0 = ⟨H⟩/q projects to (d[i0]·h − h[i0]·d)/(q·d[i0]); dividing
-    out the content the HNF shares with q·d[i0] leaves D minimal.
-    """
-    i0 = next(i for i in range(3) if d[i])
-    cols = hnf_columns(
-        tuple(d[i0] * h[i] - h[i0] * d[i] for i in range(3)) for h in T0.basis
-    )
-    if len(cols) != 2:
-        raise InvariantViolation("projection of a rank-3 lattice must have rank 2")
-    den = T0.scale.denominator * d[i0]
-    g = math.gcd(den, *(x for c in cols for x in c))
-    return i0, den // g, tuple(
-        (next(r for r in range(3) if c[r]), tuple(x // g for x in c)) for c in cols
-    )
-
-
-def _axis_base(T0: SubgroupHNF, n: Sequence[int], den: int, d: IntVec) -> IntVec:
-    """Canonical base of the line through the point n/den along d, modulo the lattice.
-
-    The base is the projection of the point along d, translated by the plane
-    lattice into its fundamental cell, so two lines along d are lattice
-    translates of each other iff they have the same base.  d is primitive
-    with its first nonzero coordinate d[i0] positive.  Points are integer
-    numerators over den, which the plane lattice's D must divide, and d[i0]
-    must divide n[i0].
-    """
-    i0, dd, cols = _plane_lattice(T0, d)
-    f = den // dd
-    s = n[i0] // d[i0]
-    w = [n[0] - s * d[0], n[1] - s * d[1], n[2] - s * d[2]]
-    for r, col in cols:
-        k = w[r] // (f * col[r])
-        if k:
-            w = [w[i] - k * f * col[i] for i in range(3)]
-    return (w[0], w[1], w[2])
-
-
-def _unscaled_point(den: int, n: Sequence[int]) -> Vec3:
-    """The rational point with the given integer numerators over den."""
-    return (Fraction(n[0], den), Fraction(n[1], den), Fraction(n[2], den))
-
-
-def _unscaled(den: int, seg: ScaledSegment) -> Segment:
-    """The rational segment with the given integer numerators over den."""
-    return (_unscaled_point(den, seg[0]), _unscaled_point(den, seg[1]))
-
-
-# ============================================================
 # rotation axes and vertices modulo the lattice
 # ============================================================
+
+
+def _frame_point(T0: SubgroupHNF, n: Sequence[int], den: int) -> Vec3:
+    """The frame point B·n/den of the T0-coordinates n/den, for the basis B = H/q of T0."""
+    h, _, _, q = _integer_frame(T0)
+    x = int_matvec(h, n)
+    return (Fraction(x[0], q * den), Fraction(x[1], q * den), Fraction(x[2], q * den))
 
 
 def _fixed_point_congruences(G: SpaceGroup) -> tuple[list[tuple[IntMat, IntVec, int]], int]:
@@ -232,12 +178,13 @@ def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
     """Rotation axes and vertices modulo T0, as points y/top in the basis of T0.
 
     Returns (lines, corners).  Each congruence A·y ≡ −τ gives one entry of
-    lines: its axis direction d and one point on each of its d₁·d₂ lines,
-    because A has rank 2 and its Smith form U·A·V = diag(d₁, d₂, 0) splits its
-    fixed points into that many lines modulo T0, or none for a screw.  Each
-    pair of half-turn congruences about non-parallel axes gives one entry of
-    corners: their common fixed points, finitely many modulo T0 because the
-    stacked 6×3 system has rank 3.
+    lines: its axis direction e in the basis of T0, primitive with its first
+    nonzero entry positive, and one point on each of its d₁·d₂ lines, because
+    A has rank 2 and its Smith form U·A·V = diag(d₁, d₂, 0) splits its fixed
+    points into that many lines modulo T0, or none for a screw.  Each pair of
+    half-turn congruences about non-parallel axes gives one entry of corners:
+    their common fixed points, finitely many modulo T0 because the stacked
+    6×3 system has rank 3.
 
     Half-turns suffice.  A vertex is fixed by two rotations about
     non-parallel axes, so its stabilizer, a finite rotation group that is not
@@ -246,14 +193,13 @@ def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
     contain the three half-turns of their D_2.  So every vertex is fixed by two
     half-turns about non-parallel axes, and their cosets are among the pairs.
     """
-    h = _integer_frame(G.T0)[0]
     congruences, den = _fixed_point_congruences(G)
     lines = []
     for a, r, _ in congruences:
         points, top, kernel = solve_congruence(a, r, den)
         if len(kernel) != 1:
             raise InvariantViolation("fixed set of a rotation is not a line")
-        lines.append((primitive_integer(int_matvec(h, kernel[0])), points, top))
+        lines.append((primitive_integer(kernel[0]), points, top))
     half_turns = [(a, r) for a, r, order in congruences if order == 2]
     corners = []
     for k, (a1, r1) in enumerate(half_turns):
@@ -265,64 +211,77 @@ def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
 
 
 class _Scaled:
-    """A group whose points are integer numerators over one common denominator.
+    """A group in the basis of T0, where the lattice is ℤ³, on integer numerators over one den.
 
-    den clears the lattice, every coset translation, every normalizer
-    translation, the solutions y/top, which sit at B·y/top = H·y/(q·top) for
-    the actual basis B = H/q of T0, and the plane lattice along every axis
-    direction d.  On top of that it carries the factor lcm(d[i0]), so that the
-    projection of a solved point along d, which divides by d[i0], stays
-    integral: `_axis_base` needs both.  moves and normalizer hold the cosets
-    and the `_normalizer_maps` as (rotation, translation numerators).
+    den clears the solved points y/top, every coset translation and every
+    normalizer translation, all in T0-coordinates.  moves and normalizer hold
+    the cosets and the `_normalizer_maps` as (rotation, translation
+    numerators) in T0-coordinates.  A point's cell and its representative in
+    [0,1)³ are one divmod by den per coordinate.
     """
 
-    def __init__(self, G: SpaceGroup, lines: Lines, corners: Corners) -> None:
-        h, _, _, q = _integer_frame(G.T0)
-        dirs = {d for d, _, _ in lines}
-        maps = _normalizer_maps(G.name)
-        den = math.lcm(
-            *(q * top for _, _, top in lines),
-            *(q * top for _, top in corners),
-            *(x.denominator for c in G.cosets for x in c.trans),
-            *(x.denominator for _, t in maps for x in t),
-            *(_plane_lattice(G.T0, d)[1] for d in dirs),
-        )
-        self.G = G
-        self.den = den * math.lcm(*(next(x for x in d if x) for d in dirs))
-        self.reduce = cell_reducer(G.T0, self.den)
-        self.moves = [(c.rot, numerators(c.trans, self.den)) for c in G.cosets]
-        self.normalizer = [(rows, numerators(t, self.den)) for rows, t in maps]
-        self._h, self._q = h, q
+    def __init__(self, G: SpaceGroup, tops: Sequence[int]) -> None:
+        affine = [(c.rot, c.trans) for c in G.cosets] + list(_normalizer_maps(G.name))
+        coords = [(invariant_coords_matrix(r, G.T0), coords_in(t, G.T0)) for r, t in affine]
+        self.T0 = G.T0
+        self.den = math.lcm(*tops, *(x.denominator for _, t in coords for x in t))
+        scaled = [(a, numerators(t, self.den)) for a, t in coords]
+        self.moves, self.normalizer = scaled[: len(G.cosets)], scaled[len(G.cosets) :]
 
-    def from_coords(self, y: Sequence[int], top: int) -> IntVec:
-        """Numerators of the point B·y/top."""
-        f = self.den // (self._q * top)
-        x = int_matvec(self._h, y)
-        return (f * x[0], f * x[1], f * x[2])
+    def to_frame(self, n: Sequence[int]) -> Vec3:
+        """The frame point of the numerators n."""
+        return _frame_point(self.T0, n, self.den)
 
     def stabilizer(self, n: IntVec) -> list[IntMat]:
         """Rotation parts of the cosets with an element fixing the point n."""
-        return [rot for rot, t in self.moves if fixes_modulo(self.reduce, rot, t, n)]
+        den = self.den
+        return [
+            a
+            for a, t in self.moves
+            if not any((x + s - m) % den for x, s, m in zip(int_matvec(a, n), t, n))
+        ]
+
+
+@lru_cache(maxsize=None)
+def _axis_basis(e: IntVec) -> tuple[IntMat, IntMat]:
+    """A unimodular U with U·e = ±e₁ for a primitive integer vector e, and U⁻¹.
+
+    U is the left factor of the Smith form of the column e (Cohen, GTM 138,
+    §2.4), whose one invariant is 1.  U maps ℤ³ onto itself and the line
+    through y along e onto the line through U·y along e₁, so two lines along e
+    are ℤ³-translates iff their points y agree in (U·y)₁,₂ modulo 1, and
+    (U·y)₀ modulo 1 places a point along its line.
+    """
+    u, _, _ = smith_form([[x] for x in e])
+    rows = tuple(tuple(row) for row in u)
+    return rows, mat_inv(rows)
 
 
 def _axes_mod_t0(sc: _Scaled, lines: Lines) -> list[ScaledAxis]:
-    """(direction, base, rotation index) of every rotation-axis class modulo the lattice, sorted.
+    """(direction, class, rotation index) of every rotation-axis class modulo ℤ³, sorted.
 
-    The index counts the cosets with an element fixing the axis pointwise.
+    The class of the line through y along e is (U·y)₁,₂ modulo den, with U
+    from `_axis_basis`.  The index counts the cosets with an element fixing
+    the axis pointwise.
     """
-    found: dict[tuple[IntVec, IntVec], int] = {}
-    for d, points, top in lines:
+    den = sc.den
+    found: dict[tuple[IntVec, int, int], int] = {}
+    for e, points, top in lines:
+        u, u_inv = _axis_basis(e)
         for y in points:
-            key = (d, _axis_base(sc.G.T0, sc.from_coords(y, top), sc.den, d))
+            _, c1, c2 = int_matvec(u, y)
+            key = (e, c1 * (den // top) % den, c2 * (den // top) % den)
             if key not in found:
-                found[key] = sum(1 for rot in sc.stabilizer(key[1]) if int_matvec(rot, d) == d)
-    return [(d, b, found[(d, b)]) for d, b in sorted(found)]
+                base = int_matvec(u_inv, (0, key[1], key[2]))
+                found[key] = sum(1 for a in sc.stabilizer(base) if int_matvec(a, e) == e)
+    return [(*key, found[key]) for key in sorted(found)]
 
 
 def _vertices_mod_t0(sc: _Scaled, corners: Corners) -> list[IntVec]:
-    """Vertex classes, reduced into the cell of the lattice and sorted."""
+    """Vertex classes, reduced into the cell [0,1)³ and sorted."""
+    den = sc.den
     return sorted(
-        {sc.reduce(sc.from_coords(y, top))[0] for points, top in corners for y in points}
+        {tuple(x * (den // top) % den for x in y) for points, top in corners for y in points}
     )
 
 
@@ -332,40 +291,25 @@ def _axis_segments(
     """For each axis, the maximal vertex-free straight segments covering one period.
 
     An axis gets an empty list when no vertex meets it (a circle component).
-    A vertex class v meets the axis (b, d) iff the line through v along d is
-    in the axis's class.  Then B⁻¹(v − b) = k + λ·e with k ∈ ℤ³ and e the
-    primitive lattice vector along the axis in the basis of T0, so
-    λ ≡ f·B⁻¹(v − b) (mod 1) for any integer f with f·e = 1, and v sits, up
-    to a lattice vector, at b + λ·B·e.  With B = H/q and
-    B⁻¹ = q·adj(H)/det H, λ = ℓ/(det·den) for an integer ℓ, and the
-    numerators of λ·B·e are ℓ·H·e/(q·det), integral because the point is a
-    lattice translate of v.
+    In the coordinates U·y of `_axis_basis`, the axis (e, c) is the line
+    (x, c₁, c₂) with period den in x, and the vertex v meets it at
+    x = (U·v)₀ mod den iff (U·v)₁,₂ ≡ c.  Consecutive such x, the first
+    repeated one period on, bound the segments.
     """
-    T0, den = sc.G.T0, sc.den
-    on_line: dict[tuple[IntVec, IntVec], list[IntVec]] = {}
-    for d in {d for d, _, _ in axes}:
+    den = sc.den
+    on_line: dict[tuple[IntVec, int, int], set[int]] = {}
+    for e in {ax[0] for ax in axes}:
+        u, _ = _axis_basis(e)
         for v in verts:
-            on_line.setdefault((d, _axis_base(T0, v, den, d)), []).append(v)
-    h, adj, det, q = _integer_frame(T0)
-    mod, step_den = det * den, q * det
+            x, c1, c2 = int_matvec(u, v)
+            on_line.setdefault((e, c1 % den, c2 % den), set()).add(x % den)
     out = []
-    for d, b, _ in axes:
-        c = int_matvec(adj, d)
-        g = math.gcd(*c)
-        e = (c[0] // g, c[1] // g, c[2] // g)
-        # the Smith form of the primitive column e has U·e = e₁, so f is U's first row
-        u, _, _ = smith_form([[x] for x in e])
-        row = [q * sum(u[0][i] * adj[i][j] for i in range(3)) for j in range(3)]
-        he = int_matvec(h, e)
-        offs = sorted(
-            {
-                (row[0] * (x[0] - b[0]) + row[1] * (x[1] - b[1]) + row[2] * (x[2] - b[2])) % mod
-                for x in on_line.get((d, b), ())
-            }
-        )
-        if offs:
-            offs.append(offs[0] + mod)
-        pts = [tuple(b[i] + ell * he[i] // step_den for i in range(3)) for ell in offs]
+    for e, c1, c2, _ in axes:
+        xs = sorted(on_line.get((e, c1, c2), ()))
+        if xs:
+            xs.append(xs[0] + den)
+        u_inv = _axis_basis(e)[1]
+        pts = [int_matvec(u_inv, (x, c1, c2)) for x in xs]
         out.append(list(zip(pts, pts[1:])))
     return out
 
@@ -472,29 +416,34 @@ def _edge_data(seg: ScaledSegment, germs) -> tuple[int, tuple[int, int, int, int
 # ============================================================
 
 
-def _canon_scaled(reduce, a: IntVec, b: IntVec) -> ScaledSegment:
-    """Canonical lattice translate of the unordered segment (a, b), on integer numerators."""
+def _canon_scaled(den: int, a: IntVec, b: IntVec) -> ScaledSegment:
+    """Canonical ℤ³-translate of the unordered segment (a, b), on integer numerators over den.
+
+    Of the two translates that put one end into the cell [0,1)³, the smaller.
+    The basis H of T0 is lower triangular with a positive diagonal, so this
+    order is also the lexicographic order of the frame numerators H·n.
+    """
     best = None
     for p, q in ((a, b), (b, a)):
-        rep = reduce(p)[0]
+        rep = (p[0] % den, p[1] % den, p[2] % den)
         cand = (rep, (q[0] - p[0] + rep[0], q[1] - p[1] + rep[1], q[2] - p[2] + rep[2]))
         if best is None or cand < best:
             best = cand
     return best
 
 
-def _image(reduce, rot: IntMat, t: IntVec, seg: ScaledSegment) -> ScaledSegment:
-    """Canonical form of the image of a segment under x ↦ R·x + t, on integer numerators."""
+def _image(den: int, rot: IntMat, t: IntVec, seg: ScaledSegment) -> ScaledSegment:
+    """Canonical form of the image of a segment under y ↦ A·y + t, on integer numerators over den."""
     a, b = (int_matvec(rot, p) for p in seg)
     return _canon_scaled(
-        reduce, (a[0] + t[0], a[1] + t[1], a[2] + t[2]), (b[0] + t[0], b[1] + t[1], b[2] + t[2])
+        den, (a[0] + t[0], a[1] + t[1], a[2] + t[2]), (b[0] + t[0], b[1] + t[1], b[2] + t[2])
     )
 
 
 def _segment_orbits(sc: _Scaled, raw: Sequence[ScaledSegment]) -> list[list[ScaledSegment]]:
     """The canonical segments grouped into G-orbits, each sorted, in order of their first member."""
-    reduce = sc.reduce
-    segments = {_canon_scaled(reduce, a, b) for a, b in raw}
+    den = sc.den
+    segments = {_canon_scaled(den, a, b) for a, b in raw}
     seen: set[ScaledSegment] = set()
     orbits = []
     for key in sorted(segments):
@@ -502,7 +451,7 @@ def _segment_orbits(sc: _Scaled, raw: Sequence[ScaledSegment]) -> list[list[Scal
             continue
         # every element of G is a coset representative followed by a lattice
         # translation, which leaves the canonical form unchanged
-        members = {_image(reduce, rot, t, key) for rot, t in sc.moves}
+        members = {_image(den, rot, t, key) for rot, t in sc.moves}
         if not members <= segments:
             raise InvariantViolation(
                 "a group element maps a singular segment outside the singular set"
@@ -516,8 +465,9 @@ def _segment_orbits(sc: _Scaled, raw: Sequence[ScaledSegment]) -> list[list[Scal
 class _SingularData:
     """Cached singular-set decomposition of one space group.
 
-    orbit_of and orbits hold segments as integer numerators over sc.den; the
-    other fields hold the rational values that the public functions return.
+    orbit_of and orbits hold segments as T0-coordinates, integer numerators
+    over sc.den; the other fields hold the frame values that the public
+    functions return.
     """
 
     sc: _Scaled
@@ -531,10 +481,10 @@ class _SingularData:
 
 @lru_cache(maxsize=None)
 def _singular_data(name: str) -> _SingularData:
-    """The singular set on integer numerators, with rationals built only for the public values."""
+    """The singular set in T0-coordinates, with frame rationals built only for the public values."""
     G = make_group(name)
     lines, corners = _fixed_points(G)
-    sc = _Scaled(G, lines, corners)
+    sc = _Scaled(G, [top for _, _, top in lines] + [top for _, top in corners])
     axes = _axes_mod_t0(sc, lines)
     verts = _vertices_mod_t0(sc, corners)
     raw: list[ScaledSegment] = []
@@ -547,7 +497,7 @@ def _singular_data(name: str) -> _SingularData:
     memo: dict[IntVec, tuple] = {}
 
     def germs(p: IntVec):
-        rep = sc.reduce(p)[0]
+        rep = (p[0] % sc.den, p[1] % sc.den, p[2] % sc.den)
         if rep not in memo:
             memo[rep] = _germ_orbits([r for r in sc.stabilizer(rep) if r != _IDENTITY])
         return memo[rep]
@@ -557,16 +507,18 @@ def _singular_data(name: str) -> _SingularData:
     edges = []
     for oid, members in enumerate(orbits):
         edge_index, link = _edge_data(members[0], germs)
-        seg = _unscaled(sc.den, members[0])
+        seg = (sc.to_frame(members[0][0]), sc.to_frame(members[0][1]))
         edges.append(SingularEdge(segment=seg, edge_index=edge_index, link=link, orbit_id=oid))
 
-    def axis(d: IntVec, b: IntVec, order: int) -> Axis:
-        return Axis(base=_unscaled_point(sc.den, b), direction=d, order=order)
+    def axis(e: IntVec, c1: int, c2: int, order: int) -> Axis:
+        base = sc.to_frame(int_matvec(_axis_basis(e)[1], (0, c1, c2)))
+        d = primitive_integer(int_matvec(_integer_frame(G.T0)[0], e))
+        return Axis(base=base, direction=d, order=order)
 
     return _SingularData(
         sc=sc,
         axes=[axis(*ax) for ax in axes],
-        vertices=[_unscaled_point(sc.den, v) for v in verts],
+        vertices=[sc.to_frame(v) for v in verts],
         circles=[axis(*ax) for ax in circles],
         orbit_of=orbit_of,
         orbits=orbits,
@@ -578,7 +530,7 @@ def singular_graph(G: SpaceGroup) -> list[SingularEdge]:
     """All singular segments modulo the lattice, grouped into group orbits."""
     data = _singular_data(G.name)
     return [
-        replace(rep, segment=_unscaled(data.sc.den, seg))
+        replace(rep, segment=(data.sc.to_frame(seg[0]), data.sc.to_frame(seg[1])))
         for rep in data.edges
         for seg in data.orbits[rep.orbit_id]
     ]
@@ -643,7 +595,6 @@ def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
     """
     G = make_group(name)
     T0 = G.T0
-    h, _, _, q = _integer_frame(T0)
     gens = [
         (invariant_coords_matrix(g.rot, T0), coords_in(g.trans, T0))
         for g in G.generators
@@ -677,11 +628,8 @@ def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
             points, top, kernel = solve_congruence(system, nums, den)
             if kernel:
                 raise InvariantViolation("normalizer translations of a group are not discrete")
-            # t = B·y/top = H·y/(q·top), reduced into the cell of T0
-            reduce = cell_reducer(T0, q * top)
-            out.extend(
-                (rows, _unscaled_point(q * top, reduce(int_matvec(h, y))[0])) for y in points
-            )
+            # t = B·y/top, reduced into the cell of T0
+            out.extend((rows, _frame_point(T0, [x % top for x in y], top)) for y in points)
     return tuple(sorted(set(out)))
 
 
@@ -696,7 +644,7 @@ def marked_edges(G: SpaceGroup) -> list[SingularEdge]:
     classes = _UnionFind(qualifying)
     for rows, t in data.sc.normalizer:
         for oid in qualifying:
-            other = data.orbit_of.get(_image(data.sc.reduce, rows, t, data.orbits[oid][0]))
+            other = data.orbit_of.get(_image(data.sc.den, rows, t, data.orbits[oid][0]))
             if other is None or other not in classes:
                 raise InvariantViolation("normalizer map does not preserve the marked edges")
             classes.union(oid, other)
@@ -720,28 +668,24 @@ def marked_edges(G: SpaceGroup) -> list[SingularEdge]:
 def edge_orbit_graph(G: SpaceGroup, e: SingularEdge, suppress: bool = True) -> PeriodicGraph:
     """Quotient graph of the full orbit of one singular edge, modulo the lattice.
 
-    A point n/den has the T0-coordinates B⁻¹·n/den = q·adj(H)·n/(det·den) for
-    B = H/q; floor division gives its cell k, and the remainder, over
-    det·den, its vertex in [0,1)³.
+    Each endpoint n/den in T0-coordinates has the cell n // den and the
+    vertex (n mod den)/den in [0,1)³.
     """
     data = _singular_data(G.name)
-    sc = data.sc
-    a, b = e.segment
+    den = data.sc.den
+    ends = [coords_in(p, G.T0) for p in e.segment]
     oid = None
-    # a point that sc.den does not clear is on no singular segment
-    if not any(sc.den % x.denominator for x in (*a, *b)):
-        key = _canon_scaled(sc.reduce, numerators(a, sc.den), numerators(b, sc.den))
-        oid = data.orbit_of.get(key)
+    # a point that den does not clear is on no singular segment
+    if not any(den % x.denominator for y in ends for x in y):
+        oid = data.orbit_of.get(_canon_scaled(den, *(numerators(y, den) for y in ends)))
     if oid is None:
         raise ValueError("edge does not belong to this group's singular graph")
-    _, adj, det, q = _integer_frame(G.T0)
-    mod = det * sc.den
     cells: set[IntVec] = set()
     reduced = []
     for seg in data.orbits[oid]:
         pair = []
         for p in seg:
-            k, frac = zip(*(divmod(q * x, mod) for x in int_matvec(adj, p)))
+            k, frac = zip(*(divmod(x, den) for x in p))
             pair.append((frac, k))
             cells.add(frac)
         reduced.append(pair)
@@ -756,7 +700,7 @@ def edge_orbit_graph(G: SpaceGroup, e: SingularEdge, suppress: bool = True) -> P
     g = PeriodicGraph(
         group=G.name,
         T0=G.T0,
-        vertices=tuple(_unscaled_point(mod, v) for v in verts),
+        vertices=tuple(tuple(Fraction(x, den) for x in v) for v in verts),
         edges=tuple(edges),
     )
     return suppress_valence_two(g) if suppress else g

@@ -18,7 +18,6 @@ from .errors import ClosureOverflow, FrameMismatch, UnknownGroup
 from .lattices import (
     SubgroupHNF,
     Vec3,
-    cell_reducer,
     hnf,
     hnf_columns,
     hnf_reduce,
@@ -30,7 +29,6 @@ from .lattices import (
     matmul,
     matvec,
     member,
-    numerators,
     vadd,
     vec,
     vneg,
@@ -365,27 +363,8 @@ class Axis:
 
 
 def stabilizer_cosets(p: Sequence, G: SpaceGroup) -> list[Isometry]:
-    """The coset representatives (R, t) whose coset has an element fixing the point p.
-
-    That holds iff R·p + t − p ∈ T0, tested on integer numerators over a
-    denominator that clears p, T0 and every coset.
-    """
-    p = tuple(Fraction(x) for x in p)
-    den = math.lcm(
-        G.T0.scale.denominator,
-        *(x.denominator for x in p),
-        *(x.denominator for c in G.cosets for x in c.trans),
-    )
-    reduce = cell_reducer(G.T0, den)
-    n = numerators(p, den)
-    return [c for c in G.cosets if fixes_modulo(reduce, c.rot, numerators(c.trans, den), n)]
-
-
-def fixes_modulo(reduce, rot, t: Sequence[int], n: Sequence[int]) -> bool:
-    """True iff R·n + t − n lies in the lattice of a `cell_reducer`, all numerators over its den."""
-    img = int_matvec(rot, n)
-    move = (img[0] + t[0] - n[0], img[1] + t[1] - n[1], img[2] + t[2] - n[2])
-    return not any(reduce(move)[0])
+    """The coset representatives (R, t) whose coset has an element fixing p: R·p + t − p ∈ T0."""
+    return [c for c in G.cosets if member(vsub(apply(c, p), p), G.T0)]
 
 
 def stabilizer(p: Sequence, G: SpaceGroup) -> list[Isometry]:

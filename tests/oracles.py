@@ -4,12 +4,15 @@
   checks the submodule descent mod p of `sublattices.invariant_sublattices`.
 - `fixed_axis` solves for a rotation's fixed line by Gaussian elimination and
   checks the Smith-form singular set through the window scans of
-  `test_periodic_graph.py`.
+  `test_periodic_graph.py`.  `_plane_lattice` and `_axis_base` are those
+  scans' own axis canonicaliser: they name a line modulo the lattice by its
+  projection along its direction, reduced by the projected plane lattice,
+  where the package uses a unimodular basis per direction in T0-coordinates.
 - `dual`, `intersect` and `coset_reps` do lattice algebra on the `Fraction`
   basis matrix and its inverse, and check the integer routes.
 - `reduce_mod` and `canon_segment` reduce points and segments into the cell
-  of a lattice in `Fraction`, and check `lattices.cell_reducer` and the
-  integer segments of the singular set.
+  of a lattice in `Fraction`, and check the integer segments of the singular
+  set.
 
 numpy is used only by the literal filter, so it is a test dependency only.
 """
@@ -18,11 +21,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from torsym.errors import NotASubgroup, RankDeficient
+from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient
 from torsym.lattices import (
     Mat3,
     SubgroupHNF,
@@ -30,6 +34,7 @@ from torsym.lattices import (
     coords_in,
     from_coords,
     hnf,
+    hnf_columns,
     is_subgroup,
     join,
     mat,
@@ -51,6 +56,8 @@ from torsym.spacegroups import (
     rotation_order,
 )
 from torsym.sublattices import _coord_rotations, _from_t0_coords
+
+IntVec = tuple[int, int, int]
 
 _ROT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -181,6 +188,51 @@ def fixed_axis(g: Isometry) -> Axis | None:
         raise ValueError("fixed set is not a line")
     base, d = canonical_line(part, kernel[0])
     return Axis(base=base, direction=d, order=rotation_order(g.rot))
+
+
+@lru_cache(maxsize=None)
+def _plane_lattice(
+    T0: SubgroupHNF, d: IntVec
+) -> tuple[int, int, tuple[tuple[int, IntVec], ...]]:
+    """The lattice projected along d onto the plane where d's first nonzero coordinate vanishes.
+
+    Returns (i0, D, ((pivot row, column), …)): that coordinate's index, and
+    the rank-2 image as (1/D)·(integer HNF) with each column's pivot row.  A
+    column h of T0 = ⟨H⟩/q projects to (d[i0]·h − h[i0]·d)/(q·d[i0]); dividing
+    out the content the HNF shares with q·d[i0] leaves D minimal.
+    """
+    i0 = next(i for i in range(3) if d[i])
+    cols = hnf_columns(
+        tuple(d[i0] * h[i] - h[i0] * d[i] for i in range(3)) for h in T0.basis
+    )
+    if len(cols) != 2:
+        raise InvariantViolation("projection of a rank-3 lattice must have rank 2")
+    den = T0.scale.denominator * d[i0]
+    g = math.gcd(den, *(x for c in cols for x in c))
+    return i0, den // g, tuple(
+        (next(r for r in range(3) if c[r]), tuple(x // g for x in c)) for c in cols
+    )
+
+
+def _axis_base(T0: SubgroupHNF, n: Sequence[int], den: int, d: IntVec) -> IntVec:
+    """Canonical base of the line through the point n/den along d, modulo the lattice.
+
+    The base is the projection of the point along d, translated by the plane
+    lattice into its fundamental cell, so two lines along d are lattice
+    translates of each other iff they have the same base.  d is primitive
+    with its first nonzero coordinate d[i0] positive.  Points are integer
+    numerators over den, which the plane lattice's D must divide, and d[i0]
+    must divide n[i0].
+    """
+    i0, dd, cols = _plane_lattice(T0, d)
+    f = den // dd
+    s = n[i0] // d[i0]
+    w = [n[0] - s * d[0], n[1] - s * d[1], n[2] - s * d[2]]
+    for r, col in cols:
+        k = w[r] // (f * col[r])
+        if k:
+            w = [w[i] - k * f * col[i] for i in range(3)]
+    return (w[0], w[1], w[2])
 
 
 # ============================================================

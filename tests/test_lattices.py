@@ -13,7 +13,6 @@ from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     SubgroupHNF,
-    cell_reducer,
     coords_in,
     coords_matrix,
     covolume,
@@ -35,7 +34,6 @@ from torsym.lattices import (
     relative_integer_basis,
     smith_form,
     solve_congruence,
-    vadd,
     vec,
 )
 from torsym.spacegroups import GROUP_NAMES, make_group
@@ -471,23 +469,6 @@ def test_coords_matrix_is_integral_exactly_on_invariant_maps():
     assert coords_matrix(shear, make_group("I432").T0) is None
     with pytest.raises(ValueError):
         invariant_coords_matrix(shear, make_group("I432").T0)
-
-
-def test_cell_reducer_is_independent_of_the_denominator():
-    # the Fraction reduce_mod floors the coordinates, while the singular-set
-    # code runs cell_reducer over one larger denominator per group
-    rng = random.Random(5)
-    for name in ("I432", "I4_132", "P622"):
-        T0 = make_group(name).T0
-        for den in (4, 12):
-            reduce = cell_reducer(T0, den)
-            for _ in range(50):
-                n = tuple(rng.randint(-60, 60) for _ in range(3))
-                rep, k = reduce(n)
-                v = tuple(Fraction(x, den) for x in n)
-                rep = tuple(Fraction(x, den) for x in rep)
-                assert (rep, k) == reduce_mod(v, T0)
-                assert vadd(rep, from_coords(k, T0)) == v
 
 
 def test_mat_inv_of_integer_matrices_is_exact():

@@ -1,6 +1,7 @@
 """Tests for singular-set extraction, marked edges, and lift criteria."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,11 +29,9 @@ from torsym.lattices import (
 from torsym.periodic_graphs import (
     PeriodicGraph,
     SingularEdge,
-    _axis_base,
     _frame_symmetries,
     _germ_orbits,
     _normalizer_maps,
-    _plane_lattice,
     _singular_data,
     cycle_image_lattice,
     edge_orbit_graph,
@@ -57,7 +56,7 @@ from torsym.spacegroups import (
 )
 from torsym.sublattices import instantiate, normal_translation_subgroups
 
-from oracles import canon_segment, fixed_axis, reduce_mod
+from oracles import _axis_base, _plane_lattice, canon_segment, fixed_axis, reduce_mod
 
 GROUPS = ["P432", "F4_132", "I4_132", "I432", "P4_232", "P622"]
 
@@ -150,10 +149,9 @@ EXPECTED_SHAPE = {
 
 
 def rational_orbit_of(data):
-    """data.orbit_of keyed by rational segments, the form the Fraction oracles produce."""
-    den = data.sc.den
+    """data.orbit_of keyed by rational frame segments, the form the Fraction oracles produce."""
     return {
-        tuple(tuple(Fraction(x, den) for x in p) for p in seg): oid
+        tuple(data.sc.to_frame(p) for p in seg): oid
         for seg, oid in data.orbit_of.items()
     }
 
@@ -349,7 +347,9 @@ def group_closure(G, maps):
 def test_axis_window_saturates(name):
     # the exact solve finds every axis class, and the windows find no other
     G = make_group(name)
-    axes = _singular_data(name).axes
+    # the oracle's canonical base of each axis, which the package need not use
+    found = {_axis_class(G.T0, a.base, a.direction): a.order for a in _singular_data(name).axes}
+    axes = [Axis(base=b, direction=d, order=found[(d, b)]) for d, b in sorted(found)]
     for radius in (2, 3):
         assert window_axes(G, radius) == axes
 
@@ -666,11 +666,19 @@ def test_suppression_preserves_cycle_image_and_betti():
 
 
 def test_edge_orbit_graph_accepts_any_orbit_member():
-    G = make_group("I4_132")
-    edges = singular_graph(G)
-    first = [e for e in edges if e.orbit_id == 0]
-    graphs = {edge_orbit_graph(G, e) for e in first}
-    assert len(graphs) == 1
+    # each member, listed, reversed or moved by a basis vector of T0, names its orbit
+    for name in GROUPS:
+        G = make_group(name)
+        data = _singular_data(name)
+        members: dict = {}
+        for e in singular_graph(G):
+            a, b = e.segment
+            forms = [(a, b), (b, a)] + [(vadd(a, w), vadd(b, w)) for w in G.T0.vectors()]
+            members.setdefault(e.orbit_id, []).extend(replace(e, segment=seg) for seg in forms)
+        assert sorted(members) == list(range(len(data.edges)))
+        for oid, edges in members.items():
+            graphs = {edge_orbit_graph(G, e) for e in edges}
+            assert graphs == {edge_orbit_graph(G, data.edges[oid])}, (name, oid)
 
 
 def test_edge_orbit_graph_rejects_foreign_segment():
