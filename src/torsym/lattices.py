@@ -124,9 +124,7 @@ def mat_inv(m: Mat3) -> Mat3:
 
 def primitive_integer(v: Sequence) -> tuple[int, int, int]:
     """Scale a nonzero rational vector to a primitive integer vector, first nonzero entry positive."""
-    fr = [Fraction(x) for x in v]
-    den = math.lcm(*(f.denominator for f in fr))
-    ints = [int(f * den) for f in fr]
+    ints = v if all(type(x) is int for x in v) else _over_common_denominator(v)[0]
     g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
@@ -335,16 +333,15 @@ def join(a: SubgroupHNF, b: SubgroupHNF) -> SubgroupHNF:
     return hnf(a.vectors() + b.vectors())
 
 
-@lru_cache(maxsize=None)
-def _integer_frame(sub: SubgroupHNF) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int, int]:
-    """Integer data of a rank-3 subgroup with actual basis H/q.
+def basis_frame(
+    basis: Sequence[Sequence[int]],
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int]:
+    """(H, adj(H), det H) for a rank-3 integer column HNF basis.
 
-    Returns (H, adj(H), det H, q) with H the integer HNF as a matrix whose
-    columns are the basis vectors, so that H⁻¹ = adj(H) / det H.
+    H is the basis as a matrix whose columns are the basis vectors, so that
+    H⁻¹ = adj(H) / det H.
     """
-    if sub.rank != 3:
-        raise RankDeficient("integer coordinates require rank 3")
-    h = tuple(tuple(sub.basis[j][i] for j in range(3)) for i in range(3))
+    h = tuple(tuple(basis[j][i] for j in range(3)) for i in range(3))
     adj = tuple(
         tuple(
             h[(j + 1) % 3][(i + 1) % 3] * h[(j + 2) % 3][(i + 2) % 3]
@@ -353,8 +350,15 @@ def _integer_frame(sub: SubgroupHNF) -> tuple[tuple[tuple[int, ...], ...], tuple
         )
         for i in range(3)
     )
-    det = h[0][0] * h[1][1] * h[2][2]  # lower triangular
-    return h, adj, det, sub.scale.denominator
+    return h, adj, h[0][0] * h[1][1] * h[2][2]  # lower triangular
+
+
+@lru_cache(maxsize=None)
+def _integer_frame(sub: SubgroupHNF) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int, int]:
+    """Integer data of a rank-3 subgroup with actual basis H/q: its `basis_frame` and q."""
+    if sub.rank != 3:
+        raise RankDeficient("integer coordinates require rank 3")
+    return (*basis_frame(sub.basis), sub.scale.denominator)
 
 
 def coords_matrix(
@@ -396,6 +400,23 @@ def from_coords(c: Sequence, sub: SubgroupHNF) -> Vec3:
     nums, den = _over_common_denominator(c)
     d = q * den
     return tuple(Fraction(x, d) for x in int_matvec(h, nums))  # type: ignore[return-value]
+
+
+@lru_cache(maxsize=None)
+def _unit_fraction(d: int) -> Fraction:
+    """1/d, built once per denominator."""
+    return Fraction(1, d)
+
+
+def _from_t0_coords(T0: SubgroupHNF, basis: Sequence[Sequence[int]]) -> SubgroupHNF:
+    """The subgroup ⟨H·M⟩/q of T0 = H/q spanned by integer T0-coordinate columns M.
+
+    In integers: the HNF of H·M divided by g = gcd(q, its content), at scale g/q.
+    """
+    h, _, _, q = _integer_frame(T0)
+    cols = hnf_columns([int_matvec(h, col) for col in basis])
+    g = math.gcd(q, *(x for col in cols for x in col))
+    return SubgroupHNF(len(cols), tuple(tuple(x // g for x in col) for col in cols), _unit_fraction(q // g))
 
 
 def numerators(v: Sequence, den: int) -> tuple[int, int, int]:

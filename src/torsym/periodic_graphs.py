@@ -13,12 +13,12 @@ from .errors import Disconnected, InvariantViolation, NotASubgroup, SignatureCou
 from .lattices import (
     SubgroupHNF,
     Vec3,
+    _from_t0_coords,
     _integer_frame,
     _over_common_denominator,
     coords_in,
     coords_matrix,
     from_coords,
-    hnf,
     hnf_reduce,
     index,
     int_matvec,
@@ -151,6 +151,13 @@ def _frame_point(T0: SubgroupHNF, n: Sequence[int], den: int) -> Vec3:
     return (Fraction(x[0], q * den), Fraction(x[1], q * den), Fraction(x[2], q * den))
 
 
+@lru_cache(maxsize=None)
+def _coset_coords(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
+    """Each coset (R, t) of the group as (B⁻¹RB, B⁻¹t) in the basis B of T0, converted once."""
+    G = make_group(name)
+    return tuple((invariant_coords_matrix(c.rot, G.T0), coords_in(c.trans, G.T0)) for c in G.cosets)
+
+
 def _fixed_point_congruences(G: SpaceGroup) -> tuple[list[tuple[IntMat, IntVec, int]], int]:
     """(A, −τ, order) for the rotation cosets (R, t) whose fixed points make up all the others'.
 
@@ -162,14 +169,12 @@ def _fixed_point_congruences(G: SpaceGroup) -> tuple[list[tuple[IntMat, IntVec, 
     Every −τ is returned as integer numerators over the one returned denominator.
     """
     out = []
-    for c in G.cosets:
+    for c, (rot, tau) in zip(G.cosets, _coset_coords(G.name)):
         order = rotation_order(c.rot)
         if order not in (2, 3) or (order == 3 and c.rot > matmul(c.rot, c.rot)):
             continue
-        delta = tuple(
-            tuple(c.rot[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3)
-        )
-        out.append((invariant_coords_matrix(delta, G.T0), vneg(coords_in(c.trans, G.T0)), order))
+        delta = tuple(tuple(rot[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3))
+        out.append((delta, vneg(tau), order))
     den = math.lcm(*(x.denominator for _, r, _ in out for x in r))
     return [(a, numerators(r, den), order) for a, r, order in out], den
 
@@ -221,8 +226,8 @@ class _Scaled:
     """
 
     def __init__(self, G: SpaceGroup, tops: Sequence[int]) -> None:
-        affine = [(c.rot, c.trans) for c in G.cosets] + list(_normalizer_maps(G.name))
-        coords = [(invariant_coords_matrix(r, G.T0), coords_in(t, G.T0)) for r, t in affine]
+        maps = [(invariant_coords_matrix(r, G.T0), coords_in(t, G.T0)) for r, t in _normalizer_maps(G.name)]
+        coords = [*_coset_coords(G.name), *maps]
         self.T0 = G.T0
         self.den = math.lcm(*tops, *(x.denominator for _, t in coords for x in t))
         scaled = [(a, numerators(t, self.den)) for a, t in coords]
@@ -600,7 +605,7 @@ def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
         for g in G.generators
         if not is_pure_translation(g)
     ]
-    coset_of = {invariant_coords_matrix(c.rot, T0): coords_in(c.trans, T0) for c in G.cosets}
+    coset_of = dict(_coset_coords(name))
     covered: set[IntMat] = set()
     out = []
     for rows in sorted(_frame_symmetries(G.frame), key=lambda m: m != _IDENTITY):
@@ -771,11 +776,8 @@ def cycle_image_lattice(g: PeriodicGraph) -> SubgroupHNF:
                 stack.append(j)
     if len(potential) != n:
         raise Disconnected("graph is not connected modulo the lattice")
-    gens = []
-    for i, j, s in g.edges:
-        cyc = tuple(potential[i][k] + s[k] - potential[j][k] for k in range(3))
-        gens.append(from_coords(cyc, g.T0))
-    return hnf(gens)
+    cycles = [tuple(potential[i][k] + s[k] - potential[j][k] for k in range(3)) for i, j, s in g.edges]
+    return _from_t0_coords(g.T0, cycles)
 
 
 def _check_sublattice(g: PeriodicGraph, T: SubgroupHNF) -> None:

@@ -13,8 +13,9 @@ from .errors import RankDeficient, UnmatchedLattice
 from .lattices import (
     Mat3,
     SubgroupHNF,
-    _integer_frame,
+    _from_t0_coords,
     _scaled_hnf,
+    basis_frame,
     covolume,
     hnf,
     hnf_columns,
@@ -136,79 +137,130 @@ def _prime_power_parts(d: int) -> list[tuple[int, int]]:
 # Math. Comp. 43 (1984); CARAT).  The descent runs on integer lattices in
 # T0-coordinates, which are mapped back to T0 at the end.
 
-_Z3 = hnf(_ROT_IDENTITY)  # T0 in its own coordinates
+_Z3 = _ROT_IDENTITY  # the HNF basis of T0 in its own coordinates
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 @lru_cache(maxsize=None)
 def _roots_of_unity_12(p: int) -> tuple[int, ...]:
-    """The roots of x¹² − 1 in F_p, a cyclic group of order gcd(12, p − 1)."""
-    order = math.gcd(12, p - 1)
-    roots = {1}
-    a = 2
-    while len(roots) < order:
-        h = pow(a, (p - 1) // order, p)
-        roots = {r * pow(h, i, p) % p for r in roots for i in range(order)}
-        a += 1
-    return tuple(sorted(roots))
+    """The roots of x¹² − 1 in F_p: the powers of a generator h of their cyclic group.
+
+    The group has order n = gcd(12, p − 1).  h = a^((p − 1)/n) has order n
+    unless h^(n/q) = 1 for a prime q | n, and a primitive root a passes.
+    """
+    n = math.gcd(12, p - 1)
+    h = next(
+        h
+        for h in (pow(a, (p - 1) // n, p) for a in range(2, p + 1))
+        if all(pow(h, n // q, p) != 1 for q in (2, 3) if n % q == 0)
+    )
+    return tuple(sorted(pow(h, i, p) for i in range(n)))
 
 
 @lru_cache(maxsize=None)
-def _eigenvalues_mod_p(rot: Mat3, p: int) -> tuple[int, ...]:
-    """Eigenvalues in F_p of an integer matrix with R¹² = I: roots of its characteristic polynomial."""
-    tr = rot[0][0] + rot[1][1] + rot[2][2]
-    c2 = sum(rot[i][i] * rot[j][j] - rot[i][j] * rot[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
-    det = mat_det(rot)
-    return tuple(x for x in _roots_of_unity_12(p) if (x**3 - tr * x * x + c2 * x - det) % p == 0)
-
-
-def _kernel_mod_p(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[tuple[int, ...]]:
-    """Basis of {x ∈ F_p^ncols : r·x = 0 for every row r}, by reduced row echelon form."""
-    work = [[x % p for x in r] for r in rows]
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = pow(work[r][c], -1, p)
-        work[r] = [x * inv % p for x in work[r]]
-        for i in range(len(work)):
-            f = work[i][c]
-            if i != r and f:
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-        pivots.append(c)
+def _char_polys(coord_rots: tuple) -> tuple[tuple[int, int, int], ...]:
+    """χ = (tr, c₂, det) of each rotation, whose characteristic polynomial is x³ − tr·x² + c₂·x − det."""
     out = []
-    for f in range(ncols):
-        if f not in pivots:
-            v = [0] * ncols
-            v[f] = 1
-            for i, c in enumerate(pivots):
-                v[c] = -work[i][f] % p
-            out.append(tuple(v))
-    return out
+    for r in coord_rots:
+        c2 = sum(r[i][i] * r[j][j] - r[i][j] * r[j][i] for i, j in _PAIRS)
+        out.append((r[0][0] + r[1][1] + r[2][2], c2, mat_det(r)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _eigenvalues_mod_p(chi: tuple[int, int, int], p: int) -> tuple[bool, tuple[int, ...]]:
+    """(all simple, roots) for the roots in F_p of the χ = (tr, c₂, det) of a matrix with R¹² = I.
+
+    The roots are its eigenvalues in F_p, found among the 12th roots of
+    unity; a root λ is simple when χ'(λ) ≢ 0.  The rotations of a group
+    share a few χ, so the cache key is χ, not the matrix.
+    """
+    tr, c2, det = chi
+    lams = tuple(x for x in _roots_of_unity_12(p) if (((x - tr) * x + c2) * x - det) % p == 0)
+    return all(((3 * x - 2 * tr) * x + c2) % p for x in lams), lams
+
+
+@lru_cache(maxsize=None)
+def _splitting_order(coord_rots: tuple, p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(index, eigenvalues in F_p) of each rotation, in the order the descent splits F_p³ by them.
+
+    One order serves every lattice, because the eigenvalues do not change
+    with the basis.  A rotation whose eigenvalues are all simple roots has
+    only lines as eigenspaces; the one with the fewest goes first, so F_p³
+    falls into lines after the fewest kernels.
+    """
+    eigen = [_eigenvalues_mod_p(chi, p) for chi in _char_polys(coord_rots)]
+    keyed = sorted((not simple, len(lams), k, lams) for k, (simple, lams) in enumerate(eigen))
+    return tuple((k, lams) for _, _, k, lams in keyed)
+
+
+def _cross(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, int, int]:
+    """The cross product a × b mod p: zero exactly when a and b are parallel in F_p³."""
+    return (
+        (a[1] * b[2] - a[2] * b[1]) % p,
+        (a[2] * b[0] - a[0] * b[2]) % p,
+        (a[0] * b[1] - a[1] * b[0]) % p,
+    )
+
+
+def _plane(r: Sequence[int], p: int) -> list[tuple[int, ...]]:
+    """Basis of the plane {x ∈ F_p³ : r·x = 0} for r ≢ 0."""
+    a, b, c = (x % p for x in r)
+    if a:
+        return [(-b % p, a, 0), (-c % p, 0, a)]
+    if b:
+        return [(1, 0, 0), (0, -c % p, b)]
+    return [(1, 0, 0), (0, 1, 0)]
+
+
+def _eigenspace(a: Mat3, basis: Sequence[tuple[int, ...]], lam: int, p: int) -> list[tuple[int, ...]]:
+    """Basis of {v ∈ span(basis) : a·v ≡ λ·v (mod p)} for an eigenvalue λ, in closed form.
+
+    The span is F_p³ (the standard basis) or a plane ⟨u, w⟩.  On F_p³,
+    a − λ has rank at most 2: a nonzero cross product of two of its rows
+    spans the kernel, and if there is none the kernel is the plane
+    orthogonal to a nonzero row.  On ⟨u, w⟩, x·u + y·w lies in the kernel
+    when x·c₁ + y·c₂ ≡ 0 for cᵢ the images under a − λ, which has a
+    nonzero solution only when c₁ ∥ c₂.
+    """
+    if len(basis) == 3:
+        rows = [[(a[i][j] - lam * (i == j)) % p for j in range(3)] for i in range(3)]
+        for x, y in _PAIRS:
+            c = _cross(rows[x], rows[y], p)
+            if any(c):
+                return [c]
+        r = next((r for r in rows if any(r)), None)
+        return list(basis) if r is None else _plane(r, p)
+    u, w = basis
+    c1, c2 = ([(x - lam * y) % p for x, y in zip(int_matvec(a, v), v)] for v in basis)
+    if any(_cross(c1, c2, p)):
+        return []
+    i = next((i for i in range(3) if c1[i] or c2[i]), None)
+    if i is None:
+        return list(basis)
+    x, y = c2[i], -c1[i]
+    return [tuple((x * s + y * t) % p for s, t in zip(u, w))]
 
 
 def _common_eigenspaces(
-    acts: Sequence[Mat3], eigenvalues: Sequence[tuple[int, ...]], p: int
+    acts: Sequence[Mat3], order: Sequence[tuple[int, tuple[int, ...]]], p: int
 ) -> list[list[tuple[int, ...]]]:
     """Bases of the nonzero subspaces of F_p³ on which every matrix acts as a scalar.
 
     There is one per tuple of eigenvalues, so every invariant line lies in
-    exactly one of them.
+    exactly one of them.  The matrices split F_p³ in the given order of
+    (index, eigenvalues); a line ⟨v⟩ needs one product per matrix, since
+    a·v ≡ λ·v holds for some λ exactly when a·v × v ≡ 0.
     """
-    spaces = [list(_Z3.basis)]
-    for a, lams in zip(acts, eigenvalues):
-        refined = []
+    spaces = [list(_Z3)]
+    for i, lams in order:
+        a, refined = acts[i], []
         for basis in spaces:
-            images = [int_matvec(a, v) for v in basis]
-            for lam in lams:
-                rows = [[images[j][i] - lam * basis[j][i] for j in range(len(basis))] for i in range(3)]
-                coeffs = _kernel_mod_p(rows, len(basis), p)
-                if coeffs:
-                    refined.append(
-                        [tuple(sum(cj * v[i] for cj, v in zip(c, basis)) % p for i in range(3)) for c in coeffs]
-                    )
+            if len(basis) == 1:
+                if not any(_cross(int_matvec(a, basis[0]), basis[0], p)):
+                    refined.append(basis)
+            else:
+                refined += filter(None, (_eigenspace(a, basis, lam, p) for lam in lams))
         spaces = refined
     return spaces
 
@@ -223,38 +275,42 @@ def _lines(basis: Sequence[tuple[int, ...]], p: int) -> list[tuple[int, ...]]:
     return out
 
 
+@lru_cache(maxsize=16)
+def _actions(coord_rots: tuple, M: tuple) -> tuple:
+    """The rotations and their transposes as integer matrices in the basis of an invariant M.
+
+    They are H⁻¹·r·H = adj(H)·r·H / det H for H the basis.  Only T0 is met
+    again, once per prime, so a few recent lattices are kept.
+    """
+    h, adj, det = basis_frame(M)
+    acts = tuple(tuple(tuple(x // det for x in row) for row in matmul(matmul(adj, r), h)) for r in coord_rots)
+    return acts, tuple(tuple(zip(*a)) for a in acts)
+
+
 @lru_cache(maxsize=None)
-def _maximal_invariant(coord_rots: tuple, p: int, M: SubgroupHNF) -> tuple:
+def _maximal_invariant(coord_rots: tuple, p: int, M: tuple) -> tuple:
     """The maximal invariant sublattices N of an invariant M, each with [M:N].
 
-    M and every N are integer lattices in T0-coordinates; each N is the
-    preimage in M of a maximal G-submodule of M/pM.
+    M and every N are integer column HNF bases of lattices in T0-coordinates;
+    each N is the preimage in M of a maximal G-submodule of M/pM.
     """
-    h = _integer_frame(M)[0]  # columns are M's basis vectors
-    # the action on M/pM in M's own basis
-    acts = [
-        tuple(tuple(x % p for x in row) for row in invariant_coords_matrix(r, M))
-        for r in coord_rots
-    ]
-    dual_acts = [tuple(zip(*a)) for a in acts]
-    lams = [_eigenvalues_mod_p(r, p) for r in coord_rots]
-    lines = [v for s in _common_eigenspaces(acts, lams, p) for v in _lines(s, p)]
+    acts, dual_acts = _actions(coord_rots, M)
+    order = _splitting_order(coord_rots, p)
+    lines = [v for s in _common_eigenspaces(acts, order, p) for v in _lines(s, p)]
     # an invariant plane is the annihilator of an invariant line of the transposed action
-    normals = [w for s in _common_eigenspaces(dual_acts, lams, p) for w in _lines(s, p)]
-    subspaces = [_kernel_mod_p([w], 3, p) for w in normals]
+    normals = [w for s in _common_eigenspaces(dual_acts, order, p) for w in _lines(s, p)]
+    subspaces = [_plane(w, p) for w in normals]
     subspaces += [[v] for v in lines if all(sum(x * y for x, y in zip(w, v)) % p for w in normals)]
-    if not subspaces:  # M/pM is simple: pM is the only maximal one
-        subspaces = [[]]
-    pm = [tuple(p * x for x in col) for col in M.basis]
-    return tuple(
-        (SubgroupHNF(3, hnf_columns([int_matvec(h, v) for v in s] + pm), Fraction(1)), 3 - len(s))
-        for s in subspaces
-    )
+    pm = tuple(tuple(p * x for x in col) for col in M)
+    if not subspaces:  # M/pM is simple: pM, already a column HNF, is the only maximal one
+        return ((pm, 3),)
+    h = tuple(zip(*M))  # columns are M's basis vectors
+    return tuple((hnf_columns([*(int_matvec(h, v) for v in s), *pm]), 3 - len(s)) for s in subspaces)
 
 
 @lru_cache(maxsize=None)
 def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> frozenset:
-    """All invariant sublattices of index p^k, as integer lattices in T0-coordinates."""
+    """All invariant sublattices of index p^k, as integer HNF bases in T0-coordinates."""
     if k == 0:
         return frozenset((_Z3,))
     out = set()
@@ -264,15 +320,9 @@ def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> frozenset:
     return frozenset(out)
 
 
-def _from_t0_coords(T0: SubgroupHNF, basis: Sequence[Sequence[int]]) -> SubgroupHNF:
-    """The sublattice of T0 = H/q with the given integer T0-coordinate columns M: ⟨H·M⟩/q."""
-    h, _, _, q = _integer_frame(T0)
-    return _scaled_hnf(hnf_columns([int_matvec(h, col) for col in basis]), Fraction(1, q))
-
-
 @lru_cache(maxsize=None)
 def _invariant_primary(T0: SubgroupHNF, coord_rots: tuple, p: int, k: int) -> tuple:
-    out = [_from_t0_coords(T0, M.basis) for M in _invariant_p_power(coord_rots, p, k)]
+    out = [_from_t0_coords(T0, M) for M in _invariant_p_power(coord_rots, p, k)]
     out.sort(key=lambda L: (L.scale, L.basis))
     return tuple(out)
 
@@ -298,12 +348,12 @@ def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) ->
         return list(_invariant_primary(T0, coord_rots, *factors[0]))
     out = []
     for combo in product(*(_invariant_p_power(coord_rots, p, k) for p, k in factors)):
-        acc, a = combo[0].basis, factors[0][0] ** factors[0][1]
+        acc, a = combo[0], factors[0][0] ** factors[0][1]
         for M, (p, k) in zip(combo[1:], factors[1:]):
             # coprime indices a, b: b·acc and a·M lie in acc ∩ M, and ua + vb = 1 shows they span it
             b = p**k
             acc = hnf_columns(
-                [tuple(b * x for x in col) for col in acc] + [tuple(a * x for x in col) for col in M.basis]
+                [tuple(b * x for x in col) for col in acc] + [tuple(a * x for x in col) for col in M]
             )
             a *= b
         out.append(_from_t0_coords(T0, acc))

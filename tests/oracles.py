@@ -31,6 +31,7 @@ from torsym.lattices import (
     Mat3,
     SubgroupHNF,
     Vec3,
+    _from_t0_coords,
     coords_in,
     from_coords,
     hnf,
@@ -55,7 +56,7 @@ from torsym.spacegroups import (
     is_pure_translation,
     rotation_order,
 )
-from torsym.sublattices import _coord_rotations, _from_t0_coords
+from torsym.sublattices import _coord_rotations
 
 IntVec = tuple[int, int, int]
 

@@ -13,6 +13,7 @@ from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     SubgroupHNF,
+    _from_t0_coords,
     coords_in,
     coords_matrix,
     covolume,
@@ -37,7 +38,6 @@ from torsym.lattices import (
     vec,
 )
 from torsym.spacegroups import GROUP_NAMES, make_group
-from torsym.sublattices import _from_t0_coords
 
 from oracles import basis_matrix, coset_reps, dual, intersect, reduce_mod, solve_linear
 

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from torsym.errors import Disconnected, NotASubgroup, SignatureCountMismatch
 from torsym.lattices import (
+    TRIVIAL_SUBGROUP,
     coords_in,
     coords_matrix,
     from_coords,
@@ -737,6 +738,18 @@ def test_hex_cycle_image_has_rank_two():
     lat = next(iter(_marked_by_lattice("P622")))
     assert lat.rank == 2
     assert lat == hnf([(1, 0, 0), (0, 1, 0)])
+
+
+def test_cycle_image_of_a_tree_is_trivial():
+    # no cycle: the image is {0} at scale 1, also inside the I432 lattice at scale 1/2
+    for name in ("P432", "I432"):
+        g = PeriodicGraph(
+            group=name,
+            T0=make_group(name).T0,
+            vertices=((0, 0, 0), (0, Fraction(1, 2), 0), (Fraction(1, 2), 0, 0)),
+            edges=((0, 1, (0, 0, 0)), (0, 2, (1, 0, 0))),
+        )
+        assert cycle_image_lattice(g) == TRIVIAL_SUBGROUP
 
 
 def test_cycle_image_is_invariant_under_relabeling():

@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 import time
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from torsym.errors import NotASubgroup, RankDeficient, UnmatchedLattice
-from torsym.lattices import TRIVIAL_SUBGROUP, covolume, from_coords, hnf, index, is_subgroup
+from torsym.lattices import TRIVIAL_SUBGROUP, _from_t0_coords, covolume, from_coords, hnf, index, is_subgroup
 from torsym.spacegroups import (
     CUBIC_FRAME,
     GROUP_NAMES,
@@ -32,8 +33,8 @@ from torsym.sublattices import (
     CUBIC_TAGS,
     HEX_TAGS,
     LatticeFamily,
-    _from_t0_coords,
     _prime_power_parts,
+    _rotation_generators,
     instantiate,
     invariant_sublattices,
     match_family,
@@ -184,6 +185,61 @@ def test_primary_recombination_matches_literal():
         assert invariant_sublattices(Z3, (ROT_Z,), d) == lit, d
         total += len(lit)
     assert total == 2380
+
+
+_PRIMES_53_251 = [p for p in range(53, 252) if all(p % q for q in range(2, int(p**0.5) + 1))]
+ROT_4 = ((0, -1, 0), (1, 0, 0), (0, 0, 1))  # 4-fold about z, cubic frame
+ROT_6 = ((1, -1, 0), (1, 0, 0), (0, 0, 1))  # 6-fold about z, hexagonal frame
+
+
+def test_descent_matches_literal_at_large_primes():
+    # at p ≥ 53 every group acts semisimply mod p; p² ∈ {121, 169, 289} also
+    # reaches the lines of F_p³ and the lattices with quotient ℤ/p²
+    for t0, rots in ((Z3, CUBIC_ROTS), (T2, CUBIC_ROTS), (Z3, HEX_ROTS)):
+        for d in _PRIMES_53_251 + [121, 169, 289]:
+            lit = literal_invariant_sublattices(t0, rots, d)
+            assert invariant_sublattices(t0, rots, d) == lit, (t0, rots, d)
+
+
+@pytest.mark.parametrize(
+    "rot, split, whole",
+    [
+        (ROT_XYZ, [7, 13, 61, 67], [5, 11, 59, 71]),  # 3-fold: eigenvalues ω, ω² iff p ≡ 1 (mod 3)
+        (ROT_4, [5, 13, 53, 61], [7, 11, 59, 67]),  # 4-fold: eigenvalues ±i iff p ≡ 1 (mod 4)
+        (ROT_6, [7, 13, 61, 67], [5, 11, 59, 71]),  # 6-fold: eigenvalues −ω, −ω² iff p ≡ 1 (mod 3)
+    ],
+)
+def test_descent_matches_literal_for_one_rotation(rot, split, whole):
+    # index p counts the invariant planes: the sums of two of three eigenlines
+    # when all eigenvalues lie in F_p, else only the complement of the axis
+    for primes, planes in ((split, 3), (whole, 1)):
+        for p in primes:
+            lit = literal_invariant_sublattices(Z3, (rot,), p)
+            assert invariant_sublattices(Z3, (rot,), p) == lit, (rot, p)
+            assert len(lit) == planes, (rot, p)
+            if p * p <= 169:
+                lit = literal_invariant_sublattices(Z3, (rot,), p * p)
+                assert invariant_sublattices(Z3, (rot,), p * p) == lit, (rot, p * p)
+
+
+def test_descent_needs_every_rotation():
+    # the two half-turns of D2 each leave invariant planes the other moves, so a
+    # descent that skipped either one would keep p + 1 planes through an axis
+    for p in [5, 7, 11, 13] + _PRIMES_53_251[:4]:
+        for d in (p, p * p) if p <= 13 else (p,):
+            lit = literal_invariant_sublattices(Z3, (ROT_Y, ROT_Z), d)
+            assert invariant_sublattices(Z3, (ROT_Y, ROT_Z), d) == lit, d
+        assert len(literal_invariant_sublattices(Z3, (ROT_Y, ROT_Z), p)) == 3
+
+
+def test_descent_ignores_the_order_of_the_rotations():
+    indices = [2, 4, 8, 16, 32, 64, 3, 9, 27, 81, 5, 25, 125, 7, 49, 11, 121, 13, 169] + _PRIMES_53_251
+    rotation_sets = [(Z3, CUBIC_ROTS), (Z3, HEX_ROTS), (Z3, (ROT_Y, ROT_Z))]
+    rotation_sets += [(make_group(name).T0, _rotation_generators(make_group(name))) for name in GROUP_NAMES]
+    for t0, rots in rotation_sets:
+        expected = [invariant_sublattices(t0, rots, d) for d in indices]
+        for perm in permutations(rots):
+            assert [invariant_sublattices(t0, perm, d) for d in indices] == expected, (t0, perm)
 
 
 def test_coprime_recombination_matches_intersect():
