@@ -260,19 +260,6 @@ def hnf(generators: Iterable[Sequence]) -> SubgroupHNF:
     return SubgroupHNF(rank=len(basis), basis=basis, scale=Fraction(1, d))
 
 
-def _scaled_hnf(basis: tuple[tuple[int, int, int], ...], factor: Fraction) -> SubgroupHNF:
-    """Canonical form of factor·⟨basis⟩ for a canonical integer column HNF basis, in integers.
-
-    With c the content of the basis and a/b = factor·c in lowest terms, the
-    subgroup is (a/b)·(basis/c).  basis/c has content 1, so b is the least
-    integer that clears the subgroup, and the canonical basis is a·basis/c.
-    """
-    c = math.gcd(*(x for col in basis for x in col))
-    f = factor * c
-    cols = tuple(tuple(f.numerator * x // c for x in col) for col in basis)
-    return SubgroupHNF(len(cols), cols, Fraction(1, f.denominator))
-
-
 def hnf_reduce(x: Sequence[int], basis: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Reduce an integer vector modulo the lattice of a canonical column HNF basis.
 
@@ -408,15 +395,23 @@ def _unit_fraction(d: int) -> Fraction:
     return Fraction(1, d)
 
 
-def _from_t0_coords(T0: SubgroupHNF, basis: Sequence[Sequence[int]]) -> SubgroupHNF:
-    """The subgroup ⟨H·M⟩/q of T0 = H/q spanned by integer T0-coordinate columns M.
+def _from_t0_hnf(T0: SubgroupHNF, basis: Sequence[Sequence[int]]) -> SubgroupHNF:
+    """The subgroup ⟨H·M⟩/q of T0 = H/q for an integer column HNF M in T0-coordinates.
 
-    In integers: the HNF of H·M divided by g = gcd(q, its content), at scale g/q.
+    H and M are lower triangular with positive pivots, so H·M keeps M's pivot
+    rows and positive pivots.  Reducing each column by the later ones makes
+    it an HNF; divided by g = gcd(q, its content), at scale g/q, it is canonical.
     """
     h, _, _, q = _integer_frame(T0)
-    cols = hnf_columns([int_matvec(h, col) for col in basis])
+    cols = [int_matvec(h, col) for col in basis]
+    cols = [hnf_reduce(col, cols[j + 1 :]) for j, col in enumerate(cols)]
     g = math.gcd(q, *(x for col in cols for x in col))
     return SubgroupHNF(len(cols), tuple(tuple(x // g for x in col) for col in cols), _unit_fraction(q // g))
+
+
+def _from_t0_coords(T0: SubgroupHNF, cols: Sequence[Sequence[int]]) -> SubgroupHNF:
+    """The subgroup of T0 spanned by integer T0-coordinate columns: `_from_t0_hnf` of their HNF."""
+    return _from_t0_hnf(T0, hnf_columns(cols))
 
 
 def numerators(v: Sequence, den: int) -> tuple[int, int, int]:

@@ -15,7 +15,6 @@ from .lattices import (
     Vec3,
     _from_t0_coords,
     _integer_frame,
-    _over_common_denominator,
     coords_in,
     coords_matrix,
     from_coords,
@@ -35,7 +34,6 @@ from .lattices import (
     solve_congruence,
     vadd,
     vneg,
-    vsub,
     vec,
 )
 from .spacegroups import (
@@ -152,10 +150,12 @@ def _frame_point(T0: SubgroupHNF, n: Sequence[int], den: int) -> Vec3:
 
 
 @lru_cache(maxsize=None)
-def _coset_coords(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
-    """Each coset (R, t) of the group as (B⁻¹RB, B⁻¹t) in the basis B of T0, converted once."""
+def _coset_coords(name: str) -> tuple[tuple[tuple[IntMat, IntVec], ...], int]:
+    """The cosets (R, t) as (B⁻¹RB, B⁻¹t) in the basis B of T0, B⁻¹t as numerators over the returned den."""
     G = make_group(name)
-    return tuple((invariant_coords_matrix(c.rot, G.T0), coords_in(c.trans, G.T0)) for c in G.cosets)
+    coords = [(invariant_coords_matrix(c.rot, G.T0), coords_in(c.trans, G.T0)) for c in G.cosets]
+    den = math.lcm(*(x.denominator for _, t in coords for x in t))
+    return tuple((a, numerators(t, den)) for a, t in coords), den
 
 
 def _fixed_point_congruences(G: SpaceGroup) -> tuple[list[tuple[IntMat, IntVec, int]], int]:
@@ -166,17 +166,17 @@ def _fixed_point_congruences(G: SpaceGroup) -> tuple[list[tuple[IntMat, IntVec, 
     invariant, and τ = B⁻¹t.  A rotation fixes the same line as its powers of
     order 2 or 3, and a coset has the same fixed points as its inverse, so
     only cosets of order 2, and one of each inverse pair of order 3, are kept.
-    Every −τ is returned as integer numerators over the one returned denominator.
+    Every −τ is returned as integer numerators over the returned den of `_coset_coords`.
     """
+    cosets, den = _coset_coords(G.name)
     out = []
-    for c, (rot, tau) in zip(G.cosets, _coset_coords(G.name)):
+    for c, (rot, tau) in zip(G.cosets, cosets):
         order = rotation_order(c.rot)
         if order not in (2, 3) or (order == 3 and c.rot > matmul(c.rot, c.rot)):
             continue
         delta = tuple(tuple(rot[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3))
-        out.append((delta, vneg(tau), order))
-    den = math.lcm(*(x.denominator for _, r, _ in out for x in r))
-    return [(a, numerators(r, den), order) for a, r, order in out], den
+        out.append((delta, (-tau[0], -tau[1], -tau[2]), order))
+    return out, den
 
 
 def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
@@ -227,11 +227,11 @@ class _Scaled:
 
     def __init__(self, G: SpaceGroup, tops: Sequence[int]) -> None:
         maps = [(invariant_coords_matrix(r, G.T0), coords_in(t, G.T0)) for r, t in _normalizer_maps(G.name)]
-        coords = [*_coset_coords(G.name), *maps]
+        cosets, cden = _coset_coords(G.name)
         self.T0 = G.T0
-        self.den = math.lcm(*tops, *(x.denominator for _, t in coords for x in t))
-        scaled = [(a, numerators(t, self.den)) for a, t in coords]
-        self.moves, self.normalizer = scaled[: len(G.cosets)], scaled[len(G.cosets) :]
+        self.den = math.lcm(*tops, cden, *(x.denominator for _, t in maps for x in t))
+        self.moves = [(a, tuple(x * (self.den // cden) for x in t)) for a, t in cosets]
+        self.normalizer = [(a, numerators(t, self.den)) for a, t in maps]
 
     def to_frame(self, n: Sequence[int]) -> Vec3:
         """The frame point of the numerators n."""
@@ -596,16 +596,15 @@ def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
     (SRS⁻¹, Sτ + (I − SRS⁻¹)t), which lies in G iff
     (SRS⁻¹ − I)t ≡ Sτ − τ' (mod T0) for the coset (SRS⁻¹, τ') of G.  Stacked
     over the generators in T0-coordinates, these congruences have full rank
-    and their Smith form lists the finitely many t modulo T0.
+    and their Smith form lists the finitely many t modulo T0.  τ is taken
+    from the generator's coset: that moves Sτ by S·T0 = T0, and the right-hand
+    sides stay integer numerators over the den of `_coset_coords`.
     """
     G = make_group(name)
     T0 = G.T0
-    gens = [
-        (invariant_coords_matrix(g.rot, T0), coords_in(g.trans, T0))
-        for g in G.generators
-        if not is_pure_translation(g)
-    ]
-    coset_of = dict(_coset_coords(name))
+    cosets, den = _coset_coords(name)
+    coset_of = dict(cosets)
+    gens = [invariant_coords_matrix(g.rot, T0) for g in G.generators if not is_pure_translation(g)]
     covered: set[IntMat] = set()
     out = []
     for rows in sorted(_frame_symmetries(G.frame), key=lambda m: m != _IDENTITY):
@@ -618,8 +617,8 @@ def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
             continue
         s_inv = mat_inv(s)
         system: list[IntVec] = []
-        rhs: list[Fraction] = []
-        for rot, tau in gens:
+        rhs: list[int] = []
+        for rot in gens:
             conj = matmul(matmul(s, rot), s_inv)
             target = coset_of.get(conj)
             if target is None:
@@ -627,10 +626,9 @@ def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
             system.extend(
                 tuple(conj[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3)
             )
-            rhs.extend(vsub(int_matvec(s, tau), target))
+            rhs.extend(x - y for x, y in zip(int_matvec(s, coset_of[rot]), target))
         else:
-            nums, den = _over_common_denominator(rhs)
-            points, top, kernel = solve_congruence(system, nums, den)
+            points, top, kernel = solve_congruence(system, rhs, den)
             if kernel:
                 raise InvariantViolation("normalizer translations of a group are not discrete")
             # t = B·y/top, reduced into the cell of T0

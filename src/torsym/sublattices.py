@@ -13,10 +13,8 @@ from .errors import RankDeficient, UnmatchedLattice
 from .lattices import (
     Mat3,
     SubgroupHNF,
-    _from_t0_coords,
-    _scaled_hnf,
+    _from_t0_hnf,
     basis_frame,
-    covolume,
     hnf,
     hnf_columns,
     int_matvec,
@@ -322,25 +320,42 @@ def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> frozenset:
 
 @lru_cache(maxsize=None)
 def _invariant_primary(T0: SubgroupHNF, coord_rots: tuple, p: int, k: int) -> tuple:
-    out = [_from_t0_coords(T0, M) for M in _invariant_p_power(coord_rots, p, k)]
+    out = [_from_t0_hnf(T0, M) for M in _invariant_p_power(coord_rots, p, k)]
     out.sort(key=lambda L: (L.scale, L.basis))
     return tuple(out)
 
 
-def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) -> list[SubgroupHNF]:
-    """Index-d sublattices of T0 invariant under a set of integer rotations of finite order.
+def _crt(r: int, m: int, s: int, n: int) -> int:
+    """The x in [0, m·n) with x ≡ r (mod m) and x ≡ s (mod n), for coprime m and n."""
+    return (r + m * ((s - r) * pow(m, -1, n) % n)) % (m * n)
 
-    A lattice of composite index is split uniquely into its prime-power
-    parts.  Each part comes from the submodule descent mod p, and coprime
-    parts are recombined by L₁ ∩ L₂ = [T0:L₂]·L₁ + [T0:L₁]·L₂.  The result is
-    sorted by (scale, basis).  Its independent check is the enumerate-and-filter
-    over every HNF of index d in `tests/oracles.py`.
+
+def _coprime_meet(A: tuple, B: tuple) -> tuple:
+    """The column HNF C of A ∩ B for full-rank integer column HNFs A, B of coprime indices.
+
+    By the CRT ℤ³/C ≅ ℤ³/A × ℤ³/B, also on {x₀ = 0} and {x₀ = x₁ = 0}, so the
+    pivots multiply: cᵢᵢ = aᵢᵢ·bᵢᵢ.  (0, c₁₁, c₂₁) lies in A iff it is
+    b₁₁·A₁ + ℤ·A₂, i.e. c₂₁ ≡ b₁₁·a₂₁ (mod a₂₂); (c₀₀, c₁₀, c₂₀) lies in A iff
+    it is b₀₀·A₀ + s·A₁ + ℤ·A₂, i.e. c₁₀ ≡ b₀₀·a₁₀ (mod a₁₁), which fixes
+    s = (c₁₀ − b₀₀·a₁₀)/a₁₁, and c₂₀ ≡ b₀₀·a₂₀ + s·a₂₁ (mod a₂₂).  B gives the
+    same congruences with a and b swapped, and each entry is their CRT
+    solution in [0, pivot of its row), c₂₁ and c₁₀ first, then c₂₀.
     """
-    if T0.rank != 3:
-        raise RankDeficient("invariant_sublattices requires a rank-3 subgroup")
-    if d < 1:
-        raise ValueError("index must be a positive integer")
-    coord_rots = _coord_rotations(T0, tuple(tuple(tuple(row) for row in r) for r in rotations))
+    (a00, a10, a20), (_, a11, a21), (_, _, a22) = A
+    (b00, b10, b20), (_, b11, b21), (_, _, b22) = B
+    c21 = _crt(b11 * a21, a22, a11 * b21, b22)
+    c10 = _crt(b00 * a10, a11, a00 * b10, b11)
+    s, t = (c10 - b00 * a10) // a11, (c10 - a00 * b10) // b11
+    c20 = _crt(b00 * a20 + s * a21, a22, a00 * b20 + t * b21, b22)
+    return ((a00 * b00, c10, c20), (0, a11 * b11, c21), (0, 0, a22 * b22))
+
+
+def _check_index(d, name: str) -> None:
+    if type(d) is not int or d < 1:
+        raise ValueError(f"{name} must be a positive integer, got {d!r}")
+
+
+def _invariant_sublattices(T0: SubgroupHNF, coord_rots: tuple, d: int) -> list[SubgroupHNF]:
     if d == 1:
         return [T0]
     factors = _prime_power_parts(d)
@@ -348,17 +363,28 @@ def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) ->
         return list(_invariant_primary(T0, coord_rots, *factors[0]))
     out = []
     for combo in product(*(_invariant_p_power(coord_rots, p, k) for p, k in factors)):
-        acc, a = combo[0], factors[0][0] ** factors[0][1]
-        for M, (p, k) in zip(combo[1:], factors[1:]):
-            # coprime indices a, b: b·acc and a·M lie in acc ∩ M, and ua + vb = 1 shows they span it
-            b = p**k
-            acc = hnf_columns(
-                [tuple(b * x for x in col) for col in acc] + [tuple(a * x for x in col) for col in M]
-            )
-            a *= b
-        out.append(_from_t0_coords(T0, acc))
+        acc = combo[0]
+        for M in combo[1:]:
+            acc = _coprime_meet(acc, M)
+        out.append(_from_t0_hnf(T0, acc))
     out.sort(key=lambda L: (L.scale, L.basis))
     return out
+
+
+def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) -> list[SubgroupHNF]:
+    """Index-d sublattices of T0 invariant under a set of integer rotations of finite order.
+
+    A lattice of composite index is split uniquely into its prime-power
+    parts.  Each part comes from the submodule descent mod p as an integer
+    HNF in T0-coordinates; coprime parts are met in closed form by the CRT
+    (`_coprime_meet`), and the result takes one integer step to T0.  It is
+    sorted by (scale, basis).  Its independent check is the enumerate-and-filter
+    over every HNF of index d in `tests/oracles.py`.
+    """
+    _check_index(d, "index")
+    if T0.rank != 3:
+        raise RankDeficient("invariant_sublattices requires a rank-3 subgroup")
+    return _invariant_sublattices(T0, _coord_rotations(T0, tuple(tuple(map(tuple, r)) for r in rotations)), d)
 
 
 # ============================================================
@@ -366,11 +392,10 @@ def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) ->
 # ============================================================
 
 
-def _exact_cbrt(x: Fraction) -> int | None:
-    """The positive integer k with k³ = x, if there is one (exact at any size)."""
-    if x <= 0 or x.denominator != 1:
+def _exact_cbrt(n: int) -> int | None:
+    """The positive integer k with k³ = n, if there is one (exact at any size)."""
+    if n <= 0:
         return None
-    n = x.numerator
     lo, hi = 1, 1 << -(-n.bit_length() // 3)  # hi³ ≥ n
     while lo < hi:
         mid = (lo + hi) // 2
@@ -392,29 +417,32 @@ def match_family(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
     """
     if L.rank != 3:
         raise RankDeficient("match_family requires a rank-3 subgroup")
-    v = covolume(L)
+    D = L.scale.denominator
+    vol = L.basis[0][0] * L.basis[1][1] * L.basis[2][2]  # the covolume times D³
     if frame.name == "CUBIC":
-        for tag, cube in (
-            ("CUBIC_PRIMITIVE", v),
-            ("CUBIC_FACE", v / 2),
-            ("CUBIC_BODY", 2 * v),
-        ):
-            n = _exact_cbrt(cube)
+        # n³ is the covolume times 1, 1/2 or 2.  Each n = 1 instance is B/u with B of
+        # content 1, so n·B/u has the canonical basis (n/g)·B at scale g/u, g = gcd(n, u).
+        for tag, num, den in (("CUBIC_PRIMITIVE", 1, 1), ("CUBIC_FACE", 1, 2), ("CUBIC_BODY", 2, 1)):
+            cube, r = divmod(num * vol, den * D**3)
+            n = None if r else _exact_cbrt(cube)
             unit = _UNIT_INSTANCES[tag]
-            if n is not None and _scaled_hnf(unit.basis, n * unit.scale) == L:
+            u = unit.scale.denominator
+            if n is not None and D * math.gcd(n, u) == u and L.basis == tuple(
+                tuple(n // (u // D) * x for x in col) for col in unit.basis
+            ):
                 return LatticeFamily(tag, n)
-    elif L.scale == 1:
+    elif D == 1:
         # both hexagonal families are integer lattices that meet the vertical axis
         # in m·ℤ·e₃, the third HNF pivot, with covolume n²·m (HEX_PRIMITIVE) or 3·n²·m (HEX_ROT)
         m = L.basis[2][2]
-        for tag, quad in (("HEX_PRIMITIVE", v), ("HEX_ROT", v / 3)):
-            if quad.denominator != 1 or quad.numerator % m:
+        for tag, k in (("HEX_PRIMITIVE", 1), ("HEX_ROT", 3)):
+            if vol % (k * m):
                 continue
-            n = math.isqrt(quad.numerator // m)
+            n = math.isqrt(vol // (k * m))
             planar = tuple(tuple(n * x for x in col) for col in _UNIT_INSTANCES[tag].basis[:2])
-            if n * n * m == quad and L.basis == (*planar, (0, 0, m)):
+            if n * n * m * k == vol and L.basis == (*planar, (0, 0, m)):
                 return LatticeFamily(tag, n, m)
-    raise UnmatchedLattice(f"no closed-form family matches covolume {v}")
+    raise UnmatchedLattice(f"no closed-form family matches covolume {Fraction(vol, D**3)}")
 
 
 # ============================================================
@@ -438,11 +466,10 @@ def normal_translation_subgroups(
     The total index is the index in the full space group: point order times
     the lattice index inside T0.
     """
-    if max_index < 1:
-        raise ValueError("max_index must be a positive integer")
-    rots = _rotation_generators(G)
+    _check_index(max_index, "max_index")
+    coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
     out = []
     for d in range(1, max_index + 1):
-        for L in invariant_sublattices(G.T0, rots, d):
+        for L in _invariant_sublattices(G.T0, coord_rots, d):
             out.append((L, match_family(L, G.frame), G.point_order * d))
     return out

@@ -3,7 +3,9 @@
 The digests were recorded from the CLI before the singular set was kept in
 integers through the marked edges and quotient graphs.  A refactor that
 changes any printed byte, including an ordering or a `Fraction` string, fails
-here.
+here.  The survey digests pin `normal_translation_subgroups(G, 512)` itself,
+order within each index included, as recorded before the coprime parts were
+met by the CRT.
 """
 
 import contextlib
@@ -15,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from torsym import cli
+from torsym.spacegroups import make_group
+from torsym.sublattices import normal_translation_subgroups
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +51,16 @@ GOLDEN = (
     ("classify P622 beta --max-index 512 --format json", "96347ee6d59ade09375727060f3cd102a7b61e1608a8c66b59b85f900987fa11"),
 )
 
+# SHA-256 of repr(normal_translation_subgroups(G, 512)); P432 and P4_232 share T0 and point group
+SURVEY_512 = (
+    ("P432", "0a411ae7f672ff9f29d30753dad8107ef0e8f9fde9f084ffbbfc892e8ab4c089"),
+    ("F4_132", "1d90be6121924bcbe570d8bab6d6a3d6934fda7150311e58ba29735c2d3b99e5"),
+    ("I4_132", "b74bec7185ee3e3fa576a2427de9d0ee1d9aaf7e32f9bc7bc68169f7f8e6c26c"),
+    ("I432", "c78b40b1babb5d712ce64df13055c91e9739022d0c0d40250ef0d5191a437005"),
+    ("P4_232", "0a411ae7f672ff9f29d30753dad8107ef0e8f9fde9f084ffbbfc892e8ab4c089"),
+    ("P622", "f3c3cb8f5f4edd54e870f344674a0f3f2ae878203ec5da230d204f5faae63e3c"),
+)
+
 
 def test_census_digest_is_the_benchmark_oracle_digest():
     oracle = (ROOT / "perfbench" / "oracle.py").read_text()
@@ -60,3 +74,9 @@ def test_cli_output_is_byte_identical(command, digest):
         code = cli.main(command.split())
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, digest", SURVEY_512, ids=[n for n, _ in SURVEY_512])
+def test_survey_output_and_order_are_pinned(name, digest):
+    out = normal_translation_subgroups(make_group(name), 512)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == digest

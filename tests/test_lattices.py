@@ -14,6 +14,8 @@ from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     SubgroupHNF,
     _from_t0_coords,
+    _from_t0_hnf,
+    basis_frame,
     coords_in,
     coords_matrix,
     covolume,
@@ -22,6 +24,7 @@ from torsym.lattices import (
     hnf_columns,
     hnf_reduce,
     index,
+    int_matvec,
     invariant_coords_matrix,
     is_subgroup,
     join,
@@ -371,6 +374,21 @@ def test_relative_integer_basis_matches_fraction_inverse(name, cols, k):
         relative_integer_basis(outside, T0)
     with pytest.raises(RankDeficient):
         relative_integer_basis(hnf(sub.vectors()[:2]), T0)
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+@given(st.lists(st.tuples(_t0_coord, _t0_coord, _t0_coord), max_size=4))
+@settings(max_examples=60)
+def test_triangular_frame_step_matches_a_full_hnf(name, cols):
+    # the reference reduces H·M from scratch and divides by g = gcd(q, content) at scale g/q
+    T0 = make_group(name).T0
+    M = hnf_columns(cols)
+    h, _, _ = basis_frame(T0.basis)
+    q = T0.scale.denominator
+    ref = hnf_columns([int_matvec(h, col) for col in M])
+    g = math.gcd(q, *(x for col in ref for x in col))
+    expected = SubgroupHNF(len(ref), tuple(tuple(x // g for x in col) for col in ref), Fraction(g, q))
+    assert _from_t0_hnf(T0, M) == expected == _from_t0_coords(T0, cols)
 
 
 # ============================================================

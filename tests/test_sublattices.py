@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +16,16 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from torsym.errors import NotASubgroup, RankDeficient, UnmatchedLattice
-from torsym.lattices import TRIVIAL_SUBGROUP, _from_t0_coords, covolume, from_coords, hnf, index, is_subgroup
+from torsym.lattices import (
+    TRIVIAL_SUBGROUP,
+    _from_t0_coords,
+    covolume,
+    from_coords,
+    hnf,
+    hnf_columns,
+    index,
+    is_subgroup,
+)
 from torsym.spacegroups import (
     CUBIC_FRAME,
     GROUP_NAMES,
@@ -33,6 +44,7 @@ from torsym.sublattices import (
     CUBIC_TAGS,
     HEX_TAGS,
     LatticeFamily,
+    _coprime_meet,
     _prime_power_parts,
     _rotation_generators,
     instantiate,
@@ -255,6 +267,47 @@ def test_coprime_recombination_matches_intersect():
                 expected = [intersect(a, b) for a in expected for b in invariant_sublattices(g.T0, rots, q)]
             expected.sort(key=lambda L: (L.scale, L.basis))
             assert invariant_sublattices(g.T0, rots, d) == expected, (name, d)
+
+
+@st.composite
+def _coprime_hnfs(draw):
+    """Two full-rank integer column HNFs A and B whose indices are coprime."""
+    pivot = st.integers(min_value=1, max_value=30)
+    a = [draw(pivot) for _ in range(3)]
+    b = []
+    for _ in range(3):
+        x = draw(pivot)
+        while (g := math.gcd(x, a[0] * a[1] * a[2])) > 1:
+            x //= g
+        b.append(x)
+
+    def basis(p):
+        x10 = draw(st.integers(0, p[1] - 1))
+        x20, x21 = (draw(st.integers(0, p[2] - 1)) for _ in range(2))
+        return ((p[0], x10, x20), (0, p[1], x21), (0, 0, p[2]))
+
+    return basis(a), basis(b)
+
+
+@given(_coprime_hnfs())
+@example((((2, 1, 1), (0, 2, 0), (0, 0, 2)), ((3, 2, 2), (0, 3, 1), (0, 0, 3))))
+@example((((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((5, 4, 3), (0, 7, 6), (0, 0, 11))))
+def test_coprime_meet_matches_stacked_hnf_and_intersect(pair):
+    A, B = pair
+    a, b = (M[0][0] * M[1][1] * M[2][2] for M in pair)
+    C = _coprime_meet(A, B)
+    assert C == hnf_columns([*(tuple(b * x for x in col) for col in A), *(tuple(a * x for x in col) for col in B)])
+    assert hnf(C) == intersect(hnf(A), hnf(B))
+    assert _coprime_meet(B, A) == C
+
+
+@pytest.mark.parametrize("d", [True, 2.0, "4"], ids=["bool", "float", "str"])
+def test_survey_rejects_an_index_that_is_not_an_int(d):
+    # refused at the entry, by name: True is not index 1, and 2.0 or "4" never reach the descent
+    with pytest.raises(ValueError, match=re.escape(repr(d))):
+        invariant_sublattices(Z3, CUBIC_ROTS, d)
+    with pytest.raises(ValueError, match=re.escape(repr(d))):
+        normal_translation_subgroups(make_group("P432"), d)
 
 
 def test_invariant_rejects_unstable_t0():
