@@ -444,8 +444,8 @@ def theorem1_cells() -> tuple[Theorem1Cell, ...]:
 
 def theorem1_table(max_genus: int) -> list[GenusEntry]:
     """Every maximal-order action of genus at most max_genus, grouped by genus."""
-    if max_genus < 2:
-        raise ValueError("max_genus must be at least 2")
+    if type(max_genus) is not int or max_genus < 2:
+        raise ValueError(f"max_genus must be an integer at least 2, got {max_genus!r}")
     by_genus: dict[int, list[tuple[int, ClassificationRow]]] = {}
     for column, (group, edge) in enumerate(CASES, start=1):
         point_order = make_group(group).point_order

@@ -340,12 +340,17 @@ def basis_frame(
     return h, adj, h[0][0] * h[1][1] * h[2][2]  # lower triangular
 
 
-@lru_cache(maxsize=None)
 def _integer_frame(sub: SubgroupHNF) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int, int]:
     """Integer data of a rank-3 subgroup with actual basis H/q: its `basis_frame` and q."""
     if sub.rank != 3:
         raise RankDeficient("integer coordinates require rank 3")
-    return (*basis_frame(sub.basis), sub.scale.denominator)
+    return _basis_frame_over(sub.basis, sub.scale.denominator)
+
+
+@lru_cache(maxsize=None)
+def _basis_frame_over(basis: tuple[tuple[int, int, int], ...], q: int) -> tuple:
+    """`basis_frame` and q, cached on integers so that no lookup hashes the `Fraction` scale."""
+    return (*basis_frame(basis), q)
 
 
 def coords_matrix(

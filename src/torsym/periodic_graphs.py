@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -15,6 +16,7 @@ from .lattices import (
     Vec3,
     _from_t0_coords,
     _integer_frame,
+    _over_common_denominator,
     coords_in,
     coords_matrix,
     from_coords,
@@ -151,68 +153,91 @@ def _frame_point(T0: SubgroupHNF, n: Sequence[int], den: int) -> Vec3:
 
 @lru_cache(maxsize=None)
 def _coset_coords(name: str) -> tuple[tuple[tuple[IntMat, IntVec], ...], int]:
-    """The cosets (R, t) as (B⁻¹RB, B⁻¹t) in the basis B of T0, B⁻¹t as numerators over the returned den."""
+    """The cosets (R, t) as (B⁻¹RB, B⁻¹t) in the basis B of T0, B⁻¹t as numerators over the returned den.
+
+    For B = H/q, B⁻¹t = q·adj(H)·t / det H, taken in integers on the
+    numerators of t; den is the least common denominator of every B⁻¹t.
+    """
     G = make_group(name)
-    coords = [(invariant_coords_matrix(c.rot, G.T0), coords_in(c.trans, G.T0)) for c in G.cosets]
-    den = math.lcm(*(x.denominator for _, t in coords for x in t))
-    return tuple((a, numerators(t, den)) for a, t in coords), den
+    _, adj, det, q = _integer_frame(G.T0)
+    coords = []
+    for c in G.cosets:
+        nums, d = _over_common_denominator(c.trans)
+        x = [q * v for v in int_matvec(adj, nums)]
+        g = math.gcd(det * d, *x)
+        coords.append((invariant_coords_matrix(c.rot, G.T0), [v // g for v in x], det * d // g))
+    den = math.lcm(*(d for _, _, d in coords))
+    return tuple((a, tuple(v * (den // d) for v in x)) for a, x, d in coords), den
 
 
-def _fixed_point_congruences(G: SpaceGroup) -> tuple[list[tuple[IntMat, IntVec, int]], int]:
-    """(A, −τ, order) for the rotation cosets (R, t) whose fixed points make up all the others'.
+def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
+    """Rotation axes and vertices modulo T0, as points y/top in the basis of T0, one solve per class.
 
     B·y is fixed by x ↦ R·x + t + w for some w ∈ T0 iff A·y ≡ −τ (mod ℤ³),
     with A = B⁻¹(R − I)B in the basis B of T0, integral because T0 is
     invariant, and τ = B⁻¹t.  A rotation fixes the same line as its powers of
-    order 2 or 3, and a coset has the same fixed points as its inverse, so
-    only cosets of order 2, and one of each inverse pair of order 3, are kept.
-    Every −τ is returned as integer numerators over the returned den of `_coset_coords`.
-    """
-    cosets, den = _coset_coords(G.name)
-    out = []
-    for c, (rot, tau) in zip(G.cosets, cosets):
-        order = rotation_order(c.rot)
-        if order not in (2, 3) or (order == 3 and c.rot > matmul(c.rot, c.rot)):
-            continue
-        delta = tuple(tuple(rot[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3))
-        out.append((delta, (-tau[0], -tau[1], -tau[2]), order))
-    return out, den
+    order 2 or 3, and a coset the same points as its inverse, so the cosets of
+    order 2 and 3 are keyed by (axis direction e in the basis of T0, order):
+    P622's c-axis carries a 2-fold and a 3-fold.  A line entry holds e and a
+    point on each of the d₁·d₂ lines that the Smith form U·A·V = diag(d₁, d₂, 0)
+    gives modulo ℤ³ (none for a screw).  A corner entry holds the common fixed
+    points of two half-turns about non-parallel axes, finitely many because
+    the stacked 6×3 system has rank 3.
 
+    One congruence per class is enough.  For g in G, Fix(g·h·g⁻¹) = g·Fix(h),
+    and g·h·g⁻¹ turns about the image of h's axis.  So the keys, and the
+    unordered pairs of half-turn keys, fall into classes under the cosets'
+    rotation parts, and a class's fixed points are the images of its first
+    member's under the coset maps y ↦ A·y + τ (see `_axes_mod_t0` and
+    `_vertices_mod_t0`).  Conjugate systems share their Smith form, so the
+    whole class shares one top.
 
-def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
-    """Rotation axes and vertices modulo T0, as points y/top in the basis of T0.
-
-    Returns (lines, corners).  Each congruence A·y ≡ −τ gives one entry of
-    lines: its axis direction e in the basis of T0, primitive with its first
-    nonzero entry positive, and one point on each of its d₁·d₂ lines, because
-    A has rank 2 and its Smith form U·A·V = diag(d₁, d₂, 0) splits its fixed
-    points into that many lines modulo T0, or none for a screw.  Each pair of
-    half-turn congruences about non-parallel axes gives one entry of corners:
-    their common fixed points, finitely many modulo T0 because the stacked
-    6×3 system has rank 3.
-
-    Half-turns suffice.  A vertex is fixed by two rotations about
+    Half-turn pairs suffice.  A vertex is fixed by two rotations about
     non-parallel axes, so its stabilizer, a finite rotation group that is not
     cyclic, is D_n with n ≥ 2, T or O (I is not crystallographic).  D_n has n
     half-turns about distinct axes perpendicular to its main axis, and T and O
     contain the three half-turns of their D_2.  So every vertex is fixed by two
-    half-turns about non-parallel axes, and their cosets are among the pairs.
+    half-turns about non-parallel axes, and it is an image of a common fixed
+    point of the first pair in their class.
     """
-    congruences, den = _fixed_point_congruences(G)
+    cosets, den = _coset_coords(G.name)
+    keyed: dict[tuple[IntVec, int], tuple[IntMat, IntVec]] = {}
+    for rot, tau in cosets:
+        order = rotation_order(rot)
+        if order in (2, 3):
+            delta = tuple(tuple(rot[i][j] - (i == j) for j in range(3)) for i in range(3))
+            keyed.setdefault((_rotation_direction(rot), order), (delta, vneg(tau)))
+
+    def turn(move, key: tuple[IntVec, int]) -> tuple[IntVec, int]:
+        return _turned(move[0], key[0]), key[1]
+
     lines = []
-    for a, r, _ in congruences:
-        points, top, kernel = solve_congruence(a, r, den)
+    for key in dict.fromkeys(_orbit_sweep(keyed, turn, cosets).values()):
+        points, top, kernel = solve_congruence(*keyed[key], den)
         if len(kernel) != 1:
             raise InvariantViolation("fixed set of a rotation is not a line")
-        lines.append((primitive_integer(kernel[0]), points, top))
-    half_turns = [(a, r) for a, r, order in congruences if order == 2]
+        lines.append((key[0], points, top))
+    pairs = [tuple(sorted(p)) for p in itertools.combinations([k for k in keyed if k[1] == 2], 2)]
     corners = []
-    for k, (a1, r1) in enumerate(half_turns):
-        for a2, r2 in half_turns[k + 1 :]:
-            points, top, kernel = solve_congruence(a1 + a2, r1 + r2, den)
-            if not kernel:  # kernel means parallel axes
-                corners.append((points, top))
+    for k1, k2 in dict.fromkeys(
+        _orbit_sweep(pairs, lambda m, p: tuple(sorted(turn(m, k) for k in p)), cosets).values()
+    ):
+        (a1, r1), (a2, r2) = keyed[k1], keyed[k2]
+        points, top, kernel = solve_congruence(a1 + a2, r1 + r2, den)
+        if kernel:
+            raise InvariantViolation("two half-turns about non-parallel axes fix a line")
+        corners.append((points, top))
     return lines, corners
+
+
+def _orbit_sweep(items, act, moves) -> dict:
+    """Every image act(m, x) of the items under the moves (the identity among them), to the first x reaching it."""
+    out: dict = {}
+    for x in items:
+        if x not in out:
+            for m in moves:
+                out.setdefault(act(m, x), x)
+    return out
 
 
 class _Scaled:
@@ -220,18 +245,18 @@ class _Scaled:
 
     den clears the solved points y/top, every coset translation and every
     normalizer translation, all in T0-coordinates.  moves and normalizer hold
-    the cosets and the `_normalizer_maps` as (rotation, translation
+    the cosets and the `_normalizer_solutions` as (rotation, translation
     numerators) in T0-coordinates.  A point's cell and its representative in
     [0,1)³ are one divmod by den per coordinate.
     """
 
     def __init__(self, G: SpaceGroup, tops: Sequence[int]) -> None:
-        maps = [(invariant_coords_matrix(r, G.T0), coords_in(t, G.T0)) for r, t in _normalizer_maps(G.name)]
+        maps = _normalizer_solutions(G.name)
         cosets, cden = _coset_coords(G.name)
         self.T0 = G.T0
-        self.den = math.lcm(*tops, cden, *(x.denominator for _, t in maps for x in t))
+        self.den = math.lcm(*tops, cden, *(top // math.gcd(top, *y) for _, _, y, top in maps))
         self.moves = [(a, tuple(x * (self.den // cden) for x in t)) for a, t in cosets]
-        self.normalizer = [(a, numerators(t, self.den)) for a, t in maps]
+        self.normalizer = [(a, tuple(x * (self.den // top) for x in y)) for _, a, y, top in maps]
 
     def to_frame(self, n: Sequence[int]) -> Vec3:
         """The frame point of the numerators n."""
@@ -240,11 +265,7 @@ class _Scaled:
     def stabilizer(self, n: IntVec) -> list[IntMat]:
         """Rotation parts of the cosets with an element fixing the point n."""
         den = self.den
-        return [
-            a
-            for a, t in self.moves
-            if not any((x + s - m) % den for x, s, m in zip(int_matvec(a, n), t, n))
-        ]
+        return [a for a, t in self.moves if not any((x + s - m) % den for x, s, m in zip(int_matvec(a, n), t, n))]
 
 
 @lru_cache(maxsize=None)
@@ -262,32 +283,44 @@ def _axis_basis(e: IntVec) -> tuple[IntMat, IntMat]:
     return rows, mat_inv(rows)
 
 
+def _turned(a: IntMat, e: IntVec) -> IntVec:
+    """The direction A·e of a primitive e under a unimodular A, with its first nonzero entry positive."""
+    x0, x1, x2 = int_matvec(a, e)
+    return (x0, x1, x2) if (x0 or x1 or x2) > 0 else (-x0, -x1, -x2)
+
+
 def _axes_mod_t0(sc: _Scaled, lines: Lines) -> list[ScaledAxis]:
     """(direction, class, rotation index) of every rotation-axis class modulo ℤ³, sorted.
 
     The class of the line through y along e is (U·y)₁,₂ modulo den, with U
-    from `_axis_basis`.  The index counts the cosets with an element fixing
-    the axis pointwise.
+    from `_axis_basis`; its base point is U⁻¹·(0, c₁, c₂).  The solved lines
+    are swept by every coset map y ↦ A·y + τ.  The index, the number of
+    cosets with an element fixing the line pointwise, is counted once per
+    orbit and carried along it: Stab(g·y) = g·Stab(y)·g⁻¹.
     """
     den = sc.den
-    found: dict[tuple[IntVec, int, int], int] = {}
-    for e, points, top in lines:
-        u, u_inv = _axis_basis(e)
-        for y in points:
-            _, c1, c2 = int_matvec(u, y)
-            key = (e, c1 * (den // top) % den, c2 * (den // top) % den)
-            if key not in found:
-                base = int_matvec(u_inv, (0, key[1], key[2]))
-                found[key] = sum(1 for a in sc.stabilizer(base) if int_matvec(a, e) == e)
-    return [(*key, found[key]) for key in sorted(found)]
+
+    def key(e: IntVec, y: IntVec) -> tuple[IntVec, int, int]:
+        _, c1, c2 = int_matvec(_axis_basis(e)[0], y)
+        return (e, c1 % den, c2 % den)
+
+    def base(k: tuple[IntVec, int, int]) -> IntVec:
+        return int_matvec(_axis_basis(k[0])[1], (0, k[1], k[2]))
+
+    def act(move, k: tuple[IntVec, int, int]) -> tuple[IntVec, int, int]:
+        return key(_turned(move[0], k[0]), vadd(int_matvec(move[0], base(k)), move[1]))
+
+    solved = [key(e, tuple(x * (den // top) for x in y)) for e, points, top in lines for y in points]
+    found = _orbit_sweep(solved, act, sc.moves)
+    index = {k: sum(1 for a in sc.stabilizer(base(k)) if int_matvec(a, k[0]) == k[0]) for k in set(found.values())}
+    return [(*k, index[found[k]]) for k in sorted(found)]
 
 
 def _vertices_mod_t0(sc: _Scaled, corners: Corners) -> list[IntVec]:
-    """Vertex classes, reduced into the cell [0,1)³ and sorted."""
+    """Vertex classes, the solved corners swept by every coset map, reduced into the cell [0,1)³ and sorted."""
     den = sc.den
-    return sorted(
-        {tuple(x * (den // top) % den for x in y) for points, top in corners for y in points}
-    )
+    solved = [tuple(x * (den // top) % den for x in y) for points, top in corners for y in points]
+    return sorted(_orbit_sweep(solved, lambda m, y: tuple(x % den for x in vadd(int_matvec(m[0], y), m[1])), sc.moves))
 
 
 def _axis_segments(
@@ -360,36 +393,33 @@ class _UnionFind:
 
 @lru_cache(maxsize=None)
 def _rotation_direction(rot: IntMat) -> IntVec:
-    """Direction of the axis of a rotation, the null space of the rank-2 matrix R − I."""
-    _, _, v = smith_form([[rot[i][j] - (i == j) for j in range(3)] for i in range(3)])
-    return primitive_integer([row[2] for row in v])
+    """Direction of the axis of a rotation, the null space of R − I: a nonzero cross product of two of its rows."""
+    m = [[rot[i][j] - (i == j) for j in range(3)] for i in range(3)]
+    pairs = (m[:2], m[::2], m[1:])
+    crosses = [(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]) for a, b in pairs]
+    return primitive_integer(next(v for v in crosses if any(v)))
 
 
 def _germ_orbits(rots: Sequence[IntMat]) -> tuple[tuple[frozenset[IntVec], int], ...]:
     """Orbits of outgoing axis germs at a singular point, each with its index.
 
-    rots are the rotation parts of the point's stabilizer, the identity left out.
+    rots are the rotation parts of the point's stabilizer, the identity left
+    out, so the orbit of a germ u is u and its images A·u.
     """
-    by_dir: dict[IntVec, int] = {}
-    for rot in rots:
-        d = _rotation_direction(rot)
-        by_dir[d] = by_dir.get(d, 0) + 1
-    index_of: dict[IntVec, int] = {}
-    for d, count in by_dir.items():
-        index_of[d] = count + 1
-        index_of[(-d[0], -d[1], -d[2])] = count + 1
-    classes = _UnionFind(index_of)
-    for rot in rots:
-        for u in index_of:
-            v = int_matvec(rot, u)
-            if v not in classes:
-                raise InvariantViolation("stabilizer does not permute the germ directions")
-            classes.union(u, v)
+    by_dir = Counter(_rotation_direction(rot) for rot in rots)
+    index_of = {u: count + 1 for d, count in by_dir.items() for u in (d, vneg(d))}
     orbits = []
-    for members in classes.groups():
-        idx = {index_of[u] for u in members}
+    seen: set[IntVec] = set()
+    for u in index_of:
+        if u in seen:
+            continue
+        members = {u, *(int_matvec(rot, u) for rot in rots)}
+        if not members <= index_of.keys():
+            raise InvariantViolation("stabilizer does not permute the germ directions")
+        idx = {index_of[v] for v in members}
         if len(idx) != 1:
             raise InvariantViolation("germ orbit mixes axes of different indices")
+        seen |= members
         orbits.append((frozenset(members), idx.pop()))
     return tuple(sorted(orbits, key=lambda o: (o[1], min(o[0]))))
 
@@ -470,18 +500,27 @@ def _segment_orbits(sc: _Scaled, raw: Sequence[ScaledSegment]) -> list[list[Scal
 class _SingularData:
     """Cached singular-set decomposition of one space group.
 
-    orbit_of and orbits hold segments as T0-coordinates, integer numerators
-    over sc.den; the other fields hold the frame values that the public
-    functions return.
+    axis_classes, vertex_classes, circle_classes, orbit_of and orbits hold
+    T0-coordinates, integer numerators over sc.den.  axes, vertices and
+    circles build their frame values on demand.
     """
 
     sc: _Scaled
-    axes: list[Axis]
-    vertices: list[Vec3]
-    circles: list[Axis]
+    axis_classes: list[ScaledAxis]
+    vertex_classes: list[IntVec]
+    circle_classes: list[ScaledAxis]
     orbit_of: dict[ScaledSegment, int]
     orbits: list[list[ScaledSegment]]
     edges: tuple[SingularEdge, ...]
+
+    def _axis(self, e: IntVec, c1: int, c2: int, order: int) -> Axis:
+        base = self.sc.to_frame(int_matvec(_axis_basis(e)[1], (0, c1, c2)))
+        d = primitive_integer(int_matvec(_integer_frame(self.sc.T0)[0], e))
+        return Axis(base=base, direction=d, order=order)
+
+    axes = property(lambda self: [self._axis(*ax) for ax in self.axis_classes])
+    vertices = property(lambda self: [self.sc.to_frame(v) for v in self.vertex_classes])
+    circles = property(lambda self: [self._axis(*ax) for ax in self.circle_classes])
 
 
 @lru_cache(maxsize=None)
@@ -514,21 +553,7 @@ def _singular_data(name: str) -> _SingularData:
         edge_index, link = _edge_data(members[0], germs)
         seg = (sc.to_frame(members[0][0]), sc.to_frame(members[0][1]))
         edges.append(SingularEdge(segment=seg, edge_index=edge_index, link=link, orbit_id=oid))
-
-    def axis(e: IntVec, c1: int, c2: int, order: int) -> Axis:
-        base = sc.to_frame(int_matvec(_axis_basis(e)[1], (0, c1, c2)))
-        d = primitive_integer(int_matvec(_integer_frame(G.T0)[0], e))
-        return Axis(base=base, direction=d, order=order)
-
-    return _SingularData(
-        sc=sc,
-        axes=[axis(*ax) for ax in axes],
-        vertices=[sc.to_frame(v) for v in verts],
-        circles=[axis(*ax) for ax in circles],
-        orbit_of=orbit_of,
-        orbits=orbits,
-        edges=tuple(edges),
-    )
+    return _SingularData(sc, axes, verts, circles, orbit_of, orbits, tuple(edges))
 
 
 def singular_graph(G: SpaceGroup) -> list[SingularEdge]:
@@ -583,10 +608,11 @@ def _frame_symmetries(frame) -> tuple[IntMat, ...]:
 
 
 @lru_cache(maxsize=None)
-def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
+def _normalizer_solutions(name: str) -> tuple[tuple[IntMat, IntMat, IntVec, int], ...]:
     """A transversal of the group in its affine normalizer, up to lattice translations.
 
-    The maps are x ↦ Sx + t.  S runs over the integer isometries of the frame
+    The maps are x ↦ Sx + t, as (S, B⁻¹SB, y, top) with t = B·y/top, y in
+    [0, top), sorted.  S runs over the integer isometries of the frame
     (improper ones included) that preserve T0, one per right coset P·S of the
     point group P, with the identity standing for P itself:
     (R, τ)∘(S, t) = (RS, Rt + τ) differs from (S, t) by an element of G, so
@@ -631,9 +657,15 @@ def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
             points, top, kernel = solve_congruence(system, rhs, den)
             if kernel:
                 raise InvariantViolation("normalizer translations of a group are not discrete")
-            # t = B·y/top, reduced into the cell of T0
-            out.extend((rows, _frame_point(T0, [x % top for x in y], top)) for y in points)
-    return tuple(sorted(set(out)))
+            out.extend((rows, s, tuple(x % top for x in y), top) for y in points)
+    # B = H/q has H lower triangular with a positive diagonal, so y sorts as t does
+    return tuple(sorted(out))
+
+
+def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
+    """The `_normalizer_solutions` as frame maps (S, t), sorted."""
+    T0 = make_group(name).T0
+    return tuple(sorted((rows, _frame_point(T0, y, top)) for rows, _, y, top in _normalizer_solutions(name)))
 
 
 def marked_edges(G: SpaceGroup) -> list[SingularEdge]:

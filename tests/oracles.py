@@ -13,6 +13,12 @@
 - `reduce_mod` and `canon_segment` reduce points and segments into the cell
   of a lattice in `Fraction`, and check the integer segments of the singular
   set.
+- `fixed_points_per_coset` solves one fixed-point congruence per rotation
+  coset and per pair of half-turn cosets, on `Fraction` coset coordinates
+  (`coset_coords`), and `axis_classes` scans a stabilizer per axis class.
+  They check the package's one solve per conjugacy class, carried to the
+  rest by the coset maps.  `germ_orbits` is the union-find over stabilizer
+  and germ directions that the package's one sweep per orbit replaces.
 
 numpy is used only by the literal filter, so it is a test dependency only.
 """
@@ -36,18 +42,25 @@ from torsym.lattices import (
     from_coords,
     hnf,
     hnf_columns,
+    int_matvec,
+    invariant_coords_matrix,
     is_subgroup,
     join,
     mat,
     mat_inv,
+    matmul,
     matvec,
     member,
+    numerators,
     primitive_integer,
     relative_integer_basis,
+    smith_form,
+    solve_congruence,
     vadd,
     vneg,
     vsub,
 )
+from torsym.periodic_graphs import _axis_basis, _UnionFind
 from torsym.spacegroups import (
     Axis,
     Isometry,
@@ -234,6 +247,138 @@ def _axis_base(T0: SubgroupHNF, n: Sequence[int], den: int, d: IntVec) -> IntVec
         if k:
             w = [w[i] - k * f * col[i] for i in range(3)]
     return (w[0], w[1], w[2])
+
+
+# ============================================================
+# the singular set by one solve per coset
+# ============================================================
+
+
+def coset_coords(G: SpaceGroup) -> tuple[tuple[tuple[tuple[int, ...], ...], IntVec], ...]:
+    """The cosets (R, t) as (B⁻¹RB, B⁻¹t) in the basis B of T0, B⁻¹t by `coords_in` in `Fraction`.
+
+    Returns the cosets with B⁻¹t as integer numerators over one least common
+    denominator, and that denominator.
+    """
+    coords = [(invariant_coords_matrix(c.rot, G.T0), coords_in(c.trans, G.T0)) for c in G.cosets]
+    den = math.lcm(*(x.denominator for _, t in coords for x in t))
+    return tuple((a, numerators(t, den)) for a, t in coords), den
+
+
+def _fixed_point_congruences(G: SpaceGroup) -> tuple[list[tuple[tuple, IntVec, int]], int]:
+    """(A, −τ, order) for the rotation cosets (R, t) whose fixed points make up all the others'.
+
+    B·y is fixed by x ↦ R·x + t + w for some w ∈ T0 iff A·y ≡ −τ (mod ℤ³),
+    with A = B⁻¹(R − I)B in the basis B of T0, integral because T0 is
+    invariant, and τ = B⁻¹t.  A rotation fixes the same line as its powers of
+    order 2 or 3, and a coset has the same fixed points as its inverse, so
+    only cosets of order 2, and one of each inverse pair of order 3, are kept.
+    Every −τ is returned as integer numerators over the returned den of `coset_coords`.
+    """
+    cosets, den = coset_coords(G)
+    out = []
+    for c, (rot, tau) in zip(G.cosets, cosets):
+        order = rotation_order(c.rot)
+        if order not in (2, 3) or (order == 3 and c.rot > matmul(c.rot, c.rot)):
+            continue
+        delta = tuple(tuple(rot[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3))
+        out.append((delta, (-tau[0], -tau[1], -tau[2]), order))
+    return out, den
+
+
+def fixed_points_per_coset(G: SpaceGroup) -> tuple[list, list]:
+    """Rotation axes and vertices modulo T0, as points y/top in the basis of T0, one solve per coset.
+
+    Returns (lines, corners).  Each congruence A·y ≡ −τ gives one entry of
+    lines: its axis direction e in the basis of T0, primitive with its first
+    nonzero entry positive, and one point on each of its d₁·d₂ lines, because
+    A has rank 2 and its Smith form U·A·V = diag(d₁, d₂, 0) splits its fixed
+    points into that many lines modulo T0, or none for a screw.  Each pair of
+    half-turn congruences about non-parallel axes gives one entry of corners:
+    their common fixed points, finitely many modulo T0 because the stacked
+    6×3 system has rank 3.
+
+    Half-turns suffice.  A vertex is fixed by two rotations about
+    non-parallel axes, so its stabilizer, a finite rotation group that is not
+    cyclic, is D_n with n ≥ 2, T or O (I is not crystallographic).  D_n has n
+    half-turns about distinct axes perpendicular to its main axis, and T and O
+    contain the three half-turns of their D_2.  So every vertex is fixed by two
+    half-turns about non-parallel axes, and their cosets are among the pairs.
+    """
+    congruences, den = _fixed_point_congruences(G)
+    lines = []
+    for a, r, _ in congruences:
+        points, top, kernel = solve_congruence(a, r, den)
+        if len(kernel) != 1:
+            raise InvariantViolation("fixed set of a rotation is not a line")
+        lines.append((primitive_integer(kernel[0]), points, top))
+    half_turns = [(a, r) for a, r, order in congruences if order == 2]
+    corners = []
+    for k, (a1, r1) in enumerate(half_turns):
+        for a2, r2 in half_turns[k + 1 :]:
+            points, top, kernel = solve_congruence(a1 + a2, r1 + r2, den)
+            if not kernel:  # kernel means parallel axes
+                corners.append((points, top))
+    return lines, corners
+
+
+def axis_classes(sc, lines) -> list[tuple[IntVec, int, int, int]]:
+    """(direction, class, rotation index) of every line, each index counted by its own stabilizer scan."""
+    den = sc.den
+    found: dict[tuple[IntVec, int, int], int] = {}
+    for e, points, top in lines:
+        u, u_inv = _axis_basis(e)
+        for y in points:
+            _, c1, c2 = int_matvec(u, y)
+            key = (e, c1 * (den // top) % den, c2 * (den // top) % den)
+            if key not in found:
+                base = int_matvec(u_inv, (0, key[1], key[2]))
+                found[key] = sum(1 for a in sc.stabilizer(base) if int_matvec(a, e) == e)
+    return [(*key, found[key]) for key in sorted(found)]
+
+
+def vertex_classes(sc, corners) -> list[IntVec]:
+    """Every solved corner, reduced into the cell [0,1)³, sorted."""
+    den = sc.den
+    return sorted(
+        {tuple(x * (den // top) % den for x in y) for points, top in corners for y in points}
+    )
+
+
+@lru_cache(maxsize=None)
+def rotation_direction(rot: tuple) -> IntVec:
+    """Direction of the axis of a rotation, the null space of the rank-2 matrix R − I, by Smith form."""
+    _, _, v = smith_form([[rot[i][j] - (i == j) for j in range(3)] for i in range(3)])
+    return primitive_integer([row[2] for row in v])
+
+
+def germ_orbits(rots: Sequence) -> tuple[tuple[frozenset[IntVec], int], ...]:
+    """Orbits of outgoing axis germs at a singular point, each with its index, by union-find.
+
+    rots are the rotation parts of the point's stabilizer, the identity left out.
+    """
+    by_dir: dict[IntVec, int] = {}
+    for rot in rots:
+        d = rotation_direction(rot)
+        by_dir[d] = by_dir.get(d, 0) + 1
+    index_of: dict[IntVec, int] = {}
+    for d, count in by_dir.items():
+        index_of[d] = count + 1
+        index_of[(-d[0], -d[1], -d[2])] = count + 1
+    classes = _UnionFind(index_of)
+    for rot in rots:
+        for u in index_of:
+            v = int_matvec(rot, u)
+            if v not in classes:
+                raise InvariantViolation("stabilizer does not permute the germ directions")
+            classes.union(u, v)
+    orbits = []
+    for members in classes.groups():
+        idx = {index_of[u] for u in members}
+        if len(idx) != 1:
+            raise InvariantViolation("germ orbit mixes axes of different indices")
+        orbits.append((frozenset(members), idx.pop()))
+    return tuple(sorted(orbits, key=lambda o: (o[1], min(o[0]))))
 
 
 # ============================================================

@@ -319,6 +319,12 @@ def test_census_rejects_tiny_bound():
         theorem1_table(1)
 
 
+@pytest.mark.parametrize("bad", [2.5, "101", True])
+def test_census_rejects_a_max_genus_that_is_not_an_int(bad):
+    with pytest.raises(ValueError, match="max_genus"):
+        theorem1_table(bad)
+
+
 # ============================================================
 # claim verification
 # ============================================================
@@ -461,11 +467,11 @@ def test_cli_reports_internal_errors_with_exit_three(monkeypatch, capsys):
     # a normalizer map that moves a marked edge off the singular set is a
     # fault in the program, not in the command line
     import torsym.periodic_graphs as pg
-    from fractions import Fraction
 
+    # x ↦ x + (1/3, 0, 0), as (S, S in the basis of T0 = ℤ³, y, top) with t = y/top
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    bad = ((identity, (Fraction(1, 3), Fraction(0), Fraction(0))),)
-    monkeypatch.setattr(pg, "_normalizer_maps", lambda name: bad)
+    bad = ((identity, identity, (1, 0, 0), 3),)
+    monkeypatch.setattr(pg, "_normalizer_solutions", lambda name: bad)
     # the singular data carry the normalizer maps, so they are rebuilt with the bad one
     monkeypatch.setattr(pg, "_singular_data", pg._singular_data.__wrapped__)
     monkeypatch.setattr(cli, "labeled_marked_edges", labeled_marked_edges.__wrapped__)

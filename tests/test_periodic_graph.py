@@ -8,6 +8,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
+from torsym import periodic_graphs
 from torsym.errors import Disconnected, NotASubgroup, SignatureCountMismatch
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
@@ -17,11 +18,13 @@ from torsym.lattices import (
     hnf,
     index,
     int_affine,
+    int_matvec,
     is_subgroup,
     mat,
     mat_inv,
     matmul,
     member,
+    primitive_integer,
     vadd,
     vec,
     vscale,
@@ -30,6 +33,9 @@ from torsym.lattices import (
 from torsym.periodic_graphs import (
     PeriodicGraph,
     SingularEdge,
+    _axis_basis,
+    _coset_coords,
+    _fixed_points,
     _frame_symmetries,
     _germ_orbits,
     _normalizer_maps,
@@ -57,7 +63,18 @@ from torsym.spacegroups import (
 )
 from torsym.sublattices import instantiate, normal_translation_subgroups
 
-from oracles import _axis_base, _plane_lattice, canon_segment, fixed_axis, reduce_mod
+from oracles import (
+    _axis_base,
+    _plane_lattice,
+    axis_classes,
+    canon_segment,
+    coset_coords,
+    fixed_axis,
+    fixed_points_per_coset,
+    germ_orbits,
+    reduce_mod,
+    vertex_classes,
+)
 
 GROUPS = ["P432", "F4_132", "I4_132", "I432", "P4_232", "P622"]
 
@@ -166,6 +183,64 @@ def test_singular_set_shape(name):
     assert len(data.orbit_of) == n_segs
     assert len(data.orbits) == n_orbits
     assert data.circles == []
+
+
+# ------------------------------------------------------------
+# one solve per conjugacy class, carried by the cosets, against one solve per
+# coset with a stabilizer scan per axis class (oracles.fixed_points_per_coset)
+# ------------------------------------------------------------
+
+_ROT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_coset_coords_match_the_fraction_route(name):
+    assert _coset_coords(name) == coset_coords(make_group(name))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_axis_and_vertex_classes_match_one_solve_per_coset(name):
+    data = _singular_data(name)
+    lines, corners = fixed_points_per_coset(make_group(name))
+    assert all(data.sc.den % top == 0 for top in [t for *_, t in lines] + [t for _, t in corners])
+    assert data.axis_classes == axis_classes(data.sc, lines)
+    assert data.vertex_classes == vertex_classes(data.sc, corners)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_germ_orbits_match_the_union_find_at_every_vertex(name):
+    data = _singular_data(name)
+    for v in data.vertex_classes:
+        rots = [a for a in data.sc.stabilizer(v) if a != _ROT_IDENTITY]
+        assert len(_germ_orbits(rots)) == 3
+        assert _germ_orbits(rots) == germ_orbits(rots)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_fixed_points_solve_one_congruence_per_class(name, monkeypatch):
+    # cubic: 3 rotation classes (2-folds on the 4-fold axes, 3-folds, 2-folds on
+    # the face diagonals) and 5 classes of half-turn pairs; P622: 4 and 6
+    calls = []
+    solve = periodic_graphs.solve_congruence
+    monkeypatch.setattr(periodic_graphs, "solve_congruence", lambda *a: calls.append(a) or solve(*a))
+    _fixed_points(make_group(name))
+    assert len(calls) == (10 if name == "P622" else 8)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_axis_and_vertex_classes_are_closed_under_every_coset(name):
+    data = _singular_data(name)
+    den = data.sc.den
+    verts = set(data.vertex_classes)
+    index = {ax[:3]: ax[3] for ax in data.axis_classes}
+    for a, t in data.sc.moves:
+        for v in verts:
+            assert tuple((x + s) % den for x, s in zip(int_matvec(a, v), t)) in verts
+        for (e, c1, c2), idx in index.items():
+            p = vadd(int_matvec(a, int_matvec(_axis_basis(e)[1], (0, c1, c2))), t)
+            d = primitive_integer(int_matvec(a, e))
+            _, k1, k2 = int_matvec(_axis_basis(d)[0], p)
+            assert index[(d, k1 % den, k2 % den)] == idx
 
 
 # ------------------------------------------------------------
