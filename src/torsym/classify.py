@@ -16,7 +16,7 @@ from .periodic_graphs import (
     marked_edges,
 )
 from .spacegroups import canonical_group_name, make_group
-from .sublattices import LatticeFamily, instantiate, normal_translation_subgroups
+from .sublattices import LatticeFamily, _check_index, instantiate, normal_translation_subgroups
 
 # ============================================================
 # frozen case tables
@@ -372,14 +372,13 @@ def _reduced_parameters(group: str, fam: LatticeFamily) -> tuple[int, int | None
 
 def classify_case(group: str, edge: str, max_index: int) -> list[ClassificationRow]:
     """All accepted covering lattices for one marked edge up to a lattice index."""
+    _check_index(max_index, "max_index")
     group = canonical_group_name(group)
     if edge not in EDGE_LABELS:
         raise ValueError(f"unknown edge label {edge!r}")
     available = labeled_marked_edges(group)
     if edge not in available:
         raise ValueError(f"{group} has no edge {edge}; choose from {sorted(available)}")
-    if max_index < 1:
-        raise ValueError("max_index must be a positive integer")
     G = make_group(group)
     g = _case_graph(group, edge)
     order = [tag for tag, _ in FAMILY_MULTIPLIERS[group]]

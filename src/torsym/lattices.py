@@ -19,6 +19,8 @@ from .errors import InvariantViolation, NotASubgroup, RankDeficient
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 Mat3 = tuple[tuple[Fraction, ...], ...]
+IntVec = tuple[int, int, int]
+IntMat = tuple[tuple[int, ...], ...]
 
 # ============================================================
 # rational vectors and matrices (row-major storage; for linear
@@ -57,6 +59,8 @@ def matvec(m: Mat3, v: Sequence) -> Vec3:
 
 def _over_common_denominator(v: Sequence) -> tuple[tuple[int, ...], int]:
     """Integer numerators and their least positive common denominator for a rational vector."""
+    if all(type(x) is int for x in v):
+        return tuple(v), 1
     fr = [x if type(x) is Fraction else Fraction(x) for x in v]
     den = math.lcm(*(f.denominator for f in fr))
     return tuple(f.numerator * (den // f.denominator) for f in fr), den
@@ -124,7 +128,7 @@ def mat_inv(m: Mat3) -> Mat3:
 
 def primitive_integer(v: Sequence) -> tuple[int, int, int]:
     """Scale a nonzero rational vector to a primitive integer vector, first nonzero entry positive."""
-    ints = v if all(type(x) is int for x in v) else _over_common_denominator(v)[0]
+    ints = _over_common_denominator(v)[0]
     g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
@@ -179,6 +183,10 @@ class SubgroupHNF:
             raise ValueError("scale must be 1/D for a positive integer D")
         if math.gcd(scale.denominator, content) != 1:
             raise ValueError("scale 1/D must be minimal: D and the basis content must be coprime")
+
+    def __hash__(self) -> int:
+        # the scale is always 1/D, so D stands for it without hashing a Fraction
+        return hash((self.basis, self.scale.denominator))
 
     def vectors(self) -> list[Vec3]:
         """Actual basis vectors (scale applied)."""
@@ -320,9 +328,7 @@ def join(a: SubgroupHNF, b: SubgroupHNF) -> SubgroupHNF:
     return hnf(a.vectors() + b.vectors())
 
 
-def basis_frame(
-    basis: Sequence[Sequence[int]],
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int]:
+def basis_frame(basis: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, int]:
     """(H, adj(H), det H) for a rank-3 integer column HNF basis.
 
     H is the basis as a matrix whose columns are the basis vectors, so that
@@ -340,7 +346,7 @@ def basis_frame(
     return h, adj, h[0][0] * h[1][1] * h[2][2]  # lower triangular
 
 
-def _integer_frame(sub: SubgroupHNF) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int, int]:
+def _integer_frame(sub: SubgroupHNF) -> tuple[IntMat, IntMat, int, int]:
     """Integer data of a rank-3 subgroup with actual basis H/q: its `basis_frame` and q."""
     if sub.rank != 3:
         raise RankDeficient("integer coordinates require rank 3")
@@ -353,24 +359,43 @@ def _basis_frame_over(basis: tuple[tuple[int, int, int], ...], q: int) -> tuple:
     return (*basis_frame(basis), q)
 
 
-def coords_matrix(
-    m: Sequence[Sequence[int]], sub: SubgroupHNF
-) -> tuple[tuple[int, ...], ...] | None:
-    """Integer matrix B⁻¹·m·B of an integer linear map m in the actual basis B of a rank-3 subgroup.
+def coord_numerators(v: Sequence, sub: SubgroupHNF) -> tuple[IntVec, int]:
+    """Coordinates B⁻¹·v of a rational vector in the actual basis B = H/q of a rank-3 subgroup.
 
-    Returns None when m does not map the subgroup into itself, that is when
-    B⁻¹·m·B = adj(H)·m·H / det H is not integral.
+    They come as integer numerators over their least positive denominator:
+    B⁻¹ = q·adj(H) / det H, taken in integers on the numerators of v.
     """
-    h, adj, det, _ = _integer_frame(sub)
+    _, adj, det, q = _integer_frame(sub)
+    nums, den = _over_common_denominator(v)
+    x = [q * c for c in int_matvec(adj, nums)]
+    g = math.gcd(det * den, *x)
+    return (x[0] // g, x[1] // g, x[2] // g), det * den // g
+
+
+def from_numerators(n: Sequence[int], den: int, sub: SubgroupHNF) -> Vec3:
+    """The vector B·n/den = H·n/(q·den) with the coordinates n/den."""
+    h, _, _, q = _integer_frame(sub)
+    return tuple(Fraction(x, q * den) for x in int_matvec(h, n))  # type: ignore[return-value]
+
+
+def frame_coords_matrix(m: Sequence[Sequence[int]], frame: Sequence) -> IntMat | None:
+    """The integer matrix H⁻¹·m·H = adj(H)·m·H / det H, or None when m does not preserve the lattice of H.
+
+    frame starts with the `basis_frame` (H, adj(H), det H) of a basis.
+    """
+    h, adj, det = frame[:3]
     prod = matmul(matmul(adj, m), h)
-    if any(x % det for row in prod for x in row):
+    if math.gcd(*prod[0], *prod[1], *prod[2]) % det:
         return None
     return tuple(tuple(x // det for x in row) for row in prod)
 
 
-def invariant_coords_matrix(
-    m: Sequence[Sequence[int]], sub: SubgroupHNF
-) -> tuple[tuple[int, ...], ...]:
+def coords_matrix(m: Sequence[Sequence[int]], sub: SubgroupHNF) -> IntMat | None:
+    """`frame_coords_matrix` in the actual basis B = H/q of a rank-3 subgroup, where B⁻¹·m·B = H⁻¹·m·H."""
+    return frame_coords_matrix(m, _integer_frame(sub))
+
+
+def invariant_coords_matrix(m: Sequence[Sequence[int]], sub: SubgroupHNF) -> IntMat:
     """coords_matrix for a linear map that must preserve the subgroup; ValueError otherwise."""
     a = coords_matrix(m, sub)
     if a is None:
@@ -380,18 +405,13 @@ def invariant_coords_matrix(
 
 def coords_in(v: Sequence, sub: SubgroupHNF) -> Vec3:
     """Coordinates of a rational vector in the actual basis of a rank-3 subgroup."""
-    _, adj, det, q = _integer_frame(sub)
-    nums, den = _over_common_denominator(v)
-    d = det * den
-    return tuple(Fraction(x * q, d) for x in int_matvec(adj, nums))  # type: ignore[return-value]
+    n, d = coord_numerators(v, sub)
+    return tuple(Fraction(x, d) for x in n)  # type: ignore[return-value]
 
 
 def from_coords(c: Sequence, sub: SubgroupHNF) -> Vec3:
     """Vector with the given coordinates in the actual basis of a rank-3 subgroup."""
-    h, _, _, q = _integer_frame(sub)
-    nums, den = _over_common_denominator(c)
-    d = q * den
-    return tuple(Fraction(x, d) for x in int_matvec(h, nums))  # type: ignore[return-value]
+    return from_numerators(*_over_common_denominator(c), sub)
 
 
 @lru_cache(maxsize=None)
@@ -419,25 +439,19 @@ def _from_t0_coords(T0: SubgroupHNF, cols: Sequence[Sequence[int]]) -> SubgroupH
     return _from_t0_hnf(T0, hnf_columns(cols))
 
 
-def numerators(v: Sequence, den: int) -> tuple[int, int, int]:
-    """Integer numerators of a rational vector over den, which must clear its denominators."""
-    return tuple(x.numerator * (den // x.denominator) for x in v)  # type: ignore[return-value]
-
-
 def relative_integer_basis(sub: SubgroupHNF, sup: SubgroupHNF) -> tuple[tuple[int, int, int], ...]:
     """HNF of sub expressed in integer coordinates of sup's basis (rank 3, sub ⊆ sup).
 
-    With sub = ⟨H₁⟩/b and sup's actual basis H/q, a column h of H₁ has the
-    coordinates q·adj(H)·h / (b·det H) in sup's basis, as in `coords_in`.
+    A column h of sub's basis at scale 1/b has the coordinates x/(d·b), for
+    x/d its `coord_numerators` in lowest terms: integral iff d = 1 and b | x.
     """
-    _, adj, det, q = _integer_frame(sup)
-    num, den = q, sub.scale.denominator * det
+    b = sub.scale.denominator
     cols = []
     for h in sub.basis:
-        c = [num * x for x in int_matvec(adj, h)]
-        if any(x % den for x in c):
+        x, d = coord_numerators(h, sup)
+        if d != 1 or any(c % b for c in x):
             raise NotASubgroup("first argument is not contained in the second")
-        cols.append([x // den for x in c])
+        cols.append([c // b for c in x])
     basis = hnf_columns(cols)
     if len(basis) != 3:
         raise RankDeficient("relative basis is not full rank")

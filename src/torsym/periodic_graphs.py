@@ -15,11 +15,12 @@ from .lattices import (
     SubgroupHNF,
     Vec3,
     _from_t0_coords,
-    _integer_frame,
-    _over_common_denominator,
-    coords_in,
+    IntMat,
+    IntVec,
+    coord_numerators,
     coords_matrix,
     from_coords,
+    from_numerators,
     hnf_reduce,
     index,
     int_matvec,
@@ -29,7 +30,6 @@ from .lattices import (
     mat_det,
     mat_inv,
     matmul,
-    numerators,
     primitive_integer,
     relative_integer_basis,
     smith_form,
@@ -48,10 +48,8 @@ from .spacegroups import (
     rotation_order,
 )
 
-IntVec = tuple[int, int, int]
 Edge = tuple[int, int, IntVec]
 Segment = tuple[Vec3, Vec3]
-IntMat = tuple[tuple[int, int, int], ...]
 # integer numerators over a group's common denominator in T0-coordinates (see _Scaled)
 ScaledSegment = tuple[IntVec, IntVec]
 ScaledAxis = tuple[IntVec, int, int, int]  # direction, class (c₁, c₂), rotation index
@@ -144,28 +142,14 @@ class SingularEdge:
 # ============================================================
 
 
-def _frame_point(T0: SubgroupHNF, n: Sequence[int], den: int) -> Vec3:
-    """The frame point B·n/den of the T0-coordinates n/den, for the basis B = H/q of T0."""
-    h, _, _, q = _integer_frame(T0)
-    x = int_matvec(h, n)
-    return (Fraction(x[0], q * den), Fraction(x[1], q * den), Fraction(x[2], q * den))
-
-
 @lru_cache(maxsize=None)
 def _coset_coords(name: str) -> tuple[tuple[tuple[IntMat, IntVec], ...], int]:
     """The cosets (R, t) as (B⁻¹RB, B⁻¹t) in the basis B of T0, B⁻¹t as numerators over the returned den.
 
-    For B = H/q, B⁻¹t = q·adj(H)·t / det H, taken in integers on the
-    numerators of t; den is the least common denominator of every B⁻¹t.
+    den is the least common denominator of every B⁻¹t.
     """
     G = make_group(name)
-    _, adj, det, q = _integer_frame(G.T0)
-    coords = []
-    for c in G.cosets:
-        nums, d = _over_common_denominator(c.trans)
-        x = [q * v for v in int_matvec(adj, nums)]
-        g = math.gcd(det * d, *x)
-        coords.append((invariant_coords_matrix(c.rot, G.T0), [v // g for v in x], det * d // g))
+    coords = [(invariant_coords_matrix(c.rot, G.T0), *coord_numerators(c.trans, G.T0)) for c in G.cosets]
     den = math.lcm(*(d for _, _, d in coords))
     return tuple((a, tuple(v * (den // d) for v in x)) for a, x, d in coords), den
 
@@ -260,7 +244,7 @@ class _Scaled:
 
     def to_frame(self, n: Sequence[int]) -> Vec3:
         """The frame point of the numerators n."""
-        return _frame_point(self.T0, n, self.den)
+        return from_numerators(n, self.den, self.T0)
 
     def stabilizer(self, n: IntVec) -> list[IntMat]:
         """Rotation parts of the cosets with an element fixing the point n."""
@@ -353,40 +337,6 @@ def _axis_segments(
 
 
 # ============================================================
-# disjoint sets
-# ============================================================
-
-
-class _UnionFind:
-    """Disjoint sets over a fixed collection of hashable items, with path halving."""
-
-    def __init__(self, items) -> None:
-        self._parent = {x: x for x in items}
-
-    def __contains__(self, x) -> bool:
-        return x in self._parent
-
-    def find(self, x):
-        parent = self._parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
-    def groups(self) -> list[list]:
-        """The classes, each listing its items in insertion order."""
-        out: dict = {}
-        for x in self._parent:
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())
-
-
-# ============================================================
 # germ orbits and local indices
 # ============================================================
 
@@ -408,20 +358,16 @@ def _germ_orbits(rots: Sequence[IntMat]) -> tuple[tuple[frozenset[IntVec], int],
     """
     by_dir = Counter(_rotation_direction(rot) for rot in rots)
     index_of = {u: count + 1 for d, count in by_dir.items() for u in (d, vneg(d))}
-    orbits = []
-    seen: set[IntVec] = set()
-    for u in index_of:
-        if u in seen:
-            continue
-        members = {u, *(int_matvec(rot, u) for rot in rots)}
-        if not members <= index_of.keys():
-            raise InvariantViolation("stabilizer does not permute the germ directions")
-        idx = {index_of[v] for v in members}
-        if len(idx) != 1:
-            raise InvariantViolation("germ orbit mixes axes of different indices")
-        seen |= members
-        orbits.append((frozenset(members), idx.pop()))
-    return tuple(sorted(orbits, key=lambda o: (o[1], min(o[0]))))
+    first = _orbit_sweep(index_of, int_matvec, (_IDENTITY, *rots))
+    if not first.keys() <= index_of.keys():
+        raise InvariantViolation("stabilizer does not permute the germ directions")
+    if any(index_of[u] != index_of[x] for u, x in first.items()):
+        raise InvariantViolation("germ orbit mixes axes of different indices")
+    orbits: dict[IntVec, set[IntVec]] = {}
+    for u, x in first.items():
+        orbits.setdefault(x, set()).add(u)
+    out = [(frozenset(members), index_of[x]) for x, members in orbits.items()]
+    return tuple(sorted(out, key=lambda o: (o[1], min(o[0]))))
 
 
 def _edge_data(seg: ScaledSegment, germs) -> tuple[int, tuple[int, int, int, int]]:
@@ -476,24 +422,20 @@ def _image(den: int, rot: IntMat, t: IntVec, seg: ScaledSegment) -> ScaledSegmen
 
 
 def _segment_orbits(sc: _Scaled, raw: Sequence[ScaledSegment]) -> list[list[ScaledSegment]]:
-    """The canonical segments grouped into G-orbits, each sorted, in order of their first member."""
+    """The canonical segments grouped into G-orbits, each sorted, in order of their first member.
+
+    A lattice translation leaves the canonical form unchanged, so the cosets
+    sweep each orbit from its least member.
+    """
     den = sc.den
     segments = {_canon_scaled(den, a, b) for a, b in raw}
-    seen: set[ScaledSegment] = set()
-    orbits = []
-    for key in sorted(segments):
-        if key in seen:
-            continue
-        # every element of G is a coset representative followed by a lattice
-        # translation, which leaves the canonical form unchanged
-        members = {_image(den, rot, t, key) for rot, t in sc.moves}
-        if not members <= segments:
-            raise InvariantViolation(
-                "a group element maps a singular segment outside the singular set"
-            )
-        seen |= members
-        orbits.append(sorted(members))
-    return orbits
+    first = _orbit_sweep(sorted(segments), lambda m, seg: _image(den, m[0], m[1], seg), sc.moves)
+    if not first.keys() <= segments:
+        raise InvariantViolation("a group element maps a singular segment outside the singular set")
+    orbits: dict[ScaledSegment, list[ScaledSegment]] = {}
+    for seg in sorted(first):
+        orbits.setdefault(first[seg], []).append(seg)
+    return list(orbits.values())
 
 
 @dataclass
@@ -515,7 +457,7 @@ class _SingularData:
 
     def _axis(self, e: IntVec, c1: int, c2: int, order: int) -> Axis:
         base = self.sc.to_frame(int_matvec(_axis_basis(e)[1], (0, c1, c2)))
-        d = primitive_integer(int_matvec(_integer_frame(self.sc.T0)[0], e))
+        d = primitive_integer(from_numerators(e, 1, self.sc.T0))
         return Axis(base=base, direction=d, order=order)
 
     axes = property(lambda self: [self._axis(*ax) for ax in self.axis_classes])
@@ -665,28 +607,27 @@ def _normalizer_solutions(name: str) -> tuple[tuple[IntMat, IntMat, IntVec, int]
 def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
     """The `_normalizer_solutions` as frame maps (S, t), sorted."""
     T0 = make_group(name).T0
-    return tuple(sorted((rows, _frame_point(T0, y, top)) for rows, _, y, top in _normalizer_solutions(name)))
+    return tuple(sorted((rows, from_numerators(y, top, T0)) for rows, _, y, top in _normalizer_solutions(name)))
 
 
 def marked_edges(G: SpaceGroup) -> list[SingularEdge]:
     """One representative per orbit class whose neighborhood boundary is S²(2,2,2,3).
 
     Orbits are classed up to conjugation: only the normalizer modulo G acts on
-    G-orbits, so the union runs over the transversal of _normalizer_maps.
+    G-orbits, through the transversal of _normalizer_maps.  That transversal
+    is the group N(G)/G, the identity among it, so one sweep over the orbit
+    ids in ascending order reaches each class first through its least id.
     """
     data = _singular_data(G.name)
     qualifying = [e.orbit_id for e in data.edges if e.link == _MARKED_LINK]
-    classes = _UnionFind(qualifying)
-    for rows, t in data.sc.normalizer:
-        for oid in qualifying:
-            other = data.orbit_of.get(_image(data.sc.den, rows, t, data.orbits[oid][0]))
-            if other is None or other not in classes:
-                raise InvariantViolation("normalizer map does not preserve the marked edges")
-            classes.union(oid, other)
-    reps = sorted(
-        (data.edges[min(ids)] for ids in classes.groups()),
-        key=lambda e: e.orbit_id,
-    )
+
+    def act(move, oid: int) -> int | None:
+        return data.orbit_of.get(_image(data.sc.den, move[0], move[1], data.orbits[oid][0]))
+
+    first = _orbit_sweep(qualifying, act, data.sc.normalizer)
+    if not first.keys() <= set(qualifying):
+        raise InvariantViolation("normalizer map does not preserve the marked edges")
+    reps = [data.edges[oid] for oid in sorted(set(first.values()))]
     if len(reps) != _EXPECTED_MARKED[G.name]:
         raise SignatureCountMismatch(
             f"{G.name}: found {len(reps)} marked edge classes, "
@@ -708,11 +649,11 @@ def edge_orbit_graph(G: SpaceGroup, e: SingularEdge, suppress: bool = True) -> P
     """
     data = _singular_data(G.name)
     den = data.sc.den
-    ends = [coords_in(p, G.T0) for p in e.segment]
+    ends = [coord_numerators(p, G.T0) for p in e.segment]
     oid = None
     # a point that den does not clear is on no singular segment
-    if not any(den % x.denominator for y in ends for x in y):
-        oid = data.orbit_of.get(_canon_scaled(den, *(numerators(y, den) for y in ends)))
+    if not any(den % d for _, d in ends):
+        oid = data.orbit_of.get(_canon_scaled(den, *(tuple(x * (den // d) for x in n) for n, d in ends)))
     if oid is None:
         raise ValueError("edge does not belong to this group's singular graph")
     cells: set[IntVec] = set()
@@ -786,16 +727,22 @@ def suppress_valence_two(g: PeriodicGraph) -> PeriodicGraph:
 # ============================================================
 
 
+def _adjacency(g: PeriodicGraph) -> list[list[tuple[int, IntVec]]]:
+    """The (neighbour, shift) pairs at each vertex, every edge (i, j, s) listed at i and as (i, −s) at j."""
+    adjacency: list[list[tuple[int, IntVec]]] = [[] for _ in g.vertices]
+    for i, j, s in g.edges:
+        adjacency[i].append((j, s))
+        adjacency[j].append((i, (-s[0], -s[1], -s[2])))
+    return adjacency
+
+
 @lru_cache(maxsize=128)
 def cycle_image_lattice(g: PeriodicGraph) -> SubgroupHNF:
     """Lattice generated by the net shifts of the graph's fundamental cycles, memoised per graph."""
     n = len(g.vertices)
     if n == 0:
         raise Disconnected("graph has no vertices")
-    adjacency: dict[int, list[tuple[int, IntVec]]] = {i: [] for i in range(n)}
-    for i, j, s in g.edges:
-        adjacency[i].append((j, s))
-        adjacency[j].append((i, (-s[0], -s[1], -s[2])))
+    adjacency = _adjacency(g)
     potential: dict[int, IntVec] = {0: (0, 0, 0)}
     stack = [0]
     while stack:
@@ -822,21 +769,24 @@ def lift_connected(g: PeriodicGraph, T: SubgroupHNF) -> bool:
 
 
 def lift_connected_bruteforce(g: PeriodicGraph, T: SubgroupHNF) -> bool:
-    """Union-find connectivity of one vertex copy per coset of T in T0."""
+    """A search of the lift: one copy (vertex, coset label) of each vertex per coset of T in T0.
+
+    The label is the coset's representative reduced by the HNF of T in
+    T0-coordinates; an edge (i, j, s) joins (i, x) to (j, x + s) and back.
+    """
     _check_sublattice(g, T)
     rel = relative_integer_basis(T, g.T0)
-    labels = [
-        (a, b, c)
-        for a in range(rel[0][0])
-        for b in range(rel[1][1])
-        for c in range(rel[2][2])
-    ]
-    classes = _UnionFind((v, lab) for v in range(len(g.vertices)) for lab in labels)
-    for i, j, s in g.edges:
-        for lab in labels:
-            shifted = hnf_reduce((lab[0] + s[0], lab[1] + s[1], lab[2] + s[2]), rel)
-            classes.union((i, lab), (j, shifted))
-    return len(classes.groups()) == 1
+    adjacency = _adjacency(g)
+    stack = [(0, (0, 0, 0))] if g.vertices else []
+    seen = set(stack)
+    while stack:
+        i, x = stack.pop()
+        for j, s in adjacency[i]:
+            nxt = (j, hnf_reduce((x[0] + s[0], x[1] + s[1], x[2] + s[2]), rel))
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return 0 < len(seen) == len(g.vertices) * rel[0][0] * rel[1][1] * rel[2][2]
 
 
 def lift_genus(g: PeriodicGraph, T: SubgroupHNF) -> int:

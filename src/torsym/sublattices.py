@@ -5,16 +5,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import RankDeficient, UnmatchedLattice
+from .errors import InvariantViolation, RankDeficient, UnmatchedLattice
 from .lattices import (
     Mat3,
     SubgroupHNF,
     _from_t0_hnf,
     basis_frame,
+    frame_coords_matrix,
     hnf,
     hnf_columns,
     int_matvec,
@@ -46,11 +47,11 @@ class LatticeFamily:
     def __post_init__(self) -> None:
         if self.tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {self.tag!r}")
-        if self.n < 1:
-            raise ValueError("family parameter n must be positive")
+        _check_index(self.n, "family parameter n")
         if self.tag in HEX_TAGS:
-            if self.m is None or self.m < 1:
+            if self.m is None:
                 raise ValueError("hexagonal families require a positive parameter m")
+            _check_index(self.m, "family parameter m")
         elif self.m is not None:
             raise ValueError("cubic families take a single parameter")
 
@@ -277,11 +278,13 @@ def _lines(basis: Sequence[tuple[int, ...]], p: int) -> list[tuple[int, ...]]:
 def _actions(coord_rots: tuple, M: tuple) -> tuple:
     """The rotations and their transposes as integer matrices in the basis of an invariant M.
 
-    They are H⁻¹·r·H = adj(H)·r·H / det H for H the basis.  Only T0 is met
-    again, once per prime, so a few recent lattices are kept.
+    They are H⁻¹·r·H for H the basis.  Only T0 is met again, once per
+    prime, so a few recent lattices are kept.
     """
-    h, adj, det = basis_frame(M)
-    acts = tuple(tuple(tuple(x // det for x in row) for row in matmul(matmul(adj, r), h)) for r in coord_rots)
+    frame = basis_frame(M)
+    acts = tuple(frame_coords_matrix(r, frame) for r in coord_rots)
+    if None in acts:
+        raise InvariantViolation("a lattice of the descent is not invariant")
     return acts, tuple(tuple(zip(*a)) for a in acts)
 
 
@@ -318,13 +321,6 @@ def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> frozenset:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
-def _invariant_primary(T0: SubgroupHNF, coord_rots: tuple, p: int, k: int) -> tuple:
-    out = [_from_t0_hnf(T0, M) for M in _invariant_p_power(coord_rots, p, k)]
-    out.sort(key=lambda L: (L.scale, L.basis))
-    return tuple(out)
-
-
 def _crt(r: int, m: int, s: int, n: int) -> int:
     """The x in [0, m·n) with x ≡ r (mod m) and x ≡ s (mod n), for coprime m and n."""
     return (r + m * ((s - r) * pow(m, -1, n) % n)) % (m * n)
@@ -355,20 +351,14 @@ def _check_index(d, name: str) -> None:
         raise ValueError(f"{name} must be a positive integer, got {d!r}")
 
 
-def _invariant_sublattices(T0: SubgroupHNF, coord_rots: tuple, d: int) -> list[SubgroupHNF]:
-    if d == 1:
-        return [T0]
-    factors = _prime_power_parts(d)
-    if len(factors) == 1:
-        return list(_invariant_primary(T0, coord_rots, *factors[0]))
-    out = []
-    for combo in product(*(_invariant_p_power(coord_rots, p, k) for p, k in factors)):
-        acc = combo[0]
-        for M in combo[1:]:
-            acc = _coprime_meet(acc, M)
-        out.append(_from_t0_hnf(T0, acc))
-    out.sort(key=lambda L: (L.scale, L.basis))
-    return out
+@lru_cache(maxsize=None)
+def _invariant_sublattices(T0: SubgroupHNF, coord_rots: tuple, d: int) -> tuple[SubgroupHNF, ...]:
+    """The meets of one invariant lattice per prime-power part of d (T0 for d = 1), sorted by (scale, basis)."""
+    parts = [_invariant_p_power(coord_rots, p, k) for p, k in _prime_power_parts(d)]
+    out = [_from_t0_hnf(T0, reduce(_coprime_meet, combo or (_Z3,))) for combo in product(*parts)]
+    # the scale is 1/D, so ascending scale is descending D
+    out.sort(key=lambda L: (-L.scale.denominator, L.basis))
+    return tuple(out)
 
 
 def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) -> list[SubgroupHNF]:
@@ -384,7 +374,7 @@ def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) ->
     _check_index(d, "index")
     if T0.rank != 3:
         raise RankDeficient("invariant_sublattices requires a rank-3 subgroup")
-    return _invariant_sublattices(T0, _coord_rotations(T0, tuple(tuple(map(tuple, r)) for r in rotations)), d)
+    return list(_invariant_sublattices(T0, _coord_rotations(T0, tuple(tuple(map(tuple, r)) for r in rotations)), d))
 
 
 # ============================================================
@@ -451,11 +441,7 @@ def match_family(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
 
 
 def _rotation_generators(G: SpaceGroup) -> tuple[Mat3, ...]:
-    seen = []
-    for g in G.generators:
-        if g.rot != _ROT_IDENTITY and g.rot not in seen:
-            seen.append(g.rot)
-    return tuple(seen)
+    return tuple(dict.fromkeys(g.rot for g in G.generators if g.rot != _ROT_IDENTITY))
 
 
 def normal_translation_subgroups(

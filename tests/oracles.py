@@ -19,6 +19,9 @@
   They check the package's one solve per conjugacy class, carried to the
   rest by the coset maps.  `germ_orbits` is the union-find over stabilizer
   and germ directions that the package's one sweep per orbit replaces.
+- `_UnionFind` holds disjoint sets.  Besides `germ_orbits`, the marked-edge
+  tests union every orbit with its normalizer images through it, against
+  the package's one sweep of the normalizer transversal.
 
 numpy is used only by the literal filter, so it is a test dependency only.
 """
@@ -51,7 +54,6 @@ from torsym.lattices import (
     matmul,
     matvec,
     member,
-    numerators,
     primitive_integer,
     relative_integer_basis,
     smith_form,
@@ -60,7 +62,7 @@ from torsym.lattices import (
     vneg,
     vsub,
 )
-from torsym.periodic_graphs import _axis_basis, _UnionFind
+from torsym.periodic_graphs import _axis_basis
 from torsym.spacegroups import (
     Axis,
     Isometry,
@@ -249,6 +251,11 @@ def _axis_base(T0: SubgroupHNF, n: Sequence[int], den: int, d: IntVec) -> IntVec
     return (w[0], w[1], w[2])
 
 
+def numerators(v: Sequence, den: int) -> IntVec:
+    """Integer numerators of a rational vector over den, which must clear its denominators."""
+    return tuple(x.numerator * (den // x.denominator) for x in v)  # type: ignore[return-value]
+
+
 # ============================================================
 # the singular set by one solve per coset
 # ============================================================
@@ -350,6 +357,35 @@ def rotation_direction(rot: tuple) -> IntVec:
     """Direction of the axis of a rotation, the null space of the rank-2 matrix R − I, by Smith form."""
     _, _, v = smith_form([[rot[i][j] - (i == j) for j in range(3)] for i in range(3)])
     return primitive_integer([row[2] for row in v])
+
+
+class _UnionFind:
+    """Disjoint sets over a fixed collection of hashable items, with path halving."""
+
+    def __init__(self, items) -> None:
+        self._parent = {x: x for x in items}
+
+    def __contains__(self, x) -> bool:
+        return x in self._parent
+
+    def find(self, x):
+        parent = self._parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self._parent[ra] = rb
+
+    def groups(self) -> list[list]:
+        """The classes, each listing its items in insertion order."""
+        out: dict = {}
+        for x in self._parent:
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
 
 
 def germ_orbits(rots: Sequence) -> tuple[tuple[frozenset[IntVec], int], ...]:

@@ -284,7 +284,7 @@ def test_acceptance_06_orbit_graph_connectivity_and_images():
 
 
 # ============================================================
-# 7. lift criterion against the union-find brute force
+# 7. lift criterion against the brute-force search over coset copies
 # ============================================================
 
 

@@ -212,6 +212,13 @@ def test_classify_rejects_bad_arguments():
         classify_case("P432", "alpha", 0)
 
 
+@pytest.mark.parametrize("max_index", ["5", 2.5, True, 0], ids=["str", "float", "bool", "zero"])
+def test_classify_checks_max_index_first(max_index):
+    # refused by name before any work, not by a comparison that a str cannot make
+    with pytest.raises(ValueError, match="max_index must be a positive integer"):
+        classify_case("P432", "alpha", max_index)
+
+
 def test_row_validation():
     row = classify_case("P432", "alpha", 1)[0]
     with pytest.raises(ValueError):

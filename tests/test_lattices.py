@@ -339,6 +339,31 @@ def test_coset_reps_errors():
         coset_reps(hnf([(1, 0, 0)]), T1)
 
 
+@given(
+    cols=st.lists(st.tuples(*[st.integers(-5, 5)] * 3), min_size=1, max_size=4),
+    den=st.integers(1, 6),
+    k=st.integers(-3, 3),
+)
+def test_equal_lattices_hash_equal(cols, den, k):
+    # the same lattice from two generating sets: the second adds k times the first column to the others
+    a = hnf([tuple(Fraction(x, den) for x in c) for c in cols])
+    shifted = [cols[0]] + [tuple(x + k * y for x, y in zip(c, cols[0])) for c in cols[1:]]
+    b = hnf([tuple(Fraction(x, den) for x in c) for c in shifted])
+    assert a == b and hash(a) == hash(b)
+    assert {a: "found"}[b] == "found"
+
+
+def test_subgroup_hash_does_not_hash_its_fraction_scale(monkeypatch):
+    # the lookups of the survey caches hash T0 on every call
+    lat = make_group("I4_132").T0
+
+    def refuse(self):
+        raise AssertionError("Fraction.__hash__ called")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    assert hash(lat) == hash(SubgroupHNF(lat.rank, lat.basis, Fraction(1, lat.scale.denominator)))
+
+
 def test_relative_integer_basis_and_reduction():
     rel = relative_integer_basis(T4, T1)
     assert len(rel) == 3

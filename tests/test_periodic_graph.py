@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torsym import periodic_graphs
+from torsym.classify import CASES, _case_graph
 from torsym.errors import Disconnected, NotASubgroup, SignatureCountMismatch
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
+    _from_t0_hnf,
     coords_in,
     coords_matrix,
     from_coords,
@@ -23,6 +25,7 @@ from torsym.lattices import (
     mat,
     mat_inv,
     matmul,
+    matvec,
     member,
     primitive_integer,
     vadd,
@@ -38,7 +41,9 @@ from torsym.periodic_graphs import (
     _fixed_points,
     _frame_symmetries,
     _germ_orbits,
+    _image,
     _normalizer_maps,
+    _normalizer_solutions,
     _singular_data,
     cycle_image_lattice,
     edge_orbit_graph,
@@ -65,6 +70,7 @@ from torsym.sublattices import instantiate, normal_translation_subgroups
 
 from oracles import (
     _axis_base,
+    _UnionFind,
     _plane_lattice,
     axis_classes,
     canon_segment,
@@ -483,6 +489,45 @@ def test_marked_edges_match_the_whole_grid_normalizer(name):
             )
         )
     assert [e.orbit_id for e in marked_edges(G)] == sorted(min(c) for c in classes)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_normalizer_transversal_is_closed_modulo_g(name):
+    # marked_edges sweeps each class once from its least orbit id, which needs the identity among
+    # the maps and every composite of two maps to be a listed map up to an element of G and of T0
+    cosets, cden = _coset_coords(name)
+    sc = _singular_data(name).sc
+    solved = [(s, y, top) for _, s, y, top in _normalizer_solutions(name)]
+    for raw in (solved, [(a, t, sc.den) for a, t in sc.normalizer]):
+        maps = [(a, tuple(Fraction(x, d) for x in t)) for a, t, d in raw]
+
+        def cls(a, t):
+            return a, tuple(x % 1 for x in t)
+
+        listed = {
+            cls(matmul(r, a), vadd(matvec(r, t), tuple(Fraction(x, cden) for x in tau)))
+            for a, t in maps
+            for r, tau in cosets
+        }
+        assert cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0)) in {cls(a, t) for a, t in maps}
+        for a1, t1 in maps:
+            for a2, t2 in maps:
+                assert cls(matmul(a1, a2), vadd(matvec(a1, t2), t1)) in listed
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_marked_edges_match_union_find_classes(name):
+    # the union over every normalizer map and every marked orbit, with the least id of each class
+    data = _singular_data(name)
+    marked = [e.orbit_id for e in data.edges if e.link == (2, 2, 2, 3)]
+    classes = _UnionFind(marked)
+    for a, t in data.sc.normalizer:
+        for oid in marked:
+            other = data.orbit_of[_image(data.sc.den, a, t, data.orbits[oid][0])]
+            assert other in classes
+            classes.union(oid, other)
+    expected = sorted(min(ids) for ids in classes.groups())
+    assert [e.orbit_id for e in marked_edges(make_group(name))] == expected
 
 
 def test_axis_orders_are_crystallographic():
@@ -939,6 +984,26 @@ def test_lift_agreement_on_random_sublattices(name, pivots, offs):
     for e in marked_edges(G):
         g = edge_orbit_graph(G, e)
         assert lift_connected(g, T) == lift_connected_bruteforce(g, T)
+
+
+@st.composite
+def t0_hnfs(draw, top=6):
+    """A canonical integer column HNF in T0-coordinates with pivots at most top."""
+    a, b, c = (draw(st.integers(1, top)) for _ in range(3))
+    x = draw(st.integers(0, b - 1))
+    y, z = (draw(st.integers(0, c - 1)) for _ in range(2))
+    return ((a, x, y), (0, b, z), (0, 0, c))
+
+
+@pytest.mark.parametrize("case", CASES, ids=["-".join(c) for c in CASES])
+@given(basis=t0_hnfs())
+def test_lift_routes_agree_on_random_t0_hnfs(case, basis):
+    # every full-rank sublattice of T0 with pivots ≤ 6, not only the family instances:
+    # the join criterion against the search over coset copies
+    g = _case_graph(*case)
+    T = _from_t0_hnf(g.T0, basis)
+    assert index(T, g.T0) == basis[0][0] * basis[1][1] * basis[2][2]
+    assert lift_connected(g, T) == lift_connected_bruteforce(g, T)
 
 
 def test_lift_genus_of_k4_at_index_one_is_three():

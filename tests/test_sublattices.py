@@ -92,15 +92,25 @@ def test_family_validation():
 
 
 @pytest.mark.parametrize(
-    "args",
-    [("CUBIC_BODY", 1, 7), ("CUBIC_PRIMITIVE", 0), ("CUBIC_PRIMITIVE", -2)],
-    ids=["cubic-with-m", "n-zero", "n-negative"],
+    "args, message",
+    [
+        (("CUBIC_BODY", 1, 7), "single parameter"),
+        (("CUBIC_PRIMITIVE", 0), "family parameter n"),
+        (("CUBIC_PRIMITIVE", -2), "family parameter n"),
+        # 2.5 would scale ℤ³ by a non-integer and True would pass as 1
+        (("CUBIC_PRIMITIVE", 2.5), "family parameter n"),
+        (("CUBIC_PRIMITIVE", True), "family parameter n"),
+        (("CUBIC_FACE", "3"), "family parameter n"),
+        (("HEX_ROT", 2, 1.5), "family parameter m"),
+        (("HEX_PRIMITIVE", 1, True), "family parameter m"),
+    ],
+    ids=["cubic-with-m", "n-zero", "n-negative", "n-float", "n-bool", "n-str", "m-float", "m-bool"],
 )
-def test_instantiate_rejects_what_the_family_rejects(args):
-    # the same rules as LatticeFamily: n ≥ 1, and m only for hexagonal tags
-    with pytest.raises(ValueError):
+def test_instantiate_rejects_what_the_family_rejects(args, message):
+    # the same rules as LatticeFamily: n ≥ 1 and m ≥ 1 are ints, and m only for hexagonal tags
+    with pytest.raises(ValueError, match=message):
         LatticeFamily(*args)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         instantiate(*args)
 
 
@@ -546,3 +556,19 @@ def test_survey_p622_small_indices():
 def test_survey_rejects_bad_max_index():
     with pytest.raises(ValueError):
         normal_translation_subgroups(make_group("P432"), 0)
+
+
+def test_index_one_is_t0_alone():
+    for name in GROUP_NAMES:
+        G = make_group(name)
+        assert invariant_sublattices(G.T0, _rotation_generators(G), 1) == [G.T0]
+    assert invariant_sublattices(Z3, CUBIC_ROTS, 1) == [Z3]
+
+
+def test_survey_answers_are_fresh_lists():
+    # the survey is cached per index, so a caller's edit must not reach the next answer
+    for d in (1, 4, 54):
+        first = invariant_sublattices(Z3, CUBIC_ROTS, d)
+        expected = list(first)
+        first.clear()
+        assert invariant_sublattices(Z3, CUBIC_ROTS, d) == expected != []
