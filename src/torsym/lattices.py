@@ -184,8 +184,13 @@ class SubgroupHNF:
         if math.gcd(scale.denominator, content) != 1:
             raise ValueError("scale 1/D must be minimal: D and the basis content must be coprime")
 
+    # the scale is always 1/D, so D stands for it without comparing or hashing a Fraction
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SubgroupHNF):
+            return NotImplemented
+        return (self.rank, self.basis, self.scale.denominator) == (other.rank, other.basis, other.scale.denominator)
+
     def __hash__(self) -> int:
-        # the scale is always 1/D, so D stands for it without hashing a Fraction
         return hash((self.basis, self.scale.denominator))
 
     def vectors(self) -> list[Vec3]:
@@ -427,7 +432,9 @@ def _from_t0_hnf(T0: SubgroupHNF, basis: Sequence[Sequence[int]]) -> SubgroupHNF
     rows and positive pivots.  Reducing each column by the later ones makes
     it an HNF; divided by g = gcd(q, its content), at scale g/q, it is canonical.
     """
-    h, _, _, q = _integer_frame(T0)
+    h, _, det, q = _integer_frame(T0)
+    if det == q == 1:  # unit pivots make T0's HNF the identity: T0 = ℤ³, and M is the answer
+        return SubgroupHNF(len(basis), tuple(map(tuple, basis)), _unit_fraction(1))
     cols = [int_matvec(h, col) for col in basis]
     cols = [hnf_reduce(col, cols[j + 1 :]) for j, col in enumerate(cols)]
     g = math.gcd(q, *(x for col in cols for x in col))

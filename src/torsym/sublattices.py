@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
+from operator import itemgetter
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, RankDeficient, UnmatchedLattice
@@ -15,6 +19,7 @@ from .lattices import (
     SubgroupHNF,
     _from_t0_hnf,
     basis_frame,
+    covolume,
     frame_coords_matrix,
     hnf,
     hnf_columns,
@@ -274,12 +279,13 @@ def _lines(basis: Sequence[tuple[int, ...]], p: int) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=None)
 def _actions(coord_rots: tuple, M: tuple) -> tuple:
     """The rotations and their transposes as integer matrices in the basis of an invariant M.
 
-    They are H⁻¹·r·H for H the basis.  Only T0 is met again, once per
-    prime, so a few recent lattices are kept.
+    They are H⁻¹·r·H for H the basis.  The descent asks for them when it
+    takes the planes of M and again for its lines, and for T0 at every
+    prime, so every lattice it descends from keeps them.
     """
     frame = basis_frame(M)
     acts = tuple(frame_coords_matrix(r, frame) for r in coord_rots)
@@ -288,37 +294,53 @@ def _actions(coord_rots: tuple, M: tuple) -> tuple:
     return acts, tuple(tuple(zip(*a)) for a in acts)
 
 
+def _preimage(M: tuple, s: Sequence[tuple[int, ...]], p: int) -> tuple:
+    """The column HNF of the preimage in M of the subspace of M/pM with basis s."""
+    h = tuple(zip(*M))  # columns are M's basis vectors
+    return hnf_columns([*(int_matvec(h, v) for v in s), *(tuple(p * x for x in col) for col in M)])
+
+
+@lru_cache(maxsize=None)
+def _invariant_planes(coord_rots: tuple, p: int, M: tuple) -> tuple[tuple, tuple]:
+    """(normals, lattices): the invariant sublattices of index p in an invariant M.
+
+    Each is the preimage of an invariant plane of M/pM, the annihilator of
+    the normal w, an invariant line of the transposed action.
+    """
+    dual_acts = _actions(coord_rots, M)[1]
+    normals = tuple(w for s in _common_eigenspaces(dual_acts, _splitting_order(coord_rots, p), p) for w in _lines(s, p))
+    return normals, tuple(_preimage(M, _plane(w, p), p) for w in normals)
+
+
 @lru_cache(maxsize=None)
 def _maximal_invariant(coord_rots: tuple, p: int, M: tuple) -> tuple:
-    """The maximal invariant sublattices N of an invariant M, each with [M:N].
+    """The maximal invariant sublattices N of an invariant M of index p² or p³, each with [M:N].
 
     M and every N are integer column HNF bases of lattices in T0-coordinates;
-    each N is the preimage in M of a maximal G-submodule of M/pM.
+    each N is the preimage in M of a maximal G-submodule of M/pM: an
+    invariant line in no invariant plane, or {0} when M/pM is simple.
     """
-    acts, dual_acts = _actions(coord_rots, M)
-    order = _splitting_order(coord_rots, p)
-    lines = [v for s in _common_eigenspaces(acts, order, p) for v in _lines(s, p)]
-    # an invariant plane is the annihilator of an invariant line of the transposed action
-    normals = [w for s in _common_eigenspaces(dual_acts, order, p) for w in _lines(s, p)]
-    subspaces = [_plane(w, p) for w in normals]
-    subspaces += [[v] for v in lines if all(sum(x * y for x, y in zip(w, v)) % p for w in normals)]
-    pm = tuple(tuple(p * x for x in col) for col in M)
-    if not subspaces:  # M/pM is simple: pM, already a column HNF, is the only maximal one
-        return ((pm, 3),)
-    h = tuple(zip(*M))  # columns are M's basis vectors
-    return tuple((hnf_columns([*(int_matvec(h, v) for v in s), *pm]), 3 - len(s)) for s in subspaces)
+    normals, planes = _invariant_planes(coord_rots, p, M)
+    lines = [v for s in _common_eigenspaces(_actions(coord_rots, M)[0], _splitting_order(coord_rots, p), p)
+             for v in _lines(s, p) if all(sum(x * y for x, y in zip(w, v)) % p for w in normals)]
+    if not planes and not lines:  # M/pM is simple: pM, already a column HNF, is the only maximal one
+        return ((tuple(tuple(p * x for x in col) for col in M), 3),)
+    return tuple((_preimage(M, [v], p), 2) for v in lines)
 
 
 @lru_cache(maxsize=None)
-def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> frozenset:
-    """All invariant sublattices of index p^k, as integer HNF bases in T0-coordinates."""
-    if k == 0:
-        return frozenset((_Z3,))
-    out = set()
-    for step in range(1, min(k, 3) + 1):
-        for M in _invariant_p_power(coord_rots, p, k - step):
+def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
+    """All invariant sublattices of index p^k ≥ p, as integer HNF bases in T0-coordinates.
+
+    The last step of a chain has index p, p² or p³; only p^k ≥ p² asks for
+    lines, so a prime with p² past the bound costs the planes of T0 alone.
+    """
+    below = [(_Z3,), *(_invariant_p_power(coord_rots, p, j) for j in range(1, k))]
+    out = {N for M in below[k - 1] for N in _invariant_planes(coord_rots, p, M)[1]}
+    for step in range(2, min(k, 3) + 1):
+        for M in below[k - step]:
             out.update(N for N, s in _maximal_invariant(coord_rots, p, M) if s == step)
-    return frozenset(out)
+    return tuple(out)  # most primes give none, and () is shared
 
 
 def _crt(r: int, m: int, s: int, n: int) -> int:
@@ -351,14 +373,13 @@ def _check_index(d, name: str) -> None:
         raise ValueError(f"{name} must be a positive integer, got {d!r}")
 
 
-@lru_cache(maxsize=None)
-def _invariant_sublattices(T0: SubgroupHNF, coord_rots: tuple, d: int) -> tuple[SubgroupHNF, ...]:
+def _invariant_sublattices(T0: SubgroupHNF, coord_rots: tuple, d: int) -> list[SubgroupHNF]:
     """The meets of one invariant lattice per prime-power part of d (T0 for d = 1), sorted by (scale, basis)."""
     parts = [_invariant_p_power(coord_rots, p, k) for p, k in _prime_power_parts(d)]
     out = [_from_t0_hnf(T0, reduce(_coprime_meet, combo or (_Z3,))) for combo in product(*parts)]
     # the scale is 1/D, so ascending scale is descending D
     out.sort(key=lambda L: (-L.scale.denominator, L.basis))
-    return tuple(out)
+    return out
 
 
 def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) -> list[SubgroupHNF]:
@@ -374,26 +395,12 @@ def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) ->
     _check_index(d, "index")
     if T0.rank != 3:
         raise RankDeficient("invariant_sublattices requires a rank-3 subgroup")
-    return list(_invariant_sublattices(T0, _coord_rotations(T0, tuple(tuple(map(tuple, r)) for r in rotations)), d))
+    return _invariant_sublattices(T0, _coord_rotations(T0, tuple(tuple(map(tuple, r)) for r in rotations)), d)
 
 
 # ============================================================
 # family matching
 # ============================================================
-
-
-def _exact_cbrt(n: int) -> int | None:
-    """The positive integer k with k³ = n, if there is one (exact at any size)."""
-    if n <= 0:
-        return None
-    lo, hi = 1, 1 << -(-n.bit_length() // 3)  # hi³ ≥ n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**3 < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**3 == n else None
 
 
 _UNIT_INSTANCES = {tag: instantiate(tag, 1, 1 if tag in HEX_TAGS else None) for tag in FAMILY_TAGS}
@@ -402,37 +409,28 @@ _UNIT_INSTANCES = {tag: instantiate(tag, 1, 1 if tag in HEX_TAGS else None) for 
 def match_family(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
     """The unique closed-form family instance equal to L, if one exists.
 
-    A cubic instance is n times the n = 1 instance.  A hexagonal instance is
-    n·P + ℤ·m·e₃, with P the planar part of the n = m = 1 instance.
+    Each n = 1 instance is B/u with B of content 1 and first pivot 1.  So a
+    cubic instance n·B/u has the canonical basis k·B at scale g/u, for
+    g = gcd(n, u) and k = n/g: k is L's first pivot and n = k·u/D.  A
+    hexagonal instance is n·P + ℤ·m·e₃, with P the planar part of B: n is
+    L's first pivot and m its third.
     """
     if L.rank != 3:
         raise RankDeficient("match_family requires a rank-3 subgroup")
-    D = L.scale.denominator
-    vol = L.basis[0][0] * L.basis[1][1] * L.basis[2][2]  # the covolume times D³
+    D, k = L.scale.denominator, L.basis[0][0]
     if frame.name == "CUBIC":
-        # n³ is the covolume times 1, 1/2 or 2.  Each n = 1 instance is B/u with B of
-        # content 1, so n·B/u has the canonical basis (n/g)·B at scale g/u, g = gcd(n, u).
-        for tag, num, den in (("CUBIC_PRIMITIVE", 1, 1), ("CUBIC_FACE", 1, 2), ("CUBIC_BODY", 2, 1)):
-            cube, r = divmod(num * vol, den * D**3)
-            n = None if r else _exact_cbrt(cube)
+        for tag in CUBIC_TAGS:
             unit = _UNIT_INSTANCES[tag]
             u = unit.scale.denominator
-            if n is not None and D * math.gcd(n, u) == u and L.basis == tuple(
-                tuple(n // (u // D) * x for x in col) for col in unit.basis
-            ):
+            n = k * u // D
+            if D * math.gcd(n, u) == u and L.basis == tuple(tuple(k * x for x in col) for col in unit.basis):
                 return LatticeFamily(tag, n)
     elif D == 1:
-        # both hexagonal families are integer lattices that meet the vertical axis
-        # in m·ℤ·e₃, the third HNF pivot, with covolume n²·m (HEX_PRIMITIVE) or 3·n²·m (HEX_ROT)
-        m = L.basis[2][2]
-        for tag, k in (("HEX_PRIMITIVE", 1), ("HEX_ROT", 3)):
-            if vol % (k * m):
-                continue
-            n = math.isqrt(vol // (k * m))
-            planar = tuple(tuple(n * x for x in col) for col in _UNIT_INSTANCES[tag].basis[:2])
-            if n * n * m * k == vol and L.basis == (*planar, (0, 0, m)):
-                return LatticeFamily(tag, n, m)
-    raise UnmatchedLattice(f"no closed-form family matches covolume {Fraction(vol, D**3)}")
+        # both hexagonal families are integer lattices
+        for tag in HEX_TAGS:
+            if L.basis[:2] == tuple(tuple(k * x for x in col) for col in _UNIT_INSTANCES[tag].basis[:2]):
+                return LatticeFamily(tag, k, L.basis[2][2])
+    raise UnmatchedLattice(f"no closed-form family matches covolume {covolume(L)}")
 
 
 # ============================================================
@@ -444,18 +442,32 @@ def _rotation_generators(G: SpaceGroup) -> tuple[Mat3, ...]:
     return tuple(dict.fromkeys(g.rot for g in G.generators if g.rot != _ROT_IDENTITY))
 
 
+@lru_cache(maxsize=None)
+def _survey(T0: SubgroupHNF, coord_rots: tuple, frame_name: str) -> SimpleNamespace:
+    """The stored survey of T0 under one set of rotations, in one frame, grown on demand.
+
+    `rows` holds (L, family, index in T0) for every index up to `bound`,
+    in the order `normal_translation_subgroups` returns them; an index with
+    no lattice leaves nothing.  `match_family` reads only the frame's name.
+    """
+    return SimpleNamespace(bound=0, rows=[], lock=threading.Lock())
+
+
 def normal_translation_subgroups(
     G: SpaceGroup, max_index: int
 ) -> list[tuple[SubgroupHNF, LatticeFamily, int]]:
     """All invariant sublattices of T0 up to max_index, with family and total index.
 
     The total index is the index in the full space group: point order times
-    the lattice index inside T0.
+    the lattice index inside T0.  Each index is surveyed once, into the
+    stored survey of (T0, rotations, frame), and the answer is its first rows.
     """
     _check_index(max_index, "max_index")
     coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
-    out = []
-    for d in range(1, max_index + 1):
-        for L in _invariant_sublattices(G.T0, coord_rots, d):
-            out.append((L, match_family(L, G.frame), G.point_order * d))
-    return out
+    survey = _survey(G.T0, coord_rots, G.frame.name)
+    with survey.lock:  # a second caller must not append the same index again
+        for d in range(survey.bound + 1, max_index + 1):
+            survey.rows += [(L, match_family(L, G.frame), d) for L in _invariant_sublattices(G.T0, coord_rots, d)]
+            survey.bound = d
+    end = bisect_right(survey.rows, max_index, key=itemgetter(2))
+    return [(L, fam, G.point_order * d) for L, fam, d in survey.rows[:end]]

@@ -8,7 +8,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
+from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
@@ -18,13 +20,16 @@ from hypothesis import assume, example, given, strategies as st
 from torsym.errors import NotASubgroup, RankDeficient, UnmatchedLattice
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
+    SubgroupHNF,
     _from_t0_coords,
+    _from_t0_hnf,
     covolume,
     from_coords,
     hnf,
     hnf_columns,
     index,
     is_subgroup,
+    relative_integer_basis,
 )
 from torsym.spacegroups import (
     CUBIC_FRAME,
@@ -39,14 +44,16 @@ from torsym.spacegroups import (
     make_group,
 )
 import torsym
-from torsym import cli
+from torsym import cli, sublattices
 from torsym.sublattices import (
     CUBIC_TAGS,
     HEX_TAGS,
     LatticeFamily,
+    _coord_rotations,
     _coprime_meet,
     _prime_power_parts,
     _rotation_generators,
+    _survey,
     instantiate,
     invariant_sublattices,
     match_family,
@@ -566,9 +573,115 @@ def test_index_one_is_t0_alone():
 
 
 def test_survey_answers_are_fresh_lists():
-    # the survey is cached per index, so a caller's edit must not reach the next answer
+    # the survey and the descent are cached, so a caller's edit must not reach the next answer
     for d in (1, 4, 54):
         first = invariant_sublattices(Z3, CUBIC_ROTS, d)
         expected = list(first)
         first.clear()
         assert invariant_sublattices(Z3, CUBIC_ROTS, d) == expected != []
+    G = make_group("P432")
+    first = normal_translation_subgroups(G, 54)
+    expected = list(first)
+    first.clear()
+    assert normal_translation_subgroups(G, 54) == expected != []
+
+
+def _clear_survey_caches():
+    for f in vars(sublattices).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+
+def _stored_rows(G):
+    return _survey(G.T0, _coord_rotations(G.T0, _rotation_generators(G)), G.frame.name).rows
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_growing_survey_gives_every_bound_the_same_rows(name):
+    # the stored survey grows to the largest bound asked; a smaller bound reads its first rows
+    G = make_group(name)
+    runs = []
+    for bounds in ((1, 37, 256), (256, 37, 1)):
+        _clear_survey_caches()
+        runs.append({b: normal_translation_subgroups(G, b) for b in bounds})
+        # one stored row per lattice found, none for an index without one
+        assert len(_stored_rows(G)) == len(runs[-1][256])
+    assert runs[0] == runs[1]
+    answers = runs[0]
+    for a, b in ((1, 37), (1, 256), (37, 256)):
+        head = [row for row in answers[b] if row[2] <= G.point_order * a]
+        assert answers[a] == head == answers[b][: len(head)]
+
+
+def test_growing_survey_under_concurrent_callers():
+    # more threads than cores grow one stored survey at once; a lost or doubled update
+    # would leave a row count or an answer that differs from the one-thread survey
+    G = make_group("P622")
+    expected = {b: normal_translation_subgroups(G, b) for b in (16, 48, 96, 128)}
+    _clear_survey_caches()
+    answers, errors = [], []
+
+    def ask(bounds):
+        try:
+            answers.extend((b, normal_translation_subgroups(G, b)) for b in bounds)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(order,)) for order in permutations((16, 48, 96, 128), 4)][:6]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert len(answers) == 24 and all(rows == expected[b] for b, rows in answers)
+    assert len(_stored_rows(G)) == len(expected[128])
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_survey_matches_the_per_index_route(name):
+    G = make_group(name)
+    _clear_survey_caches()
+    rows = normal_translation_subgroups(G, 64)
+    assert rows == [
+        (L, match_family(L, G.frame), G.point_order * d)
+        for d in range(1, 65)
+        for L in invariant_sublattices(G.T0, _rotation_generators(G), d)
+    ]
+
+
+def test_lattice_equality_across_constructions():
+    # hnf, instantiate and _from_t0_hnf give equal records for equal lattices, unequal otherwise
+    for name in GROUP_NAMES:
+        G = make_group(name)
+        rows = normal_translation_subgroups(G, 64)
+        for L, fam, _ in rows:
+            built = (
+                hnf(L.vectors()),
+                fam.instantiate(),
+                _from_t0_hnf(G.T0, relative_integer_basis(L, G.T0)),
+                SubgroupHNF(3, L.basis, Fraction(1, L.scale.denominator)),
+            )
+            assert all(M == L and hash(M) == hash(L) for M in built)
+        lattices = [L for L, _, _ in rows]
+        assert all(a != b for i, a in enumerate(lattices) for b in lattices[:i])
+    # the same basis at another scale, and another basis at the same scale
+    body = instantiate("CUBIC_BODY", 1)
+    assert SubgroupHNF(3, body.basis, Fraction(1)) != body
+    assert instantiate("CUBIC_BODY", 3) != instantiate("CUBIC_PRIMITIVE", 3)
+    assert body != body.basis
+
+
+def test_warm_survey_compares_no_fraction(monkeypatch):
+    # P432 and P4_232 share T0 and their rotations, so a warm lookup compares two equal T0
+    groups = [make_group(name) for name in GROUP_NAMES]
+    cold = [normal_translation_subgroups(G, 256) for G in groups]
+    calls = []
+    eq = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda a, b: calls.append((a, b)) or eq(a, b))
+    assert [normal_translation_subgroups(G, 256) for G in groups] == cold
+    assert calls == []
