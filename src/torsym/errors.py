@@ -21,10 +21,6 @@ class UnknownGroup(TorsymError):
     """Requested space group name is not one of the six supported ones."""
 
 
-class FrameMismatch(TorsymError):
-    """Isometries from different coordinate frames were combined."""
-
-
 class ClosureOverflow(TorsymError):
     """Coset closure found more cosets than its hard cap allows."""
 

@@ -22,6 +22,8 @@ Mat3 = tuple[tuple[Fraction, ...], ...]
 IntVec = tuple[int, int, int]
 IntMat = tuple[tuple[int, ...], ...]
 
+IDENTITY: IntMat = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
 # ============================================================
 # rational vectors and matrices (row-major storage; for linear
 # maps the columns are the images of the basis vectors)
@@ -36,10 +38,6 @@ def vadd(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def vsub(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
 def vneg(a: Vec3) -> Vec3:
     return (-a[0], -a[1], -a[2])
 
@@ -51,10 +49,6 @@ def vscale(c, a: Vec3) -> Vec3:
 
 def mat(rows: Sequence[Sequence]) -> Mat3:
     return tuple(tuple(Fraction(e) for e in row) for row in rows)
-
-
-def matvec(m: Mat3, v: Sequence) -> Vec3:
-    return tuple(sum(m[i][j] * Fraction(v[j]) for j in range(3)) for i in range(3))  # type: ignore[return-value]
 
 
 def _over_common_denominator(v: Sequence) -> tuple[tuple[int, ...], int]:
@@ -74,16 +68,6 @@ def int_matvec(m: Sequence[Sequence[int]], x: Sequence[int]) -> tuple[int, int, 
         m[1][0] * x0 + m[1][1] * x1 + m[1][2] * x2,
         m[2][0] * x0 + m[2][1] * x1 + m[2][2] * x2,
     )
-
-
-def int_affine(m: Sequence[Sequence[int]], v: Sequence, t: Sequence = (0, 0, 0)) -> Vec3:
-    """m·v + t for an integer matrix m and rational vectors v, t, over one common denominator."""
-    vn, vd = _over_common_denominator(v)
-    tn, td = _over_common_denominator(t)
-    d = math.lcm(vd, td)
-    fv, ft = d // vd, d // td
-    mv = int_matvec(m, vn)
-    return tuple(Fraction(mv[i] * fv + tn[i] * ft, d) for i in range(3))  # type: ignore[return-value]
 
 
 def matmul(a: Mat3, b: Mat3) -> Mat3:

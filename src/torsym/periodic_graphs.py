@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .errors import Disconnected, InvariantViolation, NotASubgroup, SignatureCountMismatch
 from .lattices import (
+    IDENTITY,
     SubgroupHNF,
     Vec3,
     _from_t0_coords,
@@ -41,6 +42,8 @@ from .lattices import (
 from .spacegroups import (
     Axis,
     SpaceGroup,
+    coset_maps,
+    fixing_cosets,
     frame_gram_int,
     is_pure_translation,
     make_group,
@@ -56,9 +59,6 @@ ScaledAxis = tuple[IntVec, int, int, int]  # direction, class (c₁, c₂), rota
 # solved fixed points y/top in the basis of T0 (see _fixed_points)
 Lines = list[tuple[IntVec, list[IntVec], int]]
 Corners = list[tuple[list[IntVec], int]]
-
-_IDENTITY: IntMat = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
 
 # ============================================================
 # shift-labeled periodic graphs
@@ -142,18 +142,6 @@ class SingularEdge:
 # ============================================================
 
 
-@lru_cache(maxsize=None)
-def _coset_coords(name: str) -> tuple[tuple[tuple[IntMat, IntVec], ...], int]:
-    """The cosets (R, t) as (B⁻¹RB, B⁻¹t) in the basis B of T0, B⁻¹t as numerators over the returned den.
-
-    den is the least common denominator of every B⁻¹t.
-    """
-    G = make_group(name)
-    coords = [(invariant_coords_matrix(c.rot, G.T0), *coord_numerators(c.trans, G.T0)) for c in G.cosets]
-    den = math.lcm(*(d for _, _, d in coords))
-    return tuple((a, tuple(v * (den // d) for v in x)) for a, x, d in coords), den
-
-
 def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
     """Rotation axes and vertices modulo T0, as points y/top in the basis of T0, one solve per class.
 
@@ -184,7 +172,7 @@ def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
     half-turns about non-parallel axes, and it is an image of a common fixed
     point of the first pair in their class.
     """
-    cosets, den = _coset_coords(G.name)
+    cosets, den = coset_maps(G)
     keyed: dict[tuple[IntVec, int], tuple[IntMat, IntVec]] = {}
     for rot, tau in cosets:
         order = rotation_order(rot)
@@ -236,7 +224,7 @@ class _Scaled:
 
     def __init__(self, G: SpaceGroup, tops: Sequence[int]) -> None:
         maps = _normalizer_solutions(G.name)
-        cosets, cden = _coset_coords(G.name)
+        cosets, cden = coset_maps(G)
         self.T0 = G.T0
         self.den = math.lcm(*tops, cden, *(top // math.gcd(top, *y) for _, _, y, top in maps))
         self.moves = [(a, tuple(x * (self.den // cden) for x in t)) for a, t in cosets]
@@ -248,8 +236,7 @@ class _Scaled:
 
     def stabilizer(self, n: IntVec) -> list[IntMat]:
         """Rotation parts of the cosets with an element fixing the point n."""
-        den = self.den
-        return [a for a, t in self.moves if not any((x + s - m) % den for x, s, m in zip(int_matvec(a, n), t, n))]
+        return [self.moves[k][0] for k in fixing_cosets(self.moves, self.den, n)]
 
 
 @lru_cache(maxsize=None)
@@ -358,7 +345,7 @@ def _germ_orbits(rots: Sequence[IntMat]) -> tuple[tuple[frozenset[IntVec], int],
     """
     by_dir = Counter(_rotation_direction(rot) for rot in rots)
     index_of = {u: count + 1 for d, count in by_dir.items() for u in (d, vneg(d))}
-    first = _orbit_sweep(index_of, int_matvec, (_IDENTITY, *rots))
+    first = _orbit_sweep(index_of, int_matvec, (IDENTITY, *rots))
     if not first.keys() <= index_of.keys():
         raise InvariantViolation("stabilizer does not permute the germ directions")
     if any(index_of[u] != index_of[x] for u, x in first.items()):
@@ -485,7 +472,7 @@ def _singular_data(name: str) -> _SingularData:
     def germs(p: IntVec):
         rep = (p[0] % sc.den, p[1] % sc.den, p[2] % sc.den)
         if rep not in memo:
-            memo[rep] = _germ_orbits([r for r in sc.stabilizer(rep) if r != _IDENTITY])
+            memo[rep] = _germ_orbits([r for r in sc.stabilizer(rep) if r != IDENTITY])
         return memo[rep]
 
     orbits = _segment_orbits(sc, raw)
@@ -566,16 +553,16 @@ def _normalizer_solutions(name: str) -> tuple[tuple[IntMat, IntMat, IntVec, int]
     over the generators in T0-coordinates, these congruences have full rank
     and their Smith form lists the finitely many t modulo T0.  τ is taken
     from the generator's coset: that moves Sτ by S·T0 = T0, and the right-hand
-    sides stay integer numerators over the den of `_coset_coords`.
+    sides stay integer numerators over the den of `coset_maps`.
     """
     G = make_group(name)
     T0 = G.T0
-    cosets, den = _coset_coords(name)
+    cosets, den = coset_maps(G)
     coset_of = dict(cosets)
     gens = [invariant_coords_matrix(g.rot, T0) for g in G.generators if not is_pure_translation(g)]
     covered: set[IntMat] = set()
     out = []
-    for rows in sorted(_frame_symmetries(G.frame), key=lambda m: m != _IDENTITY):
+    for rows in sorted(_frame_symmetries(G.frame), key=lambda m: m != IDENTITY):
         if rows in covered:
             continue
         covered.update(matmul(c.rot, rows) for c in G.cosets)
@@ -604,17 +591,11 @@ def _normalizer_solutions(name: str) -> tuple[tuple[IntMat, IntMat, IntVec, int]
     return tuple(sorted(out))
 
 
-def _normalizer_maps(name: str) -> tuple[tuple[IntMat, Vec3], ...]:
-    """The `_normalizer_solutions` as frame maps (S, t), sorted."""
-    T0 = make_group(name).T0
-    return tuple(sorted((rows, from_numerators(y, top, T0)) for rows, _, y, top in _normalizer_solutions(name)))
-
-
 def marked_edges(G: SpaceGroup) -> list[SingularEdge]:
     """One representative per orbit class whose neighborhood boundary is S²(2,2,2,3).
 
     Orbits are classed up to conjugation: only the normalizer modulo G acts on
-    G-orbits, through the transversal of _normalizer_maps.  That transversal
+    G-orbits, through the transversal of `_normalizer_solutions`.  That transversal
     is the group N(G)/G, the identity among it, so one sweep over the orbit
     ids in ascending order reaches each class first through its least id.
     """

@@ -1,5 +1,6 @@
-"""Exact affine isometries in lattice coordinates and six cubic/hexagonal
-space-group presentations, with coset closure and point stabilizers.
+"""Isometry records in frame coordinates and six cubic/hexagonal space-group
+presentations, with coset closure into integer coset maps in the coordinates
+of the translation lattice, and point stabilizers read off those maps.
 
 Hexagonal arithmetic uses the oblique basis (first two basis vectors at 120°,
 unit length, third orthogonal) so every rotation matrix stays integral and
@@ -14,26 +15,29 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import ClosureOverflow, FrameMismatch, UnknownGroup
+from .errors import ClosureOverflow, InvariantViolation, UnknownGroup
 from .lattices import (
+    IDENTITY,
+    IntMat,
+    IntVec,
     SubgroupHNF,
     Vec3,
+    basis_frame,
+    coord_numerators,
+    frame_coords_matrix,
     hnf,
     hnf_columns,
     hnf_reduce,
-    int_affine,
     int_matvec,
     mat,
     mat_det,
-    mat_inv,
     matmul,
-    matvec,
-    member,
     vadd,
     vec,
-    vneg,
-    vsub,
 )
+
+# the cosets (R, t) of a group as maps y ↦ A·y + τ in the basis of T0, and the den of every τ (see coset_maps)
+CosetMaps = tuple[tuple[tuple[IntMat, IntVec], ...], int]
 
 # ============================================================
 # frames
@@ -76,8 +80,11 @@ class Isometry:
 
     def __post_init__(self) -> None:
         rot = tuple(tuple(int(e) for e in row) for row in self.rot)
+        trans = tuple(Fraction(t) for t in self.trans)
+        if len(rot) != 3 or any(len(row) != 3 for row in rot) or len(trans) != 3:
+            raise ValueError("an isometry needs a 3×3 rotation part and a 3-entry translation")
         object.__setattr__(self, "rot", rot)
-        object.__setattr__(self, "trans", tuple(Fraction(t) for t in self.trans))
+        object.__setattr__(self, "trans", trans)
         problem = _rotation_problem(self.frame, rot)
         if problem is not None:
             raise ValueError(problem)
@@ -108,48 +115,19 @@ def preserves_metric(m: Sequence[Sequence[int]], gram: tuple[tuple[int, ...], ..
     return matmul(matmul(tuple(zip(*m)), gram), m) == gram
 
 
-_IDENTITY_ROT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def identity(frame: Frame) -> Isometry:
-    return Isometry(frame, _IDENTITY_ROT, vec(0, 0, 0))
-
-
 def translation(frame: Frame, v: Sequence) -> Isometry:
-    return Isometry(frame, _IDENTITY_ROT, vec(*v))
+    return Isometry(frame, IDENTITY, vec(*v))
 
 
 def is_pure_translation(g: Isometry) -> bool:
-    return g.rot == _IDENTITY_ROT
-
-
-def compose(g: Isometry, h: Isometry) -> Isometry:
-    """The map p ↦ g(h(p))."""
-    if g.frame != h.frame:
-        raise FrameMismatch("cannot compose isometries from different frames")
-    return Isometry(g.frame, matmul(g.rot, h.rot), int_affine(g.rot, h.trans, g.trans))
-
-
-def inverse(g: Isometry) -> Isometry:
-    inv = mat_inv(mat(g.rot))
-    rot = tuple(tuple(int(e) for e in row) for row in inv)
-    return Isometry(g.frame, rot, vneg(matvec(inv, g.trans)))
-
-
-def apply(g: Isometry, p: Sequence) -> Vec3:
-    return int_affine(g.rot, p, g.trans)
-
-
-def conjugate_translation(g: Isometry, u: Sequence) -> Vec3:
-    """Translation vector of g⁻¹·t_u·g, namely rot(g)⁻¹·u; independent of trans(g)."""
-    return matvec(mat_inv(mat(g.rot)), tuple(Fraction(x) for x in u))
+    return g.rot == IDENTITY
 
 
 def rotation_order(rot: Sequence[Sequence[int]]) -> int:
     m = tuple(tuple(int(e) for e in row) for row in rot)
     p = m
     for k in range(1, 7):
-        if p == _IDENTITY_ROT:
+        if p == IDENTITY:
             return k
         p = matmul(p, m)
     raise ValueError("rotation order exceeds 6; not a crystallographic rotation")
@@ -245,20 +223,21 @@ _ALIASES = {name.lower().replace("_", ""): name for name in GROUP_NAMES}
 
 
 def canonical_group_name(name: str) -> str:
-    key = name.lower().replace("_", "")
+    key = name.lower().replace("_", "") if isinstance(name, str) else None
     if key not in _ALIASES:
         raise UnknownGroup(f"unknown group {name!r}; expected one of {', '.join(GROUP_NAMES)}")
     return _ALIASES[key]
 
 
-def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isometry], SubgroupHNF]:
-    """Coset representatives and translation lattice T0 of the group the isometries generate.
+def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isometry], SubgroupHNF, CosetMaps]:
+    """Coset representatives, translation lattice T0 and coset maps of the group the isometries generate.
 
-    Returns (cosets, T0): one representative per rotation, its translation
-    reduced into the fundamental cell of T0 by pivot-ordered triangular
-    reduction, sorted by (rot, trans).  The pure translations among the
-    generators seed the lattice and must span rank 3; translation
-    discrepancies enlarge it.  More than `cap` cosets raises ClosureOverflow.
+    Returns (cosets, T0, maps): one representative per rotation, its
+    translation reduced into the fundamental cell of T0 by pivot-ordered
+    triangular reduction, sorted by rotation, and the same cosets as the
+    `coset_maps` of the group.  The pure translations among the generators
+    seed the lattice and must span rank 3; translation discrepancies enlarge
+    it.  More than `cap` cosets raises ClosureOverflow.
 
     One breadth-first pass multiplies each representative, as it is found, by
     each generator once.  The reached rotations are closed under right
@@ -273,19 +252,19 @@ def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isomet
 
     All arithmetic happens on integer vectors scaled by the common denominator
     of every generator translation; composition cannot introduce new
-    denominators, so this is exact.
+    denominators, so this is exact.  The columns M of T0's HNF basis scaled
+    by that denominator give the maps in T0-coordinates without it:
+    B⁻¹RB = M⁻¹RM and B⁻¹t = M⁻¹·n for a representative's numerators n, with
+    M⁻¹ = adj(M)/det M.
     """
-    seed = hnf([g.trans for g in generators if is_pure_translation(g)])
-    if seed.rank != 3:
-        raise ValueError("generators must include a full-rank translation lattice")
     d_all = math.lcm(*(t.denominator for g in generators for t in g.trans))
-    # seed.scale is 1/D with D | d_all, as D clears the seed's generators
-    k = d_all // seed.scale.denominator
-    mcols = [tuple(e * k for e in col) for col in seed.basis]
+    raw = [(g.rot, tuple(t.numerator * (d_all // t.denominator) for t in g.trans)) for g in generators]
+    mcols = hnf_columns([trans for rot, trans in raw if rot == IDENTITY])
+    if len(mcols) != 3:
+        raise ValueError("generators must include a full-rank translation lattice")
 
-    reps: dict[tuple, tuple[int, int, int]] = {_IDENTITY_ROT: (0, 0, 0)}
-    found = [_IDENTITY_ROT]
-    raw = [(g.rot, tuple(int(t * d_all) for t in g.trans)) for g in generators]
+    reps: dict[tuple, tuple[int, int, int]] = {IDENTITY: (0, 0, 0)}
+    found = [IDENTITY]
 
     def merge(rot, trans) -> None:
         nonlocal mcols
@@ -308,27 +287,44 @@ def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isomet
         for rot_b, trans_b in raw:
             ta, tb = reps[rot_a], int_matvec(rot_a, trans_b)
             merge(matmul(rot_a, rot_b), (ta[0] + tb[0], ta[1] + tb[1], ta[2] + tb[2]))
+    rots = sorted(reps)
+    m_frame = basis_frame(mcols)
+    coords = [frame_coords_matrix(rot, m_frame) for rot in rots]
+    if None in coords:
+        raise InvariantViolation("a coset rotation does not preserve the translation lattice")
+    _, adj, det = m_frame
+    taus = [int_matvec(adj, reps[rot]) for rot in rots]
+    g = math.gcd(det, *(x for tau in taus for x in tau))
+    maps = tuple((a, (t0 // g, t1 // g, t2 // g)) for a, (t0, t1, t2) in zip(coords, taus))
+    # the output records: T0 and the frame cosets, in rationals
     lattice = hnf([vec(*(Fraction(e, d_all) for e in col)) for col in mcols])
     frame = generators[0].frame
-    cosets = [
-        Isometry(frame, rot, vec(*(Fraction(t, d_all) for t in trans))) for rot, trans in reps.items()
-    ]
-    cosets.sort(key=lambda g: (g.rot, g.trans))
-    return cosets, lattice
+    cosets = [Isometry(frame, rot, vec(*(Fraction(t, d_all) for t in reps[rot]))) for rot in rots]
+    return cosets, lattice, (maps, det // g)
 
 
 def make_group(name: str) -> SpaceGroup:
     """Build one of the six space groups from its embedded presentation."""
-    return _make_group(canonical_group_name(name))
+    return _make_group(canonical_group_name(name))[0]
+
+
+def coset_maps(G: SpaceGroup) -> CosetMaps:
+    """The cosets (R, t) of G, in the order of G.cosets, as maps y ↦ A·y + τ in the basis B of T0.
+
+    Returns ((A, τ), …) and den: A = B⁻¹RB and τ the integer numerators of
+    B⁻¹t over den, the least common denominator of every B⁻¹t.  They are
+    built once per group by `_closure`.
+    """
+    return _make_group(G.name)[1]
 
 
 @lru_cache(maxsize=None)
-def _make_group(name: str) -> SpaceGroup:
+def _make_group(name: str) -> tuple[SpaceGroup, CosetMaps]:
     frame, lat_gens, rot_gens = _PRESENTATIONS[name]
     gens = [translation(frame, v) for v in lat_gens]
     gens += [Isometry(frame, rot, vec(*t)) for rot, t in rot_gens]
-    cosets, T0 = _closure(gens)
-    return SpaceGroup(
+    cosets, T0, maps = _closure(gens)
+    group = SpaceGroup(
         name=name,
         frame=frame,
         generators=tuple(gens),
@@ -336,16 +332,7 @@ def _make_group(name: str) -> SpaceGroup:
         point_order=len(cosets),
         cosets=tuple(cosets),
     )
-
-
-def contains(G: SpaceGroup, g: Isometry) -> bool:
-    """True iff the isometry belongs to the group."""
-    if g.frame != G.frame:
-        raise FrameMismatch("isometry frame does not match the group frame")
-    for c in G.cosets:
-        if c.rot == g.rot:
-            return member(vsub(g.trans, c.trans), G.T0)
-    return False
+    return group, maps
 
 
 # ============================================================
@@ -362,19 +349,34 @@ class Axis:
     order: int
 
 
-def stabilizer_cosets(p: Sequence, G: SpaceGroup) -> list[Isometry]:
-    """The coset representatives (R, t) whose coset has an element fixing p: R·p + t − p ∈ T0."""
-    return [c for c in G.cosets if member(vsub(apply(c, p), p), G.T0)]
+def fixing_cosets(maps: Sequence[tuple[IntMat, IntVec]], den: int, n: IntVec) -> list[int]:
+    """Positions of the coset maps y ↦ A·y + τ with an element fixing the point y = n/den.
 
-
-def stabilizer(p: Sequence, G: SpaceGroup) -> list[Isometry]:
-    """All group elements fixing the point p (one per coset at most)."""
-    p = tuple(Fraction(x) for x in p)
+    n and every τ are integer numerators over den in T0-coordinates, where
+    the lattice is ℤ³, so the test is A·n + τ ≡ n (mod den).
+    """
     return [
-        Isometry(G.frame, c.rot, vadd(c.trans, vsub(p, apply(c, p))))
-        for c in stabilizer_cosets(p, G)
+        k
+        for k, (a, t) in enumerate(maps)
+        if not any((x + s - m) % den for x, s, m in zip(int_matvec(a, n), t, n))
     ]
 
 
+def _fixing_cosets_of_point(p: Sequence, G: SpaceGroup) -> list[int]:
+    """`fixing_cosets` of the frame point p, with p's T0-coordinates and the coset maps over one den."""
+    maps, den = coset_maps(G)
+    n, d = coord_numerators(p, G.T0)
+    top = math.lcm(d, den)
+    scaled = [(a, tuple(x * (top // den) for x in t)) for a, t in maps]
+    return fixing_cosets(scaled, top, tuple(x * (top // d) for x in n))
+
+
+def stabilizer(p: Sequence, G: SpaceGroup) -> list[Isometry]:
+    """All group elements fixing the point p (one per coset at most): (R, p − R·p) for each such coset."""
+    p = tuple(Fraction(x) for x in p)
+    rots = [G.cosets[k].rot for k in _fixing_cosets_of_point(p, G)]
+    return [Isometry(G.frame, r, tuple(x - y for x, y in zip(p, int_matvec(r, p)))) for r in rots]
+
+
 def stabilizer_order(p: Sequence, G: SpaceGroup) -> int:
-    return len(stabilizer_cosets(p, G))
+    return len(_fixing_cosets_of_point(p, G))

@@ -6,7 +6,6 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
 from operator import itemgetter
@@ -15,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, RankDeficient, UnmatchedLattice
 from .lattices import (
+    IDENTITY,
     Mat3,
     SubgroupHNF,
     _from_t0_hnf,
@@ -28,7 +28,7 @@ from .lattices import (
     mat_det,
     matmul,
 )
-from .spacegroups import Frame, SpaceGroup
+from .spacegroups import T_HALF, Frame, SpaceGroup
 
 # ============================================================
 # closed-form lattice families
@@ -37,9 +37,6 @@ from .spacegroups import Frame, SpaceGroup
 CUBIC_TAGS = ("CUBIC_PRIMITIVE", "CUBIC_FACE", "CUBIC_BODY")
 HEX_TAGS = ("HEX_PRIMITIVE", "HEX_ROT")
 FAMILY_TAGS = CUBIC_TAGS + HEX_TAGS
-
-T_HALF = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-
 
 @dataclass(frozen=True)
 class LatticeFamily:
@@ -91,9 +88,6 @@ def instantiate(tag: str, n: int, m: int | None = None) -> SubgroupHNF:
 # ============================================================
 
 
-_ROT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
 @lru_cache(maxsize=None)
 def _coord_rotations(T0: SubgroupHNF, rotations: tuple) -> tuple:
     """Rotation matrices rewritten in T0-coordinates (must be integral, of finite order)."""
@@ -102,10 +96,10 @@ def _coord_rotations(T0: SubgroupHNF, rotations: tuple) -> tuple:
         rt = invariant_coords_matrix(r, T0)
         # a finite-order integer 3×3 matrix has order 1, 2, 3, 4 or 6, so R¹² = I;
         # the descent mod p takes its eigenvalues from the 12th roots of unity
-        r12 = _ROT_IDENTITY
+        r12 = IDENTITY
         for _ in range(12):
             r12 = matmul(r12, rt)
-        if r12 != _ROT_IDENTITY:
+        if r12 != IDENTITY:
             raise ValueError("rotation is not of finite order")
         out.append(rt)
     return tuple(out)
@@ -139,9 +133,9 @@ def _prime_power_parts(d: int) -> list[tuple[int, int]]:
 # M/pM ≅ F_p³: every invariant plane, every invariant line lying in no
 # invariant plane, and {0} when M/pM is simple (Plesken & Hanrath,
 # Math. Comp. 43 (1984); CARAT).  The descent runs on integer lattices in
-# T0-coordinates, which are mapped back to T0 at the end.
+# T0-coordinates, which are mapped back to T0 at the end; there T0 itself has
+# the HNF basis IDENTITY.
 
-_Z3 = _ROT_IDENTITY  # the HNF basis of T0 in its own coordinates
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
@@ -256,7 +250,7 @@ def _common_eigenspaces(
     (index, eigenvalues); a line ⟨v⟩ needs one product per matrix, since
     a·v ≡ λ·v holds for some λ exactly when a·v × v ≡ 0.
     """
-    spaces = [list(_Z3)]
+    spaces = [list(IDENTITY)]
     for i, lams in order:
         a, refined = acts[i], []
         for basis in spaces:
@@ -335,7 +329,7 @@ def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
     The last step of a chain has index p, p² or p³; only p^k ≥ p² asks for
     lines, so a prime with p² past the bound costs the planes of T0 alone.
     """
-    below = [(_Z3,), *(_invariant_p_power(coord_rots, p, j) for j in range(1, k))]
+    below = [(IDENTITY,), *(_invariant_p_power(coord_rots, p, j) for j in range(1, k))]
     out = {N for M in below[k - 1] for N in _invariant_planes(coord_rots, p, M)[1]}
     for step in range(2, min(k, 3) + 1):
         for M in below[k - step]:
@@ -376,7 +370,7 @@ def _check_index(d, name: str) -> None:
 def _invariant_sublattices(T0: SubgroupHNF, coord_rots: tuple, d: int) -> list[SubgroupHNF]:
     """The meets of one invariant lattice per prime-power part of d (T0 for d = 1), sorted by (scale, basis)."""
     parts = [_invariant_p_power(coord_rots, p, k) for p, k in _prime_power_parts(d)]
-    out = [_from_t0_hnf(T0, reduce(_coprime_meet, combo or (_Z3,))) for combo in product(*parts)]
+    out = [_from_t0_hnf(T0, reduce(_coprime_meet, combo or (IDENTITY,))) for combo in product(*parts)]
     # the scale is 1/D, so ascending scale is descending D
     out.sort(key=lambda L: (-L.scale.denominator, L.basis))
     return out
@@ -439,7 +433,7 @@ def match_family(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
 
 
 def _rotation_generators(G: SpaceGroup) -> tuple[Mat3, ...]:
-    return tuple(dict.fromkeys(g.rot for g in G.generators if g.rot != _ROT_IDENTITY))
+    return tuple(dict.fromkeys(g.rot for g in G.generators if g.rot != IDENTITY))
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,12 @@
   where the package uses a unimodular basis per direction in T0-coordinates.
 - `dual`, `intersect` and `coset_reps` do lattice algebra on the `Fraction`
   basis matrix and its inverse, and check the integer routes.
+- `identity`, `compose`, `inverse`, `apply`, `conjugate_translation`,
+  `contains`, `stabilizer` and `stabilizer_order` are the `Fraction`
+  isometry algebra in frame coordinates.  They check the closure, the
+  conjugation closed forms and the package's stabilizers, which scan the
+  integer coset maps in T0-coordinates.  `_normalizer_maps` writes the
+  package's normalizer transversal as frame maps for the grid oracle.
 - `reduce_mod` and `canon_segment` reduce points and segments into the cell
   of a lattice in `Fraction`, and check the integer segments of the singular
   set.
@@ -45,6 +51,7 @@ from torsym.lattices import (
     from_coords,
     hnf,
     hnf_columns,
+    from_numerators,
     int_matvec,
     invariant_coords_matrix,
     is_subgroup,
@@ -52,7 +59,6 @@ from torsym.lattices import (
     mat,
     mat_inv,
     matmul,
-    matvec,
     member,
     primitive_integer,
     relative_integer_basis,
@@ -60,15 +66,15 @@ from torsym.lattices import (
     solve_congruence,
     vadd,
     vneg,
-    vsub,
 )
-from torsym.periodic_graphs import _axis_basis
+from torsym.periodic_graphs import _axis_basis, _normalizer_solutions
 from torsym.spacegroups import (
     Axis,
+    Frame,
     Isometry,
     SpaceGroup,
-    conjugate_translation,
     is_pure_translation,
+    make_group,
     rotation_order,
 )
 from torsym.sublattices import _coord_rotations
@@ -114,6 +120,19 @@ def solve_linear(a: Mat3, b: Sequence) -> tuple[Vec3, list[Vec3]] | None:
             k[c] = -rows[i][f]
         kernel.append(tuple(k))  # type: ignore[arg-type]
     return tuple(part), kernel  # type: ignore[return-value]
+
+
+def vsub(a: Sequence, b: Sequence) -> Vec3:
+    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))  # type: ignore[return-value]
+
+
+def matvec(m: Sequence[Sequence], v: Sequence) -> Vec3:
+    return tuple(sum(Fraction(m[i][j]) * Fraction(v[j]) for j in range(3)) for i in range(3))  # type: ignore[return-value]
+
+
+def int_affine(m: Sequence[Sequence[int]], v: Sequence, t: Sequence = (0, 0, 0)) -> Vec3:
+    """m·v + t for an integer matrix m and rational vectors v, t."""
+    return vadd(matvec(m, v), tuple(Fraction(x) for x in t))
 
 
 def basis_matrix(sub: SubgroupHNF) -> Mat3:
@@ -169,6 +188,57 @@ def canon_segment(T0: SubgroupHNF, a: Vec3, b: Vec3) -> tuple[Vec3, Vec3]:
     """
     ends = [(reduce_mod(p, T0)[0], p, q) for p, q in ((a, b), (b, a))]
     return min((rep, vadd(rep, vsub(q, p))) for rep, p, q in ends)
+
+
+# ============================================================
+# the Fraction isometry algebra
+# ============================================================
+
+
+def identity(frame: Frame) -> Isometry:
+    return Isometry(frame, _ROT_IDENTITY, (0, 0, 0))
+
+
+def compose(g: Isometry, h: Isometry) -> Isometry:
+    """The map p ↦ g(h(p))."""
+    return Isometry(g.frame, matmul(g.rot, h.rot), int_affine(g.rot, h.trans, g.trans))
+
+
+def inverse(g: Isometry) -> Isometry:
+    inv = mat_inv(mat(g.rot))
+    rot = tuple(tuple(int(e) for e in row) for row in inv)
+    return Isometry(g.frame, rot, vneg(matvec(inv, g.trans)))
+
+
+def apply(g: Isometry, p: Sequence) -> Vec3:
+    return int_affine(g.rot, p, g.trans)
+
+
+def conjugate_translation(g: Isometry, u: Sequence) -> Vec3:
+    """Translation vector of g⁻¹·t_u·g, namely rot(g)⁻¹·u; independent of trans(g)."""
+    return matvec(mat_inv(mat(g.rot)), u)
+
+
+def contains(G: SpaceGroup, g: Isometry) -> bool:
+    """True iff the isometry, in the group's frame, belongs to the group."""
+    for c in G.cosets:
+        if c.rot == g.rot:
+            return member(vsub(g.trans, c.trans), G.T0)
+    return False
+
+
+def stabilizer(p: Sequence, G: SpaceGroup) -> list[Isometry]:
+    """All group elements fixing the point p: for each coset (R, t) with R·p + t − p ∈ T0, (R, p − R·p)."""
+    p = tuple(Fraction(x) for x in p)
+    return [
+        Isometry(G.frame, c.rot, vadd(c.trans, vsub(p, apply(c, p))))
+        for c in G.cosets
+        if member(vsub(apply(c, p), p), G.T0)
+    ]
+
+
+def stabilizer_order(p: Sequence, G: SpaceGroup) -> int:
+    return len(stabilizer(p, G))
 
 
 # ============================================================
@@ -249,6 +319,12 @@ def _axis_base(T0: SubgroupHNF, n: Sequence[int], den: int, d: IntVec) -> IntVec
         if k:
             w = [w[i] - k * f * col[i] for i in range(3)]
     return (w[0], w[1], w[2])
+
+
+def _normalizer_maps(name: str) -> tuple[tuple[tuple, Vec3], ...]:
+    """The `_normalizer_solutions` as frame maps (S, t), sorted."""
+    T0 = make_group(name).T0
+    return tuple(sorted((rows, from_numerators(y, top, T0)) for rows, _, y, top in _normalizer_solutions(name)))
 
 
 def numerators(v: Sequence, den: int) -> IntVec:

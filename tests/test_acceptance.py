@@ -30,12 +30,11 @@ from torsym.spacegroups import (
     ROT_XYZ,
     ROT_Y,
     ROT_Z,
-    conjugate_translation,
     make_group,
 )
 from torsym.sublattices import instantiate, normal_translation_subgroups
 
-from oracles import literal_invariant_sublattices
+from oracles import conjugate_translation, literal_invariant_sublattices
 
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 

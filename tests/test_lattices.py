@@ -32,7 +32,6 @@ from torsym.lattices import (
     mat_det,
     mat_inv,
     matmul,
-    matvec,
     member,
     primitive_integer,
     relative_integer_basis,
@@ -42,7 +41,7 @@ from torsym.lattices import (
 )
 from torsym.spacegroups import GROUP_NAMES, make_group
 
-from oracles import basis_matrix, coset_reps, dual, intersect, reduce_mod, solve_linear
+from oracles import basis_matrix, coset_reps, dual, intersect, matvec, reduce_mod, solve_linear
 
 # the standard cubic lattices with closed-form membership oracles
 T1 = hnf([(1, 0, 0), (0, 1, 0), (0, 0, 1)])

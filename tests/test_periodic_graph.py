@@ -19,30 +19,25 @@ from torsym.lattices import (
     from_coords,
     hnf,
     index,
-    int_affine,
     int_matvec,
     is_subgroup,
     mat,
     mat_inv,
     matmul,
-    matvec,
     member,
     primitive_integer,
     vadd,
     vec,
     vscale,
-    vsub,
 )
 from torsym.periodic_graphs import (
     PeriodicGraph,
     SingularEdge,
     _axis_basis,
-    _coset_coords,
     _fixed_points,
     _frame_symmetries,
     _germ_orbits,
     _image,
-    _normalizer_maps,
     _normalizer_solutions,
     _singular_data,
     cycle_image_lattice,
@@ -60,7 +55,7 @@ from torsym.spacegroups import (
     HEX_FRAME,
     Axis,
     Isometry,
-    apply,
+    coset_maps,
     is_pure_translation,
     make_group,
     stabilizer,
@@ -68,18 +63,24 @@ from torsym.spacegroups import (
 )
 from torsym.sublattices import instantiate, normal_translation_subgroups
 
+import oracles
 from oracles import (
     _axis_base,
+    _normalizer_maps,
     _UnionFind,
     _plane_lattice,
+    apply,
     axis_classes,
     canon_segment,
     coset_coords,
     fixed_axis,
     fixed_points_per_coset,
     germ_orbits,
+    int_affine,
+    matvec,
     reduce_mod,
     vertex_classes,
+    vsub,
 )
 
 GROUPS = ["P432", "F4_132", "I4_132", "I432", "P4_232", "P622"]
@@ -201,7 +202,7 @@ _ROT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_coset_coords_match_the_fraction_route(name):
-    assert _coset_coords(name) == coset_coords(make_group(name))
+    assert coset_maps(make_group(name)) == coset_coords(make_group(name))
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -495,7 +496,7 @@ def test_marked_edges_match_the_whole_grid_normalizer(name):
 def test_normalizer_transversal_is_closed_modulo_g(name):
     # marked_edges sweeps each class once from its least orbit id, which needs the identity among
     # the maps and every composite of two maps to be a listed map up to an element of G and of T0
-    cosets, cden = _coset_coords(name)
+    cosets, cden = coset_maps(make_group(name))
     sc = _singular_data(name).sc
     solved = [(s, y, top) for _, s, y, top in _normalizer_solutions(name)]
     for raw in (solved, [(a, t, sc.den) for a, t in sc.normalizer]):
@@ -655,7 +656,38 @@ def test_interior_point_stabilizer_equals_edge_index(name):
         a, b = e.segment
         for t in (Fraction(1, 3), Fraction(3, 7)):
             p = vadd(a, vscale(t, vsub(b, a)))
-            assert stabilizer_order(p, G) == e.edge_index
+            assert oracles.stabilizer_order(p, G) == e.edge_index
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_stabilizers_match_the_fraction_oracle_on_the_singular_set(name):
+    # the public stabilizers scan the integer coset maps; the oracle applies each Fraction coset
+    G = make_group(name)
+    data = _singular_data(name)
+    points = [*data.vertices, *(ax.base for ax in data.axes)]
+    points += [tuple((x + y) / 2 for x, y in zip(*e.segment)) for e in singular_graph(G)]
+    for p in points:
+        assert stabilizer(p, G) == oracles.stabilizer(p, G)
+        assert stabilizer_order(p, G) == oracles.stabilizer_order(p, G)
+
+
+_rational = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@given(
+    st.sampled_from(GROUPS),
+    st.tuples(_rational, _rational, _rational),
+    st.integers(min_value=0, max_value=10**6),
+    st.booleans(),
+)
+def test_stabilizers_match_the_fraction_oracle_at_rational_points(name, p, k, on_axis):
+    # a point drawn on a rotation axis has a nontrivial stabilizer, a free point mostly not
+    G = make_group(name)
+    if on_axis:
+        ax = _singular_data(name).axes[k % len(_singular_data(name).axes)]
+        p = vadd(ax.base, vscale(p[0], vec(*ax.direction)))
+    assert stabilizer(p, G) == oracles.stabilizer(p, G)
+    assert stabilizer_order(p, G) == oracles.stabilizer_order(p, G)
 
 
 @pytest.mark.parametrize("name", GROUPS)

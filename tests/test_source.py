@@ -1,0 +1,36 @@
+"""Guards on the package source itself, read with `ast`."""
+
+import ast
+from pathlib import Path
+
+import torsym
+
+SRC = Path(torsym.__file__).resolve().parent
+
+
+def _unreferenced_definitions(src: Path) -> list[str]:
+    """Module-level functions and classes of the package that no other definition in it names.
+
+    A name counts as referenced where it is read in any top-level statement
+    of any module other than its own definition, as a bare name or as an
+    attribute.  Imports alone do not count.
+    """
+    defined: list[tuple[str, str]] = []
+    used: set[str] = set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                defined.append((path.stem, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id != own:
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    used.add(node.attr)
+    return [f"{module}.{name}" for module, name in defined if name not in used and name not in torsym.__all__]
+
+
+def test_every_definition_is_referenced_or_exported():
+    # code that only the tests call belongs in tests/oracles.py, not in the package
+    assert _unreferenced_definitions(SRC) == []

@@ -1,12 +1,12 @@
-"""Isometry arithmetic, the six group presentations, axes and stabilizers."""
+"""Isometry records and their oracle arithmetic, the six group presentations, axes and stabilizers."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from torsym.errors import ClosureOverflow, FrameMismatch, UnknownGroup
-from torsym.lattices import hnf, matvec, mat, member
+from torsym.errors import ClosureOverflow, UnknownGroup
+from torsym.lattices import hnf, mat, member
 from torsym.spacegroups import (
     CUBIC_FRAME,
     GROUP_NAMES,
@@ -19,13 +19,8 @@ from torsym.spacegroups import (
     ROT_Z,
     ROT_Z_HEX,
     _closure,
-    apply,
     canonical_group_name,
-    compose,
-    conjugate_translation,
-    contains,
-    identity,
-    inverse,
+    coset_maps,
     make_group,
     rotation_order,
     stabilizer,
@@ -33,7 +28,17 @@ from torsym.spacegroups import (
     translation,
 )
 
-from oracles import canonical_line, fixed_axis
+from oracles import (
+    apply,
+    canonical_line,
+    compose,
+    conjugate_translation,
+    contains,
+    fixed_axis,
+    identity,
+    inverse,
+    matvec,
+)
 
 
 def rand_rational(rng, den=(1, 2, 3, 4, 6)):
@@ -64,11 +69,12 @@ def test_rejects_metric_breaking_rotation():
             Isometry(HEX_FRAME, ROT_XYZ, (0, 0, 0))
 
 
-def test_frame_mismatch():
-    g = Isometry(CUBIC_FRAME, ROT_Y, (0, 0, 0))
-    h = Isometry(HEX_FRAME, ROT_OMEGA, (0, 0, 0))
-    with pytest.raises(FrameMismatch):
-        compose(g, h)
+def test_rejects_wrong_shapes():
+    # the shape is checked before the metric check indexes the rotation
+    with pytest.raises(ValueError):
+        Isometry(CUBIC_FRAME, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 2))
+    with pytest.raises(ValueError):
+        Isometry(CUBIC_FRAME, ((1, 0), (0, 1)), (0, 0, 0))
 
 
 def test_compose_apply_inverse_consistency():
@@ -241,6 +247,13 @@ def test_unknown_group_and_aliases():
     assert make_group("f4_132") is make_group("F4_132")
 
 
+@pytest.mark.parametrize("bad", [5, None])
+def test_non_string_group_name_is_unknown(bad):
+    # a name that is not a string is rejected before it is normalised
+    with pytest.raises(UnknownGroup):
+        make_group(bad)
+
+
 def test_coset_rotations_form_a_group():
     for name in GROUP_NAMES:
         g = make_group(name)
@@ -271,7 +284,7 @@ def test_cosets_compose_within_the_group():
         basis = g.T0.vectors()
         gens = [translation(g.frame, [2 * x for x in b]) for b in basis] + rots
         gens += [compose(translation(g.frame, b), rots[0]) for b in basis]
-        assert _closure(gens) == (list(g.cosets), g.T0)
+        assert _closure(gens) == (list(g.cosets), g.T0, coset_maps(g))
 
 
 def test_closure_keeps_every_schreier_translation():
@@ -293,8 +306,9 @@ def test_split_and_nonsplit_cosets():
 def test_t0_rederivation_and_cosets():
     for name in GROUP_NAMES:
         g = make_group(name)
-        cs, t0 = _closure(g.generators)
+        cs, t0, maps = _closure(g.generators)
         assert t0 == g.T0
+        assert maps == coset_maps(g)
         assert len(cs) == g.point_order
         assert {c.rot for c in cs} == {c.rot for c in g.cosets}
 
@@ -320,9 +334,6 @@ def test_contains():
     assert contains(g, elem)
     assert contains(g, translation(CUBIC_FRAME, (2, 0, 0)))
     assert not contains(g, translation(CUBIC_FRAME, (1, 0, 0)))
-    p432 = make_group("P432")
-    with pytest.raises(FrameMismatch):
-        contains(p432, Isometry(HEX_FRAME, ROT_OMEGA, (0, 0, 0)))
 
 
 # ============================================================
