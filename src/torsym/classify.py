@@ -278,6 +278,12 @@ class VerificationReport:
 
 
 @lru_cache(maxsize=None)
+def _orbit_graph(name: str, e: SingularEdge) -> PeriodicGraph:
+    """The quotient graph of one marked edge orbit, built once for its label and its case."""
+    return edge_orbit_graph(make_group(name), e)
+
+
+@lru_cache(maxsize=None)
 def labeled_marked_edges(name: str) -> dict[str, SingularEdge]:
     """The group's marked edge orbits keyed by label, via cycle-image matching."""
     name = canonical_group_name(name)
@@ -286,7 +292,7 @@ def labeled_marked_edges(name: str) -> dict[str, SingularEdge]:
     wanted = {label: images[(g, label)] for g, label in images if g == name}
     out: dict[str, SingularEdge] = {}
     for e in marked_edges(G):
-        img = cycle_image_lattice(edge_orbit_graph(G, e))
+        img = cycle_image_lattice(_orbit_graph(name, e))
         hits = [label for label, lat in wanted.items() if lat == img]
         if len(hits) != 1:
             raise UnmatchedLattice(
@@ -303,8 +309,7 @@ def labeled_marked_edges(name: str) -> dict[str, SingularEdge]:
 
 @lru_cache(maxsize=None)
 def _case_graph(name: str, label: str) -> PeriodicGraph:
-    G = make_group(name)
-    return edge_orbit_graph(G, labeled_marked_edges(name)[label])
+    return _orbit_graph(name, labeled_marked_edges(name)[label])
 
 
 def _derived_constraint(g: PeriodicGraph, tag: str, mult: int) -> str | None:

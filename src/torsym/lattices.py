@@ -123,6 +123,15 @@ def primitive_integer(v: Sequence) -> tuple[int, int, int]:
     return (ints[0], ints[1], ints[2])
 
 
+@lru_cache(maxsize=None)
+def rotation_axis(rot: IntMat) -> IntVec:
+    """The axis of R, the null space of R − I where 1 is a simple eigenvalue: a nonzero cross product of two rows."""
+    m = [[rot[i][j] - (i == j) for j in range(3)] for i in range(3)]
+    pairs = (m[:2], m[::2], m[1:])
+    crosses = [(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]) for a, b in pairs]
+    return primitive_integer(next(v for v in crosses if any(v)))
+
+
 # ============================================================
 # canonical subgroups of rational translation vectors
 # ============================================================

@@ -33,6 +33,7 @@ from .lattices import (
     matmul,
     primitive_integer,
     relative_integer_basis,
+    rotation_axis,
     smith_form,
     solve_congruence,
     vadd,
@@ -178,7 +179,7 @@ def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
         order = rotation_order(rot)
         if order in (2, 3):
             delta = tuple(tuple(rot[i][j] - (i == j) for j in range(3)) for i in range(3))
-            keyed.setdefault((_rotation_direction(rot), order), (delta, vneg(tau)))
+            keyed.setdefault((rotation_axis(rot), order), (delta, vneg(tau)))
 
     def turn(move, key: tuple[IntVec, int]) -> tuple[IntVec, int]:
         return _turned(move[0], key[0]), key[1]
@@ -328,22 +329,13 @@ def _axis_segments(
 # ============================================================
 
 
-@lru_cache(maxsize=None)
-def _rotation_direction(rot: IntMat) -> IntVec:
-    """Direction of the axis of a rotation, the null space of R − I: a nonzero cross product of two of its rows."""
-    m = [[rot[i][j] - (i == j) for j in range(3)] for i in range(3)]
-    pairs = (m[:2], m[::2], m[1:])
-    crosses = [(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]) for a, b in pairs]
-    return primitive_integer(next(v for v in crosses if any(v)))
-
-
 def _germ_orbits(rots: Sequence[IntMat]) -> tuple[tuple[frozenset[IntVec], int], ...]:
     """Orbits of outgoing axis germs at a singular point, each with its index.
 
     rots are the rotation parts of the point's stabilizer, the identity left
     out, so the orbit of a germ u is u and its images A·u.
     """
-    by_dir = Counter(_rotation_direction(rot) for rot in rots)
+    by_dir = Counter(rotation_axis(rot) for rot in rots)
     index_of = {u: count + 1 for d, count in by_dir.items() for u in (d, vneg(d))}
     first = _orbit_sweep(index_of, int_matvec, (IDENTITY, *rots))
     if not first.keys() <= index_of.keys():
@@ -517,19 +509,24 @@ def _frame_symmetries(frame) -> tuple[IntMat, ...]:
     """Integer matrices with entries in {-1, 0, 1} of determinant ±1 preserving the frame metric.
 
     Column j of such a matrix has squared length gram[j][j], so each column is
-    drawn from the short vectors of that length; the full integer metric and
-    determinant checks then run on the few surviving triples.  The result is
-    in row-major lexicographic order.
+    drawn from the short vectors of that length, and a column joins a partial
+    triple only when its products with the columns before it are the Gram
+    entries gram[i][j]; the full integer metric and determinant checks then
+    run on the few surviving triples.  The result is in row-major
+    lexicographic order.
     """
     gram = frame_gram_int(frame)
     short = list(itertools.product((-1, 0, 1), repeat=3))
 
-    def norm(v: IntVec) -> int:
-        return sum(v[a] * gram[a][b] * v[b] for a in range(3) for b in range(3))
+    def form(u: IntVec, v: IntVec) -> int:
+        return sum(u[a] * gram[a][b] * v[b] for a in range(3) for b in range(3))
 
-    columns = [[v for v in short if norm(v) == gram[j][j]] for j in range(3)]
+    columns = [[v for v in short if form(v, v) == gram[j][j]] for j in range(3)]
+    triples: list[tuple[IntVec, ...]] = [()]
+    for j, column in enumerate(columns):
+        triples = [t + (v,) for t in triples for v in column if all(form(u, v) == gram[i][j] for i, u in enumerate(t))]
     out = []
-    for cols in itertools.product(*columns):
+    for cols in triples:
         rows = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
         if abs(mat_det(rows)) == 1 and preserves_metric(rows, gram):
             out.append(rows)

@@ -81,8 +81,8 @@ class Isometry:
     def __post_init__(self) -> None:
         rot = tuple(tuple(int(e) for e in row) for row in self.rot)
         trans = tuple(Fraction(t) for t in self.trans)
-        if len(rot) != 3 or any(len(row) != 3 for row in rot) or len(trans) != 3:
-            raise ValueError("an isometry needs a 3×3 rotation part and a 3-entry translation")
+        if len(rot) != 3 or any(len(row) != 3 for row in rot) or len(trans) != 3 or rot != tuple(map(tuple, self.rot)):
+            raise ValueError("an isometry needs a 3×3 integer rotation part and a 3-entry translation")
         object.__setattr__(self, "rot", rot)
         object.__setattr__(self, "trans", trans)
         problem = _rotation_problem(self.frame, rot)

@@ -27,6 +27,8 @@ from .lattices import (
     invariant_coords_matrix,
     mat_det,
     matmul,
+    rotation_axis,
+    vneg,
 )
 from .spacegroups import T_HALF, Frame, SpaceGroup
 
@@ -323,18 +325,71 @@ def _maximal_invariant(coord_rots: tuple, p: int, M: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
-    """All invariant sublattices of index p^k ≥ p, as integer HNF bases in T0-coordinates.
+def _descent_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
+    """All invariant sublattices of index p^k ≥ p by the descent mod p, as integer HNF bases in T0-coordinates.
 
     The last step of a chain has index p, p² or p³; only p^k ≥ p² asks for
     lines, so a prime with p² past the bound costs the planes of T0 alone.
     """
-    below = [(IDENTITY,), *(_invariant_p_power(coord_rots, p, j) for j in range(1, k))]
+    below = [(IDENTITY,), *(_descent_p_power(coord_rots, p, j) for j in range(1, k))]
     out = {N for M in below[k - 1] for N in _invariant_planes(coord_rots, p, M)[1]}
     for step in range(2, min(k, 3) + 1):
         for M in below[k - step]:
             out.update(N for N, s in _maximal_invariant(coord_rots, p, M) if s == step)
     return tuple(out)  # most primes give none, and () is shared
+
+
+# ============================================================
+# invariant sublattices of index prime to |P|: the closed form
+# ============================================================
+
+
+@lru_cache(maxsize=None)
+def _split(coord_rots: tuple) -> SimpleNamespace:
+    """|P| for the group P the rotations generate, ⟨χ, χ⟩ = Σ_g tr(g)²/|P|, and the split of ℚ³ where known.
+
+    `parts` holds (dim V, basis of ℤ³ ∩ V) per component V: ℚ³ at norm 1,
+    where it is absolutely irreducible (the cubic groups); at norm 2 (the
+    dihedral groups), a line ℓ on which P acts by a sign character ψ and the
+    absolutely irreducible plane W = ker Σ_g ψ(g)·g.  A rotation g of order
+    3, 4 or 6 has ψ(g) = 1, so ℓ = ker(g − I) and W = im(g − I) ⊥ ker(gᵀ − I).
+    """
+    group, frontier = {IDENTITY}, {IDENTITY}
+    while frontier:
+        frontier = {matmul(g, r) for g in frontier for r in coord_rots} - group
+        group |= frontier
+    norm = sum((g[0][0] + g[1][1] + g[2][2]) ** 2 for g in group) // len(group)
+    g = next((g for g in group if mat_det(g) == 1 and g[0][0] + g[1][1] + g[2][2] in (0, 1, 2)), None)
+    parts = ((3, IDENTITY),) if norm == 1 else ()
+    if norm == 2 and g is not None:
+        v, n = rotation_axis(g), rotation_axis(tuple(zip(*g)))
+        if any(int_matvec(r, v) not in (v, vneg(v)) or int_matvec(tuple(zip(*r)), n) not in (n, vneg(n)) for r in coord_rots):
+            raise InvariantViolation("a component of the rational split of ℚ³ is not invariant")
+        parts = ((1, (v,)), (2, hnf_columns([(0, n[2], -n[1]), (-n[2], 0, n[0]), (n[1], -n[0], 0)])))
+    return SimpleNamespace(order=len(group), norm=norm, parts=parts)
+
+
+@lru_cache(maxsize=None)
+def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
+    """All invariant sublattices of index p^k ≥ p, as integer HNF bases in T0-coordinates.
+
+    For p ∤ |P| and a split ℚ³ = ⊕Vᵢ they are Σᵢ p^aᵢ·Λᵢ + p^max a·ℤ³ over
+    Σᵢ aᵢ·dim Vᵢ = k, for Λᵢ = ℤ³ ∩ Vᵢ; otherwise the descent finds them.
+    Proof: |P| times each projection onto a Vᵢ is an integer matrix, so
+    |P|·ℤ³ ⊆ ⊕Λᵢ and the split is exact at p.  An absolutely irreducible
+    constituent stays irreducible mod p when p ∤ |P|, so by Nakayama the
+    p^a·Λᵢ are the only invariant sublattices of Λᵢ of p-power index.  The
+    term p^max a·ℤ³ makes the sum right at every other prime.
+    """
+    split = _split(coord_rots)
+    if not split.parts or split.order % p == 0:
+        return _descent_p_power(coord_rots, p, k)
+    out = []
+    for a in product(range(k + 1), repeat=len(split.parts)):
+        if sum(x * dim for x, (dim, _) in zip(a, split.parts)) == k:
+            gens = [tuple(p**x * e for e in col) for x, (_, basis) in zip(a, split.parts) for col in basis]
+            out.append(hnf_columns(gens + [tuple(p ** max(a) * e for e in col) for col in IDENTITY]))
+    return tuple(out)
 
 
 def _crt(r: int, m: int, s: int, n: int) -> int:
@@ -380,11 +435,14 @@ def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) ->
     """Index-d sublattices of T0 invariant under a set of integer rotations of finite order.
 
     A lattice of composite index is split uniquely into its prime-power
-    parts.  Each part comes from the submodule descent mod p as an integer
-    HNF in T0-coordinates; coprime parts are met in closed form by the CRT
-    (`_coprime_meet`), and the result takes one integer step to T0.  It is
-    sorted by (scale, basis).  Its independent check is the enumerate-and-filter
-    over every HNF of index d in `tests/oracles.py`.
+    parts, each an integer HNF in T0-coordinates.  At a prime p that does not
+    divide the order of the group P the rotations generate, a part is read
+    off in closed form when `_split` knows the split of ℚ³ under P (the cubic
+    and hexagonal point groups); at the other primes, and for every other P,
+    the submodule descent mod p finds it.  Coprime parts are met in closed
+    form by the CRT (`_coprime_meet`), and the result takes one integer step
+    to T0.  It is sorted by (scale, basis).  Its independent check is the
+    enumerate-and-filter over every HNF of index d in `tests/oracles.py`.
     """
     _check_index(d, "index")
     if T0.rank != 3:

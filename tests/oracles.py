@@ -25,6 +25,9 @@
   They check the package's one solve per conjugacy class, carried to the
   rest by the coset maps.  `germ_orbits` is the union-find over stabilizer
   and germ directions that the package's one sweep per orbit replaces.
+- `frame_symmetries` filters every triple of short columns of the right
+  lengths by the determinant and metric checks, against the package's
+  search that drops a partial triple at its first wrong Gram entry.
 - `_UnionFind` holds disjoint sets.  Besides `germ_orbits`, the marked-edge
   tests union every orbit with its normalizer images through it, against
   the package's one sweep of the normalizer transversal.
@@ -34,6 +37,7 @@ numpy is used only by the literal filter, so it is a test dependency only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -57,6 +61,7 @@ from torsym.lattices import (
     is_subgroup,
     join,
     mat,
+    mat_det,
     mat_inv,
     matmul,
     member,
@@ -73,8 +78,10 @@ from torsym.spacegroups import (
     Frame,
     Isometry,
     SpaceGroup,
+    frame_gram_int,
     is_pure_translation,
     make_group,
+    preserves_metric,
     rotation_order,
 )
 from torsym.sublattices import _coord_rotations
@@ -608,3 +615,29 @@ def literal_invariant_sublattices(
         raise ValueError("index must be a positive integer")
     coord_rots = _coord_rotations(T0, tuple(tuple(tuple(row) for row in r) for r in rotations))
     return _filtered_triples(T0, coord_rots, d)
+
+
+# ============================================================
+# frame symmetries
+# ============================================================
+
+
+def frame_symmetries(frame: Frame) -> tuple:
+    """Integer matrices with entries in {-1, 0, 1} of determinant ±1 preserving the frame metric.
+
+    Every triple of columns of the right squared lengths goes through the
+    determinant and metric checks; the result is sorted.
+    """
+    gram = frame_gram_int(frame)
+    short = list(itertools.product((-1, 0, 1), repeat=3))
+
+    def norm(v: IntVec) -> int:
+        return sum(v[a] * gram[a][b] * v[b] for a in range(3) for b in range(3))
+
+    columns = [[v for v in short if norm(v) == gram[j][j]] for j in range(3)]
+    out = []
+    for cols in itertools.product(*columns):
+        rows = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+        if abs(mat_det(rows)) == 1 and preserves_metric(rows, gram):
+            out.append(rows)
+    return tuple(sorted(out))

@@ -32,7 +32,7 @@ from torsym.classify import (
 )
 from torsym.errors import InvariantViolation
 from torsym.lattices import covolume, index
-from torsym.periodic_graphs import PeriodicGraph, lift_connected_bruteforce
+from torsym.periodic_graphs import PeriodicGraph, edge_orbit_graph, lift_connected_bruteforce
 from torsym.spacegroups import make_group
 from torsym.sublattices import instantiate
 
@@ -486,3 +486,20 @@ def test_cli_reports_internal_errors_with_exit_three(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: ")
     assert "does not preserve the marked edges" in err
+
+
+def test_cold_census_builds_each_case_graph_once(monkeypatch):
+    # labeled_marked_edges reads each marked orbit's quotient graph for its cycle
+    # image, and the case that carries its label reuses that graph
+    for f in vars(classify).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    built = []
+
+    def counting(G, e, suppress=True):
+        built.append((G.name, e.orbit_id))
+        return edge_orbit_graph(G, e, suppress)
+
+    monkeypatch.setattr(classify, "edge_orbit_graph", counting)
+    theorem1_table(101)
+    assert len(built) == len(set(built)) == len(CASES) == 9

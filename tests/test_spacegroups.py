@@ -77,6 +77,13 @@ def test_rejects_wrong_shapes():
         Isometry(CUBIC_FRAME, ((1, 0), (0, 1)), (0, 0, 0))
 
 
+@pytest.mark.parametrize("entry", [1.5, Fraction(1, 2)], ids=["float", "Fraction"])
+def test_rejects_non_integral_rotation_entries(entry):
+    # int() would truncate 1.5 to 1 and 1/2 to 0; neither may pass as another rotation
+    with pytest.raises(ValueError):
+        Isometry(CUBIC_FRAME, ((entry, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
+
+
 def test_compose_apply_inverse_consistency():
     rng = random.Random(2)
     pool = [

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from torsym.errors import NotASubgroup, RankDeficient, UnmatchedLattice
+from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient, UnmatchedLattice
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     SubgroupHNF,
@@ -685,3 +685,81 @@ def test_warm_survey_compares_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__eq__", lambda a, b: calls.append((a, b)) or eq(a, b))
     assert [normal_translation_subgroups(G, 256) for G in groups] == cold
     assert calls == []
+
+
+# ============================================================
+# index prime to |P|: the closed form against the descent
+# ============================================================
+
+_PRIMES_3_61 = [p for p in range(3, 62) if all(p % q for q in range(2, int(p**0.5) + 1))]
+ROT_2_DIAG = ((0, -1, 0), (-1, 0, 0), (0, 0, -1))  # half-turn about (1, -1, 0), cubic frame
+
+# (T0, rotations, |P|, character norm) of classes the closed form splits: the six
+# groups, then T = 23, D3 = 32 about a body diagonal, whose ℤ³ ∩ ℓ ⊕ ℤ³ ∩ W has
+# index 3 in ℤ³, D4 = 422 on the face-centred T2, and D3 in the hexagonal frame
+_SPLIT_CLASSES = [
+    *((G.T0, _rotation_generators(G), G.point_order, 1 if G.frame.name == "CUBIC" else 2) for G in map(make_group, GROUP_NAMES)),
+    (Z3, (ROT_XYZ, ROT_Z), 12, 1),
+    (Z3, (ROT_XYZ, ROT_2_DIAG), 6, 2),
+    (T2, (ROT_4, ROT_Y), 8, 2),
+    (Z3, (ROT_OMEGA, ROT_Y_HEX), 6, 2),
+]
+
+
+def _recording(monkeypatch, names):
+    """Replace sublattices functions by wrappers that record their argument tuples, keyed by name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        f = getattr(sublattices, name)
+        monkeypatch.setattr(sublattices, name, lambda *args, f=f, name=name: calls[name].append(args) or f(*args))
+    return calls
+
+
+@pytest.mark.parametrize("t0, rots, order, norm", _SPLIT_CLASSES, ids=[*GROUP_NAMES, "T", "D3", "D4_T2", "D3_hex"])
+def test_closed_form_equals_the_descent(monkeypatch, t0, rots, order, norm):
+    # at every prime p ∤ |P| up to 61 (p = 3 only for D4) and every k ≤ 3
+    coord_rots = _coord_rotations(t0, rots)
+    split = sublattices._split(coord_rots)
+    assert (split.order, split.norm, sum(dim for dim, _ in split.parts)) == (order, norm, 3)
+    closed = {}
+    descent = _recording(monkeypatch, ["_descent_p_power"])
+    for p in _PRIMES_3_61:
+        for k in (1, 2, 3):
+            if order % p:
+                closed[p, k] = sublattices._invariant_p_power.__wrapped__(coord_rots, p, k)
+    # the closed form never enters the descent, which stays callable as the reference
+    assert descent["_descent_p_power"] == []
+    for (p, k), got in closed.items():
+        assert len(got) == len(set(got)) and set(got) == set(sublattices._descent_p_power(coord_rots, p, k)), (p, k)
+    assert any(closed.values())
+
+
+@pytest.mark.parametrize("rots", [(ROT_XYZ,), (ROT_4,), (ROT_6,), (ROT_Y, ROT_Z)], ids=["3", "4", "6", "D2"])
+def test_classes_without_a_split_take_the_descent(monkeypatch, rots):
+    # one 3-, 4- or 6-fold rotation or D2 leaves ℚ³ with character norm 3: no closed form
+    coord_rots = _coord_rotations(Z3, rots)
+    split = sublattices._split(coord_rots)
+    assert split.norm == 3 and split.parts == ()
+    descent = _recording(monkeypatch, ["_descent_p_power"])
+    got = [sublattices._invariant_p_power.__wrapped__(coord_rots, p, 1) for p in (7, 61)]
+    assert descent["_descent_p_power"] == [(coord_rots, 7, 1), (coord_rots, 61, 1)]
+    assert got == [sublattices._descent_p_power(coord_rots, p, 1) for p in (7, 61)]
+
+
+def test_cold_survey_descends_only_at_2_and_3(monkeypatch):
+    # 2 and 3 divide |P| = 24 or 12; every other prime is read off the split
+    _clear_survey_caches()
+    at = {"_roots_of_unity_12": 0, "_eigenvalues_mod_p": 1, "_splitting_order": 1, "_invariant_planes": 1}
+    calls = _recording(monkeypatch, list(at))
+    for name in GROUP_NAMES:
+        normal_translation_subgroups(make_group(name), 256)
+    assert {name: {args[i] for args in calls[name]} for name, i in at.items()} == {name: {2, 3} for name in at}
+    monkeypatch.undo()
+    assert sublattices._roots_of_unity_12.cache_info().currsize == 2
+
+
+def test_split_rejects_a_component_that_is_not_invariant(monkeypatch):
+    coord_rots = _coord_rotations(Z3, HEX_ROTS)
+    monkeypatch.setattr(sublattices, "rotation_axis", lambda g: (1, 0, 0))
+    with pytest.raises(InvariantViolation):
+        sublattices._split.__wrapped__(coord_rots)
