@@ -92,19 +92,15 @@ def instantiate(tag: str, n: int, m: int | None = None) -> SubgroupHNF:
 
 @lru_cache(maxsize=None)
 def _coord_rotations(T0: SubgroupHNF, rotations: tuple) -> tuple:
-    """Rotation matrices rewritten in T0-coordinates (must be integral, of finite order)."""
-    out = []
-    for r in rotations:
-        rt = invariant_coords_matrix(r, T0)
-        # a finite-order integer 3×3 matrix has order 1, 2, 3, 4 or 6, so R¹² = I;
-        # the descent mod p takes its eigenvalues from the 12th roots of unity
-        r12 = IDENTITY
-        for _ in range(12):
-            r12 = matmul(r12, rt)
-        if r12 != IDENTITY:
-            raise ValueError("rotation is not of finite order")
-        out.append(rt)
-    return tuple(out)
+    """Rotation matrices rewritten in T0-coordinates (must be integral and generate a finite group)."""
+    out = tuple(invariant_coords_matrix(r, T0) for r in rotations)
+    if any(abs(mat_det(r)) != 1 for r in out):
+        raise ValueError("rotation is not of finite order")
+    # `_split` raises unless they generate a finite group, whose elements have
+    # order 1, 2, 3, 4 or 6: R¹² = I, so the descent mod p takes its
+    # eigenvalues from the 12th roots of unity
+    _split(out)
+    return out
 
 
 def _prime_power_parts(d: int) -> list[tuple[int, int]]:
@@ -346,7 +342,7 @@ def _descent_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _split(coord_rots: tuple) -> SimpleNamespace:
-    """|P| for the group P the rotations generate, ⟨χ, χ⟩ = Σ_g tr(g)²/|P|, and the split of ℚ³ where known.
+    """|P| for the finite group P the rotations generate, ⟨χ, χ⟩ = Σ_g tr(g)²/|P|, and the split of ℚ³ where known.
 
     `parts` holds (dim V, basis of ℤ³ ∩ V) per component V: ℚ³ at norm 1,
     where it is absolutely irreducible (the cubic groups); at norm 2 (the
@@ -358,6 +354,8 @@ def _split(coord_rots: tuple) -> SimpleNamespace:
     while frontier:
         frontier = {matmul(g, r) for g in frontier for r in coord_rots} - group
         group |= frontier
+        if len(group) > 48:  # the order of the largest finite subgroup of GL₃(ℤ)
+            raise ValueError("rotations do not generate a finite group")
     norm = sum((g[0][0] + g[1][1] + g[2][2]) ** 2 for g in group) // len(group)
     g = next((g for g in group if mat_det(g) == 1 and g[0][0] + g[1][1] + g[2][2] in (0, 1, 2)), None)
     parts = ((3, IDENTITY),) if norm == 1 else ()

@@ -336,9 +336,17 @@ def test_invariant_rejects_unstable_t0():
 def test_invariant_rejects_infinite_order_rotation():
     # integral and invertible, but of infinite order: no root of unity bounds its eigenvalues
     shear = ((0, 1, 0), (1, 1, 0), (0, 0, 1))
+    # each of finite order, but ROT_4 · B is the shear ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    B = ((0, 1, 0), (-1, -1, 0), (0, 0, 1))
     for route in (invariant_sublattices, literal_invariant_sublattices):
         with pytest.raises(ValueError):
             route(Z3, (ROT_Z, shear), 5)
+        for d in (1, 5):
+            with pytest.raises(ValueError, match="finite group"):
+                route(Z3, (ROT_4, B), d)
+        # a projection closes up under products but is not invertible
+        with pytest.raises(ValueError):
+            route(Z3, (((1, 0, 0), (0, 1, 0), (0, 0, 0)),), 5)
 
 
 def test_cubic_survivors_match_families_to_32():
