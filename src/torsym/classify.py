@@ -4,8 +4,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvariantViolation, UnmatchedLattice
-from .lattices import SubgroupHNF, coords_in, covolume, hnf, index, join, smith_form
+from .errors import InvariantViolation
+from .lattices import SubgroupHNF, coord_numerators, coords_in, covolume, hnf, index, join, smith_form
 from .periodic_graphs import (
     PeriodicGraph,
     SingularEdge,
@@ -16,13 +16,15 @@ from .periodic_graphs import (
     marked_edges,
 )
 from .spacegroups import canonical_group_name, make_group
-from .sublattices import LatticeFamily, _check_index, instantiate, normal_translation_subgroups
+from .sublattices import CUBIC_TAGS, HEX_TAGS, LatticeFamily, _check_index, instantiate, normal_translation_subgroups
 
 # ============================================================
-# frozen case tables
+# the paper's claims
 # ============================================================
 
-# the nine (group, marked edge) cases, in fixed report order
+# CASES lists the nine (group, marked edge) cases in the paper's column order,
+# KNOTTED fills the rows and GENUS_FORMS the census cells; `_expected_images`,
+# `_EXPECTED_MARKED` and `EXPECTED_ACCEPTED` are read only by the verification.
 CASES: tuple[tuple[str, str], ...] = (
     ("P432", "alpha"),
     ("F4_132", "alpha"),
@@ -65,16 +67,8 @@ KNOTTED: dict[tuple[str, str], bool] = {
     ("P622", "beta"): True,
 }
 
-# per group: (family tag, raw-parameter multiplier) in report order; an
-# instance with raw parameter u corresponds to the reduced parameter n = u/mult
-FAMILY_MULTIPLIERS: dict[str, tuple[tuple[str, int], ...]] = {
-    "P432": (("CUBIC_PRIMITIVE", 1), ("CUBIC_FACE", 1), ("CUBIC_BODY", 2)),
-    "F4_132": (("CUBIC_FACE", 1), ("CUBIC_PRIMITIVE", 2), ("CUBIC_BODY", 4)),
-    "I4_132": (("CUBIC_BODY", 2), ("CUBIC_PRIMITIVE", 2), ("CUBIC_FACE", 2)),
-    "I432": (("CUBIC_BODY", 1), ("CUBIC_PRIMITIVE", 1), ("CUBIC_FACE", 1)),
-    "P4_232": (("CUBIC_PRIMITIVE", 1), ("CUBIC_FACE", 1), ("CUBIC_BODY", 2)),
-    "P622": (("HEX_PRIMITIVE", 1), ("HEX_ROT", 1)),
-}
+# marked edge classes per group
+_EXPECTED_MARKED = {"P432": 1, "F4_132": 1, "I4_132": 2, "I432": 2, "P4_232": 2, "P622": 1}
 
 CONSTRAINTS = ("none", "2∤n", "3∤n", "m=1")
 
@@ -262,7 +256,7 @@ class ClaimCheck:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Per-case claim checks plus optional survivor-table comparison."""
+    """Per-case image checks plus one line per other false claim (`table_errors`, its JSON key)."""
 
     checks: tuple[ClaimCheck, ...]
     table_errors: tuple[str, ...] = ()
@@ -285,26 +279,22 @@ def _orbit_graph(name: str, e: SingularEdge) -> PeriodicGraph:
 
 @lru_cache(maxsize=None)
 def labeled_marked_edges(name: str) -> dict[str, SingularEdge]:
-    """The group's marked edge orbits keyed by label, via cycle-image matching."""
-    name = canonical_group_name(name)
-    G = make_group(name)
-    images = _expected_images()
-    wanted = {label: images[(g, label)] for g, label in images if g == name}
-    out: dict[str, SingularEdge] = {}
+    """The group's marked edge orbits keyed by label, in label order.
+
+    Alpha is the orbit whose cycle image I is all of T0.  The others take
+    beta, then gamma, by ascending [T0 : I], a rank-2 I counting as
+    infinite.  A tie, or more orbits than labels, raises InvariantViolation.
+    """
+    G = make_group(canonical_group_name(name))
+    keyed = []
     for e in marked_edges(G):
-        img = cycle_image_lattice(_orbit_graph(name, e))
-        hits = [label for label, lat in wanted.items() if lat == img]
-        if len(hits) != 1:
-            raise UnmatchedLattice(
-                f"{name}: cycle image of marked orbit {e.orbit_id} matches "
-                f"{len(hits)} labels"
-            )
-        if hits[0] in out:
-            raise UnmatchedLattice(f"{name}: duplicate marked edge label {hits[0]}")
-        out[hits[0]] = e
-    if set(out) != set(wanted):
-        raise UnmatchedLattice(f"{name}: marked edges carry labels {sorted(out)}")
-    return out
+        I = cycle_image_lattice(_orbit_graph(G.name, e))
+        keyed.append((index(I, G.T0) if I.rank == 3 else math.inf, e.orbit_id, e))
+    keyed.sort()
+    first = 0 if keyed and keyed[0][0] == 1 else 1
+    if len({k for k, _, _ in keyed}) != len(keyed) or first + len(keyed) > len(EDGE_LABELS):
+        raise InvariantViolation(f"{G.name}: marked orbits of [T0 : I] {[k for k, _, _ in keyed]} take no labels")
+    return {label: e for label, (_, _, e) in zip(EDGE_LABELS[first:], keyed)}
 
 
 @lru_cache(maxsize=None)
@@ -355,7 +345,7 @@ def _derived_constraint(g: PeriodicGraph, tag: str, mult: int) -> str | None:
 
 @lru_cache(maxsize=None)
 def _case_constraint(name: str, label: str, tag: str) -> str | None:
-    return _derived_constraint(_case_graph(name, label), tag, dict(FAMILY_MULTIPLIERS[name])[tag])
+    return _derived_constraint(_case_graph(name, label), tag, _family_multipliers(name)[tag])
 
 
 # ============================================================
@@ -363,16 +353,33 @@ def _case_constraint(name: str, label: str, tag: str) -> str | None:
 # ============================================================
 
 
+@lru_cache(maxsize=None)
+def _family_multipliers(name: str) -> dict[str, int]:
+    """The raw-parameter multiplier of each family of the group's frame, in report order.
+
+    The multiplier is the least u with instance(u) ⊆ T0 (m = 1 for the
+    hexagonal ones): the lcm of the denominators of the unit instance's basis
+    vectors in T0-coordinates.  That is exact, because {u : u·L₁ ⊆ T0} is
+    closed under gcd and so equals mult·ℤ.  The families are reported by
+    ascending [T0 : instance(mult)]; a tie raises InvariantViolation.
+    """
+    G = make_group(name)
+    keyed = []
+    for tag in CUBIC_TAGS if G.frame.name == "CUBIC" else HEX_TAGS:
+        m = 1 if tag in HEX_TAGS else None
+        u = math.lcm(*(coord_numerators(v, G.T0)[1] for v in instantiate(tag, 1, m).vectors()))
+        keyed.append((index(instantiate(tag, u, m), G.T0), tag, u))
+    keyed.sort()
+    if len({k for k, _, _ in keyed}) != len(keyed):
+        raise InvariantViolation(f"{name}: families of equal index {[k for k, _, _ in keyed]} in T0")
+    return {tag: u for _, tag, u in keyed}
+
+
 def _reduced_parameters(group: str, fam: LatticeFamily) -> tuple[int, int | None]:
-    for tag, mult in FAMILY_MULTIPLIERS[group]:
-        if tag == fam.tag:
-            if fam.n % mult:
-                raise UnmatchedLattice(
-                    f"{group}: family {fam.tag} parameter {fam.n} is not a "
-                    f"multiple of {mult}"
-                )
-            return fam.n // mult, fam.m
-    raise UnmatchedLattice(f"{group}: unexpected family {fam.tag}")
+    mult = _family_multipliers(group).get(fam.tag)
+    if mult is None or fam.n % mult:
+        raise InvariantViolation(f"{group}: {fam.tag} parameter {fam.n} is not a multiple of its multiplier {mult}")
+    return fam.n // mult, fam.m
 
 
 def classify_case(group: str, edge: str, max_index: int) -> list[ClassificationRow]:
@@ -386,7 +393,7 @@ def classify_case(group: str, edge: str, max_index: int) -> list[ClassificationR
         raise ValueError(f"{group} has no edge {edge}; choose from {sorted(available)}")
     G = make_group(group)
     g = _case_graph(group, edge)
-    order = [tag for tag, _ in FAMILY_MULTIPLIERS[group]]
+    order = list(_family_multipliers(group))
 
     rows = []
     for L, fam, pi1 in normal_translation_subgroups(G, max_index):
@@ -429,7 +436,6 @@ def theorem1_cells() -> tuple[Theorem1Cell, ...]:
     """The symbolic nine-column census of genus forms."""
     cells = []
     for column, case in enumerate(CASES, start=1):
-        expected = dict(EXPECTED_ACCEPTED[case])
         for form, coeff, exp, tag in GENUS_FORMS[case]:
             cells.append(
                 Theorem1Cell(
@@ -439,7 +445,7 @@ def theorem1_cells() -> tuple[Theorem1Cell, ...]:
                     form=form,
                     coefficient=coeff,
                     exponent=exp,
-                    constraint=expected[tag],
+                    constraint=_case_constraint(*case, tag),
                     knotted=KNOTTED[case],
                 )
             )
@@ -480,12 +486,32 @@ def theorem1_table(max_genus: int) -> list[GenusEntry]:
 
 
 def verify_claims() -> VerificationReport:
-    """Check connectivity and cycle image of all nine marked edge graphs."""
+    """Check the paper's claims against what the pipeline derives; each false claim fails the report.
+
+    Per case, the raw marked edge graph must be connected with the claimed
+    cycle image I (`_expected_images`).  Per group, the sweep must find the
+    claimed number of marked edge classes (`_EXPECTED_MARKED`), labelled as
+    the cases name them.  `KNOTTED` is checked by one route: a Heegaard
+    surface is π₁-surjective on both sides, so an unknotted row needs the
+    image I ∩ T of the lifted graph's H₁ in T to be all of T.  An accepted T
+    has I + T = T0, and T ⊆ I then forces I = T0: I ≠ T0 makes every
+    accepted row knotted.  The three alpha cases (I = T0) stay claim-only
+    until a second route shows their complement to be a product region.
+    """
     images = _expected_images()
-    checks = []
+    checks, errors = [], []
+    for group, claimed in _EXPECTED_MARKED.items():
+        found = len(marked_edges(make_group(group)))
+        if found != claimed:
+            errors.append(f"{group}: {found} marked edge classes, claimed {claimed}")
+        labels, named = sorted(labeled_marked_edges(group)), sorted(e for g, e in CASES if g == group)
+        if labels != named:
+            errors.append(f"{group}: marked edges carry labels {labels}, the cases name {named}")
     for group, label in CASES:
         G = make_group(group)
-        e = labeled_marked_edges(group)[label]
+        e = labeled_marked_edges(group).get(label)
+        if e is None:
+            continue
         raw = edge_orbit_graph(G, e, suppress=False)
         connected = lift_connected_bruteforce(raw, G.T0)
         computed = cycle_image_lattice(raw) if connected else hnf([])
@@ -498,45 +524,35 @@ def verify_claims() -> VerificationReport:
                 expected_image=images[(group, label)],
             )
         )
-    return VerificationReport(checks=tuple(checks))
+        if computed != G.T0 and not KNOTTED[(group, label)]:
+            errors.append(f"{group} {label}: claimed unknotted, but I ≠ T0 makes every accepted row knotted")
+    return VerificationReport(checks=tuple(checks), table_errors=tuple(errors))
 
 
 def verify_tables(max_index: int) -> VerificationReport:
     """Claim checks plus survivor families and constraints against the fixed lists."""
     report = verify_claims()
-    errors: list[str] = []
-    for group, edge in CASES:
+    errors = list(report.table_errors)
+    for group, edge in ((c.group, c.edge_label) for c in report.checks):
         rows = classify_case(group, edge, max_index)
-        found = []
-        for row in rows:
-            pair = (row.family.tag, row.constraint)
-            if pair not in found:
-                found.append(pair)
+        found = list(dict.fromkeys((row.family.tag, row.constraint) for row in rows))
         # a family shows up once its first instance (n = 1, and m = 1 for the
-        # hexagonal ones) fits under the index bound
+        # hexagonal ones) fits under the index bound; one outside the frame is never found
         T0 = make_group(group).T0
-        mult = dict(FAMILY_MULTIPLIERS[group])
+        mult = _family_multipliers(group)
         expected = [
             (tag, constraint)
             for tag, constraint in EXPECTED_ACCEPTED[(group, edge)]
-            if index(instantiate(tag, mult[tag], 1 if tag.startswith("HEX") else None), T0)
-            <= max_index
+            if tag not in mult or index(instantiate(tag, mult[tag], 1 if tag in HEX_TAGS else None), T0) <= max_index
         ]
         if found != expected:
-            errors.append(
-                f"{group} {edge}: survivors {found} do not match {expected}"
-            )
-        for row in rows:
-            forms = [
-                (coeff, exp)
-                for _, coeff, exp, tag in GENUS_FORMS[(group, edge)]
-                if tag == row.family.tag
-            ]
-            if len(forms) != 1 or row.genus - 1 != forms[0][0] * row.n ** forms[0][1]:
-                errors.append(
-                    f"{group} {edge}: genus {row.genus} does not fit the census "
-                    f"form for {row.family.tag} at n={row.n}"
-                )
+            errors.append(f"{group} {edge}: survivors {found} do not match {expected}")
+        for tag in dict.fromkeys(row.family.tag for row in rows):
+            forms = [(coeff, exp) for _, coeff, exp, t in GENUS_FORMS[(group, edge)] if t == tag]
+            coeff, exp = forms[0] if len(forms) == 1 else (0, 0)  # genus - 1 is never 0
+            bad = [r.n for r in rows if r.family.tag == tag and r.genus - 1 != coeff * r.n**exp]
+            if bad:
+                errors.append(f"{group} {edge}: genus does not fit the census form for {tag} at n = {bad}")
     return VerificationReport(checks=report.checks, table_errors=tuple(errors))
 
 
@@ -666,7 +682,7 @@ def report_to_text(report: VerificationReport) -> str:
             f"[{verdict}]"
         )
     for err in report.table_errors:
-        out.append(f"table: {err} [FAIL]")
+        out.append(f"claim: {err} [FAIL]")
     out.append("PASS" if report.ok else "FAIL")
     return "\n".join(out)
 

@@ -29,9 +29,5 @@ class UnmatchedLattice(TorsymError):
     """An invariant sublattice fits none of the closed-form families."""
 
 
-class SignatureCountMismatch(TorsymError):
-    """Marked-edge detection produced unexpected orbit counts."""
-
-
 class Disconnected(TorsymError):
     """A graph operation requiring connectivity received a disconnected graph."""

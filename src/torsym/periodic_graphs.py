@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import Disconnected, InvariantViolation, NotASubgroup, SignatureCountMismatch
+from .errors import Disconnected, InvariantViolation, NotASubgroup
 from .lattices import (
     IDENTITY,
     SubgroupHNF,
@@ -493,16 +493,6 @@ def singular_graph(G: SpaceGroup) -> list[SingularEdge]:
 
 _MARKED_LINK = (2, 2, 2, 3)
 
-_EXPECTED_MARKED = {
-    "P432": 1,
-    "F4_132": 1,
-    "I4_132": 2,
-    "I432": 2,
-    "P4_232": 2,
-    "P622": 1,
-}
-
-
 
 @lru_cache(maxsize=None)
 def _frame_symmetries(frame) -> tuple[IntMat, ...]:
@@ -605,13 +595,7 @@ def marked_edges(G: SpaceGroup) -> list[SingularEdge]:
     first = _orbit_sweep(qualifying, act, data.sc.normalizer)
     if not first.keys() <= set(qualifying):
         raise InvariantViolation("normalizer map does not preserve the marked edges")
-    reps = [data.edges[oid] for oid in sorted(set(first.values()))]
-    if len(reps) != _EXPECTED_MARKED[G.name]:
-        raise SignatureCountMismatch(
-            f"{G.name}: found {len(reps)} marked edge classes, "
-            f"expected {_EXPECTED_MARKED[G.name]}"
-        )
-    return reps
+    return [data.edges[oid] for oid in sorted(set(first.values()))]
 
 
 # ============================================================

@@ -344,11 +344,11 @@ def _descent_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
 def _split(coord_rots: tuple) -> SimpleNamespace:
     """|P| for the finite group P the rotations generate, ⟨χ, χ⟩ = Σ_g tr(g)²/|P|, and the split of ℚ³ where known.
 
-    `parts` holds (dim V, basis of ℤ³ ∩ V) per component V: ℚ³ at norm 1,
-    where it is absolutely irreducible (the cubic groups); at norm 2 (the
-    dihedral groups), a line ℓ on which P acts by a sign character ψ and the
-    absolutely irreducible plane W = ker Σ_g ψ(g)·g.  A rotation g of order
-    3, 4 or 6 has ψ(g) = 1, so ℓ = ker(g − I) and W = im(g − I) ⊥ ker(gᵀ − I).
+    `parts` holds (dim V, basis of ℤ³ ∩ V) per component V, `step` the gcd of
+    the dims: ℚ³ at norm 1, where it is absolutely irreducible (cubic P); at
+    norm 2 (dihedral P), a line ℓ on which P acts by a sign character ψ and
+    the absolutely irreducible plane W = ker Σ_g ψ(g)·g.  A rotation g of
+    order 3, 4 or 6 has ψ(g) = 1, so ℓ = ker(g − I) and W = im(g − I) ⊥ ker(gᵀ − I).
     """
     group, frontier = {IDENTITY}, {IDENTITY}
     while frontier:
@@ -364,7 +364,7 @@ def _split(coord_rots: tuple) -> SimpleNamespace:
         if any(int_matvec(r, v) not in (v, vneg(v)) or int_matvec(tuple(zip(*r)), n) not in (n, vneg(n)) for r in coord_rots):
             raise InvariantViolation("a component of the rational split of ℚ³ is not invariant")
         parts = ((1, (v,)), (2, hnf_columns([(0, n[2], -n[1]), (-n[2], 0, n[0]), (n[1], -n[0], 0)])))
-    return SimpleNamespace(order=len(group), norm=norm, parts=parts)
+    return SimpleNamespace(order=len(group), norm=norm, parts=parts, step=math.gcd(*(dim for dim, _ in parts)))
 
 
 @lru_cache(maxsize=None)
@@ -422,7 +422,12 @@ def _check_index(d, name: str) -> None:
 
 def _invariant_sublattices(T0: SubgroupHNF, coord_rots: tuple, d: int) -> list[SubgroupHNF]:
     """The meets of one invariant lattice per prime-power part of d (T0 for d = 1), sorted by (scale, basis)."""
-    parts = [_invariant_p_power(coord_rots, p, k) for p, k in _prime_power_parts(d)]
+    split = _split(coord_rots)
+    # where the closed form has no Σᵢ aᵢ·dim Vᵢ = k, its () skips the cache
+    parts = [
+        () if split.parts and split.order % p and k % split.step else _invariant_p_power(coord_rots, p, k)
+        for p, k in _prime_power_parts(d)
+    ]
     out = [_from_t0_hnf(T0, reduce(_coprime_meet, combo or (IDENTITY,))) for combo in product(*parts)]
     # the scale is 1/D, so ascending scale is descending D
     out.sort(key=lambda L: (-L.scale.denominator, L.basis))

@@ -8,7 +8,6 @@ from torsym import classify, cli
 from torsym.classify import (
     CASES,
     EXPECTED_ACCEPTED,
-    FAMILY_MULTIPLIERS,
     GENUS_FORMS,
     KNOTTED,
     ClassificationRow,
@@ -16,6 +15,7 @@ from torsym.classify import (
     _case_graph,
     _constraint_holds,
     _derived_constraint,
+    _family_multipliers,
     classify_case,
     labeled_marked_edges,
     report_to_json,
@@ -31,10 +31,10 @@ from torsym.classify import (
     verify_tables,
 )
 from torsym.errors import InvariantViolation
-from torsym.lattices import covolume, index
+from torsym.lattices import covolume, index, is_subgroup
 from torsym.periodic_graphs import PeriodicGraph, edge_orbit_graph, lift_connected_bruteforce
-from torsym.spacegroups import make_group
-from torsym.sublattices import instantiate
+from torsym.spacegroups import GROUP_NAMES, make_group
+from torsym.sublattices import FAMILY_TAGS, instantiate
 
 # ============================================================
 # marked edge labels
@@ -52,6 +52,70 @@ def test_edge_labels_per_group():
     }
     for name, labels in expected.items():
         assert sorted(labeled_marked_edges(name)) == labels
+
+
+def _clear_label_caches():
+    for f in (labeled_marked_edges, classify._case_graph, classify._case_constraint, _family_multipliers):
+        f.cache_clear()
+
+
+def test_labels_and_classification_never_read_the_claimed_images(monkeypatch):
+    def claimed():
+        raise AssertionError("the claimed images were read")
+
+    monkeypatch.setattr(classify, "_expected_images", claimed)
+    _clear_label_caches()
+    try:
+        assert {name: sorted(labeled_marked_edges(name)) for name in ("I4_132", "P4_232")} == {
+            "I4_132": ["alpha", "beta"],
+            "P4_232": ["beta", "gamma"],
+        }
+        rows = classify_case("P4_232", "gamma", 64)
+        assert [(r.family.tag, r.n) for r in rows] == [
+            ("CUBIC_PRIMITIVE", 1),
+            ("CUBIC_FACE", 1),
+            ("CUBIC_PRIMITIVE", 3),
+            ("CUBIC_FACE", 3),
+        ]
+    finally:
+        _clear_label_caches()
+
+
+def test_a_tie_in_the_image_index_raises_an_internal_error(monkeypatch, capsys):
+    # every marked orbit given I = T0: two alpha candidates for I432
+    monkeypatch.setattr(classify, "cycle_image_lattice", lambda g: g.T0)
+    with pytest.raises(InvariantViolation, match="take no labels"):
+        labeled_marked_edges.__wrapped__("I432")
+    _clear_label_caches()
+    try:
+        assert cli.main(["edges", "I432"]) == 3
+        assert capsys.readouterr().err.startswith("internal error: I432: marked orbits")
+    finally:
+        monkeypatch.undo()
+        _clear_label_caches()
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_multipliers_are_the_least_parameter_inside_t0(name):
+    T0 = make_group(name).T0
+    hexagonal = name == "P622"
+    tags = [tag for tag in FAMILY_TAGS if tag.startswith("HEX") == hexagonal]
+    least = {
+        tag: next(u for u in range(1, 13) if is_subgroup(instantiate(tag, u, 1 if hexagonal else None), T0))
+        for tag in tags
+    }
+    derived = _family_multipliers(name)
+    assert derived == least
+    indices = [index(instantiate(tag, u, 1 if hexagonal else None), T0) for tag, u in derived.items()]
+    assert indices == sorted(set(indices))
+
+
+def test_a_parameter_off_the_multiplier_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(classify, "_family_multipliers", lambda name: {"CUBIC_PRIMITIVE": 2, "CUBIC_FACE": 1, "CUBIC_BODY": 2})
+    with pytest.raises(InvariantViolation, match="not a multiple"):
+        classify_case("P432", "alpha", 8)
+    assert cli.main(["classify", "P432", "alpha", "--max-index", "8"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: P432: CUBIC_PRIMITIVE parameter 1 ")
 
 
 def test_case_list_covers_every_label_once():
@@ -156,7 +220,7 @@ def test_derived_constraints_agree_with_bruteforce_lifts(case):
     T0 = make_group(group).T0
     g = _case_graph(group, edge)
     checked_ns = set()
-    for tag, mult in FAMILY_MULTIPLIERS[group]:
+    for tag, mult in _family_multipliers(group).items():
         constraint = _case_constraint(group, edge, tag)
         for n in AGREEMENT_NS:
             for m in (1, 2, 3) if tag.startswith("HEX") else (None,):
@@ -371,6 +435,46 @@ def test_verify_tables_fails_when_an_expected_family_is_missing(monkeypatch):
     report = verify_tables(16)
     assert not report.ok
     assert any(err.startswith("F4_132 alpha: survivors") for err in report.table_errors)
+
+
+def _wrong_image(monkeypatch):
+    images = {**classify._expected_images(), ("P432", "alpha"): instantiate("CUBIC_PRIMITIVE", 2)}
+    monkeypatch.setattr(classify, "_expected_images", lambda: images)
+
+
+def _wrong_genus_form(monkeypatch):
+    forms = GENUS_FORMS[("P432", "alpha")]
+    monkeypatch.setitem(GENUS_FORMS, ("P432", "alpha"), (("2n^3", 3, 3, "CUBIC_PRIMITIVE"), *forms[1:]))
+
+
+CLAIM_MUTANTS = {
+    "image": (_wrong_image, "P432 alpha: connected=true image=MISMATCH [FAIL]"),
+    "marked-count": (
+        lambda mp: mp.setitem(classify._EXPECTED_MARKED, "P432", 2),
+        "claim: P432: 1 marked edge classes, claimed 2 [FAIL]",
+    ),
+    "survivors": (
+        lambda mp: mp.setitem(EXPECTED_ACCEPTED, ("P432", "alpha"), EXPECTED_ACCEPTED[("P432", "alpha")][:2]),
+        "claim: P432 alpha: survivors",
+    ),
+    "genus-form": (_wrong_genus_form, "claim: P432 alpha: genus does not fit the census form for CUBIC_PRIMITIVE at n = [1, 2]"),
+    "knotted": (
+        lambda mp: mp.setitem(KNOTTED, ("I432", "beta"), False),
+        "claim: I432 beta: claimed unknotted",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", CLAIM_MUTANTS)
+def test_a_false_claim_fails_verify_as_a_claim(monkeypatch, capsys, mutant):
+    mutate, line = CLAIM_MUTANTS[mutant]
+    mutate(monkeypatch)
+    assert cli.main(["verify", "--max-index", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    # one line for the one false claim, then the verdict
+    fails = [text for text in out.splitlines() if "FAIL" in text]
+    assert len(fails) == 2 and fails[0].startswith(line) and fails[1] == "FAIL", out
 
 
 def test_report_rendering():

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from torsym import periodic_graphs
 from torsym.classify import CASES, _case_graph
-from torsym.errors import Disconnected, NotASubgroup, SignatureCountMismatch
+from torsym.errors import Disconnected, NotASubgroup
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     _from_t0_hnf,
@@ -766,14 +766,6 @@ def test_normalizer_maps_preserve_the_lattice_and_form_a_set():
             ]
             assert hnf(imgs) == G.T0
             assert member(vsub(t, reduce_mod(t, G.T0)[0]), G.T0)
-
-
-def test_marked_count_contract_raises_on_wrong_expectation(monkeypatch):
-    import torsym.periodic_graphs as pg
-
-    monkeypatch.setitem(pg._EXPECTED_MARKED, "P432", 2)
-    with pytest.raises(SignatureCountMismatch):
-        marked_edges(make_group("P432"))
 
 
 # ============================================================

@@ -34,3 +34,31 @@ def _unreferenced_definitions(src: Path) -> list[str]:
 def test_every_definition_is_referenced_or_exported():
     # code that only the tests call belongs in tests/oracles.py, not in the package
     assert _unreferenced_definitions(SRC) == []
+
+
+# the paper's claim tables, which only the verification may read
+CLAIM_TABLES = {"_expected_images", "EXPECTED_ACCEPTED", "_EXPECTED_MARKED"}
+VERIFIERS = {"verify_claims", "verify_tables"}
+
+
+def _claim_reads(src: Path) -> list[str]:
+    """Places outside the verifiers that read a claim table, as module:line:name."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in VERIFIERS:
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id if isinstance(node.ctx, ast.Load) else None  # a definition stores it
+                else:
+                    name = getattr(node, "attr", None)
+                if name in CLAIM_TABLES:
+                    out.append(f"{path.stem}:{node.lineno}:{name}")
+    return out
+
+
+def test_only_the_verifiers_read_the_claim_tables():
+    # labels, multipliers, report order, marked counts and constraints are derived, never looked up
+    assert _claim_reads(SRC) == []
+    assert not any("FAMILY_MULTIPLIERS" in path.read_text(encoding="utf-8") for path in SRC.glob("*.py"))
