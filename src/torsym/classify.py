@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantViolation
-from .lattices import SubgroupHNF, coord_numerators, coords_in, covolume, hnf, index, join, smith_form
+from .lattices import SubgroupHNF, coord_numerators, covolume, hnf, index, join, relative_coordinates, smith_form
 from .periodic_graphs import (
     PeriodicGraph,
     SingularEdge,
@@ -324,10 +324,10 @@ def _derived_constraint(g: PeriodicGraph, tag: str, mult: int) -> str | None:
     """
     I = cycle_image_lattice(g)
     if tag.startswith("HEX"):
-        if I.rank != 2 or any(v[2] for v in I.vectors()):
+        if I.rank != 2 or any(h[2] for h in I.basis):
             raise InvariantViolation(f"{tag}: cycle image is not a lattice in the plane z = 0")
-        cols = [coords_in(v, g.T0) for v in I.vectors()]
-        _, diag, _ = smith_form([[int(c[i]) for c in cols] for i in range(3)])
+        cols = relative_coordinates(I, g.T0)
+        _, diag, _ = smith_form([[c[i] for c in cols] for i in range(3)])
         if diag != [1, 1]:
             raise InvariantViolation(f"{tag}: T0/I has torsion, Smith invariants {diag}")
         return "m=1" if join(instantiate(tag, mult, 1), I) == g.T0 else None
@@ -367,7 +367,11 @@ def _family_multipliers(name: str) -> dict[str, int]:
     keyed = []
     for tag in CUBIC_TAGS if G.frame.name == "CUBIC" else HEX_TAGS:
         m = 1 if tag in HEX_TAGS else None
-        u = math.lcm(*(coord_numerators(v, G.T0)[1] for v in instantiate(tag, 1, m).vectors()))
+        unit = instantiate(tag, 1, m)
+        b = unit.scale.denominator
+        # a column h at scale 1/b with T0-coordinate numerators x/d has the coordinates x/(d·b)
+        coords = [coord_numerators(h, G.T0) for h in unit.basis]
+        u = math.lcm(*(d * b // math.gcd(d * b, *x) for x, d in coords))
         keyed.append((index(instantiate(tag, u, m), G.T0), tag, u))
     keyed.sort()
     if len({k for k, _, _ in keyed}) != len(keyed):

@@ -55,7 +55,8 @@ def _over_common_denominator(v: Sequence) -> tuple[tuple[int, ...], int]:
     """Integer numerators and their least positive common denominator for a rational vector."""
     if all(type(x) is int for x in v):
         return tuple(v), 1
-    fr = [x if type(x) is Fraction else Fraction(x) for x in v]
+    # an int carries numerator and denominator too, so only other types are converted
+    fr = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in v]
     den = math.lcm(*(f.denominator for f in fr))
     return tuple(f.numerator * (den // f.denominator) for f in fr), den
 
@@ -155,7 +156,8 @@ class SubgroupHNF:
         # each check is O(1): the lift path builds a lattice per call, so the
         # canonical form is checked in place instead of recomputed
         basis, scale = self.basis, self.scale
-        if type(basis) is not tuple or self.rank != len(basis):
+        # a bool passes for the int 0 or 1 but would print as a bool in the JSON
+        if type(self.rank) is not int or type(basis) is not tuple or self.rank != len(basis):
             raise ValueError("basis must be a tuple of as many columns as the rank")
         pivot, content = -1, 0
         for j, col in enumerate(basis):
@@ -172,7 +174,7 @@ class SubgroupHNF:
                 if not 0 <= basis[i][r] < col[r]:
                     raise ValueError("basis must be a column HNF: entries left of a pivot in [0, pivot)")
             pivot, content = r, math.gcd(content, c0, c1, c2)
-        if not isinstance(scale, (int, Fraction)) or scale.numerator != 1:
+        if type(scale) is bool or not isinstance(scale, (int, Fraction)) or scale.numerator != 1:
             raise ValueError("scale must be 1/D for a positive integer D")
         if math.gcd(scale.denominator, content) != 1:
             raise ValueError("scale 1/D must be minimal: D and the basis content must be coprime")
@@ -285,16 +287,21 @@ def hnf_reduce(x: Sequence[int], basis: Sequence[Sequence[int]]) -> tuple[int, i
     return (w0, w1, w2)
 
 
+def _in_lattice(nums: Sequence[int], den: int, sup: SubgroupHNF) -> bool:
+    """True iff nums/den lies in sup = H/q: den divides q·nums and q·nums/den reduces to zero by H."""
+    x0, x1, x2 = nums
+    q = sup.scale.denominator
+    w0, w1, w2 = q * x0, q * x1, q * x2
+    if den != 1:
+        if w0 % den or w1 % den or w2 % den:
+            return False
+        w0, w1, w2 = w0 // den, w1 // den, w2 // den
+    return not any(hnf_reduce((w0, w1, w2), sup.basis))
+
+
 def member(v: Sequence, sub: SubgroupHNF) -> bool:
     """True iff the rational vector v lies in the subgroup."""
-    d = sub.scale.denominator
-    w: list[int] = []
-    for x in v:
-        y = Fraction(x) * d
-        if y.denominator != 1:
-            return False
-        w.append(y.numerator)
-    return not any(hnf_reduce(w, sub.basis))
+    return _in_lattice(*_over_common_denominator(v), sub)
 
 
 def covolume(sub: SubgroupHNF) -> Fraction:
@@ -306,19 +313,29 @@ def covolume(sub: SubgroupHNF) -> Fraction:
 
 
 def is_subgroup(sub: SubgroupHNF, sup: SubgroupHNF) -> bool:
-    return all(member(v, sup) for v in sub.vectors())
+    """True iff sub ⊆ sup: each column h of sub, at scale 1/b, lies in sup."""
+    b = sub.scale.denominator
+    return all(_in_lattice(h, b, sup) for h in sub.basis)
 
 
 def index(sub: SubgroupHNF, sup: SubgroupHNF) -> int:
-    """Index of sub inside sup; both must be rank 3 with sub ⊆ sup."""
+    """Index of sub inside sup; both must be rank 3 with sub ⊆ sup.
+
+    For sub = H'/b and sup = H/q it is the covolume ratio
+    (∏ diag H')·q³ / ((∏ diag H)·b³), taken in integers.
+    """
     if sub.rank != 3 or sup.rank != 3:
         raise RankDeficient("index requires two rank-3 subgroups")
     if not is_subgroup(sub, sup):
         raise NotASubgroup("first argument is not contained in the second")
-    ratio = covolume(sub) / covolume(sup)
-    if ratio.denominator != 1:
-        raise InvariantViolation(f"index of a subgroup came out as {ratio}, not an integer")
-    return ratio.numerator
+    (h0, _, _), (_, h1, _), (_, _, h2) = sub.basis
+    (g0, _, _), (_, g1, _), (_, _, g2) = sup.basis
+    num = h0 * h1 * h2 * sup.scale.denominator**3
+    den = g0 * g1 * g2 * sub.scale.denominator**3
+    if num % den:
+        g = math.gcd(num, den)
+        raise InvariantViolation(f"index of a subgroup came out as {num // g}/{den // g}, not an integer")
+    return num // den
 
 
 def join(a: SubgroupHNF, b: SubgroupHNF) -> SubgroupHNF:
@@ -401,12 +418,6 @@ def invariant_coords_matrix(m: Sequence[Sequence[int]], sub: SubgroupHNF) -> Int
     return a
 
 
-def coords_in(v: Sequence, sub: SubgroupHNF) -> Vec3:
-    """Coordinates of a rational vector in the actual basis of a rank-3 subgroup."""
-    n, d = coord_numerators(v, sub)
-    return tuple(Fraction(x, d) for x in n)  # type: ignore[return-value]
-
-
 def from_coords(c: Sequence, sub: SubgroupHNF) -> Vec3:
     """Vector with the given coordinates in the actual basis of a rank-3 subgroup."""
     return from_numerators(*_over_common_denominator(c), sub)
@@ -439,8 +450,8 @@ def _from_t0_coords(T0: SubgroupHNF, cols: Sequence[Sequence[int]]) -> SubgroupH
     return _from_t0_hnf(T0, hnf_columns(cols))
 
 
-def relative_integer_basis(sub: SubgroupHNF, sup: SubgroupHNF) -> tuple[tuple[int, int, int], ...]:
-    """HNF of sub expressed in integer coordinates of sup's basis (rank 3, sub ⊆ sup).
+def relative_coordinates(sub: SubgroupHNF, sup: SubgroupHNF) -> list[IntVec]:
+    """Integer coordinates of sub's basis columns in the actual basis of sup (rank 3, sub ⊆ sup).
 
     A column h of sub's basis at scale 1/b has the coordinates x/(d·b), for
     x/d its `coord_numerators` in lowest terms: integral iff d = 1 and b | x.
@@ -451,8 +462,13 @@ def relative_integer_basis(sub: SubgroupHNF, sup: SubgroupHNF) -> tuple[tuple[in
         x, d = coord_numerators(h, sup)
         if d != 1 or any(c % b for c in x):
             raise NotASubgroup("first argument is not contained in the second")
-        cols.append([c // b for c in x])
-    basis = hnf_columns(cols)
+        cols.append((x[0] // b, x[1] // b, x[2] // b))
+    return cols
+
+
+def relative_integer_basis(sub: SubgroupHNF, sup: SubgroupHNF) -> tuple[tuple[int, int, int], ...]:
+    """HNF of sub expressed in integer coordinates of sup's basis (rank 3, sub ⊆ sup)."""
+    basis = hnf_columns(relative_coordinates(sub, sup))
     if len(basis) != 3:
         raise RankDeficient("relative basis is not full rank")
     return basis

@@ -10,6 +10,11 @@
   where the package uses a unimodular basis per direction in T0-coordinates.
 - `dual`, `intersect` and `coset_reps` do lattice algebra on the `Fraction`
   basis matrix and its inverse, and check the integer routes.
+- `fraction_member`, `fraction_is_subgroup` and `fraction_index` test
+  membership on the `Fraction` basis vectors and take the index as a
+  `Fraction` covolume ratio.  They check the package's predicates, which
+  reduce integer numerators by the canonical HNF.  `coords_in` gives a
+  vector's `Fraction` coordinates in a lattice basis.
 - `identity`, `compose`, `inverse`, `apply`, `conjugate_translation`,
   `contains`, `stabilizer` and `stabilizer_order` are the `Fraction`
   isometry algebra in frame coordinates.  They check the closure, the
@@ -51,10 +56,12 @@ from torsym.lattices import (
     SubgroupHNF,
     Vec3,
     _from_t0_coords,
-    coords_in,
+    coord_numerators,
+    covolume,
     from_coords,
     hnf,
     hnf_columns,
+    hnf_reduce,
     from_numerators,
     int_matvec,
     invariant_coords_matrix,
@@ -140,6 +147,40 @@ def matvec(m: Sequence[Sequence], v: Sequence) -> Vec3:
 def int_affine(m: Sequence[Sequence[int]], v: Sequence, t: Sequence = (0, 0, 0)) -> Vec3:
     """m·v + t for an integer matrix m and rational vectors v, t."""
     return vadd(matvec(m, v), tuple(Fraction(x) for x in t))
+
+
+def coords_in(v: Sequence, sub: SubgroupHNF) -> Vec3:
+    """Coordinates of a rational vector in the actual basis of a rank-3 subgroup."""
+    n, d = coord_numerators(v, sub)
+    return tuple(Fraction(x, d) for x in n)  # type: ignore[return-value]
+
+
+def fraction_member(v: Sequence, sub: SubgroupHNF) -> bool:
+    """True iff the rational vector v lies in the subgroup."""
+    d = sub.scale.denominator
+    w: list[int] = []
+    for x in v:
+        y = Fraction(x) * d
+        if y.denominator != 1:
+            return False
+        w.append(y.numerator)
+    return not any(hnf_reduce(w, sub.basis))
+
+
+def fraction_is_subgroup(sub: SubgroupHNF, sup: SubgroupHNF) -> bool:
+    return all(fraction_member(v, sup) for v in sub.vectors())
+
+
+def fraction_index(sub: SubgroupHNF, sup: SubgroupHNF) -> int:
+    """Index of sub inside sup; both must be rank 3 with sub ⊆ sup."""
+    if sub.rank != 3 or sup.rank != 3:
+        raise RankDeficient("index requires two rank-3 subgroups")
+    if not fraction_is_subgroup(sub, sup):
+        raise NotASubgroup("first argument is not contained in the second")
+    ratio = covolume(sub) / covolume(sup)
+    if ratio.denominator != 1:
+        raise InvariantViolation(f"index of a subgroup came out as {ratio}, not an integer")
+    return ratio.numerator
 
 
 def basis_matrix(sub: SubgroupHNF) -> Mat3:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient
@@ -16,7 +16,6 @@ from torsym.lattices import (
     _from_t0_coords,
     _from_t0_hnf,
     basis_frame,
-    coords_in,
     coords_matrix,
     covolume,
     from_coords,
@@ -41,7 +40,19 @@ from torsym.lattices import (
 )
 from torsym.spacegroups import GROUP_NAMES, make_group
 
-from oracles import basis_matrix, coset_reps, dual, intersect, matvec, reduce_mod, solve_linear
+from oracles import (
+    basis_matrix,
+    coords_in,
+    coset_reps,
+    dual,
+    fraction_index,
+    fraction_is_subgroup,
+    fraction_member,
+    intersect,
+    matvec,
+    reduce_mod,
+    solve_linear,
+)
 
 # the standard cubic lattices with closed-form membership oracles
 T1 = hnf([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -152,6 +163,22 @@ def test_subgroup_hnf_rejects_non_canonical_forms():
     assert SubgroupHNF(0, (), Fraction(1)) == TRIVIAL_SUBGROUP
 
 
+def test_subgroup_hnf_rejects_a_bool_rank():
+    # True == 1 would pass the column count, then equal and hash as hnf's
+    # rank-1 lattice while its JSON says "rank": true
+    with pytest.raises(ValueError):
+        SubgroupHNF(True, ((1, 0, 0),), Fraction(1))
+    assert SubgroupHNF(1, ((1, 0, 0),), Fraction(1)).to_json()["rank"] == 1
+
+
+def test_subgroup_hnf_rejects_a_bool_scale():
+    # True has numerator and denominator 1, so it would pass as the scale 1
+    # and print as "scale": "True"
+    with pytest.raises(ValueError):
+        SubgroupHNF(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), True)
+    assert SubgroupHNF(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1).to_json()["scale"] == "1"
+
+
 def test_hnf_idempotent_and_presentation_independent():
     alt = hnf([(1, 1, 0), (1, -1, 0), (0, 1, 1), (3, 3, 0)])
     assert alt == T2
@@ -246,12 +273,13 @@ def test_index_examples():
 
 
 def test_index_rejects_a_fractional_covolume_ratio(monkeypatch):
-    # a typed error, not an assert, so the check also runs under python -O
+    # a typed error, not an assert, so the check also runs under python -O:
+    # THALF ⊄ T1 passed off as a subgroup leaves the covolume ratio 1/2
     import torsym.lattices as lattices
 
-    monkeypatch.setattr(lattices, "covolume", lambda sub: Fraction(3 if sub == T2 else 2))
+    monkeypatch.setattr(lattices, "is_subgroup", lambda sub, sup: True)
     with pytest.raises(InvariantViolation):
-        index(T2, T1)
+        index(THALF, T1)
 
 
 def test_index_by_residue_counting():
@@ -283,6 +311,76 @@ def test_index_errors():
         index(T1, T2)
     with pytest.raises(RankDeficient):
         index(hnf([(1, 0, 0)]), T1)
+
+
+_small = st.integers(-4, 4)
+
+
+@st.composite
+def canonical_subgroups(draw):
+    """A canonical subgroup of rank 0–3 from up to three columns over a denominator in 1–12."""
+    cols = draw(st.lists(st.tuples(_small, _small, _small), max_size=3))
+    den = draw(st.integers(1, 12))
+    return hnf([tuple(Fraction(x, den) for x in c) for c in cols])
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (InvariantViolation, NotASubgroup, RankDeficient) as exc:
+        return type(exc)
+
+
+@given(
+    sup=canonical_subgroups(),
+    other=canonical_subgroups(),
+    coeffs=st.lists(st.tuples(_small, _small, _small), max_size=3),
+    v=st.tuples(_small, _small, _small),
+    vden=st.integers(1, 12),
+)
+# outside by divisibility: the scale 1/2 of THALF does not divide into ℤ³
+@example(sup=T1, other=THALF, coeffs=[], v=(1, 1, 1), vden=2)
+# outside by a nonzero reduction: ℤ³ is integral but reduces to nonzero by T2's HNF
+@example(sup=T2, other=T1, coeffs=[], v=(1, 0, 0), vden=1)
+@settings(max_examples=300)
+def test_integer_predicates_agree_with_the_fraction_oracles(sup, other, coeffs, v, vden):
+    # `inside` is contained in sup by construction; `other` is drawn on its own
+    gens = sup.vectors()
+    inside = hnf([tuple(sum(k * g[i] for k, g in zip(row, gens)) for i in range(3)) for row in coeffs])
+    assert is_subgroup(inside, sup) and fraction_is_subgroup(inside, sup)
+    for sub in (inside, other):
+        assert is_subgroup(sub, sup) == fraction_is_subgroup(sub, sup)
+        assert _outcome(index, sub, sup) == _outcome(fraction_index, sub, sup)
+        for w in sub.vectors():
+            assert member(w, sup) == fraction_member(w, sup)
+    w = tuple(Fraction(x, vden) for x in v)
+    assert member(w, sup) == fraction_member(w, sup)
+
+
+def test_the_sublattice_predicates_build_no_fraction(monkeypatch):
+    # rank-3 lattices at scales 1/2 and 1/6, contained and not
+    sub = hnf([(Fraction(1, 3), 1, 0), (0, Fraction(2, 3), 0), (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))])
+    sup = hnf([(Fraction(1, 6), 0, 0), (0, Fraction(1, 6), 0), (0, 0, Fraction(1, 2))])
+    cases = [(sub, sup), (THALF, T1), (T1, T2), (T4, THALF)]
+    points = [w for a, _ in cases for w in a.vectors()]
+    calls = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    verdicts = [is_subgroup(a, b) for a, b in cases]
+    indices = [_outcome(index, a, b) for a, b in cases]
+    memberships = [member(w, b) for w in points for _, b in cases]
+    assert calls == []
+    assert verdicts == [True, False, False, True]
+    assert indices == [8, NotASubgroup, NotASubgroup, 8]  # covolumes 1/9 over 1/72, then 1 over 1/8
+    assert any(memberships) and not all(memberships)
+    # the wrapper does count: the Fraction oracle builds its vectors
+    fraction_is_subgroup(sub, sup)
+    assert calls
 
 
 def test_join_examples():

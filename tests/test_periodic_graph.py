@@ -14,7 +14,6 @@ from torsym.errors import Disconnected, NotASubgroup
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     _from_t0_hnf,
-    coords_in,
     coords_matrix,
     from_coords,
     hnf,
@@ -72,6 +71,7 @@ from oracles import (
     apply,
     axis_classes,
     canon_segment,
+    coords_in,
     coset_coords,
     fixed_axis,
     fixed_points_per_coset,

@@ -62,3 +62,23 @@ def test_only_the_verifiers_read_the_claim_tables():
     # labels, multipliers, report order, marked counts and constraints are derived, never looked up
     assert _claim_reads(SRC) == []
     assert not any("FAMILY_MULTIPLIERS" in path.read_text(encoding="utf-8") for path in SRC.glob("*.py"))
+
+
+# the lattice predicates run on the integer HNF; only these two still read
+# the `Fraction` basis vectors: the join, and the text form of `groups`
+VECTOR_READERS = {"lattices.join", "cli._cmd_groups"}
+
+
+def _vector_reads(src: Path) -> list[str]:
+    """Top-level definitions that call `.vectors()`, as module.name."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "vectors":
+                    out.append(f"{path.stem}.{getattr(stmt, 'name', node.lineno)}")
+    return out
+
+
+def test_only_the_join_and_the_groups_output_read_fraction_vectors():
+    assert sorted(set(_vector_reads(SRC)) - VECTOR_READERS) == []
