@@ -429,7 +429,7 @@ def _unit_fraction(d: int) -> Fraction:
     return Fraction(1, d)
 
 
-def _from_t0_hnf(T0: SubgroupHNF, basis: Sequence[Sequence[int]]) -> SubgroupHNF:
+def _from_t0_hnf(T0: SubgroupHNF, basis: tuple[tuple[int, int, int], ...]) -> SubgroupHNF:
     """The subgroup ⟨H·M⟩/q of T0 = H/q for an integer column HNF M in T0-coordinates.
 
     H and M are lower triangular with positive pivots, so H·M keeps M's pivot
@@ -437,8 +437,8 @@ def _from_t0_hnf(T0: SubgroupHNF, basis: Sequence[Sequence[int]]) -> SubgroupHNF
     it an HNF; divided by g = gcd(q, its content), at scale g/q, it is canonical.
     """
     h, _, det, q = _integer_frame(T0)
-    if det == q == 1:  # unit pivots make T0's HNF the identity: T0 = ℤ³, and M is the answer
-        return SubgroupHNF(len(basis), tuple(map(tuple, basis)), _unit_fraction(1))
+    if det == q == 1:  # unit pivots make T0's HNF the identity: T0 = ℤ³, and M's own tuple is the answer
+        return SubgroupHNF(len(basis), basis, _unit_fraction(1))
     cols = [int_matvec(h, col) for col in basis]
     cols = [hnf_reduce(col, cols[j + 1 :]) for j, col in enumerate(cols)]
     g = math.gcd(q, *(x for col in cols for x in col))

@@ -6,11 +6,11 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import product
+from functools import lru_cache
+from itertools import compress, product
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantViolation, RankDeficient, UnmatchedLattice
 from .lattices import (
@@ -118,6 +118,22 @@ def _prime_power_parts(d: int) -> list[tuple[int, int]]:
     if d > 1:
         parts.append((d, 1))
     return parts
+
+
+def _primes() -> Iterator[int]:
+    """The primes, ascending and without end: each segment [n, 2n) is sieved by the primes below √(2n)."""
+    primes: list[int] = []
+    n = 2
+    while True:
+        segment = bytearray([1]) * n
+        for p in primes:
+            if p * p >= 2 * n:
+                break
+            segment[-n % p :: p] = bytes(len(range(-n % p, n, p)))
+        new = [n + i for i in compress(range(n), segment)]
+        primes += new
+        yield from new
+        n *= 2
 
 
 # ============================================================
@@ -275,9 +291,10 @@ def _lines(basis: Sequence[tuple[int, ...]], p: int) -> list[tuple[int, ...]]:
 def _actions(coord_rots: tuple, M: tuple) -> tuple:
     """The rotations and their transposes as integer matrices in the basis of an invariant M.
 
-    They are H⁻¹·r·H for H the basis.  The descent asks for them when it
-    takes the planes of M and again for its lines, and for T0 at every
-    prime, so every lattice it descends from keeps them.
+    They are H⁻¹·r·H for H the basis, the same for every multiple c·M.  The
+    descent asks for them when it takes the planes of a primitive M and
+    again for its lines, and for T0 at every prime, so every primitive
+    lattice it descends from keeps them.
     """
     frame = basis_frame(M)
     acts = tuple(frame_coords_matrix(r, frame) for r in coord_rots)
@@ -286,10 +303,21 @@ def _actions(coord_rots: tuple, M: tuple) -> tuple:
     return acts, tuple(tuple(zip(*a)) for a in acts)
 
 
+def _scaled(M: tuple, c: int) -> tuple:
+    """c·M for a column HNF M and c ≥ 1: again a column HNF."""
+    return tuple(tuple(c * x for x in col) for col in M)
+
+
 def _preimage(M: tuple, s: Sequence[tuple[int, ...]], p: int) -> tuple:
     """The column HNF of the preimage in M of the subspace of M/pM with basis s."""
     h = tuple(zip(*M))  # columns are M's basis vectors
-    return hnf_columns([*(int_matvec(h, v) for v in s), *(tuple(p * x for x in col) for col in M)])
+    return hnf_columns([*(int_matvec(h, v) for v in s), *_scaled(M, p)])
+
+
+def _primitive(M: tuple) -> tuple[int, tuple]:
+    """(c, M₀) with M = c·M₀ for c the content of M's basis."""
+    c = math.gcd(*(x for col in M for x in col))
+    return c, M if c == 1 else tuple(tuple(x // c for x in col) for col in M)
 
 
 @lru_cache(maxsize=None)
@@ -297,8 +325,14 @@ def _invariant_planes(coord_rots: tuple, p: int, M: tuple) -> tuple[tuple, tuple
     """(normals, lattices): the invariant sublattices of index p in an invariant M.
 
     Each is the preimage of an invariant plane of M/pM, the annihilator of
-    the normal w, an invariant line of the transposed action.
+    the normal w, an invariant line of the transposed action.  The rotations
+    act on M = c·M₀ by the matrices they have in M₀'s basis, so M has M₀'s
+    normals and c times its lattices: the descent runs once per primitive M₀.
     """
+    c, M0 = _primitive(M)
+    if c > 1:
+        normals, planes = _invariant_planes(coord_rots, p, M0)
+        return normals, tuple(_scaled(N, c) for N in planes)
     dual_acts = _actions(coord_rots, M)[1]
     normals = tuple(w for s in _common_eigenspaces(dual_acts, _splitting_order(coord_rots, p), p) for w in _lines(s, p))
     return normals, tuple(_preimage(M, _plane(w, p), p) for w in normals)
@@ -310,13 +344,17 @@ def _maximal_invariant(coord_rots: tuple, p: int, M: tuple) -> tuple:
 
     M and every N are integer column HNF bases of lattices in T0-coordinates;
     each N is the preimage in M of a maximal G-submodule of M/pM: an
-    invariant line in no invariant plane, or {0} when M/pM is simple.
+    invariant line in no invariant plane, or {0} when M/pM is simple.  As
+    for `_invariant_planes`, those of M = c·M₀ are c times those of M₀.
     """
+    c, M0 = _primitive(M)
+    if c > 1:
+        return tuple((_scaled(N, c), s) for N, s in _maximal_invariant(coord_rots, p, M0))
     normals, planes = _invariant_planes(coord_rots, p, M)
     lines = [v for s in _common_eigenspaces(_actions(coord_rots, M)[0], _splitting_order(coord_rots, p), p)
              for v in _lines(s, p) if all(sum(x * y for x, y in zip(w, v)) % p for w in normals)]
     if not planes and not lines:  # M/pM is simple: pM, already a column HNF, is the only maximal one
-        return ((tuple(tuple(p * x for x in col) for col in M), 3),)
+        return ((_scaled(M, p), 3),)
     return tuple((_preimage(M, [v], p), 2) for v in lines)
 
 
@@ -420,37 +458,106 @@ def _check_index(d, name: str) -> None:
         raise ValueError(f"{name} must be a positive integer, got {d!r}")
 
 
-def _invariant_sublattices(T0: SubgroupHNF, coord_rots: tuple, d: int) -> list[SubgroupHNF]:
-    """The meets of one invariant lattice per prime-power part of d (T0 for d = 1), sorted by (scale, basis)."""
-    split = _split(coord_rots)
-    # where the closed form has no Σᵢ aᵢ·dim Vᵢ = k, its () skips the cache
-    parts = [
-        () if split.parts and split.order % p and k % split.step else _invariant_p_power(coord_rots, p, k)
-        for p, k in _prime_power_parts(d)
-    ]
-    out = [_from_t0_hnf(T0, reduce(_coprime_meet, combo or (IDENTITY,))) for combo in product(*parts)]
+def _exponents(split: SimpleNamespace, p: int, kmax: int) -> range:
+    """The exponents k ≤ kmax at which p^k can be the index of an invariant lattice.
+
+    Every k where the descent applies; where the closed form does, only the
+    k = Σᵢ aᵢ·dim Vᵢ, the multiples of the gcd `step` of the dims.
+    """
+    e = split.step if split.parts and split.order % p else 1
+    return range(e, kmax + 1, e)
+
+
+def _walk(coord_rots: tuple, powers: Iterable[tuple[int, range]], lo: int, hi: int) -> Iterator[tuple[int, tuple]]:
+    """(d, integer HNFs in T0-coordinates) for each lo < d ≤ hi that has an invariant lattice.
+
+    d runs over the products of one p^k per prime, for (p, ks) in powers
+    and k in ks; powers must come by ascending least index p^min ks, and is
+    read only as far as that index stays within hi.  A lattice of index
+    m·p^k, with m made of primes read before p, is the meet of one of index
+    m and one of index p^k (`_coprime_meet`), so the walk goes depth first
+    and meets each part once, on the way down.  A path takes its primes in
+    descending order, so it needs none that is not read yet, and the
+    indices come in walk order, not ascending.  An index up to lo is met
+    only on the way to a child.
+    """
+    seen: list[tuple[int, range, int]] = []  # (p, ks, least index p^min ks), as read
+
+    def visit(m: int, meets: tuple, i: int) -> Iterator[tuple[int, tuple]]:
+        p, ks, _ = seen[i]
+        for k in ks:
+            d = m * p**k
+            if d > hi:
+                break
+            if d <= lo and (i == 0 or d * seen[0][2] > hi):
+                continue
+            part = _invariant_p_power(coord_rots, p, k)
+            if part:
+                # at m = 1 the part is its own meet, the tuple the cache holds
+                lattices = part if m == 1 else tuple(_coprime_meet(A, B) for A in meets for B in part)
+                if d > lo:
+                    yield d, lattices
+                for j in range(i):
+                    if d * seen[j][2] > hi:
+                        break
+                    yield from visit(d, lattices, j)
+
+    if lo < 1 <= hi:
+        yield 1, (IDENTITY,)
+    for p, ks in powers:
+        least = p**ks.start
+        if least > hi:
+            break
+        if seen and least < seen[-1][2]:
+            raise InvariantViolation("prime powers reached the walk out of the order of their least index")
+        seen.append((p, ks, least))
+        yield from visit(1, (IDENTITY,), len(seen) - 1)
+
+
+def _in_t0(T0: SubgroupHNF, lattices: Iterable[tuple]) -> list[SubgroupHNF]:
+    """Lattices of one index, mapped from T0-coordinates to T0 and sorted by (scale, basis)."""
+    out = [_from_t0_hnf(T0, M) for M in lattices]
     # the scale is 1/D, so ascending scale is descending D
     out.sort(key=lambda L: (-L.scale.denominator, L.basis))
     return out
 
 
+def _check_rotation(r) -> Mat3:
+    """r as a tuple of row tuples; ValueError naming r unless it is a 3×3 matrix of ints."""
+    try:
+        rows = tuple(map(tuple, r))
+    except TypeError:  # r or one of its rows is not iterable
+        rows = ()
+    if len(rows) != 3 or any(len(row) != 3 or any(type(x) is not int for x in row) for row in rows):
+        raise ValueError(f"a rotation must be a 3×3 matrix of ints, got {r!r}")
+    return rows
+
+
 def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) -> list[SubgroupHNF]:
     """Index-d sublattices of T0 invariant under a set of integer rotations of finite order.
 
-    A lattice of composite index is split uniquely into its prime-power
-    parts, each an integer HNF in T0-coordinates.  At a prime p that does not
-    divide the order of the group P the rotations generate, a part is read
-    off in closed form when `_split` knows the split of ℚ³ under P (the cubic
-    and hexagonal point groups); at the other primes, and for every other P,
-    the submodule descent mod p finds it.  Coprime parts are met in closed
-    form by the CRT (`_coprime_meet`), and the result takes one integer step
-    to T0.  It is sorted by (scale, basis).  Its independent check is the
-    enumerate-and-filter over every HNF of index d in `tests/oracles.py`.
+    Each rotation must be a 3×3 matrix of ints.  A lattice of composite
+    index is split uniquely into its prime-power parts, each an integer HNF
+    in T0-coordinates.  At a prime p that does not divide the order of the
+    group P the rotations generate, a part is read off in closed form when
+    `_split` knows the split of ℚ³ under P (the cubic and hexagonal point
+    groups); at the other primes, and for every other P, the submodule
+    descent mod p finds it, once per primitive lattice.  The survey's walker
+    meets coprime parts in closed form by the CRT (`_coprime_meet`), here
+    over the prime powers of d alone, and each result takes one integer
+    step to T0.  It is sorted by (scale, basis).  Its independent check is
+    the enumerate-and-filter over every HNF of index d in `tests/oracles.py`.
     """
     _check_index(d, "index")
+    rots = tuple(_check_rotation(r) for r in rotations)
     if T0.rank != 3:
         raise RankDeficient("invariant_sublattices requires a rank-3 subgroup")
-    return _invariant_sublattices(T0, _coord_rotations(T0, tuple(tuple(map(tuple, r)) for r in rotations)), d)
+    coord_rots = _coord_rotations(T0, rots)
+    split = _split(coord_rots)
+    # a prime whose exponent cannot carry a part drops out, and d is never reached
+    parts = sorted((p**k, p, k) for p, k in _prime_power_parts(d) if k in _exponents(split, p, k))
+    walk = _walk(coord_rots, [(p, range(k, k + 1)) for _, p, k in parts], d - 1, d)
+    return _in_t0(T0, (M for _, lattices in walk for M in lattices))
 
 
 # ============================================================
@@ -514,15 +621,31 @@ def normal_translation_subgroups(
     """All invariant sublattices of T0 up to max_index, with family and total index.
 
     The total index is the index in the full space group: point order times
-    the lattice index inside T0.  Each index is surveyed once, into the
-    stored survey of (T0, rotations, frame), and the answer is its first rows.
+    the lattice index inside T0.  The survey of (T0, rotations, frame) is
+    stored and grows by prime-power parts: one walk meets the parts of every
+    index past the stored bound, with the descent run once per primitive
+    lattice, and each index's lattices go to the rows in ascending order.
+    The answer is the first rows.
     """
     _check_index(max_index, "max_index")
     coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
     survey = _survey(G.T0, coord_rots, G.frame.name)
     with survey.lock:  # a second caller must not append the same index again
-        for d in range(survey.bound + 1, max_index + 1):
-            survey.rows += [(L, match_family(L, G.frame), d) for L in _invariant_sublattices(G.T0, coord_rots, d)]
-            survey.bound = d
+        if max_index > survey.bound:
+            split = _split(coord_rots)
+            # the primes ascend and so do their least indices p^e: e = step = 3 only for a cubic
+            # P, whose order 12, 24 or 48 gives e = 1 at p = 2 and 3; so the walk reads the primes
+            # up to the first p with p^e > max_index (p³ > max_index for a cubic class), no further
+            powers = ((p, _exponents(split, p, max_index.bit_length())) for p in _primes())
+            rows = []
+            # each index's raw HNFs go once its rows hold them (for T0 = ℤ³ the rows keep the same tuples)
+            for d, lattices in _walk(coord_rots, powers, survey.bound, max_index):
+                rows += [(L, match_family(L, G.frame), d) for L in _in_t0(G.T0, lattices)]
+            rows.sort(key=itemgetter(2))  # stable: each index keeps its (scale, basis) order
+            if survey.rows:
+                survey.rows += rows
+            else:  # the first walk's list becomes the store, with no copy
+                survey.rows = rows
+            survey.bound = max_index
     end = bisect_right(survey.rows, max_index, key=itemgetter(2))
     return [(L, fam, G.point_order * d) for L, fam, d in survey.rows[:end]]

@@ -10,8 +10,9 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -327,6 +328,24 @@ def test_survey_rejects_an_index_that_is_not_an_int(d):
         normal_translation_subgroups(make_group("P432"), d)
 
 
+@pytest.mark.parametrize(
+    "rot",
+    [
+        ((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1.5, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 0), (0, 1)),
+        ((True, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 1, 0)),
+        7,
+    ],
+    ids=["fraction", "float", "2x2", "bool", "2x3", "int"],
+)
+def test_invariant_sublattices_rejects_a_malformed_rotation(rot):
+    # checked up front and named, not a TypeError from the frame or an unpacking error
+    with pytest.raises(ValueError, match=re.escape(repr(rot))):
+        invariant_sublattices(Z3, (ROT_Z, rot), 2)
+
+
 def test_invariant_rejects_unstable_t0():
     skew = hnf([(1, 0, 0), (0, 2, 0), (0, 0, 3)])
     with pytest.raises(ValueError):
@@ -604,19 +623,24 @@ def _stored_rows(G):
     return _survey(G.T0, _coord_rotations(G.T0, _rotation_generators(G)), G.frame.name).rows
 
 
+_GROWING_BOUNDS = (1, 37, 128, 129, 256)
+
+
 @pytest.mark.parametrize("name", GROUP_NAMES)
 def test_growing_survey_gives_every_bound_the_same_rows(name):
-    # the stored survey grows to the largest bound asked; a smaller bound reads its first rows
+    # the stored survey grows to the largest bound asked; a smaller bound reads its first rows.
+    # 128 = 2⁷ and 129 = 3·43 cut inside the chain of 2-power parts, which the walk
+    # from 128 to 129 passes only on the way to 129
     G = make_group(name)
     runs = []
-    for bounds in ((1, 37, 256), (256, 37, 1)):
+    for bounds in (_GROWING_BOUNDS, _GROWING_BOUNDS[::-1]):
         _clear_survey_caches()
         runs.append({b: normal_translation_subgroups(G, b) for b in bounds})
         # one stored row per lattice found, none for an index without one
         assert len(_stored_rows(G)) == len(runs[-1][256])
     assert runs[0] == runs[1]
     answers = runs[0]
-    for a, b in ((1, 37), (1, 256), (37, 256)):
+    for a, b in combinations(_GROWING_BOUNDS, 2):
         head = [row for row in answers[b] if row[2] <= G.point_order * a]
         assert answers[a] == head == answers[b][: len(head)]
 
@@ -771,3 +795,104 @@ def test_split_rejects_a_component_that_is_not_invariant(monkeypatch):
     monkeypatch.setattr(sublattices, "rotation_axis", lambda g: (1, 0, 0))
     with pytest.raises(InvariantViolation):
         sublattices._split.__wrapped__(coord_rots)
+
+
+# ============================================================
+# the walk over prime powers and the descent once per primitive lattice
+# ============================================================
+
+
+def _times(c, M):
+    return tuple(tuple(c * x for x in col) for col in M)
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_descent_of_a_multiple_is_the_scaled_descent(name):
+    # the rotations act on c·M as on M, so c·M has M's normals and c times its lattices
+    G = make_group(name)
+    coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for p in (2, 3):
+        reached = {identity}
+        for k in range(1, 9 if p == 2 else 6):  # every M of index up to 256
+            reached.update(sublattices._descent_p_power(coord_rots, p, k))
+        for M in reached:
+            normals, planes = sublattices._invariant_planes.__wrapped__(coord_rots, p, M)
+            maximal = sublattices._maximal_invariant.__wrapped__(coord_rots, p, M)
+            for c in (p, 5):
+                got = sublattices._invariant_planes(coord_rots, p, _times(c, M))
+                assert got == (normals, tuple(_times(c, N) for N in planes)), (p, M, c)
+                got = sublattices._maximal_invariant(coord_rots, p, _times(c, M))
+                assert got == tuple((_times(c, N), s) for N, s in maximal), (p, M, c)
+            # and the planes of p·M are its invariant sublattices of index p, by brute force
+            of_pM = sublattices._invariant_planes(coord_rots, p, _times(p, M))[1]
+            literal = literal_invariant_sublattices(hnf(_times(p, M)), coord_rots, p)
+            assert sorted(of_pM) == sorted(L.basis for L in literal), (p, M)
+
+
+def test_cold_survey_takes_the_action_of_primitive_lattices_only(monkeypatch):
+    _clear_survey_caches()
+    calls = _recording(monkeypatch, ["_actions"])
+    for name in GROUP_NAMES:
+        normal_translation_subgroups(make_group(name), 256)
+    assert calls["_actions"] and all(math.gcd(*(x for col in M for x in col)) == 1 for _, M in calls["_actions"])
+    monkeypatch.undo()
+    # 60 when every lattice of the descent kept its own
+    assert sublattices._actions.cache_info().currsize <= 31
+
+
+def _cubic_family_rows(bound):
+    """The P432 survey to a bound in closed form: n·ℤ³, the face-centred n·T2 and the body-centred 2n lattices."""
+    rows = []
+    for tag, u, step in (("CUBIC_PRIMITIVE", 1, 1), ("CUBIC_FACE", 1, 2), ("CUBIC_BODY", 2, 4)):
+        n = 1
+        while step * n**3 <= bound:
+            rows.append((step * n**3, LatticeFamily(tag, u * n)))
+            n += 1
+    rows.sort(key=lambda row: row[0])  # n³, 2n³ and 4n³ never coincide
+    return [(fam.instantiate(), fam, 24 * d) for d, fam in rows]
+
+
+def test_survey_at_a_large_cubic_bound_walks_only_primes_that_carry_a_part(monkeypatch):
+    # p ∤ 24 carries a cubic part only at p³, p⁶, ...: the walk reads no prime past 10³
+    G = make_group("P432")
+    _clear_survey_caches()
+    calls = _recording(monkeypatch, ["_invariant_p_power"])
+    rows = normal_translation_subgroups(G, 10**9)
+    assert rows == _cubic_family_rows(10**9)
+    asked = {p for _, p, _ in calls["_invariant_p_power"]}
+    assert asked == {p for p in range(2, 1001) if all(p % q for q in range(2, math.isqrt(p) + 1))}
+    assert all(k % 3 == 0 for _, p, k in calls["_invariant_p_power"] if p > 3)
+    # one index alone: 5² cannot carry a part, so 5²·7³ has no lattice and no part is looked up
+    calls["_invariant_p_power"].clear()
+    assert invariant_sublattices(Z3, CUBIC_ROTS, 5**2 * 7**3) == []
+    assert 5 not in {p for _, p, _ in calls["_invariant_p_power"]}
+
+
+def test_cubic_survey_allocates_nothing_in_proportion_to_the_bound():
+    # 520 lattices to 10⁷ take about 0.5 MB; a sieve or any table over the indices would take 10 MB or more
+    G = make_group("P432")
+    _clear_survey_caches()
+    tracemalloc.start()
+    try:
+        rows = normal_translation_subgroups(G, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == _cubic_family_rows(10**7)
+    assert peak < 1_500_000
+
+
+def test_prime_stream_lists_the_primes_in_order():
+    # segments [n, 2n) up to n = 2¹¹, each sieved by the primes below √(2n)
+    stream = sublattices._primes()
+    got = [next(stream) for _ in range(700)]
+    assert got == [p for p in range(2, got[-1] + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def test_walk_rejects_prime_powers_out_of_order():
+    # a level ends at the first prime that overshoots, which is sound only for ascending least indices
+    coord_rots = _coord_rotations(Z3, HEX_ROTS)
+    with pytest.raises(InvariantViolation, match="order"):
+        list(sublattices._walk(coord_rots, [(3, range(1, 2)), (2, range(1, 2))], 0, 6))
+    assert dict(sublattices._walk(coord_rots, [(2, range(1, 2)), (3, range(1, 2))], 5, 6)).keys() == {6}
