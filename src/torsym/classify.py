@@ -597,26 +597,16 @@ def rows_to_json(rows: list[ClassificationRow]) -> dict:
     return {"schema_version": SCHEMA_VERSION, "rows": [row.to_json() for row in rows]}
 
 
+def _csv(header: str, records) -> str:
+    """The header, then one line of comma-separated fields per record; a None field is left empty."""
+    return "\n".join([header, *(",".join("" if x is None else str(x) for x in record) for record in records)])
+
+
 def rows_to_csv(rows: list[ClassificationRow]) -> str:
-    out = ["group,edge,family,n,m,constraint,lattice_index,group_order,genus,knotted"]
-    for row in rows:
-        out.append(
-            ",".join(
-                [
-                    row.group,
-                    row.edge_label,
-                    row.family.tag,
-                    str(row.n),
-                    "" if row.m is None else str(row.m),
-                    row.constraint,
-                    str(row.lattice_index),
-                    str(row.group_order),
-                    str(row.genus),
-                    str(int(row.knotted)),
-                ]
-            )
-        )
-    return "\n".join(out)
+    return _csv(
+        "group,edge,family,n,m,constraint,lattice_index,group_order,genus,knotted",
+        ((r.group, r.edge_label, r.family.tag, r.n, r.m, r.constraint, r.lattice_index, r.group_order, r.genus, int(r.knotted)) for r in rows),
+    )
 
 
 def table_to_text(entries: list[GenusEntry]) -> str:
@@ -654,26 +644,14 @@ def table_to_json(entries: list[GenusEntry]) -> dict:
 
 
 def table_to_csv(entries: list[GenusEntry]) -> str:
-    out = ["genus,group_order,column,group,edge,family,n,m,lattice_index,knotted"]
-    for entry in entries:
-        for column, row in entry.actions:
-            out.append(
-                ",".join(
-                    [
-                        str(entry.genus),
-                        str(entry.group_order),
-                        str(column),
-                        row.group,
-                        row.edge_label,
-                        row.family.tag,
-                        str(row.n),
-                        "" if row.m is None else str(row.m),
-                        str(row.lattice_index),
-                        str(int(row.knotted)),
-                    ]
-                )
-            )
-    return "\n".join(out)
+    return _csv(
+        "genus,group_order,column,group,edge,family,n,m,lattice_index,knotted",
+        (
+            (entry.genus, entry.group_order, column, r.group, r.edge_label, r.family.tag, r.n, r.m, r.lattice_index, int(r.knotted))
+            for entry in entries
+            for column, r in entry.actions
+        ),
+    )
 
 
 def report_to_text(report: VerificationReport) -> str:

@@ -30,27 +30,6 @@ IDENTITY: IntMat = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # ============================================================
 
 
-def vec(x, y, z) -> Vec3:
-    return (Fraction(x), Fraction(y), Fraction(z))
-
-
-def vadd(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def vneg(a: Vec3) -> Vec3:
-    return (-a[0], -a[1], -a[2])
-
-
-def vscale(c, a: Vec3) -> Vec3:
-    c = Fraction(c)
-    return (c * a[0], c * a[1], c * a[2])
-
-
-def mat(rows: Sequence[Sequence]) -> Mat3:
-    return tuple(tuple(Fraction(e) for e in row) for row in rows)
-
-
 def _over_common_denominator(v: Sequence) -> tuple[tuple[int, ...], int]:
     """Integer numerators and their least positive common denominator for a rational vector."""
     if all(type(x) is int for x in v):
@@ -190,7 +169,7 @@ class SubgroupHNF:
 
     def vectors(self) -> list[Vec3]:
         """Actual basis vectors (scale applied)."""
-        return [vscale(self.scale, vec(*col)) for col in self.basis]
+        return [tuple(Fraction(x, self.scale.denominator) for x in col) for col in self.basis]
 
     def to_json(self) -> dict:
         return {
@@ -343,8 +322,9 @@ def join(a: SubgroupHNF, b: SubgroupHNF) -> SubgroupHNF:
     return hnf(a.vectors() + b.vectors())
 
 
-def basis_frame(basis: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, int]:
-    """(H, adj(H), det H) for a rank-3 integer column HNF basis.
+@lru_cache(maxsize=None)
+def basis_frame(basis: tuple[tuple[int, int, int], ...]) -> tuple[IntMat, IntMat, int]:
+    """(H, adj(H), det H) for a rank-3 integer column HNF basis, cached on the basis tuple.
 
     H is the basis as a matrix whose columns are the basis vectors, so that
     H⁻¹ = adj(H) / det H.
@@ -362,16 +342,10 @@ def basis_frame(basis: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, int]:
 
 
 def _integer_frame(sub: SubgroupHNF) -> tuple[IntMat, IntMat, int, int]:
-    """Integer data of a rank-3 subgroup with actual basis H/q: its `basis_frame` and q."""
+    """Integer data of a rank-3 subgroup with actual basis H/q: its `basis_frame`, looked up without hashing a `Fraction`, and q."""
     if sub.rank != 3:
         raise RankDeficient("integer coordinates require rank 3")
-    return _basis_frame_over(sub.basis, sub.scale.denominator)
-
-
-@lru_cache(maxsize=None)
-def _basis_frame_over(basis: tuple[tuple[int, int, int], ...], q: int) -> tuple:
-    """`basis_frame` and q, cached on integers so that no lookup hashes the `Fraction` scale."""
-    return (*basis_frame(basis), q)
+    return (*basis_frame(sub.basis), sub.scale.denominator)
 
 
 def coord_numerators(v: Sequence, sub: SubgroupHNF) -> tuple[IntVec, int]:
@@ -405,22 +379,12 @@ def frame_coords_matrix(m: Sequence[Sequence[int]], frame: Sequence) -> IntMat |
     return tuple(tuple(x // det for x in row) for row in prod)
 
 
-def coords_matrix(m: Sequence[Sequence[int]], sub: SubgroupHNF) -> IntMat | None:
-    """`frame_coords_matrix` in the actual basis B = H/q of a rank-3 subgroup, where B⁻¹·m·B = H⁻¹·m·H."""
-    return frame_coords_matrix(m, _integer_frame(sub))
-
-
 def invariant_coords_matrix(m: Sequence[Sequence[int]], sub: SubgroupHNF) -> IntMat:
-    """coords_matrix for a linear map that must preserve the subgroup; ValueError otherwise."""
-    a = coords_matrix(m, sub)
+    """B⁻¹·m·B = H⁻¹·m·H in the actual basis B = H/q of a rank-3 subgroup that m must preserve; ValueError otherwise."""
+    a = frame_coords_matrix(m, _integer_frame(sub))
     if a is None:
         raise ValueError("subgroup is not invariant under the linear map")
     return a
-
-
-def from_coords(c: Sequence, sub: SubgroupHNF) -> Vec3:
-    """Vector with the given coordinates in the actual basis of a rank-3 subgroup."""
-    return from_numerators(*_over_common_denominator(c), sub)
 
 
 @lru_cache(maxsize=None)
@@ -443,11 +407,6 @@ def _from_t0_hnf(T0: SubgroupHNF, basis: tuple[tuple[int, int, int], ...]) -> Su
     cols = [hnf_reduce(col, cols[j + 1 :]) for j, col in enumerate(cols)]
     g = math.gcd(q, *(x for col in cols for x in col))
     return SubgroupHNF(len(cols), tuple(tuple(x // g for x in col) for col in cols), _unit_fraction(q // g))
-
-
-def _from_t0_coords(T0: SubgroupHNF, cols: Sequence[Sequence[int]]) -> SubgroupHNF:
-    """The subgroup of T0 spanned by integer T0-coordinate columns: `_from_t0_hnf` of their HNF."""
-    return _from_t0_hnf(T0, hnf_columns(cols))
 
 
 def relative_coordinates(sub: SubgroupHNF, sup: SubgroupHNF) -> list[IntVec]:

@@ -15,13 +15,14 @@ from .lattices import (
     IDENTITY,
     SubgroupHNF,
     Vec3,
-    _from_t0_coords,
+    _from_t0_hnf,
+    _integer_frame,
     IntMat,
     IntVec,
     coord_numerators,
-    coords_matrix,
-    from_coords,
+    frame_coords_matrix,
     from_numerators,
+    hnf_columns,
     hnf_reduce,
     index,
     int_matvec,
@@ -36,9 +37,6 @@ from .lattices import (
     rotation_axis,
     smith_form,
     solve_congruence,
-    vadd,
-    vneg,
-    vec,
 )
 from .spacegroups import (
     Axis,
@@ -179,7 +177,7 @@ def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
         order = rotation_order(rot)
         if order in (2, 3):
             delta = tuple(tuple(rot[i][j] - (i == j) for j in range(3)) for i in range(3))
-            keyed.setdefault((rotation_axis(rot), order), (delta, vneg(tau)))
+            keyed.setdefault((rotation_axis(rot), order), (delta, (-tau[0], -tau[1], -tau[2])))
 
     def turn(move, key: tuple[IntVec, int]) -> tuple[IntVec, int]:
         return _turned(move[0], key[0]), key[1]
@@ -280,7 +278,7 @@ def _axes_mod_t0(sc: _Scaled, lines: Lines) -> list[ScaledAxis]:
         return int_matvec(_axis_basis(k[0])[1], (0, k[1], k[2]))
 
     def act(move, k: tuple[IntVec, int, int]) -> tuple[IntVec, int, int]:
-        return key(_turned(move[0], k[0]), vadd(int_matvec(move[0], base(k)), move[1]))
+        return key(_turned(move[0], k[0]), tuple(y + t for y, t in zip(int_matvec(move[0], base(k)), move[1])))
 
     solved = [key(e, tuple(x * (den // top) for x in y)) for e, points, top in lines for y in points]
     found = _orbit_sweep(solved, act, sc.moves)
@@ -292,7 +290,7 @@ def _vertices_mod_t0(sc: _Scaled, corners: Corners) -> list[IntVec]:
     """Vertex classes, the solved corners swept by every coset map, reduced into the cell [0,1)³ and sorted."""
     den = sc.den
     solved = [tuple(x * (den // top) % den for x in y) for points, top in corners for y in points]
-    return sorted(_orbit_sweep(solved, lambda m, y: tuple(x % den for x in vadd(int_matvec(m[0], y), m[1])), sc.moves))
+    return sorted(_orbit_sweep(solved, lambda m, y: tuple((x + t) % den for x, t in zip(int_matvec(m[0], y), m[1])), sc.moves))
 
 
 def _axis_segments(
@@ -336,7 +334,7 @@ def _germ_orbits(rots: Sequence[IntMat]) -> tuple[tuple[frozenset[IntVec], int],
     out, so the orbit of a germ u is u and its images A·u.
     """
     by_dir = Counter(rotation_axis(rot) for rot in rots)
-    index_of = {u: count + 1 for d, count in by_dir.items() for u in (d, vneg(d))}
+    index_of = {u: count + 1 for d, count in by_dir.items() for u in (d, (-d[0], -d[1], -d[2]))}
     first = _orbit_sweep(index_of, int_matvec, (IDENTITY, *rots))
     if not first.keys() <= index_of.keys():
         raise InvariantViolation("stabilizer does not permute the germ directions")
@@ -554,7 +552,7 @@ def _normalizer_solutions(name: str) -> tuple[tuple[IntMat, IntMat, IntVec, int]
             continue
         covered.update(matmul(c.rot, rows) for c in G.cosets)
         # integral iff S·T0 ⊆ T0, which means S·T0 = T0 because det S = ±1
-        s = coords_matrix(rows, T0)
+        s = frame_coords_matrix(rows, _integer_frame(T0))
         if s is None:
             continue
         s_inv = mat_inv(s)
@@ -666,10 +664,10 @@ def suppress_valence_two(g: PeriodicGraph) -> PeriodicGraph:
         p1, p2 = incident[target]
         i1, j1, s1 = edges[p1]
         if j1 != target:
-            i1, j1, s1 = j1, i1, vneg(s1)
+            i1, j1, s1 = j1, i1, (-s1[0], -s1[1], -s1[2])
         i2, j2, s2 = edges[p2]
         if i2 != target:
-            i2, j2, s2 = j2, i2, vneg(s2)
+            i2, j2, s2 = j2, i2, (-s2[0], -s2[1], -s2[2])
         merged = _normalize_edge(i1, j2, (s1[0] + s2[0], s1[1] + s2[1], s1[2] + s2[2]))
         edges = [e for pos, e in enumerate(edges) if pos not in (p1, p2)]
         edges.append(merged)
@@ -690,7 +688,9 @@ def suppress_valence_two(g: PeriodicGraph) -> PeriodicGraph:
 
 
 def _adjacency(g: PeriodicGraph) -> list[list[tuple[int, IntVec]]]:
-    """The (neighbour, shift) pairs at each vertex, every edge (i, j, s) listed at i and as (i, −s) at j."""
+    """The (neighbour, shift) pairs at each vertex: edge (i, j, s) as (j, s) at i and (i, −s) at j; Disconnected with no vertex."""
+    if not g.vertices:
+        raise Disconnected("graph has no vertices")
     adjacency: list[list[tuple[int, IntVec]]] = [[] for _ in g.vertices]
     for i, j, s in g.edges:
         adjacency[i].append((j, s))
@@ -702,8 +702,6 @@ def _adjacency(g: PeriodicGraph) -> list[list[tuple[int, IntVec]]]:
 def cycle_image_lattice(g: PeriodicGraph) -> SubgroupHNF:
     """Lattice generated by the net shifts of the graph's fundamental cycles, memoised per graph."""
     n = len(g.vertices)
-    if n == 0:
-        raise Disconnected("graph has no vertices")
     adjacency = _adjacency(g)
     potential: dict[int, IntVec] = {0: (0, 0, 0)}
     stack = [0]
@@ -716,7 +714,7 @@ def cycle_image_lattice(g: PeriodicGraph) -> SubgroupHNF:
     if len(potential) != n:
         raise Disconnected("graph is not connected modulo the lattice")
     cycles = [tuple(potential[i][k] + s[k] - potential[j][k] for k in range(3)) for i, j, s in g.edges]
-    return _from_t0_coords(g.T0, cycles)
+    return _from_t0_hnf(g.T0, hnf_columns(cycles))
 
 
 def _check_sublattice(g: PeriodicGraph, T: SubgroupHNF) -> None:
@@ -739,7 +737,7 @@ def lift_connected_bruteforce(g: PeriodicGraph, T: SubgroupHNF) -> bool:
     _check_sublattice(g, T)
     rel = relative_integer_basis(T, g.T0)
     adjacency = _adjacency(g)
-    stack = [(0, (0, 0, 0))] if g.vertices else []
+    stack = [(0, (0, 0, 0))]
     seen = set(stack)
     while stack:
         i, x = stack.pop()
@@ -748,7 +746,7 @@ def lift_connected_bruteforce(g: PeriodicGraph, T: SubgroupHNF) -> bool:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return 0 < len(seen) == len(g.vertices) * rel[0][0] * rel[1][1] * rel[2][2]
+    return len(seen) == len(g.vertices) * rel[0][0] * rel[1][1] * rel[2][2]
 
 
 def lift_genus(g: PeriodicGraph, T: SubgroupHNF) -> int:
@@ -758,30 +756,3 @@ def lift_genus(g: PeriodicGraph, T: SubgroupHNF) -> int:
     k = index(T, g.T0)
     return (len(g.edges) - len(g.vertices)) * k + 1
 
-
-# ============================================================
-# optional geometry export
-# ============================================================
-
-
-def to_obj_lines(g: PeriodicGraph) -> list[str]:
-    """Wavefront OBJ polyline description of one fundamental cell of the lift."""
-    frame = make_group(g.group).frame
-    hexagonal = frame.gram[0][1] != 0
-
-    def xyz(c: Vec3) -> tuple[float, float, float]:
-        u, v, w = from_coords(c, g.T0)
-        if hexagonal:
-            return (float(-u / 2 + v), float(u) * math.sqrt(3) / 2, float(w))
-        return (float(u), float(v), float(w))
-
-    lines = ["# periodic graph fundamental cell"]
-    count = 0
-    for i, j, s in g.edges:
-        a = xyz(g.vertices[i])
-        b = xyz(vadd(g.vertices[j], vec(*s)))
-        lines.append("v %.6f %.6f %.6f" % a)
-        lines.append("v %.6f %.6f %.6f" % b)
-        count += 2
-        lines.append("l %d %d" % (count - 1, count))
-    return lines

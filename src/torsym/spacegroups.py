@@ -29,11 +29,8 @@ from .lattices import (
     hnf_columns,
     hnf_reduce,
     int_matvec,
-    mat,
     mat_det,
     matmul,
-    vadd,
-    vec,
 )
 
 # the cosets (R, t) of a group as maps y ↦ A·y + τ in the basis of T0, and the den of every τ (see coset_maps)
@@ -52,17 +49,9 @@ class Frame:
     gram: tuple[tuple[Fraction, ...], ...]
 
 
-CUBIC_FRAME = Frame("CUBIC", mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-HEX_FRAME = Frame(
-    "HEXAGONAL",
-    mat(
-        [
-            [1, Fraction(-1, 2), 0],
-            [Fraction(-1, 2), 1, 0],
-            [0, 0, 1],
-        ]
-    ),
-)
+_ZERO, _ONE, _MINUS_HALF = Fraction(0), Fraction(1), Fraction(-1, 2)
+CUBIC_FRAME = Frame("CUBIC", ((_ONE, _ZERO, _ZERO), (_ZERO, _ONE, _ZERO), (_ZERO, _ZERO, _ONE)))
+HEX_FRAME = Frame("HEXAGONAL", ((_ONE, _MINUS_HALF, _ZERO), (_MINUS_HALF, _ONE, _ZERO), (_ZERO, _ZERO, _ONE)))
 
 
 # ============================================================
@@ -115,10 +104,6 @@ def preserves_metric(m: Sequence[Sequence[int]], gram: tuple[tuple[int, ...], ..
     return matmul(matmul(tuple(zip(*m)), gram), m) == gram
 
 
-def translation(frame: Frame, v: Sequence) -> Isometry:
-    return Isometry(frame, IDENTITY, vec(*v))
-
-
 def is_pure_translation(g: Isometry) -> bool:
     return g.rot == IDENTITY
 
@@ -150,9 +135,6 @@ ROT_OMEGA = ((-1, 1, 0), (-1, 0, 0), (0, 0, 1))
 ROT_Y_HEX = ((1, 0, 0), (1, -1, 0), (0, 0, -1))
 ROT_Z_HEX = ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
 
-T_X = (1, 0, 0)
-T_Y = (0, 1, 0)
-T_Z = (0, 0, 1)
 T_HALF = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 
 
@@ -171,43 +153,36 @@ class SpaceGroup:
     cosets: tuple[Isometry, ...]
 
 
-def _sum_t(*vs) -> tuple:
-    out = vec(0, 0, 0)
-    for v in vs:
-        out = vadd(out, vec(*v))
-    return out
-
-
 # generators: translation lattice basis plus rotational generators (rot, translation part)
 _PRESENTATIONS: dict[str, tuple[Frame, list, list]] = {
     "P432": (
         CUBIC_FRAME,
-        [T_X, T_Y, T_Z],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
         [(ROT_Y, (0, 0, 0)), (ROT_Z, (0, 0, 0)), (ROT_XY, (0, 0, 0)), (ROT_XYZ, (0, 0, 0))],
     ),
     "F4_132": (
         CUBIC_FRAME,
-        [_sum_t(T_X, T_X), _sum_t(T_Y, T_X), _sum_t(T_Z, T_X)],
+        [(2, 0, 0), (1, 1, 0), (1, 0, 1)],
         [(ROT_Y, (0, 0, 0)), (ROT_Z, (0, 0, 0)), (ROT_XY, T_HALF), (ROT_XYZ, (0, 0, 0))],
     ),
     "I4_132": (
         CUBIC_FRAME,
-        [_sum_t(T_X, T_X), _sum_t(T_Y, T_Y), _sum_t(T_HALF, T_HALF)],
+        [(2, 0, 0), (0, 2, 0), (1, 1, 1)],
         [
-            (ROT_Y, _sum_t(T_Z, T_Y)),
-            (ROT_Z, _sum_t(T_X, T_Z)),
-            (ROT_XY, _sum_t(T_X, T_HALF)),
+            (ROT_Y, (0, 1, 1)),
+            (ROT_Z, (1, 0, 1)),
+            (ROT_XY, (Fraction(3, 2), Fraction(1, 2), Fraction(1, 2))),
             (ROT_XYZ, (0, 0, 0)),
         ],
     ),
     "I432": (
         CUBIC_FRAME,
-        [T_X, T_Y, T_HALF],
+        [(1, 0, 0), (0, 1, 0), T_HALF],
         [(ROT_Y, (0, 0, 0)), (ROT_Z, (0, 0, 0)), (ROT_XY, (0, 0, 0)), (ROT_XYZ, (0, 0, 0))],
     ),
     "P4_232": (
         CUBIC_FRAME,
-        [T_X, T_Y, T_Z],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
         [(ROT_Y, (0, 0, 0)), (ROT_Z, (0, 0, 0)), (ROT_XY, T_HALF), (ROT_XYZ, (0, 0, 0))],
     ),
     "P622": (
@@ -288,7 +263,7 @@ def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isomet
             ta, tb = reps[rot_a], int_matvec(rot_a, trans_b)
             merge(matmul(rot_a, rot_b), (ta[0] + tb[0], ta[1] + tb[1], ta[2] + tb[2]))
     rots = sorted(reps)
-    m_frame = basis_frame(mcols)
+    m_frame = basis_frame(tuple(mcols))
     coords = [frame_coords_matrix(rot, m_frame) for rot in rots]
     if None in coords:
         raise InvariantViolation("a coset rotation does not preserve the translation lattice")
@@ -297,9 +272,9 @@ def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isomet
     g = math.gcd(det, *(x for tau in taus for x in tau))
     maps = tuple((a, (t0 // g, t1 // g, t2 // g)) for a, (t0, t1, t2) in zip(coords, taus))
     # the output records: T0 and the frame cosets, in rationals
-    lattice = hnf([vec(*(Fraction(e, d_all) for e in col)) for col in mcols])
+    lattice = hnf([tuple(Fraction(e, d_all) for e in col) for col in mcols])
     frame = generators[0].frame
-    cosets = [Isometry(frame, rot, vec(*(Fraction(t, d_all) for t in reps[rot]))) for rot in rots]
+    cosets = [Isometry(frame, rot, tuple(Fraction(t, d_all) for t in reps[rot])) for rot in rots]
     return cosets, lattice, (maps, det // g)
 
 
@@ -321,8 +296,8 @@ def coset_maps(G: SpaceGroup) -> CosetMaps:
 @lru_cache(maxsize=None)
 def _make_group(name: str) -> tuple[SpaceGroup, CosetMaps]:
     frame, lat_gens, rot_gens = _PRESENTATIONS[name]
-    gens = [translation(frame, v) for v in lat_gens]
-    gens += [Isometry(frame, rot, vec(*t)) for rot, t in rot_gens]
+    gens = [Isometry(frame, IDENTITY, v) for v in lat_gens]
+    gens += [Isometry(frame, rot, t) for rot, t in rot_gens]
     cosets, T0, maps = _closure(gens)
     group = SpaceGroup(
         name=name,

@@ -28,7 +28,6 @@ from .lattices import (
     mat_det,
     matmul,
     rotation_axis,
-    vneg,
 )
 from .spacegroups import T_HALF, Frame, SpaceGroup
 
@@ -325,14 +324,8 @@ def _invariant_planes(coord_rots: tuple, p: int, M: tuple) -> tuple[tuple, tuple
     """(normals, lattices): the invariant sublattices of index p in an invariant M.
 
     Each is the preimage of an invariant plane of M/pM, the annihilator of
-    the normal w, an invariant line of the transposed action.  The rotations
-    act on M = c·M₀ by the matrices they have in M₀'s basis, so M has M₀'s
-    normals and c times its lattices: the descent runs once per primitive M₀.
+    the normal w, an invariant line of the transposed action.
     """
-    c, M0 = _primitive(M)
-    if c > 1:
-        normals, planes = _invariant_planes(coord_rots, p, M0)
-        return normals, tuple(_scaled(N, c) for N in planes)
     dual_acts = _actions(coord_rots, M)[1]
     normals = tuple(w for s in _common_eigenspaces(dual_acts, _splitting_order(coord_rots, p), p) for w in _lines(s, p))
     return normals, tuple(_preimage(M, _plane(w, p), p) for w in normals)
@@ -344,12 +337,8 @@ def _maximal_invariant(coord_rots: tuple, p: int, M: tuple) -> tuple:
 
     M and every N are integer column HNF bases of lattices in T0-coordinates;
     each N is the preimage in M of a maximal G-submodule of M/pM: an
-    invariant line in no invariant plane, or {0} when M/pM is simple.  As
-    for `_invariant_planes`, those of M = c·M₀ are c times those of M₀.
+    invariant line in no invariant plane, or {0} when M/pM is simple.
     """
-    c, M0 = _primitive(M)
-    if c > 1:
-        return tuple((_scaled(N, c), s) for N, s in _maximal_invariant(coord_rots, p, M0))
     normals, planes = _invariant_planes(coord_rots, p, M)
     lines = [v for s in _common_eigenspaces(_actions(coord_rots, M)[0], _splitting_order(coord_rots, p), p)
              for v in _lines(s, p) if all(sum(x * y for x, y in zip(w, v)) % p for w in normals)]
@@ -364,12 +353,18 @@ def _descent_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
 
     The last step of a chain has index p, p² or p³; only p^k ≥ p² asks for
     lines, so a prime with p² past the bound costs the planes of T0 alone.
+    The rotations act on M = c·M₀ as on M₀, so the steps from M are c times
+    those from M₀, and each runs once per primitive M₀.
     """
     below = [(IDENTITY,), *(_descent_p_power(coord_rots, p, j) for j in range(1, k))]
-    out = {N for M in below[k - 1] for N in _invariant_planes(coord_rots, p, M)[1]}
-    for step in range(2, min(k, 3) + 1):
-        for M in below[k - step]:
-            out.update(N for N, s in _maximal_invariant(coord_rots, p, M) if s == step)
+    out: set[tuple] = set()
+    for step in range(1, min(k, 3) + 1):
+        for c, M0 in map(_primitive, below[k - step]):
+            if step == 1:
+                found = _invariant_planes(coord_rots, p, M0)[1]
+            else:
+                found = [N for N, s in _maximal_invariant(coord_rots, p, M0) if s == step]
+            out.update(found if c == 1 else (_scaled(N, c) for N in found))
     return tuple(out)  # most primes give none, and () is shared
 
 
@@ -399,7 +394,7 @@ def _split(coord_rots: tuple) -> SimpleNamespace:
     parts = ((3, IDENTITY),) if norm == 1 else ()
     if norm == 2 and g is not None:
         v, n = rotation_axis(g), rotation_axis(tuple(zip(*g)))
-        if any(int_matvec(r, v) not in (v, vneg(v)) or int_matvec(tuple(zip(*r)), n) not in (n, vneg(n)) for r in coord_rots):
+        if any(int_matvec(r, v) not in (v, tuple(-x for x in v)) or int_matvec(tuple(zip(*r)), n) not in (n, tuple(-x for x in n)) for r in coord_rots):
             raise InvariantViolation("a component of the rational split of ℚ³ is not invariant")
         parts = ((1, (v,)), (2, hnf_columns([(0, n[2], -n[1]), (-n[2], 0, n[0]), (n[1], -n[0], 0)])))
     return SimpleNamespace(order=len(group), norm=norm, parts=parts, step=math.gcd(*(dim for dim, _ in parts)))
@@ -608,9 +603,10 @@ def _rotation_generators(G: SpaceGroup) -> tuple[Mat3, ...]:
 def _survey(T0: SubgroupHNF, coord_rots: tuple, frame_name: str) -> SimpleNamespace:
     """The stored survey of T0 under one set of rotations, in one frame, grown on demand.
 
-    `rows` holds (L, family, index in T0) for every index up to `bound`,
-    in the order `normal_translation_subgroups` returns them; an index with
-    no lattice leaves nothing.  `match_family` reads only the frame's name.
+    `rows` holds (L, family, total index |P|·d) for every index d ≤ `bound`
+    in T0, in the order `normal_translation_subgroups` returns them; an
+    index with no lattice leaves nothing.  The rotations fix |P|, and
+    `match_family` reads only the frame's name.
     """
     return SimpleNamespace(bound=0, rows=[], lock=threading.Lock())
 
@@ -625,7 +621,7 @@ def normal_translation_subgroups(
     stored and grows by prime-power parts: one walk meets the parts of every
     index past the stored bound, with the descent run once per primitive
     lattice, and each index's lattices go to the rows in ascending order.
-    The answer is the first rows.
+    The answer is the first rows, a new list of the stored row tuples.
     """
     _check_index(max_index, "max_index")
     coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
@@ -640,12 +636,11 @@ def normal_translation_subgroups(
             rows = []
             # each index's raw HNFs go once its rows hold them (for T0 = ℤ³ the rows keep the same tuples)
             for d, lattices in _walk(coord_rots, powers, survey.bound, max_index):
-                rows += [(L, match_family(L, G.frame), d) for L in _in_t0(G.T0, lattices)]
+                rows += [(L, match_family(L, G.frame), G.point_order * d) for L in _in_t0(G.T0, lattices)]
             rows.sort(key=itemgetter(2))  # stable: each index keeps its (scale, basis) order
             if survey.rows:
                 survey.rows += rows
             else:  # the first walk's list becomes the store, with no copy
                 survey.rows = rows
             survey.bound = max_index
-    end = bisect_right(survey.rows, max_index, key=itemgetter(2))
-    return [(L, fam, G.point_order * d) for L, fam, d in survey.rows[:end]]
+    return survey.rows[: bisect_right(survey.rows, G.point_order * max_index, key=itemgetter(2))]

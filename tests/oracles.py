@@ -37,6 +37,12 @@
   tests union every orbit with its normalizer images through it, against
   the package's one sweep of the normalizer transversal.
 
+- `vec`, `vadd`, `vneg`, `vscale` and `mat` build and combine `Fraction`
+  vectors and matrices.  `from_coords`, `coords_matrix`, `_from_t0_coords`
+  and `translation` are the coordinate and isometry conversions that the
+  tests state lattices and groups in; the package calls the integer routes
+  behind them directly.
+
 numpy is used only by the literal filter, so it is a test dependency only.
 """
 
@@ -55,10 +61,12 @@ from torsym.lattices import (
     Mat3,
     SubgroupHNF,
     Vec3,
-    _from_t0_coords,
+    _from_t0_hnf,
+    _integer_frame,
+    _over_common_denominator,
     coord_numerators,
     covolume,
-    from_coords,
+    frame_coords_matrix,
     hnf,
     hnf_columns,
     hnf_reduce,
@@ -67,7 +75,6 @@ from torsym.lattices import (
     invariant_coords_matrix,
     is_subgroup,
     join,
-    mat,
     mat_det,
     mat_inv,
     matmul,
@@ -76,8 +83,6 @@ from torsym.lattices import (
     relative_integer_basis,
     smith_form,
     solve_congruence,
-    vadd,
-    vneg,
 )
 from torsym.periodic_graphs import _axis_basis, _normalizer_solutions
 from torsym.spacegroups import (
@@ -96,6 +101,50 @@ from torsym.sublattices import _coord_rotations
 IntVec = tuple[int, int, int]
 
 _ROT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+# ============================================================
+# Fraction vectors and coordinate conversions that only the tests call
+# ============================================================
+
+
+def vec(x, y, z) -> Vec3:
+    return (Fraction(x), Fraction(y), Fraction(z))
+
+
+def vadd(a: Vec3, b: Vec3) -> Vec3:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def vneg(a: Vec3) -> Vec3:
+    return (-a[0], -a[1], -a[2])
+
+
+def vscale(c, a: Vec3) -> Vec3:
+    c = Fraction(c)
+    return (c * a[0], c * a[1], c * a[2])
+
+
+def mat(rows: Sequence[Sequence]) -> Mat3:
+    return tuple(tuple(Fraction(e) for e in row) for row in rows)
+
+
+def from_coords(c: Sequence, sub: SubgroupHNF) -> Vec3:
+    """Vector with the given coordinates in the actual basis of a rank-3 subgroup."""
+    return from_numerators(*_over_common_denominator(c), sub)
+
+
+def coords_matrix(m: Sequence[Sequence[int]], sub: SubgroupHNF) -> tuple | None:
+    """B⁻¹·m·B in the actual basis B of a rank-3 subgroup, or None when m does not preserve it."""
+    return frame_coords_matrix(m, _integer_frame(sub))
+
+
+def _from_t0_coords(T0: SubgroupHNF, cols: Sequence[Sequence[int]]) -> SubgroupHNF:
+    """The subgroup of T0 spanned by integer T0-coordinate columns."""
+    return _from_t0_hnf(T0, hnf_columns(cols))
+
+
+def translation(frame: Frame, v: Sequence) -> Isometry:
+    return Isometry(frame, _ROT_IDENTITY, vec(*v))
 
 # ============================================================
 # rational linear algebra

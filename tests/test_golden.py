@@ -49,6 +49,14 @@ GOLDEN = (
     ("classify I432 gamma --max-index 512 --format json", "2bfd36415d9df82a7260c7b7827c79bf5c69a22407ae39ecbf9e6c2b337c32dd"),
     ("classify I4_132 beta --max-index 512 --format json", "8ba70c7386e768db27f05ffdeab9f935153c456d0143c5627afc001129235404"),
     ("classify P622 beta --max-index 512 --format json", "96347ee6d59ade09375727060f3cd102a7b61e1608a8c66b59b85f900987fa11"),
+    # the text and CSV emitters, and the text forms of groups, singular graph and edges
+    ("groups", "b2d8dfad67c18194c395848c39f56387062c5af829c1911cbbb2069c87358b95"),
+    ("singular-graph P432", "334531784346dfe5a635ba765656ad668c02fa8fe92415d209b8a9c84efd929d"),
+    ("edges P622", "4633b9f66883512b8348eff6abacd06abfbbf97abc80efc3918d6e18be06e70b"),
+    ("table --max-genus 101", "81dcaac547879e994fd26f7200f66a3efb2407fde59c9871e8baf423430e6e72"),
+    ("table --max-genus 101 --format csv", "9417c503817dd801c6e1783a6b432d9e6b1f583b3e2ce9aba1902e9f624d9e44"),
+    ("classify P4_232 gamma --max-index 512", "0e65b8801bffacf27f14dd44d3faf4a2aa5c556a4d701093c32f2252add77505"),
+    ("classify P622 beta --max-index 512 --format csv", "50e7267aba73a9a47d554cdbdc4e53f6ad97ea13f5af5a31c4d2df97a66d3abf"),
 )
 
 # SHA-256 of repr(normal_translation_subgroups(G, 512)); P432 and P4_232 share T0 and point group

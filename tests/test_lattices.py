@@ -13,12 +13,9 @@ from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     SubgroupHNF,
-    _from_t0_coords,
     _from_t0_hnf,
     basis_frame,
-    coords_matrix,
     covolume,
-    from_coords,
     hnf,
     hnf_columns,
     hnf_reduce,
@@ -27,7 +24,6 @@ from torsym.lattices import (
     invariant_coords_matrix,
     is_subgroup,
     join,
-    mat,
     mat_det,
     mat_inv,
     matmul,
@@ -36,22 +32,26 @@ from torsym.lattices import (
     relative_integer_basis,
     smith_form,
     solve_congruence,
-    vec,
 )
 from torsym.spacegroups import GROUP_NAMES, make_group
 
 from oracles import (
+    _from_t0_coords,
     basis_matrix,
     coords_in,
+    coords_matrix,
     coset_reps,
     dual,
     fraction_index,
     fraction_is_subgroup,
     fraction_member,
+    from_coords,
     intersect,
+    mat,
     matvec,
     reduce_mod,
     solve_linear,
+    vec,
 )
 
 # the standard cubic lattices with closed-form membership oracles

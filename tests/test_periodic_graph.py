@@ -14,20 +14,14 @@ from torsym.errors import Disconnected, NotASubgroup
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     _from_t0_hnf,
-    coords_matrix,
-    from_coords,
     hnf,
     index,
     int_matvec,
     is_subgroup,
-    mat,
     mat_inv,
     matmul,
     member,
     primitive_integer,
-    vadd,
-    vec,
-    vscale,
 )
 from torsym.periodic_graphs import (
     PeriodicGraph,
@@ -47,7 +41,6 @@ from torsym.periodic_graphs import (
     marked_edges,
     singular_graph,
     suppress_valence_two,
-    to_obj_lines,
 )
 from torsym.spacegroups import (
     CUBIC_FRAME,
@@ -72,14 +65,20 @@ from oracles import (
     axis_classes,
     canon_segment,
     coords_in,
+    coords_matrix,
     coset_coords,
     fixed_axis,
     fixed_points_per_coset,
+    from_coords,
     germ_orbits,
     int_affine,
+    mat,
     matvec,
     reduce_mod,
+    vadd,
+    vec,
     vertex_classes,
+    vscale,
     vsub,
 )
 
@@ -979,6 +978,14 @@ def test_lift_rejects_non_sublattices():
         lift_connected_bruteforce(g, T1)
 
 
+def test_both_lift_routes_raise_on_an_empty_graph():
+    T0 = make_group("P432").T0
+    g = PeriodicGraph(group="P432", T0=T0, vertices=(), edges=())
+    for route in (lift_connected, lift_connected_bruteforce):
+        with pytest.raises(Disconnected, match="no vertices"):
+            route(g, T0)
+
+
 def test_lift_agreement_on_invariant_sublattices():
     for name in GROUPS:
         G = make_group(name)
@@ -1069,17 +1076,3 @@ def test_lift_genus_raises_on_disconnected_lift():
     with pytest.raises(Disconnected):
         lift_genus(g, T)
 
-
-# ============================================================
-# export
-# ============================================================
-
-
-def test_obj_export_emits_one_polyline_per_edge():
-    for name in ("P432", "P622"):
-        G = make_group(name)
-        g = edge_orbit_graph(G, marked_edges(G)[0])
-        lines = to_obj_lines(g)
-        assert lines[0].startswith("#")
-        assert sum(1 for s in lines if s.startswith("v ")) == 2 * len(g.edges)
-        assert sum(1 for s in lines if s.startswith("l ")) == len(g.edges)

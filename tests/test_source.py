@@ -82,3 +82,18 @@ def _vector_reads(src: Path) -> list[str]:
 
 def test_only_the_join_and_the_groups_output_read_fraction_vectors():
     assert sorted(set(_vector_reads(SRC)) - VECTOR_READERS) == []
+
+
+def _float_uses(src: Path) -> list[str]:
+    """Places in the package that name `float` or read a `sqrt` attribute, as module:line."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id == "float") or (isinstance(node, ast.Attribute) and node.attr == "sqrt"):
+                out.append(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_the_package_computes_without_floats():
+    # the tables are exact: every value is an int or a Fraction, and no float or square root enters
+    assert _float_uses(SRC) == []

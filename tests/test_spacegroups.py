@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from torsym.errors import ClosureOverflow, UnknownGroup
-from torsym.lattices import hnf, mat, member
+from torsym.lattices import hnf, member
 from torsym.spacegroups import (
     CUBIC_FRAME,
     GROUP_NAMES,
@@ -25,7 +25,6 @@ from torsym.spacegroups import (
     rotation_order,
     stabilizer,
     stabilizer_order,
-    translation,
 )
 
 from oracles import (
@@ -37,7 +36,9 @@ from oracles import (
     fixed_axis,
     identity,
     inverse,
+    mat,
     matvec,
+    translation,
 )
 
 

@@ -22,10 +22,8 @@ from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient, Unmat
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     SubgroupHNF,
-    _from_t0_coords,
     _from_t0_hnf,
     covolume,
-    from_coords,
     hnf,
     hnf_columns,
     index,
@@ -61,7 +59,14 @@ from torsym.sublattices import (
     normal_translation_subgroups,
 )
 
-from oracles import enumerate_sublattices, intersect, is_invariant, literal_invariant_sublattices
+from oracles import (
+    _from_t0_coords,
+    enumerate_sublattices,
+    from_coords,
+    intersect,
+    is_invariant,
+    literal_invariant_sublattices,
+)
 
 Z3 = hnf([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 T2 = hnf([(2, 0, 0), (1, 1, 0), (1, 0, 1)])
@@ -613,6 +618,21 @@ def test_survey_answers_are_fresh_lists():
     assert normal_translation_subgroups(G, 54) == expected != []
 
 
+def test_warm_survey_answer_copies_no_row():
+    # the stored rows carry the total index, so a warm answer is a slice of them:
+    # P622 to 9,999 has 21,699 rows, and a new tuple per row would take about 2.4 MB
+    G = make_group("P622")
+    rows = normal_translation_subgroups(G, 9_999)
+    tracemalloc.start()
+    try:
+        again = normal_translation_subgroups(G, 9_999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == rows and all(a is b for a, b in zip(again, rows))
+    assert peak < 500_000
+
+
 def _clear_survey_caches():
     for f in vars(sublattices).values():
         if hasattr(f, "cache_clear"):
@@ -808,7 +828,8 @@ def _times(c, M):
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
 def test_descent_of_a_multiple_is_the_scaled_descent(name):
-    # the rotations act on c·M as on M, so c·M has M's normals and c times its lattices
+    # the rotations act on c·M as on M, so c·M has M's normals and c times its lattices:
+    # the steps run from c·M itself equal the scaled steps from M that `_descent_p_power` takes
     G = make_group(name)
     coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -832,10 +853,12 @@ def test_descent_of_a_multiple_is_the_scaled_descent(name):
 
 def test_cold_survey_takes_the_action_of_primitive_lattices_only(monkeypatch):
     _clear_survey_caches()
-    calls = _recording(monkeypatch, ["_actions"])
+    steps = ["_actions", "_invariant_planes", "_maximal_invariant"]
+    calls = _recording(monkeypatch, steps)
     for name in GROUP_NAMES:
         normal_translation_subgroups(make_group(name), 256)
-    assert calls["_actions"] and all(math.gcd(*(x for col in M for x in col)) == 1 for _, M in calls["_actions"])
+    for step in steps:
+        assert calls[step] and all(math.gcd(*(x for col in args[-1] for x in col)) == 1 for args in calls[step]), step
     monkeypatch.undo()
     # 60 when every lattice of the descent kept its own
     assert sublattices._actions.cache_info().currsize <= 31
