@@ -277,15 +277,20 @@ def _orbit_graph(name: str, e: SingularEdge) -> PeriodicGraph:
     return edge_orbit_graph(make_group(name), e)
 
 
-@lru_cache(maxsize=None)
 def labeled_marked_edges(name: str) -> dict[str, SingularEdge]:
-    """The group's marked edge orbits keyed by label, in label order.
+    """The group's marked edge orbits keyed by label, in label order, as a new dict per call.
 
     Alpha is the orbit whose cycle image I is all of T0.  The others take
     beta, then gamma, by ascending [T0 : I], a rank-2 I counting as
     infinite.  A tie, or more orbits than labels, raises InvariantViolation.
     """
-    G = make_group(canonical_group_name(name))
+    return dict(_edge_labels(canonical_group_name(name)))
+
+
+@lru_cache(maxsize=None)
+def _edge_labels(name: str) -> tuple[tuple[str, SingularEdge], ...]:
+    """(label, edge) pairs of `labeled_marked_edges`, derived once per canonical group name."""
+    G = make_group(name)
     keyed = []
     for e in marked_edges(G):
         I = cycle_image_lattice(_orbit_graph(G.name, e))
@@ -294,7 +299,7 @@ def labeled_marked_edges(name: str) -> dict[str, SingularEdge]:
     first = 0 if keyed and keyed[0][0] == 1 else 1
     if len({k for k, _, _ in keyed}) != len(keyed) or first + len(keyed) > len(EDGE_LABELS):
         raise InvariantViolation(f"{G.name}: marked orbits of [T0 : I] {[k for k, _, _ in keyed]} take no labels")
-    return {label: e for label, (_, _, e) in zip(EDGE_LABELS[first:], keyed)}
+    return tuple((label, e) for label, (_, _, e) in zip(EDGE_LABELS[first:], keyed))
 
 
 @lru_cache(maxsize=None)

@@ -40,6 +40,14 @@ def _over_common_denominator(v: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(f.numerator * (den // f.denominator) for f in fr), den
 
 
+def as_fraction(x) -> Fraction:
+    """x as a Fraction; ValueError for an infinity, as `Fraction` gives for NaN and other non-numbers."""
+    try:
+        return x if type(x) is Fraction else Fraction(x)
+    except OverflowError:
+        raise ValueError(f"{x!r} is not a finite number") from None
+
+
 def int_matvec(m: Sequence[Sequence[int]], x: Sequence[int]) -> tuple[int, int, int]:
     """Product of an integer 3×3 matrix and an integer vector."""
     x0, x1, x2 = x
@@ -72,22 +80,22 @@ def mat_det(m: Mat3) -> Fraction:
     )
 
 
-def mat_inv(m: Mat3) -> Mat3:
-    """Exact inverse; an integer matrix of determinant ±1 gives an integer matrix."""
+def adjugate(m: Sequence[Sequence[int]]) -> IntMat:
+    """adj(m), the transposed matrix of cofactors: m·adj(m) = adj(m)·m = det(m)·I."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return (
+        (e * i - f * h, c * h - b * i, b * f - c * e),
+        (f * g - d * i, a * i - c * g, c * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
+    )
+
+
+def unimodular_inverse(m: Sequence[Sequence[int]]) -> IntMat:
+    """m⁻¹ = det(m)·adj(m) for an integer matrix of determinant ±1; InvariantViolation for any other."""
     d = mat_det(m)
-    if d == 0:
-        raise ZeroDivisionError("singular matrix")
-    cof = [
-        [
-            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-            for i in range(3)
-        ]
-        for j in range(3)
-    ]
-    if d in (1, -1):
-        return tuple(tuple(c * d for c in row) for row in cof)
-    return tuple(tuple(Fraction(c) / d for c in row) for row in cof)
+    if d not in (1, -1):
+        raise InvariantViolation(f"matrix of determinant {d} is not unimodular")
+    return tuple(tuple(d * x for x in row) for row in adjugate(m))
 
 
 def primitive_integer(v: Sequence) -> tuple[int, int, int]:
@@ -105,11 +113,9 @@ def primitive_integer(v: Sequence) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=None)
 def rotation_axis(rot: IntMat) -> IntVec:
-    """The axis of R, the null space of R − I where 1 is a simple eigenvalue: a nonzero cross product of two rows."""
-    m = [[rot[i][j] - (i == j) for j in range(3)] for i in range(3)]
-    pairs = (m[:2], m[::2], m[1:])
-    crosses = [(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]) for a, b in pairs]
-    return primitive_integer(next(v for v in crosses if any(v)))
+    """The axis of R where 1 is a simple eigenvalue: a nonzero column of adj(R − I), since (R − I)·adj(R − I) = 0."""
+    adj = adjugate([[rot[i][j] - (i == j) for j in range(3)] for i in range(3)])
+    return primitive_integer(next(col for col in zip(*adj) if any(col)))
 
 
 # ============================================================
@@ -330,15 +336,7 @@ def basis_frame(basis: tuple[tuple[int, int, int], ...]) -> tuple[IntMat, IntMat
     H⁻¹ = adj(H) / det H.
     """
     h = tuple(tuple(basis[j][i] for j in range(3)) for i in range(3))
-    adj = tuple(
-        tuple(
-            h[(j + 1) % 3][(i + 1) % 3] * h[(j + 2) % 3][(i + 2) % 3]
-            - h[(j + 1) % 3][(i + 2) % 3] * h[(j + 2) % 3][(i + 1) % 3]
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-    return h, adj, h[0][0] * h[1][1] * h[2][2]  # lower triangular
+    return h, adjugate(h), h[0][0] * h[1][1] * h[2][2]  # lower triangular
 
 
 def _integer_frame(sub: SubgroupHNF) -> tuple[IntMat, IntMat, int, int]:

@@ -19,6 +19,7 @@ from .lattices import (
     _integer_frame,
     IntMat,
     IntVec,
+    as_fraction,
     coord_numerators,
     frame_coords_matrix,
     from_numerators,
@@ -30,13 +31,13 @@ from .lattices import (
     is_subgroup,
     join,
     mat_det,
-    mat_inv,
     matmul,
     primitive_integer,
     relative_integer_basis,
     rotation_axis,
     smith_form,
     solve_congruence,
+    unimodular_inverse,
 )
 from .spacegroups import (
     Axis,
@@ -82,9 +83,7 @@ class PeriodicGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        verts = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in v) for v in self.vertices
-        )
+        verts = tuple(tuple(as_fraction(x) for x in v) for v in self.vertices)
         for v in verts:
             if any(x < 0 or x >= 1 for x in v):
                 raise ValueError("vertex coordinates must lie in the cell [0,1)^3")
@@ -92,7 +91,7 @@ class PeriodicGraph:
         for i, j, s in self.edges:
             if not (0 <= i < len(verts) and 0 <= j < len(verts)):
                 raise ValueError("edge endpoint index out of range")
-            if len(s) != 3 or any(x != int(x) for x in s):
+            if len(s) != 3 or any(type(x) is not int and x != int(as_fraction(x)) for x in s):
                 raise ValueError("edge shifts must be integer 3-vectors")
             edges.append(_normalize_edge(i, j, (int(s[0]), int(s[1]), int(s[2]))))
         object.__setattr__(self, "vertices", verts)
@@ -117,7 +116,7 @@ class SingularEdge:
     orbit_id: int
 
     def __post_init__(self) -> None:
-        seg = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in p) for p in self.segment)
+        seg = tuple(tuple(as_fraction(x) for x in p) for p in self.segment)
         if seg[0] == seg[1]:
             raise ValueError("segment endpoints must be distinct")
         if self.edge_index < 2:
@@ -250,7 +249,7 @@ def _axis_basis(e: IntVec) -> tuple[IntMat, IntMat]:
     """
     u, _, _ = smith_form([[x] for x in e])
     rows = tuple(tuple(row) for row in u)
-    return rows, mat_inv(rows)
+    return rows, unimodular_inverse(rows)
 
 
 def _turned(a: IntMat, e: IntVec) -> IntVec:
@@ -555,7 +554,7 @@ def _normalizer_solutions(name: str) -> tuple[tuple[IntMat, IntMat, IntVec, int]
         s = frame_coords_matrix(rows, _integer_frame(T0))
         if s is None:
             continue
-        s_inv = mat_inv(s)
+        s_inv = unimodular_inverse(s)
         system: list[IntVec] = []
         rhs: list[int] = []
         for rot in gens:

@@ -22,6 +22,7 @@ from .lattices import (
     IntVec,
     SubgroupHNF,
     Vec3,
+    as_fraction,
     basis_frame,
     coord_numerators,
     frame_coords_matrix,
@@ -68,8 +69,8 @@ class Isometry:
     trans: Vec3
 
     def __post_init__(self) -> None:
-        rot = tuple(tuple(int(e) for e in row) for row in self.rot)
-        trans = tuple(Fraction(t) for t in self.trans)
+        rot = tuple(tuple(e if type(e) is int else int(as_fraction(e)) for e in row) for row in self.rot)
+        trans = tuple(as_fraction(t) for t in self.trans)
         if len(rot) != 3 or any(len(row) != 3 for row in rot) or len(trans) != 3 or rot != tuple(map(tuple, self.rot)):
             raise ValueError("an isometry needs a 3×3 integer rotation part and a 3-entry translation")
         object.__setattr__(self, "rot", rot)
@@ -348,7 +349,7 @@ def _fixing_cosets_of_point(p: Sequence, G: SpaceGroup) -> list[int]:
 
 def stabilizer(p: Sequence, G: SpaceGroup) -> list[Isometry]:
     """All group elements fixing the point p (one per coset at most): (R, p − R·p) for each such coset."""
-    p = tuple(Fraction(x) for x in p)
+    p = tuple(as_fraction(x) for x in p)
     rots = [G.cosets[k].rot for k in _fixing_cosets_of_point(p, G)]
     return [Isometry(G.frame, r, tuple(x - y for x, y in zip(p, int_matvec(r, p)))) for r in rots]
 

@@ -152,7 +152,6 @@ def _primes() -> Iterator[int]:
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-@lru_cache(maxsize=None)
 def _roots_of_unity_12(p: int) -> tuple[int, ...]:
     """The roots of x¹² − 1 in F_p: the powers of a generator h of their cyclic group.
 
@@ -160,49 +159,28 @@ def _roots_of_unity_12(p: int) -> tuple[int, ...]:
     unless h^(n/q) = 1 for a prime q | n, and a primitive root a passes.
     """
     n = math.gcd(12, p - 1)
-    h = next(
-        h
-        for h in (pow(a, (p - 1) // n, p) for a in range(2, p + 1))
-        if all(pow(h, n // q, p) != 1 for q in (2, 3) if n % q == 0)
-    )
+    candidates = (pow(a, (p - 1) // n, p) for a in range(2, p + 1))
+    h = next(h for h in candidates if all(pow(h, n // q, p) != 1 for q in (2, 3) if n % q == 0))
     return tuple(sorted(pow(h, i, p) for i in range(n)))
-
-
-@lru_cache(maxsize=None)
-def _char_polys(coord_rots: tuple) -> tuple[tuple[int, int, int], ...]:
-    """χ = (tr, c₂, det) of each rotation, whose characteristic polynomial is x³ − tr·x² + c₂·x − det."""
-    out = []
-    for r in coord_rots:
-        c2 = sum(r[i][i] * r[j][j] - r[i][j] * r[j][i] for i, j in _PAIRS)
-        out.append((r[0][0] + r[1][1] + r[2][2], c2, mat_det(r)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _eigenvalues_mod_p(chi: tuple[int, int, int], p: int) -> tuple[bool, tuple[int, ...]]:
-    """(all simple, roots) for the roots in F_p of the χ = (tr, c₂, det) of a matrix with R¹² = I.
-
-    The roots are its eigenvalues in F_p, found among the 12th roots of
-    unity; a root λ is simple when χ'(λ) ≢ 0.  The rotations of a group
-    share a few χ, so the cache key is χ, not the matrix.
-    """
-    tr, c2, det = chi
-    lams = tuple(x for x in _roots_of_unity_12(p) if (((x - tr) * x + c2) * x - det) % p == 0)
-    return all(((3 * x - 2 * tr) * x + c2) % p for x in lams), lams
 
 
 @lru_cache(maxsize=None)
 def _splitting_order(coord_rots: tuple, p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(index, eigenvalues in F_p) of each rotation, in the order the descent splits F_p³ by them.
 
-    One order serves every lattice, because the eigenvalues do not change
-    with the basis.  A rotation whose eigenvalues are all simple roots has
-    only lines as eigenspaces; the one with the fewest goes first, so F_p³
-    falls into lines after the fewest kernels.
+    They are the roots of x³ − tr·x² + c₂·x − det among the 12th roots of
+    unity (R¹² = I), and do not change with the basis, so one order serves
+    every lattice.  A rotation whose roots are all simple has only lines as
+    eigenspaces; the one with the fewest goes first, so F_p³ falls into
+    lines after the fewest kernels.
     """
-    eigen = [_eigenvalues_mod_p(chi, p) for chi in _char_polys(coord_rots)]
-    keyed = sorted((not simple, len(lams), k, lams) for k, (simple, lams) in enumerate(eigen))
-    return tuple((k, lams) for _, _, k, lams in keyed)
+    roots, keyed = _roots_of_unity_12(p), []
+    for k, r in enumerate(coord_rots):
+        tr, det = r[0][0] + r[1][1] + r[2][2], mat_det(r)
+        c2 = sum(r[i][i] * r[j][j] - r[i][j] * r[j][i] for i, j in _PAIRS)
+        lams = tuple(x for x in roots if (((x - tr) * x + c2) * x - det) % p == 0)
+        keyed.append((not all(((3 * x - 2 * tr) * x + c2) % p for x in lams), len(lams), k, lams))
+    return tuple((k, lams) for _, _, k, lams in sorted(keyed))
 
 
 def _cross(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, int, int]:
@@ -253,15 +231,14 @@ def _eigenspace(a: Mat3, basis: Sequence[tuple[int, ...]], lam: int, p: int) -> 
     return [tuple((x * s + y * t) % p for s, t in zip(u, w))]
 
 
-def _common_eigenspaces(
-    acts: Sequence[Mat3], order: Sequence[tuple[int, tuple[int, ...]]], p: int
-) -> list[list[tuple[int, ...]]]:
-    """Bases of the nonzero subspaces of F_p³ on which every matrix acts as a scalar.
+def _invariant_lines(acts: Sequence[Mat3], order: Sequence[tuple[int, tuple[int, ...]]], p: int) -> list[tuple[int, ...]]:
+    """One spanning vector for each line of F_p³ that every matrix maps to itself.
 
-    There is one per tuple of eigenvalues, so every invariant line lies in
-    exactly one of them.  The matrices split F_p³ in the given order of
-    (index, eigenvalues); a line ⟨v⟩ needs one product per matrix, since
-    a·v ≡ λ·v holds for some λ exactly when a·v × v ≡ 0.
+    Each such line lies in exactly one subspace on which every matrix acts
+    as a scalar, one per tuple of eigenvalues.  The matrices split F_p³ in
+    the given order of (index, eigenvalues); a line ⟨v⟩ needs one product
+    per matrix, since a·v ≡ λ·v holds for some λ exactly when a·v × v ≡ 0.
+    A subspace lists each of its lines once: a basis vector plus a combination of the later ones.
     """
     spaces = [list(IDENTITY)]
     for i, lams in order:
@@ -273,33 +250,13 @@ def _common_eigenspaces(
             else:
                 refined += filter(None, (_eigenspace(a, basis, lam, p) for lam in lams))
         spaces = refined
-    return spaces
-
-
-def _lines(basis: Sequence[tuple[int, ...]], p: int) -> list[tuple[int, ...]]:
-    """One spanning vector for each line of the subspace of F_p³ with the given basis."""
     out = []
-    for k, lead in enumerate(basis):
-        rest = basis[k + 1 :]
-        for ts in product(range(p), repeat=len(rest)):
-            out.append(tuple((lead[i] + sum(t * v[i] for t, v in zip(ts, rest))) % p for i in range(3)))
+    for basis in spaces:
+        for k, lead in enumerate(basis):
+            rest = basis[k + 1 :]
+            for ts in product(range(p), repeat=len(rest)):
+                out.append(tuple((lead[i] + sum(t * v[i] for t, v in zip(ts, rest))) % p for i in range(3)))
     return out
-
-
-@lru_cache(maxsize=None)
-def _actions(coord_rots: tuple, M: tuple) -> tuple:
-    """The rotations and their transposes as integer matrices in the basis of an invariant M.
-
-    They are H⁻¹·r·H for H the basis, the same for every multiple c·M.  The
-    descent asks for them when it takes the planes of a primitive M and
-    again for its lines, and for T0 at every prime, so every primitive
-    lattice it descends from keeps them.
-    """
-    frame = basis_frame(M)
-    acts = tuple(frame_coords_matrix(r, frame) for r in coord_rots)
-    if None in acts:
-        raise InvariantViolation("a lattice of the descent is not invariant")
-    return acts, tuple(tuple(zip(*a)) for a in acts)
 
 
 def _scaled(M: tuple, c: int) -> tuple:
@@ -320,50 +277,39 @@ def _primitive(M: tuple) -> tuple[int, tuple]:
 
 
 @lru_cache(maxsize=None)
-def _invariant_planes(coord_rots: tuple, p: int, M: tuple) -> tuple[tuple, tuple]:
-    """(normals, lattices): the invariant sublattices of index p in an invariant M.
+def _maximal_steps(coord_rots: tuple, p: int, M: tuple) -> tuple:
+    """(step, N) for every maximal invariant sublattice N of an invariant M, with [M:N] = p^step.
 
-    Each is the preimage of an invariant plane of M/pM, the annihilator of
-    the normal w, an invariant line of the transposed action.
+    M and every N are integer column HNF bases in T0-coordinates; N is the
+    preimage of a maximal G-submodule of M/pM.  Step 1: an invariant plane,
+    the annihilator of an invariant line w of the transposed action.  Step
+    2: an invariant line in no invariant plane.  Step 3: pM, when M/pM is
+    simple.  The rotations act on M, for H its basis, by H⁻¹·r·H.
     """
-    dual_acts = _actions(coord_rots, M)[1]
-    normals = tuple(w for s in _common_eigenspaces(dual_acts, _splitting_order(coord_rots, p), p) for w in _lines(s, p))
-    return normals, tuple(_preimage(M, _plane(w, p), p) for w in normals)
-
-
-@lru_cache(maxsize=None)
-def _maximal_invariant(coord_rots: tuple, p: int, M: tuple) -> tuple:
-    """The maximal invariant sublattices N of an invariant M of index p² or p³, each with [M:N].
-
-    M and every N are integer column HNF bases of lattices in T0-coordinates;
-    each N is the preimage in M of a maximal G-submodule of M/pM: an
-    invariant line in no invariant plane, or {0} when M/pM is simple.
-    """
-    normals, planes = _invariant_planes(coord_rots, p, M)
-    lines = [v for s in _common_eigenspaces(_actions(coord_rots, M)[0], _splitting_order(coord_rots, p), p)
-             for v in _lines(s, p) if all(sum(x * y for x, y in zip(w, v)) % p for w in normals)]
-    if not planes and not lines:  # M/pM is simple: pM, already a column HNF, is the only maximal one
-        return ((_scaled(M, p), 3),)
-    return tuple((_preimage(M, [v], p), 2) for v in lines)
+    acts = [frame_coords_matrix(r, basis_frame(M)) for r in coord_rots]
+    if None in acts:
+        raise InvariantViolation("a lattice of the descent is not invariant")
+    order = _splitting_order(coord_rots, p)
+    normals = _invariant_lines([tuple(zip(*a)) for a in acts], order, p)
+    lines = [v for v in _invariant_lines(acts, order, p) if all(sum(x * y for x, y in zip(w, v)) % p for w in normals)]
+    if not normals and not lines:  # M/pM is simple: pM, already a column HNF, is the only maximal one
+        return ((3, _scaled(M, p)),)
+    return (*((1, _preimage(M, _plane(w, p), p)) for w in normals), *((2, _preimage(M, [v], p)) for v in lines))
 
 
 @lru_cache(maxsize=None)
 def _descent_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
     """All invariant sublattices of index p^k ≥ p by the descent mod p, as integer HNF bases in T0-coordinates.
 
-    The last step of a chain has index p, p² or p³; only p^k ≥ p² asks for
-    lines, so a prime with p² past the bound costs the planes of T0 alone.
-    The rotations act on M = c·M₀ as on M₀, so the steps from M are c times
+    The last step of a chain has index p, p² or p³, so the lattices of
+    index p^k are the steps of those of index p^(k−3) … p^(k−1).  The
+    rotations act on M = c·M₀ as on M₀, so the steps from M are c times
     those from M₀, and each runs once per primitive M₀.
     """
-    below = [(IDENTITY,), *(_descent_p_power(coord_rots, p, j) for j in range(1, k))]
     out: set[tuple] = set()
     for step in range(1, min(k, 3) + 1):
-        for c, M0 in map(_primitive, below[k - step]):
-            if step == 1:
-                found = _invariant_planes(coord_rots, p, M0)[1]
-            else:
-                found = [N for N, s in _maximal_invariant(coord_rots, p, M0) if s == step]
+        for c, M0 in map(_primitive, _descent_p_power(coord_rots, p, k - step) if k > step else (IDENTITY,)):
+            found = [N for s, N in _maximal_steps(coord_rots, p, M0) if s == step]
             out.update(found if c == 1 else (_scaled(N, c) for N in found))
     return tuple(out)  # most primes give none, and () is shared
 

@@ -9,7 +9,8 @@
   projection along its direction, reduced by the projected plane lattice,
   where the package uses a unimodular basis per direction in T0-coordinates.
 - `dual`, `intersect` and `coset_reps` do lattice algebra on the `Fraction`
-  basis matrix and its inverse, and check the integer routes.
+  basis matrix and its inverse (`mat_inv`, the one rational inverse), and
+  check the integer routes.
 - `fraction_member`, `fraction_is_subgroup` and `fraction_index` test
   membership on the `Fraction` basis vectors and take the index as a
   `Fraction` covolume ratio.  They check the package's predicates, which
@@ -75,8 +76,8 @@ from torsym.lattices import (
     invariant_coords_matrix,
     is_subgroup,
     join,
+    adjugate,
     mat_det,
-    mat_inv,
     matmul,
     member,
     primitive_integer,
@@ -149,6 +150,16 @@ def translation(frame: Frame, v: Sequence) -> Isometry:
 # ============================================================
 # rational linear algebra
 # ============================================================
+
+
+def mat_inv(m: Mat3) -> Mat3:
+    """Exact inverse adj(m)/det(m); an integer matrix of determinant ±1 gives an integer matrix."""
+    d = mat_det(m)
+    if d == 0:
+        raise ZeroDivisionError("singular matrix")
+    if d in (1, -1):
+        return tuple(tuple(c * d for c in row) for row in adjugate(m))
+    return tuple(tuple(Fraction(c) / d for c in row) for row in adjugate(m))
 
 
 def solve_linear(a: Mat3, b: Sequence) -> tuple[Vec3, list[Vec3]] | None:

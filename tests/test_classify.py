@@ -54,8 +54,21 @@ def test_edge_labels_per_group():
         assert sorted(labeled_marked_edges(name)) == labels
 
 
+def test_an_edit_to_the_labeled_edges_reaches_no_later_call():
+    # each call answers with its own dict, so a caller's edit stays with the caller
+    labeled_marked_edges("P432").clear()
+    labeled_marked_edges("p432")["beta"] = None
+    rows = classify_case("P432", "alpha", 8)
+    assert rows and rows == classify_case("p_432", "alpha", 8)
+    assert sorted(labeled_marked_edges("P432")) == sorted(labeled_marked_edges("p432")) == ["alpha"]
+    # and every spelling of a name reads the one labelling cached under its canonical name
+    classify._edge_labels.cache_clear()
+    assert labeled_marked_edges("p432") == labeled_marked_edges("P432") == labeled_marked_edges("p_432")
+    assert classify._edge_labels.cache_info().currsize == 1
+
+
 def _clear_label_caches():
-    for f in (labeled_marked_edges, classify._case_graph, classify._case_constraint, _family_multipliers):
+    for f in (classify._edge_labels, classify._case_graph, classify._case_constraint, _family_multipliers):
         f.cache_clear()
 
 
@@ -85,7 +98,7 @@ def test_a_tie_in_the_image_index_raises_an_internal_error(monkeypatch, capsys):
     # every marked orbit given I = T0: two alpha candidates for I432
     monkeypatch.setattr(classify, "cycle_image_lattice", lambda g: g.T0)
     with pytest.raises(InvariantViolation, match="take no labels"):
-        labeled_marked_edges.__wrapped__("I432")
+        classify._edge_labels.__wrapped__("I432")
     _clear_label_caches()
     try:
         assert cli.main(["edges", "I432"]) == 3
@@ -585,7 +598,7 @@ def test_cli_reports_internal_errors_with_exit_three(monkeypatch, capsys):
     monkeypatch.setattr(pg, "_normalizer_solutions", lambda name: bad)
     # the singular data carry the normalizer maps, so they are rebuilt with the bad one
     monkeypatch.setattr(pg, "_singular_data", pg._singular_data.__wrapped__)
-    monkeypatch.setattr(cli, "labeled_marked_edges", labeled_marked_edges.__wrapped__)
+    monkeypatch.setattr(classify, "_edge_labels", classify._edge_labels.__wrapped__)
     assert cli.main(["edges", "P432"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: ")

@@ -24,14 +24,15 @@ from torsym.lattices import (
     invariant_coords_matrix,
     is_subgroup,
     join,
+    adjugate,
     mat_det,
-    mat_inv,
     matmul,
     member,
     primitive_integer,
     relative_integer_basis,
     smith_form,
     solve_congruence,
+    unimodular_inverse,
 )
 from torsym.spacegroups import GROUP_NAMES, make_group
 
@@ -48,6 +49,7 @@ from oracles import (
     from_coords,
     intersect,
     mat,
+    mat_inv,
     matvec,
     reduce_mod,
     solve_linear,
@@ -101,6 +103,38 @@ def test_mat_inverse_roundtrip():
         if mat_det(m) == 0:
             continue
         assert matmul(m, mat_inv(m)) == mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_mat_inv_of_integer_matrices_is_exact():
+    m = ((2, 1, 0), (1, 1, 0), (0, 0, -1))
+    inv = mat_inv(m)
+    assert all(type(x) is int for row in inv for x in row)
+    assert matmul(m, inv) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    # any other integer matrix gets an exact rational inverse, never floats
+    half = mat_inv(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert half[0][0] == Fraction(1, 2) and type(half[0][0]) is Fraction
+
+
+_INT_MATRICES = st.tuples(*[st.tuples(*[st.integers(min_value=-9, max_value=9)] * 3)] * 3)
+
+
+@given(_INT_MATRICES)
+def test_adjugate_agrees_with_the_rational_inverse(m):
+    # m·adj(m) = adj(m)·m = det(m)·I, so adj(m) = det(m)·m⁻¹ where m is invertible
+    d, adj = mat_det(m), adjugate(m)
+    scalar = tuple(tuple(d * (i == j) for j in range(3)) for i in range(3))
+    assert matmul(m, adj) == matmul(adj, m) == scalar
+    if d:
+        assert adj == tuple(tuple(d * x for x in row) for row in mat_inv(m))
+    # the unimodular inverse is exact in ints and round-trips; any other determinant is refused
+    if d in (1, -1):
+        inv = unimodular_inverse(m)
+        assert all(type(x) is int for row in inv for x in row)
+        assert matmul(m, inv) == matmul(inv, m) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert unimodular_inverse(inv) == m
+    else:
+        with pytest.raises(InvariantViolation, match="unimodular"):
+            unimodular_inverse(m)
 
 
 def test_solve_linear_consistent_and_inconsistent():
@@ -609,16 +643,6 @@ def test_coords_matrix_is_integral_exactly_on_invariant_maps():
     assert coords_matrix(shear, make_group("I432").T0) is None
     with pytest.raises(ValueError):
         invariant_coords_matrix(shear, make_group("I432").T0)
-
-
-def test_mat_inv_of_integer_matrices_is_exact():
-    m = ((2, 1, 0), (1, 1, 0), (0, 0, -1))
-    inv = mat_inv(m)
-    assert all(type(x) is int for row in inv for x in row)
-    assert matmul(m, inv) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    # any other integer matrix gets an exact rational inverse, never floats
-    half = mat_inv(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert half[0][0] == Fraction(1, 2) and type(half[0][0]) is Fraction
 
 
 # ============================================================

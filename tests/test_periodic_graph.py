@@ -18,7 +18,6 @@ from torsym.lattices import (
     index,
     int_matvec,
     is_subgroup,
-    mat_inv,
     matmul,
     member,
     primitive_integer,
@@ -73,6 +72,7 @@ from oracles import (
     germ_orbits,
     int_affine,
     mat,
+    mat_inv,
     matvec,
     reduce_mod,
     vadd,
@@ -155,6 +155,28 @@ def test_singular_edge_validation():
     e = SingularEdge(segment=((0, 0, 0), (1, 0, 0)), edge_index=2, link=(3, 2, 2, 2), orbit_id=0)
     assert e.link == (2, 2, 2, 3)
     assert e.to_json()["segment"] == [["0", "0", "0"], ["1", "0", "0"]]
+
+
+_ROT_ID = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: PeriodicGraph("P432", T1, ((0, 0, 0),), ((0, 0, (x, 0, 0)),)),
+        lambda x: PeriodicGraph("P432", T1, ((0, x, 0),), ()),
+        lambda x: Isometry(CUBIC_FRAME, _ROT_ID, (0, 0, x)),
+        lambda x: Isometry(CUBIC_FRAME, ((x, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0)),
+        lambda x: SingularEdge(segment=((0, 0, 0), (x, 0, 0)), edge_index=2, link=(2, 2, 2, 3), orbit_id=0),
+        lambda x: stabilizer((x, 0, 0), make_group("P432")),
+    ],
+    ids=["graph-shift", "graph-vertex", "isometry-translation", "isometry-rotation", "singular-edge", "stabilizer"],
+)
+def test_a_coordinate_with_no_exact_value_raises_value_error(build, x):
+    # Fraction and int raise OverflowError on an infinity and ValueError on NaN; both are malformed input
+    with pytest.raises(ValueError):
+        build(x)
 
 
 # ============================================================

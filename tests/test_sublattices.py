@@ -801,13 +801,14 @@ def test_classes_without_a_split_take_the_descent(monkeypatch, rots):
 def test_cold_survey_descends_only_at_2_and_3(monkeypatch):
     # 2 and 3 divide |P| = 24 or 12; every other prime is read off the split
     _clear_survey_caches()
-    at = {"_roots_of_unity_12": 0, "_eigenvalues_mod_p": 1, "_splitting_order": 1, "_invariant_planes": 1}
+    at = {"_roots_of_unity_12": 0, "_splitting_order": 1, "_maximal_steps": 1}
     calls = _recording(monkeypatch, list(at))
     for name in GROUP_NAMES:
         normal_translation_subgroups(make_group(name), 256)
     assert {name: {args[i] for args in calls[name]} for name, i in at.items()} == {name: {2, 3} for name in at}
     monkeypatch.undo()
-    assert sublattices._roots_of_unity_12.cache_info().currsize == 2
+    # one order per rotation class and prime: P432 and P4_232 share a class, and so do I4_132 and I432
+    assert sublattices._splitting_order.cache_info().currsize == 8
 
 
 def test_split_rejects_a_component_that_is_not_invariant(monkeypatch):
@@ -828,40 +829,39 @@ def _times(c, M):
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
 def test_descent_of_a_multiple_is_the_scaled_descent(name):
-    # the rotations act on c·M as on M, so c·M has M's normals and c times its lattices:
-    # the steps run from c·M itself equal the scaled steps from M that `_descent_p_power` takes
+    # the rotations act on c·M as on M, so the steps run from c·M itself are c times those from M:
+    # a descent that steps from every lattice as it is gives the one that steps from primitive ones
     G = make_group(name)
     coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for p in (2, 3):
-        reached = {identity}
+        steps = sublattices._maximal_steps.__wrapped__
+        levels = [{identity}]
         for k in range(1, 9 if p == 2 else 6):  # every M of index up to 256
-            reached.update(sublattices._descent_p_power(coord_rots, p, k))
-        for M in reached:
-            normals, planes = sublattices._invariant_planes.__wrapped__(coord_rots, p, M)
-            maximal = sublattices._maximal_invariant.__wrapped__(coord_rots, p, M)
+            reached = {N for j in range(1, min(k, 3) + 1) for M in levels[k - j] for s, N in steps(coord_rots, p, M) if s == j}
+            assert reached == set(sublattices._descent_p_power(coord_rots, p, k)), (p, k)
+            levels.append(reached)
+        for M in set().union(*levels):
+            of_M = steps(coord_rots, p, M)
             for c in (p, 5):
-                got = sublattices._invariant_planes(coord_rots, p, _times(c, M))
-                assert got == (normals, tuple(_times(c, N) for N in planes)), (p, M, c)
-                got = sublattices._maximal_invariant(coord_rots, p, _times(c, M))
-                assert got == tuple((_times(c, N), s) for N, s in maximal), (p, M, c)
+                assert steps(coord_rots, p, _times(c, M)) == tuple((s, _times(c, N)) for s, N in of_M), (p, M, c)
             # and the planes of p·M are its invariant sublattices of index p, by brute force
-            of_pM = sublattices._invariant_planes(coord_rots, p, _times(p, M))[1]
+            of_pM = [N for s, N in steps(coord_rots, p, _times(p, M)) if s == 1]
             literal = literal_invariant_sublattices(hnf(_times(p, M)), coord_rots, p)
             assert sorted(of_pM) == sorted(L.basis for L in literal), (p, M)
 
 
 def test_cold_survey_takes_the_action_of_primitive_lattices_only(monkeypatch):
     _clear_survey_caches()
-    steps = ["_actions", "_invariant_planes", "_maximal_invariant"]
-    calls = _recording(monkeypatch, steps)
+    calls = _recording(monkeypatch, ["_maximal_steps"])
     for name in GROUP_NAMES:
         normal_translation_subgroups(make_group(name), 256)
-    for step in steps:
-        assert calls[step] and all(math.gcd(*(x for col in args[-1] for x in col)) == 1 for args in calls[step]), step
+    assert calls["_maximal_steps"]
+    assert all(math.gcd(*(x for col in M for x in col)) == 1 for _, _, M in calls["_maximal_steps"])
     monkeypatch.undo()
-    # 60 when every lattice of the descent kept its own
-    assert sublattices._actions.cache_info().currsize <= 31
+    # one entry per primitive lattice and prime: 31 lattices, T0 of each of the four rotation
+    # classes asked at both primes; 64 when every lattice of the descent kept its own
+    assert sublattices._maximal_steps.cache_info().currsize <= 35
 
 
 def _cubic_family_rows(bound):
