@@ -48,6 +48,13 @@ def as_fraction(x) -> Fraction:
         raise ValueError(f"{x!r} is not a finite number") from None
 
 
+def as_int(x) -> int:
+    """x as an int; ValueError unless x equals one, so also for a string, an infinity or NaN."""
+    if x in (math.inf, -math.inf) or int(x) != x:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def int_matvec(m: Sequence[Sequence[int]], x: Sequence[int]) -> tuple[int, int, int]:
     """Product of an integer 3×3 matrix and an integer vector."""
     x0, x1, x2 = x

@@ -20,6 +20,7 @@ from .lattices import (
     IntMat,
     IntVec,
     as_fraction,
+    as_int,
     coord_numerators,
     frame_coords_matrix,
     from_numerators,
@@ -91,9 +92,9 @@ class PeriodicGraph:
         for i, j, s in self.edges:
             if not (0 <= i < len(verts) and 0 <= j < len(verts)):
                 raise ValueError("edge endpoint index out of range")
-            if len(s) != 3 or any(type(x) is not int and x != int(as_fraction(x)) for x in s):
+            if len(s) != 3:
                 raise ValueError("edge shifts must be integer 3-vectors")
-            edges.append(_normalize_edge(i, j, (int(s[0]), int(s[1]), int(s[2]))))
+            edges.append(_normalize_edge(i, j, tuple(map(as_int, s))))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(sorted(edges)))
 

@@ -23,6 +23,7 @@ from .lattices import (
     SubgroupHNF,
     Vec3,
     as_fraction,
+    as_int,
     basis_frame,
     coord_numerators,
     frame_coords_matrix,
@@ -69,9 +70,9 @@ class Isometry:
     trans: Vec3
 
     def __post_init__(self) -> None:
-        rot = tuple(tuple(e if type(e) is int else int(as_fraction(e)) for e in row) for row in self.rot)
+        rot = tuple(tuple(map(as_int, row)) for row in self.rot)
         trans = tuple(as_fraction(t) for t in self.trans)
-        if len(rot) != 3 or any(len(row) != 3 for row in rot) or len(trans) != 3 or rot != tuple(map(tuple, self.rot)):
+        if len(rot) != 3 or any(len(row) != 3 for row in rot) or len(trans) != 3:
             raise ValueError("an isometry needs a 3×3 integer rotation part and a 3-entry translation")
         object.__setattr__(self, "rot", rot)
         object.__setattr__(self, "trans", trans)

@@ -159,8 +159,11 @@ def _roots_of_unity_12(p: int) -> tuple[int, ...]:
     unless h^(n/q) = 1 for a prime q | n, and a primitive root a passes.
     """
     n = math.gcd(12, p - 1)
-    candidates = (pow(a, (p - 1) // n, p) for a in range(2, p + 1))
-    h = next(h for h in candidates if all(pow(h, n // q, p) != 1 for q in (2, 3) if n % q == 0))
+    h = next(
+        h
+        for h in (pow(a, (p - 1) // n, p) for a in range(2, p + 1))
+        if all(pow(h, n // q, p) != 1 for q in (2, 3) if n % q == 0)
+    )
     return tuple(sorted(pow(h, i, p) for i in range(n)))
 
 
@@ -174,10 +177,12 @@ def _splitting_order(coord_rots: tuple, p: int) -> tuple[tuple[int, tuple[int, .
     eigenspaces; the one with the fewest goes first, so F_p³ falls into
     lines after the fewest kernels.
     """
-    roots, keyed = _roots_of_unity_12(p), []
+    roots = _roots_of_unity_12(p)
+    keyed = []
     for k, r in enumerate(coord_rots):
-        tr, det = r[0][0] + r[1][1] + r[2][2], mat_det(r)
+        tr = r[0][0] + r[1][1] + r[2][2]
         c2 = sum(r[i][i] * r[j][j] - r[i][j] * r[j][i] for i, j in _PAIRS)
+        det = mat_det(r)
         lams = tuple(x for x in roots if (((x - tr) * x + c2) * x - det) % p == 0)
         keyed.append((not all(((3 * x - 2 * tr) * x + c2) % p for x in lams), len(lams), k, lams))
     return tuple((k, lams) for _, _, k, lams in sorted(keyed))
@@ -231,14 +236,17 @@ def _eigenspace(a: Mat3, basis: Sequence[tuple[int, ...]], lam: int, p: int) -> 
     return [tuple((x * s + y * t) % p for s, t in zip(u, w))]
 
 
-def _invariant_lines(acts: Sequence[Mat3], order: Sequence[tuple[int, tuple[int, ...]]], p: int) -> list[tuple[int, ...]]:
-    """One spanning vector for each line of F_p³ that every matrix maps to itself.
+def _invariant_lines(
+    acts: Sequence[Mat3], order: Sequence[tuple[int, tuple[int, ...]]], p: int
+) -> list[list[tuple[int, ...]]]:
+    """The lines of F_p³ that every matrix maps to itself, one spanning vector each, grouped by eigenspace.
 
     Each such line lies in exactly one subspace on which every matrix acts
     as a scalar, one per tuple of eigenvalues.  The matrices split F_p³ in
     the given order of (index, eigenvalues); a line ⟨v⟩ needs one product
     per matrix, since a·v ≡ λ·v holds for some λ exactly when a·v × v ≡ 0.
-    A subspace lists each of its lines once: a basis vector plus a combination of the later ones.
+    A subspace lists each of its lines once: a basis vector plus a
+    combination of the later ones, so it has one line exactly when it is one.
     """
     spaces = [list(IDENTITY)]
     for i, lams in order:
@@ -252,10 +260,11 @@ def _invariant_lines(acts: Sequence[Mat3], order: Sequence[tuple[int, tuple[int,
         spaces = refined
     out = []
     for basis in spaces:
+        out.append([])
         for k, lead in enumerate(basis):
             rest = basis[k + 1 :]
             for ts in product(range(p), repeat=len(rest)):
-                out.append(tuple((lead[i] + sum(t * v[i] for t, v in zip(ts, rest))) % p for i in range(3)))
+                out[-1].append(tuple((lead[i] + sum(t * v[i] for t, v in zip(ts, rest))) % p for i in range(3)))
     return out
 
 
@@ -290,11 +299,16 @@ def _maximal_steps(coord_rots: tuple, p: int, M: tuple) -> tuple:
     if None in acts:
         raise InvariantViolation("a lattice of the descent is not invariant")
     order = _splitting_order(coord_rots, p)
-    normals = _invariant_lines([tuple(zip(*a)) for a in acts], order, p)
-    lines = [v for v in _invariant_lines(acts, order, p) if all(sum(x * y for x, y in zip(w, v)) % p for w in normals)]
+    dual = _invariant_lines([tuple(zip(*a)) for a in acts], order, p)
+    normals = [w for ws in dual for w in ws]
+    # ⟨v⟩ lies in the plane of each normal w ⊥ v.  A dual eigenspace of two or more dimensions
+    # meets every plane v^⊥, so then every line lies in a plane, and the lines are not listed
+    spaces = _invariant_lines(acts, order, p) if len(normals) == len(dual) else []
+    lines = [v for vs in spaces for v in vs if all(sum(x * y for x, y in zip(w, v)) % p for w in normals)]
     if not normals and not lines:  # M/pM is simple: pM, already a column HNF, is the only maximal one
         return ((3, _scaled(M, p)),)
-    return (*((1, _preimage(M, _plane(w, p), p)) for w in normals), *((2, _preimage(M, [v], p)) for v in lines))
+    planes = [(1, _preimage(M, _plane(w, p), p)) for w in normals]
+    return (*planes, *((2, _preimage(M, [v], p)) for v in lines))
 
 
 @lru_cache(maxsize=None)

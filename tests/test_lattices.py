@@ -25,6 +25,7 @@ from torsym.lattices import (
     is_subgroup,
     join,
     adjugate,
+    as_int,
     mat_det,
     matmul,
     member,
@@ -135,6 +136,17 @@ def test_adjugate_agrees_with_the_rational_inverse(m):
     else:
         with pytest.raises(InvariantViolation, match="unimodular"):
             unimodular_inverse(m)
+
+
+@pytest.mark.parametrize("x", [2, -3, 2.0, Fraction(4, 2), True])
+def test_as_int_takes_what_equals_an_int(x):
+    assert as_int(x) == x and type(as_int(x)) is int
+
+
+@pytest.mark.parametrize("x", [1.5, Fraction(1, 2), "1", math.inf, -math.inf, math.nan])
+def test_as_int_refuses_what_equals_no_int(x):
+    with pytest.raises(ValueError):
+        as_int(x)
 
 
 def test_solve_linear_consistent_and_inconsistent():

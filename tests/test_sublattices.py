@@ -858,10 +858,25 @@ def test_cold_survey_takes_the_action_of_primitive_lattices_only(monkeypatch):
         normal_translation_subgroups(make_group(name), 256)
     assert calls["_maximal_steps"]
     assert all(math.gcd(*(x for col in M for x in col)) == 1 for _, _, M in calls["_maximal_steps"])
+    # 31 lattices per rotation class take the action; 60 when every lattice of the descent took its own
+    assert len({(rots, M) for rots, _, M in calls["_maximal_steps"]}) <= 31
     monkeypatch.undo()
-    # one entry per primitive lattice and prime: 31 lattices, T0 of each of the four rotation
-    # classes asked at both primes; 64 when every lattice of the descent kept its own
+    # one cache entry per primitive lattice and prime: the 31, and T0 of each of the four
+    # rotation classes once more at its second prime; 64 when every lattice kept its own
     assert sublattices._maximal_steps.cache_info().currsize <= 35
+
+
+@pytest.mark.parametrize("rots, listings", [((), 1), ((ROT_Y, ROT_Z), 2)], ids=["scalar", "D2"])
+def test_a_step_lists_the_lines_only_where_one_can_be_maximal(monkeypatch, rots, listings):
+    # a dual eigenspace of two or more dimensions meets every plane v^⊥, so each invariant line
+    # lies in an invariant plane: a scalar action lists only the normals, p² + p + 1 of them
+    coord_rots = _coord_rotations(Z3, rots)
+    calls = _recording(monkeypatch, ["_invariant_lines"])
+    steps = sublattices._maximal_steps.__wrapped__(coord_rots, 7, Z3.basis)
+    assert len(calls["_invariant_lines"]) == listings
+    assert {s for s, _ in steps} == {1}
+    assert sorted(N for _, N in steps) == sorted(L.basis for L in literal_invariant_sublattices(Z3, rots, 7))
+    assert len(steps) == (57 if rots == () else 3)
 
 
 def _cubic_family_rows(bound):
