@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, NotASubgroup, RankDeficient
@@ -35,7 +35,7 @@ def _over_common_denominator(v: Sequence) -> tuple[tuple[int, ...], int]:
     if all(type(x) is int for x in v):
         return tuple(v), 1
     # an int carries numerator and denominator too, so only other types are converted
-    fr = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in v]
+    fr = [x if type(x) is int else as_fraction(x) for x in v]
     den = math.lcm(*(f.denominator for f in fr))
     return tuple(f.numerator * (den // f.denominator) for f in fr), den
 
@@ -151,7 +151,7 @@ class SubgroupHNF:
         # a bool passes for the int 0 or 1 but would print as a bool in the JSON
         if type(self.rank) is not int or type(basis) is not tuple or self.rank != len(basis):
             raise ValueError("basis must be a tuple of as many columns as the rank")
-        pivot, content = -1, 0
+        pivot = -1
         for j, col in enumerate(basis):
             if type(col) is not tuple or len(col) != 3:
                 raise ValueError("basis columns must be integer 3-tuples")
@@ -160,15 +160,18 @@ class SubgroupHNF:
                 raise ValueError("basis columns must be integer 3-tuples")
             # pivot rows ascend, so a fourth column has nowhere to go
             r = 0 if c0 else 1 if c1 else 2
-            if r <= pivot or col[r] <= 0:
+            p = col[r]
+            if r <= pivot or p <= 0:
                 raise ValueError("basis must be a column HNF: ascending pivot rows, positive pivots")
-            for i in range(j):
-                if not 0 <= basis[i][r] < col[r]:
+            for prev in basis[:j]:
+                if not 0 <= prev[r] < p:
                     raise ValueError("basis must be a column HNF: entries left of a pivot in [0, pivot)")
-            pivot, content = r, math.gcd(content, c0, c1, c2)
-        if type(scale) is bool or not isinstance(scale, (int, Fraction)) or scale.numerator != 1:
+            pivot = r
+        # a Fraction passes before the slower isinstance test against the numeric tower
+        if type(scale) is not Fraction and (type(scale) is bool or not isinstance(scale, (int, Fraction))) or scale.numerator != 1:
             raise ValueError("scale must be 1/D for a positive integer D")
-        if math.gcd(scale.denominator, content) != 1:
+        # the content of the basis is the gcd of its entries, and D = 1 is coprime to every content
+        if scale.denominator != 1 and math.gcd(scale.denominator, *chain.from_iterable(basis)) != 1:
             raise ValueError("scale 1/D must be minimal: D and the basis content must be coprime")
 
     # the scale is always 1/D, so D stands for it without comparing or hashing a Fraction
@@ -248,7 +251,7 @@ def hnf(generators: Iterable[Sequence]) -> SubgroupHNF:
     if all(type(x) is int for g in generators for x in g):
         basis = hnf_columns(generators)
         return SubgroupHNF(rank=len(basis), basis=basis, scale=Fraction(1))
-    gens = [tuple(Fraction(x) for x in g) for g in generators]
+    gens = [tuple(map(as_fraction, g)) for g in generators]
     gens = [g for g in gens if any(g)]
     if not gens:
         return TRIVIAL_SUBGROUP
@@ -398,20 +401,33 @@ def _unit_fraction(d: int) -> Fraction:
     return Fraction(1, d)
 
 
-def _from_t0_hnf(T0: SubgroupHNF, basis: tuple[tuple[int, int, int], ...]) -> SubgroupHNF:
-    """The subgroup ⟨H·M⟩/q of T0 = H/q for an integer column HNF M in T0-coordinates.
+def _from_t0_hnfs(T0: SubgroupHNF, bases: Iterable[tuple[tuple[int, int, int], ...]]) -> list[SubgroupHNF]:
+    """The subgroups ⟨H·M⟩/q of T0 = H/q for integer column HNFs M in T0-coordinates, sorted by (scale, basis).
 
     H and M are lower triangular with positive pivots, so H·M keeps M's pivot
     rows and positive pivots.  Reducing each column by the later ones makes
-    it an HNF; divided by g = gcd(q, its content), at scale g/q, it is canonical.
+    it an HNF; divided by g = gcd(q, its content), at scale g/q, it is
+    canonical.  Unit pivots make T0's HNF the identity: then T0 = ℤ³, each M
+    is its own canonical basis at scale 1, and the tuples sort as they are.
     """
     h, _, det, q = _integer_frame(T0)
-    if det == q == 1:  # unit pivots make T0's HNF the identity: T0 = ℤ³, and M's own tuple is the answer
-        return SubgroupHNF(len(basis), basis, _unit_fraction(1))
-    cols = [int_matvec(h, col) for col in basis]
-    cols = [hnf_reduce(col, cols[j + 1 :]) for j, col in enumerate(cols)]
-    g = math.gcd(q, *(x for col in cols for x in col))
-    return SubgroupHNF(len(cols), tuple(tuple(x // g for x in col) for col in cols), _unit_fraction(q // g))
+    if det == q == 1:
+        one = _unit_fraction(1)
+        return [SubgroupHNF(len(M), M, one) for M in sorted(bases)]
+    out = []
+    for basis in bases:
+        cols = [int_matvec(h, col) for col in basis]
+        cols = [hnf_reduce(col, cols[j + 1 :]) for j, col in enumerate(cols)]
+        g = math.gcd(q, *(x for col in cols for x in col))
+        out.append(SubgroupHNF(len(cols), tuple(tuple(x // g for x in col) for col in cols), _unit_fraction(q // g)))
+    # the scale is 1/D, so ascending scale is descending D
+    out.sort(key=lambda L: (-L.scale.denominator, L.basis))
+    return out
+
+
+def _from_t0_hnf(T0: SubgroupHNF, basis: tuple[tuple[int, int, int], ...]) -> SubgroupHNF:
+    """The subgroup ⟨H·M⟩/q of T0 = H/q for one integer column HNF M in T0-coordinates."""
+    return _from_t0_hnfs(T0, (basis,))[0]
 
 
 def relative_coordinates(sub: SubgroupHNF, sup: SubgroupHNF) -> list[IntVec]:

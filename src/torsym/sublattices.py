@@ -17,7 +17,7 @@ from .lattices import (
     IDENTITY,
     Mat3,
     SubgroupHNF,
-    _from_t0_hnf,
+    _from_t0_hnfs,
     basis_frame,
     covolume,
     frame_coords_matrix,
@@ -469,14 +469,6 @@ def _walk(coord_rots: tuple, powers: Iterable[tuple[int, range]], lo: int, hi: i
         yield from visit(1, (IDENTITY,), len(seen) - 1)
 
 
-def _in_t0(T0: SubgroupHNF, lattices: Iterable[tuple]) -> list[SubgroupHNF]:
-    """Lattices of one index, mapped from T0-coordinates to T0 and sorted by (scale, basis)."""
-    out = [_from_t0_hnf(T0, M) for M in lattices]
-    # the scale is 1/D, so ascending scale is descending D
-    out.sort(key=lambda L: (-L.scale.denominator, L.basis))
-    return out
-
-
 def _check_rotation(r) -> Mat3:
     """r as a tuple of row tuples; ValueError naming r unless it is a 3×3 matrix of ints."""
     try:
@@ -512,15 +504,12 @@ def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) ->
     # a prime whose exponent cannot carry a part drops out, and d is never reached
     parts = sorted((p**k, p, k) for p, k in _prime_power_parts(d) if k in _exponents(split, p, k))
     walk = _walk(coord_rots, [(p, range(k, k + 1)) for _, p, k in parts], d - 1, d)
-    return _in_t0(T0, (M for _, lattices in walk for M in lattices))
+    return _from_t0_hnfs(T0, (M for _, lattices in walk for M in lattices))
 
 
 # ============================================================
 # family matching
 # ============================================================
-
-
-_UNIT_INSTANCES = {tag: instantiate(tag, 1, 1 if tag in HEX_TAGS else None) for tag in FAMILY_TAGS}
 
 
 def match_family(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
@@ -530,23 +519,30 @@ def match_family(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
     cubic instance n·B/u has the canonical basis k·B at scale g/u, for
     g = gcd(n, u) and k = n/g: k is L's first pivot and n = k·u/D.  A
     hexagonal instance is n·P + ℤ·m·e₃, with P the planar part of B: n is
-    L's first pivot and m its third.
+    L's first pivot and m its third.  With L's columns (k, a₁, a₂),
+    (0, b₁, b₂) and (0, 0, c₂), each family is read off a₁, a₂, b₁, b₂ and
+    c₂ as multiples of k, with no instance built.
     """
     if L.rank != 3:
         raise RankDeficient("match_family requires a rank-3 subgroup")
-    D, k = L.scale.denominator, L.basis[0][0]
+    D = L.scale.denominator
+    (k, a1, a2), (_, b1, b2), (_, _, c2) = L.basis
     if frame.name == "CUBIC":
-        for tag in CUBIC_TAGS:
-            unit = _UNIT_INSTANCES[tag]
-            u = unit.scale.denominator
-            n = k * u // D
-            if D * math.gcd(n, u) == u and L.basis == tuple(tuple(k * x for x in col) for col in unit.basis):
-                return LatticeFamily(tag, n)
-    elif D == 1:
+        if a1 == 0 and b1 == k and D == 1:
+            if a2 == b2 == 0 and c2 == k:
+                return LatticeFamily("CUBIC_PRIMITIVE", k)
+            if a2 == b2 == k and c2 == 2 * k:
+                return LatticeFamily("CUBIC_FACE", k)
+        elif a1 == a2 == k and b1 == c2 == 2 * k and b2 == 0:
+            n = 2 * k // D
+            if D * math.gcd(n, 2) == 2:
+                return LatticeFamily("CUBIC_BODY", n)
+    elif D == 1 and a2 == b2 == 0:
         # both hexagonal families are integer lattices
-        for tag in HEX_TAGS:
-            if L.basis[:2] == tuple(tuple(k * x for x in col) for col in _UNIT_INSTANCES[tag].basis[:2]):
-                return LatticeFamily(tag, k, L.basis[2][2])
+        if a1 == 0 and b1 == k:
+            return LatticeFamily("HEX_PRIMITIVE", k, c2)
+        if a1 == 2 * k and b1 == 3 * k:
+            return LatticeFamily("HEX_ROT", k, c2)
     raise UnmatchedLattice(f"no closed-form family matches covolume {covolume(L)}")
 
 
@@ -596,7 +592,7 @@ def normal_translation_subgroups(
             rows = []
             # each index's raw HNFs go once its rows hold them (for T0 = ℤ³ the rows keep the same tuples)
             for d, lattices in _walk(coord_rots, powers, survey.bound, max_index):
-                rows += [(L, match_family(L, G.frame), G.point_order * d) for L in _in_t0(G.T0, lattices)]
+                rows += [(L, match_family(L, G.frame), G.point_order * d) for L in _from_t0_hnfs(G.T0, lattices)]
             rows.sort(key=itemgetter(2))  # stable: each index keeps its (scale, basis) order
             if survey.rows:
                 survey.rows += rows

@@ -31,6 +31,13 @@
   They check the package's one solve per conjugacy class, carried to the
   rest by the coset maps.  `germ_orbits` is the union-find over stabilizer
   and germ directions that the package's one sweep per orbit replaces.
+- `survey_rows_by_lattice` builds the rows of `normal_translation_subgroups`
+  the way the survey first did: each lattice of an index mapped to T0 alone
+  by `_from_t0_hnf`, the index's lattices sorted by (−D, basis), and the
+  family matched by comparing the basis with k times each n = 1 instance
+  (`match_family_by_units`).  It checks the package's one pass per index,
+  which sorts the walk's raw tuples when T0 = ℤ³ and reads the family off
+  the HNF entries.
 - `frame_symmetries` filters every triple of short columns of the right
   lengths by the determinant and metric checks, against the package's
   search that drops a partial triple at its first wrong Gram entry.
@@ -53,11 +60,12 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient
+from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient, UnmatchedLattice
 from torsym.lattices import (
     Mat3,
     SubgroupHNF,
@@ -97,7 +105,19 @@ from torsym.spacegroups import (
     preserves_metric,
     rotation_order,
 )
-from torsym.sublattices import _coord_rotations
+from torsym.sublattices import (
+    CUBIC_TAGS,
+    FAMILY_TAGS,
+    HEX_TAGS,
+    LatticeFamily,
+    _coord_rotations,
+    _exponents,
+    _primes,
+    _rotation_generators,
+    _split,
+    _walk,
+    instantiate,
+)
 
 IntVec = tuple[int, int, int]
 
@@ -716,6 +736,57 @@ def literal_invariant_sublattices(
         raise ValueError("index must be a positive integer")
     coord_rots = _coord_rotations(T0, tuple(tuple(tuple(row) for row in r) for r in rotations))
     return _filtered_triples(T0, coord_rots, d)
+
+
+# ============================================================
+# survey rows by the per-lattice route
+# ============================================================
+
+
+_UNIT_INSTANCES = {tag: instantiate(tag, 1, 1 if tag in HEX_TAGS else None) for tag in FAMILY_TAGS}
+
+
+def match_family_by_units(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
+    """The family instance equal to L, found by comparing its basis with k times each n = 1 instance's.
+
+    A cubic instance n·B/u has the canonical basis k·B at scale g/u, for
+    g = gcd(n, u) and k = n/g its first pivot; a hexagonal instance has the
+    planar columns of k·B and the third pivot m.
+    """
+    if L.rank != 3:
+        raise RankDeficient("match_family requires a rank-3 subgroup")
+    D, k = L.scale.denominator, L.basis[0][0]
+    if frame.name == "CUBIC":
+        for tag in CUBIC_TAGS:
+            unit = _UNIT_INSTANCES[tag]
+            u = unit.scale.denominator
+            n = k * u // D
+            if D * math.gcd(n, u) == u and L.basis == tuple(tuple(k * x for x in col) for col in unit.basis):
+                return LatticeFamily(tag, n)
+    elif D == 1:
+        for tag in HEX_TAGS:
+            if L.basis[:2] == tuple(tuple(k * x for x in col) for col in _UNIT_INSTANCES[tag].basis[:2]):
+                return LatticeFamily(tag, k, L.basis[2][2])
+    raise UnmatchedLattice(f"no closed-form family matches covolume {covolume(L)}")
+
+
+def in_t0_by_lattice(T0: SubgroupHNF, lattices: Iterable[tuple]) -> list[SubgroupHNF]:
+    """Integer HNFs in T0-coordinates mapped to T0 one at a time, sorted by (scale, basis)."""
+    out = [_from_t0_hnf(T0, M) for M in lattices]
+    out.sort(key=lambda L: (-L.scale.denominator, L.basis))
+    return out
+
+
+def survey_rows_by_lattice(G: SpaceGroup, max_index: int) -> list[tuple[SubgroupHNF, LatticeFamily, int]]:
+    """The rows of `normal_translation_subgroups(G, max_index)`, each index's lattices mapped and matched one at a time."""
+    coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
+    split = _split(coord_rots)
+    powers = ((p, _exponents(split, p, max_index.bit_length())) for p in _primes())
+    rows = []
+    for d, lattices in _walk(coord_rots, powers, 0, max_index):
+        rows += [(L, match_family_by_units(L, G.frame), G.point_order * d) for L in in_t0_by_lattice(G.T0, lattices)]
+    rows.sort(key=itemgetter(2))
+    return rows
 
 
 # ============================================================

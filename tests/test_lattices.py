@@ -15,6 +15,7 @@ from torsym.lattices import (
     SubgroupHNF,
     _from_t0_hnf,
     basis_frame,
+    coord_numerators,
     covolume,
     hnf,
     hnf_columns,
@@ -147,6 +148,33 @@ def test_as_int_takes_what_equals_an_int(x):
 def test_as_int_refuses_what_equals_no_int(x):
     with pytest.raises(ValueError):
         as_int(x)
+
+
+_NOT_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("x", _NOT_FINITE)
+def test_hnf_refuses_a_coordinate_that_is_not_finite(x):
+    with pytest.raises(ValueError):
+        hnf([(1, 0, 0), (0.5, x, 0)])
+
+
+@pytest.mark.parametrize("x", _NOT_FINITE)
+def test_member_refuses_a_coordinate_that_is_not_finite(x):
+    with pytest.raises(ValueError):
+        member((0.5, x, 0), T1)
+
+
+@pytest.mark.parametrize("x", _NOT_FINITE)
+def test_coord_numerators_refuses_a_coordinate_that_is_not_finite(x):
+    with pytest.raises(ValueError):
+        coord_numerators((0.5, x, 0), THALF)
+
+
+@pytest.mark.parametrize("x", _NOT_FINITE)
+def test_primitive_integer_refuses_a_coordinate_that_is_not_finite(x):
+    with pytest.raises(ValueError):
+        primitive_integer((0.5, x, 0))
 
 
 def test_solve_linear_consistent_and_inconsistent():

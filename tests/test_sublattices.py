@@ -66,6 +66,7 @@ from oracles import (
     intersect,
     is_invariant,
     literal_invariant_sublattices,
+    survey_rows_by_lattice,
 )
 
 Z3 = hnf([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -485,6 +486,30 @@ def test_match_family_rejects_non_family_lattices():
         match_family(TRIVIAL_SUBGROUP, CUBIC_FRAME)
 
 
+_UNMATCHED = "no closed-form family matches covolume "
+
+
+@pytest.mark.parametrize(
+    "L, frame, error, message",
+    [
+        # the planar columns of each hexagonal family, at scales 1/2 and 1/5
+        (SubgroupHNF(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), Fraction(1, 2)), HEX_FRAME, UnmatchedLattice, _UNMATCHED + "1/8"),
+        (SubgroupHNF(3, ((2, 4, 0), (0, 6, 0), (0, 0, 3)), Fraction(1, 5)), HEX_FRAME, UnmatchedLattice, _UNMATCHED + "36/125"),
+        # each cubic family at n = 3, and a hexagonal one, with one entry below a pivot off by one
+        (hnf([(3, 1, 0), (0, 3, 0), (0, 0, 3)]), CUBIC_FRAME, UnmatchedLattice, _UNMATCHED + "27"),
+        (hnf([(3, 0, 4), (0, 3, 3), (0, 0, 6)]), CUBIC_FRAME, UnmatchedLattice, _UNMATCHED + "54"),
+        (SubgroupHNF(3, ((3, 3, 3), (0, 6, 1), (0, 0, 6)), Fraction(1, 2)), CUBIC_FRAME, UnmatchedLattice, _UNMATCHED + "27/2"),
+        (hnf([(2, 4, 0), (0, 6, 1), (0, 0, 3)]), HEX_FRAME, UnmatchedLattice, _UNMATCHED + "36"),
+        (hnf([(1, 0, 0), (0, 1, 0)]), CUBIC_FRAME, RankDeficient, "match_family requires a rank-3 subgroup"),
+        (TRIVIAL_SUBGROUP, HEX_FRAME, RankDeficient, "match_family requires a rank-3 subgroup"),
+    ],
+)
+def test_match_family_refusals(L, frame, error, message):
+    with pytest.raises(error) as caught:
+        match_family(L, frame)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_match_family_hexagonal_is_closed_form():
     # n comes from the third HNF pivot m and the covolume n²·m, not from a search over n
     start = time.perf_counter()
@@ -704,6 +729,18 @@ def test_survey_matches_the_per_index_route(name):
         for d in range(1, 65)
         for L in invariant_sublattices(G.T0, _rotation_generators(G), d)
     ]
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_survey_rows_match_the_per_lattice_route(name):
+    # the oracle maps and matches each lattice alone; the survey builds an index's rows in one pass
+    G = make_group(name)
+    expected = survey_rows_by_lattice(G, 2000)
+    assert normal_translation_subgroups(G, 2000) == expected
+    rots = _rotation_generators(G)
+    for d in range(1, 300):
+        lattices = [L for L, _, total in expected if total == G.point_order * d]
+        assert invariant_sublattices(G.T0, rots, d) == lattices
 
 
 def test_lattice_equality_across_constructions():
