@@ -373,8 +373,8 @@ def _family_multipliers(name: str) -> dict[str, int]:
     for tag in CUBIC_TAGS if G.frame.name == "CUBIC" else HEX_TAGS:
         m = 1 if tag in HEX_TAGS else None
         unit = instantiate(tag, 1, m)
-        b = unit.scale.denominator
-        # a column h at scale 1/b with T0-coordinate numerators x/d has the coordinates x/(d·b)
+        b = unit.den
+        # a column h over the den b with T0-coordinate numerators x/d has the coordinates x/(d·b)
         coords = [coord_numerators(h, G.T0) for h in unit.basis]
         u = math.lcm(*(d * b // math.gcd(d * b, *x) for x, d in coords))
         keyed.append((index(instantiate(tag, u, m), G.T0), tag, u))

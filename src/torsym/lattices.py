@@ -134,23 +134,22 @@ def rotation_axis(rot: IntMat) -> IntVec:
 class SubgroupHNF:
     """A finitely generated subgroup of rational 3-vectors in canonical form.
 
-    The stored value is the pair (scale, basis) with scale = 1/D for the
-    minimal positive integer D such that D·L is an integer lattice, and basis
-    the canonical integer column HNF of D·L.  Equal subgroups always have
-    bit-identical representations; the constructor rejects any other pair.
+    The stored value is the pair (basis, den): den = D is the minimal
+    positive integer such that D·L is an integer lattice, and basis the
+    canonical integer column HNF of D·L, so L is basis/D at scale 1/D.  Equal
+    subgroups always have bit-identical representations; the constructor
+    rejects any other pair.
     """
 
-    rank: int
     basis: tuple[tuple[int, int, int], ...]
-    scale: Fraction
+    den: int
 
     def __post_init__(self) -> None:
         # each check is O(1): the lift path builds a lattice per call, so the
         # canonical form is checked in place instead of recomputed
-        basis, scale = self.basis, self.scale
-        # a bool passes for the int 0 or 1 but would print as a bool in the JSON
-        if type(self.rank) is not int or type(basis) is not tuple or self.rank != len(basis):
-            raise ValueError("basis must be a tuple of as many columns as the rank")
+        basis, den = self.basis, self.den
+        if type(basis) is not tuple:
+            raise ValueError("basis must be a tuple of columns")
         pivot = -1
         for j, col in enumerate(basis):
             if type(col) is not tuple or len(col) != 3:
@@ -167,35 +166,30 @@ class SubgroupHNF:
                 if not 0 <= prev[r] < p:
                     raise ValueError("basis must be a column HNF: entries left of a pivot in [0, pivot)")
             pivot = r
-        # a Fraction passes before the slower isinstance test against the numeric tower
-        if type(scale) is not Fraction and (type(scale) is bool or not isinstance(scale, (int, Fraction))) or scale.numerator != 1:
-            raise ValueError("scale must be 1/D for a positive integer D")
+        # type(), not isinstance: True is an int and would pass for D = 1
+        if type(den) is not int or den <= 0:
+            raise ValueError("den must be a positive integer D")
         # the content of the basis is the gcd of its entries, and D = 1 is coprime to every content
-        if scale.denominator != 1 and math.gcd(scale.denominator, *chain.from_iterable(basis)) != 1:
-            raise ValueError("scale 1/D must be minimal: D and the basis content must be coprime")
+        if den != 1 and math.gcd(den, *chain.from_iterable(basis)) != 1:
+            raise ValueError("den must be minimal: D and the basis content must be coprime")
 
-    # the scale is always 1/D, so D stands for it without comparing or hashing a Fraction
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SubgroupHNF):
-            return NotImplemented
-        return (self.rank, self.basis, self.scale.denominator) == (other.rank, other.basis, other.scale.denominator)
-
-    def __hash__(self) -> int:
-        return hash((self.basis, self.scale.denominator))
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
 
     def vectors(self) -> list[Vec3]:
-        """Actual basis vectors (scale applied)."""
-        return [tuple(Fraction(x, self.scale.denominator) for x in col) for col in self.basis]
+        """Actual basis vectors (basis columns divided by D)."""
+        return [tuple(Fraction(x, self.den) for x in col) for col in self.basis]
 
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
-            "scale": str(self.scale),
+            "scale": str(Fraction(1, self.den)),
             "basis": [list(col) for col in self.basis],
         }
 
 
-TRIVIAL_SUBGROUP = SubgroupHNF(rank=0, basis=(), scale=Fraction(1))
+TRIVIAL_SUBGROUP = SubgroupHNF((), 1)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -249,8 +243,7 @@ def hnf(generators: Iterable[Sequence]) -> SubgroupHNF:
     """Canonical form of the subgroup generated by rational (or integer) 3-vectors."""
     generators = list(generators)
     if all(type(x) is int for g in generators for x in g):
-        basis = hnf_columns(generators)
-        return SubgroupHNF(rank=len(basis), basis=basis, scale=Fraction(1))
+        return SubgroupHNF(hnf_columns(generators), 1)
     gens = [tuple(map(as_fraction, g)) for g in generators]
     gens = [g for g in gens if any(g)]
     if not gens:
@@ -258,9 +251,7 @@ def hnf(generators: Iterable[Sequence]) -> SubgroupHNF:
     # minimal D clearing denominators: every generator lies in the subgroup,
     # so no smaller D can make the whole subgroup integral
     d = math.lcm(*(x.denominator for g in gens for x in g))
-    cols = [[int(x * d) for x in g] for g in gens]
-    basis = hnf_columns(cols)
-    return SubgroupHNF(rank=len(basis), basis=basis, scale=Fraction(1, d))
+    return SubgroupHNF(hnf_columns([[int(x * d) for x in g] for g in gens]), d)
 
 
 def hnf_reduce(x: Sequence[int], basis: Sequence[Sequence[int]]) -> tuple[int, int, int]:
@@ -285,7 +276,7 @@ def hnf_reduce(x: Sequence[int], basis: Sequence[Sequence[int]]) -> tuple[int, i
 def _in_lattice(nums: Sequence[int], den: int, sup: SubgroupHNF) -> bool:
     """True iff nums/den lies in sup = H/q: den divides q·nums and q·nums/den reduces to zero by H."""
     x0, x1, x2 = nums
-    q = sup.scale.denominator
+    q = sup.den
     w0, w1, w2 = q * x0, q * x1, q * x2
     if den != 1:
         if w0 % den or w1 % den or w2 % den:
@@ -304,12 +295,12 @@ def covolume(sub: SubgroupHNF) -> Fraction:
     if sub.rank != 3:
         raise RankDeficient("covolume requires rank 3")
     # a canonical rank-3 basis has its pivots on the diagonal
-    return sub.scale**3 * (sub.basis[0][0] * sub.basis[1][1] * sub.basis[2][2])
+    return Fraction(sub.basis[0][0] * sub.basis[1][1] * sub.basis[2][2], sub.den**3)
 
 
 def is_subgroup(sub: SubgroupHNF, sup: SubgroupHNF) -> bool:
-    """True iff sub ⊆ sup: each column h of sub, at scale 1/b, lies in sup."""
-    b = sub.scale.denominator
+    """True iff sub ⊆ sup: each column h of sub, over its den b, lies in sup."""
+    b = sub.den
     return all(_in_lattice(h, b, sup) for h in sub.basis)
 
 
@@ -325,8 +316,8 @@ def index(sub: SubgroupHNF, sup: SubgroupHNF) -> int:
         raise NotASubgroup("first argument is not contained in the second")
     (h0, _, _), (_, h1, _), (_, _, h2) = sub.basis
     (g0, _, _), (_, g1, _), (_, _, g2) = sup.basis
-    num = h0 * h1 * h2 * sup.scale.denominator**3
-    den = g0 * g1 * g2 * sub.scale.denominator**3
+    num = h0 * h1 * h2 * sup.den**3
+    den = g0 * g1 * g2 * sub.den**3
     if num % den:
         g = math.gcd(num, den)
         raise InvariantViolation(f"index of a subgroup came out as {num // g}/{den // g}, not an integer")
@@ -350,10 +341,10 @@ def basis_frame(basis: tuple[tuple[int, int, int], ...]) -> tuple[IntMat, IntMat
 
 
 def _integer_frame(sub: SubgroupHNF) -> tuple[IntMat, IntMat, int, int]:
-    """Integer data of a rank-3 subgroup with actual basis H/q: its `basis_frame`, looked up without hashing a `Fraction`, and q."""
+    """Integer data of a rank-3 subgroup with actual basis H/q: its `basis_frame` and q."""
     if sub.rank != 3:
         raise RankDeficient("integer coordinates require rank 3")
-    return (*basis_frame(sub.basis), sub.scale.denominator)
+    return (*basis_frame(sub.basis), sub.den)
 
 
 def coord_numerators(v: Sequence, sub: SubgroupHNF) -> tuple[IntVec, int]:
@@ -395,33 +386,25 @@ def invariant_coords_matrix(m: Sequence[Sequence[int]], sub: SubgroupHNF) -> Int
     return a
 
 
-@lru_cache(maxsize=None)
-def _unit_fraction(d: int) -> Fraction:
-    """1/d, built once per denominator."""
-    return Fraction(1, d)
-
-
 def _from_t0_hnfs(T0: SubgroupHNF, bases: Iterable[tuple[tuple[int, int, int], ...]]) -> list[SubgroupHNF]:
-    """The subgroups ⟨H·M⟩/q of T0 = H/q for integer column HNFs M in T0-coordinates, sorted by (scale, basis).
+    """The subgroups ⟨H·M⟩/q of T0 = H/q for integer column HNFs M in T0-coordinates, sorted by (−D, basis).
 
     H and M are lower triangular with positive pivots, so H·M keeps M's pivot
     rows and positive pivots.  Reducing each column by the later ones makes
-    it an HNF; divided by g = gcd(q, its content), at scale g/q, it is
+    it an HNF; divided by g = gcd(q, its content), over D = q/g, it is
     canonical.  Unit pivots make T0's HNF the identity: then T0 = ℤ³, each M
-    is its own canonical basis at scale 1, and the tuples sort as they are.
+    is its own canonical basis over D = 1, and the tuples sort as they are.
     """
     h, _, det, q = _integer_frame(T0)
     if det == q == 1:
-        one = _unit_fraction(1)
-        return [SubgroupHNF(len(M), M, one) for M in sorted(bases)]
+        return [SubgroupHNF(M, 1) for M in sorted(bases)]
     out = []
     for basis in bases:
         cols = [int_matvec(h, col) for col in basis]
         cols = [hnf_reduce(col, cols[j + 1 :]) for j, col in enumerate(cols)]
         g = math.gcd(q, *(x for col in cols for x in col))
-        out.append(SubgroupHNF(len(cols), tuple(tuple(x // g for x in col) for col in cols), _unit_fraction(q // g)))
-    # the scale is 1/D, so ascending scale is descending D
-    out.sort(key=lambda L: (-L.scale.denominator, L.basis))
+        out.append(SubgroupHNF(tuple(tuple(x // g for x in col) for col in cols), q // g))
+    out.sort(key=lambda L: (-L.den, L.basis))
     return out
 
 
@@ -433,10 +416,10 @@ def _from_t0_hnf(T0: SubgroupHNF, basis: tuple[tuple[int, int, int], ...]) -> Su
 def relative_coordinates(sub: SubgroupHNF, sup: SubgroupHNF) -> list[IntVec]:
     """Integer coordinates of sub's basis columns in the actual basis of sup (rank 3, sub ⊆ sup).
 
-    A column h of sub's basis at scale 1/b has the coordinates x/(d·b), for
+    A column h of sub's basis over its den b has the coordinates x/(d·b), for
     x/d its `coord_numerators` in lowest terms: integral iff d = 1 and b | x.
     """
-    b = sub.scale.denominator
+    b = sub.den
     cols = []
     for h in sub.basis:
         x, d = coord_numerators(h, sup)

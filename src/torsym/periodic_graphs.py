@@ -33,7 +33,6 @@ from .lattices import (
     join,
     mat_det,
     matmul,
-    primitive_integer,
     relative_integer_basis,
     rotation_axis,
     smith_form,
@@ -41,11 +40,9 @@ from .lattices import (
     unimodular_inverse,
 )
 from .spacegroups import (
-    Axis,
     SpaceGroup,
     coset_maps,
     fixing_cosets,
-    frame_gram_int,
     is_pure_translation,
     make_group,
     preserves_metric,
@@ -420,8 +417,7 @@ class _SingularData:
     """Cached singular-set decomposition of one space group.
 
     axis_classes, vertex_classes, circle_classes, orbit_of and orbits hold
-    T0-coordinates, integer numerators over sc.den.  axes, vertices and
-    circles build their frame values on demand.
+    T0-coordinates, integer numerators over sc.den.
     """
 
     sc: _Scaled
@@ -431,15 +427,6 @@ class _SingularData:
     orbit_of: dict[ScaledSegment, int]
     orbits: list[list[ScaledSegment]]
     edges: tuple[SingularEdge, ...]
-
-    def _axis(self, e: IntVec, c1: int, c2: int, order: int) -> Axis:
-        base = self.sc.to_frame(int_matvec(_axis_basis(e)[1], (0, c1, c2)))
-        d = primitive_integer(from_numerators(e, 1, self.sc.T0))
-        return Axis(base=base, direction=d, order=order)
-
-    axes = property(lambda self: [self._axis(*ax) for ax in self.axis_classes])
-    vertices = property(lambda self: [self.sc.to_frame(v) for v in self.vertex_classes])
-    circles = property(lambda self: [self._axis(*ax) for ax in self.circle_classes])
 
 
 @lru_cache(maxsize=None)
@@ -503,7 +490,7 @@ def _frame_symmetries(frame) -> tuple[IntMat, ...]:
     run on the few surviving triples.  The result is in row-major
     lexicographic order.
     """
-    gram = frame_gram_int(frame)
+    gram = frame.gram
     short = list(itertools.product((-1, 0, 1), repeat=3))
 
     def form(u: IntVec, v: IntVec) -> int:

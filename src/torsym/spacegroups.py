@@ -45,15 +45,15 @@ CosetMaps = tuple[tuple[tuple[IntMat, IntVec], ...], int]
 
 @dataclass(frozen=True)
 class Frame:
-    """Coordinate frame: basis name plus the Gram matrix of pairwise inner products."""
+    """Coordinate frame: basis name plus the integer Gram matrix of pairwise inner products, up to a positive factor."""
 
     name: str
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: IntMat
 
 
-_ZERO, _ONE, _MINUS_HALF = Fraction(0), Fraction(1), Fraction(-1, 2)
-CUBIC_FRAME = Frame("CUBIC", ((_ONE, _ZERO, _ZERO), (_ZERO, _ONE, _ZERO), (_ZERO, _ZERO, _ONE)))
-HEX_FRAME = Frame("HEXAGONAL", ((_ONE, _MINUS_HALF, _ZERO), (_MINUS_HALF, _ONE, _ZERO), (_ZERO, _ZERO, _ONE)))
+CUBIC_FRAME = Frame("CUBIC", IDENTITY)
+# unit vectors e1, e2 at 120° and e3 orthogonal to both, all inner products doubled
+HEX_FRAME = Frame("HEXAGONAL", ((2, -1, 0), (-1, 2, 0), (0, 0, 2)))
 
 
 # ============================================================
@@ -89,19 +89,12 @@ def _rotation_problem(frame: Frame, rot: tuple[tuple[int, ...], ...]) -> str | N
     """
     if mat_det(rot) != 1:
         return "rotation part must have determinant +1"
-    if not preserves_metric(rot, frame_gram_int(frame)):
+    if not preserves_metric(rot, frame.gram):
         return "rotation part must preserve the frame metric"
     return None
 
 
-@lru_cache(maxsize=None)
-def frame_gram_int(frame: Frame) -> tuple[tuple[int, ...], ...]:
-    """The frame's Gram matrix scaled by the least common denominator of its entries."""
-    den = math.lcm(*(x.denominator for row in frame.gram for x in row))
-    return tuple(tuple(int(x * den) for x in row) for row in frame.gram)
-
-
-def preserves_metric(m: Sequence[Sequence[int]], gram: tuple[tuple[int, ...], ...]) -> bool:
+def preserves_metric(m: Sequence[Sequence[int]], gram: IntMat) -> bool:
     """True iff mᵀ·gram·m = gram, for an integer matrix m and integer Gram matrix."""
     return matmul(matmul(tuple(zip(*m)), gram), m) == gram
 
@@ -315,15 +308,6 @@ def _make_group(name: str) -> tuple[SpaceGroup, CosetMaps]:
 # ============================================================
 # axes and stabilizers
 # ============================================================
-
-
-@dataclass(frozen=True)
-class Axis:
-    """Fixed line of a rotation: base point, primitive direction, rotational order."""
-
-    base: Vec3
-    direction: tuple[int, int, int]
-    order: int
 
 
 def fixing_cosets(maps: Sequence[tuple[IntMat, IntVec]], den: int, n: IntVec) -> list[int]:

@@ -492,7 +492,7 @@ def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) ->
     descent mod p finds it, once per primitive lattice.  The survey's walker
     meets coprime parts in closed form by the CRT (`_coprime_meet`), here
     over the prime powers of d alone, and each result takes one integer
-    step to T0.  It is sorted by (scale, basis).  Its independent check is
+    step to T0.  It is sorted by (−D, basis).  Its independent check is
     the enumerate-and-filter over every HNF of index d in `tests/oracles.py`.
     """
     _check_index(d, "index")
@@ -516,7 +516,7 @@ def match_family(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
     """The unique closed-form family instance equal to L, if one exists.
 
     Each n = 1 instance is B/u with B of content 1 and first pivot 1.  So a
-    cubic instance n·B/u has the canonical basis k·B at scale g/u, for
+    cubic instance n·B/u has the canonical basis k·B over D = u/g, for
     g = gcd(n, u) and k = n/g: k is L's first pivot and n = k·u/D.  A
     hexagonal instance is n·P + ℤ·m·e₃, with P the planar part of B: n is
     L's first pivot and m its third.  With L's columns (k, a₁, a₂),
@@ -525,7 +525,7 @@ def match_family(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
     """
     if L.rank != 3:
         raise RankDeficient("match_family requires a rank-3 subgroup")
-    D = L.scale.denominator
+    D = L.den
     (k, a1, a2), (_, b1, b2), (_, _, c2) = L.basis
     if frame.name == "CUBIC":
         if a1 == 0 and b1 == k and D == 1:
@@ -593,7 +593,7 @@ def normal_translation_subgroups(
             # each index's raw HNFs go once its rows hold them (for T0 = ℤ³ the rows keep the same tuples)
             for d, lattices in _walk(coord_rots, powers, survey.bound, max_index):
                 rows += [(L, match_family(L, G.frame), G.point_order * d) for L in _from_t0_hnfs(G.T0, lattices)]
-            rows.sort(key=itemgetter(2))  # stable: each index keeps its (scale, basis) order
+            rows.sort(key=itemgetter(2))  # stable: each index keeps its (−D, basis) order
             if survey.rows:
                 survey.rows += rows
             else:  # the first walk's list becomes the store, with no copy

@@ -3,11 +3,13 @@
 - The literal invariant-sublattice filter runs over every HNF of an index and
   checks the submodule descent mod p of `sublattices.invariant_sublattices`.
 - `fixed_axis` solves for a rotation's fixed line by Gaussian elimination and
-  checks the Smith-form singular set through the window scans of
-  `test_periodic_graph.py`.  `_plane_lattice` and `_axis_base` are those
-  scans' own axis canonicaliser: they name a line modulo the lattice by its
-  projection along its direction, reduced by the projected plane lattice,
-  where the package uses a unimodular basis per direction in T0-coordinates.
+  returns it as an `Axis`.  It checks the Smith-form singular set, which
+  `singular_axes`, `singular_vertices` and `singular_circles` write as frame
+  values, through the window scans of `test_periodic_graph.py`.
+  `_plane_lattice` and `_axis_base` are those scans' own axis
+  canonicaliser: they name a line modulo the lattice by its projection along
+  its direction, reduced by the projected plane lattice, where the package
+  uses a unimodular basis per direction in T0-coordinates.
 - `dual`, `intersect` and `coset_reps` do lattice algebra on the `Fraction`
   basis matrix and its inverse (`mat_inv`, the one rational inverse), and
   check the integer routes.
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -93,13 +96,11 @@ from torsym.lattices import (
     smith_form,
     solve_congruence,
 )
-from torsym.periodic_graphs import _axis_basis, _normalizer_solutions
+from torsym.periodic_graphs import _SingularData, _axis_basis, _normalizer_solutions
 from torsym.spacegroups import (
-    Axis,
     Frame,
     Isometry,
     SpaceGroup,
-    frame_gram_int,
     is_pure_translation,
     make_group,
     preserves_metric,
@@ -237,7 +238,7 @@ def coords_in(v: Sequence, sub: SubgroupHNF) -> Vec3:
 
 def fraction_member(v: Sequence, sub: SubgroupHNF) -> bool:
     """True iff the rational vector v lies in the subgroup."""
-    d = sub.scale.denominator
+    d = sub.den
     w: list[int] = []
     for x in v:
         y = Fraction(x) * d
@@ -388,6 +389,15 @@ def canonical_line(point: Sequence, direction: Sequence) -> tuple[Vec3, tuple[in
     return base, d  # type: ignore[return-value]
 
 
+@dataclass(frozen=True)
+class Axis:
+    """Fixed line of a rotation: base point, primitive direction, rotational order."""
+
+    base: Vec3
+    direction: tuple[int, int, int]
+    order: int
+
+
 def fixed_axis(g: Isometry) -> Axis | None:
     """Fixed line of a non-trivial isometry, or None for a screw motion."""
     if is_pure_translation(g):
@@ -421,7 +431,7 @@ def _plane_lattice(
     )
     if len(cols) != 2:
         raise InvariantViolation("projection of a rank-3 lattice must have rank 2")
-    den = T0.scale.denominator * d[i0]
+    den = T0.den * d[i0]
     g = math.gcd(den, *(x for c in cols for x in c))
     return i0, den // g, tuple(
         (next(r for r in range(3) if c[r]), tuple(x // g for x in c)) for c in cols
@@ -458,6 +468,27 @@ def _normalizer_maps(name: str) -> tuple[tuple[tuple, Vec3], ...]:
 def numerators(v: Sequence, den: int) -> IntVec:
     """Integer numerators of a rational vector over den, which must clear its denominators."""
     return tuple(x.numerator * (den // x.denominator) for x in v)  # type: ignore[return-value]
+
+
+def _frame_axis(data: _SingularData, e: IntVec, c1: int, c2: int, order: int) -> Axis:
+    """The axis class (e, c₁, c₂) of `_singular_data` in frame coordinates: base U⁻¹·(0, c₁, c₂) over den."""
+    base = data.sc.to_frame(int_matvec(_axis_basis(e)[1], (0, c1, c2)))
+    return Axis(base=base, direction=primitive_integer(from_numerators(e, 1, data.sc.T0)), order=order)
+
+
+def singular_axes(data: _SingularData) -> list[Axis]:
+    """The axes of a singular set that carry a vertex, one per class modulo T0, in frame coordinates."""
+    return [_frame_axis(data, *ax) for ax in data.axis_classes]
+
+
+def singular_vertices(data: _SingularData) -> list[Vec3]:
+    """The vertices of a singular set, one per class modulo T0, as frame points."""
+    return [data.sc.to_frame(v) for v in data.vertex_classes]
+
+
+def singular_circles(data: _SingularData) -> list[Axis]:
+    """The axes of a singular set that carry no vertex (closed singular circles), in frame coordinates."""
+    return [_frame_axis(data, *ax) for ax in data.circle_classes]
 
 
 # ============================================================
@@ -717,7 +748,7 @@ def _filtered_triples(T0: SubgroupHNF, coord_rots: tuple, d: int) -> list[Subgro
     for row in t[ok]:
         a, b, c, x, y, z = (int(v) for v in row)
         out.append(_from_t0_coords(T0, [(a, x, y), (0, b, z), (0, 0, c)]))
-    out.sort(key=lambda L: (L.scale, L.basis))
+    out.sort(key=lambda L: (-L.den, L.basis))
     return out
 
 
@@ -749,17 +780,17 @@ _UNIT_INSTANCES = {tag: instantiate(tag, 1, 1 if tag in HEX_TAGS else None) for 
 def match_family_by_units(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
     """The family instance equal to L, found by comparing its basis with k times each n = 1 instance's.
 
-    A cubic instance n·B/u has the canonical basis k·B at scale g/u, for
+    A cubic instance n·B/u has the canonical basis k·B over D = u/g, for
     g = gcd(n, u) and k = n/g its first pivot; a hexagonal instance has the
     planar columns of k·B and the third pivot m.
     """
     if L.rank != 3:
         raise RankDeficient("match_family requires a rank-3 subgroup")
-    D, k = L.scale.denominator, L.basis[0][0]
+    D, k = L.den, L.basis[0][0]
     if frame.name == "CUBIC":
         for tag in CUBIC_TAGS:
             unit = _UNIT_INSTANCES[tag]
-            u = unit.scale.denominator
+            u = unit.den
             n = k * u // D
             if D * math.gcd(n, u) == u and L.basis == tuple(tuple(k * x for x in col) for col in unit.basis):
                 return LatticeFamily(tag, n)
@@ -771,9 +802,9 @@ def match_family_by_units(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
 
 
 def in_t0_by_lattice(T0: SubgroupHNF, lattices: Iterable[tuple]) -> list[SubgroupHNF]:
-    """Integer HNFs in T0-coordinates mapped to T0 one at a time, sorted by (scale, basis)."""
+    """Integer HNFs in T0-coordinates mapped to T0 one at a time, sorted by (−D, basis)."""
     out = [_from_t0_hnf(T0, M) for M in lattices]
-    out.sort(key=lambda L: (-L.scale.denominator, L.basis))
+    out.sort(key=lambda L: (-L.den, L.basis))
     return out
 
 
@@ -800,7 +831,7 @@ def frame_symmetries(frame: Frame) -> tuple:
     Every triple of columns of the right squared lengths goes through the
     determinant and metric checks; the result is sorted.
     """
-    gram = frame_gram_int(frame)
+    gram = frame.gram
     short = list(itertools.product((-1, 0, 1), repeat=3))
 
     def norm(v: IntVec) -> int:

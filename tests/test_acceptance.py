@@ -50,7 +50,7 @@ def _with_budget(label: str, started: float, budget: float) -> None:
 
 
 def _sorted_lattices(lattices):
-    return sorted(lattices, key=lambda L: (L.scale, L.basis))
+    return sorted(lattices, key=lambda L: (-L.den, L.basis))
 
 
 # ============================================================

@@ -4,13 +4,15 @@ The digests were recorded from the CLI before the singular set was kept in
 integers through the marked edges and quotient graphs.  A refactor that
 changes any printed byte, including an ordering or a `Fraction` string, fails
 here.  The survey digests pin `normal_translation_subgroups(G, 512)` itself,
-order within each index included, as recorded before the coprime parts were
-met by the CRT.
+order within each index included: each row is written as the JSON of its
+lattice and family and its total index, so the digest does not depend on the
+field names of the records.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import re
 from pathlib import Path
 
@@ -59,14 +61,15 @@ GOLDEN = (
     ("classify P622 beta --max-index 512 --format csv", "50e7267aba73a9a47d554cdbdc4e53f6ad97ea13f5af5a31c4d2df97a66d3abf"),
 )
 
-# SHA-256 of repr(normal_translation_subgroups(G, 512)); P432 and P4_232 share T0 and point group
+# SHA-256 of normal_translation_subgroups(G, 512) as JSON rows [lattice, family, total index];
+# P432 and P4_232 share T0 and point group
 SURVEY_512 = (
-    ("P432", "0a411ae7f672ff9f29d30753dad8107ef0e8f9fde9f084ffbbfc892e8ab4c089"),
-    ("F4_132", "1d90be6121924bcbe570d8bab6d6a3d6934fda7150311e58ba29735c2d3b99e5"),
-    ("I4_132", "b74bec7185ee3e3fa576a2427de9d0ee1d9aaf7e32f9bc7bc68169f7f8e6c26c"),
-    ("I432", "c78b40b1babb5d712ce64df13055c91e9739022d0c0d40250ef0d5191a437005"),
-    ("P4_232", "0a411ae7f672ff9f29d30753dad8107ef0e8f9fde9f084ffbbfc892e8ab4c089"),
-    ("P622", "f3c3cb8f5f4edd54e870f344674a0f3f2ae878203ec5da230d204f5faae63e3c"),
+    ("P432", "505de248f46591cc5d5bef7043cf6d833a688bcb4c17e4bb9a792cca8fd4e416"),
+    ("F4_132", "7c51266697743f698aa7bdc6d8abf6d438b33c0df8276a13a331cae3657d0d4f"),
+    ("I4_132", "cb3e3243e9ca3b9d72580d66f274afe4d9edf4e824101cdbbdc745e3c5d6efb7"),
+    ("I432", "f281508dafaa3149e68b1564fb65b9057ae4947eca5e20afdc7ac76129e806a7"),
+    ("P4_232", "505de248f46591cc5d5bef7043cf6d833a688bcb4c17e4bb9a792cca8fd4e416"),
+    ("P622", "f0c712314b7e3c4f3ffa38f7adced1c982f3d0dacbf64a92345d674d29f5ebfe"),
 )
 
 
@@ -87,4 +90,5 @@ def test_cli_output_is_byte_identical(command, digest):
 @pytest.mark.parametrize("name, digest", SURVEY_512, ids=[n for n, _ in SURVEY_512])
 def test_survey_output_and_order_are_pinned(name, digest):
     out = normal_translation_subgroups(make_group(name), 512)
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
+    text = json.dumps([[L.to_json(), fam.to_json(), pi1] for L, fam, pi1 in out])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

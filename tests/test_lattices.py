@@ -205,7 +205,7 @@ def test_hnf_trivial_and_identity():
     assert hnf([(0, 0, 0)]) == TRIVIAL_SUBGROUP
     assert T1.rank == 3
     assert T1.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert T1.scale == 1
+    assert T1.den == 1
 
 
 def test_subgroup_hnf_rejects_non_canonical_forms():
@@ -214,43 +214,62 @@ def test_subgroup_hnf_rejects_non_canonical_forms():
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     doubled = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
     bad = [
-        (3, identity, Fraction(2)),  # hnf(2·I) has scale 1
-        (3, doubled, Fraction(1, 2)),  # that is hnf(I)
-        (3, ((0, 0, 1), (0, 1, 0), (1, 0, 0)), 1),  # pivot rows descend
-        (3, ((1, 0, 0), (0, -1, 0), (0, 0, 1)), 1),  # negative pivot
-        (3, ((1, 2, 0), (0, 2, 0), (0, 0, 1)), 1),  # entry left of a pivot outside [0, pivot)
-        (2, ((1, 0, 0), (0, 0, 0)), 1),  # zero column
-        (3, ((1, 0, 0), (0, 1, 0), (0, 0, Fraction(1))), 1),  # non-int entry
-        (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1.0)), 1),
-        (2, identity, 1),  # rank is not the column count
-        (4, (*identity, (0, 0, 1)), 1),  # a fourth column
-        (3, list(identity), 1),  # a list would compare unequal to hnf's tuple
-        (3, ((1, 0, 0), [0, 1, 0], (0, 0, 1)), 1),
-        (1, ((1, 0, 0),), Fraction(2, 3)),  # scale is not 1/D
-        (1, ((1, 0, 0),), 0.5),
+        (doubled, 2),  # D shares the factor 2 with the content: that is hnf(I)
+        (((2, 0, 0), (0, 4, 0), (0, 0, 6)), 6),
+        (((0, 0, 1), (0, 1, 0), (1, 0, 0)), 1),  # pivot rows descend
+        (((1, 0, 0), (0, -1, 0), (0, 0, 1)), 1),  # negative pivot
+        (((1, 2, 0), (0, 2, 0), (0, 0, 1)), 1),  # entry left of a pivot outside [0, pivot)
+        (((1, 0, 0), (0, 0, 0)), 1),  # zero column
+        (((1, 0, 0), (0, 1, 0), (0, 0, Fraction(1))), 1),  # non-int entry
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1.0)), 1),
+        ((*identity, (0, 0, 1)), 1),  # a fourth column
+        (list(identity), 1),  # a list would compare unequal to hnf's tuple
+        (((1, 0, 0), [0, 1, 0], (0, 0, 1)), 1),
+        (identity, 0),  # D is not a positive int
+        (identity, -2),
+        (identity, 2.0),
+        (identity, Fraction(2)),
+        (identity, Fraction(1, 2)),
     ]
-    for rank, basis, scale in bad:
+    for basis, den in bad:
         with pytest.raises(ValueError):
-            SubgroupHNF(rank, basis, scale)
-    assert SubgroupHNF(3, doubled, Fraction(1)) == hnf([(2, 0, 0), (0, 2, 0), (0, 0, 2)])
-    assert SubgroupHNF(3, ((1, 1, 1), (0, 2, 0), (0, 0, 2)), Fraction(1, 2)) == THALF
-    assert SubgroupHNF(0, (), Fraction(1)) == TRIVIAL_SUBGROUP
-
-
-def test_subgroup_hnf_rejects_a_bool_rank():
-    # True == 1 would pass the column count, then equal and hash as hnf's
-    # rank-1 lattice while its JSON says "rank": true
-    with pytest.raises(ValueError):
-        SubgroupHNF(True, ((1, 0, 0),), Fraction(1))
-    assert SubgroupHNF(1, ((1, 0, 0),), Fraction(1)).to_json()["rank"] == 1
+            SubgroupHNF(basis, den)
+    assert SubgroupHNF(doubled, 1) == hnf([(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    assert SubgroupHNF(((1, 1, 1), (0, 2, 0), (0, 0, 2)), 2) == THALF
+    assert SubgroupHNF((), 1) == TRIVIAL_SUBGROUP
 
 
 def test_subgroup_hnf_rejects_a_bool_scale():
-    # True has numerator and denominator 1, so it would pass as the scale 1
-    # and print as "scale": "True"
+    # True == 1 would pass as D = 1, then equal and hash as hnf's lattice
     with pytest.raises(ValueError):
-        SubgroupHNF(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), True)
-    assert SubgroupHNF(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1).to_json()["scale"] == "1"
+        SubgroupHNF(((1, 0, 0), (0, 1, 0), (0, 0, 1)), True)
+    assert SubgroupHNF(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1).to_json()["scale"] == "1"
+
+
+_entry = st.integers(min_value=-6, max_value=6)
+
+
+@given(
+    st.lists(st.tuples(_entry, _entry, _entry), max_size=4),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=6),
+)
+def test_record_gives_scale_covolume_and_hash_from_basis_and_den(cols, D, k):
+    # a content-free HNF times a k prime to D is a canonical basis over D
+    basis = hnf_columns(cols)
+    assume(basis and math.gcd(k, D) == 1)
+    g = math.gcd(*(x for col in basis for x in col))
+    basis = tuple(tuple(k * x // g for x in col) for col in basis)
+    L = SubgroupHNF(basis, D)
+    assert (L.rank, L.basis, L.den) == (len(basis), basis, D)
+    assert L.to_json() == {"rank": len(basis), "scale": str(Fraction(1, D)), "basis": [list(c) for c in basis]}
+    assert hash(L) == hash((L.basis, L.den))
+    assert L == hnf(L.vectors())
+    if L.rank == 3:
+        assert covolume(L) == Fraction(basis[0][0] * basis[1][1] * basis[2][2], D**3)
+    else:
+        with pytest.raises(RankDeficient):
+            covolume(L)
 
 
 def test_hnf_idempotent_and_presentation_independent():
@@ -261,7 +280,7 @@ def test_hnf_idempotent_and_presentation_independent():
 
 @given(st.lists(st.tuples(*[st.integers(min_value=-6, max_value=6)] * 3), max_size=5))
 def test_hnf_integer_generators_match_rational_ones(gens):
-    # all-int generators skip the Fraction conversion; the result, scale type included, is the same
+    # all-int generators skip the Fraction conversion; the result, den type included, is the same
     as_fractions = [tuple(Fraction(x) for x in g) for g in gens]
     assert repr(hnf(gens)) == repr(hnf(as_fractions))
 
@@ -532,7 +551,7 @@ def test_subgroup_hash_does_not_hash_its_fraction_scale(monkeypatch):
         raise AssertionError("Fraction.__hash__ called")
 
     monkeypatch.setattr(Fraction, "__hash__", refuse)
-    assert hash(lat) == hash(SubgroupHNF(lat.rank, lat.basis, Fraction(1, lat.scale.denominator)))
+    assert hash(lat) == hash(SubgroupHNF(lat.basis, lat.den))
 
 
 def test_relative_integer_basis_and_reduction():
@@ -576,14 +595,14 @@ def test_relative_integer_basis_matches_fraction_inverse(name, cols, k):
 @given(st.lists(st.tuples(_t0_coord, _t0_coord, _t0_coord), max_size=4))
 @settings(max_examples=60)
 def test_triangular_frame_step_matches_a_full_hnf(name, cols):
-    # the reference reduces H·M from scratch and divides by g = gcd(q, content) at scale g/q
+    # the reference reduces H·M from scratch and divides by g = gcd(q, content) over D = q/g
     T0 = make_group(name).T0
     M = hnf_columns(cols)
     h, _, _ = basis_frame(T0.basis)
-    q = T0.scale.denominator
+    q = T0.den
     ref = hnf_columns([int_matvec(h, col) for col in M])
     g = math.gcd(q, *(x for col in ref for x in col))
-    expected = SubgroupHNF(len(ref), tuple(tuple(x // g for x in col) for col in ref), Fraction(g, q))
+    expected = SubgroupHNF(tuple(tuple(x // g for x in col) for col in ref), q // g)
     assert _from_t0_hnf(T0, M) == expected == _from_t0_coords(T0, cols)
 
 

@@ -44,7 +44,6 @@ from torsym.periodic_graphs import (
 from torsym.spacegroups import (
     CUBIC_FRAME,
     HEX_FRAME,
-    Axis,
     Isometry,
     coset_maps,
     is_pure_translation,
@@ -56,6 +55,7 @@ from torsym.sublattices import instantiate, normal_translation_subgroups
 
 import oracles
 from oracles import (
+    Axis,
     _axis_base,
     _normalizer_maps,
     _UnionFind,
@@ -75,6 +75,9 @@ from oracles import (
     mat_inv,
     matvec,
     reduce_mod,
+    singular_axes,
+    singular_circles,
+    singular_vertices,
     vadd,
     vec,
     vertex_classes,
@@ -206,11 +209,11 @@ def rational_orbit_of(data):
 def test_singular_set_shape(name):
     data = _singular_data(name)
     n_axes, n_verts, n_segs, n_orbits = EXPECTED_SHAPE[name]
-    assert len(data.axes) == n_axes
-    assert len(data.vertices) == n_verts
+    assert len(singular_axes(data)) == n_axes
+    assert len(singular_vertices(data)) == n_verts
     assert len(data.orbit_of) == n_segs
     assert len(data.orbits) == n_orbits
-    assert data.circles == []
+    assert singular_circles(data) == []
 
 
 # ------------------------------------------------------------
@@ -295,7 +298,7 @@ def _window_times(T0, radius, den):
 
 
 def _common_den(T0, points):
-    return math.lcm(T0.scale.denominator, *(x.denominator for p in points for x in p))
+    return math.lcm(T0.den, *(x.denominator for p in points for x in p))
 
 
 def _cross(a, b):
@@ -452,7 +455,7 @@ def test_axis_window_saturates(name):
     # the exact solve finds every axis class, and the windows find no other
     G = make_group(name)
     # the oracle's canonical base of each axis, which the package need not use
-    found = {_axis_class(G.T0, a.base, a.direction): a.order for a in _singular_data(name).axes}
+    found = {_axis_class(G.T0, a.base, a.direction): a.order for a in singular_axes(_singular_data(name))}
     axes = [Axis(base=b, direction=d, order=found[(d, b)]) for d, b in sorted(found)]
     for radius in (2, 3):
         assert window_axes(G, radius) == axes
@@ -463,7 +466,7 @@ def test_vertex_window_saturates(name):
     G = make_group(name)
     data = _singular_data(name)
     for radius in (2, 3):
-        assert window_vertices(G, data.axes, radius) == data.vertices
+        assert window_vertices(G, singular_axes(data), radius) == singular_vertices(data)
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -473,8 +476,8 @@ def test_axis_segments_match_window_oracle(name):
     G = make_group(name)
     data = _singular_data(name)
     found = set()
-    for ax in data.axes:
-        offs = window_offsets(G, ax, data.vertices, 2)
+    for ax in singular_axes(data):
+        offs = window_offsets(G, ax, singular_vertices(data), 2)
         assert offs, "every axis meets a vertex"
         offs.append(offs[0] + _axis_period(G.T0, ax.direction))
         dv = vec(*ax.direction)
@@ -554,7 +557,7 @@ def test_marked_edges_match_union_find_classes(name):
 
 def test_axis_orders_are_crystallographic():
     for name in GROUPS:
-        orders = {a.order for a in _singular_data(name).axes}
+        orders = {a.order for a in singular_axes(_singular_data(name))}
         assert orders <= {2, 3, 4, 6}
         if name == "P622":
             assert 6 in orders
@@ -564,22 +567,22 @@ def test_axis_orders_are_crystallographic():
 
 def test_p432_axes_pass_through_quarter_rational_points():
     data = _singular_data("P432")
-    for ax in data.axes:
+    for ax in singular_axes(data):
         assert all((4 * x).denominator == 1 for x in ax.base)
-    for v in data.vertices:
+    for v in singular_vertices(data):
         assert all((4 * x).denominator == 1 for x in v)
 
 
 def test_p432_vertex_stabilizer_orders():
     G = make_group("P432")
-    orders = sorted(stabilizer_order(v, G) for v in _singular_data("P432").vertices)
+    orders = sorted(stabilizer_order(v, G) for v in singular_vertices(_singular_data("P432")))
     assert orders == [8, 8, 8, 8, 8, 8, 24, 24]
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_every_vertex_is_trivalent(name):
     G = make_group(name)
-    for v in _singular_data(name).vertices:
+    for v in singular_vertices(_singular_data(name)):
         rots = [g.rot for g in stabilizer(v, G) if not is_pure_translation(g)]
         assert len(_germ_orbits(rots)) == 3
 
@@ -685,7 +688,7 @@ def test_stabilizers_match_the_fraction_oracle_on_the_singular_set(name):
     # the public stabilizers scan the integer coset maps; the oracle applies each Fraction coset
     G = make_group(name)
     data = _singular_data(name)
-    points = [*data.vertices, *(ax.base for ax in data.axes)]
+    points = [*singular_vertices(data), *(ax.base for ax in singular_axes(data))]
     points += [tuple((x + y) / 2 for x, y in zip(*e.segment)) for e in singular_graph(G)]
     for p in points:
         assert stabilizer(p, G) == oracles.stabilizer(p, G)
@@ -705,7 +708,7 @@ def test_stabilizers_match_the_fraction_oracle_at_rational_points(name, p, k, on
     # a point drawn on a rotation axis has a nontrivial stabilizer, a free point mostly not
     G = make_group(name)
     if on_axis:
-        ax = _singular_data(name).axes[k % len(_singular_data(name).axes)]
+        ax = singular_axes(_singular_data(name))[k % len(singular_axes(_singular_data(name)))]
         p = vadd(ax.base, vscale(p[0], vec(*ax.direction)))
     assert stabilizer(p, G) == oracles.stabilizer(p, G)
     assert stabilizer_order(p, G) == oracles.stabilizer_order(p, G)

@@ -69,19 +69,27 @@ def test_only_the_verifiers_read_the_claim_tables():
 VECTOR_READERS = {"lattices.join", "cli._cmd_groups"}
 
 
-def _vector_reads(src: Path) -> list[str]:
-    """Top-level definitions that call `.vectors()`, as module.name."""
+def _top_level_name(stmt: ast.stmt) -> str:
+    if isinstance(stmt, ast.Assign):
+        return ast.unparse(stmt.targets[0])
+    if isinstance(stmt, ast.AnnAssign):
+        return ast.unparse(stmt.target)
+    return getattr(stmt, "name", str(stmt.lineno))
+
+
+def _callers(src: Path, callee: str) -> list[str]:
+    """Top-level definitions and assignments that call `callee(` or `.callee(`, as module.name."""
     out = []
     for path in sorted(src.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "vectors":
-                    out.append(f"{path.stem}.{getattr(stmt, 'name', node.lineno)}")
+                if isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    out.append(f"{path.stem}.{_top_level_name(stmt)}")
     return out
 
 
 def test_only_the_join_and_the_groups_output_read_fraction_vectors():
-    assert sorted(set(_vector_reads(SRC)) - VECTOR_READERS) == []
+    assert sorted(set(_callers(SRC, "vectors")) - VECTOR_READERS) == []
 
 
 def _float_uses(src: Path) -> list[str]:
@@ -97,3 +105,22 @@ def _float_uses(src: Path) -> list[str]:
 def test_the_package_computes_without_floats():
     # the tables are exact: every value is an int or a Fraction, and no float or square root enters
     assert _float_uses(SRC) == []
+
+
+# the rational boundary: the presentations and T0 going in, the frame points,
+# translations, covolumes, scales and join coming out; every other
+# computation runs on integers
+FRACTION_BUILDERS = {
+    "lattices.as_fraction",
+    "lattices.SubgroupHNF",
+    "lattices.covolume",
+    "lattices.from_numerators",
+    "periodic_graphs.edge_orbit_graph",
+    "spacegroups.T_HALF",
+    "spacegroups._PRESENTATIONS",
+    "spacegroups._closure",
+}
+
+
+def test_only_the_rational_boundary_builds_fractions():
+    assert sorted(set(_callers(SRC, "Fraction")) - FRACTION_BUILDERS) == []

@@ -198,7 +198,7 @@ def test_filtering_matches_literal_is_invariant():
     for d in range(1, 17):
         expected = sorted(
             (L for L in enumerate_sublattices(g.T0, d) if is_invariant(L, g)),
-            key=lambda L: (L.scale, L.basis),
+            key=lambda L: (-L.den, L.basis),
         )
         got = literal_invariant_sublattices(g.T0, CUBIC_ROTS, d)
         assert got == expected
@@ -289,7 +289,7 @@ def test_coprime_recombination_matches_intersect():
             expected = [g.T0]
             for q in qs:
                 expected = [intersect(a, b) for a in expected for b in invariant_sublattices(g.T0, rots, q)]
-            expected.sort(key=lambda L: (L.scale, L.basis))
+            expected.sort(key=lambda L: (-L.den, L.basis))
             assert invariant_sublattices(g.T0, rots, d) == expected, (name, d)
 
 
@@ -493,12 +493,12 @@ _UNMATCHED = "no closed-form family matches covolume "
     "L, frame, error, message",
     [
         # the planar columns of each hexagonal family, at scales 1/2 and 1/5
-        (SubgroupHNF(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), Fraction(1, 2)), HEX_FRAME, UnmatchedLattice, _UNMATCHED + "1/8"),
-        (SubgroupHNF(3, ((2, 4, 0), (0, 6, 0), (0, 0, 3)), Fraction(1, 5)), HEX_FRAME, UnmatchedLattice, _UNMATCHED + "36/125"),
+        (SubgroupHNF(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2), HEX_FRAME, UnmatchedLattice, _UNMATCHED + "1/8"),
+        (SubgroupHNF(((2, 4, 0), (0, 6, 0), (0, 0, 3)), 5), HEX_FRAME, UnmatchedLattice, _UNMATCHED + "36/125"),
         # each cubic family at n = 3, and a hexagonal one, with one entry below a pivot off by one
         (hnf([(3, 1, 0), (0, 3, 0), (0, 0, 3)]), CUBIC_FRAME, UnmatchedLattice, _UNMATCHED + "27"),
         (hnf([(3, 0, 4), (0, 3, 3), (0, 0, 6)]), CUBIC_FRAME, UnmatchedLattice, _UNMATCHED + "54"),
-        (SubgroupHNF(3, ((3, 3, 3), (0, 6, 1), (0, 0, 6)), Fraction(1, 2)), CUBIC_FRAME, UnmatchedLattice, _UNMATCHED + "27/2"),
+        (SubgroupHNF(((3, 3, 3), (0, 6, 1), (0, 0, 6)), 2), CUBIC_FRAME, UnmatchedLattice, _UNMATCHED + "27/2"),
         (hnf([(2, 4, 0), (0, 6, 1), (0, 0, 3)]), HEX_FRAME, UnmatchedLattice, _UNMATCHED + "36"),
         (hnf([(1, 0, 0), (0, 1, 0)]), CUBIC_FRAME, RankDeficient, "match_family requires a rank-3 subgroup"),
         (TRIVIAL_SUBGROUP, HEX_FRAME, RankDeficient, "match_family requires a rank-3 subgroup"),
@@ -753,14 +753,14 @@ def test_lattice_equality_across_constructions():
                 hnf(L.vectors()),
                 fam.instantiate(),
                 _from_t0_hnf(G.T0, relative_integer_basis(L, G.T0)),
-                SubgroupHNF(3, L.basis, Fraction(1, L.scale.denominator)),
+                SubgroupHNF(L.basis, L.den),
             )
             assert all(M == L and hash(M) == hash(L) for M in built)
         lattices = [L for L, _, _ in rows]
         assert all(a != b for i, a in enumerate(lattices) for b in lattices[:i])
-    # the same basis at another scale, and another basis at the same scale
+    # the same basis over another D, and another basis over the same D
     body = instantiate("CUBIC_BODY", 1)
-    assert SubgroupHNF(3, body.basis, Fraction(1)) != body
+    assert SubgroupHNF(body.basis, 1) != body
     assert instantiate("CUBIC_BODY", 3) != instantiate("CUBIC_PRIMITIVE", 3)
     assert body != body.basis
 
