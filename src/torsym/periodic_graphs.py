@@ -41,10 +41,8 @@ from .lattices import (
 )
 from .spacegroups import (
     SpaceGroup,
-    coset_maps,
     fixing_cosets,
     is_pure_translation,
-    make_group,
     preserves_metric,
     rotation_order,
 )
@@ -83,8 +81,8 @@ class PeriodicGraph:
     def __post_init__(self) -> None:
         verts = tuple(tuple(as_fraction(x) for x in v) for v in self.vertices)
         for v in verts:
-            if any(x < 0 or x >= 1 for x in v):
-                raise ValueError("vertex coordinates must lie in the cell [0,1)^3")
+            if len(v) != 3 or any(x < 0 or x >= 1 for x in v):
+                raise ValueError("vertices must be 3-vectors in the cell [0,1)^3")
         edges = []
         for i, j, s in self.edges:
             if not (0 <= i < len(verts) and 0 <= j < len(verts)):
@@ -115,6 +113,8 @@ class SingularEdge:
 
     def __post_init__(self) -> None:
         seg = tuple(tuple(as_fraction(x) for x in p) for p in self.segment)
+        if len(seg) != 2 or any(len(p) != 3 for p in seg):
+            raise ValueError("a segment must have two endpoints, each a 3-vector")
         if seg[0] == seg[1]:
             raise ValueError("segment endpoints must be distinct")
         if self.edge_index < 2:
@@ -122,7 +122,7 @@ class SingularEdge:
         if len(self.link) != 4:
             raise ValueError("link must list exactly four germ indices")
         object.__setattr__(self, "segment", seg)
-        object.__setattr__(self, "link", tuple(sorted(self.link)))
+        object.__setattr__(self, "link", tuple(sorted(map(as_int, self.link))))
 
     def to_json(self) -> dict:
         return {
@@ -168,7 +168,7 @@ def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
     half-turns about non-parallel axes, and it is an image of a common fixed
     point of the first pair in their class.
     """
-    cosets, den = coset_maps(G)
+    cosets, den = G.maps
     keyed: dict[tuple[IntVec, int], tuple[IntMat, IntVec]] = {}
     for rot, tau in cosets:
         order = rotation_order(rot)
@@ -219,8 +219,8 @@ class _Scaled:
     """
 
     def __init__(self, G: SpaceGroup, tops: Sequence[int]) -> None:
-        maps = _normalizer_solutions(G.name)
-        cosets, cden = coset_maps(G)
+        maps = _normalizer_solutions(G)
+        cosets, cden = G.maps
         self.T0 = G.T0
         self.den = math.lcm(*tops, cden, *(top // math.gcd(top, *y) for _, _, y, top in maps))
         self.moves = [(a, tuple(x * (self.den // cden) for x in t)) for a, t in cosets]
@@ -430,9 +430,8 @@ class _SingularData:
 
 
 @lru_cache(maxsize=None)
-def _singular_data(name: str) -> _SingularData:
-    """The singular set in T0-coordinates, with frame rationals built only for the public values."""
-    G = make_group(name)
+def _singular_data(G: SpaceGroup) -> _SingularData:
+    """The singular set of G in T0-coordinates, with frame rationals built only for the public values."""
     lines, corners = _fixed_points(G)
     sc = _Scaled(G, [top for _, _, top in lines] + [top for _, top in corners])
     axes = _axes_mod_t0(sc, lines)
@@ -464,7 +463,7 @@ def _singular_data(name: str) -> _SingularData:
 
 def singular_graph(G: SpaceGroup) -> list[SingularEdge]:
     """All singular segments modulo the lattice, grouped into group orbits."""
-    data = _singular_data(G.name)
+    data = _singular_data(G)
     return [
         replace(rep, segment=(data.sc.to_frame(seg[0]), data.sc.to_frame(seg[1])))
         for rep in data.edges
@@ -509,7 +508,7 @@ def _frame_symmetries(frame) -> tuple[IntMat, ...]:
 
 
 @lru_cache(maxsize=None)
-def _normalizer_solutions(name: str) -> tuple[tuple[IntMat, IntMat, IntVec, int], ...]:
+def _normalizer_solutions(G: SpaceGroup) -> tuple[tuple[IntMat, IntMat, IntVec, int], ...]:
     """A transversal of the group in its affine normalizer, up to lattice translations.
 
     The maps are x ↦ Sx + t, as (S, B⁻¹SB, y, top) with t = B·y/top, y in
@@ -525,11 +524,10 @@ def _normalizer_solutions(name: str) -> tuple[tuple[IntMat, IntMat, IntVec, int]
     over the generators in T0-coordinates, these congruences have full rank
     and their Smith form lists the finitely many t modulo T0.  τ is taken
     from the generator's coset: that moves Sτ by S·T0 = T0, and the right-hand
-    sides stay integer numerators over the den of `coset_maps`.
+    sides stay integer numerators over the den of `SpaceGroup.maps`.
     """
-    G = make_group(name)
     T0 = G.T0
-    cosets, den = coset_maps(G)
+    cosets, den = G.maps
     coset_of = dict(cosets)
     gens = [invariant_coords_matrix(g.rot, T0) for g in G.generators if not is_pure_translation(g)]
     covered: set[IntMat] = set()
@@ -571,7 +569,7 @@ def marked_edges(G: SpaceGroup) -> list[SingularEdge]:
     is the group N(G)/G, the identity among it, so one sweep over the orbit
     ids in ascending order reaches each class first through its least id.
     """
-    data = _singular_data(G.name)
+    data = _singular_data(G)
     qualifying = [e.orbit_id for e in data.edges if e.link == _MARKED_LINK]
 
     def act(move, oid: int) -> int | None:
@@ -594,7 +592,7 @@ def edge_orbit_graph(G: SpaceGroup, e: SingularEdge, suppress: bool = True) -> P
     Each endpoint n/den in T0-coordinates has the cell n // den and the
     vertex (n mod den)/den in [0,1)³.
     """
-    data = _singular_data(G.name)
+    data = _singular_data(G)
     den = data.sc.den
     ends = [coord_numerators(p, G.T0) for p in e.segment]
     oid = None

@@ -10,7 +10,7 @@ square roots never appear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -27,7 +27,6 @@ from .lattices import (
     basis_frame,
     coord_numerators,
     frame_coords_matrix,
-    hnf,
     hnf_columns,
     hnf_reduce,
     int_matvec,
@@ -35,7 +34,8 @@ from .lattices import (
     matmul,
 )
 
-# the cosets (R, t) of a group as maps y ↦ A·y + τ in the basis of T0, and the den of every τ (see coset_maps)
+# the cosets (R, t) of a group as maps y ↦ A·y + τ in the basis B of T0, and den: A = B⁻¹RB and τ the
+# integer numerators of B⁻¹t over den, the least common denominator of every B⁻¹t (built by `_closure`)
 CosetMaps = tuple[tuple[tuple[IntMat, IntVec], ...], int]
 
 # ============================================================
@@ -140,12 +140,15 @@ T_HALF = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 
 @dataclass(frozen=True)
 class SpaceGroup:
+    """A space group: its translation lattice T0 and one coset per rotation, as frame isometries and, in that order, as CosetMaps."""
+
     name: str
     frame: Frame
     generators: tuple[Isometry, ...]
     T0: SubgroupHNF
     point_order: int
     cosets: tuple[Isometry, ...]
+    maps: CosetMaps = field(repr=False)
 
 
 # generators: translation lattice basis plus rotational generators (rot, translation part)
@@ -204,10 +207,10 @@ def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isomet
 
     Returns (cosets, T0, maps): one representative per rotation, its
     translation reduced into the fundamental cell of T0 by pivot-ordered
-    triangular reduction, sorted by rotation, and the same cosets as the
-    `coset_maps` of the group.  The pure translations among the generators
-    seed the lattice and must span rank 3; translation discrepancies enlarge
-    it.  More than `cap` cosets raises ClosureOverflow.
+    triangular reduction, sorted by rotation, and the same cosets as
+    `CosetMaps`.  The pure translations among the generators seed the
+    lattice and must span rank 3; translation discrepancies enlarge it.
+    More than `cap` cosets raises ClosureOverflow.
 
     One breadth-first pass multiplies each representative, as it is found, by
     each generator once.  The reached rotations are closed under right
@@ -266,8 +269,9 @@ def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isomet
     taus = [int_matvec(adj, reps[rot]) for rot in rots]
     g = math.gcd(det, *(x for tau in taus for x in tau))
     maps = tuple((a, (t0 // g, t1 // g, t2 // g)) for a, (t0, t1, t2) in zip(coords, taus))
-    # the output records: T0 and the frame cosets, in rationals
-    lattice = hnf([tuple(Fraction(e, d_all) for e in col) for col in mcols])
+    # T0 is mcols/d_all in lowest terms: divide out c = gcd(d_all, content), which keeps the HNF
+    c = math.gcd(d_all, *(x for col in mcols for x in col))
+    lattice = SubgroupHNF(tuple(tuple(x // c for x in col) for col in mcols), d_all // c)
     frame = generators[0].frame
     cosets = [Isometry(frame, rot, tuple(Fraction(t, d_all) for t in reps[rot])) for rot in rots]
     return cosets, lattice, (maps, det // g)
@@ -275,34 +279,24 @@ def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isomet
 
 def make_group(name: str) -> SpaceGroup:
     """Build one of the six space groups from its embedded presentation."""
-    return _make_group(canonical_group_name(name))[0]
-
-
-def coset_maps(G: SpaceGroup) -> CosetMaps:
-    """The cosets (R, t) of G, in the order of G.cosets, as maps y ↦ A·y + τ in the basis B of T0.
-
-    Returns ((A, τ), …) and den: A = B⁻¹RB and τ the integer numerators of
-    B⁻¹t over den, the least common denominator of every B⁻¹t.  They are
-    built once per group by `_closure`.
-    """
-    return _make_group(G.name)[1]
+    return _make_group(canonical_group_name(name))
 
 
 @lru_cache(maxsize=None)
-def _make_group(name: str) -> tuple[SpaceGroup, CosetMaps]:
+def _make_group(name: str) -> SpaceGroup:
     frame, lat_gens, rot_gens = _PRESENTATIONS[name]
     gens = [Isometry(frame, IDENTITY, v) for v in lat_gens]
     gens += [Isometry(frame, rot, t) for rot, t in rot_gens]
     cosets, T0, maps = _closure(gens)
-    group = SpaceGroup(
+    return SpaceGroup(
         name=name,
         frame=frame,
         generators=tuple(gens),
         T0=T0,
         point_order=len(cosets),
         cosets=tuple(cosets),
+        maps=maps,
     )
-    return group, maps
 
 
 # ============================================================
@@ -325,7 +319,7 @@ def fixing_cosets(maps: Sequence[tuple[IntMat, IntVec]], den: int, n: IntVec) ->
 
 def _fixing_cosets_of_point(p: Sequence, G: SpaceGroup) -> list[int]:
     """`fixing_cosets` of the frame point p, with p's T0-coordinates and the coset maps over one den."""
-    maps, den = coset_maps(G)
+    maps, den = G.maps
     n, d = coord_numerators(p, G.T0)
     top = math.lcm(d, den)
     scaled = [(a, tuple(x * (top // den) for x in t)) for a, t in maps]

@@ -18,6 +18,7 @@ from .lattices import (
     Mat3,
     SubgroupHNF,
     _from_t0_hnfs,
+    adjugate,
     basis_frame,
     covolume,
     frame_coords_matrix,
@@ -149,9 +150,6 @@ def _primes() -> Iterator[int]:
 # T0-coordinates, which are mapped back to T0 at the end; there T0 itself has
 # the HNF basis IDENTITY.
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
 def _roots_of_unity_12(p: int) -> tuple[int, ...]:
     """The roots of x¹² − 1 in F_p: the powers of a generator h of their cyclic group.
 
@@ -181,7 +179,7 @@ def _splitting_order(coord_rots: tuple, p: int) -> tuple[tuple[int, tuple[int, .
     keyed = []
     for k, r in enumerate(coord_rots):
         tr = r[0][0] + r[1][1] + r[2][2]
-        c2 = sum(r[i][i] * r[j][j] - r[i][j] * r[j][i] for i, j in _PAIRS)
+        c2 = sum(row[i] for i, row in enumerate(adjugate(r)))
         det = mat_det(r)
         lams = tuple(x for x in roots if (((x - tr) * x + c2) * x - det) % p == 0)
         keyed.append((not all(((3 * x - 2 * tr) * x + c2) % p for x in lams), len(lams), k, lams))
@@ -211,18 +209,17 @@ def _eigenspace(a: Mat3, basis: Sequence[tuple[int, ...]], lam: int, p: int) -> 
     """Basis of {v ∈ span(basis) : a·v ≡ λ·v (mod p)} for an eigenvalue λ, in closed form.
 
     The span is F_p³ (the standard basis) or a plane ⟨u, w⟩.  On F_p³,
-    a − λ has rank at most 2: a nonzero cross product of two of its rows
-    spans the kernel, and if there is none the kernel is the plane
-    orthogonal to a nonzero row.  On ⟨u, w⟩, x·u + y·w lies in the kernel
+    a − λ has rank at most 2: a column of adj(a − λ) nonzero mod p spans the
+    kernel, as in `rotation_axis`, and if there is none the kernel is the
+    plane orthogonal to a nonzero row.  On ⟨u, w⟩, x·u + y·w lies in the kernel
     when x·c₁ + y·c₂ ≡ 0 for cᵢ the images under a − λ, which has a
     nonzero solution only when c₁ ∥ c₂.
     """
     if len(basis) == 3:
         rows = [[(a[i][j] - lam * (i == j)) % p for j in range(3)] for i in range(3)]
-        for x, y in _PAIRS:
-            c = _cross(rows[x], rows[y], p)
-            if any(c):
-                return [c]
+        for col in zip(*adjugate(rows)):
+            if any(x % p for x in col):
+                return [tuple(x % p for x in col)]
         r = next((r for r in rows if any(r)), None)
         return list(basis) if r is None else _plane(r, p)
     u, w = basis

@@ -102,7 +102,6 @@ from torsym.spacegroups import (
     Isometry,
     SpaceGroup,
     is_pure_translation,
-    make_group,
     preserves_metric,
     rotation_order,
 )
@@ -459,10 +458,9 @@ def _axis_base(T0: SubgroupHNF, n: Sequence[int], den: int, d: IntVec) -> IntVec
     return (w[0], w[1], w[2])
 
 
-def _normalizer_maps(name: str) -> tuple[tuple[tuple, Vec3], ...]:
-    """The `_normalizer_solutions` as frame maps (S, t), sorted."""
-    T0 = make_group(name).T0
-    return tuple(sorted((rows, from_numerators(y, top, T0)) for rows, _, y, top in _normalizer_solutions(name)))
+def _normalizer_maps(G: SpaceGroup) -> tuple[tuple[tuple, Vec3], ...]:
+    """The `_normalizer_solutions` of G as frame maps (S, t), sorted."""
+    return tuple(sorted((rows, from_numerators(y, top, G.T0)) for rows, _, y, top in _normalizer_solutions(G)))
 
 
 def numerators(v: Sequence, den: int) -> IntVec:

@@ -595,7 +595,7 @@ def test_cli_reports_internal_errors_with_exit_three(monkeypatch, capsys):
     # x ↦ x + (1/3, 0, 0), as (S, S in the basis of T0 = ℤ³, y, top) with t = y/top
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     bad = ((identity, identity, (1, 0, 0), 3),)
-    monkeypatch.setattr(pg, "_normalizer_solutions", lambda name: bad)
+    monkeypatch.setattr(pg, "_normalizer_solutions", lambda G: bad)
     # the singular data carry the normalizer maps, so they are rebuilt with the bad one
     monkeypatch.setattr(pg, "_singular_data", pg._singular_data.__wrapped__)
     monkeypatch.setattr(classify, "_edge_labels", classify._edge_labels.__wrapped__)

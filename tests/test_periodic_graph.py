@@ -1,6 +1,7 @@
 """Tests for singular-set extraction, marked edges, and lift criteria."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -45,7 +46,8 @@ from torsym.spacegroups import (
     CUBIC_FRAME,
     HEX_FRAME,
     Isometry,
-    coset_maps,
+    SpaceGroup,
+    _closure,
     is_pure_translation,
     make_group,
     stabilizer,
@@ -119,6 +121,12 @@ def test_periodic_graph_rejects_out_of_cell_vertex():
         PeriodicGraph(group="P432", T0=T1, vertices=((1, 0, 0),), edges=())
 
 
+def test_periodic_graph_rejects_a_vertex_that_is_not_a_3_vector():
+    for v in [(0, 0), (0, 0, 0, 0)]:
+        with pytest.raises(ValueError):
+            PeriodicGraph(group="P432", T0=T1, vertices=(v,), edges=())
+
+
 def test_periodic_graph_rejects_bad_edge_endpoint():
     with pytest.raises(ValueError):
         PeriodicGraph(group="P432", T0=T1, vertices=((0, 0, 0),), edges=((0, 1, (0, 0, 0)),))
@@ -155,9 +163,26 @@ def test_singular_edge_validation():
         SingularEdge(segment=((0, 0, 0), (1, 0, 0)), edge_index=1, link=(2, 2, 2, 3), orbit_id=0)
     with pytest.raises(ValueError):
         SingularEdge(segment=((0, 0, 0), (1, 0, 0)), edge_index=2, link=(2, 2, 3), orbit_id=0)
-    e = SingularEdge(segment=((0, 0, 0), (1, 0, 0)), edge_index=2, link=(3, 2, 2, 2), orbit_id=0)
-    assert e.link == (2, 2, 2, 3)
+    e = SingularEdge(segment=((0, 0, 0), (1, 0, 0)), edge_index=2, link=(3, 2.0, Fraction(2), 2), orbit_id=0)
+    assert e.link == (2, 2, 2, 3) and all(type(x) is int for x in e.link)
     assert e.to_json()["segment"] == [["0", "0", "0"], ["1", "0", "0"]]
+
+
+@pytest.mark.parametrize(
+    "segment",
+    [((0, 0), (1, 0)), ((0, 0, 0, 0), (1, 0, 0, 0)), ((0, 0, 0), (1, 0)), ((0, 0, 0),), ((0, 0, 0), (1, 0, 0), (2, 0, 0))],
+    ids=["2-vectors", "4-vectors", "mixed", "one-end", "three-ends"],
+)
+def test_singular_edge_rejects_endpoints_that_are_not_two_3_vectors(segment):
+    with pytest.raises(ValueError):
+        SingularEdge(segment=segment, edge_index=2, link=(2, 2, 2, 3), orbit_id=0)
+
+
+@pytest.mark.parametrize("link", [(2, 2, 2, "3"), (2, 2, 2, 2.5), (2, 2, Fraction(5, 2), 3)], ids=["str", "float", "fraction"])
+def test_singular_edge_rejects_a_non_integer_link_entry(link):
+    # sorted() would raise TypeError on a str among ints, and keep 2.5 as a germ index
+    with pytest.raises(ValueError):
+        SingularEdge(segment=((0, 0, 0), (1, 0, 0)), edge_index=2, link=link, orbit_id=0)
 
 
 _ROT_ID = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -207,7 +232,7 @@ def rational_orbit_of(data):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_singular_set_shape(name):
-    data = _singular_data(name)
+    data = _singular_data(make_group(name))
     n_axes, n_verts, n_segs, n_orbits = EXPECTED_SHAPE[name]
     assert len(singular_axes(data)) == n_axes
     assert len(singular_vertices(data)) == n_verts
@@ -226,12 +251,12 @@ _ROT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_coset_coords_match_the_fraction_route(name):
-    assert coset_maps(make_group(name)) == coset_coords(make_group(name))
+    assert make_group(name).maps == coset_coords(make_group(name))
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_axis_and_vertex_classes_match_one_solve_per_coset(name):
-    data = _singular_data(name)
+    data = _singular_data(make_group(name))
     lines, corners = fixed_points_per_coset(make_group(name))
     assert all(data.sc.den % top == 0 for top in [t for *_, t in lines] + [t for _, t in corners])
     assert data.axis_classes == axis_classes(data.sc, lines)
@@ -240,7 +265,7 @@ def test_axis_and_vertex_classes_match_one_solve_per_coset(name):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_germ_orbits_match_the_union_find_at_every_vertex(name):
-    data = _singular_data(name)
+    data = _singular_data(make_group(name))
     for v in data.vertex_classes:
         rots = [a for a in data.sc.stabilizer(v) if a != _ROT_IDENTITY]
         assert len(_germ_orbits(rots)) == 3
@@ -260,7 +285,7 @@ def test_fixed_points_solve_one_congruence_per_class(name, monkeypatch):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_axis_and_vertex_classes_are_closed_under_every_coset(name):
-    data = _singular_data(name)
+    data = _singular_data(make_group(name))
     den = data.sc.den
     verts = set(data.vertex_classes)
     index = {ax[:3]: ax[3] for ax in data.axis_classes}
@@ -455,7 +480,7 @@ def test_axis_window_saturates(name):
     # the exact solve finds every axis class, and the windows find no other
     G = make_group(name)
     # the oracle's canonical base of each axis, which the package need not use
-    found = {_axis_class(G.T0, a.base, a.direction): a.order for a in singular_axes(_singular_data(name))}
+    found = {_axis_class(G.T0, a.base, a.direction): a.order for a in singular_axes(_singular_data(G))}
     axes = [Axis(base=b, direction=d, order=found[(d, b)]) for d, b in sorted(found)]
     for radius in (2, 3):
         assert window_axes(G, radius) == axes
@@ -464,7 +489,7 @@ def test_axis_window_saturates(name):
 @pytest.mark.parametrize("name", GROUPS)
 def test_vertex_window_saturates(name):
     G = make_group(name)
-    data = _singular_data(name)
+    data = _singular_data(G)
     for radius in (2, 3):
         assert window_vertices(G, singular_axes(data), radius) == singular_vertices(data)
 
@@ -474,7 +499,7 @@ def test_axis_segments_match_window_oracle(name):
     # cut every axis at the window's vertex offsets over one period; the
     # pieces are exactly the singular segments, up to lattice translation
     G = make_group(name)
-    data = _singular_data(name)
+    data = _singular_data(G)
     found = set()
     for ax in singular_axes(data):
         offs = window_offsets(G, ax, singular_vertices(data), 2)
@@ -490,7 +515,7 @@ def test_axis_segments_match_window_oracle(name):
 def test_normalizer_maps_match_grid_oracle(name):
     # the maps are a transversal of G in its normalizer: one per coset of G
     G = make_group(name)
-    maps, oracle = _normalizer_maps(name), grid_normalizer_maps(name)
+    maps, oracle = _normalizer_maps(G), grid_normalizer_maps(name)
     assert group_closure(G, maps) == oracle
     assert len(maps) * G.point_order == len(oracle)
 
@@ -500,7 +525,7 @@ def test_marked_edges_match_the_whole_grid_normalizer(name):
     # the full oracle map set is a group modulo T0, so the class of an orbit
     # is the set of its images: no union-find and no transversal needed
     G = make_group(name)
-    data = _singular_data(name)
+    data = _singular_data(G)
     orbit_of = rational_orbit_of(data)
     classes = set()
     for e in data.edges:
@@ -520,9 +545,10 @@ def test_marked_edges_match_the_whole_grid_normalizer(name):
 def test_normalizer_transversal_is_closed_modulo_g(name):
     # marked_edges sweeps each class once from its least orbit id, which needs the identity among
     # the maps and every composite of two maps to be a listed map up to an element of G and of T0
-    cosets, cden = coset_maps(make_group(name))
-    sc = _singular_data(name).sc
-    solved = [(s, y, top) for _, s, y, top in _normalizer_solutions(name)]
+    G = make_group(name)
+    cosets, cden = G.maps
+    sc = _singular_data(G).sc
+    solved = [(s, y, top) for _, s, y, top in _normalizer_solutions(G)]
     for raw in (solved, [(a, t, sc.den) for a, t in sc.normalizer]):
         maps = [(a, tuple(Fraction(x, d) for x in t)) for a, t, d in raw]
 
@@ -543,7 +569,7 @@ def test_normalizer_transversal_is_closed_modulo_g(name):
 @pytest.mark.parametrize("name", GROUPS)
 def test_marked_edges_match_union_find_classes(name):
     # the union over every normalizer map and every marked orbit, with the least id of each class
-    data = _singular_data(name)
+    data = _singular_data(make_group(name))
     marked = [e.orbit_id for e in data.edges if e.link == (2, 2, 2, 3)]
     classes = _UnionFind(marked)
     for a, t in data.sc.normalizer:
@@ -557,7 +583,7 @@ def test_marked_edges_match_union_find_classes(name):
 
 def test_axis_orders_are_crystallographic():
     for name in GROUPS:
-        orders = {a.order for a in singular_axes(_singular_data(name))}
+        orders = {a.order for a in singular_axes(_singular_data(make_group(name)))}
         assert orders <= {2, 3, 4, 6}
         if name == "P622":
             assert 6 in orders
@@ -566,7 +592,7 @@ def test_axis_orders_are_crystallographic():
 
 
 def test_p432_axes_pass_through_quarter_rational_points():
-    data = _singular_data("P432")
+    data = _singular_data(make_group("P432"))
     for ax in singular_axes(data):
         assert all((4 * x).denominator == 1 for x in ax.base)
     for v in singular_vertices(data):
@@ -575,14 +601,14 @@ def test_p432_axes_pass_through_quarter_rational_points():
 
 def test_p432_vertex_stabilizer_orders():
     G = make_group("P432")
-    orders = sorted(stabilizer_order(v, G) for v in singular_vertices(_singular_data("P432")))
+    orders = sorted(stabilizer_order(v, G) for v in singular_vertices(_singular_data(G)))
     assert orders == [8, 8, 8, 8, 8, 8, 24, 24]
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_every_vertex_is_trivalent(name):
     G = make_group(name)
-    for v in singular_vertices(_singular_data(name)):
+    for v in singular_vertices(_singular_data(G)):
         rots = [g.rot for g in stabilizer(v, G) if not is_pure_translation(g)]
         assert len(_germ_orbits(rots)) == 3
 
@@ -636,7 +662,7 @@ EXPECTED_ORBITS = {
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_orbit_inventory(name):
-    data = _singular_data(name)
+    data = _singular_data(make_group(name))
     found: dict = {}
     for e in data.edges:
         key = (e.edge_index, e.link, len(data.orbits[e.orbit_id]))
@@ -651,7 +677,7 @@ def test_singular_graph_lists_every_segment_once(name):
     assert len(edges) == EXPECTED_SHAPE[name][2]
     assert len({e.segment for e in edges}) == len(edges)
     for e in edges:
-        rep = _singular_data(name).edges[e.orbit_id]
+        rep = _singular_data(G).edges[e.orbit_id]
         assert (e.edge_index, e.link) == (rep.edge_index, rep.link)
 
 
@@ -664,7 +690,7 @@ def test_i4_132_face_diagonal_segment_lies_in_the_deep_lattice_class():
     b = (Fraction(1), Fraction(-1, 2), Fraction(1, 4))
     exit_point = vadd(a, vscale(Fraction(1, 3), vsub(b, a)))
     assert exit_point == (Fraction(1, 2), Fraction(0), Fraction(1, 4))
-    data = _singular_data("I4_132")
+    data = _singular_data(G)
     orbit_of = rational_orbit_of(data)
     seg = canon_segment(G.T0, a, b)
     assert seg in orbit_of
@@ -676,7 +702,7 @@ def test_i4_132_face_diagonal_segment_lies_in_the_deep_lattice_class():
 @pytest.mark.parametrize("name", GROUPS)
 def test_interior_point_stabilizer_equals_edge_index(name):
     G = make_group(name)
-    for e in _singular_data(name).edges:
+    for e in _singular_data(G).edges:
         a, b = e.segment
         for t in (Fraction(1, 3), Fraction(3, 7)):
             p = vadd(a, vscale(t, vsub(b, a)))
@@ -687,7 +713,7 @@ def test_interior_point_stabilizer_equals_edge_index(name):
 def test_stabilizers_match_the_fraction_oracle_on_the_singular_set(name):
     # the public stabilizers scan the integer coset maps; the oracle applies each Fraction coset
     G = make_group(name)
-    data = _singular_data(name)
+    data = _singular_data(G)
     points = [*singular_vertices(data), *(ax.base for ax in singular_axes(data))]
     points += [tuple((x + y) / 2 for x, y in zip(*e.segment)) for e in singular_graph(G)]
     for p in points:
@@ -708,7 +734,7 @@ def test_stabilizers_match_the_fraction_oracle_at_rational_points(name, p, k, on
     # a point drawn on a rotation axis has a nontrivial stabilizer, a free point mostly not
     G = make_group(name)
     if on_axis:
-        ax = singular_axes(_singular_data(name))[k % len(singular_axes(_singular_data(name)))]
+        ax = singular_axes(_singular_data(G))[k % len(singular_axes(_singular_data(G)))]
         p = vadd(ax.base, vscale(p[0], vec(*ax.direction)))
     assert stabilizer(p, G) == oracles.stabilizer(p, G)
     assert stabilizer_order(p, G) == oracles.stabilizer_order(p, G)
@@ -717,7 +743,7 @@ def test_stabilizers_match_the_fraction_oracle_at_rational_points(name, p, k, on
 @pytest.mark.parametrize("name", GROUPS)
 def test_endpoint_stabilizer_exceeds_edge_index(name):
     G = make_group(name)
-    for e in _singular_data(name).edges:
+    for e in _singular_data(G).edges:
         for p in e.segment:
             assert stabilizer_order(p, G) > e.edge_index
 
@@ -753,6 +779,50 @@ def test_p432_marked_edge_has_index_four():
     assert e.edge_index == 4
 
 
+# ============================================================
+# the pipeline reads the record it is given, not its name
+# ============================================================
+
+
+def _shape(G):
+    """Segment count, (edge index, link) multiset, marked-class count and the sorted marked [T0 : I], a rank-2 I as ∞."""
+    segments = singular_graph(G)
+    marked = marked_edges(G)
+    images = [cycle_image_lattice(edge_orbit_graph(G, e)) for e in marked]
+    images = sorted(index(I, G.T0) if I.rank == 3 else math.inf for I in images)
+    return len(segments), Counter((e.edge_index, e.link) for e in segments), len(marked), images
+
+
+def _canon_segments(G, c=(0, 0, 0)):
+    """The singular segments of G moved by c, each as its canonical translate modulo T0."""
+    return {canon_segment(G.T0, *(vadd(p, c) for p in e.segment)) for e in singular_graph(G)}
+
+
+@pytest.mark.parametrize(
+    "c", [(Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)), (Fraction(1, 3), 0, Fraction(1, 2))], ids=["eighths", "thirds"]
+)
+@pytest.mark.parametrize("name", GROUPS)
+def test_an_origin_shift_moves_the_singular_set_and_keeps_its_invariants(name, c):
+    # conjugating by x ↦ x + c sends (R, t) to (R, t + c − R·c), the same action up to conjugation
+    G = make_group(name)
+    gens = tuple(Isometry(G.frame, g.rot, vsub(vadd(g.trans, c), matvec(mat(g.rot), c))) for g in G.generators)
+    cosets, T0, maps = _closure(gens)
+    H = SpaceGroup(name, G.frame, gens, T0, len(cosets), tuple(cosets), maps)
+    assert H.T0 == G.T0 and H.point_order == G.point_order
+    assert _canon_segments(H) == _canon_segments(G, c)
+    assert _shape(H) == _shape(G)
+
+
+def test_a_renamed_record_keeps_its_own_singular_set():
+    # I432's record under the name P432 has I432's 62 segments and marked orbits 1 and 4, not P432's 56 and 2
+    G = replace(make_group("I432"), name="P432")
+    assert len(singular_graph(G)) == 62
+    assert [e.orbit_id for e in marked_edges(G)] == [1, 4]
+    assert _shape(G) == _shape(make_group("I432"))
+    assert len(singular_graph(make_group("P432"))) == 56
+    assert [e.orbit_id for e in marked_edges(make_group("P432"))] == [2]
+
+
 def test_frame_symmetry_counts():
     assert len(_frame_symmetries(CUBIC_FRAME)) == 48
     assert len(_frame_symmetries(HEX_FRAME)) == 24
@@ -773,7 +843,7 @@ def test_normalizer_contains_expected_translation_classes():
     }
     for name in GROUPS:
         classes = sorted(
-            t for rows, t in _normalizer_maps(name) if rows == identity and any(t)
+            t for rows, t in _normalizer_maps(make_group(name)) if rows == identity and any(t)
         )
         assert classes == expected[name], name
 
@@ -781,7 +851,7 @@ def test_normalizer_contains_expected_translation_classes():
 def test_normalizer_maps_preserve_the_lattice_and_form_a_set():
     for name in GROUPS:
         G = make_group(name)
-        maps = _normalizer_maps(name)
+        maps = _normalizer_maps(G)
         assert maps == tuple(sorted(set(maps)))
         for rows, t in maps:
             imgs = [
@@ -841,7 +911,7 @@ def test_edge_orbit_graph_accepts_any_orbit_member():
     # each member, listed, reversed or moved by a basis vector of T0, names its orbit
     for name in GROUPS:
         G = make_group(name)
-        data = _singular_data(name)
+        data = _singular_data(G)
         members: dict = {}
         for e in singular_graph(G):
             a, b = e.segment

@@ -1,6 +1,7 @@
 """Isometry records and their oracle arithmetic, the six group presentations, axes and stabilizers."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from torsym.spacegroups import (
     ROT_Z_HEX,
     _closure,
     canonical_group_name,
-    coset_maps,
     make_group,
     rotation_order,
     stabilizer,
@@ -292,7 +292,7 @@ def test_cosets_compose_within_the_group():
         basis = g.T0.vectors()
         gens = [translation(g.frame, [2 * x for x in b]) for b in basis] + rots
         gens += [compose(translation(g.frame, b), rots[0]) for b in basis]
-        assert _closure(gens) == (list(g.cosets), g.T0, coset_maps(g))
+        assert _closure(gens) == (list(g.cosets), g.T0, g.maps)
 
 
 def test_closure_keeps_every_schreier_translation():
@@ -316,7 +316,7 @@ def test_t0_rederivation_and_cosets():
         g = make_group(name)
         cs, t0, maps = _closure(g.generators)
         assert t0 == g.T0
-        assert maps == coset_maps(g)
+        assert maps == g.maps
         assert len(cs) == g.point_order
         assert {c.rot for c in cs} == {c.rot for c in g.cosets}
 
@@ -401,6 +401,14 @@ def test_stabilizer_orders():
     assert len(stab) == 3
     assert {rotation_order(s.rot) for s in stab} == {1, 3}
     assert all(apply(s, (0, 0, 0)) == (0, 0, 0) for s in stab)
+
+
+def test_stabilizers_read_the_record_not_its_name():
+    # the coset maps live on the record, so a name outside the table is only a label
+    g = replace(make_group("I4_132"), name="not-in-the-table")
+    assert stabilizer_order((0, 0, 0), g) == 3
+    assert stabilizer((0, 0, 0), g) == stabilizer((0, 0, 0), make_group("I4_132"))
+    assert stabilizer_order((0, 0, 0), replace(make_group("P432"), name="I4_132")) == 24
 
 
 def test_axis_equivariance_under_conjugation():
