@@ -15,7 +15,7 @@ from .periodic_graphs import (
     lift_connected_bruteforce,
     marked_edges,
 )
-from .spacegroups import canonical_group_name, make_group
+from .spacegroups import SpaceGroup, make_group
 from .sublattices import CUBIC_TAGS, HEX_TAGS, LatticeFamily, _check_index, instantiate, normal_translation_subgroups
 
 # ============================================================
@@ -267,51 +267,73 @@ class VerificationReport:
 
 
 # ============================================================
-# labelled marked edges
+# the cases of a group
 # ============================================================
 
 
-@lru_cache(maxsize=None)
-def _orbit_graph(name: str, e: SingularEdge) -> PeriodicGraph:
-    """The quotient graph of one marked edge orbit, built once for its label and its case."""
-    return edge_orbit_graph(make_group(name), e)
+@dataclass(frozen=True)
+class _Case:
+    """One labelled marked edge orbit: its edge, suppressed quotient graph, cycle image and constraint per family tag."""
+
+    edge: SingularEdge
+    graph: PeriodicGraph
+    image: SubgroupHNF
+    constraints: dict[str, str | None]
 
 
 def labeled_marked_edges(name: str) -> dict[str, SingularEdge]:
-    """The group's marked edge orbits keyed by label, in label order, as a new dict per call.
+    """The group's marked edge orbits keyed by label (the rule is in `_cases`), in label order, as a new dict per call."""
+    return {label: case.edge for label, case in _cases(make_group(name))[1].items()}
+
+
+@lru_cache(maxsize=None)
+def _cases(G: SpaceGroup) -> tuple[dict[str, int], dict[str, _Case]]:
+    """The family multipliers of G in report order, and its marked edge orbits as cases by label, in label order.
+
+    The multiplier is the least u with instance(u) ⊆ T0 (m = 1 for the
+    hexagonal ones): the lcm of the denominators of the unit instance's basis
+    vectors in T0-coordinates.  That is exact, because {u : u·L₁ ⊆ T0} is
+    closed under gcd and so equals mult·ℤ.  The families are reported by
+    ascending [T0 : instance(mult)]; a tie raises InvariantViolation.
 
     Alpha is the orbit whose cycle image I is all of T0.  The others take
     beta, then gamma, by ascending [T0 : I], a rank-2 I counting as
     infinite.  A tie, or more orbits than labels, raises InvariantViolation.
     """
-    return dict(_edge_labels(canonical_group_name(name)))
-
-
-@lru_cache(maxsize=None)
-def _edge_labels(name: str) -> tuple[tuple[str, SingularEdge], ...]:
-    """(label, edge) pairs of `labeled_marked_edges`, derived once per canonical group name."""
-    G = make_group(name)
     keyed = []
-    for e in marked_edges(G):
-        I = cycle_image_lattice(_orbit_graph(G.name, e))
-        keyed.append((index(I, G.T0) if I.rank == 3 else math.inf, e.orbit_id, e))
+    for tag in CUBIC_TAGS if G.frame.name == "CUBIC" else HEX_TAGS:
+        m = 1 if tag in HEX_TAGS else None
+        unit = instantiate(tag, 1, m)
+        b = unit.den
+        # a column h over the den b with T0-coordinate numerators x/d has the coordinates x/(d·b)
+        coords = [coord_numerators(h, G.T0) for h in unit.basis]
+        u = math.lcm(*(d * b // math.gcd(d * b, *x) for x, d in coords))
+        keyed.append((index(instantiate(tag, u, m), G.T0), tag, u))
     keyed.sort()
-    first = 0 if keyed and keyed[0][0] == 1 else 1
-    if len({k for k, _, _ in keyed}) != len(keyed) or first + len(keyed) > len(EDGE_LABELS):
-        raise InvariantViolation(f"{G.name}: marked orbits of [T0 : I] {[k for k, _, _ in keyed]} take no labels")
-    return tuple((label, e) for label, (_, _, e) in zip(EDGE_LABELS[first:], keyed))
+    if len({k for k, _, _ in keyed}) != len(keyed):
+        raise InvariantViolation(f"{G.name}: families of equal index {[k for k, _, _ in keyed]} in T0")
+    mults = {tag: u for _, tag, u in keyed}
+    orbits = []
+    for e in marked_edges(G):
+        g = edge_orbit_graph(G, e)
+        I = cycle_image_lattice(g)
+        orbits.append((index(I, G.T0) if I.rank == 3 else math.inf, e.orbit_id, e, g, I))
+    orbits.sort(key=lambda o: o[:2])
+    first = 0 if orbits and orbits[0][0] == 1 else 1
+    if len({o[0] for o in orbits}) != len(orbits) or first + len(orbits) > len(EDGE_LABELS):
+        raise InvariantViolation(f"{G.name}: marked orbits of [T0 : I] {[o[0] for o in orbits]} take no labels")
+    cases = {
+        label: _Case(e, g, I, {tag: _derived_constraint(I, G.T0, tag, u) for tag, u in mults.items()})
+        for label, (_, _, e, g, I) in zip(EDGE_LABELS[first:], orbits)
+    }
+    return mults, cases
 
 
-@lru_cache(maxsize=None)
-def _case_graph(name: str, label: str) -> PeriodicGraph:
-    return _orbit_graph(name, labeled_marked_edges(name)[label])
-
-
-def _derived_constraint(g: PeriodicGraph, tag: str, mult: int) -> str | None:
+def _derived_constraint(I: SubgroupHNF, T0: SubgroupHNF, tag: str, mult: int) -> str | None:
     """Divisibility constraint of one lattice family, read off T0/I; None rejects it.
 
     A covering lattice T is accepted iff T + I = T0, with I the cycle image
-    of g.
+    of the case graph.
 
     Cubic family, I of rank 3: the instance with reduced parameter n is n·L₁,
     L₁ = instantiate(tag, mult).  T0/I is finite of order N = [T0 : I], and
@@ -327,20 +349,19 @@ def _derived_constraint(g: PeriodicGraph, tag: str, mult: int) -> str | None:
     P.  The image of the instance in T0/I ≅ ℤ is then m times the image of
     L₁, which is all of ℤ iff m = 1 and L₁ + I = T0.
     """
-    I = cycle_image_lattice(g)
     if tag.startswith("HEX"):
         if I.rank != 2 or any(h[2] for h in I.basis):
             raise InvariantViolation(f"{tag}: cycle image is not a lattice in the plane z = 0")
-        cols = relative_coordinates(I, g.T0)
+        cols = relative_coordinates(I, T0)
         _, diag, _ = smith_form([[c[i] for c in cols] for i in range(3)])
         if diag != [1, 1]:
             raise InvariantViolation(f"{tag}: T0/I has torsion, Smith invariants {diag}")
-        return "m=1" if join(instantiate(tag, mult, 1), I) == g.T0 else None
+        return "m=1" if join(instantiate(tag, mult, 1), I) == T0 else None
     if I.rank != 3:
         raise InvariantViolation(f"{tag}: cycle image of rank {I.rank}, not 3")
-    if join(instantiate(tag, mult), I) != g.T0:
+    if join(instantiate(tag, mult), I) != T0:
         return None
-    N = index(I, g.T0)
+    N = index(I, T0)
     # the primes of N all divide 6 iff N | 6^N, since no exponent in N exceeds N
     constraint = {1: "none", 2: "2∤n", 3: "3∤n"}.get(math.gcd(N, 6))
     if constraint is None or pow(6, N, N):
@@ -348,79 +369,47 @@ def _derived_constraint(g: PeriodicGraph, tag: str, mult: int) -> str | None:
     return constraint
 
 
-@lru_cache(maxsize=None)
-def _case_constraint(name: str, label: str, tag: str) -> str | None:
-    return _derived_constraint(_case_graph(name, label), tag, _family_multipliers(name)[tag])
-
-
 # ============================================================
 # classification
 # ============================================================
 
 
-@lru_cache(maxsize=None)
-def _family_multipliers(name: str) -> dict[str, int]:
-    """The raw-parameter multiplier of each family of the group's frame, in report order.
-
-    The multiplier is the least u with instance(u) ⊆ T0 (m = 1 for the
-    hexagonal ones): the lcm of the denominators of the unit instance's basis
-    vectors in T0-coordinates.  That is exact, because {u : u·L₁ ⊆ T0} is
-    closed under gcd and so equals mult·ℤ.  The families are reported by
-    ascending [T0 : instance(mult)]; a tie raises InvariantViolation.
-    """
-    G = make_group(name)
-    keyed = []
-    for tag in CUBIC_TAGS if G.frame.name == "CUBIC" else HEX_TAGS:
-        m = 1 if tag in HEX_TAGS else None
-        unit = instantiate(tag, 1, m)
-        b = unit.den
-        # a column h over the den b with T0-coordinate numerators x/d has the coordinates x/(d·b)
-        coords = [coord_numerators(h, G.T0) for h in unit.basis]
-        u = math.lcm(*(d * b // math.gcd(d * b, *x) for x, d in coords))
-        keyed.append((index(instantiate(tag, u, m), G.T0), tag, u))
-    keyed.sort()
-    if len({k for k, _, _ in keyed}) != len(keyed):
-        raise InvariantViolation(f"{name}: families of equal index {[k for k, _, _ in keyed]} in T0")
-    return {tag: u for _, tag, u in keyed}
-
-
-def _reduced_parameters(group: str, fam: LatticeFamily) -> tuple[int, int | None]:
-    mult = _family_multipliers(group).get(fam.tag)
-    if mult is None or fam.n % mult:
-        raise InvariantViolation(f"{group}: {fam.tag} parameter {fam.n} is not a multiple of its multiplier {mult}")
-    return fam.n // mult, fam.m
-
-
 def classify_case(group: str, edge: str, max_index: int) -> list[ClassificationRow]:
     """All accepted covering lattices for one marked edge up to a lattice index."""
     _check_index(max_index, "max_index")
-    group = canonical_group_name(group)
+    return _classify(make_group(group), edge, max_index)
+
+
+def _classify(G: SpaceGroup, edge: str, max_index: int) -> list[ClassificationRow]:
+    """`classify_case` on the record G; the name is read only to label the rows and look up `KNOTTED`."""
     if edge not in EDGE_LABELS:
         raise ValueError(f"unknown edge label {edge!r}")
-    available = labeled_marked_edges(group)
-    if edge not in available:
-        raise ValueError(f"{group} has no edge {edge}; choose from {sorted(available)}")
-    G = make_group(group)
-    g = _case_graph(group, edge)
-    order = list(_family_multipliers(group))
+    mults, cases = _cases(G)
+    if edge not in cases:
+        raise ValueError(f"{G.name} has no edge {edge}; choose from {sorted(cases)}")
+    case = cases[edge]
+    order = list(mults)
 
     rows = []
     for L, fam, pi1 in normal_translation_subgroups(G, max_index):
-        n, m = _reduced_parameters(group, fam)
-        constraint = _case_constraint(group, edge, fam.tag)
+        mult = mults.get(fam.tag)
+        if mult is None or fam.n % mult:
+            raise InvariantViolation(f"{G.name}: {fam.tag} parameter {fam.n} is not a multiple of its multiplier {mult}")
+        n, m = fam.n // mult, fam.m
+        constraint = case.constraints[fam.tag]
         accepted = constraint is not None and _constraint_holds(constraint, n, m)
         # the lift criterion is the second route to every verdict
-        if lift_connected(g, L) != accepted:
+        if lift_connected(case.graph, L) != accepted:
             raise InvariantViolation(
-                f"{group} {edge}: lift of {fam.tag} n={n}, m={m} disagrees with "
+                f"{G.name} {edge}: lift of {fam.tag} n={n}, m={m} disagrees with "
                 f"the derived constraint {constraint!r}"
             )
         if accepted:
             rows.append(
                 ClassificationRow(
-                    group=group,
+                    group=G.name,
                     edge_label=edge,
-                    orbit_id=available[edge].orbit_id,
+                    orbit_id=case.edge.orbit_id,
                     family=fam,
                     n=n,
                     m=m,
@@ -429,7 +418,7 @@ def classify_case(group: str, edge: str, max_index: int) -> list[ClassificationR
                     lattice_index=pi1 // G.point_order,
                     group_order=pi1,
                     genus=pi1 // 12 + 1,
-                    knotted=KNOTTED[(group, edge)],
+                    knotted=KNOTTED[(G.name, edge)],
                 )
             )
     rows.sort(key=lambda r: (r.lattice_index, order.index(r.family.tag), r.n))
@@ -445,6 +434,7 @@ def theorem1_cells() -> tuple[Theorem1Cell, ...]:
     """The symbolic nine-column census of genus forms."""
     cells = []
     for column, case in enumerate(CASES, start=1):
+        constraints = _cases(make_group(case[0]))[1][case[1]].constraints
         for form, coeff, exp, tag in GENUS_FORMS[case]:
             cells.append(
                 Theorem1Cell(
@@ -454,7 +444,7 @@ def theorem1_cells() -> tuple[Theorem1Cell, ...]:
                     form=form,
                     coefficient=coeff,
                     exponent=exp,
-                    constraint=_case_constraint(*case, tag),
+                    constraint=constraints[tag],
                     knotted=KNOTTED[case],
                 )
             )
@@ -547,12 +537,12 @@ def verify_tables(max_index: int) -> VerificationReport:
         found = list(dict.fromkeys((row.family.tag, row.constraint) for row in rows))
         # a family shows up once its first instance (n = 1, and m = 1 for the
         # hexagonal ones) fits under the index bound; one outside the frame is never found
-        T0 = make_group(group).T0
-        mult = _family_multipliers(group)
+        G = make_group(group)
+        mult = _cases(G)[0]
         expected = [
             (tag, constraint)
             for tag, constraint in EXPECTED_ACCEPTED[(group, edge)]
-            if tag not in mult or index(instantiate(tag, mult[tag], 1 if tag in HEX_TAGS else None), T0) <= max_index
+            if tag not in mult or index(instantiate(tag, mult[tag], 1 if tag in HEX_TAGS else None), G.T0) <= max_index
         ]
         if found != expected:
             errors.append(f"{group} {edge}: survivors {found} do not match {expected}")

@@ -5,8 +5,8 @@ import json
 import sys
 
 from .classify import (
+    _cases,
     classify_case,
-    labeled_marked_edges,
     report_to_json,
     report_to_text,
     rows_to_csv,
@@ -21,7 +21,7 @@ from .classify import (
 )
 from .errors import InvariantViolation, TorsymError
 from .lattices import covolume
-from .periodic_graphs import cycle_image_lattice, edge_orbit_graph, singular_graph
+from .periodic_graphs import singular_graph
 from .spacegroups import GROUP_NAMES, canonical_group_name, make_group
 
 # ============================================================
@@ -80,12 +80,8 @@ def _cmd_singular_graph(args) -> int:
 
 def _cmd_edges(args) -> int:
     G = make_group(args.group)
-    labeled = labeled_marked_edges(G.name)
-    records = []
-    for label in sorted(labeled):
-        e = labeled[label]
-        g = edge_orbit_graph(G, e)
-        records.append((label, e, cycle_image_lattice(g), len(g.vertices), len(g.edges)))
+    # the case map lists the labels in label order, which is also their sorted order
+    records = [(label, c.edge, c.image, len(c.graph.vertices), len(c.graph.edges)) for label, c in _cases(G)[1].items()]
     if args.format == "json":
         print(
             json.dumps(

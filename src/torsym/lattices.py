@@ -49,10 +49,13 @@ def as_fraction(x) -> Fraction:
 
 
 def as_int(x) -> int:
-    """x as an int; ValueError unless x equals one, so also for a string, an infinity or NaN."""
-    if x in (math.inf, -math.inf) or int(x) != x:
-        raise ValueError(f"expected an integer, got {x!r}")
-    return int(x)
+    """x as an int; ValueError unless x equals one, so also for None, a list, a string, an infinity or NaN."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"expected an integer, got {x!r}")
 
 
 def int_matvec(m: Sequence[Sequence[int]], x: Sequence[int]) -> tuple[int, int, int]:

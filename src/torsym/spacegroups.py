@@ -142,13 +142,14 @@ T_HALF = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 class SpaceGroup:
     """A space group: its translation lattice T0 and one coset per rotation, as frame isometries and, in that order, as CosetMaps."""
 
+    # hashed on the int and str fields only, so a record-keyed cache hashes no Fraction; == reads every field
     name: str
     frame: Frame
-    generators: tuple[Isometry, ...]
+    generators: tuple[Isometry, ...] = field(hash=False)
     T0: SubgroupHNF
     point_order: int
-    cosets: tuple[Isometry, ...]
-    maps: CosetMaps = field(repr=False)
+    cosets: tuple[Isometry, ...] = field(hash=False)
+    maps: CosetMaps = field(repr=False, hash=False)
 
 
 # generators: translation lattice basis plus rotational generators (rot, translation part)

@@ -1,6 +1,8 @@
 """Tests for classification rows, the genus census, claim checks, and the CLI."""
 
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -11,11 +13,10 @@ from torsym.classify import (
     GENUS_FORMS,
     KNOTTED,
     ClassificationRow,
-    _case_constraint,
-    _case_graph,
+    _cases,
+    _classify,
     _constraint_holds,
     _derived_constraint,
-    _family_multipliers,
     classify_case,
     labeled_marked_edges,
     report_to_json,
@@ -31,9 +32,9 @@ from torsym.classify import (
     verify_tables,
 )
 from torsym.errors import InvariantViolation
-from torsym.lattices import covolume, index, is_subgroup
-from torsym.periodic_graphs import PeriodicGraph, edge_orbit_graph, lift_connected_bruteforce
-from torsym.spacegroups import GROUP_NAMES, make_group
+from torsym.lattices import covolume, index, int_matvec, is_subgroup
+from torsym.periodic_graphs import PeriodicGraph, cycle_image_lattice, edge_orbit_graph, lift_connected_bruteforce
+from torsym.spacegroups import GROUP_NAMES, Isometry, SpaceGroup, _closure, make_group
 from torsym.sublattices import FAMILY_TAGS, instantiate
 
 # ============================================================
@@ -61,15 +62,14 @@ def test_an_edit_to_the_labeled_edges_reaches_no_later_call():
     rows = classify_case("P432", "alpha", 8)
     assert rows and rows == classify_case("p_432", "alpha", 8)
     assert sorted(labeled_marked_edges("P432")) == sorted(labeled_marked_edges("p432")) == ["alpha"]
-    # and every spelling of a name reads the one labelling cached under its canonical name
-    classify._edge_labels.cache_clear()
+    # and every spelling of a name reads the one labelling cached under its record
+    classify._cases.cache_clear()
     assert labeled_marked_edges("p432") == labeled_marked_edges("P432") == labeled_marked_edges("p_432")
-    assert classify._edge_labels.cache_info().currsize == 1
+    assert classify._cases.cache_info().currsize == 1
 
 
 def _clear_label_caches():
-    for f in (classify._edge_labels, classify._case_graph, classify._case_constraint, _family_multipliers):
-        f.cache_clear()
+    classify._cases.cache_clear()
 
 
 def test_labels_and_classification_never_read_the_claimed_images(monkeypatch):
@@ -98,7 +98,7 @@ def test_a_tie_in_the_image_index_raises_an_internal_error(monkeypatch, capsys):
     # every marked orbit given I = T0: two alpha candidates for I432
     monkeypatch.setattr(classify, "cycle_image_lattice", lambda g: g.T0)
     with pytest.raises(InvariantViolation, match="take no labels"):
-        classify._edge_labels.__wrapped__("I432")
+        classify._cases.__wrapped__(make_group("I432"))
     _clear_label_caches()
     try:
         assert cli.main(["edges", "I432"]) == 3
@@ -106,6 +106,13 @@ def test_a_tie_in_the_image_index_raises_an_internal_error(monkeypatch, capsys):
     finally:
         monkeypatch.undo()
         _clear_label_caches()
+
+
+def test_a_renamed_record_keeps_its_own_cases():
+    # I432's record under the name P432 has I432's labels and orbits, not P432's alpha on orbit 2
+    cases = _cases(replace(make_group("I432"), name="P432"))[1]
+    assert {label: c.edge.orbit_id for label, c in cases.items()} == {"beta": 1, "gamma": 4}
+    assert {label: c.edge.orbit_id for label, c in _cases(make_group("P432"))[1].items()} == {"alpha": 2}
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
@@ -117,14 +124,15 @@ def test_multipliers_are_the_least_parameter_inside_t0(name):
         tag: next(u for u in range(1, 13) if is_subgroup(instantiate(tag, u, 1 if hexagonal else None), T0))
         for tag in tags
     }
-    derived = _family_multipliers(name)
+    derived = _cases(make_group(name))[0]
     assert derived == least
     indices = [index(instantiate(tag, u, 1 if hexagonal else None), T0) for tag, u in derived.items()]
     assert indices == sorted(set(indices))
 
 
 def test_a_parameter_off_the_multiplier_is_an_internal_error(monkeypatch, capsys):
-    monkeypatch.setattr(classify, "_family_multipliers", lambda name: {"CUBIC_PRIMITIVE": 2, "CUBIC_FACE": 1, "CUBIC_BODY": 2})
+    cases = _cases(make_group("P432"))[1]
+    monkeypatch.setattr(classify, "_cases", lambda G: ({"CUBIC_PRIMITIVE": 2, "CUBIC_FACE": 1, "CUBIC_BODY": 2}, cases))
     with pytest.raises(InvariantViolation, match="not a multiple"):
         classify_case("P432", "alpha", 8)
     assert cli.main(["classify", "P432", "alpha", "--max-index", "8"]) == 3
@@ -230,11 +238,13 @@ AGREEMENT_MAX_INDEX = 12**3
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}")
 def test_derived_constraints_agree_with_bruteforce_lifts(case):
     group, edge = case
-    T0 = make_group(group).T0
-    g = _case_graph(group, edge)
+    G = make_group(group)
+    T0 = G.T0
+    mults, cases = _cases(G)
+    g = cases[edge].graph
     checked_ns = set()
-    for tag, mult in _family_multipliers(group).items():
-        constraint = _case_constraint(group, edge, tag)
+    for tag, mult in mults.items():
+        constraint = cases[edge].constraints[tag]
         for n in AGREEMENT_NS:
             for m in (1, 2, 3) if tag.startswith("HEX") else (None,):
                 L = instantiate(tag, mult * n, m)
@@ -257,27 +267,50 @@ def test_derived_constraint_rejects_an_index_without_a_listed_word():
     # T0/I = Z/6 has primes 2 and 3 at once, which no listed constraint names
     g = _single_vertex_graph([(1, 0, 0), (0, 1, 0), (0, 0, 6)])
     with pytest.raises(InvariantViolation, match=r"\[T0 : I\] = 6"):
-        _derived_constraint(g, "CUBIC_PRIMITIVE", 1)
+        _derived_constraint(cycle_image_lattice(g), g.T0, "CUBIC_PRIMITIVE", 1)
     g = _single_vertex_graph([(1, 0, 0), (0, 1, 0), (0, 0, 4)])
-    assert _derived_constraint(g, "CUBIC_PRIMITIVE", 1) == "2∤n"
-    assert _derived_constraint(g, "CUBIC_PRIMITIVE", 2) is None
+    assert _derived_constraint(cycle_image_lattice(g), g.T0, "CUBIC_PRIMITIVE", 1) == "2∤n"
+    assert _derived_constraint(cycle_image_lattice(g), g.T0, "CUBIC_PRIMITIVE", 2) is None
 
 
 def test_classify_case_raises_when_a_lift_contradicts_the_constraint(monkeypatch):
     # I432 beta rejects some lattices up to index 8, so "none" cannot hold
-    monkeypatch.setattr(classify, "_case_constraint", lambda group, edge, tag: "none")
+    mults, cases = _cases(make_group("I432"))
+    forced = {label: replace(c, constraints=dict.fromkeys(c.constraints, "none")) for label, c in cases.items()}
+    monkeypatch.setattr(classify, "_cases", lambda G: (mults, forced))
     with pytest.raises(InvariantViolation, match="disagrees with the derived constraint"):
         classify_case("I432", "beta", 8)
 
 
 def test_cli_exits_three_on_an_underived_constraint(monkeypatch, capsys):
+    # P432's one marked orbit given this graph: its cases are derived anew, from I of index 6
     g = _single_vertex_graph([(1, 0, 0), (0, 1, 0), (0, 0, 6)])
-    monkeypatch.setattr(classify, "_case_graph", lambda name, label: g)
-    monkeypatch.setattr(classify, "_case_constraint", _case_constraint.__wrapped__)
+    monkeypatch.setattr(classify, "edge_orbit_graph", lambda G, e: g)
+    monkeypatch.setattr(classify, "_cases", classify._cases.__wrapped__)
     assert cli.main(["classify", "P432", "alpha", "--max-index", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: ")
     assert "[T0 : I] = 6" in err and "Traceback" not in err
+
+
+ORIGIN_SHIFTS = {"eighths": (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)), "thirds": (Fraction(1, 3), 0, Fraction(1, 2))}
+
+
+@pytest.mark.parametrize("c", ORIGIN_SHIFTS.values(), ids=ORIGIN_SHIFTS)
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_an_origin_shift_keeps_every_row_but_its_orbit_id(case, c):
+    # conjugating by x ↦ x + c sends (R, t) to (R, t + c − R·c), the same action up to conjugation
+    group, edge = case
+    G = make_group(group)
+    gens = tuple(
+        Isometry(G.frame, g.rot, tuple(t + x - y for t, x, y in zip(g.trans, c, int_matvec(g.rot, c)))) for g in G.generators
+    )
+    cosets, T0, maps = _closure(gens)
+    H = SpaceGroup(group, G.frame, gens, T0, len(cosets), tuple(cosets), maps)
+    # the rows of H come from H's own case graph, which sits at the shifted vertices
+    assert _cases(H)[1][edge].graph.vertices != _cases(G)[1][edge].graph.vertices
+    rows = [replace(r, orbit_id=0) for r in _classify(H, edge, 256)]
+    assert rows and rows == [replace(r, orbit_id=0) for r in classify_case(group, edge, 256)]
 
 
 def test_classify_rejects_bad_arguments():
@@ -596,9 +629,10 @@ def test_cli_reports_internal_errors_with_exit_three(monkeypatch, capsys):
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     bad = ((identity, identity, (1, 0, 0), 3),)
     monkeypatch.setattr(pg, "_normalizer_solutions", lambda G: bad)
-    # the singular data carry the normalizer maps, so they are rebuilt with the bad one
+    # the singular data carry the normalizer maps, so they are rebuilt with the bad one, and so
+    # are the cases, which the command line reads too; a call that raises leaves no cache entry
     monkeypatch.setattr(pg, "_singular_data", pg._singular_data.__wrapped__)
-    monkeypatch.setattr(classify, "_edge_labels", classify._edge_labels.__wrapped__)
+    classify._cases.cache_clear()
     assert cli.main(["edges", "P432"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: ")

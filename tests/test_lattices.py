@@ -144,7 +144,7 @@ def test_as_int_takes_what_equals_an_int(x):
     assert as_int(x) == x and type(as_int(x)) is int
 
 
-@pytest.mark.parametrize("x", [1.5, Fraction(1, 2), "1", math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("x", [1.5, Fraction(1, 2), "1", math.inf, -math.inf, math.nan, None, [1]])
 def test_as_int_refuses_what_equals_no_int(x):
     with pytest.raises(ValueError):
         as_int(x)

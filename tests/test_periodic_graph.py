@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torsym import periodic_graphs
-from torsym.classify import CASES, _case_graph
+from torsym.classify import CASES, _cases
 from torsym.errors import Disconnected, NotASubgroup
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
@@ -183,6 +183,15 @@ def test_singular_edge_rejects_a_non_integer_link_entry(link):
     # sorted() would raise TypeError on a str among ints, and keep 2.5 as a germ index
     with pytest.raises(ValueError):
         SingularEdge(segment=((0, 0, 0), (1, 0, 0)), edge_index=2, link=link, orbit_id=0)
+
+
+@pytest.mark.parametrize("x", [None, [2]], ids=["none", "list"])
+def test_a_link_entry_or_shift_that_is_no_number_raises_value_error(x):
+    # int() raises TypeError on these, and as_int refuses them as it refuses every other non-integer
+    with pytest.raises(ValueError, match="expected an integer"):
+        SingularEdge(segment=((0, 0, 0), (1, 0, 0)), edge_index=2, link=(2, 2, 2, x), orbit_id=0)
+    with pytest.raises(ValueError, match="expected an integer"):
+        PeriodicGraph("P432", T1, ((0, 0, 0),), ((0, 0, (x, 0, 0)),))
 
 
 _ROT_ID = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -1129,7 +1138,7 @@ def t0_hnfs(draw, top=6):
 def test_lift_routes_agree_on_random_t0_hnfs(case, basis):
     # every full-rank sublattice of T0 with pivots ≤ 6, not only the family instances:
     # the join criterion against the search over coset copies
-    g = _case_graph(*case)
+    g = _cases(make_group(case[0]))[1][case[1]].graph
     T = _from_t0_hnf(g.T0, basis)
     assert index(T, g.T0) == basis[0][0] * basis[1][1] * basis[2][2]
     assert lift_connected(g, T) == lift_connected_bruteforce(g, T)

@@ -336,6 +336,20 @@ def test_closure_beyond_its_cap_raises_closure_overflow():
     assert len(_closure(make_group("I432").generators, cap=24)[0]) == 24
 
 
+def test_hashing_a_group_record_hashes_no_fraction(monkeypatch):
+    # the caches keyed on a record hash it on every lookup, so its hash reads only int and str fields
+    records = [make_group(name) for name in GROUP_NAMES]
+
+    def refuse(self):
+        raise AssertionError("a Fraction was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    assert len({hash(G) for G in records}) == 6
+    # equality still reads every field, the Fraction translations of the generators too
+    G = records[0]
+    assert replace(G, generators=G.generators[:-1]) != G
+
+
 def test_contains():
     g = make_group("I4_132")
     elem = Isometry(CUBIC_FRAME, ROT_Y, (1, 0, 0))
