@@ -3,9 +3,10 @@
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, combinations
 
 from .errors import InvariantViolation
-from .lattices import SubgroupHNF, coord_numerators, covolume, hnf, index, join, relative_coordinates, smith_form
+from .lattices import SubgroupHNF, coord_numerators, covolume, hnf, index, mat_det, relative_coordinates, smith_form
 from .periodic_graphs import (
     PeriodicGraph,
     SingularEdge,
@@ -308,11 +309,11 @@ def _cases(G: SpaceGroup) -> tuple[dict[str, int], dict[str, _Case]]:
         # a column h over the den b with T0-coordinate numerators x/d has the coordinates x/(d·b)
         coords = [coord_numerators(h, G.T0) for h in unit.basis]
         u = math.lcm(*(d * b // math.gcd(d * b, *x) for x, d in coords))
-        keyed.append((index(instantiate(tag, u, m), G.T0), tag, u))
-    keyed.sort()
-    if len({k for k, _, _ in keyed}) != len(keyed):
-        raise InvariantViolation(f"{G.name}: families of equal index {[k for k, _, _ in keyed]} in T0")
-    mults = {tag: u for _, tag, u in keyed}
+        keyed.append((index(L1 := instantiate(tag, u, m), G.T0), tag, u, L1))
+    keyed.sort()  # the tags differ, so no two lattices are compared
+    if len({k[0] for k in keyed}) != len(keyed):
+        raise InvariantViolation(f"{G.name}: families of equal index {[k[0] for k in keyed]} in T0")
+    mults = {tag: u for _, tag, u, _ in keyed}
     orbits = []
     for e in marked_edges(G):
         g = edge_orbit_graph(G, e)
@@ -323,17 +324,17 @@ def _cases(G: SpaceGroup) -> tuple[dict[str, int], dict[str, _Case]]:
     if len({o[0] for o in orbits}) != len(orbits) or first + len(orbits) > len(EDGE_LABELS):
         raise InvariantViolation(f"{G.name}: marked orbits of [T0 : I] {[o[0] for o in orbits]} take no labels")
     cases = {
-        label: _Case(e, g, I, {tag: _derived_constraint(I, G.T0, tag, u) for tag, u in mults.items()})
+        label: _Case(e, g, I, {tag: _derived_constraint(I, G.T0, tag, L1) for _, tag, _, L1 in keyed})
         for label, (_, _, e, g, I) in zip(EDGE_LABELS[first:], orbits)
     }
     return mults, cases
 
 
-def _derived_constraint(I: SubgroupHNF, T0: SubgroupHNF, tag: str, mult: int) -> str | None:
+def _derived_constraint(I: SubgroupHNF, T0: SubgroupHNF, tag: str, L1: SubgroupHNF) -> str | None:
     """Divisibility constraint of one lattice family, read off T0/I; None rejects it.
 
     A covering lattice T is accepted iff T + I = T0, with I the cycle image
-    of the case graph.
+    of the case graph, and `_fills_t0` decides L₁ + I = T0.
 
     Cubic family, I of rank 3: the instance with reduced parameter n is n·L₁,
     L₁ = instantiate(tag, mult).  T0/I is finite of order N = [T0 : I], and
@@ -352,14 +353,13 @@ def _derived_constraint(I: SubgroupHNF, T0: SubgroupHNF, tag: str, mult: int) ->
     if tag.startswith("HEX"):
         if I.rank != 2 or any(h[2] for h in I.basis):
             raise InvariantViolation(f"{tag}: cycle image is not a lattice in the plane z = 0")
-        cols = relative_coordinates(I, T0)
-        _, diag, _ = smith_form([[c[i] for c in cols] for i in range(3)])
+        _, diag, _ = smith_form(list(zip(*relative_coordinates(I, T0))))
         if diag != [1, 1]:
             raise InvariantViolation(f"{tag}: T0/I has torsion, Smith invariants {diag}")
-        return "m=1" if join(instantiate(tag, mult, 1), I) == T0 else None
+        return "m=1" if _fills_t0(L1, I, T0) else None
     if I.rank != 3:
         raise InvariantViolation(f"{tag}: cycle image of rank {I.rank}, not 3")
-    if join(instantiate(tag, mult), I) != T0:
+    if not _fills_t0(L1, I, T0):
         return None
     N = index(I, T0)
     # the primes of N all divide 6 iff N | 6^N, since no exponent in N exceeds N
@@ -367,6 +367,16 @@ def _derived_constraint(I: SubgroupHNF, T0: SubgroupHNF, tag: str, mult: int) ->
     if constraint is None or pow(6, N, N):
         raise InvariantViolation(f"{tag}: no listed constraint for [T0 : I] = {N}")
     return constraint
+
+
+def _fills_t0(L: SubgroupHNF, I: SubgroupHNF, T0: SubgroupHNF) -> bool:
+    """L + I = T0 for subgroups L and I of T0, decided by a determinantal divisor instead of the join.
+
+    Their columns in T0-coordinates generate ℤ³ iff d₁·d₂·d₃, the gcd of
+    their 3×3 minors, is 1 (Cohen, GTM 138, §2.4).
+    """
+    cols = relative_coordinates(L, T0) + relative_coordinates(I, T0)
+    return 1 in accumulate(map(mat_det, combinations(cols, 3)), math.gcd, initial=0)
 
 
 # ============================================================

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, NotASubgroup, RankDeficient
@@ -445,66 +445,78 @@ def relative_integer_basis(sub: SubgroupHNF, sup: SubgroupHNF) -> tuple[tuple[in
 # ============================================================
 
 
+def _diagonalise(a: list[list[int]], nc: int) -> tuple[list[int], list[list[int]]]:
+    """Smith steps in place on the rows a, whose first nc columns become D = U·m·V; returns diag and V.
+
+    Row steps act on whole rows, so entries past column nc ride along as U·x.
+    A pass scans one column, not the whole block: its least nonzero |entry|
+    from row t down is the pivot, and the remainders below it are smaller.
+    Once the column is clear, a column step changes only row t and V.
+    """
+    nr = len(a)
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    diag: list[int] = []
+    t = 0
+    while t < min(nr, nc):
+        i0, best = -1, 0
+        for i in range(t, nr):
+            if a[i][t] and (not best or abs(a[i][t]) < best):
+                i0, best = i, abs(a[i][t])
+        # an empty column, or a remainder along row t, swaps into column t for the next pass
+        j0 = next((j for j in range(t + 1, nc) for i in range(t, nr) if a[i][j]), None) if i0 < 0 else None
+        if i0 >= 0:
+            a[t], a[i0] = a[i0], a[t]
+            at, p = a[t], a[t][t]
+            clear = True
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    q = a[i][t] // p
+                    a[i] = ai = [x - q * y for x, y in zip(a[i], at)]
+                    clear = clear and not ai[t]
+            if not clear:
+                continue
+            for j in range(t + 1, nc):
+                if q := at[j] // p:
+                    at[j] -= q * p
+                    for row in v:
+                        row[j] -= q * row[t]
+                if at[j] and j0 is None:
+                    j0 = j
+        if j0 is not None:
+            for row in a + v:
+                row[t], row[j0] = row[j0], row[t]
+            continue
+        if i0 < 0:
+            break
+        # p must divide the rest; adding an offending row leaves a remainder along row t
+        bad = None if p in (1, -1) else next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 : nc])), None)
+        if bad is not None:
+            a[t] = [x + y for x, y in zip(at, a[bad])]
+            continue
+        if p < 0:
+            a[t] = [-x for x in at]
+        diag.append(abs(p))
+        t += 1
+    return diag, v
+
+
 def smith_form(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], list[list[int]]]:
-    """Smith normal form U·m·V = D of an integer matrix (Cohen, GTM 138, §2.4).
+    """Smith normal form U·m·V = D of a small integer matrix (Cohen, GTM 138, §2.4).
 
     Returns (U, diag, V) with U and V unimodular and D zero except for its
     leading diagonal entries diag = (d₁, …, d_r), positive with d₁ | d₂ | …,
-    where r is the rank of m.
+    where r is the rank of m.  U is the identity carried beside m.
     """
-    a = [list(row) for row in m]
-    nr, nc = len(a), len(a[0])
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-    diag: list[int] = []
-    for t in range(min(nr, nc)):
-        while True:
-            nonzero = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
-            if not nonzero:
-                return u, diag, v
-            _, i0, j0 = min(nonzero)
-            a[t], a[i0] = a[i0], a[t]
-            u[t], u[i0] = u[i0], u[t]
-            for row in a + v:
-                row[t], row[j0] = row[j0], row[t]
-            p = a[t][t]
-            # each division leaves a remainder smaller than |p|, so a nonzero
-            # remainder gives a smaller pivot on the next pass
-            clean = True
-            for i in range(t + 1, nr):
-                q = a[i][t] // p
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                clean = clean and not a[i][t]
-            for j in range(t + 1, nc):
-                q = a[t][j] // p
-                if q:
-                    for row in a + v:
-                        row[j] -= q * row[t]
-                clean = clean and not a[t][j]
-            if not clean:
-                continue
-            bad = next(
-                (i for i in range(t + 1, nr) if any(a[i][j] % p for j in range(t + 1, nc))),
-                None,
-            )
-            if bad is None:
-                break
-            # p must divide the rest; adding the offending row makes it shrink next pass
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        diag.append(a[t][t])
-    return u, diag, v
+    nr, nc = len(m), len(m[0])
+    a = [[*row, *(int(i == j) for j in range(nr))] for i, row in enumerate(m)]
+    diag, v = _diagonalise(a, nc)
+    return [row[nc:] for row in a], diag, v
 
 
 def solve_congruence(
     m: Sequence[Sequence[int]], nums: Sequence[int], den: int
 ) -> tuple[list[tuple[int, int, int]], int, list[tuple[int, int, int]]]:
-    """Solutions y of m·y ≡ r (mod ℤᵏ) for an integer k×3 matrix m and r = nums/den.
+    """Solutions y of m·y ≡ r (mod ℤᵏ) for an integer k×3 matrix m and r = nums/den, den ≥ 1.
 
     Returns (points, top, kernel).  The solution set is the union of
     p/top + span(kernel) + ℤ³ over the listed integer points p, which are
@@ -514,20 +526,18 @@ def solve_congruence(
     real null space of m.  With U·m·V = D, the substitution y = V·z turns the
     system into dᵢ·zᵢ ≡ (U·r)ᵢ, one congruence per coordinate.
     """
-    u, diag, v = smith_form(m)
-    rank = len(diag)
-    kernel = [(v[0][j], v[1][j], v[2][j]) for j in range(rank, 3)]
-    # U·r = rhs / den; the rows beyond the rank must be integral
-    rhs = [sum(a * b for a, b in zip(row, nums)) for row in u]
-    if any(x % den for x in rhs[rank:]):
-        return [], den, kernel
-    # zⱼ = (rhsⱼ / den + k) / dⱼ for k = 0, …, dⱼ − 1, written over den·d_r
-    top = den * diag[-1] if diag else den
-    choices = [
-        [(rhs[j] + k * den) * (diag[-1] // diag[j]) for k in range(diag[j])] for j in range(rank)
-    ]
-    points = [
-        tuple(sum(v[i][j] * z[j] for j in range(rank)) for i in range(3))
-        for z in product(*choices)
-    ]
-    return points, top, kernel  # type: ignore[return-value]
+    if type(den) is not int or den < 1:
+        raise ValueError(f"den must be a positive integer, got {den!r}")
+    a = [[*row, x] for row, x in zip(m, nums)]
+    diag, v = _diagonalise(a, 3)
+    rank, cols = len(diag), list(zip(*v))
+    # the fourth column is now U·nums, and U·r is it over den; the rows beyond the rank must be integral
+    if any(row[3] % den for row in a[rank:]):
+        return [], den, cols[rank:]
+    # zⱼ = ((U·nums)ⱼ / den + k) / dⱼ for k = 0, …, dⱼ − 1, written over den·d_r; y = V·z
+    last = diag[-1] if diag else 1
+    points = [(0, 0, 0)]
+    for j, (d, (x0, x1, x2)) in enumerate(zip(diag, cols)):
+        zs = [(a[j][3] + k * den) * (last // d) for k in range(d)]
+        points = [(p0 + z * x0, p1 + z * x1, p2 + z * x2) for p0, p1, p2 in points for z in zs]
+    return points, den * last, cols[rank:]

@@ -7,7 +7,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from .errors import Disconnected, InvariantViolation, NotASubgroup
@@ -31,7 +31,6 @@ from .lattices import (
     invariant_coords_matrix,
     is_subgroup,
     join,
-    mat_det,
     matmul,
     relative_integer_basis,
     rotation_axis,
@@ -43,7 +42,6 @@ from .spacegroups import (
     SpaceGroup,
     fixing_cosets,
     is_pure_translation,
-    preserves_metric,
     rotation_order,
 )
 
@@ -169,33 +167,40 @@ def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
     point of the first pair in their class.
     """
     cosets, den = G.maps
-    keyed: dict[tuple[IntVec, int], tuple[IntMat, IntVec]] = {}
-    for rot, tau in cosets:
-        order = rotation_order(rot)
-        if order in (2, 3):
-            delta = tuple(tuple(rot[i][j] - (i == j) for j in range(3)) for i in range(3))
-            keyed.setdefault((rotation_axis(rot), order), (delta, (-tau[0], -tau[1], -tau[2])))
-
-    def turn(move, key: tuple[IntVec, int]) -> tuple[IntVec, int]:
-        return _turned(move[0], key[0]), key[1]
-
+    line_classes, corner_classes = _rotation_classes(tuple(a for a, _ in cosets))
+    system = [(tuple(tuple(a[i][j] - (i == j) for j in range(3)) for i in range(3)), (-t[0], -t[1], -t[2])) for a, t in cosets]
     lines = []
-    for key in dict.fromkeys(_orbit_sweep(keyed, turn, cosets).values()):
-        points, top, kernel = solve_congruence(*keyed[key], den)
+    for e, k in line_classes:
+        points, top, kernel = solve_congruence(*system[k], den)
         if len(kernel) != 1:
             raise InvariantViolation("fixed set of a rotation is not a line")
-        lines.append((key[0], points, top))
-    pairs = [tuple(sorted(p)) for p in itertools.combinations([k for k in keyed if k[1] == 2], 2)]
+        lines.append((e, points, top))
     corners = []
-    for k1, k2 in dict.fromkeys(
-        _orbit_sweep(pairs, lambda m, p: tuple(sorted(turn(m, k) for k in p)), cosets).values()
-    ):
-        (a1, r1), (a2, r2) = keyed[k1], keyed[k2]
+    for k1, k2 in corner_classes:
+        (a1, r1), (a2, r2) = system[k1], system[k2]
         points, top, kernel = solve_congruence(a1 + a2, r1 + r2, den)
         if kernel:
             raise InvariantViolation("two half-turns about non-parallel axes fix a line")
         corners.append((points, top))
     return lines, corners
+
+
+@lru_cache(maxsize=None)
+def _rotation_classes(rots: tuple[IntMat, ...]) -> tuple[tuple[tuple[IntVec, int], ...], tuple[tuple[int, int], ...]]:
+    """`_fixed_points`' key classes, as (e, first coset keyed by e), and half-turn pair classes, as two cosets.
+
+    Only the rotations in T0-coordinates enter, so P432 and P4_232 share
+    them, and so do I432 and I4_132.
+    """
+    keyed: dict[tuple[IntVec, int], int] = {}
+    for k, a in enumerate(rots):
+        if (order := rotation_order(a)) in (2, 3):
+            keyed.setdefault((rotation_axis(a), order), k)
+    swept = _orbit_sweep(keyed, lambda a, key: (_turned(a, key[0]), key[1]), rots)
+    lines = tuple((key[0], keyed[key]) for key in dict.fromkeys(swept.values()))
+    pairs = [tuple(sorted(p)) for p in itertools.combinations([k for k in keyed if k[1] == 2], 2)]
+    swept = _orbit_sweep(pairs, lambda a, p: tuple(sorted((_turned(a, e), o) for e, o in p)), rots)
+    return lines, tuple((keyed[k1], keyed[k2]) for k1, k2 in dict.fromkeys(swept.values()))
 
 
 def _orbit_sweep(items, act, moves) -> dict:
@@ -250,9 +255,18 @@ def _axis_basis(e: IntVec) -> tuple[IntMat, IntMat]:
     return rows, unimodular_inverse(rows)
 
 
+def _affine(move: tuple[IntMat, IntVec], y: IntVec) -> IntVec:
+    """A·y + t for the move (A, t), in integers; the orbit sweeps call it once per image."""
+    ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)), (t0, t1, t2) = move
+    y0, y1, y2 = y
+    return (a0 * y0 + a1 * y1 + a2 * y2 + t0, b0 * y0 + b1 * y1 + b2 * y2 + t1, c0 * y0 + c1 * y1 + c2 * y2 + t2)
+
+
 def _turned(a: IntMat, e: IntVec) -> IntVec:
     """The direction A·e of a primitive e under a unimodular A, with its first nonzero entry positive."""
-    x0, x1, x2 = int_matvec(a, e)
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+    e0, e1, e2 = e
+    x0, x1, x2 = a0 * e0 + a1 * e1 + a2 * e2, b0 * e0 + b1 * e1 + b2 * e2, c0 * e0 + c1 * e1 + c2 * e2
     return (x0, x1, x2) if (x0 or x1 or x2) > 0 else (-x0, -x1, -x2)
 
 
@@ -271,11 +285,12 @@ def _axes_mod_t0(sc: _Scaled, lines: Lines) -> list[ScaledAxis]:
         _, c1, c2 = int_matvec(_axis_basis(e)[0], y)
         return (e, c1 % den, c2 % den)
 
+    @lru_cache(maxsize=None)
     def base(k: tuple[IntVec, int, int]) -> IntVec:
         return int_matvec(_axis_basis(k[0])[1], (0, k[1], k[2]))
 
     def act(move, k: tuple[IntVec, int, int]) -> tuple[IntVec, int, int]:
-        return key(_turned(move[0], k[0]), tuple(y + t for y, t in zip(int_matvec(move[0], base(k)), move[1])))
+        return key(_turned(move[0], k[0]), _affine(move, base(k)))
 
     solved = [key(e, tuple(x * (den // top) for x in y)) for e, points, top in lines for y in points]
     found = _orbit_sweep(solved, act, sc.moves)
@@ -287,7 +302,7 @@ def _vertices_mod_t0(sc: _Scaled, corners: Corners) -> list[IntVec]:
     """Vertex classes, the solved corners swept by every coset map, reduced into the cell [0,1)³ and sorted."""
     den = sc.den
     solved = [tuple(x * (den // top) % den for x in y) for points, top in corners for y in points]
-    return sorted(_orbit_sweep(solved, lambda m, y: tuple((x + t) % den for x, t in zip(int_matvec(m[0], y), m[1])), sc.moves))
+    return sorted(_orbit_sweep(solved, lambda m, y: tuple(x % den for x in _affine(m, y)), sc.moves))
 
 
 def _axis_segments(
@@ -324,8 +339,9 @@ def _axis_segments(
 # ============================================================
 
 
-def _germ_orbits(rots: Sequence[IntMat]) -> tuple[tuple[frozenset[IntVec], int], ...]:
-    """Orbits of outgoing axis germs at a singular point, each with its index.
+@lru_cache(maxsize=None)
+def _germ_orbits(rots: tuple[IntMat, ...]) -> tuple[tuple[frozenset[IntVec], int], ...]:
+    """Orbits of outgoing axis germs at a singular point, each with its index, memoised per stabilizer.
 
     rots are the rotation parts of the point's stabilizer, the identity left
     out, so the orbit of a germ u is u and its images A·u.
@@ -378,21 +394,17 @@ def _canon_scaled(den: int, a: IntVec, b: IntVec) -> ScaledSegment:
     The basis H of T0 is lower triangular with a positive diagonal, so this
     order is also the lexicographic order of the frame numerators H·n.
     """
-    best = None
-    for p, q in ((a, b), (b, a)):
-        rep = (p[0] % den, p[1] % den, p[2] % den)
-        cand = (rep, (q[0] - p[0] + rep[0], q[1] - p[1] + rep[1], q[2] - p[2] + rep[2]))
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def _image(den: int, rot: IntMat, t: IntVec, seg: ScaledSegment) -> ScaledSegment:
-    """Canonical form of the image of a segment under y ↦ A·y + t, on integer numerators over den."""
-    a, b = (int_matvec(rot, p) for p in seg)
-    return _canon_scaled(
-        den, (a[0] + t[0], a[1] + t[1], a[2] + t[2]), (b[0] + t[0], b[1] + t[1], b[2] + t[2])
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    r0, r1, r2, s0, s1, s2 = a0 % den, a1 % den, a2 % den, b0 % den, b1 % den, b2 % den
+    return min(
+        ((r0, r1, r2), (b0 - a0 + r0, b1 - a1 + r1, b2 - a2 + r2)),
+        ((s0, s1, s2), (a0 - b0 + s0, a1 - b1 + s1, a2 - b2 + s2)),
     )
+
+
+def _image(den: int, move: tuple[IntMat, IntVec], seg: ScaledSegment) -> ScaledSegment:
+    """Canonical form of the image of a segment under the move y ↦ A·y + t, on integer numerators over den."""
+    return _canon_scaled(den, _affine(move, seg[0]), _affine(move, seg[1]))
 
 
 def _segment_orbits(sc: _Scaled, raw: Sequence[ScaledSegment]) -> list[list[ScaledSegment]]:
@@ -403,7 +415,7 @@ def _segment_orbits(sc: _Scaled, raw: Sequence[ScaledSegment]) -> list[list[Scal
     """
     den = sc.den
     segments = {_canon_scaled(den, a, b) for a, b in raw}
-    first = _orbit_sweep(sorted(segments), lambda m, seg: _image(den, m[0], m[1], seg), sc.moves)
+    first = _orbit_sweep(sorted(segments), partial(_image, den), sc.moves)
     if not first.keys() <= segments:
         raise InvariantViolation("a group element maps a singular segment outside the singular set")
     orbits: dict[ScaledSegment, list[ScaledSegment]] = {}
@@ -448,7 +460,7 @@ def _singular_data(G: SpaceGroup) -> _SingularData:
     def germs(p: IntVec):
         rep = (p[0] % sc.den, p[1] % sc.den, p[2] % sc.den)
         if rep not in memo:
-            memo[rep] = _germ_orbits([r for r in sc.stabilizer(rep) if r != IDENTITY])
+            memo[rep] = _germ_orbits(tuple(r for r in sc.stabilizer(rep) if r != IDENTITY))
         return memo[rep]
 
     orbits = _segment_orbits(sc, raw)
@@ -485,26 +497,23 @@ def _frame_symmetries(frame) -> tuple[IntMat, ...]:
     Column j of such a matrix has squared length gram[j][j], so each column is
     drawn from the short vectors of that length, and a column joins a partial
     triple only when its products with the columns before it are the Gram
-    entries gram[i][j]; the full integer metric and determinant checks then
-    run on the few surviving triples.  The result is in row-major
+    entries gram[i][j].  So every full triple has mᵀ·gram·m = gram, and
+    det m = ±1 because gram is positive definite.  The result is in row-major
     lexicographic order.
     """
     gram = frame.gram
     short = list(itertools.product((-1, 0, 1), repeat=3))
+    gram_v = {v: int_matvec(gram, v) for v in short}  # so each u·gram·v is one dot product
 
     def form(u: IntVec, v: IntVec) -> int:
-        return sum(u[a] * gram[a][b] * v[b] for a in range(3) for b in range(3))
+        (u0, u1, u2), (w0, w1, w2) = u, gram_v[v]
+        return u0 * w0 + u1 * w1 + u2 * w2
 
     columns = [[v for v in short if form(v, v) == gram[j][j]] for j in range(3)]
     triples: list[tuple[IntVec, ...]] = [()]
     for j, column in enumerate(columns):
         triples = [t + (v,) for t in triples for v in column if all(form(u, v) == gram[i][j] for i, u in enumerate(t))]
-    out = []
-    for cols in triples:
-        rows = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-        if abs(mat_det(rows)) == 1 and preserves_metric(rows, gram):
-            out.append(rows)
-    return tuple(sorted(out))
+    return tuple(sorted(tuple(zip(*cols)) for cols in triples))
 
 
 @lru_cache(maxsize=None)
@@ -573,7 +582,7 @@ def marked_edges(G: SpaceGroup) -> list[SingularEdge]:
     qualifying = [e.orbit_id for e in data.edges if e.link == _MARKED_LINK]
 
     def act(move, oid: int) -> int | None:
-        return data.orbit_of.get(_image(data.sc.den, move[0], move[1], data.orbits[oid][0]))
+        return data.orbit_of.get(_image(data.sc.den, move, data.orbits[oid][0]))
 
     first = _orbit_sweep(qualifying, act, data.sc.normalizer)
     if not first.keys() <= set(qualifying):

@@ -104,7 +104,8 @@ def is_pure_translation(g: Isometry) -> bool:
 
 
 def rotation_order(rot: Sequence[Sequence[int]]) -> int:
-    m = tuple(tuple(int(e) for e in row) for row in rot)
+    """The least k ≤ 6 with rotᵏ = I; ValueError for a non-integer entry or a larger order."""
+    m = tuple(tuple(map(as_int, row)) for row in rot)
     p = m
     for k in range(1, 7):
         if p == IDENTITY:
@@ -311,10 +312,15 @@ def fixing_cosets(maps: Sequence[tuple[IntMat, IntVec]], den: int, n: IntVec) ->
     n and every τ are integer numerators over den in T0-coordinates, where
     the lattice is ℤ³, so the test is A·n + τ ≡ n (mod den).
     """
+    n0, n1, n2 = n
     return [
         k
-        for k, (a, t) in enumerate(maps)
-        if not any((x + s - m) % den for x, s, m in zip(int_matvec(a, n), t, n))
+        for k, ((r0, r1, r2), (t0, t1, t2)) in enumerate(maps)
+        if not (
+            (r0[0] * n0 + r0[1] * n1 + r0[2] * n2 + t0 - n0) % den
+            or (r1[0] * n0 + r1[1] * n1 + r1[2] * n2 + t1 - n1) % den
+            or (r2[0] * n0 + r2[1] * n1 + r2[2] * n2 + t2 - n2) % den
+        )
     ]
 
 

@@ -10,6 +10,12 @@
   canonicaliser: they name a line modulo the lattice by its projection along
   its direction, reduced by the projected plane lattice, where the package
   uses a unimodular basis per direction in T0-coordinates.
+- `smith_form_by_block_scan` is the Smith form that rescans the whole
+  remaining block for its least entry on every pass, and
+  `solve_congruence_by_block_scan` solves a congruence through it.  They
+  check the package's small-system Smith form, which clears one column and
+  one row at a time and carries U·r beside the matrix.
+  `congruence_classes` names a solution set modulo its kernel and ℤ³.
 - `dual`, `intersect` and `coset_reps` do lattice algebra on the `Fraction`
   basis matrix and its inverse (`mat_inv`, the one rational inverse), and
   check the integer routes.
@@ -93,7 +99,6 @@ from torsym.lattices import (
     member,
     primitive_integer,
     relative_integer_basis,
-    smith_form,
     solve_congruence,
 )
 from torsym.periodic_graphs import _SingularData, _axis_basis, _normalizer_solutions
@@ -214,6 +219,92 @@ def solve_linear(a: Mat3, b: Sequence) -> tuple[Vec3, list[Vec3]] | None:
             k[c] = -rows[i][f]
         kernel.append(tuple(k))  # type: ignore[arg-type]
     return tuple(part), kernel  # type: ignore[return-value]
+
+
+def smith_form_by_block_scan(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """Smith normal form U·m·V = D of an integer matrix (Cohen, GTM 138, §2.4), rescanning the block on each pass.
+
+    Returns (U, diag, V) with U and V unimodular and D zero except for its
+    leading diagonal entries diag = (d₁, …, d_r), positive with d₁ | d₂ | …,
+    where r is the rank of m.  Each pass takes the least nonzero |entry| of
+    the whole remaining block as its pivot.
+    """
+    a = [list(row) for row in m]
+    nr, nc = len(a), len(a[0])
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    diag: list[int] = []
+    for t in range(min(nr, nc)):
+        while True:
+            nonzero = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+            if not nonzero:
+                return u, diag, v
+            _, i0, j0 = min(nonzero)
+            a[t], a[i0] = a[i0], a[t]
+            u[t], u[i0] = u[i0], u[t]
+            for row in a + v:
+                row[t], row[j0] = row[j0], row[t]
+            p = a[t][t]
+            # each division leaves a remainder smaller than |p|, so a nonzero
+            # remainder gives a smaller pivot on the next pass
+            clean = True
+            for i in range(t + 1, nr):
+                q = a[i][t] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                clean = clean and not a[i][t]
+            for j in range(t + 1, nc):
+                q = a[t][j] // p
+                if q:
+                    for row in a + v:
+                        row[j] -= q * row[t]
+                clean = clean and not a[t][j]
+            if not clean:
+                continue
+            bad = next(
+                (i for i in range(t + 1, nr) if any(a[i][j] % p for j in range(t + 1, nc))),
+                None,
+            )
+            if bad is None:
+                break
+            # p must divide the rest; adding the offending row makes it shrink next pass
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        diag.append(a[t][t])
+    return u, diag, v
+
+
+def solve_congruence_by_block_scan(m: Sequence[Sequence[int]], nums: Sequence[int], den: int) -> tuple[list[IntVec], int, list[IntVec]]:
+    """`solve_congruence` through `smith_form_by_block_scan`, with U·r formed from U afterwards."""
+    u, diag, v = smith_form_by_block_scan(m)
+    rank = len(diag)
+    kernel = [(v[0][j], v[1][j], v[2][j]) for j in range(rank, 3)]
+    rhs = [sum(a * b for a, b in zip(row, nums)) for row in u]
+    if any(x % den for x in rhs[rank:]):
+        return [], den, kernel
+    top = den * diag[-1] if diag else den
+    choices = [[(rhs[j] + k * den) * (diag[-1] // diag[j]) for k in range(diag[j])] for j in range(rank)]
+    points = [tuple(sum(v[i][j] * z[j] for j in range(rank)) for i in range(3)) for z in itertools.product(*choices)]
+    return points, top, kernel  # type: ignore[return-value]
+
+
+def congruence_classes(points: Sequence[IntVec], top: int, kernel: Sequence[IntVec]) -> set[tuple[int, ...]]:
+    """The points p/top as classes modulo span(kernel) + ℤ³, for a kernel that is a basis of its saturated lattice.
+
+    U·K = (I; 0) for the Smith form of the kernel matrix K, so U maps the
+    kernel's lattice onto the first coordinates, and the rest of U·p modulo
+    top names the class.
+    """
+    if not kernel:
+        return {tuple(x % top for x in p) for p in points}
+    u, diag, _ = smith_form_by_block_scan([[k[i] for k in kernel] for i in range(3)])
+    if diag != [1] * len(kernel):
+        raise ValueError("kernel vectors do not span a saturated lattice")
+    return {tuple(sum(a * x for a, x in zip(row, p)) % top for row in u[len(kernel) :]) for p in points}
 
 
 def vsub(a: Sequence, b: Sequence) -> Vec3:
@@ -588,7 +679,7 @@ def vertex_classes(sc, corners) -> list[IntVec]:
 @lru_cache(maxsize=None)
 def rotation_direction(rot: tuple) -> IntVec:
     """Direction of the axis of a rotation, the null space of the rank-2 matrix R − I, by Smith form."""
-    _, _, v = smith_form([[rot[i][j] - (i == j) for j in range(3)] for i in range(3)])
+    _, _, v = smith_form_by_block_scan([[rot[i][j] - (i == j) for j in range(3)] for i in range(3)])
     return primitive_integer([row[2] for row in v])
 
 

@@ -1,12 +1,15 @@
 """Tests for classification rows, the genus census, claim checks, and the CLI."""
 
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from torsym import classify, cli
+from torsym import classify, cli, periodic_graphs
 from torsym.classify import (
     CASES,
     EXPECTED_ACCEPTED,
@@ -17,6 +20,7 @@ from torsym.classify import (
     _classify,
     _constraint_holds,
     _derived_constraint,
+    _fills_t0,
     classify_case,
     labeled_marked_edges,
     report_to_json,
@@ -32,7 +36,7 @@ from torsym.classify import (
     verify_tables,
 )
 from torsym.errors import InvariantViolation
-from torsym.lattices import covolume, index, int_matvec, is_subgroup
+from torsym.lattices import _from_t0_hnf, covolume, hnf, hnf_columns, index, int_matvec, is_subgroup, join
 from torsym.periodic_graphs import PeriodicGraph, cycle_image_lattice, edge_orbit_graph, lift_connected_bruteforce
 from torsym.spacegroups import GROUP_NAMES, Isometry, SpaceGroup, _closure, make_group
 from torsym.sublattices import FAMILY_TAGS, instantiate
@@ -265,12 +269,13 @@ def _single_vertex_graph(shifts):
 
 def test_derived_constraint_rejects_an_index_without_a_listed_word():
     # T0/I = Z/6 has primes 2 and 3 at once, which no listed constraint names
+    first, second = instantiate("CUBIC_PRIMITIVE", 1), instantiate("CUBIC_PRIMITIVE", 2)
     g = _single_vertex_graph([(1, 0, 0), (0, 1, 0), (0, 0, 6)])
     with pytest.raises(InvariantViolation, match=r"\[T0 : I\] = 6"):
-        _derived_constraint(cycle_image_lattice(g), g.T0, "CUBIC_PRIMITIVE", 1)
+        _derived_constraint(cycle_image_lattice(g), g.T0, "CUBIC_PRIMITIVE", first)
     g = _single_vertex_graph([(1, 0, 0), (0, 1, 0), (0, 0, 4)])
-    assert _derived_constraint(cycle_image_lattice(g), g.T0, "CUBIC_PRIMITIVE", 1) == "2∤n"
-    assert _derived_constraint(cycle_image_lattice(g), g.T0, "CUBIC_PRIMITIVE", 2) is None
+    assert _derived_constraint(cycle_image_lattice(g), g.T0, "CUBIC_PRIMITIVE", first) == "2∤n"
+    assert _derived_constraint(cycle_image_lattice(g), g.T0, "CUBIC_PRIMITIVE", second) is None
 
 
 def test_classify_case_raises_when_a_lift_contradicts_the_constraint(monkeypatch):
@@ -280,6 +285,48 @@ def test_classify_case_raises_when_a_lift_contradicts_the_constraint(monkeypatch
     monkeypatch.setattr(classify, "_cases", lambda G: (mults, forced))
     with pytest.raises(InvariantViolation, match="disagrees with the derived constraint"):
         classify_case("I432", "beta", 8)
+
+
+def test_the_cases_build_with_every_join_refused(monkeypatch):
+    # the derived constraints decide L₁ + I = T0 by the 3×3 minors; only the lift route joins
+    want = {name: {label: c.constraints for label, c in _cases(make_group(name))[1].items()} for name in GROUP_NAMES}
+
+    def refuse(*_):
+        raise AssertionError("the constraint route called join")
+
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "torsym" and getattr(m, "join", None) is join]
+    assert {m.__name__ for m in modules} >= {"torsym", "torsym.lattices", "torsym.periodic_graphs"}
+    for module in modules:
+        monkeypatch.setattr(module, "join", refuse)
+    for name in GROUP_NAMES:
+        _, cases = _cases.__wrapped__(make_group(name))
+        assert {label: c.constraints for label, c in cases.items()} == want[name]
+
+
+t0_columns = st.lists(st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3), max_size=3)
+
+
+@given(st.sampled_from(GROUP_NAMES), t0_columns, t0_columns, st.booleans())
+@example("P432", [(2, 0, 0), (0, 2, 0), (0, 0, 2)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], False)
+@example("P622", [(2, 0, 0), (0, 2, 0), (0, 0, 1)], [(1, 1, 0), (0, 1, 0)], True)
+@example("P622", [(2, 0, 0), (0, 2, 0), (0, 0, 1)], [(2, 0, 0), (0, 1, 0)], True)
+@settings(max_examples=300, deadline=None)
+def test_the_minors_decide_whether_a_join_fills_t0(name, l_cols, i_cols, planar):
+    # subgroups of T0 given by columns in T0-coordinates; for P622, a rank-2 I in the plane z = 0
+    T0 = make_group(name).T0
+    if planar and name == "P622":
+        i_cols = [(a, b, 0) for a, b, _ in i_cols]
+    L, I = (_from_t0_hnf(T0, hnf_columns(cols)) for cols in (l_cols, i_cols))
+    assert _fills_t0(L, I, T0) == (join(L, I) == T0)
+
+
+def test_a_join_that_drops_a_column_breaks_the_lift_route(monkeypatch):
+    # the constraints no longer share the join, so a wrong join meets a verdict it cannot match
+    lift_join = periodic_graphs.join
+    monkeypatch.setattr(periodic_graphs, "join", lambda a, b: lift_join(a, hnf(b.vectors()[:-1])))
+    with pytest.raises(InvariantViolation, match="disagrees with the derived constraint"):
+        for group, edge in CASES:
+            classify_case(group, edge, 64)
 
 
 def test_cli_exits_three_on_an_underived_constraint(monkeypatch, capsys):

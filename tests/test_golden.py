@@ -54,6 +54,16 @@ GOLDEN = (
     # the text and CSV emitters, and the text forms of groups, singular graph and edges
     ("groups", "b2d8dfad67c18194c395848c39f56387062c5af829c1911cbbb2069c87358b95"),
     ("singular-graph P432", "334531784346dfe5a635ba765656ad668c02fa8fe92415d209b8a9c84efd929d"),
+    ("singular-graph F4_132", "713e29b27f77888acc0d6faa16779b7cb0ada14b05e818d7999a9cfb2af608b1"),
+    ("singular-graph I4_132", "4d724e6352c4108230124d3cb88037574b3bb8f4f2bc32d2e142fad731b376ca"),
+    ("singular-graph I432", "456ea1e7fcb8fd70f1adde6c7cc0a7dc236c04396f17a604187fa59957b50d2b"),
+    ("singular-graph P4_232", "922a03577d9ce1c09f9bc3da287f0263ecf3226d3dcc8bf5a3ef25e09f6b02c8"),
+    ("singular-graph P622", "dfe8dd84b388ea77e19241c952448296ccc2c6b789ded7143b11e24a72e58751"),
+    ("edges P432", "18cf6fd430a4df866d4c26b968c808a5e5a61ed5d71f140e5f30507b0185c381"),
+    ("edges F4_132", "8df3485857348e34276244f0d25eed6c81dd55b657ff5c86d95ffacfc986f73d"),
+    ("edges I4_132", "283a8c545f84f9135a1611d3d2576805c12989fb2cf385e32ca46d2a67ecdd9f"),
+    ("edges I432", "a3bbbfd00f131778d43dd381f9bdf65218feabcefaca82c07642fc399e72d726"),
+    ("edges P4_232", "02d4dd2fa764ca0cfe065d3f6e4bf9616cbc3b6e2d36889ca2842a5a538696f3"),
     ("edges P622", "4633b9f66883512b8348eff6abacd06abfbbf97abc80efc3918d6e18be06e70b"),
     ("table --max-genus 101", "81dcaac547879e994fd26f7200f66a3efb2407fde59c9871e8baf423430e6e72"),
     ("table --max-genus 101 --format csv", "9417c503817dd801c6e1783a6b432d9e6b1f583b3e2ce9aba1902e9f624d9e44"),

@@ -54,6 +54,7 @@ from oracles import (
     mat_inv,
     matvec,
     reduce_mod,
+    smith_form_by_block_scan,
     solve_linear,
     vec,
 )
@@ -714,9 +715,19 @@ small_matrices = st.integers(min_value=1, max_value=6).flatmap(
     )
 )
 
+# the shapes the package solves: k×3 systems with k ≤ 12, and the 3×1 columns of `_axis_basis`
+smith_inputs = st.one_of(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda rows: st.lists(
+            st.tuples(*[st.integers(min_value=-6, max_value=6)] * 3), min_size=rows, max_size=rows
+        )
+    ),
+    st.lists(st.tuples(st.integers(min_value=-6, max_value=6)), min_size=3, max_size=3),
+)
 
-@given(small_matrices)
-@settings(max_examples=200)
+
+@given(smith_inputs)
+@settings(max_examples=300)
 def test_smith_form_is_a_unimodular_diagonalisation(m):
     def product(a, b):
         return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
@@ -738,8 +749,10 @@ def test_smith_form_is_a_unimodular_diagonalisation(m):
 
     u, diag, v = smith_form(m)
     assert product(product(u, m), v) == [
-        [diag[i] if i == j and i < len(diag) else 0 for j in range(3)] for i in range(len(m))
+        [diag[i] if i == j and i < len(diag) else 0 for j in range(len(m[0]))] for i in range(len(m))
     ]
+    # the invariants are those of the block-scan oracle
+    assert diag == smith_form_by_block_scan(m)[1]
     assert all(d > 0 for d in diag)
     assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
     assert abs(det(u)) == 1 and abs(det(v)) == 1
@@ -774,3 +787,10 @@ def test_solve_congruence_matches_grid_search(m, nums):
     }
     assert {tuple(x % 1 for x in p) for p in points} == found
     assert len(points) == len(found)
+
+
+@pytest.mark.parametrize("den", [0, -1, -6])
+def test_solve_congruence_refuses_a_den_below_one(den):
+    # den = 0 would give top = 0 and one point
+    with pytest.raises(ValueError, match="den must be a positive integer"):
+        solve_congruence([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [1, 0, 0], den)

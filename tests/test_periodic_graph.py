@@ -22,6 +22,7 @@ from torsym.lattices import (
     matmul,
     member,
     primitive_integer,
+    smith_form,
 )
 from torsym.periodic_graphs import (
     PeriodicGraph,
@@ -65,6 +66,7 @@ from oracles import (
     apply,
     axis_classes,
     canon_segment,
+    congruence_classes,
     coords_in,
     coords_matrix,
     coset_coords,
@@ -276,7 +278,7 @@ def test_axis_and_vertex_classes_match_one_solve_per_coset(name):
 def test_germ_orbits_match_the_union_find_at_every_vertex(name):
     data = _singular_data(make_group(name))
     for v in data.vertex_classes:
-        rots = [a for a in data.sc.stabilizer(v) if a != _ROT_IDENTITY]
+        rots = tuple(a for a in data.sc.stabilizer(v) if a != _ROT_IDENTITY)
         assert len(_germ_orbits(rots)) == 3
         assert _germ_orbits(rots) == germ_orbits(rots)
 
@@ -290,6 +292,31 @@ def test_fixed_points_solve_one_congruence_per_class(name, monkeypatch):
     monkeypatch.setattr(periodic_graphs, "solve_congruence", lambda *a: calls.append(a) or solve(*a))
     _fixed_points(make_group(name))
     assert len(calls) == (10 if name == "P622" else 8)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_every_solved_system_has_the_block_scan_solution_set(name, monkeypatch):
+    # the fixed points and the normalizer translations, solved afresh, against the oracle route
+    calls = []
+    solve = periodic_graphs.solve_congruence
+    monkeypatch.setattr(periodic_graphs, "solve_congruence", lambda *a: calls.append(a) or solve(*a))
+    G = make_group(name)
+    _fixed_points(G)
+    _normalizer_solutions.__wrapped__(G)
+    assert len(calls) >= 9
+    for m, nums, den in calls:
+        points, top, kernel = solve(m, nums, den)
+        want, want_top, want_kernel = oracles.solve_congruence_by_block_scan(m, nums, den)
+        assert (top, len(points), len(kernel)) == (want_top, len(want), len(want_kernel))
+        for k in kernel:
+            assert all(sum(a * b for a, b in zip(row, k)) == 0 for row in m)
+        # the kernels span one saturated lattice, so the oracle's names the classes of both
+        assert congruence_classes(points, top, want_kernel) == congruence_classes(want, top, want_kernel)
+        assert len(congruence_classes(points, top, want_kernel)) == len(points)
+    # the columns of `_axis_basis`: U·e = ±e₁, with the oracle's one invariant
+    for e in {ax[0] for ax in _singular_data(G).axis_classes}:
+        assert smith_form([[x] for x in e])[1] == oracles.smith_form_by_block_scan([[x] for x in e])[1] == [1]
+        assert int_matvec(_axis_basis(e)[0], e) in ((1, 0, 0), (-1, 0, 0))
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -581,9 +608,9 @@ def test_marked_edges_match_union_find_classes(name):
     data = _singular_data(make_group(name))
     marked = [e.orbit_id for e in data.edges if e.link == (2, 2, 2, 3)]
     classes = _UnionFind(marked)
-    for a, t in data.sc.normalizer:
+    for move in data.sc.normalizer:
         for oid in marked:
-            other = data.orbit_of[_image(data.sc.den, a, t, data.orbits[oid][0])]
+            other = data.orbit_of[_image(data.sc.den, move, data.orbits[oid][0])]
             assert other in classes
             classes.union(oid, other)
     expected = sorted(min(ids) for ids in classes.groups())
@@ -618,7 +645,7 @@ def test_p432_vertex_stabilizer_orders():
 def test_every_vertex_is_trivalent(name):
     G = make_group(name)
     for v in singular_vertices(_singular_data(G)):
-        rots = [g.rot for g in stabilizer(v, G) if not is_pure_translation(g)]
+        rots = tuple(g.rot for g in stabilizer(v, G) if not is_pure_translation(g))
         assert len(_germ_orbits(rots)) == 3
 
 

@@ -127,6 +127,13 @@ def test_rotation_orders():
     assert rotation_order(r6.rot) == 6
 
 
+@pytest.mark.parametrize("entry", [1.5, 0.9, None, "1"])
+def test_rotation_order_refuses_an_entry_that_is_not_an_integer(entry):
+    # int(e) would truncate 1.5 to 1 and answer 1, and raise TypeError for None
+    with pytest.raises(ValueError, match="expected an integer"):
+        rotation_order(((entry, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
 # ============================================================
 # conjugation formulas
 # ============================================================
