@@ -42,7 +42,6 @@ from .spacegroups import (
     SpaceGroup,
     fixing_cosets,
     is_pure_translation,
-    rotation_order,
 )
 
 Edge = tuple[int, int, IntVec]
@@ -194,7 +193,8 @@ def _rotation_classes(rots: tuple[IntMat, ...]) -> tuple[tuple[tuple[IntVec, int
     """
     keyed: dict[tuple[IntVec, int], int] = {}
     for k, a in enumerate(rots):
-        if (order := rotation_order(a)) in (2, 3):
+        # a rotation of order 1, 2, 3, 4 or 6 has trace 1 + 2·cos(2π/order): 3, −1, 0, 1 or 2
+        if order := {-1: 2, 0: 3}.get(a[0][0] + a[1][1] + a[2][2]):
             keyed.setdefault((rotation_axis(a), order), k)
     swept = _orbit_sweep(keyed, lambda a, key: (_turned(a, key[0]), key[1]), rots)
     lines = tuple((key[0], keyed[key]) for key in dict.fromkeys(swept.values()))
@@ -599,7 +599,9 @@ def edge_orbit_graph(G: SpaceGroup, e: SingularEdge, suppress: bool = True) -> P
     """Quotient graph of the full orbit of one singular edge, modulo the lattice.
 
     Each endpoint n/den in T0-coordinates has the cell n // den and the
-    vertex (n mod den)/den in [0,1)³.
+    vertex (n mod den)/den in [0,1)³.  The edges, and their smoothing by
+    `_smooth` unless suppress is False, stay on those integers, and one
+    `PeriodicGraph` is built at the end.
     """
     data = _singular_data(G)
     den = data.sc.den
@@ -610,70 +612,55 @@ def edge_orbit_graph(G: SpaceGroup, e: SingularEdge, suppress: bool = True) -> P
         oid = data.orbit_of.get(_canon_scaled(den, *(tuple(x * (den // d) for x in n) for n, d in ends)))
     if oid is None:
         raise ValueError("edge does not belong to this group's singular graph")
-    cells: set[IntVec] = set()
-    reduced = []
-    for seg in data.orbits[oid]:
-        pair = []
-        for p in seg:
-            k, frac = zip(*(divmod(x, den) for x in p))
-            pair.append((frac, k))
-            cells.add(frac)
-        reduced.append(pair)
-    verts = sorted(cells)
+    # each end as (cell, vertex numerators)
+    split = [[tuple(zip(*(divmod(x, den) for x in p))) for p in seg] for seg in data.orbits[oid]]
+    verts = sorted({v for seg in split for _, v in seg})
     order = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for (va, ka), (vb, kb) in reduced:
-        shift = tuple(x - y for x, y in zip(kb, ka))
-        edges.append(_normalize_edge(order[va], order[vb], shift))
+    edges = [_normalize_edge(order[va], order[vb], (kb[0] - ka[0], kb[1] - ka[1], kb[2] - ka[2])) for (ka, va), (kb, vb) in split]
     if len(set(edges)) != len(edges):
         raise InvariantViolation("distinct straight segments produced a duplicate edge")
-    g = PeriodicGraph(
-        group=G.name,
-        T0=G.T0,
-        vertices=tuple(tuple(Fraction(x, den) for x in v) for v in verts),
-        edges=tuple(edges),
-    )
-    return suppress_valence_two(g) if suppress else g
+    keep, edges = _smooth(len(verts), edges) if suppress else (range(len(verts)), edges)
+    vertices = tuple(tuple(Fraction(x, den) for x in verts[v]) for v in keep)
+    return PeriodicGraph(group=G.name, T0=G.T0, vertices=vertices, edges=tuple(edges))
 
 
 def suppress_valence_two(g: PeriodicGraph) -> PeriodicGraph:
     """Smooth out valence-2 vertices, concatenating their edge shifts."""
-    edges = list(g.edges)
-    alive = [True] * len(g.vertices)
-    while True:
-        incident: dict[int, list[int]] = {}
-        for pos, (i, j, _) in enumerate(edges):
-            incident.setdefault(i, []).append(pos)
-            incident.setdefault(j, []).append(pos)
-        target = None
-        for v in range(len(g.vertices)):
-            if not alive[v]:
-                continue
-            pos = incident.get(v, [])
-            if len(pos) == 2 and pos[0] != pos[1]:
-                target = v
-                break
-        if target is None:
-            break
-        p1, p2 = incident[target]
-        i1, j1, s1 = edges[p1]
-        if j1 != target:
-            i1, j1, s1 = j1, i1, (-s1[0], -s1[1], -s1[2])
-        i2, j2, s2 = edges[p2]
-        if i2 != target:
-            i2, j2, s2 = j2, i2, (-s2[0], -s2[1], -s2[2])
-        merged = _normalize_edge(i1, j2, (s1[0] + s2[0], s1[1] + s2[1], s1[2] + s2[2]))
-        edges = [e for pos, e in enumerate(edges) if pos not in (p1, p2)]
-        edges.append(merged)
-        alive[target] = False
-    keep = [v for v in range(len(g.vertices)) if alive[v]]
-    order = {v: i for i, v in enumerate(keep)}
-    return PeriodicGraph(
-        group=g.group,
-        T0=g.T0,
-        vertices=tuple(g.vertices[v] for v in keep),
-        edges=tuple(_normalize_edge(order[i], order[j], s) for i, j, s in edges),
-    )
+    keep, edges = _smooth(len(g.vertices), g.edges)
+    return PeriodicGraph(group=g.group, T0=g.T0, vertices=tuple(g.vertices[v] for v in keep), edges=tuple(edges))
+
+
+def _smooth(n: int, edges: Sequence[Edge]) -> tuple[list[int], list[Edge]]:
+    """The vertices that stay when the valence-2 vertices of a multigraph on n vertices are smoothed, and its edges renumbered over them.
+
+    One pass in vertex order.  Smoothing a vertex joins its two edges into
+    one and changes no other valence, so no vertex becomes smoothable later;
+    a vertex whose two ends are one loop stays.
+    """
+    live: list[Edge | None] = list(edges)
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for pos, (i, j, _) in enumerate(live):
+        incident[i].append(pos)
+        incident[j].append(pos)
+    keep = []
+    for v, pos in enumerate(incident):
+        if len(pos) != 2 or pos[0] == pos[1]:
+            keep.append(v)
+            continue
+        # the path i → v → j through both edges
+        p1, p2 = pos
+        i, j1, s1 = live[p1]
+        if j1 != v:
+            i, s1 = j1, (-s1[0], -s1[1], -s1[2])
+        i2, j, s2 = live[p2]
+        if i2 != v:
+            j, s2 = i2, (-s2[0], -s2[1], -s2[2])
+        live[p1] = live[p2] = None
+        live.append((i, j, (s1[0] + s2[0], s1[1] + s2[1], s1[2] + s2[2])))
+        incident[i][incident[i].index(p1)] = len(live) - 1
+        incident[j][incident[j].index(p2)] = len(live) - 1
+    order = {v: k for k, v in enumerate(keep)}
+    return keep, [_normalize_edge(order[i], order[j], s) for i, j, s in filter(None, live)]
 
 
 # ============================================================

@@ -103,17 +103,6 @@ def is_pure_translation(g: Isometry) -> bool:
     return g.rot == IDENTITY
 
 
-def rotation_order(rot: Sequence[Sequence[int]]) -> int:
-    """The least k ≤ 6 with rotᵏ = I; ValueError for a non-integer entry or a larger order."""
-    m = tuple(tuple(map(as_int, row)) for row in rot)
-    p = m
-    for k in range(1, 7):
-        if p == IDENTITY:
-            return k
-        p = matmul(p, m)
-    raise ValueError("rotation order exceeds 6; not a crystallographic rotation")
-
-
 # ============================================================
 # rotation and translation constants
 # ============================================================

@@ -30,7 +30,7 @@ from .lattices import (
     matmul,
     rotation_axis,
 )
-from .spacegroups import T_HALF, Frame, SpaceGroup
+from .spacegroups import Frame, SpaceGroup
 
 # ============================================================
 # closed-form lattice families
@@ -77,7 +77,10 @@ def instantiate(tag: str, n: int, m: int | None = None) -> SubgroupHNF:
     elif tag == "CUBIC_FACE":
         gens = [(2 * n, 0, 0), (n, n, 0), (n, 0, n)]
     elif tag == "CUBIC_BODY":
-        gens = [(n, 0, 0), (0, n, 0), tuple(n * t for t in T_HALF)]
+        if n % 2:
+            # n·(1/2, 1/2, 1/2) over den 2; the content n of these columns is odd, so the record is canonical
+            return SubgroupHNF(hnf_columns([(2 * n, 0, 0), (0, 2 * n, 0), (n, n, n)]), 2)
+        gens = [(n, 0, 0), (0, n, 0), (n // 2, n // 2, n // 2)]
     elif tag == "HEX_PRIMITIVE":
         gens = [(n, 0, 0), (0, n, 0), (0, 0, m)]
     else:

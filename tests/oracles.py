@@ -39,6 +39,13 @@
   They check the package's one solve per conjugacy class, carried to the
   rest by the coset maps.  `germ_orbits` is the union-find over stabilizer
   and germ directions that the package's one sweep per orbit replaces.
+- `rotation_order` takes powers of a rotation until it reaches the identity,
+  and `rotation_classes_by_power_loop` is `_rotation_classes` keyed by it.
+  They check the package, which reads the order of a coset rotation off its
+  trace.
+- `suppress_valence_two_by_rescan` smooths one valence-2 vertex at a time
+  and rebuilds its incidence map after each.  It checks the package's one
+  pass in vertex order.
 - `survey_rows_by_lattice` builds the rows of `normal_translation_subgroups`
   the way the survey first did: each lattice of an index mapped to T0 alone
   by `_from_t0_hnf`, the index's lattices sorted by (−D, basis), and the
@@ -82,6 +89,7 @@ from torsym.lattices import (
     _from_t0_hnf,
     _integer_frame,
     _over_common_denominator,
+    as_int,
     coord_numerators,
     covolume,
     frame_coords_matrix,
@@ -99,16 +107,24 @@ from torsym.lattices import (
     member,
     primitive_integer,
     relative_integer_basis,
+    rotation_axis,
     solve_congruence,
 )
-from torsym.periodic_graphs import _SingularData, _axis_basis, _normalizer_solutions
+from torsym.periodic_graphs import (
+    PeriodicGraph,
+    _SingularData,
+    _axis_basis,
+    _normalize_edge,
+    _normalizer_solutions,
+    _orbit_sweep,
+    _turned,
+)
 from torsym.spacegroups import (
     Frame,
     Isometry,
     SpaceGroup,
     is_pure_translation,
     preserves_metric,
-    rotation_order,
 )
 from torsym.sublattices import (
     CUBIC_TAGS,
@@ -676,6 +692,30 @@ def vertex_classes(sc, corners) -> list[IntVec]:
     )
 
 
+def rotation_order(rot: Sequence[Sequence[int]]) -> int:
+    """The least k ≤ 6 with rotᵏ = I; ValueError for a non-integer entry or a larger order."""
+    m = tuple(tuple(map(as_int, row)) for row in rot)
+    p = m
+    for k in range(1, 7):
+        if p == _ROT_IDENTITY:
+            return k
+        p = matmul(p, m)
+    raise ValueError("rotation order exceeds 6; not a crystallographic rotation")
+
+
+def rotation_classes_by_power_loop(rots: tuple) -> tuple[tuple, tuple]:
+    """`periodic_graphs._rotation_classes` with each order taken by `rotation_order`."""
+    keyed: dict[tuple[IntVec, int], int] = {}
+    for k, a in enumerate(rots):
+        if (order := rotation_order(a)) in (2, 3):
+            keyed.setdefault((rotation_axis(a), order), k)
+    swept = _orbit_sweep(keyed, lambda a, key: (_turned(a, key[0]), key[1]), rots)
+    lines = tuple((key[0], keyed[key]) for key in dict.fromkeys(swept.values()))
+    pairs = [tuple(sorted(p)) for p in itertools.combinations([k for k in keyed if k[1] == 2], 2)]
+    swept = _orbit_sweep(pairs, lambda a, p: tuple(sorted((_turned(a, e), o) for e, o in p)), rots)
+    return lines, tuple((keyed[k1], keyed[k2]) for k1, k2 in dict.fromkeys(swept.values()))
+
+
 @lru_cache(maxsize=None)
 def rotation_direction(rot: tuple) -> IntVec:
     """Direction of the axis of a rotation, the null space of the rank-2 matrix R − I, by Smith form."""
@@ -933,3 +973,48 @@ def frame_symmetries(frame: Frame) -> tuple:
         if abs(mat_det(rows)) == 1 and preserves_metric(rows, gram):
             out.append(rows)
     return tuple(sorted(out))
+
+
+# ============================================================
+# smoothing by rescan
+# ============================================================
+
+
+def suppress_valence_two_by_rescan(g: PeriodicGraph) -> PeriodicGraph:
+    """Smooth out valence-2 vertices one at a time, the first in vertex order each time, rescanning every edge after each."""
+    edges = list(g.edges)
+    alive = [True] * len(g.vertices)
+    while True:
+        incident: dict[int, list[int]] = {}
+        for pos, (i, j, _) in enumerate(edges):
+            incident.setdefault(i, []).append(pos)
+            incident.setdefault(j, []).append(pos)
+        target = None
+        for v in range(len(g.vertices)):
+            if not alive[v]:
+                continue
+            pos = incident.get(v, [])
+            if len(pos) == 2 and pos[0] != pos[1]:
+                target = v
+                break
+        if target is None:
+            break
+        p1, p2 = incident[target]
+        i1, j1, s1 = edges[p1]
+        if j1 != target:
+            i1, j1, s1 = j1, i1, (-s1[0], -s1[1], -s1[2])
+        i2, j2, s2 = edges[p2]
+        if i2 != target:
+            i2, j2, s2 = j2, i2, (-s2[0], -s2[1], -s2[2])
+        merged = _normalize_edge(i1, j2, (s1[0] + s2[0], s1[1] + s2[1], s1[2] + s2[2]))
+        edges = [e for pos, e in enumerate(edges) if pos not in (p1, p2)]
+        edges.append(merged)
+        alive[target] = False
+    keep = [v for v in range(len(g.vertices)) if alive[v]]
+    order = {v: i for i, v in enumerate(keep)}
+    return PeriodicGraph(
+        group=g.group,
+        T0=g.T0,
+        vertices=tuple(g.vertices[v] for v in keep),
+        edges=tuple(_normalize_edge(order[i], order[j], s) for i, j, s in edges),
+    )

@@ -6,7 +6,8 @@ changes any printed byte, including an ordering or a `Fraction` string, fails
 here.  The survey digests pin `normal_translation_subgroups(G, 512)` itself,
 order within each index included: each row is written as the JSON of its
 lattice and family and its total index, so the digest does not depend on the
-field names of the records.
+field names of the records.  The edge-orbit graphs of every singular orbit,
+smoothed and raw, and the stdout of each demo are pinned the same way.
 """
 
 import contextlib
@@ -14,12 +15,14 @@ import hashlib
 import io
 import json
 import re
+import runpy
 from pathlib import Path
 
 import pytest
 
 from torsym import cli
-from torsym.spacegroups import make_group
+from torsym.periodic_graphs import _singular_data, edge_orbit_graph
+from torsym.spacegroups import GROUP_NAMES, make_group
 from torsym.sublattices import normal_translation_subgroups
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,6 +85,15 @@ SURVEY_512 = (
     ("P622", "f0c712314b7e3c4f3ffa38f7adced1c982f3d0dacbf64a92345d674d29f5ebfe"),
 )
 
+# SHA-256 of the JSON of edge_orbit_graph for every singular orbit of the six groups, smoothed and raw
+ORBIT_GRAPHS = "cdbe26378f8da5abb14b2019a1ecbef8d4130f9ae80af6b165ddcdcbbb53865f"
+
+DEMOS = (
+    ("tour_of_groups.py", "65fcf9030da655ba11b136d0de5c64f91cc373d8ce366a00332223c7993212eb"),
+    ("covering_lifts.py", "daea6543fe071d5662228db0bb6e7849bc23feee5d416fbbe0a067b44670d30d"),
+    ("full_census.py", "e54bbfea146b5ce198c1a22790a1e249b47261b1dc186f038c87136e8f05e21d"),
+)
+
 
 def test_census_digest_is_the_benchmark_oracle_digest():
     oracle = (ROOT / "perfbench" / "oracle.py").read_text()
@@ -102,3 +114,23 @@ def test_survey_output_and_order_are_pinned(name, digest):
     out = normal_translation_subgroups(make_group(name), 512)
     text = json.dumps([[L.to_json(), fam.to_json(), pi1] for L, fam, pi1 in out])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_every_edge_orbit_graph_is_pinned():
+    graphs = [
+        edge_orbit_graph(make_group(name), e, suppress=s).to_json()
+        for name in GROUP_NAMES
+        for e in _singular_data(make_group(name)).edges
+        for s in (True, False)
+    ]
+    assert len(graphs) == 84
+    text = json.dumps(graphs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ORBIT_GRAPHS
+
+
+@pytest.mark.parametrize("demo, digest", DEMOS, ids=[d for d, _ in DEMOS])
+def test_demo_output_is_byte_identical(demo, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from torsym import periodic_graphs
 from torsym.classify import CASES, _cases
@@ -33,6 +33,7 @@ from torsym.periodic_graphs import (
     _germ_orbits,
     _image,
     _normalizer_solutions,
+    _rotation_classes,
     _singular_data,
     cycle_image_lattice,
     edge_orbit_graph,
@@ -990,6 +991,75 @@ def test_suppress_merges_a_path_and_keeps_circles():
     circle = suppress_valence_two(cycle)
     assert len(circle.vertices) == 1
     assert circle.edges == ((0, 0, (1, 0, 0)),)
+
+
+def test_suppression_matches_the_rescan_on_every_raw_orbit_graph():
+    for name in GROUPS:
+        G = make_group(name)
+        for e in _singular_data(G).edges:
+            raw = edge_orbit_graph(G, e, suppress=False)
+            smooth = oracles.suppress_valence_two_by_rescan(raw)
+            assert suppress_valence_two(raw) == smooth == edge_orbit_graph(G, e), (name, e.orbit_id)
+
+
+SHIFTS = st.tuples(*[st.sampled_from((-1, 0, 1))] * 3)
+
+
+def _multigraph(n, edges):
+    return PeriodicGraph(group="P432", T0=T1, vertices=tuple((Fraction(k, n), 0, 0) for k in range(n)), edges=tuple(edges))
+
+
+@st.composite
+def multigraphs(draw):
+    """1–8 vertices and 0–12 edges, loops, parallel edges and isolated vertices among them, often with a cycle."""
+    n = draw(st.integers(1, 8))
+    cycle = []
+    if draw(st.booleans()):
+        ring = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+        cycle = [(a, b, draw(SHIFTS)) for a, b in zip(ring, ring[1:] + ring[:1])]
+    vertex = st.integers(0, n - 1)
+    rest = draw(st.lists(st.tuples(vertex, vertex, SHIFTS), max_size=12 - len(cycle)))
+    return _multigraph(n, cycle + rest)
+
+
+@given(multigraphs())
+@example(_multigraph(3, [(0, 1, (1, 0, 0)), (1, 2, (0, 1, 0)), (2, 0, (0, 0, 1))]))  # a pure cycle ends as one loop
+@example(_multigraph(2, [(0, 0, (1, 0, 0)), (0, 1, (0, 0, 0)), (0, 1, (0, 0, 0))]))  # a loop and a parallel pair
+@example(_multigraph(3, [(1, 1, (0, -1, 0))]))  # isolated vertices and a vertex whose two ends are one loop
+def test_suppression_matches_the_rescan_on_random_multigraphs(g):
+    assert suppress_valence_two(g) == oracles.suppress_valence_two_by_rescan(g)
+
+
+def test_edge_orbit_graph_builds_one_periodic_graph_per_call(monkeypatch):
+    built = []
+    post_init = PeriodicGraph.__post_init__
+    monkeypatch.setattr(PeriodicGraph, "__post_init__", lambda g: built.append(g) or post_init(g))
+    for name in GROUPS:
+        G = make_group(name)
+        for e in _singular_data(G).edges:
+            for suppress in (True, False):
+                built.clear()
+                edge_orbit_graph(G, e, suppress=suppress)
+                assert len(built) == 1, (name, e.orbit_id, suppress)
+
+
+# order of a crystallographic rotation by its trace 1 + 2·cos(2π/order)
+ORDER_OF_TRACE = {3: 1, -1: 2, 0: 3, 1: 4, 2: 6}
+
+
+def test_the_trace_gives_the_order_of_every_coset_rotation():
+    rots = []
+    for name in GROUPS:
+        G = make_group(name)
+        rots += [c.rot for c in G.cosets] + [a for a, _ in G.maps[0]]
+    assert len(rots) == 264
+    assert all(ORDER_OF_TRACE[r[0][0] + r[1][1] + r[2][2]] == oracles.rotation_order(r) for r in rots)
+
+
+def test_rotation_classes_match_a_copy_keyed_by_the_power_loop():
+    for name in GROUPS:
+        rots = tuple(a for a, _ in make_group(name).maps[0])
+        assert _rotation_classes(rots) == oracles.rotation_classes_by_power_loop(rots), name
 
 
 # ============================================================

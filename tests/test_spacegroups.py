@@ -22,7 +22,6 @@ from torsym.spacegroups import (
     _closure,
     canonical_group_name,
     make_group,
-    rotation_order,
     stabilizer,
     stabilizer_order,
 )
@@ -38,6 +37,7 @@ from oracles import (
     inverse,
     mat,
     matvec,
+    rotation_order,
     translation,
 )
 

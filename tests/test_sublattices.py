@@ -40,12 +40,14 @@ from torsym.spacegroups import (
     ROT_Y_HEX,
     ROT_Z,
     ROT_Z_HEX,
+    T_HALF,
     make_group,
 )
 import torsym
 from torsym import cli, sublattices
 from torsym.sublattices import (
     CUBIC_TAGS,
+    FAMILY_TAGS,
     HEX_TAGS,
     LatticeFamily,
     _coord_rotations,
@@ -135,6 +137,26 @@ def test_instantiate_known_lattices():
     assert instantiate("CUBIC_BODY", 1) == make_group("I432").T0
     assert instantiate("HEX_PRIMITIVE", 1, 1) == Z3
     assert instantiate("HEX_ROT", 1, 1) == hnf([(2, 1, 0), (1, 2, 0), (0, 0, 1)])
+
+
+def _fraction_generators(tag, n, m):
+    """A family's generators as `Fraction`s, the body centre written with T_HALF, so `hnf` takes its rational route."""
+    gens = {
+        "CUBIC_PRIMITIVE": [(n, 0, 0), (0, n, 0), (0, 0, n)],
+        "CUBIC_FACE": [(2 * n, 0, 0), (n, n, 0), (n, 0, n)],
+        "CUBIC_BODY": [(n, 0, 0), (0, n, 0), tuple(n * t for t in T_HALF)],
+        "HEX_PRIMITIVE": [(n, 0, 0), (0, n, 0), (0, 0, m)],
+        "HEX_ROT": [(2 * n, n, 0), (n, 2 * n, 0), (0, 0, m)],
+    }[tag]
+    return [tuple(map(Fraction, g)) for g in gens]
+
+
+def test_instantiate_equals_hnf_of_the_fraction_generators():
+    # every family is built from integer columns; odd CUBIC_BODY is the only one over den 2
+    for tag in FAMILY_TAGS:
+        for n in range(1, 65):
+            for m in range(1, 5) if tag in HEX_TAGS else [None]:
+                assert instantiate(tag, n, m) == hnf(_fraction_generators(tag, n, m)), (tag, n, m)
 
 
 # ============================================================
