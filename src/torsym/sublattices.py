@@ -99,9 +99,7 @@ def _coord_rotations(T0: SubgroupHNF, rotations: tuple) -> tuple:
     out = tuple(invariant_coords_matrix(r, T0) for r in rotations)
     if any(abs(mat_det(r)) != 1 for r in out):
         raise ValueError("rotation is not of finite order")
-    # `_split` raises unless they generate a finite group, whose elements have
-    # order 1, 2, 3, 4 or 6: R¹² = I, so the descent mod p takes its
-    # eigenvalues from the 12th roots of unity
+    # `_split` raises unless they generate a finite group
     _split(out)
     return out
 
@@ -153,42 +151,6 @@ def _primes() -> Iterator[int]:
 # T0-coordinates, which are mapped back to T0 at the end; there T0 itself has
 # the HNF basis IDENTITY.
 
-def _roots_of_unity_12(p: int) -> tuple[int, ...]:
-    """The roots of x¹² − 1 in F_p: the powers of a generator h of their cyclic group.
-
-    The group has order n = gcd(12, p − 1).  h = a^((p − 1)/n) has order n
-    unless h^(n/q) = 1 for a prime q | n, and a primitive root a passes.
-    """
-    n = math.gcd(12, p - 1)
-    h = next(
-        h
-        for h in (pow(a, (p - 1) // n, p) for a in range(2, p + 1))
-        if all(pow(h, n // q, p) != 1 for q in (2, 3) if n % q == 0)
-    )
-    return tuple(sorted(pow(h, i, p) for i in range(n)))
-
-
-@lru_cache(maxsize=None)
-def _splitting_order(coord_rots: tuple, p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(index, eigenvalues in F_p) of each rotation, in the order the descent splits F_p³ by them.
-
-    They are the roots of x³ − tr·x² + c₂·x − det among the 12th roots of
-    unity (R¹² = I), and do not change with the basis, so one order serves
-    every lattice.  A rotation whose roots are all simple has only lines as
-    eigenspaces; the one with the fewest goes first, so F_p³ falls into
-    lines after the fewest kernels.
-    """
-    roots = _roots_of_unity_12(p)
-    keyed = []
-    for k, r in enumerate(coord_rots):
-        tr = r[0][0] + r[1][1] + r[2][2]
-        c2 = sum(row[i] for i, row in enumerate(adjugate(r)))
-        det = mat_det(r)
-        lams = tuple(x for x in roots if (((x - tr) * x + c2) * x - det) % p == 0)
-        keyed.append((not all(((3 * x - 2 * tr) * x + c2) % p for x in lams), len(lams), k, lams))
-    return tuple((k, lams) for _, _, k, lams in sorted(keyed))
-
-
 def _cross(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, int, int]:
     """The cross product a × b mod p: zero exactly when a and b are parallel in F_p³."""
     return (
@@ -208,64 +170,34 @@ def _plane(r: Sequence[int], p: int) -> list[tuple[int, ...]]:
     return [(1, 0, 0), (0, 1, 0)]
 
 
-def _eigenspace(a: Mat3, basis: Sequence[tuple[int, ...]], lam: int, p: int) -> list[tuple[int, ...]]:
-    """Basis of {v ∈ span(basis) : a·v ≡ λ·v (mod p)} for an eigenvalue λ, in closed form.
+def _fixed_lines(acts: Sequence[Mat3], p: int) -> list[tuple[int, ...]]:
+    """The lines of F_p³ that every matrix maps to itself, one spanning vector each.
 
-    The span is F_p³ (the standard basis) or a plane ⟨u, w⟩.  On F_p³,
-    a − λ has rank at most 2: a column of adj(a − λ) nonzero mod p spans the
-    kernel, as in `rotation_axis`, and if there is none the kernel is the
-    plane orthogonal to a nonzero row.  On ⟨u, w⟩, x·u + y·w lies in the kernel
-    when x·c₁ + y·c₂ ≡ 0 for cᵢ the images under a − λ, which has a
-    nonzero solution only when c₁ ∥ c₂.
+    When every matrix is scalar mod p, that is every line.  Otherwise each
+    lies in an eigenspace of the first matrix a that is not: the kernel of
+    a − λ for a root λ ∈ F_p of det(x − a) = x³ − tr·x² + c₂·x − det.  It
+    is a line spanned by a column of adj(a − λ) nonzero mod p, as in
+    `rotation_axis`, or else the plane ⟨u, w⟩ orthogonal to a nonzero row,
+    whose lines are ⟨w⟩ and the ⟨u + t·w⟩.  A candidate ⟨v⟩ is kept when
+    b·v ≡ λ·v for some λ, that is b·v × v ≡ 0, for every matrix b after a:
+    a fixes it, and the matrices before a are scalar.
     """
-    if len(basis) == 3:
-        rows = [[(a[i][j] - lam * (i == j)) % p for j in range(3)] for i in range(3)]
-        for col in zip(*adjugate(rows)):
-            if any(x % p for x in col):
-                return [tuple(x % p for x in col)]
-        r = next((r for r in rows if any(r)), None)
-        return list(basis) if r is None else _plane(r, p)
-    u, w = basis
-    c1, c2 = ([(x - lam * y) % p for x, y in zip(int_matvec(a, v), v)] for v in basis)
-    if any(_cross(c1, c2, p)):
-        return []
-    i = next((i for i in range(3) if c1[i] or c2[i]), None)
-    if i is None:
-        return list(basis)
-    x, y = c2[i], -c1[i]
-    return [tuple((x * s + y * t) % p for s, t in zip(u, w))]
-
-
-def _invariant_lines(
-    acts: Sequence[Mat3], order: Sequence[tuple[int, tuple[int, ...]]], p: int
-) -> list[list[tuple[int, ...]]]:
-    """The lines of F_p³ that every matrix maps to itself, one spanning vector each, grouped by eigenspace.
-
-    Each such line lies in exactly one subspace on which every matrix acts
-    as a scalar, one per tuple of eigenvalues.  The matrices split F_p³ in
-    the given order of (index, eigenvalues); a line ⟨v⟩ needs one product
-    per matrix, since a·v ≡ λ·v holds for some λ exactly when a·v × v ≡ 0.
-    A subspace lists each of its lines once: a basis vector plus a
-    combination of the later ones, so it has one line exactly when it is one.
-    """
-    spaces = [list(IDENTITY)]
-    for i, lams in order:
-        a, refined = acts[i], []
-        for basis in spaces:
-            if len(basis) == 1:
-                if not any(_cross(int_matvec(a, basis[0]), basis[0], p)):
-                    refined.append(basis)
+    k = next((k for k, a in enumerate(acts) if any((a[i][j] - a[0][0] * (i == j)) % p for i in range(3) for j in range(3))), None)
+    if k is None:
+        return [*((1, s, t) for s in range(p) for t in range(p)), *((0, 1, t) for t in range(p)), (0, 0, 1)]
+    a = acts[k]
+    tr, c2, det = a[0][0] + a[1][1] + a[2][2], sum(row[i] for i, row in enumerate(adjugate(a))), mat_det(a)
+    candidates = []
+    for lam in range(p):
+        if (((lam - tr) * lam + c2) * lam - det) % p == 0:
+            rows = [[(a[i][j] - lam * (i == j)) % p for j in range(3)] for i in range(3)]
+            col = next((col for col in zip(*adjugate(rows)) if any(x % p for x in col)), None)
+            if col is None:
+                u, w = _plane(next(r for r in rows if any(r)), p)
+                candidates += [w, *(tuple((x + t * y) % p for x, y in zip(u, w)) for t in range(p))]
             else:
-                refined += filter(None, (_eigenspace(a, basis, lam, p) for lam in lams))
-        spaces = refined
-    out = []
-    for basis in spaces:
-        out.append([])
-        for k, lead in enumerate(basis):
-            rest = basis[k + 1 :]
-            for ts in product(range(p), repeat=len(rest)):
-                out[-1].append(tuple((lead[i] + sum(t * v[i] for t, v in zip(ts, rest))) % p for i in range(3)))
-    return out
+                candidates.append(tuple(x % p for x in col))
+    return [v for v in candidates if all(not any(_cross(int_matvec(b, v), v, p)) for b in acts[k + 1 :])]
 
 
 def _scaled(M: tuple, c: int) -> tuple:
@@ -298,13 +230,12 @@ def _maximal_steps(coord_rots: tuple, p: int, M: tuple) -> tuple:
     acts = [frame_coords_matrix(r, basis_frame(M)) for r in coord_rots]
     if None in acts:
         raise InvariantViolation("a lattice of the descent is not invariant")
-    order = _splitting_order(coord_rots, p)
-    dual = _invariant_lines([tuple(zip(*a)) for a in acts], order, p)
-    normals = [w for ws in dual for w in ws]
-    # ⟨v⟩ lies in the plane of each normal w ⊥ v.  A dual eigenspace of two or more dimensions
-    # meets every plane v^⊥, so then every line lies in a plane, and the lines are not listed
-    spaces = _invariant_lines(acts, order, p) if len(normals) == len(dual) else []
-    lines = [v for vs in spaces for v in vs if all(sum(x * y for x, y in zip(w, v)) % p for w in normals)]
+    normals = _fixed_lines([tuple(zip(*a)) for a in acts], p)
+    # ⟨v⟩ lies in the plane of each normal w ⊥ v.  The common eigenspaces of the transposed action are
+    # independent, so a fourth normal means one of two or more dimensions: it meets every plane v^⊥,
+    # so then every line lies in a plane, and the lines are not listed
+    listed = _fixed_lines(acts, p) if len(normals) <= 3 else ()
+    lines = [v for v in listed if all(sum(x * y for x, y in zip(w, v)) % p for w in normals)]
     if not normals and not lines:  # M/pM is simple: pM, already a column HNF, is the only maximal one
         return ((3, _scaled(M, p)),)
     planes = [(1, _preimage(M, _plane(w, p), p)) for w in normals]

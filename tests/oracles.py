@@ -2,6 +2,11 @@
 
 - The literal invariant-sublattice filter runs over every HNF of an index and
   checks the submodule descent mod p of `sublattices.invariant_sublattices`.
+- `fixed_lines_by_enumeration` tests every one of the p² + p + 1 lines of
+  F_p³, where the package looks only in the eigenspaces of one matrix.
+  `maximal_steps_by_enumeration` finds the invariant planes by testing
+  every line of every plane, where the package takes them as annihilators
+  of the lines the transposed matrices fix.
 - `fixed_axis` solves for a rotation's fixed line by Gaussian elimination and
   returns it as an `Axis`.  It checks the Smith-form singular set, which
   `singular_axes`, `singular_vertices` and `singular_circles` write as frame
@@ -896,6 +901,52 @@ def literal_invariant_sublattices(
         raise ValueError("index must be a positive integer")
     coord_rots = _coord_rotations(T0, tuple(tuple(tuple(row) for row in r) for r in rotations))
     return _filtered_triples(T0, coord_rots, d)
+
+
+# ============================================================
+# the maximal submodules of F_p³ from every line
+# ============================================================
+
+
+@lru_cache(maxsize=None)
+def _every_line(p: int) -> tuple[IntVec, ...]:
+    """The p² + p + 1 lines of F_p³, each as its vector whose first nonzero entry is 1."""
+    return (
+        *((1, s, t) for s in range(p) for t in range(p)),
+        *((0, 1, t) for t in range(p)),
+        (0, 0, 1),
+    )
+
+
+def _is_fixed(a: Sequence[Sequence[int]], v: IntVec, p: int) -> bool:
+    """a·v ∥ v in F_p³: every 2×2 minor of the pair vanishes."""
+    w = [sum(a[i][j] * v[j] for j in range(3)) for i in range(3)]
+    return all((w[i] * v[j] - w[j] * v[i]) % p == 0 for i in range(3) for j in range(i + 1, 3))
+
+
+def fixed_lines_by_enumeration(acts: Sequence[Sequence[Sequence[int]]], p: int) -> list[IntVec]:
+    """The lines of F_p³ that every matrix maps to itself, tested one by one."""
+    return [v for v in _every_line(p) if all(_is_fixed(a, v, p) for a in acts)]
+
+
+def maximal_steps_by_enumeration(acts: Sequence[Sequence[Sequence[int]]], p: int) -> list[tuple[int, tuple]]:
+    """(step, column HNF) of the preimage in ℤ³ of every maximal submodule of F_p³ under the matrices, sorted.
+
+    A plane is invariant when every matrix maps each of its p + 1 lines into
+    it; a fixed line is maximal when it lies in no invariant plane; {0} is
+    maximal when neither exists.
+    """
+    every = _every_line(p)
+    pZ = [tuple(p * (i == j) for j in range(3)) for i in range(3)]
+    planes = []
+    for w in every:
+        plane = [u for u in every if sum(x * y for x, y in zip(w, u)) % p == 0]
+        if all(sum(w[i] * a[i][j] * u[j] for i in range(3) for j in range(3)) % p == 0 for a in acts for u in plane):
+            planes.append(plane)
+    lines = [v for v in fixed_lines_by_enumeration(acts, p) if not any(v in plane for plane in planes)]
+    if not planes and not lines:
+        return [(3, hnf(pZ).basis)]
+    return sorted([*((1, hnf([*plane, *pZ]).basis) for plane in planes), *((2, hnf([v, *pZ]).basis) for v in lines)])
 
 
 # ============================================================

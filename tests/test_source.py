@@ -124,3 +124,32 @@ FRACTION_BUILDERS = {
 
 def test_only_the_rational_boundary_builds_fractions():
     assert sorted(set(_callers(SRC, "Fraction")) - FRACTION_BUILDERS) == []
+
+
+def _unread_imports(src: Path) -> list[str]:
+    """Names a module of the package imports and never reads, as module.name.
+
+    A name counts as read where it is loaded as a bare name anywhere in the
+    module, or listed in the module's `__all__`; `__future__` imports bind
+    nothing.
+    """
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        out += [f"{path.stem}.{name}" for name in bound if name not in read]
+    return out
+
+
+def test_every_import_is_read():
+    # a helper removed from a module must not leave its imports behind
+    assert _unread_imports(SRC) == []

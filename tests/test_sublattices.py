@@ -14,6 +14,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -64,10 +65,12 @@ from torsym.sublattices import (
 from oracles import (
     _from_t0_coords,
     enumerate_sublattices,
+    fixed_lines_by_enumeration,
     from_coords,
     intersect,
     is_invariant,
     literal_invariant_sublattices,
+    maximal_steps_by_enumeration,
     survey_rows_by_lattice,
 )
 
@@ -860,14 +863,10 @@ def test_classes_without_a_split_take_the_descent(monkeypatch, rots):
 def test_cold_survey_descends_only_at_2_and_3(monkeypatch):
     # 2 and 3 divide |P| = 24 or 12; every other prime is read off the split
     _clear_survey_caches()
-    at = {"_roots_of_unity_12": 0, "_splitting_order": 1, "_maximal_steps": 1}
-    calls = _recording(monkeypatch, list(at))
+    calls = _recording(monkeypatch, ["_maximal_steps"])
     for name in GROUP_NAMES:
         normal_translation_subgroups(make_group(name), 256)
-    assert {name: {args[i] for args in calls[name]} for name, i in at.items()} == {name: {2, 3} for name in at}
-    monkeypatch.undo()
-    # one order per rotation class and prime: P432 and P4_232 share a class, and so do I4_132 and I432
-    assert sublattices._splitting_order.cache_info().currsize == 8
+    assert {p for _, p, _ in calls["_maximal_steps"]} == {2, 3}
 
 
 def test_split_rejects_a_component_that_is_not_invariant(monkeypatch):
@@ -927,15 +926,64 @@ def test_cold_survey_takes_the_action_of_primitive_lattices_only(monkeypatch):
 
 @pytest.mark.parametrize("rots, listings", [((), 1), ((ROT_Y, ROT_Z), 2)], ids=["scalar", "D2"])
 def test_a_step_lists_the_lines_only_where_one_can_be_maximal(monkeypatch, rots, listings):
-    # a dual eigenspace of two or more dimensions meets every plane v^⊥, so each invariant line
-    # lies in an invariant plane: a scalar action lists only the normals, p² + p + 1 of them
+    # a fourth normal means a dual eigenspace of two or more dimensions, which meets every plane v^⊥,
+    # so each invariant line lies in an invariant plane: a scalar action lists only the normals,
+    # p² + p + 1 of them, and D2 its three normals and then its three lines
     coord_rots = _coord_rotations(Z3, rots)
-    calls = _recording(monkeypatch, ["_invariant_lines"])
+    calls = _recording(monkeypatch, ["_fixed_lines"])
     steps = sublattices._maximal_steps.__wrapped__(coord_rots, 7, Z3.basis)
-    assert len(calls["_invariant_lines"]) == listings
+    assert len(calls["_fixed_lines"]) == listings
     assert {s for s, _ in steps} == {1}
     assert sorted(N for _, N in steps) == sorted(L.basis for L in literal_invariant_sublattices(Z3, rots, 7))
     assert len(steps) == (57 if rots == () else 3)
+
+
+@st.composite
+def _matrices_mod_p(draw):
+    """(0–3 integer matrices with entries in −3..3, p): often scalar, zero or singular mod p."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    entry = st.integers(min_value=-3, max_value=3)
+    acts = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(("any", "scalar", "zero", "singular")))
+        if kind == "scalar":  # c·I mod p: the diagonal ≡ c and the rest ≡ 0
+            c = draw(entry)
+            a = [[draw(st.sampled_from([x for x in range(-3, 4) if (x - c * (i == j)) % p == 0])) for j in range(3)] for i in range(3)]
+        elif kind == "zero":
+            a = [[0] * 3 for _ in range(3)]
+        else:
+            a = [list(draw(st.tuples(entry, entry, entry))) for _ in range(3)]
+            if kind == "singular":  # a repeated or zero row, so rank 1 or 2 over ℤ and mod p
+                a[1] = draw(st.sampled_from((a[0], a[1], [0, 0, 0])))
+                a[2] = draw(st.sampled_from((a[0], a[1], [0, 0, 0])))
+        acts.append(tuple(map(tuple, a)))
+    return tuple(acts), p
+
+
+def _normalised(v, p):
+    """The vector of ⟨v⟩ whose first nonzero entry is 1."""
+    inv = pow(next(x for x in v if x % p), -1, p)
+    return tuple(x * inv % p for x in v)
+
+
+@given(_matrices_mod_p())
+@example(((ROT_Y, ROT_Z), 7))  # three normals: the step lists the lines
+@example(((((1, 1, 0), (0, 1, 0), (0, 0, 1)),), 5))  # a plane eigenspace of a matrix that is not scalar
+@example(((((1, 0, 0), (0, 1, 0), (0, 0, 2)),), 5))
+@example(((((1, 0, 0), (0, 0, -1), (0, 1, 0)),), 3))  # one normal and a maximal line
+@example(((), 2))
+def test_fixed_lines_and_steps_match_the_enumeration_of_every_line(acts_p):
+    acts, p = acts_p
+    for mats in (acts, tuple(tuple(zip(*a)) for a in acts)):
+        got = [_normalised(v, p) for v in sublattices._fixed_lines(mats, p)]
+        assert len(got) == len(set(got)) and set(got) == set(fixed_lines_by_enumeration(mats, p))
+    # a step from ℤ³, where the matrices act as they are: every maximal submodule once, and the
+    # action's lines listed exactly when the transposed action fixes at most three lines
+    with mock.patch.object(sublattices, "_fixed_lines", wraps=sublattices._fixed_lines) as listing:
+        steps = sublattices._maximal_steps.__wrapped__(acts, p, Z3.basis)
+    assert sorted(steps) == maximal_steps_by_enumeration(acts, p)
+    normals = fixed_lines_by_enumeration([tuple(zip(*a)) for a in acts], p)
+    assert listing.call_count == (2 if len(normals) <= 3 else 1)
 
 
 def _cubic_family_rows(bound):
