@@ -19,11 +19,10 @@ from .lattices import (
     SubgroupHNF,
     _from_t0_hnfs,
     adjugate,
-    basis_frame,
     covolume,
-    frame_coords_matrix,
     hnf,
     hnf_columns,
+    hnf_reduce,
     int_matvec,
     invariant_coords_matrix,
     mat_det,
@@ -151,23 +150,42 @@ def _primes() -> Iterator[int]:
 # T0-coordinates, which are mapped back to T0 at the end; there T0 itself has
 # the HNF basis IDENTITY.
 
-def _cross(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, int, int]:
-    """The cross product a × b mod p: zero exactly when a and b are parallel in F_p³."""
-    return (
-        (a[1] * b[2] - a[2] * b[1]) % p,
-        (a[2] * b[0] - a[0] * b[2]) % p,
-        (a[0] * b[1] - a[1] * b[0]) % p,
-    )
+def _fixes(b: Mat3, v: Sequence[int], p: int) -> bool:
+    """Whether b maps the line ⟨v⟩ of F_p³ into itself: b·v ≡ λ·v for some λ, that is b·v × v ≡ 0."""
+    v0, v1, v2 = v
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    x0, x1, x2 = b00 * v0 + b01 * v1 + b02 * v2, b10 * v0 + b11 * v1 + b12 * v2, b20 * v0 + b21 * v1 + b22 * v2
+    return not ((x1 * v2 - x2 * v1) % p or (x2 * v0 - x0 * v2) % p or (x0 * v1 - x1 * v0) % p)
 
 
-def _plane(r: Sequence[int], p: int) -> list[tuple[int, ...]]:
-    """Basis of the plane {x ∈ F_p³ : r·x = 0} for r ≢ 0."""
-    a, b, c = (x % p for x in r)
-    if a:
-        return [(-b % p, a, 0), (-c % p, 0, a)]
-    if b:
-        return [(1, 0, 0), (0, -c % p, b)]
-    return [(1, 0, 0), (0, 1, 0)]
+def _annihilator(w: Sequence[int], p: int) -> tuple:
+    """The column HNF of {x ∈ ℤ³ : w·x ≡ 0 (mod p)} for w ≢ 0: the preimage in ℤ³ of the plane w^⊥ of F_p³.
+
+    For i the last index with wᵢ ≢ 0, the xⱼ with j ≠ i are free and fix
+    xᵢ ≡ −Σ_{j<i} (wⱼ/wᵢ)·xⱼ: column j < i is eⱼ − (wⱼ/wᵢ)·eᵢ with its
+    entry in row i reduced into [0, p), column i is p·eᵢ, and column j > i
+    is eⱼ.
+    """
+    i = max(j for j in range(3) if w[j] % p)
+    t = -pow(w[i], -1, p)
+    cols = [[int(r == j) for r in range(3)] for j in range(3)]
+    for j in range(i):
+        cols[j][i] = w[j] * t % p
+    cols[i][i] = p
+    return tuple(map(tuple, cols))
+
+
+def _span(v: Sequence[int], p: int) -> tuple:
+    """The column HNF of ℤ·v + p·ℤ³ for v ≢ 0: the preimage in ℤ³ of the line ⟨v⟩ of F_p³.
+
+    For i the first index with vᵢ ≢ 0, column i is v/vᵢ reduced into
+    [0, p), with 1 in row i, and every other column j is p·eⱼ.
+    """
+    i = min(j for j in range(3) if v[j] % p)
+    inv = pow(v[i], -1, p)
+    cols = [tuple(p * (r == j) for r in range(3)) for j in range(3)]
+    cols[i] = tuple(x * inv % p for x in v)
+    return tuple(cols)
 
 
 def _fixed_lines(acts: Sequence[Mat3], p: int) -> list[tuple[int, ...]]:
@@ -175,29 +193,37 @@ def _fixed_lines(acts: Sequence[Mat3], p: int) -> list[tuple[int, ...]]:
 
     When every matrix is scalar mod p, that is every line.  Otherwise each
     lies in an eigenspace of the first matrix a that is not: the kernel of
-    a − λ for a root λ ∈ F_p of det(x − a) = x³ − tr·x² + c₂·x − det.  It
-    is a line spanned by a column of adj(a − λ) nonzero mod p, as in
-    `rotation_axis`, or else the plane ⟨u, w⟩ orthogonal to a nonzero row,
-    whose lines are ⟨w⟩ and the ⟨u + t·w⟩.  A candidate ⟨v⟩ is kept when
-    b·v ≡ λ·v for some λ, that is b·v × v ≡ 0, for every matrix b after a:
-    a fixes it, and the matrices before a are scalar.
+    a − λ for a root λ ∈ F_p of det(x − a) = x³ − tr·x² + c₂·x − det, for
+    c₂ the sum of the principal 2×2 minors.  It is a line spanned by a
+    column of adj(a − λ) nonzero mod p, as in `rotation_axis`, or else the
+    plane ⟨u, w⟩ orthogonal to a nonzero row (`_annihilator`), whose lines
+    are ⟨w⟩ and the ⟨u + t·w⟩.  A candidate is kept when every matrix after
+    a fixes it (`_fixes`): a fixes it, and the matrices before a are scalar.
     """
-    k = next((k for k, a in enumerate(acts) if any((a[i][j] - a[0][0] * (i == j)) % p for i in range(3) for j in range(3))), None)
-    if k is None:
+    for k, a in enumerate(acts):
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+        if a01 % p or a02 % p or a10 % p or a12 % p or a20 % p or a21 % p or (a11 - a00) % p or (a22 - a00) % p:
+            break
+    else:
         return [*((1, s, t) for s in range(p) for t in range(p)), *((0, 1, t) for t in range(p)), (0, 0, 1)]
-    a = acts[k]
-    tr, c2, det = a[0][0] + a[1][1] + a[2][2], sum(row[i] for i, row in enumerate(adjugate(a))), mat_det(a)
+    tr = a00 + a11 + a22
+    c2 = a00 * a11 - a01 * a10 + a00 * a22 - a02 * a20 + a11 * a22 - a12 * a21
+    det = a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20) + a02 * (a10 * a21 - a11 * a20)
     candidates = []
     for lam in range(p):
-        if (((lam - tr) * lam + c2) * lam - det) % p == 0:
-            rows = [[(a[i][j] - lam * (i == j)) % p for j in range(3)] for i in range(3)]
-            col = next((col for col in zip(*adjugate(rows)) if any(x % p for x in col)), None)
-            if col is None:
-                u, w = _plane(next(r for r in rows if any(r)), p)
-                candidates += [w, *(tuple((x + t * y) % p for x, y in zip(u, w)) for t in range(p))]
-            else:
-                candidates.append(tuple(x % p for x in col))
-    return [v for v in candidates if all(not any(_cross(int_matvec(b, v), v, p)) for b in acts[k + 1 :])]
+        if (((lam - tr) * lam + c2) * lam - det) % p:
+            continue
+        rows = [[(a[i][j] - lam * (i == j)) % p for j in range(3)] for i in range(3)]
+        col = next((col for col in zip(*adjugate(rows)) if any(x % p for x in col)), None)
+        if col is None:  # the columns of pivot 1 of the annihilator of a nonzero row span the plane
+            K = _annihilator(next(r for r in rows if any(r)), p)
+            u, w = (c for j, c in enumerate(K) if c[j] == 1)
+            candidates += [w, *(tuple((x + t * y) % p for x, y in zip(u, w)) for t in range(p))]
+        else:
+            candidates.append(tuple(x % p for x in col))
+    for b in acts[k + 1 :]:
+        candidates = [v for v in candidates if _fixes(b, v, p)]
+    return candidates
 
 
 def _scaled(M: tuple, c: int) -> tuple:
@@ -205,16 +231,42 @@ def _scaled(M: tuple, c: int) -> tuple:
     return tuple(tuple(c * x for x in col) for col in M)
 
 
-def _preimage(M: tuple, s: Sequence[tuple[int, ...]], p: int) -> tuple:
-    """The column HNF of the preimage in M of the subspace of M/pM with basis s."""
-    h = tuple(zip(*M))  # columns are M's basis vectors
-    return hnf_columns([*(int_matvec(h, v) for v in s), *_scaled(M, p)])
+def _preimage(M: tuple, K: tuple) -> tuple:
+    """The column HNF of H·K, for H the matrix whose columns are M's basis and K an integer column HNF.
+
+    For K ⊇ pℤ³ that is the preimage in M of the subspace of M/pM whose
+    coordinates in M's basis are K/pℤ³.  H and K are lower triangular with
+    positive pivots, so H·K is too, and reducing each column by the later
+    ones makes it canonical.
+    """
+    h = tuple(zip(*M))
+    cols = [int_matvec(h, col) for col in K]
+    return tuple(hnf_reduce(col, cols[j + 1 :]) for j, col in enumerate(cols))
 
 
 def _primitive(M: tuple) -> tuple[int, tuple]:
     """(c, M₀) with M = c·M₀ for c the content of M's basis."""
-    c = math.gcd(*(x for col in M for x in col))
+    c = math.gcd(*M[0], *M[1], *M[2])
     return c, M if c == 1 else tuple(tuple(x // c for x in col) for col in M)
+
+
+def _action_columns(r: Mat3, M: tuple) -> list[tuple[int, int, int]] | None:
+    """The columns of H⁻¹·r·H for H the matrix whose columns are M's basis, or None when r does not preserve M.
+
+    H is lower triangular, so column j solves H·x = r·Hⱼ by forward
+    substitution; r preserves M exactly when every division is exact.
+    """
+    (a, b, c), (_, d, e), (_, _, f) = M
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
+    cols = []
+    for h0, h1, h2 in M:
+        x0, s0 = divmod(r00 * h0 + r01 * h1 + r02 * h2, a)
+        x1, s1 = divmod(r10 * h0 + r11 * h1 + r12 * h2 - b * x0, d)
+        x2, s2 = divmod(r20 * h0 + r21 * h1 + r22 * h2 - c * x0 - e * x1, f)
+        if s0 or s1 or s2:
+            return None
+        cols.append((x0, x1, x2))
+    return cols
 
 
 @lru_cache(maxsize=None)
@@ -223,23 +275,27 @@ def _maximal_steps(coord_rots: tuple, p: int, M: tuple) -> tuple:
 
     M and every N are integer column HNF bases in T0-coordinates; N is the
     preimage of a maximal G-submodule of M/pM.  Step 1: an invariant plane,
-    the annihilator of an invariant line w of the transposed action.  Step
-    2: an invariant line in no invariant plane.  Step 3: pM, when M/pM is
-    simple.  The rotations act on M, for H its basis, by H⁻¹·r·H.
+    the annihilator of an invariant line w (a normal) of the transposed
+    action.  Step 2: an invariant line in no invariant plane.  Step 3: pM,
+    when M/pM is simple.  The rotations act on M, for H its basis, by
+    H⁻¹·r·H (`_action_columns`), whose columns are the rows of the
+    transposed action.  The action's lines are listed only when there is
+    at most one normal: two normals give two invariant planes, which
+    meet in an invariant line L₀, and any other invariant line L lies in
+    the invariant plane L + L₀, so then no line is maximal.
     """
-    acts = [frame_coords_matrix(r, basis_frame(M)) for r in coord_rots]
-    if None in acts:
+    duals = [_action_columns(r, M) for r in coord_rots]
+    if None in duals:
         raise InvariantViolation("a lattice of the descent is not invariant")
-    normals = _fixed_lines([tuple(zip(*a)) for a in acts], p)
-    # ⟨v⟩ lies in the plane of each normal w ⊥ v.  The common eigenspaces of the transposed action are
-    # independent, so a fourth normal means one of two or more dimensions: it meets every plane v^⊥,
-    # so then every line lies in a plane, and the lines are not listed
-    listed = _fixed_lines(acts, p) if len(normals) <= 3 else ()
-    lines = [v for v in listed if all(sum(x * y for x, y in zip(w, v)) % p for w in normals)]
+    normals = _fixed_lines(duals, p)
+    lines = []
+    if len(normals) <= 1:  # ⟨v⟩ lies in the plane of a normal w exactly when w·v ≡ 0
+        acts = [tuple(zip(*a)) for a in duals]
+        lines = [v for v in _fixed_lines(acts, p) if all(sum(x * y for x, y in zip(w, v)) % p for w in normals)]
     if not normals and not lines:  # M/pM is simple: pM, already a column HNF, is the only maximal one
         return ((3, _scaled(M, p)),)
-    planes = [(1, _preimage(M, _plane(w, p), p)) for w in normals]
-    return (*planes, *((2, _preimage(M, [v], p)) for v in lines))
+    planes = [(1, _preimage(M, _annihilator(w, p))) for w in normals]
+    return (*planes, *((2, _preimage(M, _span(v, p))) for v in lines))
 
 
 @lru_cache(maxsize=None)
@@ -268,11 +324,13 @@ def _descent_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
 def _split(coord_rots: tuple) -> SimpleNamespace:
     """|P| for the finite group P the rotations generate, ⟨χ, χ⟩ = Σ_g tr(g)²/|P|, and the split of ℚ³ where known.
 
-    `parts` holds (dim V, basis of ℤ³ ∩ V) per component V, `step` the gcd of
-    the dims: ℚ³ at norm 1, where it is absolutely irreducible (cubic P); at
-    norm 2 (dihedral P), a line ℓ on which P acts by a sign character ψ and
-    the absolutely irreducible plane W = ker Σ_g ψ(g)·g.  A rotation g of
-    order 3, 4 or 6 has ψ(g) = 1, so ℓ = ker(g − I) and W = im(g − I) ⊥ ker(gᵀ − I).
+    `parts` holds (dim V, basis of ℤ³ ∩ V) per component V, `step` the gcd
+    of the dims, and `axes`, when the bases together are the unit vectors,
+    the component holding each eᵢ (else None): ℚ³ at norm 1, where it is
+    absolutely irreducible (cubic P); at norm 2 (dihedral P), a line ℓ on
+    which P acts by a sign character ψ and the absolutely irreducible plane
+    W = ker Σ_g ψ(g)·g.  A rotation g of order 3, 4 or 6 has ψ(g) = 1, so
+    ℓ = ker(g − I) and W = im(g − I) ⊥ ker(gᵀ − I).
     """
     group, frontier = {IDENTITY}, {IDENTITY}
     while frontier:
@@ -288,7 +346,9 @@ def _split(coord_rots: tuple) -> SimpleNamespace:
         if any(int_matvec(r, v) not in (v, tuple(-x for x in v)) or int_matvec(tuple(zip(*r)), n) not in (n, tuple(-x for x in n)) for r in coord_rots):
             raise InvariantViolation("a component of the rational split of ℚ³ is not invariant")
         parts = ((1, (v,)), (2, hnf_columns([(0, n[2], -n[1]), (-n[2], 0, n[0]), (n[1], -n[0], 0)])))
-    return SimpleNamespace(order=len(group), norm=norm, parts=parts, step=math.gcd(*(dim for dim, _ in parts)))
+    component = {col: i for i, (_, basis) in enumerate(parts) for col in basis}
+    axes = tuple(component.get(e) for e in IDENTITY)
+    return SimpleNamespace(order=len(group), norm=norm, parts=parts, step=math.gcd(*(dim for dim, _ in parts)), axes=None if None in axes else axes)
 
 
 @lru_cache(maxsize=None)
@@ -300,8 +360,11 @@ def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
     Proof: |P| times each projection onto a Vᵢ is an integer matrix, so
     |P|·ℤ³ ⊆ ⊕Λᵢ and the split is exact at p.  An absolutely irreducible
     constituent stays irreducible mod p when p ∤ |P|, so by Nakayama the
-    p^a·Λᵢ are the only invariant sublattices of Λᵢ of p-power index.  The
-    term p^max a·ℤ³ makes the sum right at every other prime.
+    p^aᵢ·Λᵢ are the only invariant sublattices of Λᵢ of p-power index.  The
+    term p^max a·ℤ³ makes the sum right at every other prime.  When the
+    bases of the Λᵢ are the unit vectors (`axes`, as for the six groups),
+    the sum is the diagonal lattice with p^aᵢ at each eᵢ of Λᵢ, already a
+    column HNF.
     """
     split = _split(coord_rots)
     if not split.parts or split.order % p == 0:
@@ -309,8 +372,11 @@ def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
     out = []
     for a in product(range(k + 1), repeat=len(split.parts)):
         if sum(x * dim for x, (dim, _) in zip(a, split.parts)) == k:
-            gens = [tuple(p**x * e for e in col) for x, (_, basis) in zip(a, split.parts) for col in basis]
-            out.append(hnf_columns(gens + [tuple(p ** max(a) * e for e in col) for col in IDENTITY]))
+            if split.axes:
+                out.append(tuple(tuple(p ** a[i] * (r == j) for r in range(3)) for j, i in enumerate(split.axes)))
+            else:
+                gens = [tuple(p**x * e for e in col) for x, (_, basis) in zip(a, split.parts) for col in basis]
+                out.append(hnf_columns(gens + [tuple(p ** max(a) * e for e in col) for col in IDENTITY]))
     return tuple(out)
 
 

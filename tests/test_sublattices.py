@@ -12,7 +12,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +24,9 @@ from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     SubgroupHNF,
     _from_t0_hnf,
+    basis_frame,
     covolume,
+    frame_coords_matrix,
     hnf,
     hnf_columns,
     index,
@@ -831,14 +833,17 @@ def _recording(monkeypatch, names):
 
 @pytest.mark.parametrize("t0, rots, order, norm", _SPLIT_CLASSES, ids=[*GROUP_NAMES, "T", "D3", "D4_T2", "D3_hex"])
 def test_closed_form_equals_the_descent(monkeypatch, t0, rots, order, norm):
-    # at every prime p ∤ |P| up to 61 (p = 3 only for D4) and every k ≤ 3
+    # at every prime p ∤ |P| up to 61 (p = 3 only for D4) and every k ≤ 3, and k ≤ 6 at p = 5 and 7;
+    # the bases of the components are the unit vectors except for D3, whose components span a
+    # sublattice of index 3, and D4 on T2, of index 2: those two take the general sum
     coord_rots = _coord_rotations(t0, rots)
     split = sublattices._split(coord_rots)
     assert (split.order, split.norm, sum(dim for dim, _ in split.parts)) == (order, norm, 3)
+    assert (split.axes is not None) == (norm == 1 or rots not in ((ROT_XYZ, ROT_2_DIAG), (ROT_4, ROT_Y)))
     closed = {}
     descent = _recording(monkeypatch, ["_descent_p_power"])
     for p in _PRIMES_3_61:
-        for k in (1, 2, 3):
+        for k in range(1, 7 if p in (5, 7) else 4):
             if order % p:
                 closed[p, k] = sublattices._invariant_p_power.__wrapped__(coord_rots, p, k)
     # the closed form never enters the descent, which stays callable as the reference
@@ -909,6 +914,59 @@ def test_descent_of_a_multiple_is_the_scaled_descent(name):
             assert sorted(of_pM) == sorted(L.basis for L in literal), (p, M)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_preimages_of_planes_and_lines_are_the_hnf_of_their_generators(p):
+    # every w ≢ 0 with entries in [−p, p): the plane w^⊥ and the line ⟨w⟩ of F_p³, lifted to ℤ³ in closed form
+    pZ = [tuple(p * (i == j) for j in range(3)) for i in range(3)]
+    for w in product(range(-p, p), repeat=3):
+        if any(x % p for x in w):
+            plane = [x for x in product(range(p), repeat=3) if sum(a * b for a, b in zip(w, x)) % p == 0]
+            assert sublattices._annihilator(w, p) == hnf_columns([*plane, *pZ]), w
+            assert sublattices._span(w, p) == hnf_columns([w, *pZ]), w
+
+
+@st.composite
+def _column_hnfs(draw):
+    """A canonical integer column HNF with pivots in 1..4."""
+    a, d, f = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    below = lambda pivot: draw(st.integers(min_value=0, max_value=pivot - 1))
+    return ((a, below(d), below(f)), (0, d, below(f)), (0, 0, f))
+
+
+_ENTRY = st.integers(min_value=-3, max_value=3)
+# the cubic generators often preserve a lattice of small pivots; a random matrix seldom does
+_MATRICES = st.sampled_from((ROT_Y, ROT_Z, ROT_XYZ, ROT_4)) | st.tuples(*[st.tuples(_ENTRY, _ENTRY, _ENTRY)] * 3)
+
+
+@given(_column_hnfs(), _column_hnfs(), _MATRICES)
+@example(((1, 1, 0), (0, 2, 0), (0, 0, 1)), ((2, 1, 1), (0, 2, 1), (0, 0, 2)), ROT_4)  # x ≡ y (mod 2): preserved
+@example(((1, 0, 0), (0, 2, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ROT_4)  # y even: not preserved
+def test_the_step_kernels_match_the_general_routes(M, K, r):
+    # H·K reduced column by column against hnf_columns; H⁻¹·r·H by forward substitution against
+    # adj(H)·r·H / det H, None on both routes when r does not preserve M
+    H = tuple(zip(*M))
+    assert sublattices._preimage(M, K) == hnf_columns([tuple(sum(h * k for h, k in zip(row, col)) for row in H) for col in K])
+    cols = sublattices._action_columns(r, M)
+    assert (None if cols is None else tuple(zip(*cols))) == frame_coords_matrix(r, basis_frame(M))
+
+
+@pytest.mark.parametrize(
+    "rots, M",
+    [
+        ((ROT_4,), ((2, 0, 0), (0, 1, 0), (0, 0, 1))),  # a remainder in the first row
+        ((ROT_4,), ((1, 0, 0), (0, 2, 0), (0, 0, 1))),  # in the second row only
+        ((ROT_Y, ROT_XYZ), ((1, 0, 0), (0, 1, 0), (0, 0, 3))),  # in the third, and the first rotation keeps M
+    ],
+    ids=["first-row", "second-row", "third-row"],
+)
+def test_a_step_refuses_a_lattice_that_a_rotation_does_not_preserve(rots, M):
+    # the action on M is H⁻¹·r·H for H its basis: a lattice that a rotation moves has no integer action
+    moved = [r for r in rots if hnf_columns([*M, *(tuple(sum(x * y for x, y in zip(row, col)) for row in r) for col in M)]) != M]
+    assert moved == [rots[-1]]
+    with pytest.raises(InvariantViolation, match="a lattice of the descent is not invariant"):
+        sublattices._maximal_steps.__wrapped__(rots, 2, M)
+
+
 def test_cold_survey_takes_the_action_of_primitive_lattices_only(monkeypatch):
     _clear_survey_caches()
     calls = _recording(monkeypatch, ["_maximal_steps"])
@@ -924,11 +982,11 @@ def test_cold_survey_takes_the_action_of_primitive_lattices_only(monkeypatch):
     assert sublattices._maximal_steps.cache_info().currsize <= 35
 
 
-@pytest.mark.parametrize("rots, listings", [((), 1), ((ROT_Y, ROT_Z), 2)], ids=["scalar", "D2"])
+@pytest.mark.parametrize("rots, listings", [((), 1), ((ROT_Y, ROT_Z), 1)], ids=["scalar", "D2"])
 def test_a_step_lists_the_lines_only_where_one_can_be_maximal(monkeypatch, rots, listings):
-    # a fourth normal means a dual eigenspace of two or more dimensions, which meets every plane v^⊥,
-    # so each invariant line lies in an invariant plane: a scalar action lists only the normals,
-    # p² + p + 1 of them, and D2 its three normals and then its three lines
+    # two normals give two invariant planes meeting in an invariant line L₀, and any other invariant
+    # line L lies in the invariant plane L + L₀: a scalar action lists only the normals, p² + p + 1
+    # of them, and D2 only its three normals
     coord_rots = _coord_rotations(Z3, rots)
     calls = _recording(monkeypatch, ["_fixed_lines"])
     steps = sublattices._maximal_steps.__wrapped__(coord_rots, 7, Z3.basis)
@@ -967,7 +1025,9 @@ def _normalised(v, p):
 
 
 @given(_matrices_mod_p())
-@example(((ROT_Y, ROT_Z), 7))  # three normals: the step lists the lines
+@example(((ROT_Y, ROT_Z), 7))  # three normals: the step lists no line
+@example(((((1, 0, 0), (0, 2, 1), (0, 0, 2)),), 5))  # 1 ⊕ a Jordan block: exactly two normals, no line listed
+@example(((((1, 1, 0), (0, 1, 1), (0, 0, 1)),), 5))  # one Jordan block: one normal, and its one line lies in the plane
 @example(((((1, 1, 0), (0, 1, 0), (0, 0, 1)),), 5))  # a plane eigenspace of a matrix that is not scalar
 @example(((((1, 0, 0), (0, 1, 0), (0, 0, 2)),), 5))
 @example(((((1, 0, 0), (0, 0, -1), (0, 1, 0)),), 3))  # one normal and a maximal line
@@ -978,12 +1038,12 @@ def test_fixed_lines_and_steps_match_the_enumeration_of_every_line(acts_p):
         got = [_normalised(v, p) for v in sublattices._fixed_lines(mats, p)]
         assert len(got) == len(set(got)) and set(got) == set(fixed_lines_by_enumeration(mats, p))
     # a step from ℤ³, where the matrices act as they are: every maximal submodule once, and the
-    # action's lines listed exactly when the transposed action fixes at most three lines
+    # action's lines listed exactly when the transposed action fixes at most one line
     with mock.patch.object(sublattices, "_fixed_lines", wraps=sublattices._fixed_lines) as listing:
         steps = sublattices._maximal_steps.__wrapped__(acts, p, Z3.basis)
     assert sorted(steps) == maximal_steps_by_enumeration(acts, p)
     normals = fixed_lines_by_enumeration([tuple(zip(*a)) for a in acts], p)
-    assert listing.call_count == (2 if len(normals) <= 3 else 1)
+    assert listing.call_count == (2 if len(normals) <= 1 else 1)
 
 
 def _cubic_family_rows(bound):
