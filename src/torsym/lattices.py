@@ -332,58 +332,79 @@ def join(a: SubgroupHNF, b: SubgroupHNF) -> SubgroupHNF:
     return hnf(a.vectors() + b.vectors())
 
 
-@lru_cache(maxsize=None)
-def basis_frame(basis: tuple[tuple[int, int, int], ...]) -> tuple[IntMat, IntMat, int]:
-    """(H, adj(H), det H) for a rank-3 integer column HNF basis, cached on the basis tuple.
-
-    H is the basis as a matrix whose columns are the basis vectors, so that
-    H⁻¹ = adj(H) / det H.
-    """
-    h = tuple(tuple(basis[j][i] for j in range(3)) for i in range(3))
-    return h, adjugate(h), h[0][0] * h[1][1] * h[2][2]  # lower triangular
-
-
-def _integer_frame(sub: SubgroupHNF) -> tuple[IntMat, IntMat, int, int]:
-    """Integer data of a rank-3 subgroup with actual basis H/q: its `basis_frame` and q."""
+def _rank3_basis(sub: SubgroupHNF) -> tuple[tuple[int, int, int], ...]:
+    """The integer basis H of a rank-3 subgroup H/q; RankDeficient for any other rank."""
     if sub.rank != 3:
         raise RankDeficient("integer coordinates require rank 3")
-    return (*basis_frame(sub.basis), sub.den)
+    return sub.basis
+
+
+def hnf_solve(basis: Sequence[Sequence[int]], v: Sequence[int]) -> IntVec | None:
+    """The integer x with H·x = v, or None when there is none, for H the matrix whose columns are a rank-3 column HNF basis.
+
+    H is lower triangular, so forward substitution gives each xᵢ in turn as
+    (vᵢ − Σ_{j<i} Hᵢⱼ·xⱼ) / Hᵢᵢ, and x is integral exactly when every
+    division is exact.  A v of any length but three is a ValueError.
+    """
+    (a, b, c), (_, d, e), (_, _, f) = basis
+    v0, v1, v2 = v
+    x0, s0 = divmod(v0, a)
+    x1, s1 = divmod(v1 - b * x0, d)
+    x2, s2 = divmod(v2 - c * x0 - e * x1, f)
+    return None if s0 or s1 or s2 else (x0, x1, x2)
+
+
+def hnf_product(basis: Sequence[Sequence[int]], K: Iterable[Sequence[int]]) -> tuple[tuple[int, int, int], ...]:
+    """The columns H·k for the columns k of K, each reduced by the later ones, for H as in `hnf_solve`.
+
+    For an integer column HNF K that is the column HNF of H·K: H and K are
+    lower triangular with positive pivots, so H·K keeps K's pivot rows and
+    positive pivots, and reducing each column by the later ones makes it
+    canonical.  A single column k comes back as H·k.
+    """
+    (a, b, c), (_, d, e), (_, _, f) = basis
+    cols = [(a * k0, b * k0 + d * k1, c * k0 + e * k1 + f * k2) for k0, k1, k2 in K]
+    return tuple(hnf_reduce(col, cols[j + 1 :]) for j, col in enumerate(cols))
 
 
 def coord_numerators(v: Sequence, sub: SubgroupHNF) -> tuple[IntVec, int]:
     """Coordinates B⁻¹·v of a rational vector in the actual basis B = H/q of a rank-3 subgroup.
 
     They come as integer numerators over their least positive denominator:
-    B⁻¹ = q·adj(H) / det H, taken in integers on the numerators of v.
+    for v = n/den they are y/(det H·den), for y the solution of
+    H·y = det H·q·n, which is integral because det H·H⁻¹ = adj(H) is.
     """
-    _, adj, det, q = _integer_frame(sub)
+    basis = _rank3_basis(sub)
     nums, den = _over_common_denominator(v)
-    x = [q * c for c in int_matvec(adj, nums)]
-    g = math.gcd(det * den, *x)
-    return (x[0] // g, x[1] // g, x[2] // g), det * den // g
+    det = basis[0][0] * basis[1][1] * basis[2][2]  # lower triangular
+    y = hnf_solve(basis, [det * sub.den * x for x in nums])
+    g = math.gcd(det * den, *y)
+    return (y[0] // g, y[1] // g, y[2] // g), det * den // g
 
 
 def from_numerators(n: Sequence[int], den: int, sub: SubgroupHNF) -> Vec3:
     """The vector B·n/den = H·n/(q·den) with the coordinates n/den."""
-    h, _, _, q = _integer_frame(sub)
-    return tuple(Fraction(x, q * den) for x in int_matvec(h, n))  # type: ignore[return-value]
+    (x,) = hnf_product(_rank3_basis(sub), (n,))
+    return tuple(Fraction(c, sub.den * den) for c in x)  # type: ignore[return-value]
 
 
-def frame_coords_matrix(m: Sequence[Sequence[int]], frame: Sequence) -> IntMat | None:
-    """The integer matrix H⁻¹·m·H = adj(H)·m·H / det H, or None when m does not preserve the lattice of H.
+def frame_coords_matrix(m: Sequence[Sequence[int]], basis: Sequence[Sequence[int]]) -> IntMat | None:
+    """H⁻¹·m·H for H the matrix whose columns are a rank-3 column HNF basis, or None when m does not preserve its lattice.
 
-    frame starts with the `basis_frame` (H, adj(H), det H) of a basis.
+    Column j solves H·x = m·Hⱼ (`hnf_solve`), and m preserves the lattice
+    exactly when all three solutions are integral.
     """
-    h, adj, det = frame[:3]
-    prod = matmul(matmul(adj, m), h)
-    if math.gcd(*prod[0], *prod[1], *prod[2]) % det:
-        return None
-    return tuple(tuple(x // det for x in row) for row in prod)
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    cols = [
+        hnf_solve(basis, (m00 * h0 + m01 * h1 + m02 * h2, m10 * h0 + m11 * h1 + m12 * h2, m20 * h0 + m21 * h1 + m22 * h2))
+        for h0, h1, h2 in basis
+    ]
+    return None if None in cols else tuple(zip(*cols))
 
 
 def invariant_coords_matrix(m: Sequence[Sequence[int]], sub: SubgroupHNF) -> IntMat:
     """B⁻¹·m·B = H⁻¹·m·H in the actual basis B = H/q of a rank-3 subgroup that m must preserve; ValueError otherwise."""
-    a = frame_coords_matrix(m, _integer_frame(sub))
+    a = frame_coords_matrix(m, _rank3_basis(sub))
     if a is None:
         raise ValueError("subgroup is not invariant under the linear map")
     return a
@@ -392,19 +413,17 @@ def invariant_coords_matrix(m: Sequence[Sequence[int]], sub: SubgroupHNF) -> Int
 def _from_t0_hnfs(T0: SubgroupHNF, bases: Iterable[tuple[tuple[int, int, int], ...]]) -> list[SubgroupHNF]:
     """The subgroups ⟨H·M⟩/q of T0 = H/q for integer column HNFs M in T0-coordinates, sorted by (−D, basis).
 
-    H and M are lower triangular with positive pivots, so H·M keeps M's pivot
-    rows and positive pivots.  Reducing each column by the later ones makes
-    it an HNF; divided by g = gcd(q, its content), over D = q/g, it is
-    canonical.  Unit pivots make T0's HNF the identity: then T0 = ℤ³, each M
-    is its own canonical basis over D = 1, and the tuples sort as they are.
+    `hnf_product` gives the column HNF of H·M; divided by g = gcd(q, its
+    content), over D = q/g, it is canonical.  When T0 = ℤ³ its HNF is the
+    identity, each M is its own canonical basis over D = 1, and the tuples
+    sort as they are.
     """
-    h, _, det, q = _integer_frame(T0)
-    if det == q == 1:
+    basis, q = _rank3_basis(T0), T0.den
+    if q == 1 and basis == IDENTITY:
         return [SubgroupHNF(M, 1) for M in sorted(bases)]
     out = []
-    for basis in bases:
-        cols = [int_matvec(h, col) for col in basis]
-        cols = [hnf_reduce(col, cols[j + 1 :]) for j, col in enumerate(cols)]
+    for M in bases:
+        cols = hnf_product(basis, M)
         g = math.gcd(q, *(x for col in cols for x in col))
         out.append(SubgroupHNF(tuple(tuple(x // g for x in col) for col in cols), q // g))
     out.sort(key=lambda L: (-L.den, L.basis))
@@ -419,17 +438,15 @@ def _from_t0_hnf(T0: SubgroupHNF, basis: tuple[tuple[int, int, int], ...]) -> Su
 def relative_coordinates(sub: SubgroupHNF, sup: SubgroupHNF) -> list[IntVec]:
     """Integer coordinates of sub's basis columns in the actual basis of sup (rank 3, sub ⊆ sup).
 
-    A column h of sub's basis over its den b has the coordinates x/(d·b), for
-    x/d its `coord_numerators` in lowest terms: integral iff d = 1 and b | x.
+    A column h of sub's basis over its den b has the coordinates y/b in the
+    basis H/q of sup, for y the solution of H·y = q·h: integral iff
+    `hnf_solve` finds y and b divides it.
     """
-    b = sub.den
-    cols = []
-    for h in sub.basis:
-        x, d = coord_numerators(h, sup)
-        if d != 1 or any(c % b for c in x):
-            raise NotASubgroup("first argument is not contained in the second")
-        cols.append((x[0] // b, x[1] // b, x[2] // b))
-    return cols
+    basis, q, b = _rank3_basis(sup), sup.den, sub.den
+    ys = [hnf_solve(basis, (q * h0, q * h1, q * h2)) for h0, h1, h2 in sub.basis]
+    if None in ys or any(x % b for y in ys for x in y):
+        raise NotASubgroup("first argument is not contained in the second")
+    return [(y0 // b, y1 // b, y2 // b) for y0, y1, y2 in ys]
 
 
 def relative_integer_basis(sub: SubgroupHNF, sup: SubgroupHNF) -> tuple[tuple[int, int, int], ...]:

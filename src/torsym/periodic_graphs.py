@@ -16,7 +16,6 @@ from .lattices import (
     SubgroupHNF,
     Vec3,
     _from_t0_hnf,
-    _integer_frame,
     IntMat,
     IntVec,
     as_fraction,
@@ -546,7 +545,7 @@ def _normalizer_solutions(G: SpaceGroup) -> tuple[tuple[IntMat, IntMat, IntVec, 
             continue
         covered.update(matmul(c.rot, rows) for c in G.cosets)
         # integral iff S·T0 ⊆ T0, which means S·T0 = T0 because det S = ±1
-        s = frame_coords_matrix(rows, _integer_frame(T0))
+        s = frame_coords_matrix(rows, T0.basis)
         if s is None:
             continue
         s_inv = unimodular_inverse(s)

@@ -24,11 +24,11 @@ from .lattices import (
     Vec3,
     as_fraction,
     as_int,
-    basis_frame,
     coord_numerators,
     frame_coords_matrix,
     hnf_columns,
     hnf_reduce,
+    hnf_solve,
     int_matvec,
     mat_det,
     matmul,
@@ -218,8 +218,8 @@ def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isomet
     of every generator translation; composition cannot introduce new
     denominators, so this is exact.  The columns M of T0's HNF basis scaled
     by that denominator give the maps in T0-coordinates without it:
-    B⁻¹RB = M⁻¹RM and B⁻¹t = M⁻¹·n for a representative's numerators n, with
-    M⁻¹ = adj(M)/det M.
+    B⁻¹RB = M⁻¹RM (`frame_coords_matrix`) and B⁻¹t = M⁻¹·n = y/det M for a
+    representative's numerators n, where M·y = det M·n (`hnf_solve`).
     """
     d_all = math.lcm(*(t.denominator for g in generators for t in g.trans))
     raw = [(g.rot, tuple(t.numerator * (d_all // t.denominator) for t in g.trans)) for g in generators]
@@ -252,12 +252,11 @@ def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isomet
             ta, tb = reps[rot_a], int_matvec(rot_a, trans_b)
             merge(matmul(rot_a, rot_b), (ta[0] + tb[0], ta[1] + tb[1], ta[2] + tb[2]))
     rots = sorted(reps)
-    m_frame = basis_frame(tuple(mcols))
-    coords = [frame_coords_matrix(rot, m_frame) for rot in rots]
+    coords = [frame_coords_matrix(rot, mcols) for rot in rots]
     if None in coords:
         raise InvariantViolation("a coset rotation does not preserve the translation lattice")
-    _, adj, det = m_frame
-    taus = [int_matvec(adj, reps[rot]) for rot in rots]
+    det = mcols[0][0] * mcols[1][1] * mcols[2][2]  # lower triangular
+    taus = [hnf_solve(mcols, [det * x for x in reps[rot]]) for rot in rots]
     g = math.gcd(det, *(x for tau in taus for x in tau))
     maps = tuple((a, (t0 // g, t1 // g, t2 // g)) for a, (t0, t1, t2) in zip(coords, taus))
     # T0 is mcols/d_all in lowest terms: divide out c = gcd(d_all, content), which keeps the HNF

@@ -20,9 +20,10 @@ from .lattices import (
     _from_t0_hnfs,
     adjugate,
     covolume,
+    frame_coords_matrix,
     hnf,
     hnf_columns,
-    hnf_reduce,
+    hnf_product,
     int_matvec,
     invariant_coords_matrix,
     mat_det,
@@ -231,42 +232,10 @@ def _scaled(M: tuple, c: int) -> tuple:
     return tuple(tuple(c * x for x in col) for col in M)
 
 
-def _preimage(M: tuple, K: tuple) -> tuple:
-    """The column HNF of H·K, for H the matrix whose columns are M's basis and K an integer column HNF.
-
-    For K ⊇ pℤ³ that is the preimage in M of the subspace of M/pM whose
-    coordinates in M's basis are K/pℤ³.  H and K are lower triangular with
-    positive pivots, so H·K is too, and reducing each column by the later
-    ones makes it canonical.
-    """
-    h = tuple(zip(*M))
-    cols = [int_matvec(h, col) for col in K]
-    return tuple(hnf_reduce(col, cols[j + 1 :]) for j, col in enumerate(cols))
-
-
 def _primitive(M: tuple) -> tuple[int, tuple]:
     """(c, M₀) with M = c·M₀ for c the content of M's basis."""
     c = math.gcd(*M[0], *M[1], *M[2])
     return c, M if c == 1 else tuple(tuple(x // c for x in col) for col in M)
-
-
-def _action_columns(r: Mat3, M: tuple) -> list[tuple[int, int, int]] | None:
-    """The columns of H⁻¹·r·H for H the matrix whose columns are M's basis, or None when r does not preserve M.
-
-    H is lower triangular, so column j solves H·x = r·Hⱼ by forward
-    substitution; r preserves M exactly when every division is exact.
-    """
-    (a, b, c), (_, d, e), (_, _, f) = M
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
-    cols = []
-    for h0, h1, h2 in M:
-        x0, s0 = divmod(r00 * h0 + r01 * h1 + r02 * h2, a)
-        x1, s1 = divmod(r10 * h0 + r11 * h1 + r12 * h2 - b * x0, d)
-        x2, s2 = divmod(r20 * h0 + r21 * h1 + r22 * h2 - c * x0 - e * x1, f)
-        if s0 or s1 or s2:
-            return None
-        cols.append((x0, x1, x2))
-    return cols
 
 
 @lru_cache(maxsize=None)
@@ -278,24 +247,23 @@ def _maximal_steps(coord_rots: tuple, p: int, M: tuple) -> tuple:
     the annihilator of an invariant line w (a normal) of the transposed
     action.  Step 2: an invariant line in no invariant plane.  Step 3: pM,
     when M/pM is simple.  The rotations act on M, for H its basis, by
-    H⁻¹·r·H (`_action_columns`), whose columns are the rows of the
-    transposed action.  The action's lines are listed only when there is
-    at most one normal: two normals give two invariant planes, which
-    meet in an invariant line L₀, and any other invariant line L lies in
-    the invariant plane L + L₀, so then no line is maximal.
+    H⁻¹·r·H, and N is the HNF of H·K for K the closed-form preimage in ℤ³
+    of the subspace.  The action's lines are listed only when there is at
+    most one normal: two normals give two invariant planes, which meet in
+    an invariant line L₀, and any other invariant line L lies in the
+    invariant plane L + L₀, so then no line is maximal.
     """
-    duals = [_action_columns(r, M) for r in coord_rots]
-    if None in duals:
+    acts = [frame_coords_matrix(r, M) for r in coord_rots]
+    if None in acts:
         raise InvariantViolation("a lattice of the descent is not invariant")
-    normals = _fixed_lines(duals, p)
+    normals = _fixed_lines([tuple(zip(*a)) for a in acts], p)
     lines = []
     if len(normals) <= 1:  # ⟨v⟩ lies in the plane of a normal w exactly when w·v ≡ 0
-        acts = [tuple(zip(*a)) for a in duals]
         lines = [v for v in _fixed_lines(acts, p) if all(sum(x * y for x, y in zip(w, v)) % p for w in normals)]
     if not normals and not lines:  # M/pM is simple: pM, already a column HNF, is the only maximal one
         return ((3, _scaled(M, p)),)
-    planes = [(1, _preimage(M, _annihilator(w, p))) for w in normals]
-    return (*planes, *((2, _preimage(M, _span(v, p))) for v in lines))
+    planes = [(1, hnf_product(M, _annihilator(w, p))) for w in normals]
+    return (*planes, *((2, hnf_product(M, _span(v, p))) for v in lines))
 
 
 @lru_cache(maxsize=None)
@@ -549,7 +517,10 @@ def match_family(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
 
 
 def _rotation_generators(G: SpaceGroup) -> tuple[Mat3, ...]:
-    return tuple(dict.fromkeys(g.rot for g in G.generators if g.rot != IDENTITY))
+    """The distinct rotations of G's generators other than I, those of order 3 (trace 0) first."""
+    # `_fixed_lines` takes its candidates from the first: one line at p = 2, where a half-turn's eigenplane has p + 1
+    rots = dict.fromkeys(g.rot for g in G.generators if g.rot != IDENTITY)
+    return tuple(sorted(rots, key=lambda r: r[0][0] + r[1][1] + r[2][2] != 0))
 
 
 @lru_cache(maxsize=None)

@@ -64,14 +64,17 @@
 - `_UnionFind` holds disjoint sets.  Besides `germ_orbits`, the marked-edge
   tests union every orbit with its normalizer images through it, against
   the package's one sweep of the normalizer transversal.
+- `coords_matrix` writes a map in a lattice basis by the adjugate,
+  adj(H)·m·H / det H.  It checks the package's forward substitution through
+  the triangular basis, `frame_coords_matrix`.
 
 - `vec`, `vadd`, `vneg`, `vscale` and `mat` build and combine `Fraction`
-  vectors and matrices.  `from_coords`, `coords_matrix`, `_from_t0_coords`
-  and `translation` are the coordinate and isometry conversions that the
-  tests state lattices and groups in; the package calls the integer routes
-  behind them directly.
+  vectors and matrices.  `from_coords`, `_from_t0_coords` and `translation`
+  are the coordinate and isometry conversions that the tests state lattices
+  and groups in; the package calls the integer routes behind them directly.
 
-numpy is used only by the literal filter, so it is a test dependency only.
+numpy is used only by the literal filter, which imports it where it runs, so it is a
+test dependency only and the other oracles load without it.
 """
 
 from __future__ import annotations
@@ -84,20 +87,16 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient, UnmatchedLattice
 from torsym.lattices import (
     Mat3,
     SubgroupHNF,
     Vec3,
     _from_t0_hnf,
-    _integer_frame,
     _over_common_denominator,
     as_int,
     coord_numerators,
     covolume,
-    frame_coords_matrix,
     hnf,
     hnf_columns,
     hnf_reduce,
@@ -181,8 +180,20 @@ def from_coords(c: Sequence, sub: SubgroupHNF) -> Vec3:
 
 
 def coords_matrix(m: Sequence[Sequence[int]], sub: SubgroupHNF) -> tuple | None:
-    """B⁻¹·m·B in the actual basis B of a rank-3 subgroup, or None when m does not preserve it."""
-    return frame_coords_matrix(m, _integer_frame(sub))
+    """B⁻¹·m·B in the actual basis B = H/q of a rank-3 subgroup, or None when m does not preserve it.
+
+    The adjugate route: H⁻¹·m·H = adj(H)·m·H / det H, integral exactly when
+    det H divides every entry of the product.  It checks the package's
+    forward substitution, `frame_coords_matrix`.
+    """
+    if sub.rank != 3:
+        raise RankDeficient("coords_matrix requires rank 3")
+    h = tuple(zip(*sub.basis))
+    det = mat_det(h)
+    prod = matmul(matmul(adjugate(h), m), h)
+    if math.gcd(*prod[0], *prod[1], *prod[2]) % det:
+        return None
+    return tuple(tuple(x // det for x in row) for row in prod)
 
 
 def _from_t0_coords(T0: SubgroupHNF, cols: Sequence[Sequence[int]]) -> SubgroupHNF:
@@ -835,6 +846,8 @@ def is_invariant(L: SubgroupHNF, G: SpaceGroup) -> bool:
 
 def _triples_array(d: int) -> np.ndarray:
     """All lower-triangular HNF triples (a, b, c, x, y, z) of determinant d."""
+    import numpy as np
+
     blocks = []
     for a, b, c in _pivot_triples(d):
         x, y, z = np.meshgrid(
@@ -856,6 +869,8 @@ def _triples_array(d: int) -> np.ndarray:
 
 def _invariant_mask(t: np.ndarray, rot: Sequence[Sequence[int]]) -> np.ndarray:
     """Which HNF triples span a lattice mapped into itself by an integer matrix."""
+    import numpy as np
+
     a, b, c, x, y, z = (t[:, i] for i in range(6))
     zero = np.zeros_like(a)
     ok = np.ones(len(t), dtype=bool)
@@ -874,6 +889,8 @@ def _invariant_mask(t: np.ndarray, rot: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def _filtered_triples(T0: SubgroupHNF, coord_rots: tuple, d: int) -> list[SubgroupHNF]:
+    import numpy as np
+
     t = _triples_array(d)
     ok = np.ones(len(t), dtype=bool)
     for rot in coord_rots:

@@ -14,9 +14,10 @@ from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     SubgroupHNF,
     _from_t0_hnf,
-    basis_frame,
     coord_numerators,
     covolume,
+    frame_coords_matrix,
+    from_numerators,
     hnf,
     hnf_columns,
     hnf_reduce,
@@ -31,12 +32,13 @@ from torsym.lattices import (
     matmul,
     member,
     primitive_integer,
+    relative_coordinates,
     relative_integer_basis,
     smith_form,
     solve_congruence,
     unimodular_inverse,
 )
-from torsym.spacegroups import GROUP_NAMES, make_group
+from torsym.spacegroups import GROUP_NAMES, ROT_XYZ, ROT_Y, ROT_Z, make_group, stabilizer, stabilizer_order
 
 from oracles import (
     _from_t0_coords,
@@ -599,7 +601,7 @@ def test_triangular_frame_step_matches_a_full_hnf(name, cols):
     # the reference reduces H·M from scratch and divides by g = gcd(q, content) over D = q/g
     T0 = make_group(name).T0
     M = hnf_columns(cols)
-    h, _, _ = basis_frame(T0.basis)
+    h = tuple(zip(*T0.basis))
     q = T0.den
     ref = hnf_columns([int_matvec(h, col) for col in M])
     g = math.gcd(q, *(x for col in ref for x in col))
@@ -703,6 +705,96 @@ def test_coords_matrix_is_integral_exactly_on_invariant_maps():
     assert coords_matrix(shear, make_group("I432").T0) is None
     with pytest.raises(ValueError):
         invariant_coords_matrix(shear, make_group("I432").T0)
+
+
+@st.composite
+def rank3_subgroups(draw):
+    """A rank-3 canonical subgroup: the HNF of three integer columns at a scale 1/D in 1–12."""
+    cols = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=3, max_size=3))
+    den = draw(st.integers(1, 12))
+    L = hnf([tuple(Fraction(x, den) for x in c) for c in cols])
+    assume(L.rank == 3)
+    return L
+
+
+_rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_maps = st.sampled_from((ROT_Y, ROT_Z, ROT_XYZ, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))) | _INT_MATRICES
+
+
+@given(
+    L=rank3_subgroups(),
+    v=st.tuples(_rational, _rational, _rational),
+    m=_maps,
+    coeffs=st.lists(st.tuples(_small, _small, _small), max_size=3),
+    other=canonical_subgroups(),
+)
+@example(L=THALF, v=(Fraction(1, 2), 0, 0), m=ROT_XYZ, coeffs=[(1, 0, 0), (0, 1, 0)], other=T1)  # rank 2 inside
+@example(L=T2, v=(0, 0, 0), m=ROT_Y, coeffs=[], other=hnf([(1, 0, 0), (0, 1, 0)]))  # rank 2 outside
+@settings(max_examples=200)
+def test_the_basis_change_kernels_match_the_fraction_inverse(L, v, m, coeffs, other):
+    # the reference is the Fraction basis matrix B = H/q of L and its inverse
+    B = basis_matrix(L)
+    inv = mat_inv(B)
+    # coord_numerators is B⁻¹·v in lowest terms, and from_numerators takes it back to v
+    n, d = coord_numerators(v, L)
+    assert d > 0 and math.gcd(d, *n) == 1
+    assert tuple(Fraction(x, d) for x in n) == matvec(inv, v)
+    assert from_numerators(n, d, L) == tuple(v)
+    # frame_coords_matrix is B⁻¹·m·B where that is integral, and None otherwise
+    ref = matmul(inv, matmul(mat(m), B))
+    got = frame_coords_matrix(m, L.basis)
+    if all(x.denominator == 1 for row in ref for x in row):
+        assert got == ref and all(type(x) is int for row in got for x in row)
+    else:
+        assert got is None
+    # relative_coordinates refuses a subgroup exactly when one of its columns lies off L;
+    # `inside`, of rank 0 to 3, is spanned by integer combinations of L's basis
+    inside = hnf([tuple(sum(k * b[i] for k, b in zip(row, L.vectors())) for i in range(3)) for row in coeffs])
+    for sub in (inside, other):
+        coords = [matvec(inv, w) for w in sub.vectors()]
+        if all(x.denominator == 1 for c in coords for x in c):
+            assert relative_coordinates(sub, L) == coords
+        else:
+            with pytest.raises(NotASubgroup):
+                relative_coordinates(sub, L)
+
+
+_MALFORMED = {
+    "coord_numerators-2": lambda G: coord_numerators((1, 2), G.T0),
+    "coord_numerators-4": lambda G: coord_numerators((1, 2, 3, 4), G.T0),
+    "from_numerators-2": lambda G: from_numerators((1, 2), 1, G.T0),
+    "from_numerators-4": lambda G: from_numerators((1, 2, 3, 4), 1, G.T0),
+    "stabilizer-2": lambda G: stabilizer((0, 0), G),
+    "stabilizer-4": lambda G: stabilizer((0, 0, 0, 0), G),
+    "stabilizer_order-2": lambda G: stabilizer_order((0, 0), G),
+    "invariant_coords_matrix-2x2": lambda G: invariant_coords_matrix(((1, 0), (0, 1)), G.T0),
+    "invariant_coords_matrix-3x2": lambda G: invariant_coords_matrix(((1, 0), (0, 1), (0, 0)), G.T0),
+    "frame_coords_matrix-4x3": lambda G: frame_coords_matrix(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)), G.T0.basis),
+}
+
+
+@pytest.mark.parametrize("name", ["P432", "I4_132"])
+@pytest.mark.parametrize("call", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_a_vector_or_matrix_of_the_wrong_shape_is_a_value_error(name, call):
+    # the kernels unpack exactly three entries, so a short or long input never reads as a 3-vector
+    with pytest.raises(ValueError):
+        call(make_group(name))
+
+
+_PLANE = hnf([(1, 0, 0), (0, 1, 0)])
+_RANK_DEFICIENT = {
+    "coord_numerators": lambda L: coord_numerators((1, 0, 0), L),
+    "from_numerators": lambda L: from_numerators((1, 0, 0), 1, L),
+    "invariant_coords_matrix": lambda L: invariant_coords_matrix(ROT_Z, L),
+    "relative_coordinates": lambda L: relative_coordinates(_PLANE, L),
+}
+
+
+@pytest.mark.parametrize("L", [_PLANE, TRIVIAL_SUBGROUP], ids=["rank-2", "rank-0"])
+@pytest.mark.parametrize("call", _RANK_DEFICIENT.values(), ids=_RANK_DEFICIENT.keys())
+def test_coordinates_in_a_subgroup_of_rank_below_three_are_rank_deficient(L, call):
+    with pytest.raises(RankDeficient):
+        call(L)
 
 
 # ============================================================

@@ -14,6 +14,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -24,11 +25,11 @@ from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     SubgroupHNF,
     _from_t0_hnf,
-    basis_frame,
     covolume,
     frame_coords_matrix,
     hnf,
     hnf_columns,
+    hnf_product,
     index,
     is_subgroup,
     relative_integer_basis,
@@ -66,6 +67,7 @@ from torsym.sublattices import (
 
 from oracles import (
     _from_t0_coords,
+    coords_matrix,
     enumerate_sublattices,
     fixed_lines_by_enumeration,
     from_coords,
@@ -943,11 +945,10 @@ _MATRICES = st.sampled_from((ROT_Y, ROT_Z, ROT_XYZ, ROT_4)) | st.tuples(*[st.tup
 @example(((1, 0, 0), (0, 2, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ROT_4)  # y even: not preserved
 def test_the_step_kernels_match_the_general_routes(M, K, r):
     # H·K reduced column by column against hnf_columns; H⁻¹·r·H by forward substitution against
-    # adj(H)·r·H / det H, None on both routes when r does not preserve M
+    # the adjugate route adj(H)·r·H / det H, None on both routes when r does not preserve M
     H = tuple(zip(*M))
-    assert sublattices._preimage(M, K) == hnf_columns([tuple(sum(h * k for h, k in zip(row, col)) for row in H) for col in K])
-    cols = sublattices._action_columns(r, M)
-    assert (None if cols is None else tuple(zip(*cols))) == frame_coords_matrix(r, basis_frame(M))
+    assert hnf_product(M, K) == hnf_columns([tuple(sum(h * k for h, k in zip(row, col)) for row in H) for col in K])
+    assert frame_coords_matrix(r, M) == coords_matrix(r, SubgroupHNF(M, 1))
 
 
 @pytest.mark.parametrize(
@@ -980,6 +981,22 @@ def test_cold_survey_takes_the_action_of_primitive_lattices_only(monkeypatch):
     # one cache entry per primitive lattice and prime: the 31, and T0 of each of the four
     # rotation classes once more at its second prime; 64 when every lattice kept its own
     assert sublattices._maximal_steps.cache_info().currsize <= 35
+
+
+def test_the_rotation_generators_put_a_rotation_of_order_three_first(monkeypatch):
+    # distinct, without I, those of trace 0 first and the rest in the generators' order
+    gens = [SimpleNamespace(rot=r) for r in (ROT_Y, Z3.basis, ROT_XYZ, ROT_Z, ROT_Y, ROT_XYZ)]
+    assert _rotation_generators(SimpleNamespace(generators=gens)) == (ROT_XYZ, ROT_Y, ROT_Z)
+    # a step takes its candidate lines from the first rotation: one at p = 2, where a half-turn has p + 1
+    for name in GROUP_NAMES:
+        G = make_group(name)
+        first = _coord_rotations(G.T0, _rotation_generators(G))[0]
+        assert len(sublattices._fixed_lines([first], 2)) == 1, name
+    _clear_survey_caches()
+    calls = _recording(monkeypatch, ["_fixes"])
+    for name in GROUP_NAMES:
+        normal_translation_subgroups(make_group(name), 256)
+    assert len(calls["_fixes"]) <= 178  # 372 with a half-turn first
 
 
 @pytest.mark.parametrize("rots, listings", [((), 1), ((ROT_Y, ROT_Z), 1)], ids=["scalar", "D2"])
