@@ -18,6 +18,7 @@ from .lattices import (
     _from_t0_hnf,
     IntMat,
     IntVec,
+    adjugate,
     as_fraction,
     as_int,
     coord_numerators,
@@ -30,6 +31,7 @@ from .lattices import (
     invariant_coords_matrix,
     is_subgroup,
     join,
+    mat_det,
     matmul,
     relative_integer_basis,
     rotation_axis,
@@ -47,10 +49,9 @@ Edge = tuple[int, int, IntVec]
 Segment = tuple[Vec3, Vec3]
 # integer numerators over a group's common denominator in T0-coordinates (see _Scaled)
 ScaledSegment = tuple[IntVec, IntVec]
-ScaledAxis = tuple[IntVec, int, int, int]  # direction, class (c₁, c₂), rotation index
 # solved fixed points y/top in the basis of T0 (see _fixed_points)
-Lines = list[tuple[IntVec, list[IntVec], int]]
 Corners = list[tuple[list[IntVec], int]]
+Germs = tuple[tuple[frozenset[IntVec], int], ...]  # germ orbits at a point with their indices (see _germ_orbits)
 
 # ============================================================
 # shift-labeled periodic graphs
@@ -130,76 +131,61 @@ class SingularEdge:
 
 
 # ============================================================
-# rotation axes and vertices modulo the lattice
+# vertices and the axes through them modulo the lattice
 # ============================================================
 
 
-def _fixed_points(G: SpaceGroup) -> tuple[Lines, Corners]:
-    """Rotation axes and vertices modulo T0, as points y/top in the basis of T0, one solve per class.
+def _fixed_points(G: SpaceGroup) -> Corners:
+    """Vertices modulo T0, as points y/top in the basis of T0, one solve per class of half-turn pairs.
 
     B·y is fixed by x ↦ R·x + t + w for some w ∈ T0 iff A·y ≡ −τ (mod ℤ³),
     with A = B⁻¹(R − I)B in the basis B of T0, integral because T0 is
-    invariant, and τ = B⁻¹t.  A rotation fixes the same line as its powers of
-    order 2 or 3, and a coset the same points as its inverse, so the cosets of
-    order 2 and 3 are keyed by (axis direction e in the basis of T0, order):
-    P622's c-axis carries a 2-fold and a 3-fold.  A line entry holds e and a
-    point on each of the d₁·d₂ lines that the Smith form U·A·V = diag(d₁, d₂, 0)
-    gives modulo ℤ³ (none for a screw).  A corner entry holds the common fixed
-    points of two half-turns about non-parallel axes, finitely many because
-    the stacked 6×3 system has rank 3.
-
-    One congruence per class is enough.  For g in G, Fix(g·h·g⁻¹) = g·Fix(h),
-    and g·h·g⁻¹ turns about the image of h's axis.  So the keys, and the
-    unordered pairs of half-turn keys, fall into classes under the cosets'
-    rotation parts, and a class's fixed points are the images of its first
-    member's under the coset maps y ↦ A·y + τ (see `_axes_mod_t0` and
-    `_vertices_mod_t0`).  Conjugate systems share their Smith form, so the
-    whole class shares one top.
+    invariant, and τ = B⁻¹t.  A corner entry holds the common fixed points of
+    two half-turns about non-parallel axes, finitely many because the stacked
+    6×3 system has rank 3.
 
     Half-turn pairs suffice.  A vertex is fixed by two rotations about
     non-parallel axes, so its stabilizer, a finite rotation group that is not
     cyclic, is D_n with n ≥ 2, T or O (I is not crystallographic).  D_n has n
     half-turns about distinct axes perpendicular to its main axis, and T and O
     contain the three half-turns of their D_2.  So every vertex is fixed by two
-    half-turns about non-parallel axes, and it is an image of a common fixed
-    point of the first pair in their class.
+    half-turns about non-parallel axes.
+
+    One congruence per class is enough.  For g in G, Fix(g·h·g⁻¹) = g·Fix(h),
+    and g·h·g⁻¹ turns about the image of h's axis.  So the unordered pairs of
+    half-turn axes fall into classes under the cosets' rotation parts, and
+    every vertex is an image of a common fixed point of the first pair in its
+    class under the coset maps y ↦ A·y + τ (see `_vertices_mod_t0`).
+    Conjugate systems share their Smith form, so the whole class shares one
+    top.
     """
     cosets, den = G.maps
-    line_classes, corner_classes = _rotation_classes(tuple(a for a, _ in cosets))
     system = [(tuple(tuple(a[i][j] - (i == j) for j in range(3)) for i in range(3)), (-t[0], -t[1], -t[2])) for a, t in cosets]
-    lines = []
-    for e, k in line_classes:
-        points, top, kernel = solve_congruence(*system[k], den)
-        if len(kernel) != 1:
-            raise InvariantViolation("fixed set of a rotation is not a line")
-        lines.append((e, points, top))
     corners = []
-    for k1, k2 in corner_classes:
+    for k1, k2 in _rotation_classes(tuple(a for a, _ in cosets)):
         (a1, r1), (a2, r2) = system[k1], system[k2]
         points, top, kernel = solve_congruence(a1 + a2, r1 + r2, den)
         if kernel:
             raise InvariantViolation("two half-turns about non-parallel axes fix a line")
         corners.append((points, top))
-    return lines, corners
+    return corners
 
 
 @lru_cache(maxsize=None)
-def _rotation_classes(rots: tuple[IntMat, ...]) -> tuple[tuple[tuple[IntVec, int], ...], tuple[tuple[int, int], ...]]:
-    """`_fixed_points`' key classes, as (e, first coset keyed by e), and half-turn pair classes, as two cosets.
+def _rotation_classes(rots: tuple[IntMat, ...]) -> tuple[tuple[int, int], ...]:
+    """`_fixed_points`' classes of half-turn pairs, each as the cosets of its first pair.
 
-    Only the rotations in T0-coordinates enter, so P432 and P4_232 share
-    them, and so do I432 and I4_132.
+    A half-turn has trace −1, and each axis direction e is keyed by its first
+    half-turn coset.  Only the rotations in T0-coordinates enter, so P432 and
+    P4_232 share them, and so do I432 and I4_132.
     """
-    keyed: dict[tuple[IntVec, int], int] = {}
+    keyed: dict[IntVec, int] = {}
     for k, a in enumerate(rots):
-        # a rotation of order 1, 2, 3, 4 or 6 has trace 1 + 2·cos(2π/order): 3, −1, 0, 1 or 2
-        if order := {-1: 2, 0: 3}.get(a[0][0] + a[1][1] + a[2][2]):
-            keyed.setdefault((rotation_axis(a), order), k)
-    swept = _orbit_sweep(keyed, lambda a, key: (_turned(a, key[0]), key[1]), rots)
-    lines = tuple((key[0], keyed[key]) for key in dict.fromkeys(swept.values()))
-    pairs = [tuple(sorted(p)) for p in itertools.combinations([k for k in keyed if k[1] == 2], 2)]
-    swept = _orbit_sweep(pairs, lambda a, p: tuple(sorted((_turned(a, e), o) for e, o in p)), rots)
-    return lines, tuple((keyed[k1], keyed[k2]) for k1, k2 in dict.fromkeys(swept.values()))
+        if a[0][0] + a[1][1] + a[2][2] == -1:
+            keyed.setdefault(rotation_axis(a), k)
+    pairs = [tuple(sorted(p)) for p in itertools.combinations(keyed, 2)]
+    swept = _orbit_sweep(pairs, lambda a, p: tuple(sorted(_turned(a, e) for e in p)), rots)
+    return tuple((keyed[e1], keyed[e2]) for e1, e2 in dict.fromkeys(swept.values()))
 
 
 def _orbit_sweep(items, act, moves) -> dict:
@@ -215,7 +201,7 @@ def _orbit_sweep(items, act, moves) -> dict:
 class _Scaled:
     """A group in the basis of T0, where the lattice is ℤ³, on integer numerators over one den.
 
-    den clears the solved points y/top, every coset translation and every
+    den clears the solved vertices y/top, every coset translation and every
     normalizer translation, all in T0-coordinates.  moves and normalizer hold
     the cosets and the `_normalizer_solutions` as (rotation, translation
     numerators) in T0-coordinates.  A point's cell and its representative in
@@ -269,34 +255,6 @@ def _turned(a: IntMat, e: IntVec) -> IntVec:
     return (x0, x1, x2) if (x0 or x1 or x2) > 0 else (-x0, -x1, -x2)
 
 
-def _axes_mod_t0(sc: _Scaled, lines: Lines) -> list[ScaledAxis]:
-    """(direction, class, rotation index) of every rotation-axis class modulo ℤ³, sorted.
-
-    The class of the line through y along e is (U·y)₁,₂ modulo den, with U
-    from `_axis_basis`; its base point is U⁻¹·(0, c₁, c₂).  The solved lines
-    are swept by every coset map y ↦ A·y + τ.  The index, the number of
-    cosets with an element fixing the line pointwise, is counted once per
-    orbit and carried along it: Stab(g·y) = g·Stab(y)·g⁻¹.
-    """
-    den = sc.den
-
-    def key(e: IntVec, y: IntVec) -> tuple[IntVec, int, int]:
-        _, c1, c2 = int_matvec(_axis_basis(e)[0], y)
-        return (e, c1 % den, c2 % den)
-
-    @lru_cache(maxsize=None)
-    def base(k: tuple[IntVec, int, int]) -> IntVec:
-        return int_matvec(_axis_basis(k[0])[1], (0, k[1], k[2]))
-
-    def act(move, k: tuple[IntVec, int, int]) -> tuple[IntVec, int, int]:
-        return key(_turned(move[0], k[0]), _affine(move, base(k)))
-
-    solved = [key(e, tuple(x * (den // top) for x in y)) for e, points, top in lines for y in points]
-    found = _orbit_sweep(solved, act, sc.moves)
-    index = {k: sum(1 for a in sc.stabilizer(base(k)) if int_matvec(a, k[0]) == k[0]) for k in set(found.values())}
-    return [(*k, index[found[k]]) for k in sorted(found)]
-
-
 def _vertices_mod_t0(sc: _Scaled, corners: Corners) -> list[IntVec]:
     """Vertex classes, the solved corners swept by every coset map, reduced into the cell [0,1)³ and sorted."""
     den = sc.den
@@ -304,32 +262,33 @@ def _vertices_mod_t0(sc: _Scaled, corners: Corners) -> list[IntVec]:
     return sorted(_orbit_sweep(solved, lambda m, y: tuple(x % den for x in _affine(m, y)), sc.moves))
 
 
-def _axis_segments(
-    sc: _Scaled, axes: Sequence[ScaledAxis], verts: Sequence[IntVec]
-) -> list[list[ScaledSegment]]:
-    """For each axis, the maximal vertex-free straight segments covering one period.
+def _axis_segments(sc: _Scaled, germs: dict[IntVec, Germs]) -> list[ScaledSegment]:
+    """The maximal vertex-free straight segments of the axes through the vertices, one period of each axis class.
 
-    An axis gets an empty list when no vertex meets it (a circle component).
-    In the coordinates U·y of `_axis_basis`, the axis (e, c) is the line
-    (x, c₁, c₂) with period den in x, and the vertex v meets it at
-    x = (U·v)₀ mod den iff (U·v)₁,₂ ≡ c.  Consecutive such x, the first
-    repeated one period on, bound the segments.
+    germs maps each vertex class to its `_germ_orbits`.  A rotation about an
+    axis through v fixes v, so the germ directions at v with their first
+    nonzero entry positive are exactly the axes through v.  In the
+    coordinates U·y of `_axis_basis`, the axis along e through v is the line
+    (x, c₁, c₂) with (c₁, c₂) = (U·v)₁,₂ mod den and period den in x, and v
+    meets it at x = (U·v)₀ mod den.  Consecutive such x on one line, the
+    first repeated one period on, bound the segments.  An axis through no
+    vertex, a closed singular circle, carries no segment.
     """
     den = sc.den
     on_line: dict[tuple[IntVec, int, int], set[int]] = {}
-    for e in {ax[0] for ax in axes}:
-        u, _ = _axis_basis(e)
-        for v in verts:
-            x, c1, c2 = int_matvec(u, v)
-            on_line.setdefault((e, c1 % den, c2 % den), set()).add(x % den)
+    for v, orbits in germs.items():
+        for dirs, _ in orbits:
+            for e in dirs:
+                if (e[0] or e[1] or e[2]) > 0:
+                    x, c1, c2 = int_matvec(_axis_basis(e)[0], v)
+                    on_line.setdefault((e, c1 % den, c2 % den), set()).add(x % den)
     out = []
-    for e, c1, c2, _ in axes:
-        xs = sorted(on_line.get((e, c1, c2), ()))
-        if xs:
-            xs.append(xs[0] + den)
+    for (e, c1, c2), found in on_line.items():
+        xs = sorted(found)
+        xs.append(xs[0] + den)
         u_inv = _axis_basis(e)[1]
         pts = [int_matvec(u_inv, (x, c1, c2)) for x in xs]
-        out.append(list(zip(pts, pts[1:])))
+        out.extend(zip(pts, pts[1:]))
     return out
 
 
@@ -339,7 +298,7 @@ def _axis_segments(
 
 
 @lru_cache(maxsize=None)
-def _germ_orbits(rots: tuple[IntMat, ...]) -> tuple[tuple[frozenset[IntVec], int], ...]:
+def _germ_orbits(rots: tuple[IntMat, ...]) -> Germs:
     """Orbits of outgoing axis germs at a singular point, each with its index, memoised per stabilizer.
 
     rots are the rotation parts of the point's stabilizer, the identity left
@@ -359,8 +318,8 @@ def _germ_orbits(rots: tuple[IntMat, ...]) -> tuple[tuple[frozenset[IntVec], int
     return tuple(sorted(out, key=lambda o: (o[1], min(o[0]))))
 
 
-def _edge_data(seg: ScaledSegment, germs) -> tuple[int, tuple[int, int, int, int]]:
-    """Edge index and four-germ link signature of a singular segment."""
+def _edge_data(den: int, seg: ScaledSegment, germs: dict[IntVec, Germs]) -> tuple[int, tuple[int, int, int, int]]:
+    """Edge index and four-germ link signature of a singular segment, its ends read off the vertex classes' germ orbits."""
     own = set()
     others: list[int] = []
     for p, q in (seg, seg[::-1]):
@@ -368,7 +327,7 @@ def _edge_data(seg: ScaledSegment, germs) -> tuple[int, tuple[int, int, int, int
         g = math.gcd(*diff)
         u = (diff[0] // g, diff[1] // g, diff[2] // g)
         rest = []
-        for dirs, idx in germs(p):
+        for dirs, idx in germs[(p[0] % den, p[1] % den, p[2] % den)]:
             if u in dirs:
                 own.add(idx)
             else:
@@ -427,14 +386,13 @@ def _segment_orbits(sc: _Scaled, raw: Sequence[ScaledSegment]) -> list[list[Scal
 class _SingularData:
     """Cached singular-set decomposition of one space group.
 
-    axis_classes, vertex_classes, circle_classes, orbit_of and orbits hold
-    T0-coordinates, integer numerators over sc.den.
+    vertex_classes, orbit_of and orbits hold T0-coordinates, integer
+    numerators over sc.den.  The rotation axes are not kept: every segment
+    lies on an axis through a vertex, and an axis through none adds no edge.
     """
 
     sc: _Scaled
-    axis_classes: list[ScaledAxis]
     vertex_classes: list[IntVec]
-    circle_classes: list[ScaledAxis]
     orbit_of: dict[ScaledSegment, int]
     orbits: list[list[ScaledSegment]]
     edges: tuple[SingularEdge, ...]
@@ -442,34 +400,24 @@ class _SingularData:
 
 @lru_cache(maxsize=None)
 def _singular_data(G: SpaceGroup) -> _SingularData:
-    """The singular set of G in T0-coordinates, with frame rationals built only for the public values."""
-    lines, corners = _fixed_points(G)
-    sc = _Scaled(G, [top for _, _, top in lines] + [top for _, top in corners])
-    axes = _axes_mod_t0(sc, lines)
+    """The singular set of G in T0-coordinates, with frame rationals built only for the public values.
+
+    One stabilizer scan per vertex class gives its germ orbits, which both
+    name the axes through it (`_axis_segments`) and label the segment ends
+    (`_edge_data`).
+    """
+    corners = _fixed_points(G)
+    sc = _Scaled(G, [top for _, top in corners])
     verts = _vertices_mod_t0(sc, corners)
-    raw: list[ScaledSegment] = []
-    circles = []
-    for ax, segs in zip(axes, _axis_segments(sc, axes, verts)):
-        if not segs:
-            circles.append(ax)
-        raw.extend(segs)
-
-    memo: dict[IntVec, tuple] = {}
-
-    def germs(p: IntVec):
-        rep = (p[0] % sc.den, p[1] % sc.den, p[2] % sc.den)
-        if rep not in memo:
-            memo[rep] = _germ_orbits(tuple(r for r in sc.stabilizer(rep) if r != IDENTITY))
-        return memo[rep]
-
-    orbits = _segment_orbits(sc, raw)
+    germs = {v: _germ_orbits(tuple(r for r in sc.stabilizer(v) if r != IDENTITY)) for v in verts}
+    orbits = _segment_orbits(sc, _axis_segments(sc, germs))
     orbit_of = {seg: oid for oid, members in enumerate(orbits) for seg in members}
     edges = []
     for oid, members in enumerate(orbits):
-        edge_index, link = _edge_data(members[0], germs)
+        edge_index, link = _edge_data(sc.den, members[0], germs)
         seg = (sc.to_frame(members[0][0]), sc.to_frame(members[0][1]))
         edges.append(SingularEdge(segment=seg, edge_index=edge_index, link=link, orbit_id=oid))
-    return _SingularData(sc, axes, verts, circles, orbit_of, orbits, tuple(edges))
+    return _SingularData(sc, verts, orbit_of, orbits, tuple(edges))
 
 
 def singular_graph(G: SpaceGroup) -> list[SingularEdge]:
@@ -491,27 +439,29 @@ _MARKED_LINK = (2, 2, 2, 3)
 
 @lru_cache(maxsize=None)
 def _frame_symmetries(frame) -> tuple[IntMat, ...]:
-    """Integer matrices with entries in {-1, 0, 1} of determinant ±1 preserving the frame metric.
+    """Integer matrices of determinant ±1 preserving the frame metric.
 
-    Column j of such a matrix has squared length gram[j][j], so each column is
-    drawn from the short vectors of that length, and a column joins a partial
-    triple only when its products with the columns before it are the Gram
-    entries gram[i][j].  So every full triple has mᵀ·gram·m = gram, and
-    det m = ±1 because gram is positive definite.  The result is in row-major
-    lexicographic order.
+    Column j of such a matrix is a vector x with xᵀ·gram·x = gram[j][j].
+    Cauchy–Schwarz for the form gives xᵢ² ≤ (xᵀ·gram·x)·(gram⁻¹)ᵢᵢ, so each
+    column is drawn from the exact box |xᵢ| ≤ √(gram[j][j]·adj(gram)ᵢᵢ / det
+    gram), and a column joins a partial triple only when its products with
+    the columns before it are the Gram entries gram[i][j].  So every full
+    triple has mᵀ·gram·m = gram, and det m = ±1 because gram is positive
+    definite.  The result is in row-major lexicographic order.
     """
     gram = frame.gram
-    short = list(itertools.product((-1, 0, 1), repeat=3))
-    gram_v = {v: int_matvec(gram, v) for v in short}  # so each u·gram·v is one dot product
+    adj, det = adjugate(gram), mat_det(gram)
 
-    def form(u: IntVec, v: IntVec) -> int:
-        (u0, u1, u2), (w0, w1, w2) = u, gram_v[v]
-        return u0 * w0 + u1 * w1 + u2 * w2
+    def form(u: IntVec, w: IntVec) -> int:
+        return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
 
-    columns = [[v for v in short if form(v, v) == gram[j][j]] for j in range(3)]
+    columns = []  # each candidate v with gram·v, so each u·gram·v is one dot product
+    for j in range(3):
+        box = itertools.product(*(range(-b, b + 1) for b in (math.isqrt(gram[j][j] * adj[i][i] // det) for i in range(3))))
+        columns.append([(v, w) for v in box if form(v, w := int_matvec(gram, v)) == gram[j][j]])
     triples: list[tuple[IntVec, ...]] = [()]
     for j, column in enumerate(columns):
-        triples = [t + (v,) for t in triples for v in column if all(form(u, v) == gram[i][j] for i, u in enumerate(t))]
+        triples = [t + (v,) for t in triples for v, w in column if all(form(u, w) == gram[i][j] for i, u in enumerate(t))]
     return tuple(sorted(tuple(zip(*cols)) for cols in triples))
 
 

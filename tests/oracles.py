@@ -10,7 +10,9 @@
 - `fixed_axis` solves for a rotation's fixed line by Gaussian elimination and
   returns it as an `Axis`.  It checks the Smith-form singular set, which
   `singular_axes`, `singular_vertices` and `singular_circles` write as frame
-  values, through the window scans of `test_periodic_graph.py`.
+  values, through the window scans of `test_periodic_graph.py`.  The axes
+  and circles come from `fixed_points_per_coset` and `axis_classes`: the
+  package keeps no table of axes.
   `_plane_lattice` and `_axis_base` are those scans' own axis
   canonicaliser: they name a line modulo the lattice by its projection along
   its direction, reduced by the projected plane lattice, where the package
@@ -40,14 +42,17 @@
   set.
 - `fixed_points_per_coset` solves one fixed-point congruence per rotation
   coset and per pair of half-turn cosets, on `Fraction` coset coordinates
-  (`coset_coords`), and `axis_classes` scans a stabilizer per axis class.
-  They check the package's one solve per conjugacy class, carried to the
-  rest by the coset maps.  `germ_orbits` is the union-find over stabilizer
-  and germ directions that the package's one sweep per orbit replaces.
+  (`coset_coords`), and `axis_classes` scans a stabilizer per axis class for
+  its rotation index.  They check the package's one solve per class of
+  half-turn pairs, carried to the rest by the coset maps, and the segments
+  it reads off the vertex stabilizers: each lies on a solved axis class,
+  with that axis's index as its edge index.  `germ_orbits` is the
+  union-find over stabilizer and germ directions that the package's one
+  sweep per orbit replaces.
 - `rotation_order` takes powers of a rotation until it reaches the identity,
-  and `rotation_classes_by_power_loop` is `_rotation_classes` keyed by it.
-  They check the package, which reads the order of a coset rotation off its
-  trace.
+  and `rotation_classes_by_power_loop` is `_rotation_classes` with its
+  half-turns found by it.  They check the package, which reads a half-turn
+  off its trace.
 - `suppress_valence_two_by_rescan` smooths one valence-2 vertex at a time
   and rebuilds its incidence map after each.  It checks the package's one
   pass in vertex order.
@@ -116,11 +121,13 @@ from torsym.lattices import (
 )
 from torsym.periodic_graphs import (
     PeriodicGraph,
+    _Scaled,
     _SingularData,
     _axis_basis,
     _normalize_edge,
     _normalizer_solutions,
     _orbit_sweep,
+    _singular_data,
     _turned,
 )
 from torsym.spacegroups import (
@@ -591,15 +598,22 @@ def numerators(v: Sequence, den: int) -> IntVec:
     return tuple(x.numerator * (den // x.denominator) for x in v)  # type: ignore[return-value]
 
 
-def _frame_axis(data: _SingularData, e: IntVec, c1: int, c2: int, order: int) -> Axis:
-    """The axis class (e, c₁, c₂) of `_singular_data` in frame coordinates: base U⁻¹·(0, c₁, c₂) over den."""
-    base = data.sc.to_frame(int_matvec(_axis_basis(e)[1], (0, c1, c2)))
-    return Axis(base=base, direction=primitive_integer(from_numerators(e, 1, data.sc.T0)), order=order)
+def _frame_axis(sc: _Scaled, e: IntVec, c1: int, c2: int, order: int) -> Axis:
+    """The axis class (e, c₁, c₂) over sc.den in frame coordinates: base U⁻¹·(0, c₁, c₂) over den."""
+    base = sc.to_frame(int_matvec(_axis_basis(e)[1], (0, c1, c2)))
+    return Axis(base=base, direction=primitive_integer(from_numerators(e, 1, sc.T0)), order=order)
 
 
-def singular_axes(data: _SingularData) -> list[Axis]:
-    """The axes of a singular set that carry a vertex, one per class modulo T0, in frame coordinates."""
-    return [_frame_axis(data, *ax) for ax in data.axis_classes]
+@lru_cache(maxsize=None)
+def _axis_classes_of(G: SpaceGroup) -> tuple[tuple[IntVec, int, int, int], ...]:
+    """`axis_classes` of the lines of `fixed_points_per_coset`, over the den of `_singular_data`."""
+    return tuple(axis_classes(_singular_data(G).sc, fixed_points_per_coset(G)[0]))
+
+
+def singular_axes(G: SpaceGroup) -> list[Axis]:
+    """Every rotation axis of G, one per class modulo T0, with its rotation index, in frame coordinates."""
+    sc = _singular_data(G).sc
+    return [_frame_axis(sc, *ax) for ax in _axis_classes_of(G)]
 
 
 def singular_vertices(data: _SingularData) -> list[Vec3]:
@@ -607,9 +621,16 @@ def singular_vertices(data: _SingularData) -> list[Vec3]:
     return [data.sc.to_frame(v) for v in data.vertex_classes]
 
 
-def singular_circles(data: _SingularData) -> list[Axis]:
-    """The axes of a singular set that carry no vertex (closed singular circles), in frame coordinates."""
-    return [_frame_axis(data, *ax) for ax in data.circle_classes]
+def singular_circles(G: SpaceGroup) -> list[Axis]:
+    """The rotation axes of G that carry no vertex of `_singular_data` (closed singular circles), in frame coordinates."""
+    data = _singular_data(G)
+    den = data.sc.den
+    out = []
+    for e, c1, c2, order in _axis_classes_of(G):
+        u = _axis_basis(e)[0]
+        if all((x1 - c1) % den or (x2 - c2) % den for _, x1, x2 in (int_matvec(u, v) for v in data.vertex_classes)):
+            out.append(_frame_axis(data.sc, e, c1, c2, order))
+    return out
 
 
 # ============================================================
@@ -686,8 +707,15 @@ def fixed_points_per_coset(G: SpaceGroup) -> tuple[list, list]:
 
 
 def axis_classes(sc, lines) -> list[tuple[IntVec, int, int, int]]:
-    """(direction, class, rotation index) of every line, each index counted by its own stabilizer scan."""
+    """(direction, class, rotation index) of every line, sorted, each index counted by its own stabilizer scan.
+
+    The class of the line through y along e is (U·y)₁,₂ modulo sc.den, with
+    U from `_axis_basis`; its base point is U⁻¹·(0, c₁, c₂).  The index is
+    the number of cosets with an element fixing the line pointwise.
+    """
     den = sc.den
+    if any(den % top for *_, top in lines):
+        raise ValueError("the den of sc does not clear the solved lines")
     found: dict[tuple[IntVec, int, int], int] = {}
     for e, points, top in lines:
         u, u_inv = _axis_basis(e)
@@ -719,17 +747,15 @@ def rotation_order(rot: Sequence[Sequence[int]]) -> int:
     raise ValueError("rotation order exceeds 6; not a crystallographic rotation")
 
 
-def rotation_classes_by_power_loop(rots: tuple) -> tuple[tuple, tuple]:
-    """`periodic_graphs._rotation_classes` with each order taken by `rotation_order`."""
-    keyed: dict[tuple[IntVec, int], int] = {}
+def rotation_classes_by_power_loop(rots: tuple) -> tuple[tuple[int, int], ...]:
+    """`periodic_graphs._rotation_classes`, the half-turn pair classes, with each half-turn found by `rotation_order`."""
+    keyed: dict[IntVec, int] = {}
     for k, a in enumerate(rots):
-        if (order := rotation_order(a)) in (2, 3):
-            keyed.setdefault((rotation_axis(a), order), k)
-    swept = _orbit_sweep(keyed, lambda a, key: (_turned(a, key[0]), key[1]), rots)
-    lines = tuple((key[0], keyed[key]) for key in dict.fromkeys(swept.values()))
-    pairs = [tuple(sorted(p)) for p in itertools.combinations([k for k in keyed if k[1] == 2], 2)]
-    swept = _orbit_sweep(pairs, lambda a, p: tuple(sorted((_turned(a, e), o) for e, o in p)), rots)
-    return lines, tuple((keyed[k1], keyed[k2]) for k1, k2 in dict.fromkeys(swept.values()))
+        if rotation_order(a) == 2:
+            keyed.setdefault(rotation_axis(a), k)
+    pairs = [tuple(sorted(p)) for p in itertools.combinations(keyed, 2)]
+    swept = _orbit_sweep(pairs, lambda a, p: tuple(sorted(_turned(a, e) for e in p)), rots)
+    return tuple((keyed[e1], keyed[e2]) for e1, e2 in dict.fromkeys(swept.values()))
 
 
 @lru_cache(maxsize=None)
@@ -1026,7 +1052,8 @@ def frame_symmetries(frame: Frame) -> tuple:
     """Integer matrices with entries in {-1, 0, 1} of determinant ±1 preserving the frame metric.
 
     Every triple of columns of the right squared lengths goes through the
-    determinant and metric checks; the result is sorted.
+    determinant and metric checks; the result is sorted.  For `CUBIC_FRAME`
+    and `HEX_FRAME` the package's exact Cauchy–Schwarz box is this window.
     """
     gram = frame.gram
     short = list(itertools.product((-1, 0, 1), repeat=3))

@@ -47,6 +47,7 @@ from torsym.periodic_graphs import (
 from torsym.spacegroups import (
     CUBIC_FRAME,
     HEX_FRAME,
+    Frame,
     Isometry,
     SpaceGroup,
     _closure,
@@ -244,21 +245,35 @@ def rational_orbit_of(data):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_singular_set_shape(name):
-    data = _singular_data(make_group(name))
+    G = make_group(name)
+    data = _singular_data(G)
     n_axes, n_verts, n_segs, n_orbits = EXPECTED_SHAPE[name]
-    assert len(singular_axes(data)) == n_axes
+    assert len(singular_axes(G)) == n_axes
     assert len(singular_vertices(data)) == n_verts
     assert len(data.orbit_of) == n_segs
     assert len(data.orbits) == n_orbits
-    assert singular_circles(data) == []
+    assert singular_circles(G) == []
 
 
 # ------------------------------------------------------------
-# one solve per conjugacy class, carried by the cosets, against one solve per
-# coset with a stabilizer scan per axis class (oracles.fixed_points_per_coset)
+# one solve per class of half-turn pairs, carried by the cosets, and the axes
+# read off the vertex stabilizers, against one solve per coset with a
+# stabilizer scan per axis class (oracles.fixed_points_per_coset)
 # ------------------------------------------------------------
 
 _ROT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def segment_lines(data):
+    """The edge index of each axis class (e, c₁, c₂) that carries a segment, keyed as `_axis_segments` keys it."""
+    den = data.sc.den
+    out = {}
+    for (a, b), oid in data.orbit_of.items():
+        e = primitive_integer(tuple(y - x for x, y in zip(a, b)))
+        _, c1, c2 = int_matvec(_axis_basis(e)[0], a)
+        # every segment of one axis has the axis's index
+        assert out.setdefault((e, c1 % den, c2 % den), data.edges[oid].edge_index) == data.edges[oid].edge_index
+    return out
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -268,10 +283,11 @@ def test_coset_coords_match_the_fraction_route(name):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_axis_and_vertex_classes_match_one_solve_per_coset(name):
+    # the segments lie on exactly the solved axis classes, each with the axis's rotation index as its edge index
     data = _singular_data(make_group(name))
     lines, corners = fixed_points_per_coset(make_group(name))
     assert all(data.sc.den % top == 0 for top in [t for *_, t in lines] + [t for _, t in corners])
-    assert data.axis_classes == axis_classes(data.sc, lines)
+    assert segment_lines(data) == {ax[:3]: ax[3] for ax in axis_classes(data.sc, lines)}
     assert data.vertex_classes == vertex_classes(data.sc, corners)
 
 
@@ -286,13 +302,12 @@ def test_germ_orbits_match_the_union_find_at_every_vertex(name):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_fixed_points_solve_one_congruence_per_class(name, monkeypatch):
-    # cubic: 3 rotation classes (2-folds on the 4-fold axes, 3-folds, 2-folds on
-    # the face diagonals) and 5 classes of half-turn pairs; P622: 4 and 6
+    # 5 classes of half-turn pairs for a cubic group, 6 for P622
     calls = []
     solve = periodic_graphs.solve_congruence
     monkeypatch.setattr(periodic_graphs, "solve_congruence", lambda *a: calls.append(a) or solve(*a))
     _fixed_points(make_group(name))
-    assert len(calls) == (10 if name == "P622" else 8)
+    assert len(calls) == (6 if name == "P622" else 5)
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -304,7 +319,8 @@ def test_every_solved_system_has_the_block_scan_solution_set(name, monkeypatch):
     G = make_group(name)
     _fixed_points(G)
     _normalizer_solutions.__wrapped__(G)
-    assert len(calls) >= 9
+    # five or six half-turn pair classes and at least one normalizer system
+    assert len(calls) >= 6
     for m, nums, den in calls:
         points, top, kernel = solve(m, nums, den)
         want, want_top, want_kernel = oracles.solve_congruence_by_block_scan(m, nums, den)
@@ -315,7 +331,7 @@ def test_every_solved_system_has_the_block_scan_solution_set(name, monkeypatch):
         assert congruence_classes(points, top, want_kernel) == congruence_classes(want, top, want_kernel)
         assert len(congruence_classes(points, top, want_kernel)) == len(points)
     # the columns of `_axis_basis`: U·e = ±e₁, with the oracle's one invariant
-    for e in {ax[0] for ax in _singular_data(G).axis_classes}:
+    for e in {e for e, *_ in segment_lines(_singular_data(G))}:
         assert smith_form([[x] for x in e])[1] == oracles.smith_form_by_block_scan([[x] for x in e])[1] == [1]
         assert int_matvec(_axis_basis(e)[0], e) in ((1, 0, 0), (-1, 0, 0))
 
@@ -325,7 +341,7 @@ def test_axis_and_vertex_classes_are_closed_under_every_coset(name):
     data = _singular_data(make_group(name))
     den = data.sc.den
     verts = set(data.vertex_classes)
-    index = {ax[:3]: ax[3] for ax in data.axis_classes}
+    index = segment_lines(data)
     for a, t in data.sc.moves:
         for v in verts:
             assert tuple((x + s) % den for x, s in zip(int_matvec(a, v), t)) in verts
@@ -517,7 +533,7 @@ def test_axis_window_saturates(name):
     # the exact solve finds every axis class, and the windows find no other
     G = make_group(name)
     # the oracle's canonical base of each axis, which the package need not use
-    found = {_axis_class(G.T0, a.base, a.direction): a.order for a in singular_axes(_singular_data(G))}
+    found = {_axis_class(G.T0, a.base, a.direction): a.order for a in singular_axes(G)}
     axes = [Axis(base=b, direction=d, order=found[(d, b)]) for d, b in sorted(found)]
     for radius in (2, 3):
         assert window_axes(G, radius) == axes
@@ -528,7 +544,7 @@ def test_vertex_window_saturates(name):
     G = make_group(name)
     data = _singular_data(G)
     for radius in (2, 3):
-        assert window_vertices(G, singular_axes(data), radius) == singular_vertices(data)
+        assert window_vertices(G, singular_axes(G), radius) == singular_vertices(data)
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -538,7 +554,7 @@ def test_axis_segments_match_window_oracle(name):
     G = make_group(name)
     data = _singular_data(G)
     found = set()
-    for ax in singular_axes(data):
+    for ax in singular_axes(G):
         offs = window_offsets(G, ax, singular_vertices(data), 2)
         assert offs, "every axis meets a vertex"
         offs.append(offs[0] + _axis_period(G.T0, ax.direction))
@@ -620,7 +636,7 @@ def test_marked_edges_match_union_find_classes(name):
 
 def test_axis_orders_are_crystallographic():
     for name in GROUPS:
-        orders = {a.order for a in singular_axes(_singular_data(make_group(name)))}
+        orders = {a.order for a in singular_axes(make_group(name))}
         assert orders <= {2, 3, 4, 6}
         if name == "P622":
             assert 6 in orders
@@ -630,7 +646,7 @@ def test_axis_orders_are_crystallographic():
 
 def test_p432_axes_pass_through_quarter_rational_points():
     data = _singular_data(make_group("P432"))
-    for ax in singular_axes(data):
+    for ax in singular_axes(make_group("P432")):
         assert all((4 * x).denominator == 1 for x in ax.base)
     for v in singular_vertices(data):
         assert all((4 * x).denominator == 1 for x in v)
@@ -751,7 +767,7 @@ def test_stabilizers_match_the_fraction_oracle_on_the_singular_set(name):
     # the public stabilizers scan the integer coset maps; the oracle applies each Fraction coset
     G = make_group(name)
     data = _singular_data(G)
-    points = [*singular_vertices(data), *(ax.base for ax in singular_axes(data))]
+    points = [*singular_vertices(data), *(ax.base for ax in singular_axes(G))]
     points += [tuple((x + y) / 2 for x, y in zip(*e.segment)) for e in singular_graph(G)]
     for p in points:
         assert stabilizer(p, G) == oracles.stabilizer(p, G)
@@ -771,7 +787,8 @@ def test_stabilizers_match_the_fraction_oracle_at_rational_points(name, p, k, on
     # a point drawn on a rotation axis has a nontrivial stabilizer, a free point mostly not
     G = make_group(name)
     if on_axis:
-        ax = singular_axes(_singular_data(G))[k % len(singular_axes(_singular_data(G)))]
+        axes = singular_axes(G)
+        ax = axes[k % len(axes)]
         p = vadd(ax.base, vscale(p[0], vec(*ax.direction)))
     assert stabilizer(p, G) == oracles.stabilizer(p, G)
     assert stabilizer_order(p, G) == oracles.stabilizer_order(p, G)
@@ -858,6 +875,40 @@ def test_a_renamed_record_keeps_its_own_singular_set():
     assert _shape(G) == _shape(make_group("I432"))
     assert len(singular_graph(make_group("P432"))) == 56
     assert [e.orbit_id for e in marked_edges(make_group("P432"))] == [2]
+
+
+def test_a_record_whose_axes_carry_no_vertex_has_an_empty_singular_graph():
+    # P2₁3: its half-turns are all 2₁ screws, so its 3-fold axes meet no vertex
+    # and close up into singular circles, which carry no edge
+    h = Fraction(1, 2)
+    gens = [Isometry(CUBIC_FRAME, _ROT_IDENTITY, v) for v in _ROT_IDENTITY]
+    gens += [
+        Isometry(CUBIC_FRAME, ((-1, 0, 0), (0, -1, 0), (0, 0, 1)), (h, 0, h)),
+        Isometry(CUBIC_FRAME, ((-1, 0, 0), (0, 1, 0), (0, 0, -1)), (0, h, h)),
+        Isometry(CUBIC_FRAME, ((0, 0, 1), (1, 0, 0), (0, 1, 0)), (0, 0, 0)),
+    ]
+    cosets, T0, maps = _closure(gens)
+    G = SpaceGroup("P2_13", CUBIC_FRAME, tuple(gens), T0, len(cosets), tuple(cosets), maps)
+    assert G.point_order == 12
+    assert _singular_data(G).vertex_classes == []
+    assert singular_graph(G) == []
+    assert marked_edges(G) == []
+    assert singular_circles(G) == singular_axes(G)
+    assert sorted(a.order for a in singular_axes(G)) == [3, 3, 3, 3]
+
+
+def _basis_changes():
+    a = ((2, 1, 0), (1, 1, 0), (0, 0, 1))
+    return [(CUBIC_FRAME, a), (CUBIC_FRAME, ((1, 1, 0), (0, 1, 0), (0, 0, 1))), (HEX_FRAME, a)]
+
+
+@pytest.mark.parametrize("frame, a", _basis_changes(), ids=["cubic-a", "cubic-shear", "hex-a"])
+def test_frame_symmetries_follow_a_unimodular_change_of_basis(frame, a):
+    # in the basis A the metric is AᵀGA and each symmetry S becomes A⁻¹SA, whose entries can exceed 1
+    a_inv = tuple(tuple(int(x) for x in row) for row in mat_inv(mat(a)))
+    gram = matmul(matmul(tuple(zip(*a)), frame.gram), a)
+    want = tuple(sorted(matmul(matmul(a_inv, s), a) for s in _frame_symmetries(frame)))
+    assert _frame_symmetries(Frame(frame.name, gram)) == want
 
 
 def test_frame_symmetry_counts():
