@@ -379,6 +379,15 @@ def _fills_t0(L: SubgroupHNF, I: SubgroupHNF, T0: SubgroupHNF) -> bool:
     return 1 in accumulate(map(mat_det, combinations(cols, 3)), math.gcd, initial=0)
 
 
+def _case(G: SpaceGroup, edge: str) -> _Case:
+    """G's case for a marked edge label: a ValueError if G has no such edge, an InvariantViolation if `CASES` names it."""
+    cases = _cases(G)[1]
+    if edge not in cases:
+        fault = InvariantViolation if (G.name, edge) in CASES else ValueError
+        raise fault(f"{G.name} has no edge {edge}; choose from {sorted(cases)}")
+    return cases[edge]
+
+
 # ============================================================
 # classification
 # ============================================================
@@ -394,10 +403,7 @@ def _classify(G: SpaceGroup, edge: str, max_index: int) -> list[ClassificationRo
     """`classify_case` on the record G; the name is read only to label the rows and look up `KNOTTED`."""
     if edge not in EDGE_LABELS:
         raise ValueError(f"unknown edge label {edge!r}")
-    mults, cases = _cases(G)
-    if edge not in cases:
-        raise ValueError(f"{G.name} has no edge {edge}; choose from {sorted(cases)}")
-    case = cases[edge]
+    mults, case = _cases(G)[0], _case(G, edge)
     order = list(mults)
 
     rows = []
@@ -444,7 +450,7 @@ def theorem1_cells() -> tuple[Theorem1Cell, ...]:
     """The symbolic nine-column census of genus forms."""
     cells = []
     for column, case in enumerate(CASES, start=1):
-        constraints = _cases(make_group(case[0]))[1][case[1]].constraints
+        constraints = _case(make_group(case[0]), case[1]).constraints
         for form, coeff, exp, tag in GENUS_FORMS[case]:
             cells.append(
                 Theorem1Cell(

@@ -22,7 +22,6 @@ from .lattices import (
     as_fraction,
     as_int,
     coord_numerators,
-    frame_coords_matrix,
     from_numerators,
     hnf_columns,
     hnf_reduce,
@@ -42,7 +41,6 @@ from .lattices import (
 from .spacegroups import (
     SpaceGroup,
     fixing_cosets,
-    is_pure_translation,
 )
 
 Edge = tuple[int, int, IntVec]
@@ -201,20 +199,21 @@ def _orbit_sweep(items, act, moves) -> dict:
 class _Scaled:
     """A group in the basis of T0, where the lattice is ℤ³, on integer numerators over one den.
 
-    den clears the solved vertices y/top, every coset translation and every
-    normalizer translation, all in T0-coordinates.  moves and normalizer hold
-    the cosets and the `_normalizer_solutions` as (rotation, translation
-    numerators) in T0-coordinates.  A point's cell and its representative in
-    [0,1)³ are one divmod by den per coordinate.
+    den clears the solved vertices y/top, every coset translation of
+    `SpaceGroup.maps` and every translation x/top of the
+    `_normalizer_solutions` (s, x, top), all in T0-coordinates.  moves and
+    normalizer hold the coset maps and those solutions as (linear part,
+    translation numerators over den).  A point's cell and its representative
+    in [0,1)³ are one divmod by den per coordinate.
     """
 
     def __init__(self, G: SpaceGroup, tops: Sequence[int]) -> None:
         maps = _normalizer_solutions(G)
         cosets, cden = G.maps
         self.T0 = G.T0
-        self.den = math.lcm(*tops, cden, *(top // math.gcd(top, *y) for _, _, y, top in maps))
+        self.den = math.lcm(*tops, cden, *(top // math.gcd(top, *y) for _, y, top in maps))
         self.moves = [(a, tuple(x * (self.den // cden) for x in t)) for a, t in cosets]
-        self.normalizer = [(a, tuple(x * (self.den // top) for x in y)) for _, a, y, top in maps]
+        self.normalizer = [(a, tuple(x * (self.den // top) for x in y)) for a, y, top in maps]
 
     def to_frame(self, n: Sequence[int]) -> Vec3:
         """The frame point of the numerators n."""
@@ -438,8 +437,8 @@ _MARKED_LINK = (2, 2, 2, 3)
 
 
 @lru_cache(maxsize=None)
-def _frame_symmetries(frame) -> tuple[IntMat, ...]:
-    """Integer matrices of determinant ±1 preserving the frame metric.
+def _lattice_symmetries(gram: IntMat) -> tuple[IntMat, ...]:
+    """Integer matrices of determinant ±1 preserving the integer Gram matrix of a lattice basis.
 
     Column j of such a matrix is a vector x with xᵀ·gram·x = gram[j][j].
     Cauchy–Schwarz for the form gives xᵢ² ≤ (xᵀ·gram·x)·(gram⁻¹)ᵢᵢ, so each
@@ -449,7 +448,6 @@ def _frame_symmetries(frame) -> tuple[IntMat, ...]:
     triple has mᵀ·gram·m = gram, and det m = ±1 because gram is positive
     definite.  The result is in row-major lexicographic order.
     """
-    gram = frame.gram
     adj, det = adjugate(gram), mat_det(gram)
 
     def form(u: IntVec, w: IntVec) -> int:
@@ -465,39 +463,37 @@ def _frame_symmetries(frame) -> tuple[IntMat, ...]:
     return tuple(sorted(tuple(zip(*cols)) for cols in triples))
 
 
-@lru_cache(maxsize=None)
-def _normalizer_solutions(G: SpaceGroup) -> tuple[tuple[IntMat, IntMat, IntVec, int], ...]:
-    """A transversal of the group in its affine normalizer, up to lattice translations.
+def _normalizer_solutions(G: SpaceGroup) -> tuple[tuple[IntMat, IntVec, int], ...]:
+    """A transversal of the group in its affine normalizer, up to lattice translations, in T0-coordinates.
 
-    The maps are x ↦ Sx + t, as (S, B⁻¹SB, y, top) with t = B·y/top, y in
-    [0, top), sorted.  S runs over the integer isometries of the frame
-    (improper ones included) that preserve T0, one per right coset P·S of the
-    point group P, with the identity standing for P itself:
-    (R, τ)∘(S, t) = (RS, Rt + τ) differs from (S, t) by an element of G, so
-    the other members of the coset add nothing modulo G.  For each such S,
-    t runs over all translations modulo T0 that make the map normalize G.
-    Conjugating a rotation generator (R, τ) gives
-    (SRS⁻¹, Sτ + (I − SRS⁻¹)t), which lies in G iff
-    (SRS⁻¹ − I)t ≡ Sτ − τ' (mod T0) for the coset (SRS⁻¹, τ') of G.  Stacked
-    over the generators in T0-coordinates, these congruences have full rank
-    and their Smith form lists the finitely many t modulo T0.  τ is taken
-    from the generator's coset: that moves Sτ by S·T0 = T0, and the right-hand
-    sides stay integer numerators over the den of `SpaceGroup.maps`.
+    The maps are y ↦ s·y + x/top in the basis B = H/q of T0, as (s, x, top)
+    with x in [0, top), sorted.  s runs over the integer isometries of T0's
+    own Gram matrix Hᵀ·gram·H (improper ones included): these are exactly the
+    frame isometries S that preserve T0, written as s = B⁻¹SB.  One s is kept
+    per right coset P·s of the point group P, with the identity standing for
+    P itself: (A, τ)∘(s, x) = (As, Ax + τ) differs from (s, x) by an element
+    of G, so the other members of the coset add nothing modulo G.  For each
+    such s, x runs over all translations modulo ℤ³ that make the map
+    normalize G.  Conjugating a rotation generator (A, τ) gives
+    (sAs⁻¹, sτ + (I − sAs⁻¹)x), which lies in G iff
+    (sAs⁻¹ − I)x ≡ sτ − τ' (mod ℤ³) for the coset (sAs⁻¹, τ') of G.  Stacked
+    over the generators, these congruences have full rank and their Smith
+    form lists the finitely many x modulo ℤ³.  τ is taken from the
+    generator's coset: that moves sτ by s·ℤ³ = ℤ³, and the right-hand sides
+    stay integer numerators over the den of `SpaceGroup.maps`.
     """
     T0 = G.T0
     cosets, den = G.maps
     coset_of = dict(cosets)
-    gens = [invariant_coords_matrix(g.rot, T0) for g in G.generators if not is_pure_translation(g)]
+    gens = [invariant_coords_matrix(g.rot, T0) for g in G.generators if g.rot != IDENTITY]
     covered: set[IntMat] = set()
     out = []
-    for rows in sorted(_frame_symmetries(G.frame), key=lambda m: m != IDENTITY):
-        if rows in covered:
+    gram = matmul(matmul(T0.basis, G.frame.gram), tuple(zip(*T0.basis)))
+    # the identity first, then by largest absolute entry, then row-major: −I leads P·(−I) for a centred cubic T0
+    for s in sorted(_lattice_symmetries(gram), key=lambda m: (m != IDENTITY, max(map(abs, m[0] + m[1] + m[2])))):
+        if s in covered:
             continue
-        covered.update(matmul(c.rot, rows) for c in G.cosets)
-        # integral iff S·T0 ⊆ T0, which means S·T0 = T0 because det S = ±1
-        s = frame_coords_matrix(rows, T0.basis)
-        if s is None:
-            continue
+        covered.update(matmul(a, s) for a in coset_of)
         s_inv = unimodular_inverse(s)
         system: list[IntVec] = []
         rhs: list[int] = []
@@ -514,8 +510,7 @@ def _normalizer_solutions(G: SpaceGroup) -> tuple[tuple[IntMat, IntMat, IntVec, 
             points, top, kernel = solve_congruence(system, rhs, den)
             if kernel:
                 raise InvariantViolation("normalizer translations of a group are not discrete")
-            out.extend((rows, s, tuple(x % top for x in y), top) for y in points)
-    # B = H/q has H lower triangular with a positive diagonal, so y sorts as t does
+            out.extend((s, tuple(x % top for x in y), top) for y in points)
     return tuple(sorted(out))
 
 

@@ -76,31 +76,15 @@ class Isometry:
             raise ValueError("an isometry needs a 3×3 integer rotation part and a 3-entry translation")
         object.__setattr__(self, "rot", rot)
         object.__setattr__(self, "trans", trans)
-        problem = _rotation_problem(self.frame, rot)
-        if problem is not None:
-            raise ValueError(problem)
-
-
-@lru_cache(maxsize=None)
-def _rotation_problem(frame: Frame, rot: tuple[tuple[int, ...], ...]) -> str | None:
-    """Why rot is not a proper rotation of the frame, or None if it is one.
-
-    Only the verdict is memoised: an invalid pair raises on every construction.
-    """
-    if mat_det(rot) != 1:
-        return "rotation part must have determinant +1"
-    if not preserves_metric(rot, frame.gram):
-        return "rotation part must preserve the frame metric"
-    return None
+        if mat_det(rot) != 1:
+            raise ValueError("rotation part must have determinant +1")
+        if not preserves_metric(rot, self.frame.gram):
+            raise ValueError("rotation part must preserve the frame metric")
 
 
 def preserves_metric(m: Sequence[Sequence[int]], gram: IntMat) -> bool:
     """True iff mᵀ·gram·m = gram, for an integer matrix m and integer Gram matrix."""
     return matmul(matmul(tuple(zip(*m)), gram), m) == gram
-
-
-def is_pure_translation(g: Isometry) -> bool:
-    return g.rot == IDENTITY
 
 
 # ============================================================
@@ -199,20 +183,21 @@ def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isomet
     Returns (cosets, T0, maps): one representative per rotation, its
     translation reduced into the fundamental cell of T0 by pivot-ordered
     triangular reduction, sorted by rotation, and the same cosets as
-    `CosetMaps`.  The pure translations among the generators seed the
-    lattice and must span rank 3; translation discrepancies enlarge it.
-    More than `cap` cosets raises ClosureOverflow.
+    `CosetMaps`.  The pure translations among the generators must span
+    rank 3.  More than `cap` cosets raises ClosureOverflow.
 
     One breadth-first pass multiplies each representative, as it is found, by
-    each generator once.  The reached rotations are closed under right
-    multiplication by the generators, and each generator's inverse is one of
-    its powers because the point group is finite, so every coset is reached.
-    A product r·g whose coset already has the representative s contributes
-    the translation r·g·s⁻¹, and by Schreier's lemma these elements, over all
-    pairs (r, g), generate the translation subgroup (Holt, Eick & O'Brien,
-    Handbook of Computational Group Theory, 2005).  Reducing a
-    representative modulo the growing lattice changes such an element only by
-    a vector of that lattice, so the final lattice is that subgroup.
+    each generator once, and keeps the first product found in each coset as
+    that coset's representative.  The reached rotations are closed under
+    right multiplication by the generators, and each generator's inverse is
+    one of its powers because the point group is finite, so every coset is
+    reached.  A product r·g whose coset already has the representative s
+    contributes the translation r·g·s⁻¹, and by Schreier's lemma these, with
+    the pure-translation generators, generate the translation subgroup for
+    any transversal (Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory, 2005).  So one HNF of them after the pass is T0, and one
+    reduction per representative modulo T0 gives the canonical member of its
+    class, whichever member the pass found.
 
     All arithmetic happens on integer vectors scaled by the common denominator
     of every generator translation; composition cannot introduce new
@@ -223,34 +208,27 @@ def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isomet
     """
     d_all = math.lcm(*(t.denominator for g in generators for t in g.trans))
     raw = [(g.rot, tuple(t.numerator * (d_all // t.denominator) for t in g.trans)) for g in generators]
-    mcols = hnf_columns([trans for rot, trans in raw if rot == IDENTITY])
-    if len(mcols) != 3:
+    schreier = {trans for rot, trans in raw if rot == IDENTITY}
+    if len(hnf_columns(schreier)) != 3:
         raise ValueError("generators must include a full-rank translation lattice")
 
     reps: dict[tuple, tuple[int, int, int]] = {IDENTITY: (0, 0, 0)}
     found = [IDENTITY]
-
-    def merge(rot, trans) -> None:
-        nonlocal mcols
-        trans = hnf_reduce(trans, mcols)
-        have = reps.get(rot)
-        if have is None:
+    for rot_a in found:  # grows while the pass runs
+        ta = reps[rot_a]
+        for rot_b, trans_b in raw:
+            tb = int_matvec(rot_a, trans_b)
+            rot, trans = matmul(rot_a, rot_b), (ta[0] + tb[0], ta[1] + tb[1], ta[2] + tb[2])
+            have = reps.get(rot)
+            if have is not None:
+                schreier.add((trans[0] - have[0], trans[1] - have[1], trans[2] - have[2]))
+                continue
             if len(reps) >= cap:
                 raise ClosureOverflow(f"more than {cap} cosets")
             reps[rot] = trans
             found.append(rot)
-            return
-        delta = (trans[0] - have[0], trans[1] - have[1], trans[2] - have[2])
-        if hnf_reduce(delta, mcols) == (0, 0, 0):
-            return
-        mcols = list(hnf_columns(list(mcols) + [delta]))
-        for r in reps:
-            reps[r] = hnf_reduce(reps[r], mcols)
-
-    for rot_a in found:  # grows while the pass runs
-        for rot_b, trans_b in raw:
-            ta, tb = reps[rot_a], int_matvec(rot_a, trans_b)
-            merge(matmul(rot_a, rot_b), (ta[0] + tb[0], ta[1] + tb[1], ta[2] + tb[2]))
+    mcols = hnf_columns(schreier)
+    reps = {rot: hnf_reduce(trans, mcols) for rot, trans in reps.items()}
     rots = sorted(reps)
     coords = [frame_coords_matrix(rot, mcols) for rot in rots]
     if None in coords:

@@ -36,7 +36,9 @@
   isometry algebra in frame coordinates.  They check the closure, the
   conjugation closed forms and the package's stabilizers, which scan the
   integer coset maps in T0-coordinates.  `_normalizer_maps` writes the
-  package's normalizer transversal as frame maps for the grid oracle.
+  package's normalizer transversal, in T0-coordinates, as frame maps for the
+  grid oracle, and `is_pure_translation` picks the translations out of a
+  list of isometries.
 - `reduce_mod` and `canon_segment` reduce points and segments into the cell
   of a lattice in `Fraction`, and check the integer segments of the singular
   set.
@@ -66,6 +68,9 @@
 - `frame_symmetries` filters every triple of short columns of the right
   lengths by the determinant and metric checks, against the package's
   search that drops a partial triple at its first wrong Gram entry.
+  `lattice_symmetries_by_conversion` writes each of them in a lattice basis
+  H as H⁻¹SH and keeps the integral ones, against the package's search of
+  that basis's own Gram matrix Hᵀ·gram·H.
 - `_UnionFind` holds disjoint sets.  Besides `germ_orbits`, the marked-edge
   tests union every orbit with its normalizer images through it, against
   the package's one sweep of the normalizer transversal.
@@ -134,7 +139,6 @@ from torsym.spacegroups import (
     Frame,
     Isometry,
     SpaceGroup,
-    is_pure_translation,
     preserves_metric,
 )
 from torsym.sublattices import (
@@ -527,6 +531,10 @@ class Axis:
     order: int
 
 
+def is_pure_translation(g: Isometry) -> bool:
+    return g.rot == _ROT_IDENTITY
+
+
 def fixed_axis(g: Isometry) -> Axis | None:
     """Fixed line of a non-trivial isometry, or None for a screw motion."""
     if is_pure_translation(g):
@@ -589,8 +597,19 @@ def _axis_base(T0: SubgroupHNF, n: Sequence[int], den: int, d: IntVec) -> IntVec
 
 
 def _normalizer_maps(G: SpaceGroup) -> tuple[tuple[tuple, Vec3], ...]:
-    """The `_normalizer_solutions` of G as frame maps (S, t), sorted."""
-    return tuple(sorted((rows, from_numerators(y, top, G.T0)) for rows, _, y, top in _normalizer_solutions(G)))
+    """The `_normalizer_solutions` (s, y, top) of G as frame maps (S, t), S = H·s·H⁻¹ by `mat_inv`, sorted."""
+    h = tuple(zip(*G.T0.basis))
+    h_inv = mat_inv(mat(h))
+    return tuple(
+        sorted((_integral(matmul(matmul(h, s), h_inv)), from_numerators(y, top, G.T0)) for s, y, top in _normalizer_solutions(G))
+    )
+
+
+def _integral(m: Sequence[Sequence]) -> tuple | None:
+    """The rational matrix m with int entries, or None when an entry is not an integer."""
+    if any(Fraction(x).denominator != 1 for row in m for x in row):
+        return None
+    return tuple(tuple(int(x) for x in row) for row in m)
 
 
 def numerators(v: Sequence, den: int) -> IntVec:
@@ -1068,6 +1087,18 @@ def frame_symmetries(frame: Frame) -> tuple:
         if abs(mat_det(rows)) == 1 and preserves_metric(rows, gram):
             out.append(rows)
     return tuple(sorted(out))
+
+
+def lattice_symmetries_by_conversion(frame: Frame, h: Sequence[Sequence[int]]) -> tuple:
+    """{H⁻¹SH : S in `frame_symmetries`, H⁻¹SH integral}, sorted, for the basis whose columns are those of h.
+
+    These are the symmetries of the basis's own Gram matrix Hᵀ·gram·H,
+    converted one by one from the frame's through the `Fraction` inverse
+    `mat_inv`, where the package searches that Gram matrix directly.
+    """
+    h_inv = mat_inv(mat(h))
+    converted = (_integral(matmul(matmul(h_inv, s), h)) for s in frame_symmetries(frame))
+    return tuple(sorted(m for m in converted if m is not None))
 
 
 # ============================================================

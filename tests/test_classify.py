@@ -665,6 +665,28 @@ def test_cli_rejects_unknown_group():
 def test_cli_reports_usage_errors_with_exit_two(capsys):
     assert cli.main(["classify", "P432", "beta"]) == 2
     assert "no edge beta" in capsys.readouterr().err
+    # an edge the group lacks and no case names is the caller's error, not an internal one
+    assert cli.main(["classify", "P622", "gamma"]) == 2
+    assert "P622 has no edge gamma; choose from ['beta']" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="no edge gamma") as exc:
+        classify_case("P622", "gamma", 12)
+    assert not isinstance(exc.value, InvariantViolation)
+
+
+def test_a_claimed_case_the_record_does_not_derive_is_an_internal_error(monkeypatch, capsys):
+    # CASES names P432 alpha; a record whose derived marked edges lack it is a fault
+    # in the program, not in the command line
+    derived = classify._cases
+
+    def without_p432_alpha(G):
+        mults, cases = derived(G)
+        return mults, {label: c for label, c in cases.items() if (G.name, label) != ("P432", "alpha")}
+
+    monkeypatch.setattr(classify, "_cases", without_p432_alpha)
+    with pytest.raises(InvariantViolation, match="P432 has no edge alpha"):
+        classify.theorem1_cells()
+    assert cli.main(["table", "--max-genus", "20"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: P432 has no edge alpha")
 
 
 def test_cli_reports_internal_errors_with_exit_three(monkeypatch, capsys):
@@ -672,9 +694,9 @@ def test_cli_reports_internal_errors_with_exit_three(monkeypatch, capsys):
     # fault in the program, not in the command line
     import torsym.periodic_graphs as pg
 
-    # x ↦ x + (1/3, 0, 0), as (S, S in the basis of T0 = ℤ³, y, top) with t = y/top
+    # x ↦ x + (1/3, 0, 0), as (s, y, top) in the basis of T0 = ℤ³ with translation y/top
     identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    bad = ((identity, identity, (1, 0, 0), 3),)
+    bad = ((identity, (1, 0, 0), 3),)
     monkeypatch.setattr(pg, "_normalizer_solutions", lambda G: bad)
     # the singular data carry the normalizer maps, so they are rebuilt with the bad one, and so
     # are the cases, which the command line reads too; a call that raises leaves no cache entry

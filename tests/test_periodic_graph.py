@@ -29,9 +29,9 @@ from torsym.periodic_graphs import (
     SingularEdge,
     _axis_basis,
     _fixed_points,
-    _frame_symmetries,
     _germ_orbits,
     _image,
+    _lattice_symmetries,
     _normalizer_solutions,
     _rotation_classes,
     _singular_data,
@@ -47,11 +47,9 @@ from torsym.periodic_graphs import (
 from torsym.spacegroups import (
     CUBIC_FRAME,
     HEX_FRAME,
-    Frame,
     Isometry,
     SpaceGroup,
     _closure,
-    is_pure_translation,
     make_group,
     stabilizer,
     stabilizer_order,
@@ -77,6 +75,7 @@ from oracles import (
     from_coords,
     germ_orbits,
     int_affine,
+    is_pure_translation,
     mat,
     mat_inv,
     matvec,
@@ -318,7 +317,7 @@ def test_every_solved_system_has_the_block_scan_solution_set(name, monkeypatch):
     monkeypatch.setattr(periodic_graphs, "solve_congruence", lambda *a: calls.append(a) or solve(*a))
     G = make_group(name)
     _fixed_points(G)
-    _normalizer_solutions.__wrapped__(G)
+    _normalizer_solutions(G)
     # five or six half-turn pair classes and at least one normalizer system
     assert len(calls) >= 6
     for m, nums, den in calls:
@@ -491,7 +490,7 @@ def grid_normalizer_maps(name, grid=24):
     coset_of = {c.rot: c for c in G.cosets}
     points = np.array([(a, b, c) for a in range(grid) for b in range(grid) for c in range(grid)])
     out = []
-    for rows in _frame_symmetries(G.frame):
+    for rows in _lattice_symmetries(G.frame.gram):
         if hnf([int_affine(rows, v) for v in G.T0.vectors()]) != G.T0:
             continue
         s_inv = tuple(tuple(int(e) for e in row) for row in mat_inv(mat(rows)))
@@ -601,8 +600,7 @@ def test_normalizer_transversal_is_closed_modulo_g(name):
     G = make_group(name)
     cosets, cden = G.maps
     sc = _singular_data(G).sc
-    solved = [(s, y, top) for _, s, y, top in _normalizer_solutions(G)]
-    for raw in (solved, [(a, t, sc.den) for a, t in sc.normalizer]):
+    for raw in (_normalizer_solutions(G), [(a, t, sc.den) for a, t in sc.normalizer]):
         maps = [(a, tuple(Fraction(x, d) for x in t)) for a, t, d in raw]
 
         def cls(a, t):
@@ -907,16 +905,28 @@ def test_frame_symmetries_follow_a_unimodular_change_of_basis(frame, a):
     # in the basis A the metric is AᵀGA and each symmetry S becomes A⁻¹SA, whose entries can exceed 1
     a_inv = tuple(tuple(int(x) for x in row) for row in mat_inv(mat(a)))
     gram = matmul(matmul(tuple(zip(*a)), frame.gram), a)
-    want = tuple(sorted(matmul(matmul(a_inv, s), a) for s in _frame_symmetries(frame)))
-    assert _frame_symmetries(Frame(frame.name, gram)) == want
+    want = tuple(sorted(matmul(matmul(a_inv, s), a) for s in _lattice_symmetries(frame.gram)))
+    assert _lattice_symmetries(gram) == want
+
+
+@pytest.mark.parametrize(
+    "frame, h",
+    [(make_group(name).frame, tuple(zip(*make_group(name).T0.basis))) for name in GROUPS] + _basis_changes(),
+    ids=GROUPS + ["cubic-a", "cubic-shear", "hex-a"],
+)
+def test_lattice_symmetries_are_the_frame_symmetries_written_in_the_basis(frame, h):
+    # the normalizer's linear parts in T0-coordinates: the symmetries of T0's own Gram matrix HᵀGH
+    # are the frame symmetries S with H⁻¹SH integral, written as H⁻¹SH
+    gram = matmul(matmul(tuple(zip(*h)), frame.gram), h)
+    assert _lattice_symmetries(gram) == oracles.lattice_symmetries_by_conversion(frame, h)
 
 
 def test_frame_symmetry_counts():
-    assert len(_frame_symmetries(CUBIC_FRAME)) == 48
-    assert len(_frame_symmetries(HEX_FRAME)) == 24
+    assert len(_lattice_symmetries(CUBIC_FRAME.gram)) == 48
+    assert len(_lattice_symmetries(HEX_FRAME.gram)) == 24
     # the Gram-entry pruning drops no triple that passes the determinant and metric checks
     for frame in (CUBIC_FRAME, HEX_FRAME):
-        assert _frame_symmetries(frame) == oracles.frame_symmetries(frame)
+        assert _lattice_symmetries(frame.gram) == oracles.frame_symmetries(frame)
 
 
 def test_normalizer_contains_expected_translation_classes():

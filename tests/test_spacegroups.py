@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsym.errors import ClosureOverflow, UnknownGroup
 from torsym.lattices import hnf, member
@@ -300,6 +302,19 @@ def test_cosets_compose_within_the_group():
         gens = [translation(g.frame, [2 * x for x in b]) for b in basis] + rots
         gens += [compose(translation(g.frame, b), rots[0]) for b in basis]
         assert _closure(gens) == (list(g.cosets), g.T0, g.maps)
+
+
+@settings(max_examples=120)
+@given(name=st.sampled_from(GROUP_NAMES), data=st.data())
+def test_closure_does_not_depend_on_how_the_presentation_is_written(name, data):
+    # the generators in any order, with the product of two of them appended, present the same
+    # group, and the cosets, T0 and maps are canonical: they do not depend on the transversal
+    # the pass finds first or on which Schreier translations it collects
+    g = make_group(name)
+    gens = list(data.draw(st.permutations(g.generators)))
+    i, j = data.draw(st.tuples(*[st.integers(0, len(gens) - 1)] * 2))
+    gens.append(compose(gens[i], gens[j]))
+    assert _closure(gens) == (list(g.cosets), g.T0, g.maps)
 
 
 def test_closure_keeps_every_schreier_translation():
