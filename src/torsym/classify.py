@@ -477,12 +477,12 @@ def theorem1_table(max_genus: int) -> list[GenusEntry]:
         bound = 12 * (max_genus - 1) // point_order
         if bound < 1:
             continue
+        # index d ≤ 12(g−1)//|P| gives genus ≤ g, and the columns come in ascending order
         for row in classify_case(group, edge, bound):
-            if row.genus <= max_genus:
-                by_genus.setdefault(row.genus, []).append((column, row))
+            by_genus.setdefault(row.genus, []).append((column, row))
     entries = []
     for genus in sorted(by_genus):
-        actions = tuple(sorted(by_genus[genus], key=lambda cr: cr[0]))
+        actions = tuple(by_genus[genus])
         knotted = sum(1 for _, row in actions if row.knotted)
         entries.append(
             GenusEntry(

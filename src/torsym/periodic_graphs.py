@@ -45,7 +45,7 @@ from .spacegroups import (
 
 Edge = tuple[int, int, IntVec]
 Segment = tuple[Vec3, Vec3]
-# integer numerators over a group's common denominator in T0-coordinates (see _Scaled)
+# integer numerators over the den of a group's `_SingularData`, in T0-coordinates
 ScaledSegment = tuple[IntVec, IntVec]
 # solved fixed points y/top in the basis of T0 (see _fixed_points)
 Corners = list[tuple[list[IntVec], int]]
@@ -196,34 +196,6 @@ def _orbit_sweep(items, act, moves) -> dict:
     return out
 
 
-class _Scaled:
-    """A group in the basis of T0, where the lattice is ℤ³, on integer numerators over one den.
-
-    den clears the solved vertices y/top, every coset translation of
-    `SpaceGroup.maps` and every translation x/top of the
-    `_normalizer_solutions` (s, x, top), all in T0-coordinates.  moves and
-    normalizer hold the coset maps and those solutions as (linear part,
-    translation numerators over den).  A point's cell and its representative
-    in [0,1)³ are one divmod by den per coordinate.
-    """
-
-    def __init__(self, G: SpaceGroup, tops: Sequence[int]) -> None:
-        maps = _normalizer_solutions(G)
-        cosets, cden = G.maps
-        self.T0 = G.T0
-        self.den = math.lcm(*tops, cden, *(top // math.gcd(top, *y) for _, y, top in maps))
-        self.moves = [(a, tuple(x * (self.den // cden) for x in t)) for a, t in cosets]
-        self.normalizer = [(a, tuple(x * (self.den // top) for x in y)) for a, y, top in maps]
-
-    def to_frame(self, n: Sequence[int]) -> Vec3:
-        """The frame point of the numerators n."""
-        return from_numerators(n, self.den, self.T0)
-
-    def stabilizer(self, n: IntVec) -> list[IntMat]:
-        """Rotation parts of the cosets with an element fixing the point n."""
-        return [self.moves[k][0] for k in fixing_cosets(self.moves, self.den, n)]
-
-
 @lru_cache(maxsize=None)
 def _axis_basis(e: IntVec) -> tuple[IntMat, IntMat]:
     """A unimodular U with U·e = ±e₁ for a primitive integer vector e, and U⁻¹.
@@ -254,14 +226,13 @@ def _turned(a: IntMat, e: IntVec) -> IntVec:
     return (x0, x1, x2) if (x0 or x1 or x2) > 0 else (-x0, -x1, -x2)
 
 
-def _vertices_mod_t0(sc: _Scaled, corners: Corners) -> list[IntVec]:
-    """Vertex classes, the solved corners swept by every coset map, reduced into the cell [0,1)³ and sorted."""
-    den = sc.den
+def _vertices_mod_t0(den: int, moves: Sequence[tuple[IntMat, IntVec]], corners: Corners) -> list[IntVec]:
+    """Vertex classes, the solved corners swept by every coset move, reduced into the cell [0,1)³ and sorted."""
     solved = [tuple(x * (den // top) % den for x in y) for points, top in corners for y in points]
-    return sorted(_orbit_sweep(solved, lambda m, y: tuple(x % den for x in _affine(m, y)), sc.moves))
+    return sorted(_orbit_sweep(solved, lambda m, y: tuple(x % den for x in _affine(m, y)), moves))
 
 
-def _axis_segments(sc: _Scaled, germs: dict[IntVec, Germs]) -> list[ScaledSegment]:
+def _axis_segments(den: int, germs: dict[IntVec, Germs]) -> list[ScaledSegment]:
     """The maximal vertex-free straight segments of the axes through the vertices, one period of each axis class.
 
     germs maps each vertex class to its `_germ_orbits`.  A rotation about an
@@ -273,7 +244,6 @@ def _axis_segments(sc: _Scaled, germs: dict[IntVec, Germs]) -> list[ScaledSegmen
     first repeated one period on, bound the segments.  An axis through no
     vertex, a closed singular circle, carries no segment.
     """
-    den = sc.den
     on_line: dict[tuple[IntVec, int, int], set[int]] = {}
     for v, orbits in germs.items():
         for dirs, _ in orbits:
@@ -364,15 +334,14 @@ def _image(den: int, move: tuple[IntMat, IntVec], seg: ScaledSegment) -> ScaledS
     return _canon_scaled(den, _affine(move, seg[0]), _affine(move, seg[1]))
 
 
-def _segment_orbits(sc: _Scaled, raw: Sequence[ScaledSegment]) -> list[list[ScaledSegment]]:
+def _segment_orbits(den: int, moves: Sequence[tuple[IntMat, IntVec]], raw: Sequence[ScaledSegment]) -> list[list[ScaledSegment]]:
     """The canonical segments grouped into G-orbits, each sorted, in order of their first member.
 
-    A lattice translation leaves the canonical form unchanged, so the cosets
-    sweep each orbit from its least member.
+    A lattice translation leaves the canonical form unchanged, so the coset
+    moves sweep each orbit from its least member.
     """
-    den = sc.den
     segments = {_canon_scaled(den, a, b) for a, b in raw}
-    first = _orbit_sweep(sorted(segments), partial(_image, den), sc.moves)
+    first = _orbit_sweep(sorted(segments), partial(_image, den), moves)
     if not first.keys() <= segments:
         raise InvariantViolation("a group element maps a singular segment outside the singular set")
     orbits: dict[ScaledSegment, list[ScaledSegment]] = {}
@@ -383,14 +352,22 @@ def _segment_orbits(sc: _Scaled, raw: Sequence[ScaledSegment]) -> list[list[Scal
 
 @dataclass
 class _SingularData:
-    """Cached singular-set decomposition of one space group.
+    """Cached singular-set decomposition of one space group, in the basis of T0, where the lattice is ℤ³.
 
-    vertex_classes, orbit_of and orbits hold T0-coordinates, integer
-    numerators over sc.den.  The rotation axes are not kept: every segment
-    lies on an axis through a vertex, and an axis through none adds no edge.
+    Points are integer numerators over one den, which clears the solved
+    vertices y/top, every coset translation of `SpaceGroup.maps` and every
+    translation x/top of the `_normalizer_solutions` (s, x, top).  moves and
+    normalizer hold the coset maps and those solutions as (linear part,
+    translation numerators over den).  vertex_classes, orbit_of and orbits
+    hold points in the same numerators: a point's cell and its
+    representative in [0,1)³ are one divmod by den per coordinate.  The
+    rotation axes are not kept: every segment lies on an axis through a
+    vertex, and an axis through none adds no edge.
     """
 
-    sc: _Scaled
+    den: int
+    moves: list[tuple[IntMat, IntVec]]
+    normalizer: list[tuple[IntMat, IntVec]]
     vertex_classes: list[IntVec]
     orbit_of: dict[ScaledSegment, int]
     orbits: list[list[ScaledSegment]]
@@ -401,29 +378,33 @@ class _SingularData:
 def _singular_data(G: SpaceGroup) -> _SingularData:
     """The singular set of G in T0-coordinates, with frame rationals built only for the public values.
 
-    One stabilizer scan per vertex class gives its germ orbits, which both
-    name the axes through it (`_axis_segments`) and label the segment ends
-    (`_edge_data`).
+    One stabilizer scan per vertex class (`fixing_cosets`) gives its germ
+    orbits, which both name the axes through it (`_axis_segments`) and
+    label the segment ends (`_edge_data`).
     """
     corners = _fixed_points(G)
-    sc = _Scaled(G, [top for _, top in corners])
-    verts = _vertices_mod_t0(sc, corners)
-    germs = {v: _germ_orbits(tuple(r for r in sc.stabilizer(v) if r != IDENTITY)) for v in verts}
-    orbits = _segment_orbits(sc, _axis_segments(sc, germs))
+    maps = _normalizer_solutions(G)
+    cosets, cden = G.maps
+    den = math.lcm(*(top for _, top in corners), cden, *(top // math.gcd(top, *y) for _, y, top in maps))
+    moves = [(a, tuple(x * (den // cden) for x in t)) for a, t in cosets]
+    normalizer = [(a, tuple(x * (den // top) for x in y)) for a, y, top in maps]
+    verts = _vertices_mod_t0(den, moves, corners)
+    germs = {v: _germ_orbits(tuple(moves[k][0] for k in fixing_cosets(moves, den, v) if moves[k][0] != IDENTITY)) for v in verts}
+    orbits = _segment_orbits(den, moves, _axis_segments(den, germs))
     orbit_of = {seg: oid for oid, members in enumerate(orbits) for seg in members}
     edges = []
     for oid, members in enumerate(orbits):
-        edge_index, link = _edge_data(sc.den, members[0], germs)
-        seg = (sc.to_frame(members[0][0]), sc.to_frame(members[0][1]))
+        edge_index, link = _edge_data(den, members[0], germs)
+        seg = (from_numerators(members[0][0], den, G.T0), from_numerators(members[0][1], den, G.T0))
         edges.append(SingularEdge(segment=seg, edge_index=edge_index, link=link, orbit_id=oid))
-    return _SingularData(sc, verts, orbit_of, orbits, tuple(edges))
+    return _SingularData(den, moves, normalizer, verts, orbit_of, orbits, tuple(edges))
 
 
 def singular_graph(G: SpaceGroup) -> list[SingularEdge]:
     """All singular segments modulo the lattice, grouped into group orbits."""
     data = _singular_data(G)
     return [
-        replace(rep, segment=(data.sc.to_frame(seg[0]), data.sc.to_frame(seg[1])))
+        replace(rep, segment=(from_numerators(seg[0], data.den, G.T0), from_numerators(seg[1], data.den, G.T0)))
         for rep in data.edges
         for seg in data.orbits[rep.orbit_id]
     ]
@@ -526,9 +507,9 @@ def marked_edges(G: SpaceGroup) -> list[SingularEdge]:
     qualifying = [e.orbit_id for e in data.edges if e.link == _MARKED_LINK]
 
     def act(move, oid: int) -> int | None:
-        return data.orbit_of.get(_image(data.sc.den, move, data.orbits[oid][0]))
+        return data.orbit_of.get(_image(data.den, move, data.orbits[oid][0]))
 
-    first = _orbit_sweep(qualifying, act, data.sc.normalizer)
+    first = _orbit_sweep(qualifying, act, data.normalizer)
     if not first.keys() <= set(qualifying):
         raise InvariantViolation("normalizer map does not preserve the marked edges")
     return [data.edges[oid] for oid in sorted(set(first.values()))]
@@ -548,7 +529,7 @@ def edge_orbit_graph(G: SpaceGroup, e: SingularEdge, suppress: bool = True) -> P
     `PeriodicGraph` is built at the end.
     """
     data = _singular_data(G)
-    den = data.sc.den
+    den = data.den
     ends = [coord_numerators(p, G.T0) for p in e.segment]
     oid = None
     # a point that den does not clear is on no singular segment

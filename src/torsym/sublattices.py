@@ -388,8 +388,8 @@ def _exponents(split: SimpleNamespace, p: int, kmax: int) -> range:
     return range(e, kmax + 1, e)
 
 
-def _walk(coord_rots: tuple, powers: Iterable[tuple[int, range]], lo: int, hi: int) -> Iterator[tuple[int, tuple]]:
-    """(d, integer HNFs in T0-coordinates) for each lo < d ≤ hi that has an invariant lattice.
+def _walk(coord_rots: tuple, powers: Iterable[tuple[int, range]], hi: int) -> Iterator[tuple[int, tuple]]:
+    """(d, integer HNFs in T0-coordinates) for each index 1 ≤ d ≤ hi that has an invariant lattice, each d once.
 
     d runs over the products of one p^k per prime, for (p, ks) in powers
     and k in ks; powers must come by ascending least index p^min ks, and is
@@ -398,8 +398,7 @@ def _walk(coord_rots: tuple, powers: Iterable[tuple[int, range]], lo: int, hi: i
     m and one of index p^k (`_coprime_meet`), so the walk goes depth first
     and meets each part once, on the way down.  A path takes its primes in
     descending order, so it needs none that is not read yet, and the
-    indices come in walk order, not ascending.  An index up to lo is met
-    only on the way to a child.
+    indices come in walk order, not ascending.  hi must be at least 1.
     """
     seen: list[tuple[int, range, int]] = []  # (p, ks, least index p^min ks), as read
 
@@ -409,21 +408,17 @@ def _walk(coord_rots: tuple, powers: Iterable[tuple[int, range]], lo: int, hi: i
             d = m * p**k
             if d > hi:
                 break
-            if d <= lo and (i == 0 or d * seen[0][2] > hi):
-                continue
             part = _invariant_p_power(coord_rots, p, k)
             if part:
                 # at m = 1 the part is its own meet, the tuple the cache holds
                 lattices = part if m == 1 else tuple(_coprime_meet(A, B) for A in meets for B in part)
-                if d > lo:
-                    yield d, lattices
+                yield d, lattices
                 for j in range(i):
                     if d * seen[j][2] > hi:
                         break
                     yield from visit(d, lattices, j)
 
-    if lo < 1 <= hi:
-        yield 1, (IDENTITY,)
+    yield 1, (IDENTITY,)
     for p, ks in powers:
         least = p**ks.start
         if least > hi:
@@ -468,8 +463,8 @@ def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) ->
     split = _split(coord_rots)
     # a prime whose exponent cannot carry a part drops out, and d is never reached
     parts = sorted((p**k, p, k) for p, k in _prime_power_parts(d) if k in _exponents(split, p, k))
-    walk = _walk(coord_rots, [(p, range(k, k + 1)) for _, p, k in parts], d - 1, d)
-    return _from_t0_hnfs(T0, (M for _, lattices in walk for M in lattices))
+    walk = _walk(coord_rots, [(p, range(k, k + 1)) for _, p, k in parts], d)
+    return _from_t0_hnfs(T0, (M for index, lattices in walk if index == d for M in lattices))
 
 
 # ============================================================
@@ -525,7 +520,7 @@ def _rotation_generators(G: SpaceGroup) -> tuple[Mat3, ...]:
 
 @lru_cache(maxsize=None)
 def _survey(T0: SubgroupHNF, coord_rots: tuple, frame_name: str) -> SimpleNamespace:
-    """The stored survey of T0 under one set of rotations, in one frame, grown on demand.
+    """The stored survey of T0 under one set of rotations, in one frame, rebuilt when a larger bound is asked.
 
     `rows` holds (L, family, total index |P|·d) for every index d ≤ `bound`
     in T0, in the order `normal_translation_subgroups` returns them; an
@@ -542,15 +537,16 @@ def normal_translation_subgroups(
 
     The total index is the index in the full space group: point order times
     the lattice index inside T0.  The survey of (T0, rotations, frame) is
-    stored and grows by prime-power parts: one walk meets the parts of every
-    index past the stored bound, with the descent run once per primitive
-    lattice, and each index's lattices go to the rows in ascending order.
-    The answer is the first rows, a new list of the stored row tuples.
+    stored.  A larger bound rebuilds it by one walk from index 1, which
+    meets the prime-power parts of every index, each index's lattices in
+    ascending order.  The parts stay cached, so a rebuild repeats only the
+    meets and the matching of the rows already held.  The answer is the
+    first rows, a new list of the stored row tuples.
     """
     _check_index(max_index, "max_index")
     coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
     survey = _survey(G.T0, coord_rots, G.frame.name)
-    with survey.lock:  # a second caller must not append the same index again
+    with survey.lock:  # a second caller must not rebuild the same rows again
         if max_index > survey.bound:
             split = _split(coord_rots)
             # the primes ascend and so do their least indices p^e: e = step = 3 only for a cubic
@@ -559,12 +555,8 @@ def normal_translation_subgroups(
             powers = ((p, _exponents(split, p, max_index.bit_length())) for p in _primes())
             rows = []
             # each index's raw HNFs go once its rows hold them (for T0 = ℤ³ the rows keep the same tuples)
-            for d, lattices in _walk(coord_rots, powers, survey.bound, max_index):
+            for d, lattices in _walk(coord_rots, powers, max_index):
                 rows += [(L, match_family(L, G.frame), G.point_order * d) for L in _from_t0_hnfs(G.T0, lattices)]
             rows.sort(key=itemgetter(2))  # stable: each index keeps its (−D, basis) order
-            if survey.rows:
-                survey.rows += rows
-            else:  # the first walk's list becomes the store, with no copy
-                survey.rows = rows
-            survey.bound = max_index
+            survey.rows, survey.bound = rows, max_index
     return survey.rows[: bisect_right(survey.rows, G.point_order * max_index, key=itemgetter(2))]

@@ -126,7 +126,6 @@ from torsym.lattices import (
 )
 from torsym.periodic_graphs import (
     PeriodicGraph,
-    _Scaled,
     _SingularData,
     _axis_basis,
     _normalize_edge,
@@ -139,6 +138,7 @@ from torsym.spacegroups import (
     Frame,
     Isometry,
     SpaceGroup,
+    fixing_cosets,
     preserves_metric,
 )
 from torsym.sublattices import (
@@ -617,38 +617,39 @@ def numerators(v: Sequence, den: int) -> IntVec:
     return tuple(x.numerator * (den // x.denominator) for x in v)  # type: ignore[return-value]
 
 
-def _frame_axis(sc: _Scaled, e: IntVec, c1: int, c2: int, order: int) -> Axis:
-    """The axis class (e, c₁, c₂) over sc.den in frame coordinates: base U⁻¹·(0, c₁, c₂) over den."""
-    base = sc.to_frame(int_matvec(_axis_basis(e)[1], (0, c1, c2)))
-    return Axis(base=base, direction=primitive_integer(from_numerators(e, 1, sc.T0)), order=order)
+def _frame_axis(T0: SubgroupHNF, den: int, e: IntVec, c1: int, c2: int, order: int) -> Axis:
+    """The axis class (e, c₁, c₂) over den in frame coordinates: base U⁻¹·(0, c₁, c₂) over den."""
+    base = from_numerators(int_matvec(_axis_basis(e)[1], (0, c1, c2)), den, T0)
+    return Axis(base=base, direction=primitive_integer(from_numerators(e, 1, T0)), order=order)
 
 
 @lru_cache(maxsize=None)
 def _axis_classes_of(G: SpaceGroup) -> tuple[tuple[IntVec, int, int, int], ...]:
     """`axis_classes` of the lines of `fixed_points_per_coset`, over the den of `_singular_data`."""
-    return tuple(axis_classes(_singular_data(G).sc, fixed_points_per_coset(G)[0]))
+    return tuple(axis_classes(_singular_data(G), fixed_points_per_coset(G)[0]))
 
 
 def singular_axes(G: SpaceGroup) -> list[Axis]:
     """Every rotation axis of G, one per class modulo T0, with its rotation index, in frame coordinates."""
-    sc = _singular_data(G).sc
-    return [_frame_axis(sc, *ax) for ax in _axis_classes_of(G)]
+    den = _singular_data(G).den
+    return [_frame_axis(G.T0, den, *ax) for ax in _axis_classes_of(G)]
 
 
-def singular_vertices(data: _SingularData) -> list[Vec3]:
-    """The vertices of a singular set, one per class modulo T0, as frame points."""
-    return [data.sc.to_frame(v) for v in data.vertex_classes]
+def singular_vertices(G: SpaceGroup) -> list[Vec3]:
+    """The vertices of the singular set of G, one per class modulo T0, as frame points."""
+    data = _singular_data(G)
+    return [from_numerators(v, data.den, G.T0) for v in data.vertex_classes]
 
 
 def singular_circles(G: SpaceGroup) -> list[Axis]:
     """The rotation axes of G that carry no vertex of `_singular_data` (closed singular circles), in frame coordinates."""
     data = _singular_data(G)
-    den = data.sc.den
+    den = data.den
     out = []
     for e, c1, c2, order in _axis_classes_of(G):
         u = _axis_basis(e)[0]
         if all((x1 - c1) % den or (x2 - c2) % den for _, x1, x2 in (int_matvec(u, v) for v in data.vertex_classes)):
-            out.append(_frame_axis(data.sc, e, c1, c2, order))
+            out.append(_frame_axis(G.T0, den, e, c1, c2, order))
     return out
 
 
@@ -725,16 +726,16 @@ def fixed_points_per_coset(G: SpaceGroup) -> tuple[list, list]:
     return lines, corners
 
 
-def axis_classes(sc, lines) -> list[tuple[IntVec, int, int, int]]:
+def axis_classes(data: _SingularData, lines) -> list[tuple[IntVec, int, int, int]]:
     """(direction, class, rotation index) of every line, sorted, each index counted by its own stabilizer scan.
 
-    The class of the line through y along e is (U·y)₁,₂ modulo sc.den, with
+    The class of the line through y along e is (U·y)₁,₂ modulo data.den, with
     U from `_axis_basis`; its base point is U⁻¹·(0, c₁, c₂).  The index is
     the number of cosets with an element fixing the line pointwise.
     """
-    den = sc.den
+    den = data.den
     if any(den % top for *_, top in lines):
-        raise ValueError("the den of sc does not clear the solved lines")
+        raise ValueError("the den of data does not clear the solved lines")
     found: dict[tuple[IntVec, int, int], int] = {}
     for e, points, top in lines:
         u, u_inv = _axis_basis(e)
@@ -743,13 +744,12 @@ def axis_classes(sc, lines) -> list[tuple[IntVec, int, int, int]]:
             key = (e, c1 * (den // top) % den, c2 * (den // top) % den)
             if key not in found:
                 base = int_matvec(u_inv, (0, key[1], key[2]))
-                found[key] = sum(1 for a in sc.stabilizer(base) if int_matvec(a, e) == e)
+                found[key] = sum(1 for k in fixing_cosets(data.moves, den, base) if int_matvec(data.moves[k][0], e) == e)
     return [(*key, found[key]) for key in sorted(found)]
 
 
-def vertex_classes(sc, corners) -> list[IntVec]:
-    """Every solved corner, reduced into the cell [0,1)³, sorted."""
-    den = sc.den
+def vertex_classes(den: int, corners) -> list[IntVec]:
+    """Every solved corner y/top as numerators over den, reduced into the cell [0,1)³, sorted."""
     return sorted(
         {tuple(x * (den // top) % den for x in y) for points, top in corners for y in points}
     )
@@ -1056,7 +1056,7 @@ def survey_rows_by_lattice(G: SpaceGroup, max_index: int) -> list[tuple[Subgroup
     split = _split(coord_rots)
     powers = ((p, _exponents(split, p, max_index.bit_length())) for p in _primes())
     rows = []
-    for d, lattices in _walk(coord_rots, powers, 0, max_index):
+    for d, lattices in _walk(coord_rots, powers, max_index):
         rows += [(L, match_family_by_units(L, G.frame), G.point_order * d) for L in in_t0_by_lattice(G.T0, lattices)]
     rows.sort(key=itemgetter(2))
     return rows

@@ -15,6 +15,7 @@ from torsym.errors import Disconnected, NotASubgroup
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     _from_t0_hnf,
+    from_numerators,
     hnf,
     index,
     int_matvec,
@@ -50,6 +51,7 @@ from torsym.spacegroups import (
     Isometry,
     SpaceGroup,
     _closure,
+    fixing_cosets,
     make_group,
     stabilizer,
     stabilizer_order,
@@ -234,10 +236,11 @@ EXPECTED_SHAPE = {
 }
 
 
-def rational_orbit_of(data):
-    """data.orbit_of keyed by rational frame segments, the form the Fraction oracles produce."""
+def rational_orbit_of(G):
+    """The orbit_of of G's singular data keyed by rational frame segments, the form the Fraction oracles produce."""
+    data = _singular_data(G)
     return {
-        tuple(data.sc.to_frame(p) for p in seg): oid
+        tuple(from_numerators(p, data.den, G.T0) for p in seg): oid
         for seg, oid in data.orbit_of.items()
     }
 
@@ -248,7 +251,7 @@ def test_singular_set_shape(name):
     data = _singular_data(G)
     n_axes, n_verts, n_segs, n_orbits = EXPECTED_SHAPE[name]
     assert len(singular_axes(G)) == n_axes
-    assert len(singular_vertices(data)) == n_verts
+    assert len(singular_vertices(G)) == n_verts
     assert len(data.orbit_of) == n_segs
     assert len(data.orbits) == n_orbits
     assert singular_circles(G) == []
@@ -265,7 +268,7 @@ _ROT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 def segment_lines(data):
     """The edge index of each axis class (e, c₁, c₂) that carries a segment, keyed as `_axis_segments` keys it."""
-    den = data.sc.den
+    den = data.den
     out = {}
     for (a, b), oid in data.orbit_of.items():
         e = primitive_integer(tuple(y - x for x, y in zip(a, b)))
@@ -285,16 +288,16 @@ def test_axis_and_vertex_classes_match_one_solve_per_coset(name):
     # the segments lie on exactly the solved axis classes, each with the axis's rotation index as its edge index
     data = _singular_data(make_group(name))
     lines, corners = fixed_points_per_coset(make_group(name))
-    assert all(data.sc.den % top == 0 for top in [t for *_, t in lines] + [t for _, t in corners])
-    assert segment_lines(data) == {ax[:3]: ax[3] for ax in axis_classes(data.sc, lines)}
-    assert data.vertex_classes == vertex_classes(data.sc, corners)
+    assert all(data.den % top == 0 for top in [t for *_, t in lines] + [t for _, t in corners])
+    assert segment_lines(data) == {ax[:3]: ax[3] for ax in axis_classes(data, lines)}
+    assert data.vertex_classes == vertex_classes(data.den, corners)
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_germ_orbits_match_the_union_find_at_every_vertex(name):
     data = _singular_data(make_group(name))
     for v in data.vertex_classes:
-        rots = tuple(a for a in data.sc.stabilizer(v) if a != _ROT_IDENTITY)
+        rots = tuple(data.moves[k][0] for k in fixing_cosets(data.moves, data.den, v) if data.moves[k][0] != _ROT_IDENTITY)
         assert len(_germ_orbits(rots)) == 3
         assert _germ_orbits(rots) == germ_orbits(rots)
 
@@ -338,10 +341,10 @@ def test_every_solved_system_has_the_block_scan_solution_set(name, monkeypatch):
 @pytest.mark.parametrize("name", GROUPS)
 def test_axis_and_vertex_classes_are_closed_under_every_coset(name):
     data = _singular_data(make_group(name))
-    den = data.sc.den
+    den = data.den
     verts = set(data.vertex_classes)
     index = segment_lines(data)
-    for a, t in data.sc.moves:
+    for a, t in data.moves:
         for v in verts:
             assert tuple((x + s) % den for x, s in zip(int_matvec(a, v), t)) in verts
         for (e, c1, c2), idx in index.items():
@@ -541,9 +544,8 @@ def test_axis_window_saturates(name):
 @pytest.mark.parametrize("name", GROUPS)
 def test_vertex_window_saturates(name):
     G = make_group(name)
-    data = _singular_data(G)
     for radius in (2, 3):
-        assert window_vertices(G, singular_axes(G), radius) == singular_vertices(data)
+        assert window_vertices(G, singular_axes(G), radius) == singular_vertices(G)
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -551,16 +553,15 @@ def test_axis_segments_match_window_oracle(name):
     # cut every axis at the window's vertex offsets over one period; the
     # pieces are exactly the singular segments, up to lattice translation
     G = make_group(name)
-    data = _singular_data(G)
     found = set()
     for ax in singular_axes(G):
-        offs = window_offsets(G, ax, singular_vertices(data), 2)
+        offs = window_offsets(G, ax, singular_vertices(G), 2)
         assert offs, "every axis meets a vertex"
         offs.append(offs[0] + _axis_period(G.T0, ax.direction))
         dv = vec(*ax.direction)
         for a, b in zip(offs, offs[1:]):
             found.add(canon_segment(G.T0, vadd(ax.base, vscale(a, dv)), vadd(ax.base, vscale(b, dv))))
-    assert found == set(rational_orbit_of(data))
+    assert found == set(rational_orbit_of(G))
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -578,7 +579,7 @@ def test_marked_edges_match_the_whole_grid_normalizer(name):
     # is the set of its images: no union-find and no transversal needed
     G = make_group(name)
     data = _singular_data(G)
-    orbit_of = rational_orbit_of(data)
+    orbit_of = rational_orbit_of(G)
     classes = set()
     for e in data.edges:
         if e.link != (2, 2, 2, 3):
@@ -599,8 +600,8 @@ def test_normalizer_transversal_is_closed_modulo_g(name):
     # the maps and every composite of two maps to be a listed map up to an element of G and of T0
     G = make_group(name)
     cosets, cden = G.maps
-    sc = _singular_data(G).sc
-    for raw in (_normalizer_solutions(G), [(a, t, sc.den) for a, t in sc.normalizer]):
+    data = _singular_data(G)
+    for raw in (_normalizer_solutions(G), [(a, t, data.den) for a, t in data.normalizer]):
         maps = [(a, tuple(Fraction(x, d) for x in t)) for a, t, d in raw]
 
         def cls(a, t):
@@ -623,9 +624,9 @@ def test_marked_edges_match_union_find_classes(name):
     data = _singular_data(make_group(name))
     marked = [e.orbit_id for e in data.edges if e.link == (2, 2, 2, 3)]
     classes = _UnionFind(marked)
-    for move in data.sc.normalizer:
+    for move in data.normalizer:
         for oid in marked:
-            other = data.orbit_of[_image(data.sc.den, move, data.orbits[oid][0])]
+            other = data.orbit_of[_image(data.den, move, data.orbits[oid][0])]
             assert other in classes
             classes.union(oid, other)
     expected = sorted(min(ids) for ids in classes.groups())
@@ -643,23 +644,23 @@ def test_axis_orders_are_crystallographic():
 
 
 def test_p432_axes_pass_through_quarter_rational_points():
-    data = _singular_data(make_group("P432"))
-    for ax in singular_axes(make_group("P432")):
+    G = make_group("P432")
+    for ax in singular_axes(G):
         assert all((4 * x).denominator == 1 for x in ax.base)
-    for v in singular_vertices(data):
+    for v in singular_vertices(G):
         assert all((4 * x).denominator == 1 for x in v)
 
 
 def test_p432_vertex_stabilizer_orders():
     G = make_group("P432")
-    orders = sorted(stabilizer_order(v, G) for v in singular_vertices(_singular_data(G)))
+    orders = sorted(stabilizer_order(v, G) for v in singular_vertices(G))
     assert orders == [8, 8, 8, 8, 8, 8, 24, 24]
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_every_vertex_is_trivalent(name):
     G = make_group(name)
-    for v in singular_vertices(_singular_data(G)):
+    for v in singular_vertices(G):
         rots = tuple(g.rot for g in stabilizer(v, G) if not is_pure_translation(g))
         assert len(_germ_orbits(rots)) == 3
 
@@ -742,7 +743,7 @@ def test_i4_132_face_diagonal_segment_lies_in_the_deep_lattice_class():
     exit_point = vadd(a, vscale(Fraction(1, 3), vsub(b, a)))
     assert exit_point == (Fraction(1, 2), Fraction(0), Fraction(1, 4))
     data = _singular_data(G)
-    orbit_of = rational_orbit_of(data)
+    orbit_of = rational_orbit_of(G)
     seg = canon_segment(G.T0, a, b)
     assert seg in orbit_of
     e = data.edges[orbit_of[seg]]
@@ -764,8 +765,7 @@ def test_interior_point_stabilizer_equals_edge_index(name):
 def test_stabilizers_match_the_fraction_oracle_on_the_singular_set(name):
     # the public stabilizers scan the integer coset maps; the oracle applies each Fraction coset
     G = make_group(name)
-    data = _singular_data(G)
-    points = [*singular_vertices(data), *(ax.base for ax in singular_axes(G))]
+    points = [*singular_vertices(G), *(ax.base for ax in singular_axes(G))]
     points += [tuple((x + y) / 2 for x, y in zip(*e.segment)) for e in singular_graph(G)]
     for p in points:
         assert stabilizer(p, G) == oracles.stabilizer(p, G)

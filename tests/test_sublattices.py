@@ -719,6 +719,40 @@ def test_growing_survey_gives_every_bound_the_same_rows(name):
         assert answers[a] == head == answers[b][: len(head)]
 
 
+_COLD_300: dict[str, list] = {}
+
+
+@given(
+    st.sampled_from(GROUP_NAMES),
+    st.lists(st.integers(1, 300), min_size=2, max_size=4, unique=True).map(sorted),
+)
+def test_survey_raised_through_bounds_gives_the_cold_rows(name, bounds):
+    # each larger bound rebuilds the store by one walk from index 1; every bound, a smaller
+    # one asked again later included, must read exactly the cold survey's rows
+    G = make_group(name)
+    if name not in _COLD_300:
+        _clear_survey_caches()
+        _COLD_300[name] = normal_translation_subgroups(G, 300)
+    cold = _COLD_300[name]
+
+    def head(b):
+        return [row for row in cold if row[2] <= G.point_order * b]
+
+    _clear_survey_caches()
+    for k, b in enumerate(bounds):
+        for a in bounds[: k + 1][::-1]:
+            assert normal_translation_subgroups(G, a) == head(a)
+        # one stored row per lattice, none for an index without one
+        stored = _stored_rows(G)
+        assert stored == head(b) and len({L for L, _, _ in stored}) == len(stored)
+    # the walk yields each index up to its bound that has a lattice, once
+    coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
+    split = sublattices._split(coord_rots)
+    powers = ((p, sublattices._exponents(split, p, bounds[-1].bit_length())) for p in sublattices._primes())
+    walked = [d for d, _ in sublattices._walk(coord_rots, powers, bounds[-1])]
+    assert sorted(walked) == sorted({total // G.point_order for _, _, total in head(bounds[-1])})
+
+
 def test_growing_survey_under_concurrent_callers():
     # more threads than cores grow one stored survey at once; a lost or doubled update
     # would leave a row count or an answer that differs from the one-thread survey
@@ -1116,5 +1150,6 @@ def test_walk_rejects_prime_powers_out_of_order():
     # a level ends at the first prime that overshoots, which is sound only for ascending least indices
     coord_rots = _coord_rotations(Z3, HEX_ROTS)
     with pytest.raises(InvariantViolation, match="order"):
-        list(sublattices._walk(coord_rots, [(3, range(1, 2)), (2, range(1, 2))], 0, 6))
-    assert dict(sublattices._walk(coord_rots, [(2, range(1, 2)), (3, range(1, 2))], 5, 6)).keys() == {6}
+        list(sublattices._walk(coord_rots, [(3, range(1, 2)), (2, range(1, 2))], 6))
+    # in order, the walk reaches 6 = 2·3 past 1, 2 and 3
+    assert dict(sublattices._walk(coord_rots, [(2, range(1, 2)), (3, range(1, 2))], 6)).keys() == {1, 2, 3, 6}
