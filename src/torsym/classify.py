@@ -6,7 +6,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 
 from .errors import InvariantViolation
-from .lattices import SubgroupHNF, coord_numerators, covolume, hnf, index, mat_det, relative_coordinates, smith_form
+from .lattices import SubgroupHNF, covolume, hnf, index, mat_det, relative_coordinates, smith_form
 from .periodic_graphs import (
     PeriodicGraph,
     SingularEdge,
@@ -16,8 +16,8 @@ from .periodic_graphs import (
     lift_connected_bruteforce,
     marked_edges,
 )
-from .spacegroups import SpaceGroup, make_group
-from .sublattices import CUBIC_TAGS, HEX_TAGS, LatticeFamily, _check_index, instantiate, normal_translation_subgroups
+from .spacegroups import GROUP_NAMES, SpaceGroup, make_group
+from .sublattices import LatticeFamily, _check_index, _closed_form_rows, _least_instances, _surveyed, _walked_rows, instantiate, normal_translation_subgroups
 
 # ============================================================
 # the paper's claims
@@ -291,26 +291,17 @@ def labeled_marked_edges(name: str) -> dict[str, SingularEdge]:
 def _cases(G: SpaceGroup) -> tuple[dict[str, int], dict[str, _Case]]:
     """The family multipliers of G in report order, and its marked edge orbits as cases by label, in label order.
 
-    The multiplier is the least u with instance(u) ⊆ T0 (m = 1 for the
-    hexagonal ones): the lcm of the denominators of the unit instance's basis
-    vectors in T0-coordinates.  That is exact, because {u : u·L₁ ⊆ T0} is
-    closed under gcd and so equals mult·ℤ.  The families are reported by
-    ascending [T0 : instance(mult)]; a tie raises InvariantViolation.
+    The multiplier is the least u with instance(u) ⊆ T0, with m = v, the
+    least m with m·e₃ ∈ T0, for the hexagonal ones (`_least_instances`).
+    The families are reported by ascending [T0 : instance(mult)]; a tie
+    raises InvariantViolation.
 
     Alpha is the orbit whose cycle image I is all of T0.  The others take
     beta, then gamma, by ascending [T0 : I], a rank-2 I counting as
     infinite.  A tie, or more orbits than labels, raises InvariantViolation.
     """
-    keyed = []
-    for tag in CUBIC_TAGS if G.frame.name == "CUBIC" else HEX_TAGS:
-        m = 1 if tag in HEX_TAGS else None
-        unit = instantiate(tag, 1, m)
-        b = unit.den
-        # a column h over the den b with T0-coordinate numerators x/d has the coordinates x/(d·b)
-        coords = [coord_numerators(h, G.T0) for h in unit.basis]
-        u = math.lcm(*(d * b // math.gcd(d * b, *x) for x, d in coords))
-        keyed.append((index(L1 := instantiate(tag, u, m), G.T0), tag, u, L1))
-    keyed.sort()  # the tags differ, so no two lattices are compared
+    # the tags differ, so no two lattices are compared
+    keyed = sorted((i1, tag, u, L1) for tag, u, _, L1, i1 in _least_instances(G.T0, G.frame.name))
     if len({k[0] for k in keyed}) != len(keyed):
         raise InvariantViolation(f"{G.name}: families of equal index {[k[0] for k in keyed]} in T0")
     mults = {tag: u for _, tag, u, _ in keyed}
@@ -545,7 +536,7 @@ def verify_claims() -> VerificationReport:
 
 
 def verify_tables(max_index: int) -> VerificationReport:
-    """Claim checks plus survivor families and constraints against the fixed lists."""
+    """Claim checks plus survivor families and constraints against the fixed lists, and each group's closed-form survey against the walk."""
     report = verify_claims()
     errors = list(report.table_errors)
     for group, edge in ((c.group, c.edge_label) for c in report.checks):
@@ -554,12 +545,8 @@ def verify_tables(max_index: int) -> VerificationReport:
         # a family shows up once its first instance (n = 1, and m = 1 for the
         # hexagonal ones) fits under the index bound; one outside the frame is never found
         G = make_group(group)
-        mult = _cases(G)[0]
-        expected = [
-            (tag, constraint)
-            for tag, constraint in EXPECTED_ACCEPTED[(group, edge)]
-            if tag not in mult or index(instantiate(tag, mult[tag], 1 if tag in HEX_TAGS else None), G.T0) <= max_index
-        ]
+        least = {tag: i1 for tag, _, _, _, i1 in _least_instances(G.T0, G.frame.name)}
+        expected = [(tag, constraint) for tag, constraint in EXPECTED_ACCEPTED[(group, edge)] if least.get(tag, 0) <= max_index]
         if found != expected:
             errors.append(f"{group} {edge}: survivors {found} do not match {expected}")
         for tag in dict.fromkeys(row.family.tag for row in rows):
@@ -568,6 +555,10 @@ def verify_tables(max_index: int) -> VerificationReport:
             bad = [r.n for r in rows if r.family.tag == tag and r.genus - 1 != coeff * r.n**exp]
             if bad:
                 errors.append(f"{group} {edge}: genus does not fit the census form for {tag} at n = {bad}")
+    # the walk, not stored, is the second route to each group's stored closed-form survey
+    for G in map(make_group, GROUP_NAMES):
+        if _surveyed(G, max_index, _closed_form_rows) != _walked_rows(G, max_index):
+            errors.append(f"{G.name}: the closed-form survey to index {max_index} differs from the walk")
     return VerificationReport(checks=report.checks, table_errors=tuple(errors))
 
 

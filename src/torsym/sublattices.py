@@ -7,7 +7,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress, count, product, takewhile
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -19,11 +19,13 @@ from .lattices import (
     SubgroupHNF,
     _from_t0_hnfs,
     adjugate,
+    coord_numerators,
     covolume,
     frame_coords_matrix,
     hnf,
     hnf_columns,
     hnf_product,
+    index,
     int_matvec,
     invariant_coords_matrix,
     mat_det,
@@ -449,11 +451,11 @@ def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) ->
     group P the rotations generate, a part is read off in closed form when
     `_split` knows the split of ℚ³ under P (the cubic and hexagonal point
     groups); at the other primes, and for every other P, the submodule
-    descent mod p finds it, once per primitive lattice.  The survey's walker
-    meets coprime parts in closed form by the CRT (`_coprime_meet`), here
-    over the prime powers of d alone, and each result takes one integer
-    step to T0.  It is sorted by (−D, basis).  Its independent check is
-    the enumerate-and-filter over every HNF of index d in `tests/oracles.py`.
+    descent mod p finds it, once per primitive lattice.  The parts of d's
+    primes are met by the CRT (`_coprime_meet`), one stage per prime, and
+    each result takes one integer step to T0; an exponent that cannot carry
+    a part gives none.  It is sorted by (−D, basis).  Its independent check
+    is the enumerate-and-filter over every HNF of index d in `tests/oracles.py`.
     """
     _check_index(d, "index")
     rots = tuple(_check_rotation(r) for r in rotations)
@@ -461,10 +463,14 @@ def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) ->
         raise RankDeficient("invariant_sublattices requires a rank-3 subgroup")
     coord_rots = _coord_rotations(T0, rots)
     split = _split(coord_rots)
-    # a prime whose exponent cannot carry a part drops out, and d is never reached
-    parts = sorted((p**k, p, k) for p, k in _prime_power_parts(d) if k in _exponents(split, p, k))
-    walk = _walk(coord_rots, [(p, range(k, k + 1)) for _, p, k in parts], d)
-    return _from_t0_hnfs(T0, (M for index, lattices in walk if index == d for M in lattices))
+    parts = _prime_power_parts(d)
+    if any(k not in _exponents(split, p, k) for p, k in parts):
+        return []
+    lattices: tuple = (IDENTITY,)
+    for i, (p, k) in enumerate(parts):
+        part = _invariant_p_power(coord_rots, p, k)
+        lattices = part if i == 0 else tuple(_coprime_meet(A, B) for A in lattices for B in part)
+    return _from_t0_hnfs(T0, lattices)
 
 
 # ============================================================
@@ -518,16 +524,83 @@ def _rotation_generators(G: SpaceGroup) -> tuple[Mat3, ...]:
     return tuple(sorted(rots, key=lambda r: r[0][0] + r[1][1] + r[2][2] != 0))
 
 
+def _least_instances(T0: SubgroupHNF, frame_name: str) -> list[tuple[str, int, int | None, SubgroupHNF, int]]:
+    """(tag, u, v, L₁ = instance(tag, u, v), [T0 : L₁]) per family of the frame, L₁ its least instance in T0.
+
+    u is the least n with n·B ⊆ T0 for B the unit instance's (planar) columns, and v the least
+    m with m·e₃ ∈ T0 (None if cubic): lcms of denominators in T0-coordinates, as {n : n·B ⊆ T0} is closed under gcd.
+    """
+    out = []
+    for tag in CUBIC_TAGS if frame_name == "CUBIC" else HEX_TAGS:
+        unit = instantiate(tag, 1, None if tag in CUBIC_TAGS else 1)
+        # a column h over the den D with T0-coordinate numerators x/d has the coordinates x/(d·D)
+        dens = [d * unit.den // math.gcd(d * unit.den, *x) for x, d in (coord_numerators(h, T0) for h in unit.basis)]
+        u, v = (math.lcm(*dens), None) if tag in CUBIC_TAGS else (math.lcm(*dens[:2]), dens[2])
+        out.append((tag, u, v, L1 := instantiate(tag, u, v), index(L1, T0)))
+    return out
+
+
+def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, LatticeFamily, int]]:
+    """The survey rows to `bound` of a record whose point group is its frame's whole rotation group, read off the family table.
+
+    For L₁ = instance(tag, u, v) of index i₁ (`_least_instances`) they are
+    instance(tag, u·k) of index i₁·k³ and instance(tag, u·k, v·j) of index
+    i₁·k²·j, each basis L₁'s scaled, sorted by (total index, −D, basis).
+    They are every invariant L ⊆ T0.  Under O, L = r·X for r ∈ ℚ and X the
+    cubic P, F or I lattice.  Under D6, ρ² − ρ + 1 = 0 on the plane W for ρ
+    the 6-fold rotation, so ρ − 1 is unimodular there: x ∈ L has
+    x_W = −ρ·(ρ − 1)·x ∈ L, L = (L ∩ W) ⊕ ℤ·s·e₃, and L ∩ W is a fractional
+    ideal of ℤ[ω] that conjugation keeps, r·ℤ[ω] or r(1 − ω)·ℤ[ω].  T0 must
+    be an instance, as the walk's row of index 1 needs (`match_family`
+    raises as there); then T0 ⊆ ℤ³ ∪ (ℤ³ + (½, ½, ½)) and each unit lattice
+    holds e₁, e₁ + e₂ or 2e₁ + e₂, so r ∈ ℤ, and u | r, v | s iff L ⊆ T0.
+    """
+    match_family(G.T0, G.frame)
+    rows = []  # (index, −D, basis, family): distinct lattices, which sort as the walk's rows do
+    for tag, u, v, L1, i1 in _least_instances(G.T0, G.frame.name):
+        for k in takewhile(lambda k: i1 * k ** (3 if v is None else 2) <= bound, count(1)):
+            if v is None:  # k·H/q is k/g·H over q/g for g = gcd(k, q), q being coprime to H's content
+                g = math.gcd(k, L1.den)
+                rows.append((i1 * k**3, -(L1.den // g), _scaled(L1.basis, k // g), LatticeFamily(tag, u * k)))
+            else:  # the planar columns times k, and the axis column (0, 0, v) times j
+                plane = _scaled(L1.basis[:2], k)
+                rows += [(i1 * k * k * j, -1, (*plane, (0, 0, v * j)), LatticeFamily(tag, u * k, v * j)) for j in range(1, bound // (i1 * k * k) + 1)]
+    return [(SubgroupHNF(basis, -minus_den), fam, G.point_order * d) for d, minus_den, basis, fam in sorted(rows)]
+
+
+def _walked_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, LatticeFamily, int]]:
+    """The survey rows to `bound` by one walk from index 1 that meets the prime-power parts of every index, each matched alone."""
+    coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
+    split = _split(coord_rots)
+    # the primes ascend and so do their least indices p^e: e = step = 3 only for a cubic P, whose order 12, 24
+    # or 48 gives e = 1 at p = 2 and 3; so the walk reads the primes up to the first p with p^e > bound, no further
+    powers = ((p, _exponents(split, p, bound.bit_length())) for p in _primes())
+    rows = []
+    # each index's raw HNFs go once its rows hold them (for T0 = ℤ³ the rows keep the same tuples)
+    for d, lattices in _walk(coord_rots, powers, bound):
+        rows += [(L, match_family(L, G.frame), G.point_order * d) for L in _from_t0_hnfs(G.T0, lattices)]
+    rows.sort(key=itemgetter(2))  # stable: each index keeps its (−D, basis) order
+    return rows
+
+
 @lru_cache(maxsize=None)
-def _survey(T0: SubgroupHNF, coord_rots: tuple, frame_name: str) -> SimpleNamespace:
-    """The stored survey of T0 under one set of rotations, in one frame, rebuilt when a larger bound is asked.
+def _survey(T0: SubgroupHNF, rotations: tuple, frame_name: str, route) -> SimpleNamespace:
+    """The stored survey of T0 under one set of rotations, in one frame, by one route (`_surveyed`).
 
     `rows` holds (L, family, total index |P|·d) for every index d ≤ `bound`
-    in T0, in the order `normal_translation_subgroups` returns them; an
-    index with no lattice leaves nothing.  The rotations fix |P|, and
-    `match_family` reads only the frame's name.
+    in T0, in the order `normal_translation_subgroups` returns them.  The
+    rotations fix |P|, and `match_family` reads only the frame's name.
     """
     return SimpleNamespace(bound=0, rows=[], lock=threading.Lock())
+
+
+def _surveyed(G: SpaceGroup, max_index: int, route) -> list[tuple[SubgroupHNF, LatticeFamily, int]]:
+    """The rows of G's stored survey by `route` up to max_index, the store rebuilt by the route first when its bound is smaller."""
+    survey = _survey(G.T0, _rotation_generators(G), G.frame.name, route)
+    with survey.lock:  # a second caller must not rebuild the same rows again
+        if max_index > survey.bound:
+            survey.rows, survey.bound = route(G, max_index), max_index
+    return survey.rows[: bisect_right(survey.rows, G.point_order * max_index, key=itemgetter(2))]
 
 
 def normal_translation_subgroups(
@@ -536,27 +609,13 @@ def normal_translation_subgroups(
     """All invariant sublattices of T0 up to max_index, with family and total index.
 
     The total index is the index in the full space group: point order times
-    the lattice index inside T0.  The survey of (T0, rotations, frame) is
-    stored.  A larger bound rebuilds it by one walk from index 1, which
-    meets the prime-power parts of every index, each index's lattices in
-    ascending order.  The parts stay cached, so a rebuild repeats only the
-    meets and the matching of the rows already held.  The answer is the
-    first rows, a new list of the stored row tuples.
+    the lattice index inside T0.  When G's point group is its frame's whole
+    rotation group, as for the six groups, the rows come from the family
+    table (`_closed_form_rows`), and `verify_tables` checks them against the
+    walk that finds every other record's (`_walked_rows`).  The survey is
+    stored, and a larger bound rebuilds it.  The answer is the first rows, a
+    new list of the stored row tuples.
     """
     _check_index(max_index, "max_index")
-    coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
-    survey = _survey(G.T0, coord_rots, G.frame.name)
-    with survey.lock:  # a second caller must not rebuild the same rows again
-        if max_index > survey.bound:
-            split = _split(coord_rots)
-            # the primes ascend and so do their least indices p^e: e = step = 3 only for a cubic
-            # P, whose order 12, 24 or 48 gives e = 1 at p = 2 and 3; so the walk reads the primes
-            # up to the first p with p^e > max_index (p³ > max_index for a cubic class), no further
-            powers = ((p, _exponents(split, p, max_index.bit_length())) for p in _primes())
-            rows = []
-            # each index's raw HNFs go once its rows hold them (for T0 = ℤ³ the rows keep the same tuples)
-            for d, lattices in _walk(coord_rots, powers, max_index):
-                rows += [(L, match_family(L, G.frame), G.point_order * d) for L in _from_t0_hnfs(G.T0, lattices)]
-            rows.sort(key=itemgetter(2))  # stable: each index keeps its (−D, basis) order
-            survey.rows, survey.bound = rows, max_index
-    return survey.rows[: bisect_right(survey.rows, G.point_order * max_index, key=itemgetter(2))]
+    whole = G.point_order == (24 if G.frame.name == "CUBIC" else 12)  # |O| or |D6|, the frame's rotations
+    return _surveyed(G, max_index, _closed_form_rows if whole else _walked_rows)

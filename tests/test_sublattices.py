@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient, UnmatchedLattice
 from torsym.lattices import (
@@ -39,12 +39,16 @@ from torsym.spacegroups import (
     GROUP_NAMES,
     HEX_FRAME,
     ROT_OMEGA,
+    ROT_XY,
     ROT_XYZ,
     ROT_Y,
     ROT_Y_HEX,
     ROT_Z,
     ROT_Z_HEX,
     T_HALF,
+    Isometry,
+    SpaceGroup,
+    _closure,
     make_group,
 )
 import torsym
@@ -58,7 +62,10 @@ from torsym.sublattices import (
     _coprime_meet,
     _prime_power_parts,
     _rotation_generators,
+    _closed_form_rows,
     _survey,
+    _surveyed,
+    _walked_rows,
     instantiate,
     invariant_sublattices,
     match_family,
@@ -693,8 +700,8 @@ def _clear_survey_caches():
             f.cache_clear()
 
 
-def _stored_rows(G):
-    return _survey(G.T0, _coord_rotations(G.T0, _rotation_generators(G)), G.frame.name).rows
+def _stored_rows(G, route):
+    return _survey(G.T0, _rotation_generators(G), G.frame.name, route).rows
 
 
 _GROWING_BOUNDS = (1, 37, 128, 129, 256)
@@ -702,16 +709,16 @@ _GROWING_BOUNDS = (1, 37, 128, 129, 256)
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
 def test_growing_survey_gives_every_bound_the_same_rows(name):
-    # the stored survey grows to the largest bound asked; a smaller bound reads its first rows.
+    # the walk's stored survey grows to the largest bound asked; a smaller bound reads its first rows.
     # 128 = 2⁷ and 129 = 3·43 cut inside the chain of 2-power parts, which the walk
     # from 128 to 129 passes only on the way to 129
     G = make_group(name)
     runs = []
     for bounds in (_GROWING_BOUNDS, _GROWING_BOUNDS[::-1]):
         _clear_survey_caches()
-        runs.append({b: normal_translation_subgroups(G, b) for b in bounds})
+        runs.append({b: _surveyed(G, b, _walked_rows) for b in bounds})
         # one stored row per lattice found, none for an index without one
-        assert len(_stored_rows(G)) == len(runs[-1][256])
+        assert len(_stored_rows(G, _walked_rows)) == len(runs[-1][256])
     assert runs[0] == runs[1]
     answers = runs[0]
     for a, b in combinations(_GROWING_BOUNDS, 2):
@@ -727,12 +734,12 @@ _COLD_300: dict[str, list] = {}
     st.lists(st.integers(1, 300), min_size=2, max_size=4, unique=True).map(sorted),
 )
 def test_survey_raised_through_bounds_gives_the_cold_rows(name, bounds):
-    # each larger bound rebuilds the store by one walk from index 1; every bound, a smaller
-    # one asked again later included, must read exactly the cold survey's rows
+    # each larger bound rebuilds the walk's store by one walk from index 1; every bound, a smaller
+    # one asked again later included, must read exactly the cold walk's rows
     G = make_group(name)
     if name not in _COLD_300:
         _clear_survey_caches()
-        _COLD_300[name] = normal_translation_subgroups(G, 300)
+        _COLD_300[name] = _surveyed(G, 300, _walked_rows)
     cold = _COLD_300[name]
 
     def head(b):
@@ -741,9 +748,9 @@ def test_survey_raised_through_bounds_gives_the_cold_rows(name, bounds):
     _clear_survey_caches()
     for k, b in enumerate(bounds):
         for a in bounds[: k + 1][::-1]:
-            assert normal_translation_subgroups(G, a) == head(a)
+            assert _surveyed(G, a, _walked_rows) == head(a)
         # one stored row per lattice, none for an index without one
-        stored = _stored_rows(G)
+        stored = _stored_rows(G, _walked_rows)
         assert stored == head(b) and len({L for L, _, _ in stored}) == len(stored)
     # the walk yields each index up to its bound that has a lattice, once
     coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
@@ -754,16 +761,16 @@ def test_survey_raised_through_bounds_gives_the_cold_rows(name, bounds):
 
 
 def test_growing_survey_under_concurrent_callers():
-    # more threads than cores grow one stored survey at once; a lost or doubled update
+    # more threads than cores grow the walk's stored survey at once; a lost or doubled update
     # would leave a row count or an answer that differs from the one-thread survey
     G = make_group("P622")
-    expected = {b: normal_translation_subgroups(G, b) for b in (16, 48, 96, 128)}
+    expected = {b: _surveyed(G, b, _walked_rows) for b in (16, 48, 96, 128)}
     _clear_survey_caches()
     answers, errors = [], []
 
     def ask(bounds):
         try:
-            answers.extend((b, normal_translation_subgroups(G, b)) for b in bounds)
+            answers.extend((b, _surveyed(G, b, _walked_rows)) for b in bounds)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -779,7 +786,145 @@ def test_growing_survey_under_concurrent_callers():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
     assert len(answers) == 24 and all(rows == expected[b] for b, rows in answers)
-    assert len(_stored_rows(G)) == len(expected[128])
+    assert len(_stored_rows(G, _walked_rows)) == len(expected[128])
+
+
+# ============================================================
+# the closed-form survey against the walk
+# ============================================================
+
+_WALKED_3000: dict[str, list] = {}
+
+
+def _walked_to_3000(G):
+    """The walk's rows of one of the six groups to index 3,000, computed once per group."""
+    if G.name not in _WALKED_3000:
+        _WALKED_3000[G.name] = _walked_rows(G, 3000)
+    return _WALKED_3000[G.name]
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(GROUP_NAMES), st.lists(st.integers(1, 3000), min_size=1, max_size=4))
+@example("P622", [16, 19])  # the one bound raise of demos/full_census.py
+@example("P622", [2999, 48, 3000])
+@example("I432", [3000, 1, 2999])
+@example("I4_132", [7, 64, 256])
+def test_closed_form_survey_equals_the_walk(name, bounds):
+    # row for row and in order, at bounds raised and lowered in the order drawn: each answer is the
+    # walk's rows to its bound, and the store holds the walk's rows to the largest bound asked yet
+    G = make_group(name)
+    walked = _walked_to_3000(G)
+    _clear_survey_caches()
+
+    def head(b):
+        return [row for row in walked if row[2] <= G.point_order * b]
+
+    for k, b in enumerate(bounds):
+        assert normal_translation_subgroups(G, b) == head(b)
+        assert _stored_rows(G, _closed_form_rows) == head(max(bounds[: k + 1]))
+    # the six groups take the closed form alone: its store is the only one, and the answer holds its tuples
+    assert _survey.cache_info().currsize == 1
+    assert all(a is b for a, b in zip(normal_translation_subgroups(G, bounds[-1]), _stored_rows(G, _closed_form_rows)))
+
+
+_CUBES = st.tuples(st.sampled_from((1, 2, 4, 8, 16, 32)), st.integers(1, 100)).map(lambda ck: ck[0] * ck[1] ** 3)
+
+
+def _closed_form_equals_the_enumeration_at(name, d):
+    # the closed form's rows of index d against the lattices the prime-power parts give, matched one by one
+    G = make_group(name)
+    total, rots = G.point_order * d, _rotation_generators(G)
+    closed = [row for row in _closed_form_rows(G, d) if row[2] == total]
+    assert closed == [(L, match_family(L, G.frame), total) for L in invariant_sublattices(G.T0, rots, d)]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([n for n in GROUP_NAMES if n != "P622"]), _CUBES.filter(lambda d: d <= 10**6) | st.integers(1, 10**6))
+@example("I4_132", 10**6)
+@example("F4_132", 4 * 99**3)
+def test_cubic_closed_form_at_one_index_equals_the_enumeration(name, d):
+    # far past the bounds the walk is compared at: one index d ≤ 10⁶, often i₁·k³, which has lattices
+    _closed_form_equals_the_enumeration_at(name, d)
+
+
+@settings(max_examples=6)
+@given(st.integers(1, 10**5))
+@example(10**5)
+@example(3 * 4 * 5 * 7)
+def test_hexagonal_closed_form_at_one_index_equals_the_enumeration(d):
+    # one index d ≤ 10⁵ of P622, whose rows to d the closed form builds in time linear in d
+    _closed_form_equals_the_enumeration_at("P622", d)
+
+
+_HALF = Fraction(1, 2)
+_O = (*CUBIC_ROTS, ROT_XY)
+
+
+def _record(name, frame, rots, translations):
+    """A record through the coset closure of pure translations and rotations about the origin."""
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    gens = (*(Isometry(frame, identity, t) for t in translations), *(Isometry(frame, r, (0, 0, 0)) for r in rots))
+    cosets, T0, maps = _closure(gens)
+    return SpaceGroup(name, frame, gens, T0, len(cosets), tuple(cosets), maps)
+
+
+# the frame's whole group on other lattices: u = 2, 3 or 4 for a cubic family, v = 2 or 3 on the hexagonal axis
+_SCALED_RECORDS = [
+    _record("P_2", CUBIC_FRAME, _O, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+    _record("F_3", CUBIC_FRAME, _O, [(6, 0, 0), (3, 3, 0), (3, 0, 3)]),
+    _record("I_3", CUBIC_FRAME, _O, [(3, 0, 0), (0, 3, 0), (3 * _HALF, 3 * _HALF, 3 * _HALF)]),
+    _record("HP_1_2", HEX_FRAME, HEX_ROTS, [(1, 0, 0), (0, 1, 0), (0, 0, 2)]),
+    _record("HR_2_3", HEX_FRAME, HEX_ROTS, [(4, 2, 0), (2, 4, 0), (0, 0, 3)]),
+]
+
+
+@pytest.mark.parametrize("G", _SCALED_RECORDS, ids=lambda G: G.name)
+def test_closed_form_equals_the_walk_on_scaled_lattices(G):
+    assert _closed_form_rows(G, 300) == _walked_rows(G, 300) != []
+    assert normal_translation_subgroups(G, 300) == _closed_form_rows(G, 300)
+
+
+@pytest.mark.parametrize(
+    "G, ok_to, rows, fault",
+    [
+        (_record("P23", CUBIC_FRAME, CUBIC_ROTS, Z3.basis), 64, 9, None),  # T, |P| = 12: only the cubic lattices
+        # C6 alone keeps the ideals of ℤ[ω] above a split prime, 7 = ππ̄, which no family holds
+        (_record("P6", HEX_FRAME, (ROT_OMEGA, ROT_Z_HEX), Z3.basis), 6, 9, "covolume 7"),
+        (_record("P321", HEX_FRAME, HEX_ROTS[:2], Z3.basis), 2, 2, "covolume 3"),  # D3: a rhombohedral lattice at 3
+        (_record("P422", CUBIC_FRAME, (((0, -1, 0), (1, 0, 0), (0, 0, 1)), ROT_Y), Z3.basis), 1, 1, "covolume 2"),
+        # the frame's whole group on a lattice that is no family instance: refused at index 1 on both routes
+        (_record("P432_half", CUBIC_FRAME, _O, [(_HALF, 0, 0), (0, _HALF, 0), (0, 0, _HALF)]), 0, 0, "covolume 1/8"),
+        (_record("P622_half", HEX_FRAME, HEX_ROTS, [(1, 0, 0), (0, 1, 0), (0, 0, _HALF)]), 0, 0, "covolume 1/2"),
+    ],
+    ids=["P23", "P6", "P321", "P422", "P432_half", "P622_half"],
+)
+def test_other_records_keep_the_walk_and_its_errors(G, ok_to, rows, fault):
+    # a point group short of the frame's whole group is walked as before, and a lattice outside the
+    # five families stops the survey with UnmatchedLattice at the first index that has one
+    _clear_survey_caches()
+    if ok_to:
+        assert len(normal_translation_subgroups(G, ok_to)) == rows
+        assert normal_translation_subgroups(G, ok_to) == _walked_rows(G, ok_to) == _stored_rows(G, _walked_rows)
+    if fault:
+        with pytest.raises(UnmatchedLattice, match=f"^no closed-form family matches {re.escape(fault)}$"):
+            normal_translation_subgroups(G, ok_to + 1)
+        with pytest.raises(UnmatchedLattice, match=f"^no closed-form family matches {re.escape(fault)}$"):
+            _walked_rows(G, ok_to + 1)
+
+
+def test_one_index_meets_only_its_own_prime_power_parts(monkeypatch):
+    # one CRT stage per prime of d: the lattices met so far against each lattice of the next part, the
+    # first part taken as it is; walking every divisor of d took 88 meets at 30,030 and 98 at 44,100
+    G = make_group("P622")
+    rots = _rotation_generators(G)
+    coord_rots = _coord_rotations(G.T0, rots)
+    for d, meets in ((30030, 10), (44100, 42)):
+        sizes = [len(sublattices._invariant_p_power(coord_rots, p, k)) for p, k in _prime_power_parts(d)]
+        calls = _recording(monkeypatch, ["_coprime_meet"])
+        got = invariant_sublattices(G.T0, rots, d)
+        monkeypatch.undo()
+        assert len(calls["_coprime_meet"]) == meets == sum(math.prod(sizes[: i + 1]) for i in range(1, len(sizes)))
+        assert len(got) == math.prod(sizes)
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
@@ -906,7 +1051,7 @@ def test_cold_survey_descends_only_at_2_and_3(monkeypatch):
     _clear_survey_caches()
     calls = _recording(monkeypatch, ["_maximal_steps"])
     for name in GROUP_NAMES:
-        normal_translation_subgroups(make_group(name), 256)
+        _surveyed(make_group(name), 256, _walked_rows)
     assert {p for _, p, _ in calls["_maximal_steps"]} == {2, 3}
 
 
@@ -1006,7 +1151,7 @@ def test_cold_survey_takes_the_action_of_primitive_lattices_only(monkeypatch):
     _clear_survey_caches()
     calls = _recording(monkeypatch, ["_maximal_steps"])
     for name in GROUP_NAMES:
-        normal_translation_subgroups(make_group(name), 256)
+        _surveyed(make_group(name), 256, _walked_rows)
     assert calls["_maximal_steps"]
     assert all(math.gcd(*(x for col in M for x in col)) == 1 for _, _, M in calls["_maximal_steps"])
     # 31 lattices per rotation class take the action; 60 when every lattice of the descent took its own
@@ -1029,7 +1174,7 @@ def test_the_rotation_generators_put_a_rotation_of_order_three_first(monkeypatch
     _clear_survey_caches()
     calls = _recording(monkeypatch, ["_fixes"])
     for name in GROUP_NAMES:
-        normal_translation_subgroups(make_group(name), 256)
+        _surveyed(make_group(name), 256, _walked_rows)
     assert len(calls["_fixes"]) <= 178  # 372 with a half-turn first
 
 
@@ -1114,7 +1259,7 @@ def test_survey_at_a_large_cubic_bound_walks_only_primes_that_carry_a_part(monke
     G = make_group("P432")
     _clear_survey_caches()
     calls = _recording(monkeypatch, ["_invariant_p_power"])
-    rows = normal_translation_subgroups(G, 10**9)
+    rows = _surveyed(G, 10**9, _walked_rows)
     assert rows == _cubic_family_rows(10**9)
     asked = {p for _, p, _ in calls["_invariant_p_power"]}
     assert asked == {p for p in range(2, 1001) if all(p % q for q in range(2, math.isqrt(p) + 1))}
