@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 from .errors import InvariantViolation, NotASubgroup, RankDeficient
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
-Mat3 = tuple[tuple[Fraction, ...], ...]
 IntVec = tuple[int, int, int]
 IntMat = tuple[tuple[int, ...], ...]
 
@@ -68,8 +67,8 @@ def int_matvec(m: Sequence[Sequence[int]], x: Sequence[int]) -> tuple[int, int, 
     )
 
 
-def matmul(a: Mat3, b: Mat3) -> Mat3:
-    """Matrix product; integer matrices stay integer."""
+def matmul(a: IntMat, b: IntMat) -> IntMat:
+    """Product of two integer 3×3 matrices."""
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
     return tuple(
         (
@@ -81,8 +80,8 @@ def matmul(a: Mat3, b: Mat3) -> Mat3:
     )
 
 
-def mat_det(m: Mat3) -> Fraction:
-    """Determinant; an integer matrix gives an int."""
+def mat_det(m: IntMat) -> int:
+    """Determinant of an integer 3×3 matrix."""
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import InvariantViolation, RankDeficient, UnmatchedLattice
 from .lattices import (
     IDENTITY,
-    Mat3,
+    IntMat,
     SubgroupHNF,
     _from_t0_hnfs,
     adjugate,
@@ -153,7 +153,7 @@ def _primes() -> Iterator[int]:
 # T0-coordinates, which are mapped back to T0 at the end; there T0 itself has
 # the HNF basis IDENTITY.
 
-def _fixes(b: Mat3, v: Sequence[int], p: int) -> bool:
+def _fixes(b: IntMat, v: Sequence[int], p: int) -> bool:
     """Whether b maps the line ⟨v⟩ of F_p³ into itself: b·v ≡ λ·v for some λ, that is b·v × v ≡ 0."""
     v0, v1, v2 = v
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
@@ -191,7 +191,7 @@ def _span(v: Sequence[int], p: int) -> tuple:
     return tuple(cols)
 
 
-def _fixed_lines(acts: Sequence[Mat3], p: int) -> list[tuple[int, ...]]:
+def _fixed_lines(acts: Sequence[IntMat], p: int) -> list[tuple[int, ...]]:
     """The lines of F_p³ that every matrix maps to itself, one spanning vector each.
 
     When every matrix is scalar mod p, that is every line.  Otherwise each
@@ -294,13 +294,12 @@ def _descent_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
 def _split(coord_rots: tuple) -> SimpleNamespace:
     """|P| for the finite group P the rotations generate, ⟨χ, χ⟩ = Σ_g tr(g)²/|P|, and the split of ℚ³ where known.
 
-    `parts` holds (dim V, basis of ℤ³ ∩ V) per component V, `step` the gcd
-    of the dims, and `axes`, when the bases together are the unit vectors,
-    the component holding each eᵢ (else None): ℚ³ at norm 1, where it is
-    absolutely irreducible (cubic P); at norm 2 (dihedral P), a line ℓ on
-    which P acts by a sign character ψ and the absolutely irreducible plane
-    W = ker Σ_g ψ(g)·g.  A rotation g of order 3, 4 or 6 has ψ(g) = 1, so
-    ℓ = ker(g − I) and W = im(g − I) ⊥ ker(gᵀ − I).
+    `parts` holds (dim V, basis of ℤ³ ∩ V) per component V, and `step` the
+    gcd of the dims: ℚ³ at norm 1, where it is absolutely irreducible (cubic
+    P); at norm 2 (dihedral P), a line ℓ on which P acts by a sign character
+    ψ and the absolutely irreducible plane W = ker Σ_g ψ(g)·g.  A rotation g
+    of order 3, 4 or 6 has ψ(g) = 1, so ℓ = ker(g − I) and
+    W = im(g − I) ⊥ ker(gᵀ − I).
     """
     group, frontier = {IDENTITY}, {IDENTITY}
     while frontier:
@@ -316,9 +315,7 @@ def _split(coord_rots: tuple) -> SimpleNamespace:
         if any(int_matvec(r, v) not in (v, tuple(-x for x in v)) or int_matvec(tuple(zip(*r)), n) not in (n, tuple(-x for x in n)) for r in coord_rots):
             raise InvariantViolation("a component of the rational split of ℚ³ is not invariant")
         parts = ((1, (v,)), (2, hnf_columns([(0, n[2], -n[1]), (-n[2], 0, n[0]), (n[1], -n[0], 0)])))
-    component = {col: i for i, (_, basis) in enumerate(parts) for col in basis}
-    axes = tuple(component.get(e) for e in IDENTITY)
-    return SimpleNamespace(order=len(group), norm=norm, parts=parts, step=math.gcd(*(dim for dim, _ in parts)), axes=None if None in axes else axes)
+    return SimpleNamespace(order=len(group), norm=norm, parts=parts, step=math.gcd(*(dim for dim, _ in parts)))
 
 
 @lru_cache(maxsize=None)
@@ -331,10 +328,7 @@ def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
     |P|·ℤ³ ⊆ ⊕Λᵢ and the split is exact at p.  An absolutely irreducible
     constituent stays irreducible mod p when p ∤ |P|, so by Nakayama the
     p^aᵢ·Λᵢ are the only invariant sublattices of Λᵢ of p-power index.  The
-    term p^max a·ℤ³ makes the sum right at every other prime.  When the
-    bases of the Λᵢ are the unit vectors (`axes`, as for the six groups),
-    the sum is the diagonal lattice with p^aᵢ at each eᵢ of Λᵢ, already a
-    column HNF.
+    term p^max a·ℤ³ makes the sum right at every other prime.
     """
     split = _split(coord_rots)
     if not split.parts or split.order % p == 0:
@@ -342,37 +336,15 @@ def _invariant_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
     out = []
     for a in product(range(k + 1), repeat=len(split.parts)):
         if sum(x * dim for x, (dim, _) in zip(a, split.parts)) == k:
-            if split.axes:
-                out.append(tuple(tuple(p ** a[i] * (r == j) for r in range(3)) for j, i in enumerate(split.axes)))
-            else:
-                gens = [tuple(p**x * e for e in col) for x, (_, basis) in zip(a, split.parts) for col in basis]
-                out.append(hnf_columns(gens + [tuple(p ** max(a) * e for e in col) for col in IDENTITY]))
+            gens = [col for x, (_, basis) in zip(a, split.parts) for col in _scaled(basis, p**x)]
+            out.append(hnf_columns([*gens, *_scaled(IDENTITY, p ** max(a))]))
     return tuple(out)
 
 
-def _crt(r: int, m: int, s: int, n: int) -> int:
-    """The x in [0, m·n) with x ≡ r (mod m) and x ≡ s (mod n), for coprime m and n."""
-    return (r + m * ((s - r) * pow(m, -1, n) % n)) % (m * n)
-
-
 def _coprime_meet(A: tuple, B: tuple) -> tuple:
-    """The column HNF C of A ∩ B for full-rank integer column HNFs A, B of coprime indices.
-
-    By the CRT ℤ³/C ≅ ℤ³/A × ℤ³/B, also on {x₀ = 0} and {x₀ = x₁ = 0}, so the
-    pivots multiply: cᵢᵢ = aᵢᵢ·bᵢᵢ.  (0, c₁₁, c₂₁) lies in A iff it is
-    b₁₁·A₁ + ℤ·A₂, i.e. c₂₁ ≡ b₁₁·a₂₁ (mod a₂₂); (c₀₀, c₁₀, c₂₀) lies in A iff
-    it is b₀₀·A₀ + s·A₁ + ℤ·A₂, i.e. c₁₀ ≡ b₀₀·a₁₀ (mod a₁₁), which fixes
-    s = (c₁₀ − b₀₀·a₁₀)/a₁₁, and c₂₀ ≡ b₀₀·a₂₀ + s·a₂₁ (mod a₂₂).  B gives the
-    same congruences with a and b swapped, and each entry is their CRT
-    solution in [0, pivot of its row), c₂₁ and c₁₀ first, then c₂₀.
-    """
-    (a00, a10, a20), (_, a11, a21), (_, _, a22) = A
-    (b00, b10, b20), (_, b11, b21), (_, _, b22) = B
-    c21 = _crt(b11 * a21, a22, a11 * b21, b22)
-    c10 = _crt(b00 * a10, a11, a00 * b10, b11)
-    s, t = (c10 - b00 * a10) // a11, (c10 - a00 * b10) // b11
-    c20 = _crt(b00 * a20 + s * a21, a22, a00 * b20 + t * b21, b22)
-    return ((a00 * b00, c10, c20), (0, a11 * b11, c21), (0, 0, a22 * b22))
+    """The column HNF of A ∩ B = b·A + a·B for full-rank integer column HNFs A, B of coprime indices a, b: b·ℤ³ ⊆ B, so b·A ⊆ A ∩ B, and likewise a·B; at a prime of a, b is a unit, so both sides are A there, and at a prime of b both are B."""
+    a, b = (M[0][0] * M[1][1] * M[2][2] for M in (A, B))
+    return hnf_columns([*_scaled(A, b), *_scaled(B, a)])
 
 
 def _check_index(d, name: str) -> None:
@@ -431,7 +403,7 @@ def _walk(coord_rots: tuple, powers: Iterable[tuple[int, range]], hi: int) -> It
         yield from visit(1, (IDENTITY,), len(seen) - 1)
 
 
-def _check_rotation(r) -> Mat3:
+def _check_rotation(r) -> IntMat:
     """r as a tuple of row tuples; ValueError naming r unless it is a 3×3 matrix of ints."""
     try:
         rows = tuple(map(tuple, r))
@@ -442,7 +414,7 @@ def _check_rotation(r) -> Mat3:
     return rows
 
 
-def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) -> list[SubgroupHNF]:
+def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[IntMat], d: int) -> list[SubgroupHNF]:
     """Index-d sublattices of T0 invariant under a set of integer rotations of finite order.
 
     Each rotation must be a 3×3 matrix of ints.  A lattice of composite
@@ -452,10 +424,11 @@ def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[Mat3], d: int) ->
     `_split` knows the split of ℚ³ under P (the cubic and hexagonal point
     groups); at the other primes, and for every other P, the submodule
     descent mod p finds it, once per primitive lattice.  The parts of d's
-    primes are met by the CRT (`_coprime_meet`), one stage per prime, and
-    each result takes one integer step to T0; an exponent that cannot carry
-    a part gives none.  It is sorted by (−D, basis).  Its independent check
-    is the enumerate-and-filter over every HNF of index d in `tests/oracles.py`.
+    primes are met one stage per prime, each meet one HNF of the stacked
+    scaled bases (`_coprime_meet`), and each result takes one integer step
+    to T0; an exponent that cannot carry a part gives none.  It is sorted by
+    (−D, basis).  Its independent check is the enumerate-and-filter over
+    every HNF of index d in `tests/oracles.py`.
     """
     _check_index(d, "index")
     rots = tuple(_check_rotation(r) for r in rotations)
@@ -517,11 +490,9 @@ def match_family(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
 # ============================================================
 
 
-def _rotation_generators(G: SpaceGroup) -> tuple[Mat3, ...]:
-    """The distinct rotations of G's generators other than I, those of order 3 (trace 0) first."""
-    # `_fixed_lines` takes its candidates from the first: one line at p = 2, where a half-turn's eigenplane has p + 1
-    rots = dict.fromkeys(g.rot for g in G.generators if g.rot != IDENTITY)
-    return tuple(sorted(rots, key=lambda r: r[0][0] + r[1][1] + r[2][2] != 0))
+def _rotation_generators(G: SpaceGroup) -> tuple[IntMat, ...]:
+    """The distinct rotations of G's generators other than I, in the generators' order."""
+    return tuple(dict.fromkeys(g.rot for g in G.generators if g.rot != IDENTITY))
 
 
 def _least_instances(T0: SubgroupHNF, frame_name: str) -> list[tuple[str, int, int | None, SubgroupHNF, int]]:

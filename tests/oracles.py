@@ -99,7 +99,6 @@ from typing import Iterable, Sequence
 
 from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient, UnmatchedLattice
 from torsym.lattices import (
-    Mat3,
     SubgroupHNF,
     Vec3,
     _from_t0_hnf,
@@ -156,6 +155,7 @@ from torsym.sublattices import (
 )
 
 IntVec = tuple[int, int, int]
+Mat3 = tuple[tuple[Fraction, ...], ...]  # the rational matrices of the oracles' linear algebra
 
 _ROT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
