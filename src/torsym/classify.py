@@ -23,119 +23,75 @@ from .sublattices import LatticeFamily, _check_index, _closed_form_rows, _least_
 # the paper's claims
 # ============================================================
 
-# CASES lists the nine (group, marked edge) cases in the paper's column order,
-# KNOTTED fills the rows and GENUS_FORMS the census cells; `_expected_images`,
-# `_EXPECTED_MARKED` and `EXPECTED_ACCEPTED` are read only by the verification.
-CASES: tuple[tuple[str, str], ...] = (
-    ("P432", "alpha"),
-    ("F4_132", "alpha"),
-    ("I4_132", "alpha"),
-    ("I432", "beta"),
-    ("P4_232", "beta"),
-    ("P4_232", "gamma"),
-    ("I432", "gamma"),
-    ("I4_132", "beta"),
-    ("P622", "beta"),
-)
+
+@dataclass(frozen=True)
+class _ClaimedFamily:
+    """One accepted lattice family of a case: its constraint, and genus - 1 = coefficient * n^exponent as `form`."""
+
+    tag: str
+    claimed_constraint: str
+    form: str
+    coefficient: int
+    exponent: int
+
+
+@dataclass(frozen=True)
+class _CaseClaim:
+    """The paper's claims for one case: its cycle image I, its knotted column, and its accepted families in report order."""
+
+    claimed_image: SubgroupHNF
+    knotted: bool
+    families: tuple[_ClaimedFamily, ...]
+
+
+# Theorem 1, one record per (group, marked edge) case in the paper's column
+# order.  An alpha edge bounds a product region on both sides; beta and gamma
+# do not.  Only the verification reads the claim-only fields `claimed_image`
+# and `claimed_constraint`; a group's marked-class count is its number of cases.
+THEOREM_1: dict[tuple[str, str], _CaseClaim] = {
+    ("P432", "alpha"): _CaseClaim(instantiate("CUBIC_PRIMITIVE", 1), False, (
+        _ClaimedFamily("CUBIC_PRIMITIVE", "none", "2n^3", 2, 3),
+        _ClaimedFamily("CUBIC_FACE", "none", "4n^3", 4, 3),
+        _ClaimedFamily("CUBIC_BODY", "none", "8n^3", 8, 3),
+    )),
+    ("F4_132", "alpha"): _CaseClaim(instantiate("CUBIC_FACE", 1), False, (
+        _ClaimedFamily("CUBIC_FACE", "none", "2n^3", 2, 3),
+        _ClaimedFamily("CUBIC_PRIMITIVE", "none", "8n^3", 8, 3),
+        _ClaimedFamily("CUBIC_BODY", "none", "4(2n)^3", 32, 3),
+    )),
+    ("I4_132", "alpha"): _CaseClaim(instantiate("CUBIC_BODY", 2), False, (
+        _ClaimedFamily("CUBIC_BODY", "none", "2n^3", 2, 3),
+        _ClaimedFamily("CUBIC_PRIMITIVE", "none", "4n^3", 4, 3),
+        _ClaimedFamily("CUBIC_FACE", "none", "8n^3", 8, 3),
+    )),
+    ("I432", "beta"): _CaseClaim(instantiate("CUBIC_PRIMITIVE", 1), True, (
+        _ClaimedFamily("CUBIC_BODY", "2∤n", "2n^3", 2, 3),
+    )),
+    ("P4_232", "beta"): _CaseClaim(instantiate("CUBIC_FACE", 1), True, (
+        _ClaimedFamily("CUBIC_PRIMITIVE", "2∤n", "2n^3", 2, 3),
+        _ClaimedFamily("CUBIC_BODY", "2∤n", "8n^3", 8, 3),
+    )),
+    ("P4_232", "gamma"): _CaseClaim(instantiate("CUBIC_BODY", 2), True, (
+        _ClaimedFamily("CUBIC_PRIMITIVE", "2∤n", "2n^3", 2, 3),
+        _ClaimedFamily("CUBIC_FACE", "2∤n", "4n^3", 4, 3),
+    )),
+    ("I432", "gamma"): _CaseClaim(instantiate("CUBIC_BODY", 2), True, (
+        _ClaimedFamily("CUBIC_BODY", "2∤n", "2n^3", 2, 3),
+    )),
+    ("I4_132", "beta"): _CaseClaim(instantiate("CUBIC_BODY", 6), True, (
+        _ClaimedFamily("CUBIC_BODY", "3∤n", "2n^3", 2, 3),
+        _ClaimedFamily("CUBIC_PRIMITIVE", "3∤n", "4n^3", 4, 3),
+        _ClaimedFamily("CUBIC_FACE", "3∤n", "8n^3", 8, 3),
+    )),
+    ("P622", "beta"): _CaseClaim(hnf([(1, 0, 0), (0, 1, 0)]), True, (
+        _ClaimedFamily("HEX_PRIMITIVE", "m=1", "n^2", 1, 2),
+        _ClaimedFamily("HEX_ROT", "m=1", "3n^2", 3, 2),
+    )),
+}
+
+CASES: tuple[tuple[str, str], ...] = tuple(THEOREM_1)
 
 EDGE_LABELS = ("alpha", "beta", "gamma")
-
-
-def _expected_images() -> dict[tuple[str, str], SubgroupHNF]:
-    return {
-        ("P432", "alpha"): instantiate("CUBIC_PRIMITIVE", 1),
-        ("F4_132", "alpha"): instantiate("CUBIC_FACE", 1),
-        ("I4_132", "alpha"): instantiate("CUBIC_BODY", 2),
-        ("I432", "beta"): instantiate("CUBIC_PRIMITIVE", 1),
-        ("P4_232", "beta"): instantiate("CUBIC_FACE", 1),
-        ("P4_232", "gamma"): instantiate("CUBIC_BODY", 2),
-        ("I432", "gamma"): instantiate("CUBIC_BODY", 2),
-        ("I4_132", "beta"): instantiate("CUBIC_BODY", 6),
-        ("P622", "beta"): hnf([(1, 0, 0), (0, 1, 0)]),
-    }
-
-
-# an alpha edge bounds a product region on both sides; beta and gamma do not
-KNOTTED: dict[tuple[str, str], bool] = {
-    ("P432", "alpha"): False,
-    ("F4_132", "alpha"): False,
-    ("I4_132", "alpha"): False,
-    ("I432", "beta"): True,
-    ("P4_232", "beta"): True,
-    ("P4_232", "gamma"): True,
-    ("I432", "gamma"): True,
-    ("I4_132", "beta"): True,
-    ("P622", "beta"): True,
-}
-
-# marked edge classes per group
-_EXPECTED_MARKED = {"P432": 1, "F4_132": 1, "I4_132": 2, "I432": 2, "P4_232": 2, "P622": 1}
-
-CONSTRAINTS = ("none", "2∤n", "3∤n", "m=1")
-
-# expected survivors per case: (family tag, constraint) in report order
-EXPECTED_ACCEPTED: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {
-    ("P432", "alpha"): (
-        ("CUBIC_PRIMITIVE", "none"),
-        ("CUBIC_FACE", "none"),
-        ("CUBIC_BODY", "none"),
-    ),
-    ("F4_132", "alpha"): (
-        ("CUBIC_FACE", "none"),
-        ("CUBIC_PRIMITIVE", "none"),
-        ("CUBIC_BODY", "none"),
-    ),
-    ("I4_132", "alpha"): (
-        ("CUBIC_BODY", "none"),
-        ("CUBIC_PRIMITIVE", "none"),
-        ("CUBIC_FACE", "none"),
-    ),
-    ("I432", "beta"): (("CUBIC_BODY", "2∤n"),),
-    ("P4_232", "beta"): (("CUBIC_PRIMITIVE", "2∤n"), ("CUBIC_BODY", "2∤n")),
-    ("P4_232", "gamma"): (("CUBIC_PRIMITIVE", "2∤n"), ("CUBIC_FACE", "2∤n")),
-    ("I432", "gamma"): (("CUBIC_BODY", "2∤n"),),
-    ("I4_132", "beta"): (
-        ("CUBIC_BODY", "3∤n"),
-        ("CUBIC_PRIMITIVE", "3∤n"),
-        ("CUBIC_FACE", "3∤n"),
-    ),
-    ("P622", "beta"): (("HEX_PRIMITIVE", "m=1"), ("HEX_ROT", "m=1")),
-}
-
-# genus - 1 as coefficient * n^exponent per accepted family, in report order
-GENUS_FORMS: dict[tuple[str, str], tuple[tuple[str, int, int, str], ...]] = {
-    ("P432", "alpha"): (
-        ("2n^3", 2, 3, "CUBIC_PRIMITIVE"),
-        ("4n^3", 4, 3, "CUBIC_FACE"),
-        ("8n^3", 8, 3, "CUBIC_BODY"),
-    ),
-    ("F4_132", "alpha"): (
-        ("2n^3", 2, 3, "CUBIC_FACE"),
-        ("8n^3", 8, 3, "CUBIC_PRIMITIVE"),
-        ("4(2n)^3", 32, 3, "CUBIC_BODY"),
-    ),
-    ("I4_132", "alpha"): (
-        ("2n^3", 2, 3, "CUBIC_BODY"),
-        ("4n^3", 4, 3, "CUBIC_PRIMITIVE"),
-        ("8n^3", 8, 3, "CUBIC_FACE"),
-    ),
-    ("I432", "beta"): (("2n^3", 2, 3, "CUBIC_BODY"),),
-    ("P4_232", "beta"): (
-        ("2n^3", 2, 3, "CUBIC_PRIMITIVE"),
-        ("8n^3", 8, 3, "CUBIC_BODY"),
-    ),
-    ("P4_232", "gamma"): (
-        ("2n^3", 2, 3, "CUBIC_PRIMITIVE"),
-        ("4n^3", 4, 3, "CUBIC_FACE"),
-    ),
-    ("I432", "gamma"): (("2n^3", 2, 3, "CUBIC_BODY"),),
-    ("I4_132", "beta"): (
-        ("2n^3", 2, 3, "CUBIC_BODY"),
-        ("4n^3", 4, 3, "CUBIC_PRIMITIVE"),
-        ("8n^3", 8, 3, "CUBIC_FACE"),
-    ),
-    ("P622", "beta"): (("n^2", 1, 2, "HEX_PRIMITIVE"), ("3n^2", 3, 2, "HEX_ROT")),
-}
 
 
 # ============================================================
@@ -175,8 +131,6 @@ class ClassificationRow:
     def __post_init__(self) -> None:
         if self.edge_label not in EDGE_LABELS:
             raise ValueError(f"unknown edge label {self.edge_label!r}")
-        if self.constraint not in CONSTRAINTS:
-            raise ValueError(f"unknown constraint {self.constraint!r}")
         if self.genus <= 1:
             raise ValueError("genus must exceed one")
         if self.group_order != 12 * (self.genus - 1):
@@ -391,9 +345,7 @@ def classify_case(group: str, edge: str, max_index: int) -> list[ClassificationR
 
 
 def _classify(G: SpaceGroup, edge: str, max_index: int) -> list[ClassificationRow]:
-    """`classify_case` on the record G; the name is read only to label the rows and look up `KNOTTED`."""
-    if edge not in EDGE_LABELS:
-        raise ValueError(f"unknown edge label {edge!r}")
+    """`classify_case` on the record G; the name is read only to label the rows and look up their knotted claim."""
     mults, case = _cases(G)[0], _case(G, edge)
     order = list(mults)
 
@@ -425,7 +377,7 @@ def _classify(G: SpaceGroup, edge: str, max_index: int) -> list[ClassificationRo
                     lattice_index=pi1 // G.point_order,
                     group_order=pi1,
                     genus=pi1 // 12 + 1,
-                    knotted=KNOTTED[(G.name, edge)],
+                    knotted=THEOREM_1[(G.name, edge)].knotted,
                 )
             )
     rows.sort(key=lambda r: (r.lattice_index, order.index(r.family.tag), r.n))
@@ -440,19 +392,19 @@ def _classify(G: SpaceGroup, edge: str, max_index: int) -> list[ClassificationRo
 def theorem1_cells() -> tuple[Theorem1Cell, ...]:
     """The symbolic nine-column census of genus forms."""
     cells = []
-    for column, case in enumerate(CASES, start=1):
-        constraints = _case(make_group(case[0]), case[1]).constraints
-        for form, coeff, exp, tag in GENUS_FORMS[case]:
+    for column, ((group, edge), claim) in enumerate(THEOREM_1.items(), start=1):
+        constraints = _case(make_group(group), edge).constraints
+        for family in claim.families:
             cells.append(
                 Theorem1Cell(
                     column=column,
-                    group=case[0],
-                    edge_label=case[1],
-                    form=form,
-                    coefficient=coeff,
-                    exponent=exp,
-                    constraint=constraints[tag],
-                    knotted=KNOTTED[case],
+                    group=group,
+                    edge_label=edge,
+                    form=family.form,
+                    coefficient=family.coefficient,
+                    exponent=family.exponent,
+                    constraint=constraints[family.tag],
+                    knotted=claim.knotted,
                 )
             )
     return tuple(cells)
@@ -495,25 +447,24 @@ def verify_claims() -> VerificationReport:
     """Check the paper's claims against what the pipeline derives; each false claim fails the report.
 
     Per case, the raw marked edge graph must be connected with the claimed
-    cycle image I (`_expected_images`).  Per group, the sweep must find the
-    claimed number of marked edge classes (`_EXPECTED_MARKED`), labelled as
-    the cases name them.  `KNOTTED` is checked by one route: a Heegaard
+    cycle image I (`claimed_image`).  Per group, the sweep must find as many
+    marked edge classes as `THEOREM_1` has cases of the group, labelled as
+    the cases name them.  `knotted` is checked by one route: a Heegaard
     surface is π₁-surjective on both sides, so an unknotted row needs the
     image I ∩ T of the lifted graph's H₁ in T to be all of T.  An accepted T
     has I + T = T0, and T ⊆ I then forces I = T0: I ≠ T0 makes every
     accepted row knotted.  The three alpha cases (I = T0) stay claim-only
     until a second route shows their complement to be a product region.
     """
-    images = _expected_images()
     checks, errors = [], []
-    for group, claimed in _EXPECTED_MARKED.items():
-        found = len(marked_edges(make_group(group)))
-        if found != claimed:
-            errors.append(f"{group}: {found} marked edge classes, claimed {claimed}")
-        labels, named = sorted(labeled_marked_edges(group)), sorted(e for g, e in CASES if g == group)
-        if labels != named:
+    for group in dict.fromkeys(g for g, _ in THEOREM_1):
+        # each marked class takes one label, so a wrong count is one false claim, not two
+        labels, named = sorted(labeled_marked_edges(group)), sorted(e for g, e in THEOREM_1 if g == group)
+        if len(labels) != len(named):
+            errors.append(f"{group}: {len(labels)} marked edge classes, claimed {len(named)}")
+        elif labels != named:
             errors.append(f"{group}: marked edges carry labels {labels}, the cases name {named}")
-    for group, label in CASES:
+    for (group, label), claim in THEOREM_1.items():
         G = make_group(group)
         e = labeled_marked_edges(group).get(label)
         if e is None:
@@ -527,16 +478,16 @@ def verify_claims() -> VerificationReport:
                 edge_label=label,
                 connected=connected,
                 computed_image=computed,
-                expected_image=images[(group, label)],
+                expected_image=claim.claimed_image,
             )
         )
-        if computed != G.T0 and not KNOTTED[(group, label)]:
+        if computed != G.T0 and not claim.knotted:
             errors.append(f"{group} {label}: claimed unknotted, but I ≠ T0 makes every accepted row knotted")
     return VerificationReport(checks=tuple(checks), table_errors=tuple(errors))
 
 
 def verify_tables(max_index: int) -> VerificationReport:
-    """Claim checks plus survivor families and constraints against the fixed lists, and each group's closed-form survey against the walk."""
+    """Claim checks plus survivor families, constraints and genus forms against `THEOREM_1`, and each group's closed-form survey against the walk."""
     report = verify_claims()
     errors = list(report.table_errors)
     for group, edge in ((c.group, c.edge_label) for c in report.checks):
@@ -546,15 +497,15 @@ def verify_tables(max_index: int) -> VerificationReport:
         # hexagonal ones) fits under the index bound; one outside the frame is never found
         G = make_group(group)
         least = {tag: i1 for tag, _, _, _, i1 in _least_instances(G.T0, G.frame.name)}
-        expected = [(tag, constraint) for tag, constraint in EXPECTED_ACCEPTED[(group, edge)] if least.get(tag, 0) <= max_index]
+        families = THEOREM_1[(group, edge)].families
+        expected = [(f.tag, f.claimed_constraint) for f in families if least.get(f.tag, 0) <= max_index]
         if found != expected:
             errors.append(f"{group} {edge}: survivors {found} do not match {expected}")
-        for tag in dict.fromkeys(row.family.tag for row in rows):
-            forms = [(coeff, exp) for _, coeff, exp, t in GENUS_FORMS[(group, edge)] if t == tag]
-            coeff, exp = forms[0] if len(forms) == 1 else (0, 0)  # genus - 1 is never 0
-            bad = [r.n for r in rows if r.family.tag == tag and r.genus - 1 != coeff * r.n**exp]
+        # the rows of an unclaimed family fail the survivors check alone
+        for f in families:
+            bad = [r.n for r in rows if r.family.tag == f.tag and r.genus - 1 != f.coefficient * r.n**f.exponent]
             if bad:
-                errors.append(f"{group} {edge}: genus does not fit the census form for {tag} at n = {bad}")
+                errors.append(f"{group} {edge}: genus does not fit the census form for {f.tag} at n = {bad}")
     # the walk, not stored, is the second route to each group's stored closed-form survey
     for G in map(make_group, GROUP_NAMES):
         if _surveyed(G, max_index, _closed_form_rows) != _walked_rows(G, max_index):

@@ -5,6 +5,7 @@ import json
 import sys
 
 from .classify import (
+    EDGE_LABELS,
     _cases,
     classify_case,
     report_to_json,
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="accepted covering lattices for a marked edge")
     p.add_argument("group", type=_group_name)
-    p.add_argument("edge", choices=("alpha", "beta", "gamma"))
+    p.add_argument("edge", choices=EDGE_LABELS)
     p.add_argument("--max-index", type=int, default=64, help="largest lattice index in T0")
     _add_format(p, ("text", "json", "csv"))
     p.set_defaults(fn=_cmd_classify)
@@ -221,6 +222,11 @@ def main(argv=None) -> int:
     except (TorsymError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # reported below, once leaving the handler has freed what the failing call built
+    bounds = [f"--{k.replace('_', '-')} {v}" for k, v in vars(args).items() if k.startswith("max_") and v is not None]
+    print(f"error: out of memory: {' '.join([args.command, *bounds])}", file=sys.stderr)
+    return 4
 
 
 if __name__ == "__main__":

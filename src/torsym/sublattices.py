@@ -12,7 +12,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvariantViolation, RankDeficient, UnmatchedLattice
+from .errors import InvariantViolation, RankDeficient, TorsymError, UnmatchedLattice
 from .lattices import (
     IDENTITY,
     IntMat,
@@ -107,19 +107,22 @@ def _coord_rotations(T0: SubgroupHNF, rotations: tuple) -> tuple:
 
 
 def _prime_power_parts(d: int) -> list[tuple[int, int]]:
-    """The factorisation of d as (prime, exponent) pairs, primes ascending."""
+    """The factorisation of d as (prime, exponent) pairs, primes ascending; trial division stops at
+    p = 10⁶, so every d ≤ 10¹² factors, and a cofactor above 10¹² left unfactored raises TorsymError."""
     parts = []
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
+    rest, p = d, 2
+    while p * p <= rest:
+        if p > 10**6:
+            raise TorsymError(f"index {d}: trial division to 10**6 leaves the cofactor {rest} > 10**12 unfactored")
+        if rest % p == 0:
             k = 0
-            while d % p == 0:
+            while rest % p == 0:
                 k += 1
-                d //= p
+                rest //= p
             parts.append((p, k))
         p += 1
-    if d > 1:
-        parts.append((d, 1))
+    if rest > 1:
+        parts.append((rest, 1))
     return parts
 
 

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,12 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import torsym
 from torsym import classify, cli, periodic_graphs
 from torsym.classify import (
     CASES,
-    EXPECTED_ACCEPTED,
-    GENUS_FORMS,
-    KNOTTED,
+    THEOREM_1,
     ClassificationRow,
     _cases,
     _classify,
@@ -76,11 +76,21 @@ def _clear_label_caches():
     classify._cases.cache_clear()
 
 
-def test_labels_and_classification_never_read_the_claimed_images(monkeypatch):
-    def claimed():
+class _Unreadable:
+    """A stand-in claim that fails any comparison, hash, truth test or attribute read."""
+
+    def _read(self, *_):
         raise AssertionError("the claimed images were read")
 
-    monkeypatch.setattr(classify, "_expected_images", claimed)
+    __eq__ = __hash__ = __bool__ = _read
+
+    def __getattribute__(self, name):
+        raise AssertionError("the claimed images were read")
+
+
+def test_labels_and_classification_never_read_the_claimed_images(monkeypatch):
+    for case, claim in THEOREM_1.items():
+        monkeypatch.setitem(THEOREM_1, case, replace(claim, claimed_image=_Unreadable()))
     _clear_label_caches()
     try:
         assert {name: sorted(labeled_marked_edges(name)) for name in ("I4_132", "P4_232")} == {
@@ -144,7 +154,19 @@ def test_a_parameter_off_the_multiplier_is_an_internal_error(monkeypatch, capsys
 
 
 def test_case_list_covers_every_label_once():
-    assert len(CASES) == 9
+    # the nine columns of Theorem 1 in the paper's order
+    assert CASES == (
+        ("P432", "alpha"),
+        ("F4_132", "alpha"),
+        ("I4_132", "alpha"),
+        ("I432", "beta"),
+        ("P4_232", "beta"),
+        ("P4_232", "gamma"),
+        ("I432", "gamma"),
+        ("I4_132", "beta"),
+        ("P622", "beta"),
+    )
+    assert torsym.CASES is CASES
     for name in {g for g, _ in CASES}:
         case_labels = sorted(label for g, label in CASES if g == name)
         assert case_labels == sorted(labeled_marked_edges(name))
@@ -215,11 +237,10 @@ def test_row_invariants(case):
         assert row.group_order == 12 * (row.genus - 1)
         assert row.group_order == G.point_order * row.lattice_index
         assert row.lattice_index == index(row.lattice, G.T0)
-        assert row.knotted == KNOTTED[case]
-        forms = [f for f in GENUS_FORMS[case] if f[3] == row.family.tag]
+        assert row.knotted == THEOREM_1[case].knotted
+        forms = [f for f in THEOREM_1[case].families if f.tag == row.family.tag]
         assert len(forms) == 1
-        _, coeff, exp, _ = forms[0]
-        assert row.genus - 1 == coeff * row.n**exp
+        assert row.genus - 1 == forms[0].coefficient * row.n ** forms[0].exponent
 
 
 def test_survivor_families_match_the_fixed_lists():
@@ -230,7 +251,7 @@ def test_survivor_families_match_the_fixed_lists():
             pair = (row.family.tag, row.constraint)
             if pair not in found:
                 found.append(pair)
-        assert found == list(EXPECTED_ACCEPTED[(group, edge)]), (group, edge)
+        assert found == [(f.tag, f.claimed_constraint) for f in THEOREM_1[(group, edge)].families], (group, edge)
 
 
 # n = 1..7, 9, 12 brings in multiples of 2, 3 and 6 and the primes 5 and 7;
@@ -408,6 +429,9 @@ def test_row_validation():
             genus=row.genus,
             knotted=row.knotted,
         )
+    # a valid genus, so the constraint is what fails
+    with pytest.raises(ValueError, match="unknown constraint '5∤n'"):
+        replace(row, constraint="5∤n")
 
 
 # ============================================================
@@ -523,36 +547,39 @@ def test_verify_tables_passes_at_every_small_index():
 def test_verify_tables_fails_when_an_expected_family_is_missing(monkeypatch):
     # CUBIC_BODY first shows up for F4_132 alpha at index 16
     case = ("F4_132", "alpha")
-    monkeypatch.setitem(EXPECTED_ACCEPTED, case, EXPECTED_ACCEPTED[case][:2])
+    monkeypatch.setitem(THEOREM_1, case, replace(THEOREM_1[case], families=THEOREM_1[case].families[:2]))
     assert verify_tables(15).ok
     report = verify_tables(16)
     assert not report.ok
     assert any(err.startswith("F4_132 alpha: survivors") for err in report.table_errors)
 
 
-def _wrong_image(monkeypatch):
-    images = {**classify._expected_images(), ("P432", "alpha"): instantiate("CUBIC_PRIMITIVE", 2)}
-    monkeypatch.setattr(classify, "_expected_images", lambda: images)
+def _claim(mp, case, **changes):
+    mp.setitem(THEOREM_1, case, replace(THEOREM_1[case], **changes))
 
 
-def _wrong_genus_form(monkeypatch):
-    forms = GENUS_FORMS[("P432", "alpha")]
-    monkeypatch.setitem(GENUS_FORMS, ("P432", "alpha"), (("2n^3", 3, 3, "CUBIC_PRIMITIVE"), *forms[1:]))
+def _wrong_genus_form(mp):
+    first, *rest = THEOREM_1[("P432", "alpha")].families
+    _claim(mp, ("P432", "alpha"), families=(replace(first, coefficient=3), *rest))
 
 
 CLAIM_MUTANTS = {
-    "image": (_wrong_image, "P432 alpha: connected=true image=MISMATCH [FAIL]"),
+    "image": (
+        lambda mp: _claim(mp, ("P432", "alpha"), claimed_image=instantiate("CUBIC_PRIMITIVE", 2)),
+        "P432 alpha: connected=true image=MISMATCH [FAIL]",
+    ),
+    # a second P432 case claims a second marked class
     "marked-count": (
-        lambda mp: mp.setitem(classify._EXPECTED_MARKED, "P432", 2),
+        lambda mp: mp.setitem(THEOREM_1, ("P432", "beta"), THEOREM_1[("P432", "alpha")]),
         "claim: P432: 1 marked edge classes, claimed 2 [FAIL]",
     ),
     "survivors": (
-        lambda mp: mp.setitem(EXPECTED_ACCEPTED, ("P432", "alpha"), EXPECTED_ACCEPTED[("P432", "alpha")][:2]),
+        lambda mp: _claim(mp, ("P432", "alpha"), families=THEOREM_1[("P432", "alpha")].families[:2]),
         "claim: P432 alpha: survivors",
     ),
     "genus-form": (_wrong_genus_form, "claim: P432 alpha: genus does not fit the census form for CUBIC_PRIMITIVE at n = [1, 2]"),
     "knotted": (
-        lambda mp: mp.setitem(KNOTTED, ("I432", "beta"), False),
+        lambda mp: _claim(mp, ("I432", "beta"), knotted=False),
         "claim: I432 beta: claimed unknotted",
     ),
 }
@@ -706,6 +733,49 @@ def test_cli_reports_internal_errors_with_exit_three(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: ")
     assert "does not preserve the marked edges" in err
+
+
+def _out_of_memory(*_):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "argv, patched, line",
+    [
+        (["table", "--max-genus", str(10**23)], "theorem1_table", f"error: out of memory: table --max-genus {10**23}"),
+        (["classify", "P622", "beta", "--max-index", str(10**20)], "classify_case", f"error: out of memory: classify --max-index {10**20}"),
+    ],
+    ids=["table", "classify"],
+)
+def test_cli_reports_running_out_of_memory_with_exit_four(monkeypatch, capsys, argv, patched, line):
+    # raised by a stand-in: a bound large enough to exhaust memory for real is never run here
+    monkeypatch.setattr(cli, patched, _out_of_memory)
+    assert cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == line + "\n"
+
+
+def test_cli_frees_what_the_failing_call_built_before_it_reports(monkeypatch):
+    # a real MemoryError leaves its rows on the traceback; a report written while they
+    # are alive runs out of memory itself
+    refs, freed = [], []
+
+    class Rows(list):
+        pass
+
+    def build(*_):
+        rows = Rows()
+        refs.append(weakref.ref(rows))
+        raise MemoryError
+
+    class Stderr:
+        def write(self, text):
+            freed.append(refs[0]() is None)
+
+    monkeypatch.setattr(cli, "theorem1_table", build)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert cli.main(["table", "--max-genus", "5"]) == 4
+    assert freed and all(freed)
 
 
 def test_cold_census_builds_each_case_graph_once(monkeypatch):

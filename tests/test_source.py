@@ -36,13 +36,13 @@ def test_every_definition_is_referenced_or_exported():
     assert _unreferenced_definitions(SRC) == []
 
 
-# the paper's claim tables, which only the verification may read
-CLAIM_TABLES = {"_expected_images", "EXPECTED_ACCEPTED", "_EXPECTED_MARKED"}
+# the claim-only fields of the paper's table, which only the verification may read
+CLAIM_FIELDS = {"claimed_image", "claimed_constraint"}
 VERIFIERS = {"verify_claims", "verify_tables"}
 
 
 def _claim_reads(src: Path) -> list[str]:
-    """Places outside the verifiers that read a claim table, as module:line:name."""
+    """Places outside the verifiers that read a claim-only field, as module:line:name."""
     out = []
     for path in sorted(src.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -53,7 +53,7 @@ def _claim_reads(src: Path) -> list[str]:
                     name = node.id if isinstance(node.ctx, ast.Load) else None  # a definition stores it
                 else:
                     name = getattr(node, "attr", None)
-                if name in CLAIM_TABLES:
+                if name in CLAIM_FIELDS:
                     out.append(f"{path.stem}:{node.lineno}:{name}")
     return out
 
@@ -62,6 +62,18 @@ def test_only_the_verifiers_read_the_claim_tables():
     # labels, multipliers, report order, marked counts and constraints are derived, never looked up
     assert _claim_reads(SRC) == []
     assert not any("FAMILY_MULTIPLIERS" in path.read_text(encoding="utf-8") for path in SRC.glob("*.py"))
+
+
+def test_the_claim_guard_reports_a_read_outside_the_verifiers(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "def verify_tables(f):\n"
+        "    return f.claimed_constraint\n"
+        "def rows(f):\n"
+        "    return f.claimed_constraint\n"
+        "image = claimed_image\n",
+        encoding="utf-8",
+    )
+    assert _claim_reads(tmp_path) == ["probe:4:claimed_constraint", "probe:5:claimed_image"]
 
 
 # the lattice predicates run on the integer HNF; only these two still read

@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient, UnmatchedLattice
+from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient, TorsymError, UnmatchedLattice
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     SubgroupHNF,
@@ -392,6 +392,18 @@ def test_invariant_sublattices_rejects_a_malformed_rotation(rot):
     # checked up front and named, not a TypeError from the frame or an unpacking error
     with pytest.raises(ValueError, match=re.escape(repr(rot))):
         invariant_sublattices(Z3, (ROT_Z, rot), 2)
+
+
+def test_an_index_with_a_large_cofactor_is_refused_not_factored():
+    # trial division stops at 10⁶: the Mersenne prime 2⁶¹ − 1 is refused at once instead of
+    # trial-divided to its square root, while every index up to 10¹² still factors, such as
+    # the largest prime below 10¹² and a product of two primes either side of 10⁶
+    start = time.perf_counter()
+    with pytest.raises(TorsymError, match=r"index 2305843009213693951: .*10\*\*6"):
+        invariant_sublattices(Z3, CUBIC_ROTS, 2**61 - 1)
+    assert time.perf_counter() - start < 1
+    assert invariant_sublattices(Z3, CUBIC_ROTS, 999_999_999_989) == []
+    assert _prime_power_parts(999_983 * 1_000_003) == [(999_983, 1), (1_000_003, 1)]
 
 
 def test_invariant_rejects_unstable_t0():
