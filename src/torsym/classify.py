@@ -1,12 +1,12 @@
 """Classification tables: accepted covering lattices, genus census, claim checks."""
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
+from typing import NamedTuple
 
 from .errors import InvariantViolation
-from .lattices import SubgroupHNF, covolume, hnf, index, mat_det, relative_coordinates, smith_form
+from .lattices import SubgroupHNF, checked_record, covolume, hnf, index, mat_det, relative_coordinates, smith_form
 from .periodic_graphs import (
     PeriodicGraph,
     SingularEdge,
@@ -17,15 +17,14 @@ from .periodic_graphs import (
     marked_edges,
 )
 from .spacegroups import GROUP_NAMES, SpaceGroup, make_group
-from .sublattices import LatticeFamily, _check_index, _closed_form_rows, _least_instances, _surveyed, _walked_rows, instantiate, normal_translation_subgroups
+from .sublattices import _check_index, _closed_form_rows, _least_instances, _surveyed, _walked_rows, instantiate, normal_translation_subgroups
 
 # ============================================================
 # the paper's claims
 # ============================================================
 
 
-@dataclass(frozen=True)
-class _ClaimedFamily:
+class _ClaimedFamily(NamedTuple):
     """One accepted lattice family of a case: its constraint, and genus - 1 = coefficient * n^exponent as `form`."""
 
     tag: str
@@ -35,8 +34,7 @@ class _ClaimedFamily:
     exponent: int
 
 
-@dataclass(frozen=True)
-class _CaseClaim:
+class _CaseClaim(NamedTuple):
     """The paper's claims for one case: its cycle image I, its knotted column, and its accepted families in report order."""
 
     claimed_image: SubgroupHNF
@@ -111,32 +109,22 @@ def _constraint_holds(constraint: str, n: int, m: int | None) -> bool:
     raise ValueError(f"unknown constraint {constraint!r}")
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(checked_record("ClassificationRow", "group edge_label orbit_id family n m lattice constraint lattice_index group_order genus knotted")):
     """One accepted covering lattice for a marked edge, with derived invariants."""
 
-    group: str
-    edge_label: str
-    orbit_id: int
-    family: LatticeFamily
-    n: int
-    m: int | None
-    lattice: SubgroupHNF
-    constraint: str
-    lattice_index: int
-    group_order: int
-    genus: int
-    knotted: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.edge_label not in EDGE_LABELS:
-            raise ValueError(f"unknown edge label {self.edge_label!r}")
-        if self.genus <= 1:
+    def __new__(cls, *fields, **named) -> "ClassificationRow":
+        row = super().__new__(cls, *fields, **named)
+        if row.edge_label not in EDGE_LABELS:
+            raise ValueError(f"unknown edge label {row.edge_label!r}")
+        if row.genus <= 1:
             raise ValueError("genus must exceed one")
-        if self.group_order != 12 * (self.genus - 1):
+        if row.group_order != 12 * (row.genus - 1):
             raise ValueError("group order must equal twelve times genus minus one")
-        if not _constraint_holds(self.constraint, self.n, self.m):
+        if not _constraint_holds(row.constraint, row.n, row.m):
             raise ValueError("row parameters violate the derived constraint")
+        return row
 
     @property
     def lattice_label(self) -> str:
@@ -163,8 +151,7 @@ class ClassificationRow:
         }
 
 
-@dataclass(frozen=True)
-class Theorem1Cell:
+class Theorem1Cell(NamedTuple):
     """One symbolic genus form in the nine-column census."""
 
     column: int
@@ -180,8 +167,7 @@ class Theorem1Cell:
         return self.coefficient * n**self.exponent
 
 
-@dataclass(frozen=True)
-class GenusEntry:
+class GenusEntry(NamedTuple):
     """All maximal-order actions at one genus."""
 
     genus: int
@@ -194,8 +180,7 @@ class GenusEntry:
         return 12 * (self.genus - 1)
 
 
-@dataclass(frozen=True)
-class ClaimCheck:
+class ClaimCheck(NamedTuple):
     """Connectivity and cycle-image verdict for one marked edge."""
 
     group: str
@@ -209,8 +194,7 @@ class ClaimCheck:
         return self.connected and self.computed_image == self.expected_image
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-case image checks plus one line per other false claim (`table_errors`, its JSON key)."""
 
     checks: tuple[ClaimCheck, ...]
@@ -226,8 +210,7 @@ class VerificationReport:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class _Case:
+class _Case(NamedTuple):
     """One labelled marked edge orbit: its edge, suppressed quotient graph, cycle image and constraint per family tag."""
 
     edge: SingularEdge

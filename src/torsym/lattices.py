@@ -9,7 +9,7 @@ ascending, positive pivots, entries left of a pivot reduced into [0, pivot).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -132,8 +132,14 @@ def rotation_axis(rot: IntMat) -> IntVec:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class SubgroupHNF:
+def checked_record(name: str, fields: str) -> type:
+    """A namedtuple base whose `_make`, and so `_replace`, builds through the subclass's `__new__` and its checks."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class SubgroupHNF(checked_record("SubgroupHNF", "basis den")):
     """A finitely generated subgroup of rational 3-vectors in canonical form.
 
     The stored value is the pair (basis, den): den = D is the minimal
@@ -143,13 +149,11 @@ class SubgroupHNF:
     rejects any other pair.
     """
 
-    basis: tuple[tuple[int, int, int], ...]
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, basis: tuple[tuple[int, int, int], ...], den: int) -> SubgroupHNF:
         # each check is O(1): the lift path builds a lattice per call, so the
         # canonical form is checked in place instead of recomputed
-        basis, den = self.basis, self.den
         if type(basis) is not tuple:
             raise ValueError("basis must be a tuple of columns")
         pivot = -1
@@ -174,6 +178,7 @@ class SubgroupHNF:
         # the content of the basis is the gcd of its entries, and D = 1 is coprime to every content
         if den != 1 and math.gcd(den, *chain.from_iterable(basis)) != 1:
             raise ValueError("den must be minimal: D and the basis content must be coprime")
+        return tuple.__new__(cls, (basis, den))
 
     @property
     def rank(self) -> int:

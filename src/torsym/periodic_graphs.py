@@ -5,10 +5,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import Disconnected, InvariantViolation, NotASubgroup
 from .lattices import (
@@ -21,6 +20,7 @@ from .lattices import (
     adjugate,
     as_fraction,
     as_int,
+    checked_record,
     coord_numerators,
     from_numerators,
     hnf_columns,
@@ -64,29 +64,24 @@ def _normalize_edge(i: int, j: int, s: IntVec) -> Edge:
     return (i, j, s)
 
 
-@dataclass(frozen=True)
-class PeriodicGraph:
+class PeriodicGraph(checked_record("PeriodicGraph", "group T0 vertices edges")):
     """Finite quotient graph over a rank-3 lattice, edges labeled by cell shifts."""
 
-    group: str
-    T0: SubgroupHNF
-    vertices: tuple[Vec3, ...]
-    edges: tuple[Edge, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        verts = tuple(tuple(as_fraction(x) for x in v) for v in self.vertices)
+    def __new__(cls, group: str, T0: SubgroupHNF, vertices: Sequence, edges: Sequence[Edge]) -> PeriodicGraph:
+        verts = tuple(tuple(as_fraction(x) for x in v) for v in vertices)
         for v in verts:
             if len(v) != 3 or any(x < 0 or x >= 1 for x in v):
                 raise ValueError("vertices must be 3-vectors in the cell [0,1)^3")
-        edges = []
-        for i, j, s in self.edges:
+        normalized = []
+        for i, j, s in edges:
             if not (0 <= i < len(verts) and 0 <= j < len(verts)):
                 raise ValueError("edge endpoint index out of range")
             if len(s) != 3:
                 raise ValueError("edge shifts must be integer 3-vectors")
-            edges.append(_normalize_edge(i, j, tuple(map(as_int, s))))
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
+            normalized.append(_normalize_edge(i, j, tuple(map(as_int, s))))
+        return tuple.__new__(cls, (group, T0, verts, tuple(sorted(normalized))))
 
     def to_json(self) -> dict:
         return {
@@ -97,27 +92,22 @@ class PeriodicGraph:
         }
 
 
-@dataclass(frozen=True)
-class SingularEdge:
+class SingularEdge(checked_record("SingularEdge", "segment edge_index link orbit_id")):
     """One straight segment of the singular set with its local rotation data."""
 
-    segment: Segment
-    edge_index: int
-    link: tuple[int, int, int, int]
-    orbit_id: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        seg = tuple(tuple(as_fraction(x) for x in p) for p in self.segment)
+    def __new__(cls, segment: Segment, edge_index: int, link: Sequence[int], orbit_id: int) -> SingularEdge:
+        seg = tuple(tuple(as_fraction(x) for x in p) for p in segment)
         if len(seg) != 2 or any(len(p) != 3 for p in seg):
             raise ValueError("a segment must have two endpoints, each a 3-vector")
         if seg[0] == seg[1]:
             raise ValueError("segment endpoints must be distinct")
-        if self.edge_index < 2:
+        if edge_index < 2:
             raise ValueError("edge index must be at least 2")
-        if len(self.link) != 4:
+        if len(link) != 4:
             raise ValueError("link must list exactly four germ indices")
-        object.__setattr__(self, "segment", seg)
-        object.__setattr__(self, "link", tuple(sorted(map(as_int, self.link))))
+        return tuple.__new__(cls, (seg, edge_index, tuple(sorted(map(as_int, link))), orbit_id))
 
     def to_json(self) -> dict:
         return {
@@ -350,8 +340,7 @@ def _segment_orbits(den: int, moves: Sequence[tuple[IntMat, IntVec]], raw: Seque
     return list(orbits.values())
 
 
-@dataclass
-class _SingularData:
+class _SingularData(NamedTuple):
     """Cached singular-set decomposition of one space group, in the basis of T0, where the lattice is ℤ³.
 
     Points are integer numerators over one den, which clears the solved
@@ -404,7 +393,7 @@ def singular_graph(G: SpaceGroup) -> list[SingularEdge]:
     """All singular segments modulo the lattice, grouped into group orbits."""
     data = _singular_data(G)
     return [
-        replace(rep, segment=(from_numerators(seg[0], data.den, G.T0), from_numerators(seg[1], data.den, G.T0)))
+        rep._replace(segment=(from_numerators(seg[0], data.den, G.T0), from_numerators(seg[1], data.den, G.T0)))
         for rep in data.edges
         for seg in data.orbits[rep.orbit_id]
     ]

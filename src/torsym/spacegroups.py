@@ -10,10 +10,9 @@ square roots never appear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ClosureOverflow, InvariantViolation, UnknownGroup
 from .lattices import (
@@ -21,9 +20,9 @@ from .lattices import (
     IntMat,
     IntVec,
     SubgroupHNF,
-    Vec3,
     as_fraction,
     as_int,
+    checked_record,
     coord_numerators,
     frame_coords_matrix,
     hnf_columns,
@@ -43,8 +42,7 @@ CosetMaps = tuple[tuple[tuple[IntMat, IntVec], ...], int]
 # ============================================================
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """Coordinate frame: basis name plus the integer Gram matrix of pairwise inner products, up to a positive factor."""
 
     name: str
@@ -61,25 +59,21 @@ HEX_FRAME = Frame("HEXAGONAL", ((2, -1, 0), (-1, 2, 0), (0, 0, 2)))
 # ============================================================
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(checked_record("Isometry", "frame rot trans")):
     """Affine map x ↦ rot·x + trans with integer rotation entries in frame coordinates."""
 
-    frame: Frame
-    rot: tuple[tuple[int, ...], ...]
-    trans: Vec3
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rot = tuple(tuple(map(as_int, row)) for row in self.rot)
-        trans = tuple(as_fraction(t) for t in self.trans)
+    def __new__(cls, frame: Frame, rot: Sequence[Sequence[int]], trans: Sequence) -> Isometry:
+        rot = tuple(tuple(map(as_int, row)) for row in rot)
+        trans = tuple(as_fraction(t) for t in trans)
         if len(rot) != 3 or any(len(row) != 3 for row in rot) or len(trans) != 3:
             raise ValueError("an isometry needs a 3×3 integer rotation part and a 3-entry translation")
-        object.__setattr__(self, "rot", rot)
-        object.__setattr__(self, "trans", trans)
         if mat_det(rot) != 1:
             raise ValueError("rotation part must have determinant +1")
-        if not preserves_metric(rot, self.frame.gram):
+        if not preserves_metric(rot, frame.gram):
             raise ValueError("rotation part must preserve the frame metric")
+        return tuple.__new__(cls, (frame, rot, trans))
 
 
 def preserves_metric(m: Sequence[Sequence[int]], gram: IntMat) -> bool:
@@ -112,18 +106,23 @@ T_HALF = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 # ============================================================
 
 
-@dataclass(frozen=True)
-class SpaceGroup:
+class SpaceGroup(NamedTuple):
     """A space group: its translation lattice T0 and one coset per rotation, as frame isometries and, in that order, as CosetMaps."""
 
-    # hashed on the int and str fields only, so a record-keyed cache hashes no Fraction; == reads every field
     name: str
     frame: Frame
-    generators: tuple[Isometry, ...] = field(hash=False)
+    generators: tuple[Isometry, ...]
     T0: SubgroupHNF
     point_order: int
-    cosets: tuple[Isometry, ...] = field(hash=False)
-    maps: CosetMaps = field(repr=False, hash=False)
+    cosets: tuple[Isometry, ...]
+    maps: CosetMaps
+
+    # hashed on the int and str fields only, so a record-keyed cache hashes no Fraction; == reads every field
+    def __hash__(self) -> int:
+        return hash((self.name, self.frame, self.T0, self.point_order))
+
+    def __repr__(self) -> str:  # the maps restate the cosets
+        return f"SpaceGroup({', '.join(f'{k}={v!r}' for k, v in zip(self._fields[:-1], self))})"
 
 
 # generators: translation lattice basis plus rotational generators (rot, translation part)

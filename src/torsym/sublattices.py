@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, product, takewhile
 from operator import itemgetter
@@ -19,6 +18,7 @@ from .lattices import (
     SubgroupHNF,
     _from_t0_hnfs,
     adjugate,
+    checked_record,
     coord_numerators,
     covolume,
     frame_coords_matrix,
@@ -42,24 +42,22 @@ CUBIC_TAGS = ("CUBIC_PRIMITIVE", "CUBIC_FACE", "CUBIC_BODY")
 HEX_TAGS = ("HEX_PRIMITIVE", "HEX_ROT")
 FAMILY_TAGS = CUBIC_TAGS + HEX_TAGS
 
-@dataclass(frozen=True)
-class LatticeFamily:
+class LatticeFamily(checked_record("LatticeFamily", "tag n m")):
     """A closed-form translation-lattice family instance (tag plus parameters)."""
 
-    tag: str
-    n: int
-    m: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tag not in FAMILY_TAGS:
-            raise ValueError(f"unknown family tag {self.tag!r}")
-        _check_index(self.n, "family parameter n")
-        if self.tag in HEX_TAGS:
-            if self.m is None:
+    def __new__(cls, tag: str, n: int, m: int | None = None) -> LatticeFamily:
+        if tag not in FAMILY_TAGS:
+            raise ValueError(f"unknown family tag {tag!r}")
+        _check_index(n, "family parameter n")
+        if tag in HEX_TAGS:
+            if m is None:
                 raise ValueError("hexagonal families require a positive parameter m")
-            _check_index(self.m, "family parameter m")
-        elif self.m is not None:
+            _check_index(m, "family parameter m")
+        elif m is not None:
             raise ValueError("cubic families take a single parameter")
+        return tuple.__new__(cls, (tag, n, m))
 
     def instantiate(self) -> SubgroupHNF:
         return instantiate(self.tag, self.n, self.m)
@@ -498,6 +496,16 @@ def _rotation_generators(G: SpaceGroup) -> tuple[IntMat, ...]:
     return tuple(dict.fromkeys(g.rot for g in G.generators if g.rot != IDENTITY))
 
 
+# the n = 1 (and m = 1) instance of each family, which its other instances scale
+_UNITS = {tag: instantiate(tag, 1, 1 if tag in HEX_TAGS else None) for tag in FAMILY_TAGS}
+
+
+def _cubic_multiple(L: SubgroupHNF, k: int) -> tuple[tuple, int]:
+    """k·L as (basis, den): k·H/q is k/g·H over q/g for g = gcd(k, q), q being coprime to H's content."""
+    g = math.gcd(k, L.den)
+    return _scaled(L.basis, k // g), L.den // g
+
+
 def _least_instances(T0: SubgroupHNF, frame_name: str) -> list[tuple[str, int, int | None, SubgroupHNF, int]]:
     """(tag, u, v, L₁ = instance(tag, u, v), [T0 : L₁]) per family of the frame, L₁ its least instance in T0.
 
@@ -506,11 +514,16 @@ def _least_instances(T0: SubgroupHNF, frame_name: str) -> list[tuple[str, int, i
     """
     out = []
     for tag in CUBIC_TAGS if frame_name == "CUBIC" else HEX_TAGS:
-        unit = instantiate(tag, 1, None if tag in CUBIC_TAGS else 1)
+        unit = _UNITS[tag]
         # a column h over the den D with T0-coordinate numerators x/d has the coordinates x/(d·D)
         dens = [d * unit.den // math.gcd(d * unit.den, *x) for x, d in (coord_numerators(h, T0) for h in unit.basis)]
-        u, v = (math.lcm(*dens), None) if tag in CUBIC_TAGS else (math.lcm(*dens[:2]), dens[2])
-        out.append((tag, u, v, L1 := instantiate(tag, u, v), index(L1, T0)))
+        if tag in CUBIC_TAGS:
+            u, v = math.lcm(*dens), None
+            L1 = SubgroupHNF(*_cubic_multiple(unit, u))
+        else:  # the unit's plane times u, and the axis (0, 0, v)
+            u, v = math.lcm(*dens[:2]), dens[2]
+            L1 = SubgroupHNF((*_scaled(unit.basis[:2], u), (0, 0, v)), 1)
+        out.append((tag, u, v, L1, index(L1, T0)))
     return out
 
 
@@ -533,9 +546,9 @@ def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, Latt
     rows = []  # (index, −D, basis, family): distinct lattices, which sort as the walk's rows do
     for tag, u, v, L1, i1 in _least_instances(G.T0, G.frame.name):
         for k in takewhile(lambda k: i1 * k ** (3 if v is None else 2) <= bound, count(1)):
-            if v is None:  # k·H/q is k/g·H over q/g for g = gcd(k, q), q being coprime to H's content
-                g = math.gcd(k, L1.den)
-                rows.append((i1 * k**3, -(L1.den // g), _scaled(L1.basis, k // g), LatticeFamily(tag, u * k)))
+            if v is None:
+                basis, den = _cubic_multiple(L1, k)
+                rows.append((i1 * k**3, -den, basis, LatticeFamily(tag, u * k)))
             else:  # the planar columns times k, and the axis column (0, 0, v) times j
                 plane = _scaled(L1.basis[:2], k)
                 rows += [(i1 * k * k * j, -1, (*plane, (0, 0, v * j)), LatticeFamily(tag, u * k, v * j)) for j in range(1, bound // (i1 * k * k) + 1)]

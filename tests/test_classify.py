@@ -3,7 +3,6 @@
 import json
 import sys
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -36,10 +35,10 @@ from torsym.classify import (
     verify_tables,
 )
 from torsym.errors import InvariantViolation
-from torsym.lattices import _from_t0_hnf, covolume, hnf, hnf_columns, index, int_matvec, is_subgroup, join
-from torsym.periodic_graphs import PeriodicGraph, cycle_image_lattice, edge_orbit_graph, lift_connected_bruteforce
-from torsym.spacegroups import GROUP_NAMES, Isometry, SpaceGroup, _closure, make_group
-from torsym.sublattices import FAMILY_TAGS, instantiate
+from torsym.lattices import SubgroupHNF, _from_t0_hnf, covolume, hnf, hnf_columns, index, int_matvec, is_subgroup, join
+from torsym.periodic_graphs import PeriodicGraph, SingularEdge, cycle_image_lattice, edge_orbit_graph, lift_connected_bruteforce
+from torsym.spacegroups import CUBIC_FRAME, GROUP_NAMES, ROT_XYZ, Isometry, SpaceGroup, _closure, make_group
+from torsym.sublattices import FAMILY_TAGS, LatticeFamily, instantiate
 
 # ============================================================
 # marked edge labels
@@ -90,7 +89,7 @@ class _Unreadable:
 
 def test_labels_and_classification_never_read_the_claimed_images(monkeypatch):
     for case, claim in THEOREM_1.items():
-        monkeypatch.setitem(THEOREM_1, case, replace(claim, claimed_image=_Unreadable()))
+        monkeypatch.setitem(THEOREM_1, case, claim._replace(claimed_image=_Unreadable()))
     _clear_label_caches()
     try:
         assert {name: sorted(labeled_marked_edges(name)) for name in ("I4_132", "P4_232")} == {
@@ -124,7 +123,7 @@ def test_a_tie_in_the_image_index_raises_an_internal_error(monkeypatch, capsys):
 
 def test_a_renamed_record_keeps_its_own_cases():
     # I432's record under the name P432 has I432's labels and orbits, not P432's alpha on orbit 2
-    cases = _cases(replace(make_group("I432"), name="P432"))[1]
+    cases = _cases(make_group("I432")._replace(name="P432"))[1]
     assert {label: c.edge.orbit_id for label, c in cases.items()} == {"beta": 1, "gamma": 4}
     assert {label: c.edge.orbit_id for label, c in _cases(make_group("P432"))[1].items()} == {"alpha": 2}
 
@@ -302,7 +301,7 @@ def test_derived_constraint_rejects_an_index_without_a_listed_word():
 def test_classify_case_raises_when_a_lift_contradicts_the_constraint(monkeypatch):
     # I432 beta rejects some lattices up to index 8, so "none" cannot hold
     mults, cases = _cases(make_group("I432"))
-    forced = {label: replace(c, constraints=dict.fromkeys(c.constraints, "none")) for label, c in cases.items()}
+    forced = {label: c._replace(constraints=dict.fromkeys(c.constraints, "none")) for label, c in cases.items()}
     monkeypatch.setattr(classify, "_cases", lambda G: (mults, forced))
     with pytest.raises(InvariantViolation, match="disagrees with the derived constraint"):
         classify_case("I432", "beta", 8)
@@ -377,8 +376,8 @@ def test_an_origin_shift_keeps_every_row_but_its_orbit_id(case, c):
     H = SpaceGroup(group, G.frame, gens, T0, len(cosets), tuple(cosets), maps)
     # the rows of H come from H's own case graph, which sits at the shifted vertices
     assert _cases(H)[1][edge].graph.vertices != _cases(G)[1][edge].graph.vertices
-    rows = [replace(r, orbit_id=0) for r in _classify(H, edge, 256)]
-    assert rows and rows == [replace(r, orbit_id=0) for r in classify_case(group, edge, 256)]
+    rows = [r._replace(orbit_id=0) for r in _classify(H, edge, 256)]
+    assert rows and rows == [r._replace(orbit_id=0) for r in classify_case(group, edge, 256)]
 
 
 def test_classify_rejects_bad_arguments():
@@ -431,7 +430,60 @@ def test_row_validation():
         )
     # a valid genus, so the constraint is what fails
     with pytest.raises(ValueError, match="unknown constraint '5∤n'"):
-        replace(row, constraint="5∤n")
+        row._replace(constraint="5∤n")
+
+
+_Z3 = SubgroupHNF(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1)
+
+# (record, one bad field, the constructor's message for it, one good field, that field as the constructor stores it)
+CHECKED_RECORDS = [
+    (_Z3, {"den": 0}, "den must be a positive integer", {"den": 3}, 3),
+    (LatticeFamily("HEX_ROT", 2, 3), {"m": None}, "require a positive parameter m", {"n": 5}, 5),
+    (
+        Isometry(CUBIC_FRAME, ROT_XYZ, (0, 0, 0)),
+        {"rot": ((-1, 0, 0), (0, -1, 0), (0, 0, -1))},
+        "determinant",
+        {"trans": (1, 0, "1/2")},
+        (Fraction(1), Fraction(0), Fraction(1, 2)),
+    ),
+    (
+        PeriodicGraph("P432", _Z3, [(0, 0, 0)], [(0, 0, (0, 0, 1))]),
+        {"vertices": [(1, 0, 0)]},
+        "in the cell",
+        {"edges": [(0, 0, (0, 0, -1)), (0, 0, (-1, 0, 0))]},
+        ((0, 0, (0, 0, 1)), (0, 0, (1, 0, 0))),
+    ),
+    (
+        SingularEdge(((0, 0, 0), (0, 0, Fraction(1, 2))), 2, (2, 2, 2, 3), 0),
+        {"edge_index": 1},
+        "edge index must be at least 2",
+        {"link": (4, 2, 3, 2)},
+        (2, 2, 3, 4),
+    ),
+    (
+        ClassificationRow("I432", "beta", 3, LatticeFamily("CUBIC_BODY", 1), 1, None, instantiate("CUBIC_BODY", 1), "2∤n", 1, 24, 3, True),
+        {"genus": 1},
+        "genus must exceed one",
+        {"orbit_id": 7},
+        7,
+    ),
+]
+
+
+@pytest.mark.parametrize("record, bad, message, good, stored", CHECKED_RECORDS, ids=[type(r).__name__ for r, *_ in CHECKED_RECORDS])
+def test_replace_and_make_run_every_check_of_the_constructor(record, bad, message, good, stored):
+    cls, fields = type(record), record._asdict()
+    with pytest.raises(ValueError, match=message):
+        record._replace(**bad)
+    with pytest.raises(ValueError, match=message):
+        cls._make({**fields, **bad}.values())
+    with pytest.raises(ValueError, match=message):
+        cls(**{**fields, **bad})
+    replaced = record._replace(**good)
+    (field,) = good
+    # repr tells a Fraction from an int and a tuple from a list
+    assert repr(getattr(replaced, field)) == repr(stored)
+    assert type(replaced) is cls and replaced == cls(**{**fields, **good}) == cls._make({**fields, **good}.values())
 
 
 # ============================================================
@@ -547,7 +599,7 @@ def test_verify_tables_passes_at_every_small_index():
 def test_verify_tables_fails_when_an_expected_family_is_missing(monkeypatch):
     # CUBIC_BODY first shows up for F4_132 alpha at index 16
     case = ("F4_132", "alpha")
-    monkeypatch.setitem(THEOREM_1, case, replace(THEOREM_1[case], families=THEOREM_1[case].families[:2]))
+    monkeypatch.setitem(THEOREM_1, case, THEOREM_1[case]._replace(families=THEOREM_1[case].families[:2]))
     assert verify_tables(15).ok
     report = verify_tables(16)
     assert not report.ok
@@ -555,12 +607,12 @@ def test_verify_tables_fails_when_an_expected_family_is_missing(monkeypatch):
 
 
 def _claim(mp, case, **changes):
-    mp.setitem(THEOREM_1, case, replace(THEOREM_1[case], **changes))
+    mp.setitem(THEOREM_1, case, THEOREM_1[case]._replace(**changes))
 
 
 def _wrong_genus_form(mp):
     first, *rest = THEOREM_1[("P432", "alpha")].families
-    _claim(mp, ("P432", "alpha"), families=(replace(first, coefficient=3), *rest))
+    _claim(mp, ("P432", "alpha"), families=(first._replace(coefficient=3), *rest))
 
 
 CLAIM_MUTANTS = {

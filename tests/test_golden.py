@@ -23,10 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from torsym import cli
+from torsym import cli, classify_case, instantiate, labeled_marked_edges, theorem1_cells, theorem1_table, verify_claims
+from torsym.classify import THEOREM_1, _cases
 from torsym.periodic_graphs import _singular_data, edge_orbit_graph
 from torsym.spacegroups import GROUP_NAMES, make_group
-from torsym.sublattices import normal_translation_subgroups
+from torsym.sublattices import LatticeFamily, normal_translation_subgroups
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,6 +92,36 @@ SURVEY_512 = (
 # SHA-256 of the JSON of edge_orbit_graph for every singular orbit of the six groups, smoothed and raw
 ORBIT_GRAPHS = "cdbe26378f8da5abb14b2019a1ecbef8d4130f9ae80af6b165ddcdcbbb53865f"
 
+# SHA-256 of the repr of one instance of every record, recorded while the records were dataclasses:
+# the field names, their order, the values and the repr without `SpaceGroup.maps` stay as they were
+RECORD_REPRS = (
+    ("Frame", "f2111879a75fd474c20faeb43b68cd60d90045d7d871806239edc4c458339b87"),
+    ("SpaceGroup", "69f2b9ec1cfeca506e7ca812b92094c6e7b3d0a6519649b17478ade2bf3aff63"),
+    ("Isometry", "f3a5168a49df6a419a401263170d0bcd7fccc3789ba0a636d8da18eb532c7445"),
+    ("SubgroupHNF", "e0f99a772ee4ce1020496111fe65e0821a15b45d4ba0e600e2b0a985861dfbc2"),
+    ("LatticeFamily", "1c13c6e3a84ecad626104980f1841f01defc6fac63d6d4b168f405e9766ec6c2"),
+    ("SingularEdge", "6e9c7a93cc71bffb6da7b1c34d9669e3e691a7c9dd307dcabd0f01a0a47bebda"),
+    ("PeriodicGraph", "f25c29e1b07784c261de9fd82e94d5af15579eeef0a80ae154b1ab08990b01fb"),
+    ("ClassificationRow", "1bf65b8eb4d098f3e6956688b02644625c40caf3e496750cc2152fde91c9d322"),
+    ("GenusEntry", "5ba15a1c66d196f1c56e1263fccbba84880e476c43811a9bd4e01d9e7b5e5716"),
+    ("Theorem1Cell", "1d567b203b4753bca799bdf2d731b619f3f4e4b6104dd78f5ed2c20db2b0c226"),
+    ("ClaimCheck", "ff3b4462b93a06a09bec04a2e57540eaf4d077035dce4358019e264a4e6f5dec"),
+    ("VerificationReport", "3390a7214559dd333a2d7c630aa9b1b9edc0e2c2386ac9aacd030eccc6339540"),
+    ("_CaseClaim", "f1443e1f2ef8d2c20b91348a9519b91c0eea2021ba7c3d542bae2f4c395eca06"),
+    ("_Case", "1bd05e5550a306ad88a49a3c0f03abc7c9c53af443f7f7c646dd21e29c1a9aac"),
+    ("_SingularData", "62faa4f1e4222f7fee9f1b5f71f6be2dd75a6d931919758e1219897d1584a0dc"),
+)
+
+# SHA-256 of the repr of normal_translation_subgroups(G, 256), records and all
+SURVEY_256_REPRS = (
+    ("P432", "4f5245ae98f3d0ffba6ab115e38ef223ea353e942db06c46027a7374f11709d1"),
+    ("F4_132", "f51511193fe00f82f70f2ed2a9c828d5cefe6f01c75aa29e90cdd86c7a4a2a87"),
+    ("I4_132", "77273ff16b0d92d33b2e95bfb564d74b709835777da3aa0d312beef0b90ab261"),
+    ("I432", "432bebda3d56a94c8124ccc48506f12120eeccb6a7d605bf4d1d474c4fdc044b"),
+    ("P4_232", "4f5245ae98f3d0ffba6ab115e38ef223ea353e942db06c46027a7374f11709d1"),
+    ("P622", "827b42e21963dd96b03075382404df0632f04329fa0964c586ced0e9256f56f2"),
+)
+
 DEMOS = (
     ("tour_of_groups.py", "65fcf9030da655ba11b136d0de5c64f91cc373d8ce366a00332223c7993212eb"),
     ("covering_lifts.py", "daea6543fe071d5662228db0bb6e7849bc23feee5d416fbbe0a067b44670d30d"),
@@ -129,6 +160,48 @@ def test_every_edge_orbit_graph_is_pinned():
     assert len(graphs) == 84
     text = json.dumps(graphs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == ORBIT_GRAPHS
+
+
+def _record_instances() -> dict:
+    G = make_group("I4_132")
+    edge = labeled_marked_edges("I4_132")["beta"]
+    report = verify_claims()
+    return {
+        "Frame": G.frame,
+        "SpaceGroup": G,
+        "Isometry": G.cosets[-1],
+        "SubgroupHNF": instantiate("CUBIC_BODY", 3),
+        "LatticeFamily": LatticeFamily("HEX_ROT", 2, 3),
+        "SingularEdge": edge,
+        "PeriodicGraph": edge_orbit_graph(G, edge),
+        "ClassificationRow": classify_case("I4_132", "beta", 512)[0],
+        "GenusEntry": theorem1_table(20)[0],
+        "Theorem1Cell": theorem1_cells()[0],
+        "ClaimCheck": report.checks[0],
+        "VerificationReport": report,
+        "_CaseClaim": THEOREM_1["P4_232", "beta"],
+        "_Case": _cases(make_group("P4_232"))[1]["gamma"],
+        "_SingularData": _singular_data(G),
+    }
+
+
+def test_every_record_repr_is_pinned():
+    reprs = {name: hashlib.sha256(repr(record).encode()).hexdigest() for name, record in _record_instances().items()}
+    assert reprs == dict(RECORD_REPRS)
+
+
+@pytest.mark.parametrize("name, digest", SURVEY_256_REPRS, ids=[n for n, _ in SURVEY_256_REPRS])
+def test_survey_records_are_pinned_by_repr(name, digest):
+    out = normal_translation_subgroups(make_group(name), 256)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_a_group_hashes_its_int_and_str_fields_only(name):
+    # no Fraction is hashed, and every record-keyed cache keeps its keys
+    G = make_group(name)
+    assert hash(G) == hash((G.name, G.frame, G.T0, G.point_order))
+    assert hash(G.T0) == hash((G.T0.basis, G.T0.den))
 
 
 @pytest.mark.parametrize("demo, digest", DEMOS, ids=[d for d, _ in DEMOS])

@@ -1,6 +1,9 @@
 """Guards on the package source itself, read with `ast`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import torsym
@@ -165,3 +168,12 @@ def _unread_imports(src: Path) -> list[str]:
 def test_every_import_is_read():
     # a helper removed from a module must not leave its imports behind
     assert _unread_imports(SRC) == []
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # about 10 ms of every command's start went to these two; pytest loads both, so the import runs in
+    # a fresh interpreter, without site so that no startup hook of the environment loads them either
+    probe = "import sys, torsym, torsym.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True, env=env, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -60,6 +60,7 @@ from torsym.sublattices import (
     LatticeFamily,
     _coord_rotations,
     _coprime_meet,
+    _least_instances,
     _prime_power_parts,
     _rotation_generators,
     _closed_form_rows,
@@ -900,6 +901,16 @@ _SCALED_RECORDS = [
 def test_closed_form_equals_the_walk_on_scaled_lattices(G):
     assert _closed_form_rows(G, 300) == _walked_rows(G, 300) != []
     assert normal_translation_subgroups(G, 300) == _closed_form_rows(G, 300)
+
+
+@pytest.mark.parametrize("G", [*map(make_group, GROUP_NAMES), *_SCALED_RECORDS], ids=lambda G: G.name)
+def test_each_least_instance_is_its_unit_lattice_scaled(G):
+    # L₁ is read off the family's unit lattice; instantiate builds it from its generators
+    least = _least_instances(G.T0, G.frame.name)
+    assert [tag for tag, *_ in least] == list(CUBIC_TAGS if G.frame.name == "CUBIC" else HEX_TAGS)
+    for tag, u, v, L1, i1 in least:
+        assert L1 == instantiate(tag, u, v)
+        assert i1 == index(L1, G.T0)
 
 
 @pytest.mark.parametrize(
