@@ -17,7 +17,7 @@ from .periodic_graphs import (
     marked_edges,
 )
 from .spacegroups import GROUP_NAMES, SpaceGroup, make_group
-from .sublattices import _check_index, _closed_form_rows, _least_instances, _surveyed, _walked_rows, instantiate, normal_translation_subgroups
+from .sublattices import HEX_TAGS, _check_index, _closed_form_rows, _least_instances, _surveyed, _walked_rows, instantiate, normal_translation_subgroups
 
 # ============================================================
 # the paper's claims
@@ -130,7 +130,7 @@ class ClassificationRow(checked_record("ClassificationRow", "group edge_label or
     def lattice_label(self) -> str:
         """Volume-subscript name of the lattice, such as T_4 or T_1/2 or Tw_3."""
         v = covolume(self.lattice)
-        prefix = "Tw" if self.family.tag.startswith("HEX") else "T"
+        prefix = "Tw" if self.family.tag in HEX_TAGS else "T"
         return f"{prefix}_{v}"
 
     def to_json(self) -> dict:
@@ -278,7 +278,7 @@ def _derived_constraint(I: SubgroupHNF, T0: SubgroupHNF, tag: str, L1: SubgroupH
     P.  The image of the instance in T0/I ≅ ℤ is then m times the image of
     L₁, which is all of ℤ iff m = 1 and L₁ + I = T0.
     """
-    if tag.startswith("HEX"):
+    if tag in HEX_TAGS:
         if I.rank != 2 or any(h[2] for h in I.basis):
             raise InvariantViolation(f"{tag}: cycle image is not a lattice in the plane z = 0")
         _, diag, _ = smith_form(list(zip(*relative_coordinates(I, T0))))

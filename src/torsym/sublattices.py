@@ -22,7 +22,6 @@ from .lattices import (
     coord_numerators,
     covolume,
     frame_coords_matrix,
-    hnf,
     hnf_columns,
     hnf_product,
     index,
@@ -63,29 +62,41 @@ class LatticeFamily(checked_record("LatticeFamily", "tag n m")):
         return instantiate(self.tag, self.n, self.m)
 
     def to_json(self) -> dict:
-        out = {"tag": self.tag, "n": self.n}
-        if self.m is not None:
-            out["m"] = self.m
-        return out
+        return {"tag": self.tag, "n": self.n, **({} if self.m is None else {"m": self.m})}
 
 
 def instantiate(tag: str, n: int, m: int | None = None) -> SubgroupHNF:
     """Canonical subgroup for a family tag and parameters; ValueError where LatticeFamily rejects them."""
     LatticeFamily(tag, n, m)
-    if tag == "CUBIC_PRIMITIVE":
-        gens = [(n, 0, 0), (0, n, 0), (0, 0, n)]
-    elif tag == "CUBIC_FACE":
-        gens = [(2 * n, 0, 0), (n, n, 0), (n, 0, n)]
-    elif tag == "CUBIC_BODY":
-        if n % 2:
-            # n·(1/2, 1/2, 1/2) over den 2; the content n of these columns is odd, so the record is canonical
-            return SubgroupHNF(hnf_columns([(2 * n, 0, 0), (0, 2 * n, 0), (n, n, n)]), 2)
-        gens = [(n, 0, 0), (0, n, 0), (n // 2, n // 2, n // 2)]
-    elif tag == "HEX_PRIMITIVE":
-        gens = [(n, 0, 0), (0, n, 0), (0, 0, m)]
-    else:
-        gens = [(2 * n, n, 0), (n, 2 * n, 0), (0, 0, m)]
-    return hnf(gens)
+    return SubgroupHNF(*_instance_basis(tag, n, m))
+
+
+# the family table: the unit (n = 1, m = 1) lattice of each family, integer generators over a den
+_UNITS = {tag: SubgroupHNF(hnf_columns(gens), den) for tag, gens, den in (
+    ("CUBIC_PRIMITIVE", IDENTITY, 1),
+    ("CUBIC_FACE", ((2, 0, 0), (1, 1, 0), (1, 0, 1)), 1),
+    ("CUBIC_BODY", ((2, 0, 0), (0, 2, 0), (1, 1, 1)), 2),  # the body centre (½, ½, ½)
+    ("HEX_PRIMITIVE", IDENTITY, 1),
+    ("HEX_ROT", ((2, 1, 0), (1, 2, 0), (0, 0, 1)), 1),
+)}
+_ROW_LIMIT = 10**6  # the most rows one closed-form survey builds: a larger bound is refused before its first row
+
+
+def _frame(name: str) -> tuple[tuple[str, ...], int]:
+    """(family tags, order of the whole rotation group, |O| or |D6|) of a frame name; ValueError for any other."""
+    if name not in ("CUBIC", "HEXAGONAL"):
+        raise ValueError(f"unknown frame {name!r}: the frames are CUBIC and HEXAGONAL")
+    return (CUBIC_TAGS, 24) if name == "CUBIC" else (HEX_TAGS, 12)
+
+
+def _instance_basis(tag: str, n: int, m: int | None) -> tuple[tuple, int]:
+    """instance(tag, n, m) as (basis, den), its unit H/q scaled: cubic n·H/q is n/g·H over q/g for
+    g = gcd(n, q), q being prime to H's content; hexagonal, over den 1, is H's plane times n and the axis (0, 0, m)."""
+    H, q = _UNITS[tag]
+    if tag in HEX_TAGS:
+        return (*_scaled(H[:2], n), (0, 0, m)), 1
+    g = math.gcd(n, q)
+    return _scaled(H, n // g), q // g
 
 
 # ============================================================
@@ -232,7 +243,7 @@ def _fixed_lines(acts: Sequence[IntMat], p: int) -> list[tuple[int, ...]]:
 
 def _scaled(M: tuple, c: int) -> tuple:
     """c·M for a column HNF M and c ≥ 1: again a column HNF."""
-    return tuple(tuple(c * x for x in col) for col in M)
+    return tuple([(c * x, c * y, c * z) for x, y, z in M])
 
 
 def _primitive(M: tuple) -> tuple[int, tuple]:
@@ -455,34 +466,18 @@ def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[IntMat], d: int) 
 def match_family(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
     """The unique closed-form family instance equal to L, if one exists.
 
-    Each n = 1 instance is B/u with B of content 1 and first pivot 1.  So a
-    cubic instance n·B/u has the canonical basis k·B over D = u/g, for
-    g = gcd(n, u) and k = n/g: k is L's first pivot and n = k·u/D.  A
-    hexagonal instance is n·P + ℤ·m·e₃, with P the planar part of B: n is
-    L's first pivot and m its third.  With L's columns (k, a₁, a₂),
-    (0, b₁, b₂) and (0, 0, c₂), each family is read off a₁, a₂, b₁, b₂ and
-    c₂ as multiples of k, with no instance built.
+    A family with the unit H/q holds L only as n·H/q, of first pivot
+    (n/g)·H₀₀ over D = q/g (`_instance_basis`), so n = L₀₀·q/(D·H₀₀); a
+    hexagonal m is L's third pivot.  L matches if that one instance is L.
     """
     if L.rank != 3:
         raise RankDeficient("match_family requires a rank-3 subgroup")
-    D = L.den
-    (k, a1, a2), (_, b1, b2), (_, _, c2) = L.basis
-    if frame.name == "CUBIC":
-        if a1 == 0 and b1 == k and D == 1:
-            if a2 == b2 == 0 and c2 == k:
-                return LatticeFamily("CUBIC_PRIMITIVE", k)
-            if a2 == b2 == k and c2 == 2 * k:
-                return LatticeFamily("CUBIC_FACE", k)
-        elif a1 == a2 == k and b1 == c2 == 2 * k and b2 == 0:
-            n = 2 * k // D
-            if D * math.gcd(n, 2) == 2:
-                return LatticeFamily("CUBIC_BODY", n)
-    elif D == 1 and a2 == b2 == 0:
-        # both hexagonal families are integer lattices
-        if a1 == 0 and b1 == k:
-            return LatticeFamily("HEX_PRIMITIVE", k, c2)
-        if a1 == 2 * k and b1 == 3 * k:
-            return LatticeFamily("HEX_ROT", k, c2)
+    for tag in _frame(frame.name)[0]:
+        H, q = _UNITS[tag]
+        n, r = divmod(L.basis[0][0] * q, L.den * H[0][0])
+        m = L.basis[2][2] if tag in HEX_TAGS else None
+        if not r and _instance_basis(tag, n, m) == L:
+            return LatticeFamily(tag, n, m)
     raise UnmatchedLattice(f"no closed-form family matches covolume {covolume(L)}")
 
 
@@ -496,16 +491,6 @@ def _rotation_generators(G: SpaceGroup) -> tuple[IntMat, ...]:
     return tuple(dict.fromkeys(g.rot for g in G.generators if g.rot != IDENTITY))
 
 
-# the n = 1 (and m = 1) instance of each family, which its other instances scale
-_UNITS = {tag: instantiate(tag, 1, 1 if tag in HEX_TAGS else None) for tag in FAMILY_TAGS}
-
-
-def _cubic_multiple(L: SubgroupHNF, k: int) -> tuple[tuple, int]:
-    """k·L as (basis, den): k·H/q is k/g·H over q/g for g = gcd(k, q), q being coprime to H's content."""
-    g = math.gcd(k, L.den)
-    return _scaled(L.basis, k // g), L.den // g
-
-
 def _least_instances(T0: SubgroupHNF, frame_name: str) -> list[tuple[str, int, int | None, SubgroupHNF, int]]:
     """(tag, u, v, L₁ = instance(tag, u, v), [T0 : L₁]) per family of the frame, L₁ its least instance in T0.
 
@@ -513,17 +498,12 @@ def _least_instances(T0: SubgroupHNF, frame_name: str) -> list[tuple[str, int, i
     m with m·e₃ ∈ T0 (None if cubic): lcms of denominators in T0-coordinates, as {n : n·B ⊆ T0} is closed under gcd.
     """
     out = []
-    for tag in CUBIC_TAGS if frame_name == "CUBIC" else HEX_TAGS:
-        unit = _UNITS[tag]
-        # a column h over the den D with T0-coordinate numerators x/d has the coordinates x/(d·D)
-        dens = [d * unit.den // math.gcd(d * unit.den, *x) for x, d in (coord_numerators(h, T0) for h in unit.basis)]
-        if tag in CUBIC_TAGS:
-            u, v = math.lcm(*dens), None
-            L1 = SubgroupHNF(*_cubic_multiple(unit, u))
-        else:  # the unit's plane times u, and the axis (0, 0, v)
-            u, v = math.lcm(*dens[:2]), dens[2]
-            L1 = SubgroupHNF((*_scaled(unit.basis[:2], u), (0, 0, v)), 1)
-        out.append((tag, u, v, L1, index(L1, T0)))
+    for tag in _frame(frame_name)[0]:
+        H, q = _UNITS[tag]
+        # a column h over the den q with T0-coordinate numerators x/d has the coordinates x/(d·q)
+        dens = [d * q // math.gcd(d * q, *x) for x, d in (coord_numerators(h, T0) for h in H)]
+        u, v = (math.lcm(*dens), None) if tag in CUBIC_TAGS else (math.lcm(*dens[:2]), dens[2])
+        out.append((tag, u, v, L1 := instantiate(tag, u, v), index(L1, T0)))
     return out
 
 
@@ -532,7 +512,7 @@ def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, Latt
 
     For L₁ = instance(tag, u, v) of index i₁ (`_least_instances`) they are
     instance(tag, u·k) of index i₁·k³ and instance(tag, u·k, v·j) of index
-    i₁·k²·j, each basis L₁'s scaled, sorted by (total index, −D, basis).
+    i₁·k²·j, counted first (`_row_count`) and sorted by (total index, −D, basis).
     They are every invariant L ⊆ T0.  Under O, L = r·X for r ∈ ℚ and X the
     cubic P, F or I lattice.  Under D6, ρ² − ρ + 1 = 0 on the plane W for ρ
     the 6-fold rotation, so ρ − 1 is unimodular there: x ∈ L has
@@ -543,16 +523,35 @@ def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, Latt
     holds e₁, e₁ + e₂ or 2e₁ + e₂, so r ∈ ℤ, and u | r, v | s iff L ⊆ T0.
     """
     match_family(G.T0, G.frame)
+    least = _least_instances(G.T0, G.frame.name)
+    if (counted := _row_count(least, bound)) > _ROW_LIMIT:
+        raise TorsymError(f"{G.name}: the survey to index {bound} counts at least {counted} rows, past the limit of {_ROW_LIMIT} rows")
     rows = []  # (index, −D, basis, family): distinct lattices, which sort as the walk's rows do
-    for tag, u, v, L1, i1 in _least_instances(G.T0, G.frame.name):
+    for tag, u, v, L1, i1 in least:
         for k in takewhile(lambda k: i1 * k ** (3 if v is None else 2) <= bound, count(1)):
             if v is None:
-                basis, den = _cubic_multiple(L1, k)
+                basis, den = _instance_basis(tag, u * k, None)
                 rows.append((i1 * k**3, -den, basis, LatticeFamily(tag, u * k)))
             else:  # the planar columns times k, and the axis column (0, 0, v) times j
                 plane = _scaled(L1.basis[:2], k)
                 rows += [(i1 * k * k * j, -1, (*plane, (0, 0, v * j)), LatticeFamily(tag, u * k, v * j)) for j in range(1, bound // (i1 * k * k) + 1)]
     return [(SubgroupHNF(basis, -minus_den), fam, G.point_order * d) for d, minus_den, basis, fam in sorted(rows)]
+
+
+def _row_count(least: list, bound: int) -> int:
+    """The rows `_closed_form_rows` builds to `bound`, counted in integers: exactly, or as some number past
+    `_ROW_LIMIT` that they reach, in a few Newton steps per cubic family and O(√_ROW_LIMIT) per hexagonal one."""
+    total = 0
+    for _, _, v, _, i1 in least:
+        b = bound // i1  # the family's rows are L₁'s to the index ⌊bound/i₁⌋ in L₁
+        if v is None:  # one per k ≤ ⌊∛b⌋, capped at _ROW_LIMIT + 1; Newton's integer step from above stops there
+            k = min(1 << -(-b.bit_length() // 3), _ROW_LIMIT + 1)
+            while k**3 > b:
+                k = (2 * k + b // (k * k)) // 3
+            total += k
+        else:  # ⌊b/k²⌋ per k, one per axis multiple j, and the first term alone is b
+            total += b if b > _ROW_LIMIT else sum(b // (k * k) for k in range(1, math.isqrt(b) + 1))
+    return total
 
 
 def _walked_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, LatticeFamily, int]]:
@@ -604,5 +603,5 @@ def normal_translation_subgroups(
     new list of the stored row tuples.
     """
     _check_index(max_index, "max_index")
-    whole = G.point_order == (24 if G.frame.name == "CUBIC" else 12)  # |O| or |D6|, the frame's rotations
+    whole = G.point_order == _frame(G.frame.name)[1]
     return _surveyed(G, max_index, _closed_form_rows if whole else _walked_rows)

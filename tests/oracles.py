@@ -58,13 +58,17 @@
 - `suppress_valence_two_by_rescan` smooths one valence-2 vertex at a time
   and rebuilds its incidence map after each.  It checks the package's one
   pass in vertex order.
+- `instantiate_by_generators` builds a family instance as the HNF of its
+  generators, one list per family and the odd body-centred case over den 2
+  apart.  It checks the package's `instantiate`, which scales each family's
+  unit lattice.
 - `survey_rows_by_lattice` builds the rows of `normal_translation_subgroups`
   the way the survey first did: each lattice of an index mapped to T0 alone
   by `_from_t0_hnf`, the index's lattices sorted by (−D, basis), and the
   family matched by comparing the basis with k times each n = 1 instance
   (`match_family_by_units`).  It checks the package's one pass per index,
-  which sorts the walk's raw tuples when T0 = ℤ³ and reads the family off
-  the HNF entries.
+  which sorts the walk's raw tuples when T0 = ℤ³ and compares each lattice
+  with the one instance per family that its first pivot names.
 - `frame_symmetries` filters every triple of short columns of the right
   lengths by the determinant and metric checks, against the package's
   search that drops a partial triple at its first wrong Gram entry.
@@ -151,7 +155,6 @@ from torsym.sublattices import (
     _rotation_generators,
     _split,
     _walk,
-    instantiate,
 )
 
 IntVec = tuple[int, int, int]
@@ -1012,11 +1015,31 @@ def maximal_steps_by_enumeration(acts: Sequence[Sequence[Sequence[int]]], p: int
 
 
 # ============================================================
+# family instances from their generators
+# ============================================================
+
+
+def instantiate_by_generators(tag: str, n: int, m: int | None = None) -> SubgroupHNF:
+    """A family instance as the HNF of its own generators, each family written out; the arguments are not checked."""
+    if tag == "CUBIC_BODY" and n % 2:
+        # n·(1/2, 1/2, 1/2) over den 2; the content n of these columns is odd, so the record is canonical
+        return SubgroupHNF(hnf_columns([(2 * n, 0, 0), (0, 2 * n, 0), (n, n, n)]), 2)
+    gens = {
+        "CUBIC_PRIMITIVE": [(n, 0, 0), (0, n, 0), (0, 0, n)],
+        "CUBIC_FACE": [(2 * n, 0, 0), (n, n, 0), (n, 0, n)],
+        "CUBIC_BODY": [(n, 0, 0), (0, n, 0), (n // 2, n // 2, n // 2)],
+        "HEX_PRIMITIVE": [(n, 0, 0), (0, n, 0), (0, 0, m)],
+        "HEX_ROT": [(2 * n, n, 0), (n, 2 * n, 0), (0, 0, m)],
+    }[tag]
+    return hnf(gens)
+
+
+# ============================================================
 # survey rows by the per-lattice route
 # ============================================================
 
 
-_UNIT_INSTANCES = {tag: instantiate(tag, 1, 1 if tag in HEX_TAGS else None) for tag in FAMILY_TAGS}
+_UNIT_INSTANCES = {tag: instantiate_by_generators(tag, 1, 1) for tag in FAMILY_TAGS}
 
 
 def match_family_by_units(L: SubgroupHNF, frame: Frame) -> LatticeFamily:

@@ -36,6 +36,7 @@ from torsym.lattices import (
 )
 from torsym.spacegroups import (
     CUBIC_FRAME,
+    Frame,
     GROUP_NAMES,
     HEX_FRAME,
     ROT_OMEGA,
@@ -79,6 +80,7 @@ from oracles import (
     enumerate_sublattices,
     fixed_lines_by_enumeration,
     from_coords,
+    instantiate_by_generators,
     intersect,
     is_invariant,
     literal_invariant_sublattices,
@@ -172,6 +174,16 @@ def test_instantiate_equals_hnf_of_the_fraction_generators():
         for n in range(1, 65):
             for m in range(1, 5) if tag in HEX_TAGS else [None]:
                 assert instantiate(tag, n, m) == hnf(_fraction_generators(tag, n, m)), (tag, n, m)
+
+
+@given(st.sampled_from(FAMILY_TAGS), st.integers(1, 10**4), st.integers(1, 10**4))
+@example("CUBIC_BODY", 9_999, 1)
+@example("CUBIC_BODY", 10**4, 1)
+@example("HEX_ROT", 10**4, 10**4)
+def test_instantiate_equals_the_hnf_of_the_family_generators(tag, n, m):
+    # the unit table scaled against each family's generator list written out, odd and even body-centred n alike
+    m = m if tag in HEX_TAGS else None
+    assert instantiate(tag, n, m) == instantiate_by_generators(tag, n, m)
 
 
 # ============================================================
@@ -539,6 +551,27 @@ def test_match_family_rejects_non_family_lattices():
         match_family(hnf([(1, 0, 0), (0, 2, 0), (0, 0, 2)]), HEX_FRAME)
     with pytest.raises(RankDeficient):
         match_family(TRIVIAL_SUBGROUP, CUBIC_FRAME)
+    # near misses: each shares a unit's first pivot and den (the body-centred unit over 2, the face-centred
+    # unit, the rotated hexagonal unit) and differs from it below a pivot, so only the whole basis refuses it
+    near_misses = [
+        (SubgroupHNF(((1, 1, 0), (0, 2, 0), (0, 0, 2)), 2), CUBIC_FRAME),
+        (SubgroupHNF(((1, 0, 1), (0, 1, 0), (0, 0, 2)), 1), CUBIC_FRAME),
+        (SubgroupHNF(((1, 1, 0), (0, 3, 0), (0, 0, 1)), 1), HEX_FRAME),
+    ]
+    for L, frame in near_misses:
+        with pytest.raises(UnmatchedLattice):
+            match_family(L, frame)
+
+
+def test_an_unknown_frame_name_is_refused():
+    # each frame name maps to its own families; any other name was once read as hexagonal
+    frame = Frame("cubic", CUBIC_FRAME.gram)
+    with pytest.raises(ValueError, match="^unknown frame 'cubic'"):
+        match_family(Z3, frame)
+    with pytest.raises(ValueError, match="^unknown frame 'cubic'"):
+        _least_instances(Z3, "cubic")
+    with pytest.raises(ValueError, match="^unknown frame 'cubic'"):
+        normal_translation_subgroups(make_group("P432")._replace(frame=frame), 8)
 
 
 _UNMATCHED = "no closed-form family matches covolume "
@@ -875,6 +908,46 @@ def test_hexagonal_closed_form_at_one_index_equals_the_enumeration(d):
     _closed_form_equals_the_enumeration_at("P622", d)
 
 
+@settings(max_examples=60)
+@given(st.sampled_from(GROUP_NAMES), st.integers(1, 10**4) | st.integers(1, 10**9))
+@example("P622", 10**4)
+@example("I432", 10**9)
+def test_the_row_count_equals_the_rows_built(name, bound):
+    # the count read off the family table before any row is built, against the rows themselves
+    assume(name != "P622" or bound <= 10**4)
+    G = make_group(name)
+    assert sublattices._row_count(_least_instances(G.T0, G.frame.name), bound) == len(_closed_form_rows(G, bound))
+
+
+def test_a_survey_past_the_row_limit_is_refused(monkeypatch):
+    # at a limit of P622's row count to 20 those rows are built; a bound past it is refused, naming the
+    # bound, the count and the limit, and the store keeps the rows it held
+    G = make_group("P622")
+    _clear_survey_caches()
+    rows, over = _closed_form_rows(G, 20), len(_closed_form_rows(G, 21))
+    monkeypatch.setattr(sublattices, "_ROW_LIMIT", len(rows))
+    assert normal_translation_subgroups(G, 20) == rows
+    message = f"^P622: the survey to index 21 counts at least {over} rows, past the limit of {len(rows)} rows$"
+    with pytest.raises(TorsymError, match=message):
+        normal_translation_subgroups(G, 21)
+    assert _stored_rows(G, _closed_form_rows) == rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--max-genus", str(10**23)], ["classify", "P622", "beta", "--max-index", str(10**20)]],
+    ids=["table", "classify"],
+)
+def test_an_oversize_bound_exits_2_before_any_row(argv, capsys):
+    # counted, not built: both bounds once ran until memory gave out
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: \w+: the survey to index \d+ counts at least \d+ rows, past the limit of 1000000 rows\n", err)
+
+
 _HALF = Fraction(1, 2)
 _O = (*CUBIC_ROTS, ROT_XY)
 
@@ -905,11 +978,11 @@ def test_closed_form_equals_the_walk_on_scaled_lattices(G):
 
 @pytest.mark.parametrize("G", [*map(make_group, GROUP_NAMES), *_SCALED_RECORDS], ids=lambda G: G.name)
 def test_each_least_instance_is_its_unit_lattice_scaled(G):
-    # L₁ is read off the family's unit lattice; instantiate builds it from its generators
+    # L₁ is read off the family's unit lattice; the oracle builds it from the family's generators
     least = _least_instances(G.T0, G.frame.name)
     assert [tag for tag, *_ in least] == list(CUBIC_TAGS if G.frame.name == "CUBIC" else HEX_TAGS)
     for tag, u, v, L1, i1 in least:
-        assert L1 == instantiate(tag, u, v)
+        assert L1 == instantiate_by_generators(tag, u, v)
         assert i1 == index(L1, G.T0)
 
 
