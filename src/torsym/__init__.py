@@ -1,138 +1,15 @@
 """Exact lattice algebra for six maximal-order space groups: singular graphs,
 covering lifts, and the resulting classification tables."""
 
-from .classify import (
-    CASES,
-    SCHEMA_VERSION,
-    ClassificationRow,
-    ClaimCheck,
-    GenusEntry,
-    Theorem1Cell,
-    VerificationReport,
-    classify_case,
-    labeled_marked_edges,
-    report_to_json,
-    report_to_text,
-    rows_to_csv,
-    rows_to_json,
-    rows_to_text,
-    table_to_csv,
-    table_to_json,
-    table_to_text,
-    theorem1_cells,
-    theorem1_table,
-    verify_claims,
-    verify_tables,
-)
-from .errors import (
-    ClosureOverflow,
-    Disconnected,
-    InvariantViolation,
-    NotASubgroup,
-    RankDeficient,
-    TorsymError,
-    UnknownGroup,
-    UnmatchedLattice,
-)
-from .lattices import (
-    SubgroupHNF,
-    TRIVIAL_SUBGROUP,
-    covolume,
-    hnf,
-    index,
-    join,
-    member,
-)
-from .periodic_graphs import (
-    PeriodicGraph,
-    SingularEdge,
-    cycle_image_lattice,
-    edge_orbit_graph,
-    lift_connected,
-    lift_connected_bruteforce,
-    lift_genus,
-    marked_edges,
-    singular_graph,
-    suppress_valence_two,
-)
-from .spacegroups import (
-    GROUP_NAMES,
-    Isometry,
-    SpaceGroup,
-    canonical_group_name,
-    make_group,
-    stabilizer,
-    stabilizer_order,
-)
-from .sublattices import (
-    FAMILY_TAGS,
-    LatticeFamily,
-    instantiate,
-    invariant_sublattices,
-    match_family,
-    normal_translation_subgroups,
-)
+from . import classify, errors, lattices, periodic_graphs, spacegroups, sublattices
+from .classify import *
+from .errors import *
+from .lattices import *
+from .periodic_graphs import *
+from .spacegroups import *
+from .sublattices import *
 
-__all__ = [
-    "CASES",
-    "SCHEMA_VERSION",
-    "ClassificationRow",
-    "ClaimCheck",
-    "GenusEntry",
-    "Theorem1Cell",
-    "VerificationReport",
-    "classify_case",
-    "labeled_marked_edges",
-    "report_to_json",
-    "report_to_text",
-    "rows_to_csv",
-    "rows_to_json",
-    "rows_to_text",
-    "table_to_csv",
-    "table_to_json",
-    "table_to_text",
-    "theorem1_cells",
-    "theorem1_table",
-    "verify_claims",
-    "verify_tables",
-    "ClosureOverflow",
-    "Disconnected",
-    "InvariantViolation",
-    "NotASubgroup",
-    "RankDeficient",
-    "TorsymError",
-    "UnknownGroup",
-    "UnmatchedLattice",
-    "SubgroupHNF",
-    "TRIVIAL_SUBGROUP",
-    "covolume",
-    "hnf",
-    "index",
-    "join",
-    "member",
-    "PeriodicGraph",
-    "SingularEdge",
-    "cycle_image_lattice",
-    "edge_orbit_graph",
-    "lift_connected",
-    "lift_connected_bruteforce",
-    "lift_genus",
-    "marked_edges",
-    "singular_graph",
-    "suppress_valence_two",
-    "GROUP_NAMES",
-    "Isometry",
-    "SpaceGroup",
-    "canonical_group_name",
-    "make_group",
-    "stabilizer",
-    "stabilizer_order",
-    "FAMILY_TAGS",
-    "LatticeFamily",
-    "instantiate",
-    "invariant_sublattices",
-    "match_family",
-    "normal_translation_subgroups",
-]
+# each module's own `__all__` is its export list
+__all__ = [name for module in (classify, errors, lattices, periodic_graphs, spacegroups, sublattices) for name in module.__all__]
 
 __version__ = "0.1.0"

@@ -19,6 +19,13 @@ from .periodic_graphs import (
 from .spacegroups import GROUP_NAMES, SpaceGroup, make_group
 from .sublattices import HEX_TAGS, _check_index, _closed_form_rows, _least_instances, _surveyed, _walked_rows, instantiate, normal_translation_subgroups
 
+__all__ = [
+    "CASES", "SCHEMA_VERSION", "ClassificationRow", "ClaimCheck", "GenusEntry", "Theorem1Cell", "VerificationReport",
+    "classify_case", "labeled_marked_edges", "report_to_json", "report_to_text", "rows_to_csv", "rows_to_json",
+    "rows_to_text", "table_to_csv", "table_to_json", "table_to_text", "theorem1_cells", "theorem1_table",
+    "verify_claims", "verify_tables",
+]
+
 # ============================================================
 # the paper's claims
 # ============================================================

@@ -21,13 +21,27 @@ from .classify import (
     verify_tables,
 )
 from .errors import InvariantViolation, TorsymError
-from .lattices import covolume
+from .lattices import IDENTITY, covolume, from_numerators
 from .periodic_graphs import singular_graph
 from .spacegroups import GROUP_NAMES, canonical_group_name, make_group
 
 # ============================================================
 # subcommand bodies
 # ============================================================
+
+
+def _emit(fmt: str, value, **renderers) -> None:
+    """Print value as rendered for fmt, and for fmt only; a json renderer returns the document to encode."""
+    out = renderers[fmt](value)
+    print(json.dumps(out, indent=2) if fmt == "json" else out)
+
+
+def _point(p) -> str:
+    return "(" + ", ".join(str(x) for x in p) + ")"
+
+
+def _link(e) -> str:
+    return "{" + ",".join(str(k) for k in e.link) + "}"
 
 
 def _group_record(name: str) -> dict:
@@ -45,106 +59,78 @@ def _group_record(name: str) -> dict:
     }
 
 
+def _group_line(r: dict) -> str:
+    # T0's basis vectors are its HNF columns over its den: the images of the unit coordinate vectors
+    T0 = make_group(r["name"]).T0
+    basis = ", ".join(_point(from_numerators(e, 1, T0)) for e in IDENTITY)
+    return f"{r['name']:8s} frame={r['frame']:5s} point_order={r['point_order']:2d} T0=<{basis}>"
+
+
 def _cmd_groups(args) -> int:
     records = [_group_record(name) for name in GROUP_NAMES]
-    if args.format == "json":
-        print(json.dumps({"groups": records}, indent=2))
-    else:
-        for r in records:
-            basis = ", ".join(
-                "(" + ", ".join(str(x) for x in v) + ")"
-                for v in make_group(r["name"]).T0.vectors()
-            )
-            print(
-                f"{r['name']:8s} frame={r['frame']:5s} point_order={r['point_order']:2d} "
-                f"T0=<{basis}>"
-            )
+    _emit(args.format, records, json=lambda rs: {"groups": rs}, text=lambda rs: "\n".join(map(_group_line, rs)))
     return 0
+
+
+def _segment_line(e) -> str:
+    return f"  orbit {e.orbit_id}  index {e.edge_index}  link {_link(e)}  {' -> '.join(map(_point, e.segment))}"
 
 
 def _cmd_singular_graph(args) -> int:
     G = make_group(args.group)
     edges = singular_graph(G)
-    if args.format == "json":
-        print(json.dumps({"group": G.name, "edges": [e.to_json() for e in edges]}, indent=2))
-    else:
-        print(f"{G.name}: {len(edges)} singular segments mod T0")
-        for e in edges:
-            a, b = e.segment
-            seg = " -> ".join(
-                "(" + ", ".join(str(x) for x in p) + ")" for p in (a, b)
-            )
-            link = ",".join(str(k) for k in e.link)
-            print(f"  orbit {e.orbit_id}  index {e.edge_index}  link {{{link}}}  {seg}")
+    _emit(
+        args.format,
+        edges,
+        json=lambda es: {"group": G.name, "edges": [e.to_json() for e in es]},
+        text=lambda es: "\n".join([f"{G.name}: {len(es)} singular segments mod T0", *map(_segment_line, es)]),
+    )
     return 0
+
+
+def _marked_line(label: str, e, lat, nv: int, ne: int) -> str:
+    image = covolume(lat) if lat.rank == 3 else "rank " + str(lat.rank)
+    return (
+        f"  {label}: orbit {e.orbit_id}, index {e.edge_index}, "
+        f"link {_link(e)}, quotient graph {nv}V/{ne}E, cycle image covolume {image}"
+    )
 
 
 def _cmd_edges(args) -> int:
     G = make_group(args.group)
     # the case map lists the labels in label order, which is also their sorted order
     records = [(label, c.edge, c.image, len(c.graph.vertices), len(c.graph.edges)) for label, c in _cases(G)[1].items()]
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "group": G.name,
-                    "edges": [
-                        {
-                            "label": label,
-                            "edge": e.to_json(),
-                            "cycle_image": lat.to_json(),
-                            "quotient_vertices": nv,
-                            "quotient_edges": ne,
-                        }
-                        for label, e, lat, nv, ne in records
-                    ],
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"{G.name}: {len(records)} marked edge orbit(s)")
-        for label, e, lat, nv, ne in records:
-            link = ",".join(str(k) for k in e.link)
-            print(
-                f"  {label}: orbit {e.orbit_id}, index {e.edge_index}, "
-                f"link {{{link}}}, quotient graph {nv}V/{ne}E, "
-                f"cycle image covolume {covolume(lat) if lat.rank == 3 else 'rank ' + str(lat.rank)}"
-            )
+    _emit(
+        args.format,
+        records,
+        json=lambda rs: {
+            "group": G.name,
+            "edges": [
+                {"label": label, "edge": e.to_json(), "cycle_image": lat.to_json(),
+                 "quotient_vertices": nv, "quotient_edges": ne}
+                for label, e, lat, nv, ne in rs
+            ],
+        },
+        text=lambda rs: "\n".join([f"{G.name}: {len(rs)} marked edge orbit(s)", *(_marked_line(*r) for r in rs)]),
+    )
     return 0
 
 
 def _cmd_classify(args) -> int:
     rows = classify_case(args.group, args.edge, args.max_index)
-    if args.format == "json":
-        print(json.dumps(rows_to_json(rows), indent=2))
-    elif args.format == "csv":
-        print(rows_to_csv(rows))
-    else:
-        print(rows_to_text(rows))
+    _emit(args.format, rows, json=rows_to_json, csv=rows_to_csv, text=rows_to_text)
     return 0
 
 
 def _cmd_table(args) -> int:
     entries = theorem1_table(args.max_genus)
-    if args.format == "json":
-        print(json.dumps(table_to_json(entries), indent=2))
-    elif args.format == "csv":
-        print(table_to_csv(entries))
-    else:
-        print(table_to_text(entries))
+    _emit(args.format, entries, json=table_to_json, csv=table_to_csv, text=table_to_text)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.max_index is None:
-        report = verify_claims()
-    else:
-        report = verify_tables(args.max_index)
-    if args.format == "json":
-        print(json.dumps(report_to_json(report), indent=2))
-    else:
-        print(report_to_text(report))
+    report = verify_claims() if args.max_index is None else verify_tables(args.max_index)
+    _emit(args.format, report, json=report_to_json, text=report_to_text)
     return 0 if report.ok else 1
 
 

@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ClosureOverflow", "Disconnected", "InvariantViolation", "NotASubgroup", "RankDeficient", "TorsymError",
+    "UnknownGroup", "UnmatchedLattice",
+]
+
 
 class TorsymError(Exception):
     """Base class for all package-specific errors."""

@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, NotASubgroup, RankDeficient
 
+__all__ = ["SubgroupHNF", "TRIVIAL_SUBGROUP", "covolume", "hnf", "index", "join", "member"]
+
 Vec3 = tuple[Fraction, Fraction, Fraction]
 IntVec = tuple[int, int, int]
 IntMat = tuple[tuple[int, ...], ...]

@@ -43,6 +43,11 @@ from .spacegroups import (
     fixing_cosets,
 )
 
+__all__ = [
+    "PeriodicGraph", "SingularEdge", "cycle_image_lattice", "edge_orbit_graph", "lift_connected",
+    "lift_connected_bruteforce", "lift_genus", "marked_edges", "singular_graph", "suppress_valence_two",
+]
+
 Edge = tuple[int, int, IntVec]
 Segment = tuple[Vec3, Vec3]
 # integer numerators over the den of a group's `_SingularData`, in T0-coordinates

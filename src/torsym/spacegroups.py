@@ -33,6 +33,8 @@ from .lattices import (
     matmul,
 )
 
+__all__ = ["GROUP_NAMES", "Isometry", "SpaceGroup", "canonical_group_name", "make_group", "stabilizer", "stabilizer_order"]
+
 # the cosets (R, t) of a group as maps y ↦ A·y + τ in the basis B of T0, and den: A = B⁻¹RB and τ the
 # integer numerators of B⁻¹t over den, the least common denominator of every B⁻¹t (built by `_closure`)
 CosetMaps = tuple[tuple[tuple[IntMat, IntVec], ...], int]

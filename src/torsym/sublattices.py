@@ -33,6 +33,11 @@ from .lattices import (
 )
 from .spacegroups import Frame, SpaceGroup
 
+__all__ = [
+    "FAMILY_TAGS", "LatticeFamily", "instantiate", "invariant_sublattices", "match_family",
+    "normal_translation_subgroups",
+]
+
 # ============================================================
 # closed-form lattice families
 # ============================================================
@@ -535,7 +540,10 @@ def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, Latt
             else:  # the planar columns times k, and the axis column (0, 0, v) times j
                 plane = _scaled(L1.basis[:2], k)
                 rows += [(i1 * k * k * j, -1, (*plane, (0, 0, v * j)), LatticeFamily(tag, u * k, v * j)) for j in range(1, bound // (i1 * k * k) + 1)]
-    return [(SubgroupHNF(basis, -minus_den), fam, G.point_order * d) for d, minus_den, basis, fam in sorted(rows)]
+    rows.sort()  # in place, and each sort key gives way to its row: no second list of rows is ever held
+    for i, (d, minus_den, basis, fam) in enumerate(rows):
+        rows[i] = (SubgroupHNF(basis, -minus_den), fam, G.point_order * d)
+    return rows
 
 
 def _row_count(least: list, bound: int) -> int:

@@ -516,10 +516,13 @@ def test_small_genus_census():
     assert first[0].group == "P432" and first[0].n == 1 and first[0].group_order == 24
 
 
-def test_census_is_stable_under_extension():
-    small = theorem1_table(33)
-    large = [e for e in theorem1_table(65) if e.genus <= 33]
-    assert small == large
+@given(st.integers(min_value=2, max_value=128).flatmap(lambda g: st.tuples(st.just(g), st.integers(min_value=g + 1, max_value=129))))
+@example((33, 65))
+@settings(max_examples=50)
+def test_census_is_stable_under_extension(bounds):
+    # the census to g is the census to any g′ > g cut at genus g, entry for entry and in order
+    g, larger = bounds
+    assert theorem1_table(g) == [e for e in theorem1_table(larger) if e.genus <= g]
 
 
 def test_every_census_genus_fits_one_of_five_forms():

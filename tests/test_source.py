@@ -79,9 +79,8 @@ def test_the_claim_guard_reports_a_read_outside_the_verifiers(tmp_path):
     assert _claim_reads(tmp_path) == ["probe:4:claimed_constraint", "probe:5:claimed_image"]
 
 
-# the lattice predicates run on the integer HNF; only these two still read
-# the `Fraction` basis vectors: the join, and the text form of `groups`
-VECTOR_READERS = {"lattices.join", "cli._cmd_groups"}
+# the lattice predicates run on the integer HNF; only the join still reads the `Fraction` basis vectors
+VECTOR_READERS = {"lattices.join"}
 
 
 def _top_level_name(stmt: ast.stmt) -> str:
@@ -103,7 +102,29 @@ def _callers(src: Path, callee: str) -> list[str]:
     return out
 
 
-def test_only_the_join_and_the_groups_output_read_fraction_vectors():
+def _exports_defined_elsewhere(src: Path) -> list[str]:
+    """Names listed in a module's `__all__` that no top-level statement of that module defines, as module.name."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        defined = {_top_level_name(stmt) for stmt in body}
+        for stmt in body:
+            if _top_level_name(stmt) == "__all__":
+                out += [f"{path.stem}.{c.value}" for c in ast.walk(stmt.value) if isinstance(c, ast.Constant) and c.value not in defined]
+    return out
+
+
+def test_each_export_is_written_once_beside_its_definition():
+    # the package re-exports each module's `__all__` and lists no name itself
+    assert _exports_defined_elsewhere(SRC) == []
+
+
+def test_the_export_guard_reports_a_name_listed_away_from_its_definition(tmp_path):
+    (tmp_path / "probe.py").write_text('from .m import *\n__all__ = ["f", "g", *m.__all__]\ndef f():\n    pass\n', encoding="utf-8")
+    assert _exports_defined_elsewhere(tmp_path) == ["probe.g"]
+
+
+def test_only_the_join_reads_fraction_vectors():
     assert sorted(set(_callers(SRC, "vectors")) - VECTOR_READERS) == []
 
 
@@ -146,7 +167,8 @@ def _unread_imports(src: Path) -> list[str]:
 
     A name counts as read where it is loaded as a bare name anywhere in the
     module, or listed in the module's `__all__`; `__future__` imports bind
-    nothing.
+    nothing, and `from .m import *` binds only `m.__all__`, which the package
+    re-exports.
     """
     out = []
     for path in sorted(src.glob("*.py")):
@@ -156,11 +178,12 @@ def _unread_imports(src: Path) -> list[str]:
             for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
             for alias in node.names
+            if alias.name != "*"
         ]
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-                read |= set(ast.literal_eval(node.value))
+                read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
         out += [f"{path.stem}.{name}" for name in bound if name not in read]
     return out
 
