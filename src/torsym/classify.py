@@ -8,6 +8,7 @@ from typing import NamedTuple
 from .errors import InvariantViolation
 from .lattices import SubgroupHNF, checked_record, covolume, hnf, index, mat_det, relative_coordinates, smith_form
 from .periodic_graphs import (
+    _ORDER_PER_GENUS,
     PeriodicGraph,
     SingularEdge,
     cycle_image_lattice,
@@ -17,7 +18,7 @@ from .periodic_graphs import (
     marked_edges,
 )
 from .spacegroups import GROUP_NAMES, SpaceGroup, make_group
-from .sublattices import HEX_TAGS, _check_index, _closed_form_rows, _least_instances, _surveyed, _walked_rows, instantiate, normal_translation_subgroups
+from .sublattices import HEX_TAGS, _check_index, _least_instances, _walked_rows, instantiate, normal_translation_subgroups
 
 __all__ = [
     "CASES", "SCHEMA_VERSION", "ClassificationRow", "ClaimCheck", "GenusEntry", "Theorem1Cell", "VerificationReport",
@@ -127,7 +128,7 @@ class ClassificationRow(checked_record("ClassificationRow", "group edge_label or
             raise ValueError(f"unknown edge label {row.edge_label!r}")
         if row.genus <= 1:
             raise ValueError("genus must exceed one")
-        if row.group_order != 12 * (row.genus - 1):
+        if row.group_order != _ORDER_PER_GENUS * (row.genus - 1):
             raise ValueError("group order must equal twelve times genus minus one")
         if not _constraint_holds(row.constraint, row.n, row.m):
             raise ValueError("row parameters violate the derived constraint")
@@ -184,7 +185,7 @@ class GenusEntry(NamedTuple):
 
     @property
     def group_order(self) -> int:
-        return 12 * (self.genus - 1)
+        return _ORDER_PER_GENUS * (self.genus - 1)
 
 
 class ClaimCheck(NamedTuple):
@@ -366,7 +367,7 @@ def _classify(G: SpaceGroup, edge: str, max_index: int) -> list[ClassificationRo
                     constraint=constraint,
                     lattice_index=pi1 // G.point_order,
                     group_order=pi1,
-                    genus=pi1 // 12 + 1,
+                    genus=pi1 // _ORDER_PER_GENUS + 1,
                     knotted=THEOREM_1[(G.name, edge)].knotted,
                 )
             )
@@ -381,23 +382,14 @@ def _classify(G: SpaceGroup, edge: str, max_index: int) -> list[ClassificationRo
 
 def theorem1_cells() -> tuple[Theorem1Cell, ...]:
     """The symbolic nine-column census of genus forms."""
-    cells = []
-    for column, ((group, edge), claim) in enumerate(THEOREM_1.items(), start=1):
-        constraints = _case(make_group(group), edge).constraints
-        for family in claim.families:
-            cells.append(
-                Theorem1Cell(
-                    column=column,
-                    group=group,
-                    edge_label=edge,
-                    form=family.form,
-                    coefficient=family.coefficient,
-                    exponent=family.exponent,
-                    constraint=constraints[family.tag],
-                    knotted=claim.knotted,
-                )
-            )
-    return tuple(cells)
+    return tuple(
+        Theorem1Cell(
+            column=column, group=group, edge_label=edge, form=f.form, coefficient=f.coefficient, exponent=f.exponent,
+            constraint=_case(make_group(group), edge).constraints[f.tag], knotted=claim.knotted,
+        )
+        for column, ((group, edge), claim) in enumerate(THEOREM_1.items(), start=1)
+        for f in claim.families
+    )
 
 
 def theorem1_table(max_genus: int) -> list[GenusEntry]:
@@ -406,8 +398,7 @@ def theorem1_table(max_genus: int) -> list[GenusEntry]:
         raise ValueError(f"max_genus must be an integer at least 2, got {max_genus!r}")
     by_genus: dict[int, list[tuple[int, ClassificationRow]]] = {}
     for column, (group, edge) in enumerate(CASES, start=1):
-        point_order = make_group(group).point_order
-        bound = 12 * (max_genus - 1) // point_order
+        bound = _ORDER_PER_GENUS * (max_genus - 1) // make_group(group).point_order
         if bound < 1:
             continue
         # index d ≤ 12(g−1)//|P| gives genus ≤ g, and the columns come in ascending order
@@ -498,7 +489,7 @@ def verify_tables(max_index: int) -> VerificationReport:
                 errors.append(f"{group} {edge}: genus does not fit the census form for {f.tag} at n = {bad}")
     # the walk, not stored, is the second route to each group's stored closed-form survey
     for G in map(make_group, GROUP_NAMES):
-        if _surveyed(G, max_index, _closed_form_rows) != _walked_rows(G, max_index):
+        if normal_translation_subgroups(G, max_index) != _walked_rows(G, max_index):
             errors.append(f"{G.name}: the closed-form survey to index {max_index} differs from the walk")
     return VerificationReport(checks=report.checks, table_errors=tuple(errors))
 

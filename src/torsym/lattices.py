@@ -436,11 +436,6 @@ def _from_t0_hnfs(T0: SubgroupHNF, bases: Iterable[tuple[tuple[int, int, int], .
     return out
 
 
-def _from_t0_hnf(T0: SubgroupHNF, basis: tuple[tuple[int, int, int], ...]) -> SubgroupHNF:
-    """The subgroup ⟨H·M⟩/q of T0 = H/q for one integer column HNF M in T0-coordinates."""
-    return _from_t0_hnfs(T0, (basis,))[0]
-
-
 def relative_coordinates(sub: SubgroupHNF, sup: SubgroupHNF) -> list[IntVec]:
     """Integer coordinates of sub's basis columns in the actual basis of sup (rank 3, sub ⊆ sup).
 

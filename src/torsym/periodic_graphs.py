@@ -14,7 +14,7 @@ from .lattices import (
     IDENTITY,
     SubgroupHNF,
     Vec3,
-    _from_t0_hnf,
+    _from_t0_hnfs,
     IntMat,
     IntVec,
     adjugate,
@@ -408,7 +408,29 @@ def singular_graph(G: SpaceGroup) -> list[SingularEdge]:
 # marked edges
 # ============================================================
 
-_MARKED_LINK = (2, 2, 2, 3)
+
+def _link_euler12(link: Sequence[int]) -> int:
+    """12·χ of a link's orbifold S²(a₁, …, a₄), χ = 2 − Σ(1 − 1/aᵢ): an integer for the crystallographic orders 2, 3, 4, 6."""
+    return 24 - sum(12 - 12 // a for a in link)
+
+
+def _marked_link() -> tuple[tuple[int, ...], int]:
+    """The link of largest negative χ over the crystallographic orders, and 2/(−χ), the factor of g − 1 in the group order.
+
+    G/T acts on the boundary of a regular neighbourhood of an edge's lifted
+    orbit, of genus g, with the link's orbifold as quotient, so by
+    Riemann–Hurwitz 2 − 2g = |G/T|·χ and |G/T| = 2/(−χ)·(g − 1): largest
+    for the negative χ nearest 0.  That link is (2, 2, 2, 3), χ = −1/6,
+    which gives 12.  A tie raises InvariantViolation.
+    """
+    links = itertools.combinations_with_replacement((2, 3, 4, 6), 4)
+    (c, link), (tie, other) = sorted((-x, a) for a in links if (x := _link_euler12(a)) < 0)[:2]
+    if c == tie:
+        raise InvariantViolation(f"the links {link} and {other} tie at 12·χ = {-c}: no one marked link")
+    return link, 24 // c
+
+
+_MARKED_LINK, _ORDER_PER_GENUS = _marked_link()
 
 
 @lru_cache(maxsize=None)
@@ -614,7 +636,7 @@ def cycle_image_lattice(g: PeriodicGraph) -> SubgroupHNF:
     if len(potential) != n:
         raise Disconnected("graph is not connected modulo the lattice")
     cycles = [tuple(potential[i][k] + s[k] - potential[j][k] for k in range(3)) for i, j, s in g.edges]
-    return _from_t0_hnf(g.T0, hnf_columns(cycles))
+    return _from_t0_hnfs(g.T0, (hnf_columns(cycles),))[0]
 
 
 def _check_sublattice(g: PeriodicGraph, T: SubgroupHNF) -> None:

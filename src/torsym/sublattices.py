@@ -6,7 +6,7 @@ import math
 import threading
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import compress, count, product, takewhile
+from itertools import compress, product
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -496,8 +496,9 @@ def _rotation_generators(G: SpaceGroup) -> tuple[IntMat, ...]:
     return tuple(dict.fromkeys(g.rot for g in G.generators if g.rot != IDENTITY))
 
 
-def _least_instances(T0: SubgroupHNF, frame_name: str) -> list[tuple[str, int, int | None, SubgroupHNF, int]]:
-    """(tag, u, v, L₁ = instance(tag, u, v), [T0 : L₁]) per family of the frame, L₁ its least instance in T0.
+@lru_cache(maxsize=None)
+def _least_instances(T0: SubgroupHNF, frame_name: str) -> tuple[tuple[str, int, int | None, SubgroupHNF, int], ...]:
+    """The family table of T0 in a frame, derived once: (tag, u, v, L₁ = instance(tag, u, v), [T0 : L₁]) per family, L₁ its least instance in T0.
 
     u is the least n with n·B ⊆ T0 for B the unit instance's (planar) columns, and v the least
     m with m·e₃ ∈ T0 (None if cubic): lcms of denominators in T0-coordinates, as {n : n·B ⊆ T0} is closed under gcd.
@@ -509,7 +510,7 @@ def _least_instances(T0: SubgroupHNF, frame_name: str) -> list[tuple[str, int, i
         dens = [d * q // math.gcd(d * q, *x) for x, d in (coord_numerators(h, T0) for h in H)]
         u, v = (math.lcm(*dens), None) if tag in CUBIC_TAGS else (math.lcm(*dens[:2]), dens[2])
         out.append((tag, u, v, L1 := instantiate(tag, u, v), index(L1, T0)))
-    return out
+    return tuple(out)
 
 
 def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, LatticeFamily, int]]:
@@ -533,7 +534,7 @@ def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, Latt
         raise TorsymError(f"{G.name}: the survey to index {bound} counts at least {counted} rows, past the limit of {_ROW_LIMIT} rows")
     rows = []  # (index, −D, basis, family): distinct lattices, which sort as the walk's rows do
     for tag, u, v, L1, i1 in least:
-        for k in takewhile(lambda k: i1 * k ** (3 if v is None else 2) <= bound, count(1)):
+        for k in range(1, _root(bound // i1, 3 if v is None else 2) + 1):
             if v is None:
                 basis, den = _instance_basis(tag, u * k, None)
                 rows.append((i1 * k**3, -den, basis, LatticeFamily(tag, u * k)))
@@ -546,19 +547,25 @@ def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, Latt
     return rows
 
 
-def _row_count(least: list, bound: int) -> int:
+def _root(b: int, e: int) -> int:
+    """⌊b^(1/e)⌋ for b ≥ 0 and e ≥ 2, or _ROW_LIMIT + 1 if that is less: Newton's integer step from above stops there."""
+    k = min(1 << -(-b.bit_length() // e), _ROW_LIMIT + 1)
+    while k**e > b:
+        k = ((e - 1) * k + b // k ** (e - 1)) // e
+    return k
+
+
+def _row_count(least: tuple, bound: int) -> int:
     """The rows `_closed_form_rows` builds to `bound`, counted in integers: exactly, or as some number past
-    `_ROW_LIMIT` that they reach, in a few Newton steps per cubic family and O(√_ROW_LIMIT) per hexagonal one."""
+    `_ROW_LIMIT` that they reach.  As in the rows, a family's k runs to the integer root of b = ⌊bound/i₁⌋
+    (`_root`), with one row per k for a cubic family and ⌊b/k²⌋ for a hexagonal one, in O(√_ROW_LIMIT)."""
     total = 0
     for _, _, v, _, i1 in least:
         b = bound // i1  # the family's rows are L₁'s to the index ⌊bound/i₁⌋ in L₁
-        if v is None:  # one per k ≤ ⌊∛b⌋, capped at _ROW_LIMIT + 1; Newton's integer step from above stops there
-            k = min(1 << -(-b.bit_length() // 3), _ROW_LIMIT + 1)
-            while k**3 > b:
-                k = (2 * k + b // (k * k)) // 3
-            total += k
-        else:  # ⌊b/k²⌋ per k, one per axis multiple j, and the first term alone is b
-            total += b if b > _ROW_LIMIT else sum(b // (k * k) for k in range(1, math.isqrt(b) + 1))
+        if v is None:
+            total += _root(b, 3)
+        else:  # one row per axis multiple j, and the first term alone is b
+            total += b if b > _ROW_LIMIT else sum(b // (k * k) for k in range(1, _root(b, 2) + 1))
     return total
 
 

@@ -64,7 +64,7 @@
   unit lattice.
 - `survey_rows_by_lattice` builds the rows of `normal_translation_subgroups`
   the way the survey first did: each lattice of an index mapped to T0 alone
-  by `_from_t0_hnf`, the index's lattices sorted by (−D, basis), and the
+  by `_from_t0_hnfs`, the index's lattices sorted by (−D, basis), and the
   family matched by comparing the basis with k times each n = 1 instance
   (`match_family_by_units`).  It checks the package's one pass per index,
   which sorts the walk's raw tuples when T0 = ℤ³ and compares each lattice
@@ -105,7 +105,7 @@ from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient, Unmat
 from torsym.lattices import (
     SubgroupHNF,
     Vec3,
-    _from_t0_hnf,
+    _from_t0_hnfs,
     _over_common_denominator,
     as_int,
     coord_numerators,
@@ -212,7 +212,7 @@ def coords_matrix(m: Sequence[Sequence[int]], sub: SubgroupHNF) -> tuple | None:
 
 def _from_t0_coords(T0: SubgroupHNF, cols: Sequence[Sequence[int]]) -> SubgroupHNF:
     """The subgroup of T0 spanned by integer T0-coordinate columns."""
-    return _from_t0_hnf(T0, hnf_columns(cols))
+    return _from_t0_hnfs(T0, (hnf_columns(cols),))[0]
 
 
 def translation(frame: Frame, v: Sequence) -> Isometry:
@@ -1068,7 +1068,7 @@ def match_family_by_units(L: SubgroupHNF, frame: Frame) -> LatticeFamily:
 
 def in_t0_by_lattice(T0: SubgroupHNF, lattices: Iterable[tuple]) -> list[SubgroupHNF]:
     """Integer HNFs in T0-coordinates mapped to T0 one at a time, sorted by (−D, basis)."""
-    out = [_from_t0_hnf(T0, M) for M in lattices]
+    out = [_from_t0_hnfs(T0, (M,))[0] for M in lattices]
     out.sort(key=lambda L: (-L.den, L.basis))
     return out
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torsym
-from torsym import classify, cli, periodic_graphs
+from torsym import classify, cli, periodic_graphs, sublattices
 from torsym.classify import (
     CASES,
     THEOREM_1,
@@ -35,7 +35,7 @@ from torsym.classify import (
     verify_tables,
 )
 from torsym.errors import InvariantViolation
-from torsym.lattices import SubgroupHNF, _from_t0_hnf, covolume, hnf, hnf_columns, index, int_matvec, is_subgroup, join
+from torsym.lattices import SubgroupHNF, _from_t0_hnfs, covolume, hnf, hnf_columns, index, int_matvec, is_subgroup, join
 from torsym.periodic_graphs import PeriodicGraph, SingularEdge, cycle_image_lattice, edge_orbit_graph, lift_connected_bruteforce
 from torsym.spacegroups import CUBIC_FRAME, GROUP_NAMES, ROT_XYZ, Isometry, SpaceGroup, _closure, make_group
 from torsym.sublattices import FAMILY_TAGS, LatticeFamily, instantiate
@@ -336,7 +336,7 @@ def test_the_minors_decide_whether_a_join_fills_t0(name, l_cols, i_cols, planar)
     T0 = make_group(name).T0
     if planar and name == "P622":
         i_cols = [(a, b, 0) for a, b, _ in i_cols]
-    L, I = (_from_t0_hnf(T0, hnf_columns(cols)) for cols in (l_cols, i_cols))
+    L, I = (_from_t0_hnfs(T0, (hnf_columns(cols),))[0] for cols in (l_cols, i_cols))
     assert _fills_t0(L, I, T0) == (join(L, I) == T0)
 
 
@@ -848,3 +848,14 @@ def test_cold_census_builds_each_case_graph_once(monkeypatch):
     monkeypatch.setattr(classify, "edge_orbit_graph", counting)
     theorem1_table(101)
     assert len(built) == len(set(built)) == len(CASES) == 9
+
+
+def test_cold_census_derives_each_family_table_once():
+    # the cases, the surveys and the claim checks read one memoised family table per (T0, frame name):
+    # five for the six groups, as P432 and P4_232 share T0 = ℤ³
+    for f in (*vars(classify).values(), sublattices._survey, sublattices._least_instances):
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    theorem1_table(101)
+    tables = {(G.T0, G.frame.name) for G in map(make_group, GROUP_NAMES)}
+    assert sublattices._least_instances.cache_info().misses == len(tables) == 5

@@ -25,7 +25,7 @@ import pytest
 
 from torsym import cli, classify_case, instantiate, labeled_marked_edges, theorem1_cells, theorem1_table, verify_claims
 from torsym.classify import THEOREM_1, _cases
-from torsym.periodic_graphs import _singular_data, edge_orbit_graph
+from torsym.periodic_graphs import _normalizer_solutions, _singular_data, edge_orbit_graph
 from torsym.spacegroups import GROUP_NAMES, make_group
 from torsym.sublattices import LatticeFamily, normal_translation_subgroups
 
@@ -112,6 +112,17 @@ RECORD_REPRS = (
     ("_SingularData", "62faa4f1e4222f7fee9f1b5f71f6be2dd75a6d931919758e1219897d1584a0dc"),
 )
 
+# SHA-256 of the repr of _singular_data(G), _normalizer_solutions(G) and _cases(G) per group: the internal
+# records that the cold case layer builds and every table reads
+CASE_LAYER_REPRS = (
+    ("P432", "e4e79bab47b60fda1d629de17d50019cadff06389bbe83351e4cabc3e9bf22a3", "05c9b53e9bdae61583eac54cf4cf3e414f593ad0d5c1005553f22c392893d0f1", "9d03794bf72895272424260d88811152e2f1c7c358dded2a64eb431880f927cc"),
+    ("F4_132", "776bf6c697a659b21bdb0db4bc5c76bf8db84fefa8a401c8b9e115012d89731a", "8843237b169d59e9cf022a14430c396120451ec34f8bdc8ce77f793580e7bf6d", "6df8d971ff25cd069b5bdaccf07b87c80cfa246ae8780dc46a5317f9f7a70db8"),
+    ("I4_132", "62faa4f1e4222f7fee9f1b5f71f6be2dd75a6d931919758e1219897d1584a0dc", "95891888c5b95575da5a5238b5e8cd5bba3c4d76a103986d2e22764dff16a67b", "857577b3e222ec0d722e2957b10fc41ff795f136766aa494ba07f5703f901cee"),
+    ("I432", "4e8b2a38b7133e40e574a57d317bafdecd0300e2992fc225164040ff83c2aac8", "be2b228c2ca5f11b5bfa1e016ebeee9aaa3e22b140551463e9a173dea51ca1f4", "530ebd2559aa1d29fbd5a0066ca8dabbf8e427d70fe246e5200e62dc07bc28bf"),
+    ("P4_232", "0f3c315c13445c938b77d940fa96fe8b237d49ddf8c17ff2f26adcd4d06e48fa", "d6f07e27393b330fa954a3c18b70ba6dcd8c7073be74dae3ee9b7bc95db4d5e5", "99e0116feb7acb30880dfe3e29e7d593b8236983d8623ac88188b550d9a9513a"),
+    ("P622", "a3b7d573fc5d878faf50964a707ff8a5d201cbce44f76fa91e24c73e7109d7db", "45f9ac098f67e85b924d53ca0e919cdef993a7fd8dbf3b0dc7a1d244fa59f696", "0796770980bbd8b39a5a778d49b01fe97735d6953b9ce1460f57de798a3d65ca"),
+)
+
 # SHA-256 of the repr of normal_translation_subgroups(G, 256), records and all
 SURVEY_256_REPRS = (
     ("P432", "4f5245ae98f3d0ffba6ab115e38ef223ea353e942db06c46027a7374f11709d1"),
@@ -188,6 +199,13 @@ def _record_instances() -> dict:
 def test_every_record_repr_is_pinned():
     reprs = {name: hashlib.sha256(repr(record).encode()).hexdigest() for name, record in _record_instances().items()}
     assert reprs == dict(RECORD_REPRS)
+
+
+@pytest.mark.parametrize("name, singular, normalizer, cases", CASE_LAYER_REPRS, ids=[n for n, *_ in CASE_LAYER_REPRS])
+def test_the_case_layer_records_are_pinned_by_repr(name, singular, normalizer, cases):
+    G = make_group(name)
+    reprs = [hashlib.sha256(repr(f(G)).encode()).hexdigest() for f in (_singular_data, _normalizer_solutions, _cases)]
+    assert reprs == [singular, normalizer, cases]
 
 
 @pytest.mark.parametrize("name, digest", SURVEY_256_REPRS, ids=[n for n, _ in SURVEY_256_REPRS])

@@ -13,7 +13,7 @@ from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     SubgroupHNF,
-    _from_t0_hnf,
+    _from_t0_hnfs,
     coord_numerators,
     covolume,
     frame_coords_matrix,
@@ -606,7 +606,8 @@ def test_triangular_frame_step_matches_a_full_hnf(name, cols):
     ref = hnf_columns([int_matvec(h, col) for col in M])
     g = math.gcd(q, *(x for col in ref for x in col))
     expected = SubgroupHNF(tuple(tuple(x // g for x in col) for col in ref), q // g)
-    assert _from_t0_hnf(T0, M) == expected == _from_t0_coords(T0, cols)
+    assert _from_t0_hnfs(T0, [M]) == [expected]
+    assert _from_t0_coords(T0, cols) == expected
 
 
 # ============================================================

@@ -10,10 +10,10 @@ from hypothesis import example, given, strategies as st
 
 from torsym import periodic_graphs
 from torsym.classify import CASES, _cases
-from torsym.errors import Disconnected, NotASubgroup
+from torsym.errors import Disconnected, InvariantViolation, NotASubgroup
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
-    _from_t0_hnf,
+    _from_t0_hnfs,
     from_numerators,
     hnf,
     index,
@@ -830,6 +830,40 @@ def test_p432_marked_edge_has_index_four():
     assert e.edge_index == 4
 
 
+def test_the_marked_link_and_the_order_per_genus_are_derived_from_the_euler_characteristic():
+    # 12·χ of S²(a₁, …, a₄): (2, 2, 2, 3) alone reaches −2 (χ = −1/6), so 2/(−χ) = 12; the next links give 8 and 6
+    assert [periodic_graphs._link_euler12(a) for a in ((2, 2, 2, 2), (2, 2, 2, 3), (2, 2, 2, 4), (2, 2, 3, 3), (3, 3, 3, 3))] == [0, -2, -3, -4, -8]
+    assert periodic_graphs._marked_link() == ((2, 2, 2, 3), 12)
+    assert (periodic_graphs._MARKED_LINK, periodic_graphs._ORDER_PER_GENUS) == ((2, 2, 2, 3), 12)
+
+
+def test_a_tie_for_the_marked_link_raises(monkeypatch):
+    # two links at the same negative χ would leave the marked edges undecided
+    monkeypatch.setattr(periodic_graphs, "_link_euler12", lambda link: -2 if link in ((2, 2, 2, 3), (2, 2, 2, 4)) else 0)
+    with pytest.raises(InvariantViolation, match="no one marked link"):
+        periodic_graphs._marked_link()
+
+
+def test_riemann_hurwitz_holds_on_every_connected_edge_orbit():
+    # G/T0 acts on the boundary of a neighbourhood of the orbit graph in T³/T0, of genus 1 + E − V, with the
+    # link's orbifold as quotient, so 2 − 2g = |P|·χ: 24·(E − V) = −|P|·12χ.  It ties the link, read off the
+    # germ orbits at the vertices, to the orbit graph, from the coset sweep.  An orbit graph that is not
+    # connected modulo T0 bounds no one surface there
+    holds, disconnected = [], []
+    for name in GROUPS:
+        G = make_group(name)
+        for e in _singular_data(G).edges:
+            g = edge_orbit_graph(G, e)
+            try:
+                cycle_image_lattice(g)
+            except Disconnected:
+                disconnected.append((name, e.orbit_id))
+                continue
+            assert 24 * (len(g.edges) - len(g.vertices)) == -G.point_order * periodic_graphs._link_euler12(e.link), (name, e.orbit_id)
+            holds.append((name, e.orbit_id))
+    assert (len(holds), len(disconnected)) == (33, 9)
+
+
 # ============================================================
 # the pipeline reads the record it is given, not its name
 # ============================================================
@@ -1296,7 +1330,7 @@ def test_lift_routes_agree_on_random_t0_hnfs(case, basis):
     # every full-rank sublattice of T0 with pivots ≤ 6, not only the family instances:
     # the join criterion against the search over coset copies
     g = _cases(make_group(case[0]))[1][case[1]].graph
-    T = _from_t0_hnf(g.T0, basis)
+    T = _from_t0_hnfs(g.T0, (basis,))[0]
     assert index(T, g.T0) == basis[0][0] * basis[1][1] * basis[2][2]
     assert lift_connected(g, T) == lift_connected_bruteforce(g, T)
 

@@ -24,7 +24,7 @@ from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient, Torsy
 from torsym.lattices import (
     TRIVIAL_SUBGROUP,
     SubgroupHNF,
-    _from_t0_hnf,
+    _from_t0_hnfs,
     covolume,
     frame_coords_matrix,
     hnf,
@@ -919,6 +919,16 @@ def test_the_row_count_equals_the_rows_built(name, bound):
     assert sublattices._row_count(_least_instances(G.T0, G.frame.name), bound) == len(_closed_form_rows(G, bound))
 
 
+@given(st.integers(0, 10**6) | st.integers(0, 10**40), st.sampled_from((2, 3)))
+@example(10**18, 3)
+@example((10**6 + 1) ** 2 - 1, 2)
+def test_the_integer_root_is_exact_up_to_its_cap(b, e):
+    # the one k-range of the row count and of the rows: ⌊b^(1/e)⌋, or the cap _ROW_LIMIT + 1 when that is less
+    k, cap = sublattices._root(b, e), sublattices._ROW_LIMIT + 1
+    assert k**e <= b and k <= cap
+    assert k == cap or b < (k + 1) ** e
+
+
 def test_a_survey_past_the_row_limit_is_refused(monkeypatch):
     # at a limit of P622's row count to 20 those rows are built; a bound past it is refused, naming the
     # bound, the count and the limit, and the store keeps the rows it held
@@ -1054,7 +1064,7 @@ def test_survey_rows_match_the_per_lattice_route(name):
 
 
 def test_lattice_equality_across_constructions():
-    # hnf, instantiate and _from_t0_hnf give equal records for equal lattices, unequal otherwise
+    # hnf, instantiate and _from_t0_hnfs give equal records for equal lattices, unequal otherwise
     for name in GROUP_NAMES:
         G = make_group(name)
         rows = normal_translation_subgroups(G, 64)
@@ -1062,7 +1072,7 @@ def test_lattice_equality_across_constructions():
             built = (
                 hnf(L.vectors()),
                 fam.instantiate(),
-                _from_t0_hnf(G.T0, relative_integer_basis(L, G.T0)),
+                *_from_t0_hnfs(G.T0, (relative_integer_basis(L, G.T0),)),
                 SubgroupHNF(L.basis, L.den),
             )
             assert all(M == L and hash(M) == hash(L) for M in built)
