@@ -5,12 +5,14 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import NamedTuple
 
-from .errors import InvariantViolation
+from .errors import Disconnected, InvariantViolation
 from .lattices import SubgroupHNF, checked_record, covolume, hnf, index, mat_det, relative_coordinates, smith_form
 from .periodic_graphs import (
     _ORDER_PER_GENUS,
     PeriodicGraph,
     SingularEdge,
+    _link_euler12,
+    _singular_data,
     cycle_image_lattice,
     edge_orbit_graph,
     lift_connected,
@@ -436,6 +438,11 @@ def verify_claims() -> VerificationReport:
     has I + T = T0, and T ⊆ I then forces I = T0: I ≠ T0 makes every
     accepted row knotted.  The three alpha cases (I = T0) stay claim-only
     until a second route shows their complement to be a product region.
+    Riemann–Hurwitz ties each singular edge orbit's link to its orbit graph:
+    G/T0 acts on the boundary of a neighbourhood of a connected orbit graph
+    in T³/T0, of genus 1 + E − V, with the link's orbifold as quotient, so
+    24·(E − V) = −|P|·12χ(link).  An orbit graph that is not connected
+    modulo T0 bounds no one surface there and is skipped.
     """
     checks, errors = [], []
     for group in dict.fromkeys(g for g, _ in THEOREM_1):
@@ -464,6 +471,16 @@ def verify_claims() -> VerificationReport:
         )
         if computed != G.T0 and not claim.knotted:
             errors.append(f"{group} {label}: claimed unknotted, but I ≠ T0 makes every accepted row knotted")
+    for G in map(make_group, GROUP_NAMES):
+        for e in _singular_data(G).edges:
+            g = edge_orbit_graph(G, e)
+            try:
+                cycle_image_lattice(g)
+            except Disconnected:
+                continue
+            lhs, rhs = 24 * (len(g.edges) - len(g.vertices)), -G.point_order * _link_euler12(e.link)
+            if lhs != rhs:
+                errors.append(f"{G.name} edge orbit {e.orbit_id}: 24·(E − V) = {lhs}, but −|P|·12χ of the link {e.link} is {rhs}")
     return VerificationReport(checks=tuple(checks), table_errors=tuple(errors))
 
 

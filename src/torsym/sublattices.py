@@ -6,10 +6,10 @@ import math
 import threading
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import compress, product
+from itertools import product
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, RankDeficient, TorsymError, UnmatchedLattice
 from .lattices import (
@@ -138,22 +138,6 @@ def _prime_power_parts(d: int) -> list[tuple[int, int]]:
     if rest > 1:
         parts.append((rest, 1))
     return parts
-
-
-def _primes() -> Iterator[int]:
-    """The primes, ascending and without end: each segment [n, 2n) is sieved by the primes below √(2n)."""
-    primes: list[int] = []
-    n = 2
-    while True:
-        segment = bytearray([1]) * n
-        for p in primes:
-            if p * p >= 2 * n:
-                break
-            segment[-n % p :: p] = bytes(len(range(-n % p, n, p)))
-        new = [n + i for i in compress(range(n), segment)]
-        primes += new
-        yield from new
-        n *= 2
 
 
 # ============================================================
@@ -369,55 +353,25 @@ def _check_index(d, name: str) -> None:
         raise ValueError(f"{name} must be a positive integer, got {d!r}")
 
 
-def _exponents(split: SimpleNamespace, p: int, kmax: int) -> range:
-    """The exponents k ≤ kmax at which p^k can be the index of an invariant lattice.
+def _of_index(coord_rots: tuple, d: int) -> tuple:
+    """The invariant lattices of index d, as integer HNF bases in T0-coordinates; (IDENTITY,) at d = 1.
 
-    Every k where the descent applies; where the closed form does, only the
-    k = Σᵢ aᵢ·dim Vᵢ, the multiples of the gcd `step` of the dims.
+    d splits into its prime-power parts p^k.  Where the closed form applies
+    (`_invariant_p_power`), only the k = Σᵢ aᵢ·dim Vᵢ, the multiples of the
+    gcd `step` of the dims, carry a part, so any other k gives none before
+    any part is looked up.  A lattice of index m·p^k, with m prime to p, is
+    the meet of its parts of index m and p^k (`_coprime_meet`), so the
+    parts are met one stage per prime.
     """
-    e = split.step if split.parts and split.order % p else 1
-    return range(e, kmax + 1, e)
-
-
-def _walk(coord_rots: tuple, powers: Iterable[tuple[int, range]], hi: int) -> Iterator[tuple[int, tuple]]:
-    """(d, integer HNFs in T0-coordinates) for each index 1 ≤ d ≤ hi that has an invariant lattice, each d once.
-
-    d runs over the products of one p^k per prime, for (p, ks) in powers
-    and k in ks; powers must come by ascending least index p^min ks, and is
-    read only as far as that index stays within hi.  A lattice of index
-    m·p^k, with m made of primes read before p, is the meet of one of index
-    m and one of index p^k (`_coprime_meet`), so the walk goes depth first
-    and meets each part once, on the way down.  A path takes its primes in
-    descending order, so it needs none that is not read yet, and the
-    indices come in walk order, not ascending.  hi must be at least 1.
-    """
-    seen: list[tuple[int, range, int]] = []  # (p, ks, least index p^min ks), as read
-
-    def visit(m: int, meets: tuple, i: int) -> Iterator[tuple[int, tuple]]:
-        p, ks, _ = seen[i]
-        for k in ks:
-            d = m * p**k
-            if d > hi:
-                break
-            part = _invariant_p_power(coord_rots, p, k)
-            if part:
-                # at m = 1 the part is its own meet, the tuple the cache holds
-                lattices = part if m == 1 else tuple(_coprime_meet(A, B) for A in meets for B in part)
-                yield d, lattices
-                for j in range(i):
-                    if d * seen[j][2] > hi:
-                        break
-                    yield from visit(d, lattices, j)
-
-    yield 1, (IDENTITY,)
-    for p, ks in powers:
-        least = p**ks.start
-        if least > hi:
-            break
-        if seen and least < seen[-1][2]:
-            raise InvariantViolation("prime powers reached the walk out of the order of their least index")
-        seen.append((p, ks, least))
-        yield from visit(1, (IDENTITY,), len(seen) - 1)
+    split = _split(coord_rots)
+    parts = _prime_power_parts(d)
+    if any(k % split.step for p, k in parts if split.parts and split.order % p):
+        return ()
+    lattices: tuple = (IDENTITY,)
+    for i, (p, k) in enumerate(parts):
+        part = _invariant_p_power(coord_rots, p, k)
+        lattices = part if i == 0 else tuple(_coprime_meet(A, B) for A in lattices for B in part)
+    return lattices
 
 
 def _check_rotation(r) -> IntMat:
@@ -436,31 +390,20 @@ def invariant_sublattices(T0: SubgroupHNF, rotations: Iterable[IntMat], d: int) 
 
     Each rotation must be a 3×3 matrix of ints.  A lattice of composite
     index is split uniquely into its prime-power parts, each an integer HNF
-    in T0-coordinates.  At a prime p that does not divide the order of the
-    group P the rotations generate, a part is read off in closed form when
-    `_split` knows the split of ℚ³ under P (the cubic and hexagonal point
-    groups); at the other primes, and for every other P, the submodule
-    descent mod p finds it, once per primitive lattice.  The parts of d's
-    primes are met one stage per prime, each meet one HNF of the stacked
-    scaled bases (`_coprime_meet`), and each result takes one integer step
-    to T0; an exponent that cannot carry a part gives none.  It is sorted by
-    (−D, basis).  Its independent check is the enumerate-and-filter over
-    every HNF of index d in `tests/oracles.py`.
+    in T0-coordinates, which `_of_index` meets.  At a prime p that does not
+    divide the order of the group P the rotations generate, a part is read
+    off in closed form when `_split` knows the split of ℚ³ under P (the
+    cubic and hexagonal point groups); at the other primes, and for every
+    other P, the submodule descent mod p finds it, once per primitive
+    lattice.  Each result takes one integer step to T0, and the list is
+    sorted by (−D, basis).  Its independent check is the
+    enumerate-and-filter over every HNF of index d in `tests/oracles.py`.
     """
     _check_index(d, "index")
     rots = tuple(_check_rotation(r) for r in rotations)
     if T0.rank != 3:
         raise RankDeficient("invariant_sublattices requires a rank-3 subgroup")
-    coord_rots = _coord_rotations(T0, rots)
-    split = _split(coord_rots)
-    parts = _prime_power_parts(d)
-    if any(k not in _exponents(split, p, k) for p, k in parts):
-        return []
-    lattices: tuple = (IDENTITY,)
-    for i, (p, k) in enumerate(parts):
-        part = _invariant_p_power(coord_rots, p, k)
-        lattices = part if i == 0 else tuple(_coprime_meet(A, B) for A in lattices for B in part)
-    return _from_t0_hnfs(T0, lattices)
+    return _from_t0_hnfs(T0, _of_index(_coord_rotations(T0, rots), d))
 
 
 # ============================================================
@@ -524,15 +467,16 @@ def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, Latt
     the 6-fold rotation, so ρ − 1 is unimodular there: x ∈ L has
     x_W = −ρ·(ρ − 1)·x ∈ L, L = (L ∩ W) ⊕ ℤ·s·e₃, and L ∩ W is a fractional
     ideal of ℤ[ω] that conjugation keeps, r·ℤ[ω] or r(1 − ω)·ℤ[ω].  T0 must
-    be an instance, as the walk's row of index 1 needs (`match_family`
-    raises as there); then T0 ⊆ ℤ³ ∪ (ℤ³ + (½, ½, ½)) and each unit lattice
-    holds e₁, e₁ + e₂ or 2e₁ + e₂, so r ∈ ℤ, and u | r, v | s iff L ⊆ T0.
+    be an instance, as the per-index route's row of index 1 needs
+    (`match_family` raises as there); then T0 ⊆ ℤ³ ∪ (ℤ³ + (½, ½, ½)) and
+    each unit lattice holds e₁, e₁ + e₂ or 2e₁ + e₂, so r ∈ ℤ, and u | r,
+    v | s iff L ⊆ T0.
     """
     match_family(G.T0, G.frame)
     least = _least_instances(G.T0, G.frame.name)
     if (counted := _row_count(least, bound)) > _ROW_LIMIT:
         raise TorsymError(f"{G.name}: the survey to index {bound} counts at least {counted} rows, past the limit of {_ROW_LIMIT} rows")
-    rows = []  # (index, −D, basis, family): distinct lattices, which sort as the walk's rows do
+    rows = []  # (index, −D, basis, family): distinct lattices, which sort as the per-index route's rows do
     for tag, u, v, L1, i1 in least:
         for k in range(1, _root(bound // i1, 3 if v is None else 2) + 1):
             if v is None:
@@ -570,17 +514,11 @@ def _row_count(least: tuple, bound: int) -> int:
 
 
 def _walked_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, LatticeFamily, int]]:
-    """The survey rows to `bound` by one walk from index 1 that meets the prime-power parts of every index, each matched alone."""
+    """The survey rows to `bound` by the per-index kernel (`_of_index`) at every index 1, …, bound in turn, each lattice matched alone."""
     coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
-    split = _split(coord_rots)
-    # the primes ascend and so do their least indices p^e: e = step = 3 only for a cubic P, whose order 12, 24
-    # or 48 gives e = 1 at p = 2 and 3; so the walk reads the primes up to the first p with p^e > bound, no further
-    powers = ((p, _exponents(split, p, bound.bit_length())) for p in _primes())
     rows = []
-    # each index's raw HNFs go once its rows hold them (for T0 = ℤ³ the rows keep the same tuples)
-    for d, lattices in _walk(coord_rots, powers, bound):
-        rows += [(L, match_family(L, G.frame), G.point_order * d) for L in _from_t0_hnfs(G.T0, lattices)]
-    rows.sort(key=itemgetter(2))  # stable: each index keeps its (−D, basis) order
+    for d in range(1, bound + 1):
+        rows += [(L, match_family(L, G.frame), G.point_order * d) for L in _from_t0_hnfs(G.T0, _of_index(coord_rots, d))]
     return rows
 
 
@@ -613,9 +551,9 @@ def normal_translation_subgroups(
     the lattice index inside T0.  When G's point group is its frame's whole
     rotation group, as for the six groups, the rows come from the family
     table (`_closed_form_rows`), and `verify_tables` checks them against the
-    walk that finds every other record's (`_walked_rows`).  The survey is
-    stored, and a larger bound rebuilds it.  The answer is the first rows, a
-    new list of the stored row tuples.
+    per-index route that finds every other record's (`_walked_rows`).  The
+    survey is stored, and a larger bound rebuilds it.  The answer is the
+    first rows, a new list of the stored row tuples.
     """
     _check_index(max_index, "max_index")
     whole = G.point_order == _frame(G.frame.name)[1]

@@ -67,7 +67,7 @@
   by `_from_t0_hnfs`, the index's lattices sorted by (−D, basis), and the
   family matched by comparing the basis with k times each n = 1 instance
   (`match_family_by_units`).  It checks the package's one pass per index,
-  which sorts the walk's raw tuples when T0 = ℤ³ and compares each lattice
+  which sorts the kernel's raw tuples when T0 = ℤ³ and compares each lattice
   with the one instance per family that its first pivot names.
 - `frame_symmetries` filters every triple of short columns of the right
   lengths by the determinant and metric checks, against the package's
@@ -98,7 +98,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from torsym.errors import InvariantViolation, NotASubgroup, RankDeficient, UnmatchedLattice
@@ -150,11 +149,8 @@ from torsym.sublattices import (
     HEX_TAGS,
     LatticeFamily,
     _coord_rotations,
-    _exponents,
-    _primes,
+    _of_index,
     _rotation_generators,
-    _split,
-    _walk,
 )
 
 IntVec = tuple[int, int, int]
@@ -1074,14 +1070,11 @@ def in_t0_by_lattice(T0: SubgroupHNF, lattices: Iterable[tuple]) -> list[Subgrou
 
 
 def survey_rows_by_lattice(G: SpaceGroup, max_index: int) -> list[tuple[SubgroupHNF, LatticeFamily, int]]:
-    """The rows of `normal_translation_subgroups(G, max_index)`, each index's lattices mapped and matched one at a time."""
+    """The rows of `normal_translation_subgroups(G, max_index)`, index by index, each index's lattices mapped and matched one at a time."""
     coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
-    split = _split(coord_rots)
-    powers = ((p, _exponents(split, p, max_index.bit_length())) for p in _primes())
     rows = []
-    for d, lattices in _walk(coord_rots, powers, max_index):
-        rows += [(L, match_family_by_units(L, G.frame), G.point_order * d) for L in in_t0_by_lattice(G.T0, lattices)]
-    rows.sort(key=itemgetter(2))
+    for d in range(1, max_index + 1):
+        rows += [(L, match_family_by_units(L, G.frame), G.point_order * d) for L in in_t0_by_lattice(G.T0, _of_index(coord_rots, d))]
     return rows
 
 

@@ -34,7 +34,7 @@ from torsym.classify import (
     verify_claims,
     verify_tables,
 )
-from torsym.errors import InvariantViolation
+from torsym.errors import Disconnected, InvariantViolation
 from torsym.lattices import SubgroupHNF, _from_t0_hnfs, covolume, hnf, hnf_columns, index, int_matvec, is_subgroup, join
 from torsym.periodic_graphs import PeriodicGraph, SingularEdge, cycle_image_lattice, edge_orbit_graph, lift_connected_bruteforce
 from torsym.spacegroups import CUBIC_FRAME, GROUP_NAMES, ROT_XYZ, Isometry, SpaceGroup, _closure, make_group
@@ -650,6 +650,37 @@ def test_a_false_claim_fails_verify_as_a_claim(monkeypatch, capsys, mutant):
     # one line for the one false claim, then the verdict
     fails = [text for text in out.splitlines() if "FAIL" in text]
     assert len(fails) == 2 and fails[0].startswith(line) and fails[1] == "FAIL", out
+
+
+def test_verify_checks_riemann_hurwitz_on_the_33_connected_edge_orbits(monkeypatch):
+    # one 12χ per edge orbit whose orbit graph is connected modulo T0; the 9 others are skipped
+    links = []
+    euler12 = classify._link_euler12
+    monkeypatch.setattr(classify, "_link_euler12", lambda link: links.append(link) or euler12(link))
+    assert verify_claims().ok
+    assert len(links) == 33
+
+
+def test_a_misread_link_order_fails_riemann_hurwitz_as_claims(monkeypatch, capsys):
+    # an order 3 read as 4 moves 12χ of every link that has a 3: each connected orbit with such a link
+    # gives one claim line, and the nine image checks still pass
+    euler12 = classify._link_euler12
+    monkeypatch.setattr(classify, "_link_euler12", lambda link: euler12(tuple(4 if a == 3 else a for a in link)))
+    reached = 0
+    for G in map(make_group, GROUP_NAMES):
+        for e in periodic_graphs._singular_data(G).edges:
+            try:
+                cycle_image_lattice(edge_orbit_graph(G, e))
+            except Disconnected:
+                continue
+            reached += 3 in e.link
+    assert cli.main(["verify"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    fails = [text for text in out.splitlines() if text.startswith("claim: ")]
+    assert len(fails) == reached == 26
+    assert all(" edge orbit " in text and "24·(E − V) = " in text and text.endswith("[FAIL]") for text in fails)
+    assert out.count("[ok]") == 9 and out.endswith("\nFAIL\n")
 
 
 def test_report_rendering():

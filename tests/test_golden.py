@@ -27,7 +27,9 @@ from torsym import cli, classify_case, instantiate, labeled_marked_edges, theore
 from torsym.classify import THEOREM_1, _cases
 from torsym.periodic_graphs import _normalizer_solutions, _singular_data, edge_orbit_graph
 from torsym.spacegroups import GROUP_NAMES, make_group
-from torsym.sublattices import LatticeFamily, normal_translation_subgroups
+from torsym.sublattices import LatticeFamily, _walked_rows, normal_translation_subgroups
+
+from test_sublattices import _SCALED_RECORDS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -133,6 +135,22 @@ SURVEY_256_REPRS = (
     ("P622", "827b42e21963dd96b03075382404df0632f04329fa0964c586ced0e9256f56f2"),
 )
 
+# SHA-256 of the repr of the second route's rows, _walked_rows(G, 2000) for the six groups and
+# _walked_rows(R, 300) for the scaled records of test_sublattices, records, order and all
+WALKED_REPRS = (
+    ("P432", 2000, "d27d7c0af3112d159f5c6dc2a88d63da87e0659347337210fbba7663a30d81de"),
+    ("F4_132", 2000, "1958ceea6fa5bbe175f9694ac79e4df25bb4d0a2355e9129285a6a5566bec8e5"),
+    ("I4_132", 2000, "c31e7aea56e4600b45976f346ad8ae808363ca68a1bc68a0e2bcc4be75cdb648"),
+    ("I432", 2000, "5e8547e914e95be2984f9011c4ab9d251cdaf389d231b025ae162bbe9dfc2651"),
+    ("P4_232", 2000, "d27d7c0af3112d159f5c6dc2a88d63da87e0659347337210fbba7663a30d81de"),
+    ("P622", 2000, "c093167533ca3ac70ffddb131c65cc4ee9a34741c784fc3dd0728f15979281d9"),
+    ("P_2", 300, "dd99224493372d3d6c923314aa9c2a5729ccd62d9d4515d1bf94e4a3afc4c4a1"),
+    ("F_3", 300, "e86ac788d04f21112154a0f2f55e1e402005dddd5ab1401412f7a960bdc5421f"),
+    ("I_3", 300, "80537b6042822d8d83510a21c9f1e2edeef498d920f1c4f6cee030a4d7792fa9"),
+    ("HP_1_2", 300, "eb7ec322742810532d23103aace9356265ef05b168305b08ca89ef28ba5c0f09"),
+    ("HR_2_3", 300, "b521bb23526ea2884f4667aa25d378293d53ed49179817627a64c91608fd990f"),
+)
+
 DEMOS = (
     ("tour_of_groups.py", "65fcf9030da655ba11b136d0de5c64f91cc373d8ce366a00332223c7993212eb"),
     ("covering_lifts.py", "daea6543fe071d5662228db0bb6e7849bc23feee5d416fbbe0a067b44670d30d"),
@@ -212,6 +230,12 @@ def test_the_case_layer_records_are_pinned_by_repr(name, singular, normalizer, c
 def test_survey_records_are_pinned_by_repr(name, digest):
     out = normal_translation_subgroups(make_group(name), 256)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, bound, digest", WALKED_REPRS, ids=[n for n, *_ in WALKED_REPRS])
+def test_the_second_route_rows_are_pinned_by_repr(name, bound, digest):
+    G = make_group(name) if name in GROUP_NAMES else next(R for R in _SCALED_RECORDS if R.name == name)
+    assert hashlib.sha256(repr(_walked_rows(G, bound)).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)

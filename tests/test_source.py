@@ -124,6 +124,13 @@ def test_the_export_guard_reports_a_name_listed_away_from_its_definition(tmp_pat
     assert _exports_defined_elsewhere(tmp_path) == ["probe.g"]
 
 
+def test_one_kernel_looks_up_and_meets_the_prime_power_parts():
+    # invariant_sublattices and the survey's second route both run the per-index kernel, the one place
+    # that looks up the invariant lattices of a prime-power index and meets them
+    for callee in ("_coprime_meet", "_invariant_p_power"):
+        assert _callers(SRC, callee) == ["sublattices._of_index"], callee
+
+
 def test_only_the_join_reads_fraction_vectors():
     assert sorted(set(_callers(SRC, "vectors")) - VECTOR_READERS) == []
 

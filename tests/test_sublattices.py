@@ -761,9 +761,8 @@ _GROWING_BOUNDS = (1, 37, 128, 129, 256)
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
 def test_growing_survey_gives_every_bound_the_same_rows(name):
-    # the walk's stored survey grows to the largest bound asked; a smaller bound reads its first rows.
-    # 128 = 2⁷ and 129 = 3·43 cut inside the chain of 2-power parts, which the walk
-    # from 128 to 129 passes only on the way to 129
+    # the second route's stored survey grows to the largest bound asked; a smaller bound reads its
+    # first rows, also where 128 = 2⁷ and 129 = 3·43 cut between two indices of different primes
     G = make_group(name)
     runs = []
     for bounds in (_GROWING_BOUNDS, _GROWING_BOUNDS[::-1]):
@@ -786,8 +785,8 @@ _COLD_300: dict[str, list] = {}
     st.lists(st.integers(1, 300), min_size=2, max_size=4, unique=True).map(sorted),
 )
 def test_survey_raised_through_bounds_gives_the_cold_rows(name, bounds):
-    # each larger bound rebuilds the walk's store by one walk from index 1; every bound, a smaller
-    # one asked again later included, must read exactly the cold walk's rows
+    # each larger bound rebuilds the second route's store from index 1; every bound, a smaller
+    # one asked again later included, must read exactly the cold route's rows
     G = make_group(name)
     if name not in _COLD_300:
         _clear_survey_caches()
@@ -804,16 +803,14 @@ def test_survey_raised_through_bounds_gives_the_cold_rows(name, bounds):
         # one stored row per lattice, none for an index without one
         stored = _stored_rows(G, _walked_rows)
         assert stored == head(b) and len({L for L, _, _ in stored}) == len(stored)
-    # the walk yields each index up to its bound that has a lattice, once
-    coord_rots = _coord_rotations(G.T0, _rotation_generators(G))
-    split = sublattices._split(coord_rots)
-    powers = ((p, sublattices._exponents(split, p, bounds[-1].bit_length())) for p in sublattices._primes())
-    walked = [d for d, _ in sublattices._walk(coord_rots, powers, bounds[-1])]
-    assert sorted(walked) == sorted({total // G.point_order for _, _, total in head(bounds[-1])})
+    # the stored indices are exactly the d ≤ b that have a lattice
+    rots = _rotation_generators(G)
+    stored = {total // G.point_order for _, _, total in _stored_rows(G, _walked_rows)}
+    assert stored == {d for d in range(1, bounds[-1] + 1) if invariant_sublattices(G.T0, rots, d)}
 
 
 def test_growing_survey_under_concurrent_callers():
-    # more threads than cores grow the walk's stored survey at once; a lost or doubled update
+    # more threads than cores grow the second route's stored survey at once; a lost or doubled update
     # would leave a row count or an answer that differs from the one-thread survey
     G = make_group("P622")
     expected = {b: _surveyed(G, b, _walked_rows) for b in (16, 48, 96, 128)}
@@ -842,14 +839,14 @@ def test_growing_survey_under_concurrent_callers():
 
 
 # ============================================================
-# the closed-form survey against the walk
+# the closed-form survey against the second route
 # ============================================================
 
 _WALKED_3000: dict[str, list] = {}
 
 
 def _walked_to_3000(G):
-    """The walk's rows of one of the six groups to index 3,000, computed once per group."""
+    """The second route's rows of one of the six groups to index 3,000, computed once per group."""
     if G.name not in _WALKED_3000:
         _WALKED_3000[G.name] = _walked_rows(G, 3000)
     return _WALKED_3000[G.name]
@@ -863,7 +860,7 @@ def _walked_to_3000(G):
 @example("I4_132", [7, 64, 256])
 def test_closed_form_survey_equals_the_walk(name, bounds):
     # row for row and in order, at bounds raised and lowered in the order drawn: each answer is the
-    # walk's rows to its bound, and the store holds the walk's rows to the largest bound asked yet
+    # second route's rows to its bound, and the store holds them to the largest bound asked yet
     G = make_group(name)
     walked = _walked_to_3000(G)
     _clear_survey_caches()
@@ -895,7 +892,7 @@ def _closed_form_equals_the_enumeration_at(name, d):
 @example("I4_132", 10**6)
 @example("F4_132", 4 * 99**3)
 def test_cubic_closed_form_at_one_index_equals_the_enumeration(name, d):
-    # far past the bounds the walk is compared at: one index d ≤ 10⁶, often i₁·k³, which has lattices
+    # far past the bounds the second route is compared at: one index d ≤ 10⁶, often i₁·k³, which has lattices
     _closed_form_equals_the_enumeration_at(name, d)
 
 
@@ -1011,7 +1008,7 @@ def test_each_least_instance_is_its_unit_lattice_scaled(G):
     ids=["P23", "P6", "P321", "P422", "P432_half", "P622_half"],
 )
 def test_other_records_keep_the_walk_and_its_errors(G, ok_to, rows, fault):
-    # a point group short of the frame's whole group is walked as before, and a lattice outside the
+    # a point group short of the frame's whole group takes the second route, and a lattice outside the
     # five families stops the survey with UnmatchedLattice at the first index that has one
     _clear_survey_caches()
     if ok_to:
@@ -1171,7 +1168,7 @@ def test_split_rejects_a_component_that_is_not_invariant(monkeypatch):
 
 
 # ============================================================
-# the walk over prime powers and the descent once per primitive lattice
+# the per-index kernel over prime powers and the descent once per primitive lattice
 # ============================================================
 
 
@@ -1351,18 +1348,20 @@ def _cubic_family_rows(bound):
     return [(fam.instantiate(), fam, 24 * d) for d, fam in rows]
 
 
-def test_survey_at_a_large_cubic_bound_walks_only_primes_that_carry_a_part(monkeypatch):
-    # p ∤ 24 carries a cubic part only at p³, p⁶, ...: the walk reads no prime past 10³
+def test_cubic_per_index_route_looks_up_only_exponents_that_carry_a_part(monkeypatch):
+    # p ∤ 24 carries a cubic part only at p³, p⁶, ...: to 10⁴ no other power of such a prime is looked
+    # up, and only the primes p ≤ 3 and those with p³ ≤ 10⁴ are asked at all
     G = make_group("P432")
     _clear_survey_caches()
     calls = _recording(monkeypatch, ["_invariant_p_power"])
-    rows = _surveyed(G, 10**9, _walked_rows)
-    assert rows == _cubic_family_rows(10**9)
-    asked = {p for _, p, _ in calls["_invariant_p_power"]}
-    assert asked == {p for p in range(2, 1001) if all(p % q for q in range(2, math.isqrt(p) + 1))}
+    assert _walked_rows(G, 10**4) == _cubic_family_rows(10**4)
+    assert {p for _, p, _ in calls["_invariant_p_power"]} == {2, 3, 5, 7, 11, 13, 17, 19}
     assert all(k % 3 == 0 for _, p, k in calls["_invariant_p_power"] if p > 3)
+
+
+def test_an_exponent_that_carries_no_part_looks_up_none(monkeypatch):
     # one index alone: 5² cannot carry a part, so 5²·7³ has no lattice and no part is looked up
-    calls["_invariant_p_power"].clear()
+    calls = _recording(monkeypatch, ["_invariant_p_power"])
     assert invariant_sublattices(Z3, CUBIC_ROTS, 5**2 * 7**3) == []
     assert 5 not in {p for _, p, _ in calls["_invariant_p_power"]}
 
@@ -1380,18 +1379,3 @@ def test_cubic_survey_allocates_nothing_in_proportion_to_the_bound():
     assert rows == _cubic_family_rows(10**7)
     assert peak < 1_500_000
 
-
-def test_prime_stream_lists_the_primes_in_order():
-    # segments [n, 2n) up to n = 2¹¹, each sieved by the primes below √(2n)
-    stream = sublattices._primes()
-    got = [next(stream) for _ in range(700)]
-    assert got == [p for p in range(2, got[-1] + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
-
-
-def test_walk_rejects_prime_powers_out_of_order():
-    # a level ends at the first prime that overshoots, which is sound only for ascending least indices
-    coord_rots = _coord_rotations(Z3, HEX_ROTS)
-    with pytest.raises(InvariantViolation, match="order"):
-        list(sublattices._walk(coord_rots, [(3, range(1, 2)), (2, range(1, 2))], 6))
-    # in order, the walk reaches 6 = 2·3 past 1, 2 and 3
-    assert dict(sublattices._walk(coord_rots, [(2, range(1, 2)), (3, range(1, 2))], 6)).keys() == {1, 2, 3, 6}
