@@ -485,7 +485,7 @@ def verify_claims() -> VerificationReport:
 
 
 def verify_tables(max_index: int) -> VerificationReport:
-    """Claim checks plus survivor families, constraints and genus forms against `THEOREM_1`, and each group's closed-form survey against the walk."""
+    """Claim checks plus survivor families, constraints and genus forms against `THEOREM_1`, and each group's closed-form survey against the per-index route."""
     report = verify_claims()
     errors = list(report.table_errors)
     for group, edge in ((c.group, c.edge_label) for c in report.checks):
@@ -504,10 +504,10 @@ def verify_tables(max_index: int) -> VerificationReport:
             bad = [r.n for r in rows if r.family.tag == f.tag and r.genus - 1 != f.coefficient * r.n**f.exponent]
             if bad:
                 errors.append(f"{group} {edge}: genus does not fit the census form for {f.tag} at n = {bad}")
-    # the walk, not stored, is the second route to each group's stored closed-form survey
+    # the per-index route (`_walked_rows`) is the second route to each group's closed-form survey
     for G in map(make_group, GROUP_NAMES):
         if normal_translation_subgroups(G, max_index) != _walked_rows(G, max_index):
-            errors.append(f"{G.name}: the closed-form survey to index {max_index} differs from the walk")
+            errors.append(f"{G.name}: the closed-form survey to index {max_index} differs from the per-index route")
     return VerificationReport(checks=report.checks, table_errors=tuple(errors))
 
 

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import math
-import threading
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
@@ -121,8 +118,8 @@ def _coord_rotations(T0: SubgroupHNF, rotations: tuple) -> tuple:
 
 
 def _prime_power_parts(d: int) -> list[tuple[int, int]]:
-    """The factorisation of d as (prime, exponent) pairs, primes ascending; trial division stops at
-    p = 10⁶, so every d ≤ 10¹² factors, and a cofactor above 10¹² left unfactored raises TorsymError."""
+    """The factorisation of d as (prime, exponent) pairs, primes ascending; trial division by 2 and then
+    the odd p stops at p = 10⁶, so every d ≤ 10¹² factors, and a cofactor above 10¹² left unfactored raises TorsymError."""
     parts = []
     rest, p = d, 2
     while p * p <= rest:
@@ -134,7 +131,7 @@ def _prime_power_parts(d: int) -> list[tuple[int, int]]:
                 k += 1
                 rest //= p
             parts.append((p, k))
-        p += 1
+        p += 1 if p == 2 else 2
     if rest > 1:
         parts.append((rest, 1))
     return parts
@@ -461,9 +458,10 @@ def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, Latt
 
     For L₁ = instance(tag, u, v) of index i₁ (`_least_instances`) they are
     instance(tag, u·k) of index i₁·k³ and instance(tag, u·k, v·j) of index
-    i₁·k²·j, counted first (`_row_count`) and sorted by (total index, −D, basis).
-    They are every invariant L ⊆ T0.  Under O, L = r·X for r ∈ ℚ and X the
-    cubic P, F or I lattice.  Under D6, ρ² − ρ + 1 = 0 on the plane W for ρ
+    i₁·k²·j, counted first (`_row_count`) and sorted by (total index, −D, basis)
+    into a new list on every call, which the caller alone holds.  They are
+    every invariant L ⊆ T0.  Under O, L = r·X for r ∈ ℚ and X the cubic P, F
+    or I lattice.  Under D6, ρ² − ρ + 1 = 0 on the plane W for ρ
     the 6-fold rotation, so ρ − 1 is unimodular there: x ∈ L has
     x_W = −ρ·(ρ − 1)·x ∈ L, L = (L ∩ W) ⊕ ℤ·s·e₃, and L ∩ W is a fractional
     ideal of ℤ[ω] that conjugation keeps, r·ℤ[ω] or r(1 − ω)·ℤ[ω].  T0 must
@@ -522,26 +520,6 @@ def _walked_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, LatticeFa
     return rows
 
 
-@lru_cache(maxsize=None)
-def _survey(T0: SubgroupHNF, rotations: tuple, frame_name: str, route) -> SimpleNamespace:
-    """The stored survey of T0 under one set of rotations, in one frame, by one route (`_surveyed`).
-
-    `rows` holds (L, family, total index |P|·d) for every index d ≤ `bound`
-    in T0, in the order `normal_translation_subgroups` returns them.  The
-    rotations fix |P|, and `match_family` reads only the frame's name.
-    """
-    return SimpleNamespace(bound=0, rows=[], lock=threading.Lock())
-
-
-def _surveyed(G: SpaceGroup, max_index: int, route) -> list[tuple[SubgroupHNF, LatticeFamily, int]]:
-    """The rows of G's stored survey by `route` up to max_index, the store rebuilt by the route first when its bound is smaller."""
-    survey = _survey(G.T0, _rotation_generators(G), G.frame.name, route)
-    with survey.lock:  # a second caller must not rebuild the same rows again
-        if max_index > survey.bound:
-            survey.rows, survey.bound = route(G, max_index), max_index
-    return survey.rows[: bisect_right(survey.rows, G.point_order * max_index, key=itemgetter(2))]
-
-
 def normal_translation_subgroups(
     G: SpaceGroup, max_index: int
 ) -> list[tuple[SubgroupHNF, LatticeFamily, int]]:
@@ -551,10 +529,10 @@ def normal_translation_subgroups(
     the lattice index inside T0.  When G's point group is its frame's whole
     rotation group, as for the six groups, the rows come from the family
     table (`_closed_form_rows`), and `verify_tables` checks them against the
-    per-index route that finds every other record's (`_walked_rows`).  The
-    survey is stored, and a larger bound rebuilds it.  The answer is the
-    first rows, a new list of the stored row tuples.
+    per-index route that finds every other record's (`_walked_rows`).  Each
+    call builds a new list by its route, and no row outlives the caller's
+    use of it; only the kernels below the routes keep their caches.
     """
     _check_index(max_index, "max_index")
     whole = G.point_order == _frame(G.frame.name)[1]
-    return _surveyed(G, max_index, _closed_form_rows if whole else _walked_rows)
+    return (_closed_form_rows if whole else _walked_rows)(G, max_index)

@@ -683,6 +683,18 @@ def test_a_misread_link_order_fails_riemann_hurwitz_as_claims(monkeypatch, capsy
     assert out.count("[ok]") == 9 and out.endswith("\nFAIL\n")
 
 
+def test_a_row_lost_by_the_per_index_route_fails_verify_as_one_claim(monkeypatch, capsys):
+    # verify compares each group's closed-form survey with the per-index route row for row: one row
+    # dropped from one group's per-index rows gives one claim line naming that route
+    walked = classify._walked_rows
+    monkeypatch.setattr(classify, "_walked_rows", lambda G, bound: walked(G, bound)[: -1 if G.name == "I432" else None])
+    assert cli.main(["verify", "--max-index", "64"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    fails = [text for text in out.splitlines() if "FAIL" in text]
+    assert fails == ["claim: I432: the closed-form survey to index 64 differs from the per-index route [FAIL]", "FAIL"]
+
+
 def test_report_rendering():
     report = verify_claims()
     text = report_to_text(report)
@@ -884,7 +896,7 @@ def test_cold_census_builds_each_case_graph_once(monkeypatch):
 def test_cold_census_derives_each_family_table_once():
     # the cases, the surveys and the claim checks read one memoised family table per (T0, frame name):
     # five for the six groups, as P432 and P4_232 share T0 = ℤ³
-    for f in (*vars(classify).values(), sublattices._survey, sublattices._least_instances):
+    for f in (*vars(classify).values(), sublattices._least_instances):
         if hasattr(f, "cache_clear"):
             f.cache_clear()
     theorem1_table(101)

@@ -248,8 +248,9 @@ def test_a_group_hashes_its_int_and_str_fields_only(name):
 
 @pytest.mark.parametrize("demo, digest", DEMOS, ids=[d for d, _ in DEMOS])
 def test_demo_output_is_byte_identical(demo, digest):
-    # a fresh interpreter per demo, so every store starts empty as it does for a user: full_census.py
-    # then raises P622's stored survey from index 16 to 19, which an in-process run after other tests skips
+    # a fresh interpreter per demo, so every kernel cache starts empty as it does for a user: full_census.py
+    # then asks P622's survey to index 16 and then to 19 from cold caches, which an in-process run after
+    # other tests would find warm
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
     out = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], capture_output=True, check=True, env=env, timeout=300)
     assert hashlib.sha256(out.stdout).hexdigest() == digest

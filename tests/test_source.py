@@ -200,10 +200,23 @@ def test_every_import_is_read():
     assert _unread_imports(SRC) == []
 
 
-def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
-    # about 10 ms of every command's start went to these two; pytest loads both, so the import runs in
-    # a fresh interpreter, without site so that no startup hook of the environment loads them either
-    probe = "import sys, torsym, torsym.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def _loaded_by_importing_the_package(modules: set[str]) -> str:
+    """Which of `modules` `import torsym, torsym.cli` loads, printed as a sorted list.
+
+    pytest loads many modules itself, so the import runs in a fresh interpreter, without site so
+    that no startup hook of the environment loads any of them either.
+    """
+    probe = f"import sys, torsym, torsym.cli; print(sorted({modules!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True, env=env, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # about 10 ms of every command's start went to these two
+    assert _loaded_by_importing_the_package({"dataclasses", "inspect"}) == "[]"
+
+
+def test_importing_the_package_loads_neither_threading_nor_bisect():
+    # the survey is a plain function of its bound, so nothing in the package needs a lock or a sorted slice
+    assert _loaded_by_importing_the_package({"threading", "bisect"}) == "[]"

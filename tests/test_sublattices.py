@@ -1,6 +1,7 @@
 """Sublattice enumeration, invariance filtering and family matching."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -54,6 +55,7 @@ from torsym.spacegroups import (
 )
 import torsym
 from torsym import cli, sublattices
+from torsym.classify import classify_case
 from torsym.sublattices import (
     CUBIC_TAGS,
     FAMILY_TAGS,
@@ -65,8 +67,6 @@ from torsym.sublattices import (
     _prime_power_parts,
     _rotation_generators,
     _closed_form_rows,
-    _survey,
-    _surveyed,
     _walked_rows,
     instantiate,
     invariant_sublattices,
@@ -419,6 +419,37 @@ def test_an_index_with_a_large_cofactor_is_refused_not_factored():
     assert _prime_power_parts(999_983 * 1_000_003) == [(999_983, 1), (1_000_003, 1)]
 
 
+def _is_prime(n: int) -> bool:
+    """Miller–Rabin to the bases 2, 3, …, 17, which is exact for n below 3·10¹⁴."""
+    bases = (2, 3, 5, 7, 11, 13, 17)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        for _ in range(s):
+            if x in (1, n - 1):
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+@given(st.integers(1, 10**12) | st.lists(st.sampled_from((2, 3, 5, 7, 999_983, 1_000_003)), max_size=6).map(math.prod).filter(lambda d: d <= 10**12))
+@example(2**39)
+@example(999_983**2)
+@example(999_999_999_989)
+def test_the_prime_power_parts_multiply_back_to_the_index(d):
+    # trial division by 2 and then the odd numbers only: every part is a prime power, the primes ascend
+    parts = _prime_power_parts(d)
+    assert math.prod(p**k for p, k in parts) == d
+    assert all(_is_prime(p) and k >= 1 for p, k in parts)
+    assert [p for p, _ in parts] == sorted({p for p, _ in parts})
+
+
 def test_invariant_rejects_unstable_t0():
     skew = hnf([(1, 0, 0), (0, 2, 0), (0, 0, 3)])
     with pytest.raises(ValueError):
@@ -718,7 +749,7 @@ def test_index_one_is_t0_alone():
 
 
 def test_survey_answers_are_fresh_lists():
-    # the survey and the descent are cached, so a caller's edit must not reach the next answer
+    # the descent and the family table are cached, so a caller's edit must not reach the next answer
     for d in (1, 4, 54):
         first = invariant_sublattices(Z3, CUBIC_ROTS, d)
         expected = list(first)
@@ -731,19 +762,19 @@ def test_survey_answers_are_fresh_lists():
     assert normal_translation_subgroups(G, 54) == expected != []
 
 
-def test_warm_survey_answer_copies_no_row():
-    # the stored rows carry the total index, so a warm answer is a slice of them:
-    # P622 to 9,999 has 21,699 rows, and a new tuple per row would take about 2.4 MB
-    G = make_group("P622")
-    rows = normal_translation_subgroups(G, 9_999)
+def test_a_survey_keeps_no_row_after_its_caller_drops_it():
+    # P622 to 9,999 has 21,699 rows, about 9 MB: once the classification built from them is dropped,
+    # none of them may stay behind
+    classify_case("P622", "beta", 16)  # the group's marked edges and family table, cached once
     tracemalloc.start()
     try:
-        again = normal_translation_subgroups(G, 9_999)
-        peak = tracemalloc.get_traced_memory()[1]
+        start = tracemalloc.get_traced_memory()[0]
+        assert classify_case("P622", "beta", 9_999)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert again == rows and all(a is b for a, b in zip(again, rows))
-    assert peak < 500_000
+    assert kept < 500_000
 
 
 def _clear_survey_caches():
@@ -752,24 +783,20 @@ def _clear_survey_caches():
             f.cache_clear()
 
 
-def _stored_rows(G, route):
-    return _survey(G.T0, _rotation_generators(G), G.frame.name, route).rows
-
-
 _GROWING_BOUNDS = (1, 37, 128, 129, 256)
+_ROUTES = (normal_translation_subgroups, _walked_rows)
 
 
+@pytest.mark.parametrize("route", _ROUTES, ids=["closed-form", "per-index"])
 @pytest.mark.parametrize("name", GROUP_NAMES)
-def test_growing_survey_gives_every_bound_the_same_rows(name):
-    # the second route's stored survey grows to the largest bound asked; a smaller bound reads its
-    # first rows, also where 128 = 2⁷ and 129 = 3·43 cut between two indices of different primes
+def test_each_bound_reads_the_head_of_a_larger_bounds_rows(name, route):
+    # a smaller bound's rows are the first rows of a larger one's, asked in either order, also where
+    # 128 = 2⁷ and 129 = 3·43 cut between two indices of different primes
     G = make_group(name)
     runs = []
     for bounds in (_GROWING_BOUNDS, _GROWING_BOUNDS[::-1]):
         _clear_survey_caches()
-        runs.append({b: _surveyed(G, b, _walked_rows) for b in bounds})
-        # one stored row per lattice found, none for an index without one
-        assert len(_stored_rows(G, _walked_rows)) == len(runs[-1][256])
+        runs.append({b: route(G, b) for b in bounds})
     assert runs[0] == runs[1]
     answers = runs[0]
     for a, b in combinations(_GROWING_BOUNDS, 2):
@@ -784,13 +811,13 @@ _COLD_300: dict[str, list] = {}
     st.sampled_from(GROUP_NAMES),
     st.lists(st.integers(1, 300), min_size=2, max_size=4, unique=True).map(sorted),
 )
-def test_survey_raised_through_bounds_gives_the_cold_rows(name, bounds):
-    # each larger bound rebuilds the second route's store from index 1; every bound, a smaller
-    # one asked again later included, must read exactly the cold route's rows
+def test_bounds_raised_in_turn_read_the_cold_rows(name, bounds):
+    # on both routes every bound, a smaller one asked again after a larger included, reads exactly
+    # the first rows of the cold per-index route's rows to 300
     G = make_group(name)
     if name not in _COLD_300:
         _clear_survey_caches()
-        _COLD_300[name] = _surveyed(G, 300, _walked_rows)
+        _COLD_300[name] = _walked_rows(G, 300)
     cold = _COLD_300[name]
 
     def head(b):
@@ -799,27 +826,25 @@ def test_survey_raised_through_bounds_gives_the_cold_rows(name, bounds):
     _clear_survey_caches()
     for k, b in enumerate(bounds):
         for a in bounds[: k + 1][::-1]:
-            assert _surveyed(G, a, _walked_rows) == head(a)
-        # one stored row per lattice, none for an index without one
-        stored = _stored_rows(G, _walked_rows)
-        assert stored == head(b) and len({L for L, _, _ in stored}) == len(stored)
-    # the stored indices are exactly the d ≤ b that have a lattice
-    rots = _rotation_generators(G)
-    stored = {total // G.point_order for _, _, total in _stored_rows(G, _walked_rows)}
-    assert stored == {d for d in range(1, bounds[-1] + 1) if invariant_sublattices(G.T0, rots, d)}
+            assert [route(G, a) for route in _ROUTES] == [head(a)] * 2
+    # one row per lattice, and rows at exactly the d ≤ b that have a lattice
+    rows, rots = head(bounds[-1]), _rotation_generators(G)
+    assert len({L for L, _, _ in rows}) == len(rows)
+    found = {total // G.point_order for _, _, total in rows}
+    assert found == {d for d in range(1, bounds[-1] + 1) if invariant_sublattices(G.T0, rots, d)}
 
 
-def test_growing_survey_under_concurrent_callers():
-    # more threads than cores grow the second route's stored survey at once; a lost or doubled update
-    # would leave a row count or an answer that differs from the one-thread survey
+def test_concurrent_callers_get_the_one_thread_rows():
+    # more threads than cores ask both routes at once from cold kernel caches, which they share;
+    # a kernel entry half filled by one thread would give another an answer unlike the one-thread rows
     G = make_group("P622")
-    expected = {b: _surveyed(G, b, _walked_rows) for b in (16, 48, 96, 128)}
+    expected = {(route, b): route(G, b) for route in _ROUTES for b in (16, 48, 96, 128)}
     _clear_survey_caches()
     answers, errors = [], []
 
     def ask(bounds):
         try:
-            answers.extend((b, _surveyed(G, b, _walked_rows)) for b in bounds)
+            answers.extend(((route, b), route(G, b)) for b in bounds for route in _ROUTES)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -834,8 +859,7 @@ def test_growing_survey_under_concurrent_callers():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
-    assert len(answers) == 24 and all(rows == expected[b] for b, rows in answers)
-    assert len(_stored_rows(G, _walked_rows)) == len(expected[128])
+    assert len(answers) == 48 and all(rows == expected[key] for key, rows in answers)
 
 
 # ============================================================
@@ -860,7 +884,7 @@ def _walked_to_3000(G):
 @example("I4_132", [7, 64, 256])
 def test_closed_form_survey_equals_the_walk(name, bounds):
     # row for row and in order, at bounds raised and lowered in the order drawn: each answer is the
-    # second route's rows to its bound, and the store holds them to the largest bound asked yet
+    # second route's rows to its bound
     G = make_group(name)
     walked = _walked_to_3000(G)
     _clear_survey_caches()
@@ -868,12 +892,8 @@ def test_closed_form_survey_equals_the_walk(name, bounds):
     def head(b):
         return [row for row in walked if row[2] <= G.point_order * b]
 
-    for k, b in enumerate(bounds):
+    for b in bounds:
         assert normal_translation_subgroups(G, b) == head(b)
-        assert _stored_rows(G, _closed_form_rows) == head(max(bounds[: k + 1]))
-    # the six groups take the closed form alone: its store is the only one, and the answer holds its tuples
-    assert _survey.cache_info().currsize == 1
-    assert all(a is b for a, b in zip(normal_translation_subgroups(G, bounds[-1]), _stored_rows(G, _closed_form_rows)))
 
 
 _CUBES = st.tuples(st.sampled_from((1, 2, 4, 8, 16, 32)), st.integers(1, 100)).map(lambda ck: ck[0] * ck[1] ** 3)
@@ -928,7 +948,7 @@ def test_the_integer_root_is_exact_up_to_its_cap(b, e):
 
 def test_a_survey_past_the_row_limit_is_refused(monkeypatch):
     # at a limit of P622's row count to 20 those rows are built; a bound past it is refused, naming the
-    # bound, the count and the limit, and the store keeps the rows it held
+    # bound, the count and the limit
     G = make_group("P622")
     _clear_survey_caches()
     rows, over = _closed_form_rows(G, 20), len(_closed_form_rows(G, 21))
@@ -937,7 +957,6 @@ def test_a_survey_past_the_row_limit_is_refused(monkeypatch):
     message = f"^P622: the survey to index 21 counts at least {over} rows, past the limit of {len(rows)} rows$"
     with pytest.raises(TorsymError, match=message):
         normal_translation_subgroups(G, 21)
-    assert _stored_rows(G, _closed_form_rows) == rows
 
 
 @pytest.mark.parametrize(
@@ -1013,7 +1032,7 @@ def test_other_records_keep_the_walk_and_its_errors(G, ok_to, rows, fault):
     _clear_survey_caches()
     if ok_to:
         assert len(normal_translation_subgroups(G, ok_to)) == rows
-        assert normal_translation_subgroups(G, ok_to) == _walked_rows(G, ok_to) == _stored_rows(G, _walked_rows)
+        assert normal_translation_subgroups(G, ok_to) == _walked_rows(G, ok_to)
     if fault:
         with pytest.raises(UnmatchedLattice, match=f"^no closed-form family matches {re.escape(fault)}$"):
             normal_translation_subgroups(G, ok_to + 1)
@@ -1156,7 +1175,7 @@ def test_cold_survey_descends_only_at_2_and_3(monkeypatch):
     _clear_survey_caches()
     calls = _recording(monkeypatch, ["_maximal_steps"])
     for name in GROUP_NAMES:
-        _surveyed(make_group(name), 256, _walked_rows)
+        _walked_rows(make_group(name), 256)
     assert {p for _, p, _ in calls["_maximal_steps"]} == {2, 3}
 
 
@@ -1256,7 +1275,7 @@ def test_cold_survey_takes_the_action_of_primitive_lattices_only(monkeypatch):
     _clear_survey_caches()
     calls = _recording(monkeypatch, ["_maximal_steps"])
     for name in GROUP_NAMES:
-        _surveyed(make_group(name), 256, _walked_rows)
+        _walked_rows(make_group(name), 256)
     assert calls["_maximal_steps"]
     assert all(math.gcd(*(x for col in M for x in col)) == 1 for _, _, M in calls["_maximal_steps"])
     # 31 lattices per rotation class take the action; 60 when every lattice of the descent took its own
