@@ -26,14 +26,8 @@ from .periodic_graphs import singular_graph
 from .spacegroups import GROUP_NAMES, canonical_group_name, make_group
 
 # ============================================================
-# subcommand bodies
+# records and text lines
 # ============================================================
-
-
-def _emit(fmt: str, value, **renderers) -> None:
-    """Print value as rendered for fmt, and for fmt only; a json renderer returns the document to encode."""
-    out = renderers[fmt](value)
-    print(json.dumps(out, indent=2) if fmt == "json" else out)
 
 
 def _point(p) -> str:
@@ -52,10 +46,7 @@ def _group_record(name: str) -> dict:
         "point_order": G.point_order,
         "t0": G.T0.to_json(),
         "t0_covolume": str(covolume(G.T0)),
-        "generators": [
-            {"rotation": [list(r) for r in g.rot], "translation": [str(t) for t in g.trans]}
-            for g in G.generators
-        ],
+        "generators": [{"rotation": [list(r) for r in g.rot], "translation": [str(t) for t in g.trans]} for g in G.generators],
     }
 
 
@@ -66,81 +57,28 @@ def _group_line(r: dict) -> str:
     return f"{r['name']:8s} frame={r['frame']:5s} point_order={r['point_order']:2d} T0=<{basis}>"
 
 
-def _cmd_groups(args) -> int:
-    records = [_group_record(name) for name in GROUP_NAMES]
-    _emit(args.format, records, json=lambda rs: {"groups": rs}, text=lambda rs: "\n".join(map(_group_line, rs)))
-    return 0
-
-
 def _segment_line(e) -> str:
     return f"  orbit {e.orbit_id}  index {e.edge_index}  link {_link(e)}  {' -> '.join(map(_point, e.segment))}"
 
 
-def _cmd_singular_graph(args) -> int:
-    G = make_group(args.group)
-    edges = singular_graph(G)
-    _emit(
-        args.format,
-        edges,
-        json=lambda es: {"group": G.name, "edges": [e.to_json() for e in es]},
-        text=lambda es: "\n".join([f"{G.name}: {len(es)} singular segments mod T0", *map(_segment_line, es)]),
-    )
-    return 0
-
-
-def _marked_line(label: str, e, lat, nv: int, ne: int) -> str:
-    image = covolume(lat) if lat.rank == 3 else "rank " + str(lat.rank)
+def _marked_line(label: str, c) -> str:
+    image = covolume(c.image) if c.image.rank == 3 else "rank " + str(c.image.rank)
     return (
-        f"  {label}: orbit {e.orbit_id}, index {e.edge_index}, "
-        f"link {_link(e)}, quotient graph {nv}V/{ne}E, cycle image covolume {image}"
+        f"  {label}: orbit {c.edge.orbit_id}, index {c.edge.edge_index}, link {_link(c.edge)}, "
+        f"quotient graph {len(c.graph.vertices)}V/{len(c.graph.edges)}E, cycle image covolume {image}"
     )
 
 
-def _cmd_edges(args) -> int:
-    G = make_group(args.group)
-    # the case map lists the labels in label order, which is also their sorted order
-    records = [(label, c.edge, c.image, len(c.graph.vertices), len(c.graph.edges)) for label, c in _cases(G)[1].items()]
-    _emit(
-        args.format,
-        records,
-        json=lambda rs: {
-            "group": G.name,
-            "edges": [
-                {"label": label, "edge": e.to_json(), "cycle_image": lat.to_json(),
-                 "quotient_vertices": nv, "quotient_edges": ne}
-                for label, e, lat, nv, ne in rs
-            ],
-        },
-        text=lambda rs: "\n".join([f"{G.name}: {len(rs)} marked edge orbit(s)", *(_marked_line(*r) for r in rs)]),
-    )
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    rows = classify_case(args.group, args.edge, args.max_index)
-    _emit(args.format, rows, json=rows_to_json, csv=rows_to_csv, text=rows_to_text)
-    return 0
-
-
-def _cmd_table(args) -> int:
-    entries = theorem1_table(args.max_genus)
-    _emit(args.format, entries, json=table_to_json, csv=table_to_csv, text=table_to_text)
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    report = verify_claims() if args.max_index is None else verify_tables(args.max_index)
-    _emit(args.format, report, json=report_to_json, text=report_to_text)
-    return 0 if report.ok else 1
+def _marked_record(label: str, c) -> dict:
+    return {
+        "label": label, "edge": c.edge.to_json(), "cycle_image": c.image.to_json(),
+        "quotient_vertices": len(c.graph.vertices), "quotient_edges": len(c.graph.edges),
+    }
 
 
 # ============================================================
-# argument parsing
+# the subcommands
 # ============================================================
-
-
-def _add_format(p: argparse.ArgumentParser, choices=("text", "json")) -> None:
-    p.add_argument("--format", choices=choices, default="text", help="output format")
 
 
 def _group_name(value: str) -> str:
@@ -150,58 +88,75 @@ def _group_name(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+_GROUP = ("group", {"type": _group_name})
+
+# Each subcommand once, in the order `torsym --help` lists them: its help and its arguments (a name and
+# add_argument's keywords each), the library call that answers the parsed arguments, and one renderer per
+# format it offers, text first.  A json renderer returns the document to encode.  The singular-graph and
+# edges calls answer the group's name with its segments or its case map.
+_COMMANDS = {
+    "groups": (
+        "list the six group presentations", (),
+        lambda args: [_group_record(name) for name in GROUP_NAMES],
+        {"text": lambda rs: "\n".join(map(_group_line, rs)), "json": lambda rs: {"groups": rs}},
+    ),
+    "singular-graph": (
+        "singular segments of one group mod T0", (_GROUP,),
+        lambda args: (args.group, singular_graph(make_group(args.group))),
+        {"text": lambda r: "\n".join([f"{r[0]}: {len(r[1])} singular segments mod T0", *map(_segment_line, r[1])]),
+         "json": lambda r: {"group": r[0], "edges": [e.to_json() for e in r[1]]}},
+    ),
+    "edges": (
+        "marked edge orbits with quotient-graph data", (_GROUP,),
+        # the case map lists the labels in label order, which is also their sorted order
+        lambda args: (args.group, _cases(make_group(args.group))[1]),
+        {"text": lambda r: "\n".join([f"{r[0]}: {len(r[1])} marked edge orbit(s)", *(_marked_line(*m) for m in r[1].items())]),
+         "json": lambda r: {"group": r[0], "edges": [_marked_record(*m) for m in r[1].items()]}},
+    ),
+    "classify": (
+        "accepted covering lattices for a marked edge",
+        (_GROUP, ("edge", {"choices": EDGE_LABELS}), ("--max-index", {"type": int, "default": 64, "help": "largest lattice index in T0"})),
+        lambda args: classify_case(args.group, args.edge, args.max_index),
+        {"text": rows_to_text, "json": rows_to_json, "csv": rows_to_csv},
+    ),
+    "table": (
+        "genus census of all maximal-order actions", (("--max-genus", {"type": int, "default": 65, "help": "largest genus listed"}),),
+        lambda args: theorem1_table(args.max_genus),
+        {"text": table_to_text, "json": table_to_json, "csv": table_to_csv},
+    ),
+    "verify": (
+        "check the nine connectivity and image claims, the marked-class counts and labels, the knotted "
+        "column, and Riemann-Hurwitz on the 33 connected edge orbits",
+        (("--max-index", {"type": int, "default": None, "help": "also check the survivor families and the census "
+          "genus forms up to this lattice index, and each group's survey against the per-index route"}),),
+        lambda args: verify_claims() if args.max_index is None else verify_tables(args.max_index),
+        {"text": report_to_text, "json": report_to_json},
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="torsym",
-        description="Exact singular-set and covering-lattice tables for the six "
-        "maximal-order crystallographic groups.",
+        prog="torsym", description="Exact singular-set and covering-lattice tables for the six maximal-order crystallographic groups."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("groups", help="list the six group presentations")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_groups)
-
-    p = sub.add_parser("singular-graph", help="singular segments of one group mod T0")
-    p.add_argument("group", type=_group_name)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_singular_graph)
-
-    p = sub.add_parser("edges", help="marked edge orbits with quotient-graph data")
-    p.add_argument("group", type=_group_name)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_edges)
-
-    p = sub.add_parser("classify", help="accepted covering lattices for a marked edge")
-    p.add_argument("group", type=_group_name)
-    p.add_argument("edge", choices=EDGE_LABELS)
-    p.add_argument("--max-index", type=int, default=64, help="largest lattice index in T0")
-    _add_format(p, ("text", "json", "csv"))
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("table", help="genus census of all maximal-order actions")
-    p.add_argument("--max-genus", type=int, default=65, help="largest genus listed")
-    _add_format(p, ("text", "json", "csv"))
-    p.set_defaults(fn=_cmd_table)
-
-    p = sub.add_parser("verify", help="check the nine connectivity and image claims")
-    p.add_argument(
-        "--max-index",
-        type=int,
-        default=None,
-        help="also compare survivor families up to this lattice index",
-    )
-    _add_format(p)
-    p.set_defaults(fn=_cmd_verify)
-
+    for command, (help_, arguments, call, renderers) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.add_argument("--format", choices=tuple(renderers), default="text", help="output format")
+        p.set_defaults(fn=call)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        value = args.fn(args)
+        out = _COMMANDS[args.command][-1][args.format](value)
+        print(json.dumps(out, indent=2) if args.format == "json" else out)
+        # verify is the one subcommand with a verdict
+        return 1 if args.command == "verify" and not value.ok else 0
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -1,9 +1,12 @@
-"""Exact rational vector/matrix arithmetic and canonical subgroup (lattice) algebra.
+"""Integer Hermite-normal-form algebra of translation subgroups (lattices), with a rational boundary.
 
-All subgroups of translation vectors are kept in a canonical Hermite normal
-form so that equality, membership, index and join are exact and
-deterministic.  Convention: column-style HNF, lower triangular, pivot rows
-ascending, positive pivots, entries left of a pivot reduced into [0, pivot).
+Every subgroup of translation vectors is kept as the canonical integer
+Hermite normal form of its scaled basis over one common denominator, so that
+equality, membership, index and join are exact and deterministic.  The
+kernels run on integer vectors and 3×3 matrices; `Fraction` appears only at
+the boundary, where rational vectors come in and covolumes and points go
+out.  Convention: column-style HNF, lower triangular, pivot rows ascending,
+positive pivots, entries left of a pivot reduced into [0, pivot).
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ IntMat = tuple[tuple[int, ...], ...]
 IDENTITY: IntMat = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 # ============================================================
-# rational vectors and matrices (row-major storage; for linear
-# maps the columns are the images of the basis vectors)
+# integer vectors and 3×3 matrices, and the rational boundary into them
+# (row-major storage; for linear maps the columns are the images of the
+# basis vectors)
 # ============================================================
 
 

@@ -51,6 +51,9 @@ GOLDEN = (
     ("edges P622 --format json", "bc4553d02c337fe960c78a8a83f37376befd1bb77dcf17743c24fbc5d24936a2"),
     ("table --max-genus 101 --format json", CENSUS),
     ("verify --max-index 64", "eb3b47f498edb49387d2305b858a3a2b35d90c68beebfcd31c49f2a8784a2f09"),
+    # the claims-only verify, without a bound: the bytes of a passing report, as with one
+    ("verify", "eb3b47f498edb49387d2305b858a3a2b35d90c68beebfcd31c49f2a8784a2f09"),
+    ("verify --format json", "3fb4d64e37e899ef229f8f72c032dd6b9a03f63c19a8478c90dd67957de7d24f"),
     ("classify P432 alpha --max-index 512 --format json", "44c64c4ebe6bb00570bdb5e5aeb0d7a766ca6225e4fc199b3a779cff82965716"),
     ("classify F4_132 alpha --max-index 512 --format json", "4071ee89c53e18b7c93a124f86afc9dbf9520ac1c446359d71de15a5a00cc9a7"),
     ("classify I4_132 alpha --max-index 512 --format json", "1fbec6613adb8ebf40aeab60fb35a310c8b81532cb9547efc99885f1d2652c0b"),

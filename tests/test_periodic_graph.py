@@ -864,6 +864,28 @@ def test_riemann_hurwitz_holds_on_every_connected_edge_orbit():
     assert (len(holds), len(disconnected)) == (33, 9)
 
 
+def test_riemann_hurwitz_holds_on_every_connected_lift():
+    # G/T, of order |P|·[T0 : T], acts on the boundary of a neighbourhood of the connected lift in T³/T, of
+    # genus lift_genus, with the link's orbifold as quotient: 24·(g − 1) = −|P|·[T0 : T]·12χ.  Every invariant T
+    # to index 64 with a connected lift, on each of the 33 connected edge orbits
+    lifts = {}
+    for name in GROUPS:
+        G = make_group(name)
+        lattices = [T for T, _, _ in normal_translation_subgroups(G, 64)]
+        for e in _singular_data(G).edges:
+            g = edge_orbit_graph(G, e)
+            try:
+                cycle_image_lattice(g)
+            except Disconnected:
+                continue
+            euler12 = periodic_graphs._link_euler12(e.link)
+            lifts[name, e.orbit_id] = [T for T in lattices if lift_connected(g, T)]
+            for T in lifts[name, e.orbit_id]:
+                assert 24 * (lift_genus(g, T) - 1) == -G.point_order * index(T, G.T0) * euler12, (name, e.orbit_id, T)
+    assert len(lifts) == 33 and all(lifts.values())
+    assert sum(map(len, lifts.values())) == 288
+
+
 # ============================================================
 # the pipeline reads the record it is given, not its name
 # ============================================================
