@@ -36,7 +36,9 @@ IDENTITY: IntMat = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _over_common_denominator(v: Sequence) -> tuple[tuple[int, ...], int]:
-    """Integer numerators and their least positive common denominator for a rational vector."""
+    """Integer numerators and their least positive common denominator for a rational 3-vector; ValueError naming any other."""
+    if len(v) != 3:
+        raise ValueError(f"expected a 3-vector, got {v!r}")
     if all(type(x) is int for x in v):
         return tuple(v), 1
     # an int carries numerator and denominator too, so only other types are converted
@@ -162,22 +164,35 @@ class SubgroupHNF(checked_record("SubgroupHNF", "basis den")):
         # canonical form is checked in place instead of recomputed
         if type(basis) is not tuple:
             raise ValueError("basis must be a tuple of columns")
-        pivot = -1
-        for j, col in enumerate(basis):
-            if type(col) is not tuple or len(col) != 3:
-                raise ValueError("basis columns must be integer 3-tuples")
-            c0, c1, c2 = col
-            if type(c0) is not int or type(c1) is not int or type(c2) is not int:
-                raise ValueError("basis columns must be integer 3-tuples")
-            # pivot rows ascend, so a fourth column has nowhere to go
-            r = 0 if c0 else 1 if c1 else 2
-            p = col[r]
-            if r <= pivot or p <= 0:
-                raise ValueError("basis must be a column HNF: ascending pivot rows, positive pivots")
-            for prev in basis[:j]:
-                if not 0 <= prev[r] < p:
-                    raise ValueError("basis must be a column HNF: entries left of a pivot in [0, pivot)")
-            pivot = r
+        # the rank-3 shape of every survey row, family instance, join and T0 in straight-line code: three
+        # integer 3-tuples, zeros above the diagonal, a positive first pivot and each entry left of a pivot in
+        # [0, pivot), which makes the other two positive; any other basis takes the column loop, which names each fault
+        canonical = False
+        if len(basis) == 3:
+            h0, h1, h2 = basis
+            if type(h0) is type(h1) is type(h2) is tuple and len(h0) == len(h1) == len(h2) == 3:
+                (a, b, c), (x, d, e), (y, z, f) = basis
+                canonical = (
+                    type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is type(x) is type(y) is type(z) is int
+                    and not (x or y or z) and a > 0 and 0 <= b < d and 0 <= c < f and 0 <= e < f
+                )
+        if not canonical:
+            pivot = -1
+            for j, col in enumerate(basis):
+                if type(col) is not tuple or len(col) != 3:
+                    raise ValueError("basis columns must be integer 3-tuples")
+                c0, c1, c2 = col
+                if type(c0) is not int or type(c1) is not int or type(c2) is not int:
+                    raise ValueError("basis columns must be integer 3-tuples")
+                # pivot rows ascend, so a fourth column has nowhere to go
+                r = 0 if c0 else 1 if c1 else 2
+                p = col[r]
+                if r <= pivot or p <= 0:
+                    raise ValueError("basis must be a column HNF: ascending pivot rows, positive pivots")
+                for prev in basis[:j]:
+                    if not 0 <= prev[r] < p:
+                        raise ValueError("basis must be a column HNF: entries left of a pivot in [0, pivot)")
+                pivot = r
         # type(), not isinstance: True is an int and would pass for D = 1
         if type(den) is not int or den <= 0:
             raise ValueError("den must be a positive integer D")

@@ -51,11 +51,14 @@ class LatticeFamily(checked_record("LatticeFamily", "tag n m")):
     def __new__(cls, tag: str, n: int, m: int | None = None) -> LatticeFamily:
         if tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {tag!r}")
-        _check_index(n, "family parameter n")
+        # `_check_index`'s test inline, as every survey row builds a family; it is called only to raise
+        if type(n) is not int or n < 1:
+            _check_index(n, "family parameter n")
         if tag in HEX_TAGS:
             if m is None:
                 raise ValueError("hexagonal families require a positive parameter m")
-            _check_index(m, "family parameter m")
+            if type(m) is not int or m < 1:
+                _check_index(m, "family parameter m")
         elif m is not None:
             raise ValueError("cubic families take a single parameter")
         return tuple.__new__(cls, (tag, n, m))
@@ -481,11 +484,12 @@ def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, Latt
                 basis, den = _instance_basis(tag, u * k, None)
                 rows.append((i1 * k**3, -den, basis, LatticeFamily(tag, u * k)))
             else:  # the planar columns times k, and the axis column (0, 0, v) times j
-                plane = _scaled(L1.basis[:2], k)
-                rows += [(i1 * k * k * j, -1, (*plane, (0, 0, v * j)), LatticeFamily(tag, u * k, v * j)) for j in range(1, bound // (i1 * k * k) + 1)]
+                p0, p1 = _scaled(L1.basis[:2], k)
+                rows += [(i1 * k * k * j, -1, (p0, p1, (0, 0, v * j)), LatticeFamily(tag, u * k, v * j)) for j in range(1, bound // (i1 * k * k) + 1)]
     rows.sort()  # in place, and each sort key gives way to its row: no second list of rows is ever held
+    order = G.point_order
     for i, (d, minus_den, basis, fam) in enumerate(rows):
-        rows[i] = (SubgroupHNF(basis, -minus_den), fam, G.point_order * d)
+        rows[i] = (SubgroupHNF(basis, -minus_den), fam, order * d)
     return rows
 
 

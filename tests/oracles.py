@@ -62,6 +62,12 @@
   generators, one list per family and the odd body-centred case over den 2
   apart.  It checks the package's `instantiate`, which scales each family's
   unit lattice.
+- `subgroup_hnf_by_column_loop` and `lattice_family_by_index_checks` are the
+  checks the two records first made: every basis through one loop over its
+  columns, and each family parameter through its own index check.  They
+  check the records' constructors, which test the rank-3 basis and the
+  parameters in straight-line code; `outcome` reads a call's value, or what
+  it raises, so that the two can be compared.
 - `survey_rows_by_lattice` builds the rows of `normal_translation_subgroups`
   the way the survey first did: each lattice of an index mapped to T0 alone
   by `_from_t0_hnfs`, the index's lattices sorted by (−D, basis), and the
@@ -1028,6 +1034,64 @@ def instantiate_by_generators(tag: str, n: int, m: int | None = None) -> Subgrou
         "HEX_ROT": [(2 * n, n, 0), (n, 2 * n, 0), (0, 0, m)],
     }[tag]
     return hnf(gens)
+
+
+# ============================================================
+# the records' checks as first written
+# ============================================================
+
+
+def outcome(make, *args) -> tuple:
+    """make(*args) as a plain tuple, or the type and message of the exception it raises."""
+    try:
+        return tuple(make(*args))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def subgroup_hnf_by_column_loop(basis, den) -> tuple:
+    """The (basis, den) that `SubgroupHNF` keeps, checked by one loop over the columns at every rank; ValueError as it raises."""
+    if type(basis) is not tuple:
+        raise ValueError("basis must be a tuple of columns")
+    pivot = -1
+    for j, col in enumerate(basis):
+        if type(col) is not tuple or len(col) != 3:
+            raise ValueError("basis columns must be integer 3-tuples")
+        c0, c1, c2 = col
+        if type(c0) is not int or type(c1) is not int or type(c2) is not int:
+            raise ValueError("basis columns must be integer 3-tuples")
+        r = 0 if c0 else 1 if c1 else 2
+        p = col[r]
+        if r <= pivot or p <= 0:
+            raise ValueError("basis must be a column HNF: ascending pivot rows, positive pivots")
+        for prev in basis[:j]:
+            if not 0 <= prev[r] < p:
+                raise ValueError("basis must be a column HNF: entries left of a pivot in [0, pivot)")
+        pivot = r
+    if type(den) is not int or den <= 0:
+        raise ValueError("den must be a positive integer D")
+    if den != 1 and math.gcd(den, *itertools.chain.from_iterable(basis)) != 1:
+        raise ValueError("den must be minimal: D and the basis content must be coprime")
+    return basis, den
+
+
+def _positive_parameter(d, name: str) -> None:
+    if type(d) is not int or d < 1:
+        raise ValueError(f"{name} must be a positive integer, got {d!r}")
+
+
+def lattice_family_by_index_checks(tag, n, m=None) -> tuple:
+    """The (tag, n, m) that `LatticeFamily` keeps, each parameter checked in its own call; ValueError as it raises."""
+    if tag not in FAMILY_TAGS:
+        raise ValueError(f"unknown family tag {tag!r}")
+    _positive_parameter(n, "family parameter n")
+    if tag in HEX_TAGS:
+        if m is None:
+            raise ValueError("hexagonal families require a positive parameter m")
+        _positive_parameter(m, "family parameter m")
+    elif m is not None:
+        raise ValueError("cubic families take a single parameter")
+    return tag, n, m
 
 
 # ============================================================

@@ -55,9 +55,11 @@ from oracles import (
     mat,
     mat_inv,
     matvec,
+    outcome,
     reduce_mod,
     smith_form_by_block_scan,
     solve_linear,
+    subgroup_hnf_by_column_loop,
     vec,
 )
 
@@ -250,6 +252,76 @@ def test_subgroup_hnf_rejects_a_bool_scale():
 
 
 _entry = st.integers(min_value=-6, max_value=6)
+# what a basis entry or a den may be instead of a positive int
+_NOT_AN_INT = [True, False, 1.0, 2.0, Fraction(1), Fraction(1, 2), [1], "1", None]
+
+
+@st.composite
+def _record_arguments(draw) -> tuple:
+    """A (basis, den) pair: a canonical basis of rank 0 to 3 times a content k, with up to three faults.
+
+    A fault sets an entry of column j in a row below j to 0 or to the pivot
+    of its row, −1, +0 or +1, so next to a pivot bound; makes a pivot zero
+    or negative; puts in an entry that is not an int; makes a column a list
+    or of length 2 or 4; adds or drops a column, so from 0 to 4 or more
+    columns; or makes the basis a list.  The den may share a factor with k.
+    """
+    k = draw(st.integers(min_value=1, max_value=4))
+    cols = [[k * x for x in col] for col in hnf_columns(draw(st.lists(st.tuples(_entry, _entry, _entry), max_size=5)))]
+    lists = set()  # the columns, and "basis", to give as lists
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        fault = draw(st.sampled_from(["bound", "pivot", "entry", "list", "short", "long", "extra", "drop", "basis"]))
+        j = draw(st.integers(min_value=0, max_value=max(len(cols) - 1, 0)))
+        i = draw(st.integers(min_value=0, max_value=2))
+        if fault == "extra":
+            cols.append(list(draw(st.tuples(_entry, _entry, _entry))))
+        elif fault == "basis":
+            lists.add("basis")
+        elif j < len(cols) and len(cols[j]) == 3:
+            if fault == "bound":
+                i = max(i, min(j + 1, 2))
+                pivot = next((c[i] for c in cols if len(c) == 3 and type(c[i]) is int and c[i] > 0 and not any(c[:i])), 1)
+                cols[j][i] = draw(st.sampled_from([0, pivot])) + draw(st.sampled_from([-1, 0, 1]))
+            elif fault == "pivot":
+                cols[j][min(j, 2)] = draw(st.sampled_from([0, -1, -k]))
+            elif fault == "entry":
+                cols[j][i] = draw(st.sampled_from(_NOT_AN_INT))
+            elif fault == "list":
+                lists.add(j)
+            elif fault == "short":
+                cols[j].pop()
+            elif fault == "long":
+                cols[j].append(0)
+            else:
+                cols[j:] = cols[j + 1 :]
+    basis = [col if j in lists else tuple(col) for j, col in enumerate(cols)]
+    den = draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=12), st.sampled_from([0, -1, *_NOT_AN_INT])))
+    return (basis if "basis" in lists else tuple(basis)), den
+
+
+@st.composite
+def _rank3_with_one_fault(draw) -> tuple:
+    """A canonical rank-3 basis over den 1 with one entry changed: to 0 or ±1, to the pivot of its row −1, +0
+    or +1 (next to that pivot's bound), to minus that pivot, or to a bool, float or Fraction."""
+    a, d, f = (draw(st.integers(min_value=1, max_value=6)) for _ in range(3))
+    cols = [[a, draw(st.integers(min_value=0, max_value=d - 1)), draw(st.integers(min_value=0, max_value=f - 1))]]
+    cols += [[0, d, draw(st.integers(min_value=0, max_value=f - 1))], [0, 0, f]]
+    j, i = draw(st.integers(min_value=0, max_value=2)), draw(st.integers(min_value=0, max_value=2))
+    p = cols[i][i]
+    cols[j][i] = draw(st.sampled_from([-1, 0, 1, p - 1, p, p + 1, -p, True, 1.0, Fraction(p)]))
+    return tuple(map(tuple, cols)), 1
+
+
+@settings(max_examples=1000)
+@given(st.one_of(_record_arguments(), _rank3_with_one_fault()))
+@example((((1, 2, 0), (0, 2, 0), (0, 0, 1)), 1))  # an entry left of a pivot at its bound
+@example((((1, -1, 0), (0, 2, 0), (0, 0, 1)), 1))
+@example((((1, 0, 0), (0, 1, 0), (0, 0, 1)), True))
+@example((((2, 0, 0), (0, 2, 0), (0, 0, 2)), 2))
+def test_record_checks_as_the_column_loop_does(args):
+    # the straight-line rank-3 test accepts exactly the bases that the loop over the columns accepts, and
+    # every rejected pair, of any rank and with any number of faults, raises as the loop does
+    assert outcome(SubgroupHNF, *args) == outcome(subgroup_hnf_by_column_loop, *args)
 
 
 @given(
@@ -780,6 +852,24 @@ def test_a_vector_or_matrix_of_the_wrong_shape_is_a_value_error(name, call):
     # the kernels unpack exactly three entries, so a short or long input never reads as a 3-vector
     with pytest.raises(ValueError):
         call(make_group(name))
+
+
+# each reads a point through one boundary; the stabilizer reads it as Fractions first
+_POINT_READERS = {
+    "member": (lambda v, G: member(v, G.T0), tuple),
+    "coord_numerators": (lambda v, G: coord_numerators(v, G.T0), tuple),
+    "stabilizer": (stabilizer, lambda v: tuple(map(Fraction, v))),
+    "stabilizer_order": (stabilizer_order, tuple),
+}
+
+
+@pytest.mark.parametrize("v", [(), (1, 2), (1, Fraction(1, 2), 0, 1)], ids=["length-0", "length-2", "length-4"])
+@pytest.mark.parametrize("call, read", _POINT_READERS.values(), ids=_POINT_READERS.keys())
+def test_a_point_of_any_length_but_three_is_named_in_its_value_error(v, call, read):
+    # the boundary names the point rather than failing to unpack it
+    with pytest.raises(ValueError) as e:
+        call(v, make_group("I4_132"))
+    assert str(e.value) == f"expected a 3-vector, got {read(v)!r}"
 
 
 _PLANE = hnf([(1, 0, 0), (0, 1, 0)])

@@ -79,6 +79,73 @@ def test_the_claim_guard_reports_a_read_outside_the_verifiers(tmp_path):
     assert _claim_reads(tmp_path) == ["probe:4:claimed_constraint", "probe:5:claimed_image"]
 
 
+def _unchecked_tuple_news(src: Path) -> list[str]:
+    """Calls of `tuple.__new__` in the package that build a record past its checks, as module:line.
+
+    A call is checked where it is the last statement, a return, of the
+    `__new__` of a class built on `checked_record`, and an earlier statement
+    of that `__new__` raises; anywhere else it would be a constructor that
+    trusts its arguments.
+    """
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        checked = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                isinstance(base, ast.Call) and getattr(base.func, "id", None) == "checked_record" for base in cls.bases
+            ):
+                for fn in cls.body:
+                    if (
+                        isinstance(fn, ast.FunctionDef)
+                        and fn.name == "__new__"
+                        and isinstance(fn.body[-1], ast.Return)
+                        and any(isinstance(node, ast.Raise) for stmt in fn.body[:-1] for node in ast.walk(stmt))
+                    ):
+                        checked |= set(map(id, ast.walk(fn.body[-1])))
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "__new__"
+            and getattr(node.func.value, "id", None) == "tuple"
+            and id(node) not in checked
+        ]
+        out += [f"{path.stem}:{line}" for line in sorted(lines)]
+    return out
+
+
+def test_every_record_is_built_through_its_checks():
+    # no trusted constructor: each tuple.__new__ returns a record only after that record's own checks
+    assert _unchecked_tuple_news(SRC) == []
+
+
+def test_the_record_guard_reports_a_tuple_built_past_the_checks(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "class R(checked_record('R', 'a')):\n"
+        "    def __new__(cls, a):\n"
+        "        if a is None:\n"
+        "            raise ValueError(a)\n"
+        "        return tuple.__new__(cls, (a,))\n"
+        "    @classmethod\n"
+        "    def trusted(cls, a):\n"
+        "        return tuple.__new__(cls, (a,))\n"
+        "class S(checked_record('S', 'a')):\n"
+        "    def __new__(cls, a):\n"
+        "        if a:\n"
+        "            return tuple.__new__(cls, (a,))\n"
+        "        raise ValueError(a)\n"
+        "class T(tuple):\n"
+        "    def __new__(cls, a):\n"
+        "        if a is None:\n"
+        "            raise ValueError(a)\n"
+        "        return tuple.__new__(cls, (a,))\n"
+        "row = tuple.__new__(R, (1,))\n",
+        encoding="utf-8",
+    )
+    assert _unchecked_tuple_news(tmp_path) == ["probe:8", "probe:12", "probe:18", "probe:19"]
+
+
 # the lattice predicates run on the integer HNF; only the join still reads the `Fraction` basis vectors
 VECTOR_READERS = {"lattices.join"}
 

@@ -83,8 +83,10 @@ from oracles import (
     instantiate_by_generators,
     intersect,
     is_invariant,
+    lattice_family_by_index_checks,
     literal_invariant_sublattices,
     maximal_steps_by_enumeration,
+    outcome,
     survey_rows_by_lattice,
 )
 
@@ -145,6 +147,21 @@ def test_instantiate_rejects_what_the_family_rejects(args, message):
         LatticeFamily(*args)
     with pytest.raises(ValueError, match=message):
         instantiate(*args)
+
+
+# family parameters: small ints about the bound n ≥ 1, and values that are not ints
+_PARAMETERS = st.one_of(st.integers(min_value=-1, max_value=4), st.sampled_from([True, False, 2.0, 2.5, Fraction(2), "3", None, [2]]))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([*FAMILY_TAGS, "CUBIC_DIAGONAL", "hex_rot", None, ["HEX_ROT"]]), _PARAMETERS, _PARAMETERS)
+@example("HEX_ROT", 1, 0)
+@example("CUBIC_FACE", True, None)
+def test_family_record_checks_as_the_index_checks_do(tag, n, m):
+    # the inline test of each parameter accepts what `_check_index` accepts, and a rejected family raises as it does
+    assert outcome(LatticeFamily, tag, n, m) == outcome(lattice_family_by_index_checks, tag, n, m)
+    if m is None:
+        assert outcome(LatticeFamily, tag, n) == outcome(lattice_family_by_index_checks, tag, n)
 
 
 def test_instantiate_known_lattices():
