@@ -107,16 +107,19 @@ EDGE_LABELS = ("alpha", "beta", "gamma")
 # ============================================================
 
 
-def _constraint_holds(constraint: str, n: int, m: int | None) -> bool:
-    if constraint == "none":
-        return True
-    if constraint == "2∤n":
-        return n % 2 == 1
-    if constraint == "3∤n":
-        return n % 3 != 0
-    if constraint == "m=1":
-        return m == 1
-    raise ValueError(f"unknown constraint {constraint!r}")
+# an accepted exponent is 1, a power of 2 or of 3, or 0 (`_derived_exponent`); its one prime names its word
+_WORDS = {1: "none", 2: "2∤n", 3: "3∤n", 0: "m=1"}
+_EXPONENTS = {word: e for e, word in _WORDS.items()}
+
+
+def _word(e: int | None) -> str | None:
+    """The constraint word that rows and tables print for a family of exponent e; None for a rejected family."""
+    return None if e is None else _WORDS[e and math.gcd(e, 6)]
+
+
+def _accepts(e: int | None, n: int, m: int | None) -> bool:
+    """Theorem 1's verdict on the instance (n, m) of a family of exponent e: L₁ + I = T0 and gcd(k, e) = 1, k = m if e = 0, else n."""
+    return e is not None and math.gcd(n if e else m, e) == 1
 
 
 class ClassificationRow(checked_record("ClassificationRow", "group edge_label orbit_id family n m lattice constraint lattice_index group_order genus knotted")):
@@ -132,7 +135,12 @@ class ClassificationRow(checked_record("ClassificationRow", "group edge_label or
             raise ValueError("genus must exceed one")
         if row.group_order != _ORDER_PER_GENUS * (row.genus - 1):
             raise ValueError("group order must equal twelve times genus minus one")
-        if not _constraint_holds(row.constraint, row.n, row.m):
+        # the verdict reads m only as a positive parameter, which the family's own check makes it
+        if row.m != row.family.m:
+            raise ValueError(f"m must be the family's m, {row.family.m!r}")
+        if row.constraint not in _EXPONENTS:
+            raise ValueError(f"unknown constraint {row.constraint!r}")
+        if not _accepts(_EXPONENTS[row.constraint], row.n, row.m):
             raise ValueError("row parameters violate the derived constraint")
         return row
 
@@ -221,12 +229,12 @@ class VerificationReport(NamedTuple):
 
 
 class _Case(NamedTuple):
-    """One labelled marked edge orbit: its edge, suppressed quotient graph, cycle image and constraint per family tag."""
+    """One labelled marked edge orbit: its edge, suppressed quotient graph, cycle image and exponent per family tag."""
 
     edge: SingularEdge
     graph: PeriodicGraph
     image: SubgroupHNF
-    constraints: dict[str, str | None]
+    exponents: dict[str, int | None]
 
 
 def labeled_marked_edges(name: str) -> dict[str, SingularEdge]:
@@ -262,49 +270,49 @@ def _cases(G: SpaceGroup) -> tuple[dict[str, int], dict[str, _Case]]:
     if len({o[0] for o in orbits}) != len(orbits) or first + len(orbits) > len(EDGE_LABELS):
         raise InvariantViolation(f"{G.name}: marked orbits of [T0 : I] {[o[0] for o in orbits]} take no labels")
     cases = {
-        label: _Case(e, g, I, {tag: _derived_constraint(I, G.T0, tag, L1) for _, tag, _, L1 in keyed})
+        label: _Case(e, g, I, {tag: _derived_exponent(I, G.T0, tag, L1) for _, tag, _, L1 in keyed})
         for label, (_, _, e, g, I) in zip(EDGE_LABELS[first:], orbits)
     }
     return mults, cases
 
 
-def _derived_constraint(I: SubgroupHNF, T0: SubgroupHNF, tag: str, L1: SubgroupHNF) -> str | None:
-    """Divisibility constraint of one lattice family, read off T0/I; None rejects it.
+def _derived_exponent(I: SubgroupHNF, T0: SubgroupHNF, tag: str, L1: SubgroupHNF) -> int | None:
+    """The exponent e of T0/I that decides one lattice family (`_accepts`); None rejects the family.
 
     A covering lattice T is accepted iff T + I = T0, with I the cycle image
-    of the case graph, and `_fills_t0` decides L₁ + I = T0.
+    of the case graph, and `_fills_t0` decides L₁ + I = T0.  e ≥ 0 generates
+    the ideal of all k with k·(T0/I) = 0: the last Smith invariant of I in
+    T0-coordinates for a rank-3 I, and 0 for T0/I ≅ ℤ (Newman, *Integral
+    Matrices*, ch. II).
 
     Cubic family, I of rank 3: the instance with reduced parameter n is n·L₁,
-    L₁ = instantiate(tag, mult).  T0/I is finite of order N = [T0 : I], and
-    its exponent has the same primes as N.  The image of n·L₁ in T0/I is n
-    times the image of L₁.  If L₁ + I ≠ T0, that image is a proper subgroup
-    for every n.  Otherwise it is n·(T0/I), which is all of T0/I iff
-    gcd(n, N) = 1.
+    L₁ = instantiate(tag, mult).  T0/I is finite, and e has the primes of
+    [T0 : I].  The image of n·L₁ in T0/I is n times the image of L₁.  If
+    L₁ + I ≠ T0, that is a proper subgroup for every n.  Otherwise it is
+    n·(T0/I), which is all of T0/I iff gcd(n, e) = 1.
 
     Hexagonal family, I of rank 2: the instance is n·P + ℤ·m·e₃, with P the
     planar part of L₁ = instantiate(tag, mult, 1).  If T0/I ≅ ℤ (Smith
-    invariants 1, 1 of I in T0-coordinates), the quotient is torsion-free,
-    so I = T0 ∩ span(I).  When I also lies in the plane z = 0, it contains
-    P.  The image of the instance in T0/I ≅ ℤ is then m times the image of
-    L₁, which is all of ℤ iff m = 1 and L₁ + I = T0.
+    invariants 1, 1), the quotient is torsion-free, so I = T0 ∩ span(I).
+    When I also lies in the plane z = 0, it contains P.  The image of the
+    instance in T0/I ≅ ℤ is then m times the image of L₁, which is all of ℤ
+    iff L₁ + I = T0 and gcd(m, 0) = m = 1.
     """
-    if tag in HEX_TAGS:
-        if I.rank != 2 or any(h[2] for h in I.basis):
-            raise InvariantViolation(f"{tag}: cycle image is not a lattice in the plane z = 0")
-        _, diag, _ = smith_form(list(zip(*relative_coordinates(I, T0))))
-        if diag != [1, 1]:
-            raise InvariantViolation(f"{tag}: T0/I has torsion, Smith invariants {diag}")
-        return "m=1" if _fills_t0(L1, I, T0) else None
-    if I.rank != 3:
+    if tag in HEX_TAGS and (I.rank != 2 or any(h[2] for h in I.basis)):
+        raise InvariantViolation(f"{tag}: cycle image is not a lattice in the plane z = 0")
+    if tag not in HEX_TAGS and I.rank != 3:
         raise InvariantViolation(f"{tag}: cycle image of rank {I.rank}, not 3")
+    # from here a hexagonal family has I of rank 2, a cubic one of rank 3
+    _, diag, _ = smith_form(list(zip(*relative_coordinates(I, T0))))
+    if I.rank == 2 and diag != [1, 1]:
+        raise InvariantViolation(f"{tag}: T0/I has torsion, Smith invariants {diag}")
     if not _fills_t0(L1, I, T0):
         return None
-    N = index(I, T0)
-    # the primes of N all divide 6 iff N | 6^N, since no exponent in N exceeds N
-    constraint = {1: "none", 2: "2∤n", 3: "3∤n"}.get(math.gcd(N, 6))
-    if constraint is None or pow(6, N, N):
-        raise InvariantViolation(f"{tag}: no listed constraint for [T0 : I] = {N}")
-    return constraint
+    e = diag[-1] if I.rank == 3 else 0
+    # the primes of e all divide 6 iff e | 6^e, since no exponent in e exceeds e
+    if e and (math.gcd(e, 6) == 6 or pow(6, e, e)):
+        raise InvariantViolation(f"{tag}: no listed constraint for [T0 : I] = {math.prod(diag)}")
+    return e
 
 
 def _fills_t0(L: SubgroupHNF, I: SubgroupHNF, T0: SubgroupHNF) -> bool:
@@ -348,13 +356,13 @@ def _classify(G: SpaceGroup, edge: str, max_index: int) -> list[ClassificationRo
         if mult is None or fam.n % mult:
             raise InvariantViolation(f"{G.name}: {fam.tag} parameter {fam.n} is not a multiple of its multiplier {mult}")
         n, m = fam.n // mult, fam.m
-        constraint = case.constraints[fam.tag]
-        accepted = constraint is not None and _constraint_holds(constraint, n, m)
+        e = case.exponents[fam.tag]
+        accepted = _accepts(e, n, m)
         # the lift criterion is the second route to every verdict
         if lift_connected(case.graph, L) != accepted:
             raise InvariantViolation(
                 f"{G.name} {edge}: lift of {fam.tag} n={n}, m={m} disagrees with "
-                f"the derived constraint {constraint!r}"
+                f"the derived constraint {_word(e)!r}"
             )
         if accepted:
             rows.append(
@@ -366,7 +374,7 @@ def _classify(G: SpaceGroup, edge: str, max_index: int) -> list[ClassificationRo
                     n=n,
                     m=m,
                     lattice=L,
-                    constraint=constraint,
+                    constraint=_word(e),
                     lattice_index=pi1 // G.point_order,
                     group_order=pi1,
                     genus=pi1 // _ORDER_PER_GENUS + 1,
@@ -387,7 +395,7 @@ def theorem1_cells() -> tuple[Theorem1Cell, ...]:
     return tuple(
         Theorem1Cell(
             column=column, group=group, edge_label=edge, form=f.form, coefficient=f.coefficient, exponent=f.exponent,
-            constraint=_case(make_group(group), edge).constraints[f.tag], knotted=claim.knotted,
+            constraint=_word(_case(make_group(group), edge).exponents[f.tag]), knotted=claim.knotted,
         )
         for column, ((group, edge), claim) in enumerate(THEOREM_1.items(), start=1)
         for f in claim.families

@@ -408,7 +408,9 @@ def coord_numerators(v: Sequence, sub: SubgroupHNF) -> tuple[IntVec, int]:
 
 
 def from_numerators(n: Sequence[int], den: int, sub: SubgroupHNF) -> Vec3:
-    """The vector B·n/den = H·n/(q·den) with the coordinates n/den."""
+    """The vector B·n/den = H·n/(q·den) with the coordinates n/den; ValueError unless n is a 3-vector."""
+    if len(n) != 3:
+        raise ValueError(f"expected a 3-vector, got {n!r}")
     (x,) = hnf_product(_rank3_basis(sub), (n,))
     return tuple(Fraction(c, sub.den * den) for c in x)  # type: ignore[return-value]
 
@@ -417,8 +419,10 @@ def frame_coords_matrix(m: Sequence[Sequence[int]], basis: Sequence[Sequence[int
     """H⁻¹·m·H for H the matrix whose columns are a rank-3 column HNF basis, or None when m does not preserve its lattice.
 
     Column j solves H·x = m·Hⱼ (`hnf_solve`), and m preserves the lattice
-    exactly when all three solutions are integral.
+    exactly when all three solutions are integral.  An m not 3×3 is a ValueError.
     """
+    if len(m) != 3 or any(len(row) != 3 for row in m):
+        raise ValueError(f"expected a 3×3 matrix, got {m!r}")
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
     cols = [
         hnf_solve(basis, (m00 * h0 + m01 * h1 + m02 * h2, m10 * h0 + m11 * h1 + m12 * h2, m20 * h0 + m21 * h1 + m22 * h2))

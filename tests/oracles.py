@@ -87,6 +87,10 @@
 - `coords_matrix` writes a map in a lattice basis by the adjugate,
   adj(H)·m·H / det H.  It checks the package's forward substitution through
   the triangular basis, `frame_coords_matrix`.
+- `constraint_holds` decides a row by parsing its constraint word, the way
+  the classification first did.  It checks the package's one arithmetic
+  verdict, gcd(k, e) = 1 on the exponent e of T0/I, through the word that
+  the package renders for e.
 
 - `vec`, `vadd`, `vneg`, `vscale` and `mat` build and combine `Fraction`
   vectors and matrices.  `from_coords`, `_from_t0_coords` and `translation`
@@ -1224,3 +1228,21 @@ def suppress_valence_two_by_rescan(g: PeriodicGraph) -> PeriodicGraph:
         vertices=tuple(g.vertices[v] for v in keep),
         edges=tuple(_normalize_edge(order[i], order[j], s) for i, j, s in edges),
     )
+
+
+# ============================================================
+# the verdict by constraint word
+# ============================================================
+
+
+def constraint_holds(constraint: str, n: int, m: int | None) -> bool:
+    """Whether the reduced parameters (n, m) of a family instance meet its constraint word."""
+    if constraint == "none":
+        return True
+    if constraint == "2∤n":
+        return n % 2 == 1
+    if constraint == "3∤n":
+        return n % 3 != 0
+    if constraint == "m=1":
+        return m == 1
+    raise ValueError(f"unknown constraint {constraint!r}")

@@ -15,11 +15,12 @@ from torsym.classify import (
     CASES,
     THEOREM_1,
     ClassificationRow,
+    _accepts,
     _cases,
     _classify,
-    _constraint_holds,
-    _derived_constraint,
+    _derived_exponent,
     _fills_t0,
+    _word,
     classify_case,
     labeled_marked_edges,
     report_to_json,
@@ -38,7 +39,9 @@ from torsym.errors import Disconnected, InvariantViolation
 from torsym.lattices import SubgroupHNF, _from_t0_hnfs, covolume, hnf, hnf_columns, index, int_matvec, is_subgroup, join
 from torsym.periodic_graphs import PeriodicGraph, SingularEdge, cycle_image_lattice, edge_orbit_graph, lift_connected_bruteforce
 from torsym.spacegroups import CUBIC_FRAME, GROUP_NAMES, ROT_XYZ, Isometry, SpaceGroup, _closure, make_group
-from torsym.sublattices import FAMILY_TAGS, LatticeFamily, instantiate
+from torsym.sublattices import FAMILY_TAGS, LatticeFamily, instantiate, normal_translation_subgroups
+
+from oracles import constraint_holds
 
 # ============================================================
 # marked edge labels
@@ -268,14 +271,13 @@ def test_derived_constraints_agree_with_bruteforce_lifts(case):
     g = cases[edge].graph
     checked_ns = set()
     for tag, mult in mults.items():
-        constraint = cases[edge].constraints[tag]
+        e = cases[edge].exponents[tag]
         for n in AGREEMENT_NS:
             for m in (1, 2, 3) if tag.startswith("HEX") else (None,):
                 L = instantiate(tag, mult * n, m)
                 if index(L, T0) > AGREEMENT_MAX_INDEX:
                     continue
-                derived = constraint is not None and _constraint_holds(constraint, n, m)
-                assert lift_connected_bruteforce(g, L) == derived, (tag, n, m)
+                assert lift_connected_bruteforce(g, L) == _accepts(e, n, m), (tag, n, m)
                 checked_ns.add(n)
     assert checked_ns == set(AGREEMENT_NS)
 
@@ -287,29 +289,76 @@ def _single_vertex_graph(shifts):
     )
 
 
-def test_derived_constraint_rejects_an_index_without_a_listed_word():
-    # T0/I = Z/6 has primes 2 and 3 at once, which no listed constraint names
-    first, second = instantiate("CUBIC_PRIMITIVE", 1), instantiate("CUBIC_PRIMITIVE", 2)
-    g = _single_vertex_graph([(1, 0, 0), (0, 1, 0), (0, 0, 6)])
-    with pytest.raises(InvariantViolation, match=r"\[T0 : I\] = 6"):
-        _derived_constraint(cycle_image_lattice(g), g.T0, "CUBIC_PRIMITIVE", first)
-    g = _single_vertex_graph([(1, 0, 0), (0, 1, 0), (0, 0, 4)])
-    assert _derived_constraint(cycle_image_lattice(g), g.T0, "CUBIC_PRIMITIVE", first) == "2∤n"
-    assert _derived_constraint(cycle_image_lattice(g), g.T0, "CUBIC_PRIMITIVE", second) is None
+# (k with T0/I = Z/k, u with L₁ = u·ℤ³, the exponent or the message of the InvariantViolation, its word)
+_CYCLIC_QUOTIENTS = [
+    # Z/6, Z/10 and Z/5 have a prime that no word names: both primes 2 and 3, or one outside 6
+    (6, 1, r"\[T0 : I\] = 6", None),
+    (10, 1, r"\[T0 : I\] = 10", None),
+    (5, 1, r"\[T0 : I\] = 5", None),
+    (4, 1, 4, "2∤n"),
+    (8, 1, 8, "2∤n"),
+    (9, 1, 9, "3∤n"),
+    # 2·ℤ³ + I misses T0, so the family is rejected for every n
+    (4, 2, None, None),
+]
+
+
+@pytest.mark.parametrize("k, u, expected, word", _CYCLIC_QUOTIENTS, ids=[f"Z{k}-L{u}" for k, u, *_ in _CYCLIC_QUOTIENTS])
+def test_derived_exponent_rejects_an_index_without_a_listed_word(k, u, expected, word):
+    g = _single_vertex_graph([(1, 0, 0), (0, 1, 0), (0, 0, k)])
+    args = (cycle_image_lattice(g), g.T0, "CUBIC_PRIMITIVE", instantiate("CUBIC_PRIMITIVE", u))
+    if isinstance(expected, str):
+        with pytest.raises(InvariantViolation, match=expected):
+            _derived_exponent(*args)
+    else:
+        e = _derived_exponent(*args)
+        assert (e, _word(e)) == (expected, word)
+
+
+def test_the_verdict_matches_the_constraint_words_on_every_surveyed_row():
+    # the surveyed rows of each case to index 512, accepted or not, against the word route of the oracle
+    for group, edge in CASES:
+        mults, cases = _cases(make_group(group))
+        for _, fam, _ in normal_translation_subgroups(make_group(group), 512):
+            n, e = fam.n // mults[fam.tag], cases[edge].exponents[fam.tag]
+            words = e is not None and constraint_holds(_word(e), n, fam.m)
+            assert _accepts(e, n, fam.m) == words, (group, edge, fam)
+
+
+@given(st.sampled_from([0, 1, 2, 3, 4, 8, 9]), st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
+@example(0, 2, 1)
+@example(0, 1, 2)
+@example(4, 6, 1)
+@example(9, 6, 1)
+def test_the_verdict_matches_its_rendered_word(e, n, m):
+    # e = 0 acts on m alone, every other listed e on n alone
+    assert _accepts(e, n, m) == constraint_holds(_word(e), n, m)
+    assert not _accepts(None, n, m)
 
 
 def test_classify_case_raises_when_a_lift_contradicts_the_constraint(monkeypatch):
-    # I432 beta rejects some lattices up to index 8, so "none" cannot hold
+    # I432 beta rejects some lattices up to index 8, so e = 1 for every family, "none", cannot hold
     mults, cases = _cases(make_group("I432"))
-    forced = {label: c._replace(constraints=dict.fromkeys(c.constraints, "none")) for label, c in cases.items()}
+    forced = {label: c._replace(exponents=dict.fromkeys(c.exponents, 1)) for label, c in cases.items()}
     monkeypatch.setattr(classify, "_cases", lambda G: (mults, forced))
     with pytest.raises(InvariantViolation, match="disagrees with the derived constraint"):
         classify_case("I432", "beta", 8)
 
 
+def test_classify_case_raises_when_i432_gamma_takes_the_exponent_one(monkeypatch):
+    # the accepted family of I432 gamma has e = 2; with e = 1 its n = 2 instance, which the lift rejects, would pass
+    mults, cases = _cases(make_group("I432"))
+    gamma = cases["gamma"]
+    assert gamma.exponents == {"CUBIC_BODY": 2, "CUBIC_PRIMITIVE": None, "CUBIC_FACE": None}
+    forced = dict(cases, gamma=gamma._replace(exponents={tag: e and 1 for tag, e in gamma.exponents.items()}))
+    monkeypatch.setattr(classify, "_cases", lambda G: (mults, forced))
+    with pytest.raises(InvariantViolation, match="CUBIC_BODY n=2, m=None disagrees with the derived constraint 'none'"):
+        classify_case("I432", "gamma", 8)
+
+
 def test_the_cases_build_with_every_join_refused(monkeypatch):
-    # the derived constraints decide L₁ + I = T0 by the 3×3 minors; only the lift route joins
-    want = {name: {label: c.constraints for label, c in _cases(make_group(name))[1].items()} for name in GROUP_NAMES}
+    # the derived exponents decide L₁ + I = T0 by the 3×3 minors; only the lift route joins
+    want = {name: {label: c.exponents for label, c in _cases(make_group(name))[1].items()} for name in GROUP_NAMES}
 
     def refuse(*_):
         raise AssertionError("the constraint route called join")
@@ -320,7 +369,7 @@ def test_the_cases_build_with_every_join_refused(monkeypatch):
         monkeypatch.setattr(module, "join", refuse)
     for name in GROUP_NAMES:
         _, cases = _cases.__wrapped__(make_group(name))
-        assert {label: c.constraints for label, c in cases.items()} == want[name]
+        assert {label: c.exponents for label, c in cases.items()} == want[name]
 
 
 t0_columns = st.lists(st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3), max_size=3)
@@ -341,7 +390,7 @@ def test_the_minors_decide_whether_a_join_fills_t0(name, l_cols, i_cols, planar)
 
 
 def test_a_join_that_drops_a_column_breaks_the_lift_route(monkeypatch):
-    # the constraints no longer share the join, so a wrong join meets a verdict it cannot match
+    # the exponents do not share the join, so a wrong join meets a verdict it cannot match
     lift_join = periodic_graphs.join
     monkeypatch.setattr(periodic_graphs, "join", lambda a, b: lift_join(a, hnf(b.vectors()[:-1])))
     with pytest.raises(InvariantViolation, match="disagrees with the derived constraint"):
@@ -431,6 +480,12 @@ def test_row_validation():
     # a valid genus, so the constraint is what fails
     with pytest.raises(ValueError, match="unknown constraint '5∤n'"):
         row._replace(constraint="5∤n")
+    # gcd(−1, 0) = 1, so only the family's check keeps m = −1 from passing as m = 1
+    hex_row = classify_case("P622", "beta", 1)[0]
+    assert (hex_row.m, hex_row.constraint) == (1, "m=1")
+    for m in (-1, 2, None):
+        with pytest.raises(ValueError, match="m must be the family's m, 1"):
+            hex_row._replace(m=m)
 
 
 _Z3 = SubgroupHNF(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1)

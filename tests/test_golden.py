@@ -19,12 +19,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
 
 from torsym import cli, classify_case, instantiate, labeled_marked_edges, theorem1_cells, theorem1_table, verify_claims
-from torsym.classify import THEOREM_1, _cases
+from torsym.classify import THEOREM_1, _cases, _word
 from torsym.periodic_graphs import _normalizer_solutions, _singular_data, edge_orbit_graph
 from torsym.spacegroups import GROUP_NAMES, make_group
 from torsym.sublattices import LatticeFamily, _walked_rows, normal_translation_subgroups
@@ -98,7 +99,8 @@ SURVEY_512 = (
 ORBIT_GRAPHS = "cdbe26378f8da5abb14b2019a1ecbef8d4130f9ae80af6b165ddcdcbbb53865f"
 
 # SHA-256 of the repr of one instance of every record, recorded while the records were dataclasses:
-# the field names, their order, the values and the repr without `SpaceGroup.maps` stay as they were
+# the field names, their order, the values and the repr without `SpaceGroup.maps` stay as they were,
+# except `_Case`, re-recorded when its constraint words became exponents (`WORDED_CASE_REPRS`)
 RECORD_REPRS = (
     ("Frame", "f2111879a75fd474c20faeb43b68cd60d90045d7d871806239edc4c458339b87"),
     ("SpaceGroup", "69f2b9ec1cfeca506e7ca812b92094c6e7b3d0a6519649b17478ade2bf3aff63"),
@@ -113,19 +115,32 @@ RECORD_REPRS = (
     ("ClaimCheck", "ff3b4462b93a06a09bec04a2e57540eaf4d077035dce4358019e264a4e6f5dec"),
     ("VerificationReport", "3390a7214559dd333a2d7c630aa9b1b9edc0e2c2386ac9aacd030eccc6339540"),
     ("_CaseClaim", "f1443e1f2ef8d2c20b91348a9519b91c0eea2021ba7c3d542bae2f4c395eca06"),
-    ("_Case", "1bd05e5550a306ad88a49a3c0f03abc7c9c53af443f7f7c646dd21e29c1a9aac"),
+    ("_Case", "a9d14ae6b11d5cf99b117ecc246074a0ef40158dbda7289a0c86eea8b3526b87"),
     ("_SingularData", "62faa4f1e4222f7fee9f1b5f71f6be2dd75a6d931919758e1219897d1584a0dc"),
 )
 
 # SHA-256 of the repr of _singular_data(G), _normalizer_solutions(G) and _cases(G) per group: the internal
-# records that the cold case layer builds and every table reads
+# records that the cold case layer builds and every table reads; `_cases` re-recorded with `_Case` above
 CASE_LAYER_REPRS = (
-    ("P432", "e4e79bab47b60fda1d629de17d50019cadff06389bbe83351e4cabc3e9bf22a3", "05c9b53e9bdae61583eac54cf4cf3e414f593ad0d5c1005553f22c392893d0f1", "9d03794bf72895272424260d88811152e2f1c7c358dded2a64eb431880f927cc"),
-    ("F4_132", "776bf6c697a659b21bdb0db4bc5c76bf8db84fefa8a401c8b9e115012d89731a", "8843237b169d59e9cf022a14430c396120451ec34f8bdc8ce77f793580e7bf6d", "6df8d971ff25cd069b5bdaccf07b87c80cfa246ae8780dc46a5317f9f7a70db8"),
-    ("I4_132", "62faa4f1e4222f7fee9f1b5f71f6be2dd75a6d931919758e1219897d1584a0dc", "95891888c5b95575da5a5238b5e8cd5bba3c4d76a103986d2e22764dff16a67b", "857577b3e222ec0d722e2957b10fc41ff795f136766aa494ba07f5703f901cee"),
-    ("I432", "4e8b2a38b7133e40e574a57d317bafdecd0300e2992fc225164040ff83c2aac8", "be2b228c2ca5f11b5bfa1e016ebeee9aaa3e22b140551463e9a173dea51ca1f4", "530ebd2559aa1d29fbd5a0066ca8dabbf8e427d70fe246e5200e62dc07bc28bf"),
-    ("P4_232", "0f3c315c13445c938b77d940fa96fe8b237d49ddf8c17ff2f26adcd4d06e48fa", "d6f07e27393b330fa954a3c18b70ba6dcd8c7073be74dae3ee9b7bc95db4d5e5", "99e0116feb7acb30880dfe3e29e7d593b8236983d8623ac88188b550d9a9513a"),
-    ("P622", "a3b7d573fc5d878faf50964a707ff8a5d201cbce44f76fa91e24c73e7109d7db", "45f9ac098f67e85b924d53ca0e919cdef993a7fd8dbf3b0dc7a1d244fa59f696", "0796770980bbd8b39a5a778d49b01fe97735d6953b9ce1460f57de798a3d65ca"),
+    ("P432", "e4e79bab47b60fda1d629de17d50019cadff06389bbe83351e4cabc3e9bf22a3", "05c9b53e9bdae61583eac54cf4cf3e414f593ad0d5c1005553f22c392893d0f1", "90409a04e3b55b5dd2ff02cb0ce68d720e7f813f303d6470ed9c77db24b37068"),
+    ("F4_132", "776bf6c697a659b21bdb0db4bc5c76bf8db84fefa8a401c8b9e115012d89731a", "8843237b169d59e9cf022a14430c396120451ec34f8bdc8ce77f793580e7bf6d", "a7b6718124c22a5f7c6e3d982d5f84136b6f12a51db7e0092b8592889e5036b4"),
+    ("I4_132", "62faa4f1e4222f7fee9f1b5f71f6be2dd75a6d931919758e1219897d1584a0dc", "95891888c5b95575da5a5238b5e8cd5bba3c4d76a103986d2e22764dff16a67b", "2d7ec82001944f01f9e4e7bc5bee5710e2086732c43aa05a746c242c60dea8b4"),
+    ("I432", "4e8b2a38b7133e40e574a57d317bafdecd0300e2992fc225164040ff83c2aac8", "be2b228c2ca5f11b5bfa1e016ebeee9aaa3e22b140551463e9a173dea51ca1f4", "22eb5b6a81bc43558044698557bb7f27c8c2e7a45889233c813c3f3f6a1887c1"),
+    ("P4_232", "0f3c315c13445c938b77d940fa96fe8b237d49ddf8c17ff2f26adcd4d06e48fa", "d6f07e27393b330fa954a3c18b70ba6dcd8c7073be74dae3ee9b7bc95db4d5e5", "e4a29763b97d0cf0918d66768a2aeb92bc811507777caa9e891a34275b9779c5"),
+    ("P622", "a3b7d573fc5d878faf50964a707ff8a5d201cbce44f76fa91e24c73e7109d7db", "45f9ac098f67e85b924d53ca0e919cdef993a7fd8dbf3b0dc7a1d244fa59f696", "5d4a0c0ed878eec921e19d7745e489a4f1c99cf62d537fa027a78269f372b332"),
+)
+
+# SHA-256 of the reprs above of `_Case` and of `_cases(G)` per group as they were recorded while each case held
+# its constraint words in a field `constraints`: the records rebuilt that way, each exponent rendered to its word
+_WordedCase = namedtuple("_Case", "edge graph image constraints")
+WORDED_CASE_REPRS = (
+    ("_Case", "1bd05e5550a306ad88a49a3c0f03abc7c9c53af443f7f7c646dd21e29c1a9aac"),
+    ("P432", "9d03794bf72895272424260d88811152e2f1c7c358dded2a64eb431880f927cc"),
+    ("F4_132", "6df8d971ff25cd069b5bdaccf07b87c80cfa246ae8780dc46a5317f9f7a70db8"),
+    ("I4_132", "857577b3e222ec0d722e2957b10fc41ff795f136766aa494ba07f5703f901cee"),
+    ("I432", "530ebd2559aa1d29fbd5a0066ca8dabbf8e427d70fe246e5200e62dc07bc28bf"),
+    ("P4_232", "99e0116feb7acb30880dfe3e29e7d593b8236983d8623ac88188b550d9a9513a"),
+    ("P622", "0796770980bbd8b39a5a778d49b01fe97735d6953b9ce1460f57de798a3d65ca"),
 )
 
 # SHA-256 of the repr of normal_translation_subgroups(G, 256), records and all
@@ -227,6 +242,21 @@ def test_the_case_layer_records_are_pinned_by_repr(name, singular, normalizer, c
     G = make_group(name)
     reprs = [hashlib.sha256(repr(f(G)).encode()).hexdigest() for f in (_singular_data, _normalizer_solutions, _cases)]
     assert reprs == [singular, normalizer, cases]
+
+
+def _worded(case) -> _WordedCase:
+    return _WordedCase(case.edge, case.graph, case.image, {tag: _word(e) for tag, e in case.exponents.items()})
+
+
+@pytest.mark.parametrize("name, digest", WORDED_CASE_REPRS, ids=[n for n, _ in WORDED_CASE_REPRS])
+def test_the_cases_render_to_the_records_of_constraint_words(name, digest):
+    # the exponents carry exactly what the words did: rendered, each case repr is the one pinned before
+    if name == "_Case":
+        record = _worded(_cases(make_group("P4_232"))[1]["gamma"])
+    else:
+        mults, cases = _cases(make_group(name))
+        record = (mults, {label: _worded(case) for label, case in cases.items()})
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name, digest", SURVEY_256_REPRS, ids=[n for n, _ in SURVEY_256_REPRS])

@@ -832,26 +832,41 @@ def test_the_basis_change_kernels_match_the_fraction_inverse(L, v, m, coeffs, ot
                 relative_coordinates(sub, L)
 
 
+_V2 = "expected a 3-vector, got (1, 2)"
+_V4 = "expected a 3-vector, got (1, 2, 3, 4)"
+_F0 = "Fraction(0, 1)"
+
+# each wrong-shape call and the message that names its input, as the boundary reads it
 _MALFORMED = {
-    "coord_numerators-2": lambda G: coord_numerators((1, 2), G.T0),
-    "coord_numerators-4": lambda G: coord_numerators((1, 2, 3, 4), G.T0),
-    "from_numerators-2": lambda G: from_numerators((1, 2), 1, G.T0),
-    "from_numerators-4": lambda G: from_numerators((1, 2, 3, 4), 1, G.T0),
-    "stabilizer-2": lambda G: stabilizer((0, 0), G),
-    "stabilizer-4": lambda G: stabilizer((0, 0, 0, 0), G),
-    "stabilizer_order-2": lambda G: stabilizer_order((0, 0), G),
-    "invariant_coords_matrix-2x2": lambda G: invariant_coords_matrix(((1, 0), (0, 1)), G.T0),
-    "invariant_coords_matrix-3x2": lambda G: invariant_coords_matrix(((1, 0), (0, 1), (0, 0)), G.T0),
-    "frame_coords_matrix-4x3": lambda G: frame_coords_matrix(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)), G.T0.basis),
+    "coord_numerators-2": (lambda G: coord_numerators((1, 2), G.T0), _V2),
+    "coord_numerators-4": (lambda G: coord_numerators((1, 2, 3, 4), G.T0), _V4),
+    "from_numerators-2": (lambda G: from_numerators((1, 2), 1, G.T0), _V2),
+    "from_numerators-4": (lambda G: from_numerators((1, 2, 3, 4), 1, G.T0), _V4),
+    "stabilizer-2": (lambda G: stabilizer((0, 0), G), f"expected a 3-vector, got ({_F0}, {_F0})"),
+    "stabilizer-4": (lambda G: stabilizer((0, 0, 0, 0), G), f"expected a 3-vector, got ({_F0}, {_F0}, {_F0}, {_F0})"),
+    "stabilizer_order-2": (lambda G: stabilizer_order((0, 0), G), "expected a 3-vector, got (0, 0)"),
+    "invariant_coords_matrix-2x2": (
+        lambda G: invariant_coords_matrix(((1, 0), (0, 1)), G.T0),
+        "expected a 3×3 matrix, got ((1, 0), (0, 1))",
+    ),
+    "invariant_coords_matrix-3x2": (
+        lambda G: invariant_coords_matrix(((1, 0), (0, 1), (0, 0)), G.T0),
+        "expected a 3×3 matrix, got ((1, 0), (0, 1), (0, 0))",
+    ),
+    "frame_coords_matrix-4x3": (
+        lambda G: frame_coords_matrix(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)), G.T0.basis),
+        "expected a 3×3 matrix, got ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", ["P432", "I4_132"])
-@pytest.mark.parametrize("call", _MALFORMED.values(), ids=_MALFORMED.keys())
-def test_a_vector_or_matrix_of_the_wrong_shape_is_a_value_error(name, call):
-    # the kernels unpack exactly three entries, so a short or long input never reads as a 3-vector
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("call, message", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_a_vector_or_matrix_of_the_wrong_shape_is_a_value_error(name, call, message):
+    # the boundary names a short or long input rather than failing to unpack it as a 3-vector
+    with pytest.raises(ValueError) as e:
         call(make_group(name))
+    assert str(e.value) == message
 
 
 # each reads a point through one boundary; the stabilizer reads it as Fractions first

@@ -169,6 +169,50 @@ def _callers(src: Path, callee: str) -> list[str]:
     return out
 
 
+# the constraint words that rows and tables print: the verdict is arithmetic, so the package spells them
+# only in the table that renders an exponent (`classify._WORDS`) and in the paper's claimed constraints
+WORDS = {"2∤n", "3∤n", "m=1"}
+
+
+def _word_literals(src: Path) -> list[str]:
+    """String constants of the package that spell a constraint word anywhere else, as module:line.
+
+    A word may stand in the top-level assignment to `_WORDS`, and as the
+    `claimed_constraint` of a `_ClaimedFamily` in the one to `THEOREM_1`.
+    """
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for stmt in tree.body:
+            if _top_level_name(stmt) == "_WORDS":
+                allowed |= set(map(id, ast.walk(stmt)))
+            elif _top_level_name(stmt) == "THEOREM_1":
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_ClaimedFamily":
+                        claimed = node.args[1:2] + [k.value for k in node.keywords if k.arg == "claimed_constraint"]
+                        allowed |= set(map(id, claimed))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value in WORDS and id(node) not in allowed]
+        out += [f"{path.stem}:{line}" for line in sorted(lines)]
+    return out
+
+
+def test_the_constraint_words_are_only_a_rendering():
+    assert _word_literals(SRC) == []
+
+
+def test_the_word_guard_reports_a_word_outside_the_rendering(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        '_WORDS = {2: "2∤n", 0: "m=1"}\n'
+        'THEOREM_1 = {"c": (_ClaimedFamily("T", "3∤n", "2∤n"), _ClaimedFamily("T", claimed_constraint="m=1"))}\n'
+        "def holds(word, n):\n"
+        '    return word == "2∤n" and n % 2\n'
+        'words = ("none", "3∤n")\n',
+        encoding="utf-8",
+    )
+    assert _word_literals(tmp_path) == ["probe:2", "probe:4", "probe:5"]
+
+
 def _exports_defined_elsewhere(src: Path) -> list[str]:
     """Names listed in a module's `__all__` that no top-level statement of that module defines, as module.name."""
     out = []
