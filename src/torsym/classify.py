@@ -5,17 +5,17 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import NamedTuple
 
-from .errors import Disconnected, InvariantViolation
+from .errors import Disconnected, InvariantViolation, TorsymError
 from .lattices import SubgroupHNF, checked_record, covolume, hnf, index, mat_det, relative_coordinates, smith_form
 from .periodic_graphs import (
     _ORDER_PER_GENUS,
     PeriodicGraph,
     SingularEdge,
+    _lifts,
     _link_euler12,
     _singular_data,
     cycle_image_lattice,
     edge_orbit_graph,
-    lift_connected,
     lift_connected_bruteforce,
     marked_edges,
 )
@@ -138,6 +138,12 @@ class ClassificationRow(checked_record("ClassificationRow", "group edge_label or
         # the verdict reads m only as a positive parameter, which the family's own check makes it
         if row.m != row.family.m:
             raise ValueError(f"m must be the family's m, {row.family.m!r}")
+        # n is the family's parameter over the group's multiplier, which a record of the same T0 shares
+        if row.group not in GROUP_NAMES:
+            raise ValueError(f"unknown group {row.group!r}")
+        mult = _cases(make_group(row.group))[0].get(row.family.tag)
+        if mult is None or row.family.n != mult * row.n:
+            raise ValueError(f"n must be the family's n over its multiplier {mult!r}")
         if row.constraint not in _EXPONENTS:
             raise ValueError(f"unknown constraint {row.constraint!r}")
         if not _accepts(_EXPONENTS[row.constraint], row.n, row.m):
@@ -358,29 +364,18 @@ def _classify(G: SpaceGroup, edge: str, max_index: int) -> list[ClassificationRo
         n, m = fam.n // mult, fam.m
         e = case.exponents[fam.tag]
         accepted = _accepts(e, n, m)
-        # the lift criterion is the second route to every verdict
-        if lift_connected(case.graph, L) != accepted:
+        # the lift criterion on the case's cycle image is the second route to every verdict
+        if _lifts(case.image, L, G.T0) != accepted:
             raise InvariantViolation(
                 f"{G.name} {edge}: lift of {fam.tag} n={n}, m={m} disagrees with "
                 f"the derived constraint {_word(e)!r}"
             )
         if accepted:
-            rows.append(
-                ClassificationRow(
-                    group=G.name,
-                    edge_label=edge,
-                    orbit_id=case.edge.orbit_id,
-                    family=fam,
-                    n=n,
-                    m=m,
-                    lattice=L,
-                    constraint=_word(e),
-                    lattice_index=pi1 // G.point_order,
-                    group_order=pi1,
-                    genus=pi1 // _ORDER_PER_GENUS + 1,
-                    knotted=THEOREM_1[(G.name, edge)].knotted,
-                )
-            )
+            rows.append(ClassificationRow(
+                group=G.name, edge_label=edge, orbit_id=case.edge.orbit_id, family=fam, n=n, m=m, lattice=L,
+                constraint=_word(e), lattice_index=pi1 // G.point_order, group_order=pi1,
+                genus=pi1 // _ORDER_PER_GENUS + 1, knotted=THEOREM_1[(G.name, edge)].knotted,
+            ))
     rows.sort(key=lambda r: (r.lattice_index, order.index(r.family.tag), r.n))
     return rows
 
@@ -418,14 +413,7 @@ def theorem1_table(max_genus: int) -> list[GenusEntry]:
     for genus in sorted(by_genus):
         actions = tuple(by_genus[genus])
         knotted = sum(1 for _, row in actions if row.knotted)
-        entries.append(
-            GenusEntry(
-                genus=genus,
-                actions=actions,
-                unknotted=len(actions) - knotted,
-                knotted=knotted,
-            )
-        )
+        entries.append(GenusEntry(genus=genus, actions=actions, unknotted=len(actions) - knotted, knotted=knotted))
     return entries
 
 
@@ -468,15 +456,9 @@ def verify_claims() -> VerificationReport:
         raw = edge_orbit_graph(G, e, suppress=False)
         connected = lift_connected_bruteforce(raw, G.T0)
         computed = cycle_image_lattice(raw) if connected else hnf([])
-        checks.append(
-            ClaimCheck(
-                group=group,
-                edge_label=label,
-                connected=connected,
-                computed_image=computed,
-                expected_image=claim.claimed_image,
-            )
-        )
+        checks.append(ClaimCheck(
+            group=group, edge_label=label, connected=connected, computed_image=computed, expected_image=claim.claimed_image,
+        ))
         if computed != G.T0 and not claim.knotted:
             errors.append(f"{group} {label}: claimed unknotted, but I ≠ T0 makes every accepted row knotted")
     for G in map(make_group, GROUP_NAMES):
@@ -492,8 +474,15 @@ def verify_claims() -> VerificationReport:
     return VerificationReport(checks=tuple(checks), table_errors=tuple(errors))
 
 
+# the largest bound verify runs the per-index route to; its time and memory grow linearly, to 14.5 s and 120 MB at 50,000 on a 2-core box
+_WALK_LIMIT = 50_000
+
+
 def verify_tables(max_index: int) -> VerificationReport:
-    """Claim checks plus survivor families, constraints and genus forms against `THEOREM_1`, and each group's closed-form survey against the per-index route."""
+    """Claim checks plus survivor families, constraints and genus forms against `THEOREM_1`, and each group's closed-form survey against the per-index route (to `_WALK_LIMIT`)."""
+    _check_index(max_index, "max_index")
+    if max_index > _WALK_LIMIT:
+        raise TorsymError(f"verify to index {max_index}: the per-index route is past the cap of {_WALK_LIMIT}")
     report = verify_claims()
     errors = list(report.table_errors)
     for group, edge in ((c.group, c.edge_label) for c in report.checks):

@@ -15,7 +15,6 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, NotASubgroup, RankDeficient
@@ -196,8 +195,9 @@ class SubgroupHNF(checked_record("SubgroupHNF", "basis den")):
         # type(), not isinstance: True is an int and would pass for D = 1
         if type(den) is not int or den <= 0:
             raise ValueError("den must be a positive integer D")
-        # the content of the basis is the gcd of its entries, and D = 1 is coprime to every content
-        if den != 1 and math.gcd(den, *chain.from_iterable(basis)) != 1:
+        # the content of the basis is the gcd of its entries, read off the unpacked ones of the rank-3 shape,
+        # where x, y and z are 0; D = 1 is coprime to every content
+        if den != 1 and (math.gcd(den, a, b, c, d, e, f) if canonical else math.gcd(den, *(v for col in basis for v in col))) != 1:
             raise ValueError("den must be minimal: D and the basis content must be coprime")
         return tuple.__new__(cls, (basis, den))
 

@@ -620,9 +620,8 @@ def _adjacency(g: PeriodicGraph) -> list[list[tuple[int, IntVec]]]:
     return adjacency
 
 
-@lru_cache(maxsize=128)
 def cycle_image_lattice(g: PeriodicGraph) -> SubgroupHNF:
-    """Lattice generated by the net shifts of the graph's fundamental cycles, memoised per graph."""
+    """Lattice generated by the net shifts of the graph's fundamental cycles."""
     n = len(g.vertices)
     adjacency = _adjacency(g)
     potential: dict[int, IntVec] = {0: (0, 0, 0)}
@@ -639,15 +638,20 @@ def cycle_image_lattice(g: PeriodicGraph) -> SubgroupHNF:
     return _from_t0_hnfs(g.T0, (hnf_columns(cycles),))[0]
 
 
-def _check_sublattice(g: PeriodicGraph, T: SubgroupHNF) -> None:
-    if T.rank != 3 or not is_subgroup(T, g.T0):
+def _check_sublattice(T: SubgroupHNF, T0: SubgroupHNF) -> None:
+    if T.rank != 3 or not is_subgroup(T, T0):
         raise NotASubgroup("lift lattice must be a finite-index subgroup of T0")
+
+
+def _lifts(I: SubgroupHNF, T: SubgroupHNF, T0: SubgroupHNF) -> bool:
+    """The lift criterion: a graph over T0 with cycle image I has a connected preimage in the T-quotient torus iff I + T = T0."""
+    _check_sublattice(T, T0)
+    return join(I, T) == T0
 
 
 def lift_connected(g: PeriodicGraph, T: SubgroupHNF) -> bool:
     """True iff the graph's preimage in the T-quotient torus is connected."""
-    _check_sublattice(g, T)
-    return join(cycle_image_lattice(g), T) == g.T0
+    return _lifts(cycle_image_lattice(g), T, g.T0)
 
 
 def lift_connected_bruteforce(g: PeriodicGraph, T: SubgroupHNF) -> bool:
@@ -656,7 +660,7 @@ def lift_connected_bruteforce(g: PeriodicGraph, T: SubgroupHNF) -> bool:
     The label is the coset's representative reduced by the HNF of T in
     T0-coordinates; an edge (i, j, s) joins (i, x) to (j, x + s) and back.
     """
-    _check_sublattice(g, T)
+    _check_sublattice(T, g.T0)
     rel = relative_integer_basis(T, g.T0)
     adjacency = _adjacency(g)
     stack = [(0, (0, 0, 0))]

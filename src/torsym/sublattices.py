@@ -14,13 +14,14 @@ from .lattices import (
     IntMat,
     SubgroupHNF,
     _from_t0_hnfs,
+    _rank3_basis,
     adjugate,
     checked_record,
-    coord_numerators,
     covolume,
     frame_coords_matrix,
     hnf_columns,
     hnf_product,
+    hnf_solve,
     index,
     int_matvec,
     invariant_coords_matrix,
@@ -445,14 +446,21 @@ def _least_instances(T0: SubgroupHNF, frame_name: str) -> tuple[tuple[str, int, 
 
     u is the least n with n·B ⊆ T0 for B the unit instance's (planar) columns, and v the least
     m with m·e₃ ∈ T0 (None if cubic): lcms of denominators in T0-coordinates, as {n : n·B ⊆ T0} is closed under gcd.
+    T0 must itself be an instance, as the per-index route's row of index 1 needs, and it is one iff some family has
+    i₁ = 1: for T0 = instance(tag, n, m), u | n and v | m give L₁ ⊇ T0, so L₁ = T0.  Otherwise the table raises
+    UnmatchedLattice, as `match_family` would.
     """
+    tags, H0, q0 = _frame(frame_name)[0], _rank3_basis(T0), T0.den
+    det = H0[0][0] * H0[1][1] * H0[2][2]  # lower triangular
     out = []
-    for tag in _frame(frame_name)[0]:
+    for tag in tags:
         H, q = _UNITS[tag]
-        # a column h over the den q with T0-coordinate numerators x/d has the coordinates x/(d·q)
-        dens = [d * q // math.gcd(d * q, *x) for x, d in (coord_numerators(h, T0) for h in H)]
+        # h/q has the T0-coordinates y/(det·q) for the integer y with H0·y = det·q0·h, since det·H0⁻¹ = adj(H0)
+        dens = [det * q // math.gcd(det * q, *hnf_solve(H0, [det * q0 * x for x in h])) for h in H]
         u, v = (math.lcm(*dens), None) if tag in CUBIC_TAGS else (math.lcm(*dens[:2]), dens[2])
         out.append((tag, u, v, L1 := instantiate(tag, u, v), index(L1, T0)))
+    if all(i1 != 1 for *_, i1 in out):
+        raise UnmatchedLattice(f"no closed-form family matches covolume {covolume(T0)}")
     return tuple(out)
 
 
@@ -467,13 +475,11 @@ def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, Latt
     or I lattice.  Under D6, ρ² − ρ + 1 = 0 on the plane W for ρ
     the 6-fold rotation, so ρ − 1 is unimodular there: x ∈ L has
     x_W = −ρ·(ρ − 1)·x ∈ L, L = (L ∩ W) ⊕ ℤ·s·e₃, and L ∩ W is a fractional
-    ideal of ℤ[ω] that conjugation keeps, r·ℤ[ω] or r(1 − ω)·ℤ[ω].  T0 must
-    be an instance, as the per-index route's row of index 1 needs
-    (`match_family` raises as there); then T0 ⊆ ℤ³ ∪ (ℤ³ + (½, ½, ½)) and
-    each unit lattice holds e₁, e₁ + e₂ or 2e₁ + e₂, so r ∈ ℤ, and u | r,
-    v | s iff L ⊆ T0.
+    ideal of ℤ[ω] that conjugation keeps, r·ℤ[ω] or r(1 − ω)·ℤ[ω].  T0 is
+    an instance (the family table raises otherwise); then T0 ⊆ ℤ³ ∪ (ℤ³ +
+    (½, ½, ½)) and each unit lattice holds e₁, e₁ + e₂ or 2e₁ + e₂, so
+    r ∈ ℤ, and u | r, v | s iff L ⊆ T0.
     """
-    match_family(G.T0, G.frame)
     least = _least_instances(G.T0, G.frame.name)
     if (counted := _row_count(least, bound)) > _ROW_LIMIT:
         raise TorsymError(f"{G.name}: the survey to index {bound} counts at least {counted} rows, past the limit of {_ROW_LIMIT} rows")

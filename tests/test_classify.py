@@ -35,11 +35,18 @@ from torsym.classify import (
     verify_claims,
     verify_tables,
 )
-from torsym.errors import Disconnected, InvariantViolation
-from torsym.lattices import SubgroupHNF, _from_t0_hnfs, covolume, hnf, hnf_columns, index, int_matvec, is_subgroup, join
-from torsym.periodic_graphs import PeriodicGraph, SingularEdge, cycle_image_lattice, edge_orbit_graph, lift_connected_bruteforce
+from torsym.errors import Disconnected, InvariantViolation, TorsymError
+from torsym.lattices import SubgroupHNF, _from_t0_hnfs, covolume, hnf, hnf_columns, hnf_solve, index, int_matvec, is_subgroup, join
+from torsym.periodic_graphs import (
+    PeriodicGraph,
+    SingularEdge,
+    cycle_image_lattice,
+    edge_orbit_graph,
+    lift_connected,
+    lift_connected_bruteforce,
+)
 from torsym.spacegroups import CUBIC_FRAME, GROUP_NAMES, ROT_XYZ, Isometry, SpaceGroup, _closure, make_group
-from torsym.sublattices import FAMILY_TAGS, LatticeFamily, instantiate, normal_translation_subgroups
+from torsym.sublattices import FAMILY_TAGS, LatticeFamily, _least_instances, instantiate, normal_translation_subgroups
 
 from oracles import constraint_holds
 
@@ -398,6 +405,64 @@ def test_a_join_that_drops_a_column_breaks_the_lift_route(monkeypatch):
             classify_case(group, edge, 64)
 
 
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_each_verdict_is_both_lift_routes_on_the_case_graph(case):
+    # _classify lifts by the case's own cycle image; the public lift finds I again from the graph,
+    # and the coset-copy search never forms it
+    group, edge = case
+    G = make_group(group)
+    graph = _cases(G)[1][edge].graph
+    accepted = {row.lattice for row in _classify(G, edge, 256)}
+    for L, _, _ in normal_translation_subgroups(G, 256):
+        assert (L in accepted) == lift_connected(graph, L) == lift_connected_bruteforce(graph, L), L
+
+
+def test_a_warm_classification_hashes_no_fraction(monkeypatch):
+    # the verdicts read each case's image from the case record, so no lookup hashes a graph's Fraction vertices
+    for group, edge in CASES:
+        classify_case(group, edge, 64)
+
+    def refuse(self):
+        raise AssertionError("Fraction.__hash__ called")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    for group, edge in CASES:
+        assert classify_case(group, edge, 64)
+
+
+def _t0_times_in(k: int, T0: SubgroupHNF, I: SubgroupHNF) -> bool:
+    """k·T0 ⊆ I, column by column: k·h/q₀ lies in I = H/q iff H·x = k·q·h/q₀ has an integer solution x."""
+    for h in T0.basis:
+        v = [k * I.den * x for x in h]
+        if any(c % T0.den for c in v) or hnf_solve(I.basis, [c // T0.den for c in v]) is None:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_each_verdict_has_the_period_of_its_exponent(case):
+    # e·T0 ⊆ I, so I + (k + e)·L₁ = I + k·L₁, and a family's verdict is read off k = 1, …, e; for T0/I ≅ ℤ
+    # (P622 β) it acts on m alone
+    group, edge = case
+    G = make_group(group)
+    c = _cases(G)[1][edge]
+    least = {tag: (u, v) for tag, u, v, _, _ in _least_instances(G.T0, G.frame.name)}
+    (e,) = {x for x in c.exponents.values() if x is not None}
+    if c.image.rank == 3:
+        assert _t0_times_in(e, G.T0, c.image)
+        assert not any(_t0_times_in(d, G.T0, c.image) for d in range(1, e) if e % d == 0)
+    else:
+        assert e == 0
+    for tag in (tag for tag, x in c.exponents.items() if x is not None):
+        u, v = least[tag]
+        for k in range(1, 2 * e + 1):
+            verdict = lift_connected_bruteforce(c.graph, instantiate(tag, u * k))
+            assert verdict == _accepts(e, k, None) == _accepts(e, k + e, None), (tag, k)
+        if e == 0:
+            for k, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                assert lift_connected_bruteforce(c.graph, instantiate(tag, u * k, v * j)) == _accepts(0, k, j), (tag, k, j)
+
+
 def test_cli_exits_three_on_an_underived_constraint(monkeypatch, capsys):
     # P432's one marked orbit given this graph: its cases are derived anew, from I of index 6
     g = _single_vertex_graph([(1, 0, 0), (0, 1, 0), (0, 0, 6)])
@@ -522,10 +587,23 @@ CHECKED_RECORDS = [
         {"orbit_id": 7},
         7,
     ),
+    # I432's body-centred family has the multiplier 1, so the row's n is the family's
+    (
+        ClassificationRow("I432", "beta", 3, LatticeFamily("CUBIC_BODY", 1), 1, None, instantiate("CUBIC_BODY", 1), "2∤n", 1, 24, 3, True),
+        {"n": 3},
+        "n must be the family's n over its multiplier 1",
+        {"orbit_id": 7},
+        7,
+    ),
 ]
+# each case is named by its record's type, and by the bad field too when the type comes again
+CHECKED_IDS: list[str] = []
+for _record, _bad, *_ in CHECKED_RECORDS:
+    _name = type(_record).__name__
+    CHECKED_IDS.append(f"{_name}-{','.join(_bad)}" if _name in CHECKED_IDS else _name)
 
 
-@pytest.mark.parametrize("record, bad, message, good, stored", CHECKED_RECORDS, ids=[type(r).__name__ for r, *_ in CHECKED_RECORDS])
+@pytest.mark.parametrize("record, bad, message, good, stored", CHECKED_RECORDS, ids=CHECKED_IDS)
 def test_replace_and_make_run_every_check_of_the_constructor(record, bad, message, good, stored):
     cls, fields = type(record), record._asdict()
     with pytest.raises(ValueError, match=message):
@@ -652,6 +730,27 @@ def test_verify_tables_passes_at_every_small_index():
     # families whose first instance lies above the bound are not expected yet
     for k in range(1, 17):
         assert verify_tables(k).ok, k
+
+
+def test_verify_past_the_cap_of_its_per_index_route_exits_2_before_any_check(monkeypatch, capsys):
+    # the per-index route is linear in its bound, so a bound past the cap is refused before the claims are checked
+    def refuse():
+        raise AssertionError("verify_claims ran")
+
+    monkeypatch.setattr(classify, "verify_claims", refuse)
+    cap = classify._WALK_LIMIT
+    with pytest.raises(TorsymError, match=f"^verify to index {cap + 1}: the per-index route is past the cap of {cap}$"):
+        verify_tables(cap + 1)
+    for bound in (cap + 1, 10**30):
+        assert cli.main(["verify", "--max-index", str(bound)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: verify to index {bound}: the per-index route is past the cap of {cap}\n"
+    # the cap itself is answered
+    monkeypatch.undo()
+    monkeypatch.setattr(classify, "_WALK_LIMIT", 8)
+    assert verify_tables(8).ok
+    with pytest.raises(TorsymError, match="past the cap of 8$"):
+        verify_tables(9)
 
 
 def test_verify_tables_fails_when_an_expected_family_is_missing(monkeypatch):

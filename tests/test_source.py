@@ -246,6 +246,50 @@ def test_only_the_join_reads_fraction_vectors():
     assert sorted(set(_callers(SRC, "vectors")) - VECTOR_READERS) == []
 
 
+# each case carries its cycle image, found once per graph: `_cases` for the classification, and `verify_claims`
+# for the raw graphs and the Riemann–Hurwitz check
+IMAGE_FINDERS = {"classify._cases", "classify.verify_claims"}
+
+
+def _images_found_again(src: Path) -> list[str]:
+    """A decorator on, or a top-level rebinding of, `cycle_image_lattice` (a cache keyed on the graph), and each
+    definition in `classify` outside `IMAGE_FINDERS` that calls it, as module.name."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            decorated = isinstance(stmt, ast.FunctionDef) and stmt.decorator_list
+            if _top_level_name(stmt) == "cycle_image_lattice" and (decorated or not isinstance(stmt, ast.FunctionDef)):
+                out.append(f"{path.stem}.cycle_image_lattice")
+    return out + [c for c in _callers(src, "cycle_image_lattice") if c.startswith("classify.") and c not in IMAGE_FINDERS]
+
+
+def test_the_cycle_image_is_found_once_per_case_and_never_cached():
+    # the verdicts read `case.image`, so no cache needs to hash a graph's Fraction vertices
+    assert _images_found_again(SRC) == []
+
+
+def test_the_image_guard_reports_a_cache_and_a_classification_that_finds_the_image_again(tmp_path):
+    (tmp_path / "periodic_graphs.py").write_text(
+        "@lru_cache(maxsize=128)\n"
+        "def cycle_image_lattice(g):\n"
+        "    return g.T0\n"
+        "def lift_connected(g, T):\n"
+        "    return cycle_image_lattice(g)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "classify.py").write_text(
+        "cycle_image_lattice = lru_cache(maxsize=None)(cycle_image_lattice)\n"
+        "def _cases(G):\n"
+        "    return cycle_image_lattice(G)\n"
+        "def verify_claims():\n"
+        "    return cycle_image_lattice(None)\n"
+        "def _classify(G, case):\n"
+        "    return cycle_image_lattice(case.graph)\n",
+        encoding="utf-8",
+    )
+    assert _images_found_again(tmp_path) == ["classify.cycle_image_lattice", "periodic_graphs.cycle_image_lattice", "classify._classify"]
+
+
 def _float_uses(src: Path) -> list[str]:
     """Places in the package that name `float` or read a `sqrt` attribute, as module:line."""
     out = []
