@@ -20,7 +20,7 @@ from .periodic_graphs import (
     marked_edges,
 )
 from .spacegroups import GROUP_NAMES, SpaceGroup, make_group
-from .sublattices import HEX_TAGS, _check_index, _least_instances, _walked_rows, instantiate, normal_translation_subgroups
+from .sublattices import HEX_TAGS, LatticeFamily, _check_index, _least_instances, _walked_rows, instantiate, normal_translation_subgroups
 
 __all__ = [
     "CASES", "SCHEMA_VERSION", "ClassificationRow", "ClaimCheck", "GenusEntry", "Theorem1Cell", "VerificationReport",
@@ -35,13 +35,13 @@ __all__ = [
 
 
 class _ClaimedFamily(NamedTuple):
-    """One accepted lattice family of a case: its constraint, and genus - 1 = coefficient * n^exponent as `form`."""
+    """One accepted lattice family of a case: its constraint, and genus - 1 = claimed_coefficient * n^claimed_exponent as `form`."""
 
     tag: str
     claimed_constraint: str
     form: str
-    coefficient: int
-    exponent: int
+    claimed_coefficient: int
+    claimed_exponent: int
 
 
 class _CaseClaim(NamedTuple):
@@ -54,8 +54,8 @@ class _CaseClaim(NamedTuple):
 
 # Theorem 1, one record per (group, marked edge) case in the paper's column
 # order.  An alpha edge bounds a product region on both sides; beta and gamma
-# do not.  Only the verification reads the claim-only fields `claimed_image`
-# and `claimed_constraint`; a group's marked-class count is its number of cases.
+# do not.  Only the verification reads the claim-only fields, each named
+# `claimed_…`; a group's marked-class count is its number of cases.
 THEOREM_1: dict[tuple[str, str], _CaseClaim] = {
     ("P432", "alpha"): _CaseClaim(instantiate("CUBIC_PRIMITIVE", 1), False, (
         _ClaimedFamily("CUBIC_PRIMITIVE", "none", "2n^3", 2, 3),
@@ -109,7 +109,6 @@ EDGE_LABELS = ("alpha", "beta", "gamma")
 
 # an accepted exponent is 1, a power of 2 or of 3, or 0 (`_derived_exponent`); its one prime names its word
 _WORDS = {1: "none", 2: "2∤n", 3: "3∤n", 0: "m=1"}
-_EXPONENTS = {word: e for e, word in _WORDS.items()}
 
 
 def _word(e: int | None) -> str | None:
@@ -123,32 +122,40 @@ def _accepts(e: int | None, n: int, m: int | None) -> bool:
 
 
 class ClassificationRow(checked_record("ClassificationRow", "group edge_label orbit_id family n m lattice constraint lattice_index group_order genus knotted")):
-    """One accepted covering lattice for a marked edge, with derived invariants."""
+    """One accepted covering lattice for a marked edge: built from its group, edge label and family, every other column derived."""
 
     __slots__ = ()
 
-    def __new__(cls, *fields, **named) -> "ClassificationRow":
-        row = super().__new__(cls, *fields, **named)
-        if row.edge_label not in EDGE_LABELS:
-            raise ValueError(f"unknown edge label {row.edge_label!r}")
-        if row.genus <= 1:
-            raise ValueError("genus must exceed one")
-        if row.group_order != _ORDER_PER_GENUS * (row.genus - 1):
-            raise ValueError("group order must equal twelve times genus minus one")
-        # the verdict reads m only as a positive parameter, which the family's own check makes it
-        if row.m != row.family.m:
-            raise ValueError(f"m must be the family's m, {row.family.m!r}")
-        # n is the family's parameter over the group's multiplier, which a record of the same T0 shares
-        if row.group not in GROUP_NAMES:
-            raise ValueError(f"unknown group {row.group!r}")
-        mult = _cases(make_group(row.group))[0].get(row.family.tag)
-        if mult is None or row.family.n != mult * row.n:
-            raise ValueError(f"n must be the family's n over its multiplier {mult!r}")
-        if row.constraint not in _EXPONENTS:
-            raise ValueError(f"unknown constraint {row.constraint!r}")
-        if not _accepts(_EXPONENTS[row.constraint], row.n, row.m):
-            raise ValueError("row parameters violate the derived constraint")
+    def __new__(cls, group: str, edge_label: str, family: LatticeFamily) -> "ClassificationRow":
+        if group not in GROUP_NAMES:
+            raise ValueError(f"unknown group {group!r}")
+        if type(family) is not LatticeFamily:
+            raise ValueError(f"family must be a LatticeFamily, got {family!r}")
+        G = make_group(group)
+        mult, case = _cases(G)[0].get(family.tag), _case(G, edge_label)
+        if mult is None or family.n % mult:
+            raise ValueError(f"{group}: {family.tag} parameter {family.n} is not a multiple of its multiplier {mult!r}")
+        n, m, e = family.n // mult, family.m, case.exponents[family.tag]
+        if not _accepts(e, n, m):
+            raise ValueError(f"{group} {edge_label} rejects {family.tag} n={n}, m={m}")
+        # [T0 : instance] off the family table, as the survey reads it; `verify_tables` checks it against `index`
+        ((i1, v),) = [(i1, v) for tag, _, v, _, i1 in _least_instances(G.T0, G.frame.name) if tag == family.tag]
+        d = i1 * n**3 if v is None else i1 * n * n * (m // v)
+        pi1, knotted = G.point_order * d, THEOREM_1[(group, edge_label)].knotted
+        return tuple.__new__(cls, (group, edge_label, case.edge.orbit_id, family, n, m, family.instantiate(), _word(e), d, pi1, pi1 // _ORDER_PER_GENUS + 1, knotted))
+
+    @classmethod
+    def _make(cls, values) -> "ClassificationRow":
+        """The row of fields 0, 1 and 3; a ValueError names the first other field whose value or type differs from it."""
+        values = tuple(values)
+        row = cls(values[0], values[1], values[3])
+        for field, given, derived in zip(cls._fields, values, row, strict=True):
+            if type(given) is not type(derived) or given != derived:
+                raise ValueError(f"{field} must be the derived {derived!r}, got {given!r}")
         return row
+
+    def __getnewargs__(self) -> tuple[str, str, LatticeFamily]:
+        return self.group, self.edge_label, self.family
 
     @property
     def lattice_label(self) -> str:
@@ -352,30 +359,22 @@ def classify_case(group: str, edge: str, max_index: int) -> list[ClassificationR
 
 
 def _classify(G: SpaceGroup, edge: str, max_index: int) -> list[ClassificationRow]:
-    """`classify_case` on the record G; the name is read only to label the rows and look up their knotted claim."""
+    """`classify_case` on the record G; each accepted row is built from G's name, the edge and its family, and derives the rest from the named group."""
     mults, case = _cases(G)[0], _case(G, edge)
     order = list(mults)
 
     rows = []
-    for L, fam, pi1 in normal_translation_subgroups(G, max_index):
+    for L, fam, _ in normal_translation_subgroups(G, max_index):
         mult = mults.get(fam.tag)
         if mult is None or fam.n % mult:
             raise InvariantViolation(f"{G.name}: {fam.tag} parameter {fam.n} is not a multiple of its multiplier {mult}")
-        n, m = fam.n // mult, fam.m
-        e = case.exponents[fam.tag]
+        n, m, e = fam.n // mult, fam.m, case.exponents[fam.tag]
         accepted = _accepts(e, n, m)
         # the lift criterion on the case's cycle image is the second route to every verdict
         if _lifts(case.image, L, G.T0) != accepted:
-            raise InvariantViolation(
-                f"{G.name} {edge}: lift of {fam.tag} n={n}, m={m} disagrees with "
-                f"the derived constraint {_word(e)!r}"
-            )
+            raise InvariantViolation(f"{G.name} {edge}: lift of {fam.tag} n={n}, m={m} disagrees with the derived constraint {_word(e)!r}")
         if accepted:
-            rows.append(ClassificationRow(
-                group=G.name, edge_label=edge, orbit_id=case.edge.orbit_id, family=fam, n=n, m=m, lattice=L,
-                constraint=_word(e), lattice_index=pi1 // G.point_order, group_order=pi1,
-                genus=pi1 // _ORDER_PER_GENUS + 1, knotted=THEOREM_1[(G.name, edge)].knotted,
-            ))
+            rows.append(ClassificationRow(G.name, edge, fam))
     rows.sort(key=lambda r: (r.lattice_index, order.index(r.family.tag), r.n))
     return rows
 
@@ -385,15 +384,22 @@ def _classify(G: SpaceGroup, edge: str, max_index: int) -> list[ClassificationRo
 # ============================================================
 
 
+def _genus_forms(G: SpaceGroup) -> dict[str, tuple[int, int]]:
+    """genus − 1 = c·k^e per family tag of G: an instance has index i₁·k³ in T0, or i₁·k² at m = v, so c = |P|·i₁/12 and e = 3 or 2."""
+    return {tag: (G.point_order * i1 // _ORDER_PER_GENUS, 3 if v is None else 2) for tag, _, v, _, i1 in _least_instances(G.T0, G.frame.name)}
+
+
 def theorem1_cells() -> tuple[Theorem1Cell, ...]:
-    """The symbolic nine-column census of genus forms."""
+    """The symbolic nine-column census of genus forms: each claimed family's form, derived from its family table."""
     return tuple(
         Theorem1Cell(
-            column=column, group=group, edge_label=edge, form=f.form, coefficient=f.coefficient, exponent=f.exponent,
-            constraint=_word(_case(make_group(group), edge).exponents[f.tag]), knotted=claim.knotted,
+            column=column, group=group, edge_label=edge, form=f.form, coefficient=c, exponent=e,
+            constraint=_word(_case(G, edge).exponents[f.tag]), knotted=claim.knotted,
         )
         for column, ((group, edge), claim) in enumerate(THEOREM_1.items(), start=1)
+        for G in [make_group(group)]
         for f in claim.families
+        for c, e in [_genus_forms(G)[f.tag]]
     )
 
 
@@ -428,7 +434,8 @@ def verify_claims() -> VerificationReport:
     Per case, the raw marked edge graph must be connected with the claimed
     cycle image I (`claimed_image`).  Per group, the sweep must find as many
     marked edge classes as `THEOREM_1` has cases of the group, labelled as
-    the cases name them.  `knotted` is checked by one route: a Heegaard
+    the cases name them.  Each claimed family's census form must be the one
+    its family table gives (`_genus_forms`).  `knotted` is checked by one route: a Heegaard
     surface is π₁-surjective on both sides, so an unknotted row needs the
     image I ∩ T of the lifted graph's H₁ in T to be all of T.  An accepted T
     has I + T = T0, and T ⊆ I then forces I = T0: I ≠ T0 makes every
@@ -450,6 +457,10 @@ def verify_claims() -> VerificationReport:
             errors.append(f"{group}: marked edges carry labels {labels}, the cases name {named}")
     for (group, label), claim in THEOREM_1.items():
         G = make_group(group)
+        forms = _genus_forms(G)
+        for f in claim.families:
+            if forms.get(f.tag) != (f.claimed_coefficient, f.claimed_exponent):
+                errors.append(f"{group} {label}: {f.tag} claims genus − 1 = {f.claimed_coefficient}·n^{f.claimed_exponent}, the family table (c, e) = {forms.get(f.tag)}")
         e = labeled_marked_edges(group).get(label)
         if e is None:
             continue
@@ -479,7 +490,7 @@ _WALK_LIMIT = 50_000
 
 
 def verify_tables(max_index: int) -> VerificationReport:
-    """Claim checks plus survivor families, constraints and genus forms against `THEOREM_1`, and each group's closed-form survey against the per-index route (to `_WALK_LIMIT`)."""
+    """Claim checks plus survivor families and constraints against `THEOREM_1`, each row's index against its lattice's, and each group's closed-form survey against the per-index route (to `_WALK_LIMIT`)."""
     _check_index(max_index, "max_index")
     if max_index > _WALK_LIMIT:
         raise TorsymError(f"verify to index {max_index}: the per-index route is past the cap of {_WALK_LIMIT}")
@@ -496,11 +507,10 @@ def verify_tables(max_index: int) -> VerificationReport:
         expected = [(f.tag, f.claimed_constraint) for f in families if least.get(f.tag, 0) <= max_index]
         if found != expected:
             errors.append(f"{group} {edge}: survivors {found} do not match {expected}")
-        # the rows of an unclaimed family fail the survivors check alone
-        for f in families:
-            bad = [r.n for r in rows if r.family.tag == f.tag and r.genus - 1 != f.coefficient * r.n**f.exponent]
-            if bad:
-                errors.append(f"{group} {edge}: genus does not fit the census form for {f.tag} at n = {bad}")
+        # each row's index, read off the family table as its genus and its cell's form are, against its lattice's HNF
+        bad = [(r.family.tag, r.n) for r in rows if r.lattice_index != index(r.lattice, G.T0)]
+        if bad:
+            errors.append(f"{group} {edge}: the family table's index is not the lattice's at {bad}")
     # the per-index route (`_walked_rows`) is the second route to each group's closed-form survey
     for G in map(make_group, GROUP_NAMES):
         if normal_translation_subgroups(G, max_index) != _walked_rows(G, max_index):

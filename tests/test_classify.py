@@ -1,6 +1,8 @@
 """Tests for classification rows, the genus census, claim checks, and the CLI."""
 
+import copy
 import json
+import pickle
 import sys
 import weakref
 from fractions import Fraction
@@ -249,7 +251,7 @@ def test_row_invariants(case):
         assert row.knotted == THEOREM_1[case].knotted
         forms = [f for f in THEOREM_1[case].families if f.tag == row.family.tag]
         assert len(forms) == 1
-        assert row.genus - 1 == forms[0].coefficient * row.n ** forms[0].exponent
+        assert row.genus - 1 == forms[0].claimed_coefficient * row.n ** forms[0].claimed_exponent
 
 
 def test_survivor_families_match_the_fixed_lists():
@@ -488,10 +490,11 @@ def test_an_origin_shift_keeps_every_row_but_its_orbit_id(case, c):
     )
     cosets, T0, maps = _closure(gens)
     H = SpaceGroup(group, G.frame, gens, T0, len(cosets), tuple(cosets), maps)
-    # the rows of H come from H's own case graph, which sits at the shifted vertices
+    # H's verdicts come from H's own case graph, which sits at the shifted vertices
     assert _cases(H)[1][edge].graph.vertices != _cases(G)[1][edge].graph.vertices
-    rows = [r._replace(orbit_id=0) for r in _classify(H, edge, 256)]
-    assert rows and rows == [r._replace(orbit_id=0) for r in classify_case(group, edge, 256)]
+    # each row derives its columns from the group's name, so it carries the named group's orbit id too
+    rows = _classify(H, edge, 256)
+    assert rows and rows == classify_case(group, edge, 256)
 
 
 def test_classify_rejects_bad_arguments():
@@ -511,46 +514,89 @@ def test_classify_checks_max_index_first(max_index):
 
 
 def test_row_validation():
+    # a row is its group, edge label and family; each of them, or an instance the case rejects, is refused by name
     row = classify_case("P432", "alpha", 1)[0]
-    with pytest.raises(ValueError):
-        ClassificationRow(
-            group=row.group,
-            edge_label=row.edge_label,
-            orbit_id=row.orbit_id,
-            family=row.family,
-            n=row.n,
-            m=row.m,
-            lattice=row.lattice,
-            constraint=row.constraint,
-            lattice_index=row.lattice_index,
-            group_order=row.group_order + 12,
-            genus=row.genus,
-            knotted=row.knotted,
-        )
-    with pytest.raises(ValueError):
-        ClassificationRow(
-            group=row.group,
-            edge_label=row.edge_label,
-            orbit_id=row.orbit_id,
-            family=row.family,
-            n=2,
-            m=None,
-            lattice=row.lattice,
-            constraint="2∤n",
-            lattice_index=row.lattice_index,
-            group_order=row.group_order,
-            genus=row.genus,
-            knotted=row.knotted,
-        )
-    # a valid genus, so the constraint is what fails
-    with pytest.raises(ValueError, match="unknown constraint '5∤n'"):
-        row._replace(constraint="5∤n")
-    # gcd(−1, 0) = 1, so only the family's check keeps m = −1 from passing as m = 1
+    assert ClassificationRow("P432", "alpha", LatticeFamily("CUBIC_PRIMITIVE", 1)) == row
+    refusals = [
+        (("P433", "alpha", row.family), "unknown group 'P433'"),
+        (("p432", "alpha", row.family), "unknown group 'p432'"),
+        (("P432", "delta", row.family), r"P432 has no edge delta; choose from \[.alpha.\]"),
+        (("P432", "beta", row.family), r"P432 has no edge beta; choose from \['alpha'\]"),
+        (("P432", "alpha", ("CUBIC_PRIMITIVE", 1, None)), "family must be a LatticeFamily"),
+        (("P432", "alpha", LatticeFamily("HEX_ROT", 1, 1)), "HEX_ROT parameter 1 is not a multiple of its multiplier None"),
+        # I432 beta's body-centred family has the multiplier 1 and rejects even n; I4_132's has the multiplier 2
+        (("I432", "beta", LatticeFamily("CUBIC_BODY", 2)), "I432 beta rejects CUBIC_BODY n=2, m=None"),
+        (("I432", "beta", LatticeFamily("CUBIC_FACE", 1)), "I432 beta rejects CUBIC_FACE n=1, m=None"),
+        (("I4_132", "beta", LatticeFamily("CUBIC_BODY", 3)), "CUBIC_BODY parameter 3 is not a multiple of its multiplier 2"),
+        # gcd(m, 0) = m, so P622 beta takes m = 1 alone
+        (("P622", "beta", LatticeFamily("HEX_ROT", 1, 2)), "P622 beta rejects HEX_ROT n=1, m=2"),
+    ]
+    for args, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            ClassificationRow(*args)
     hex_row = classify_case("P622", "beta", 1)[0]
     assert (hex_row.m, hex_row.constraint) == (1, "m=1")
     for m in (-1, 2, None):
-        with pytest.raises(ValueError, match="m must be the family's m, 1"):
+        with pytest.raises(ValueError, match=f"^m must be the derived 1, got {m}$"):
             hex_row._replace(m=m)
+
+
+# per field, a value other than the derived one for P432 alpha's first row, and the repr of the derived value
+ROW_DRIFT = {
+    "lattice": (instantiate("CUBIC_FACE", 3), "SubgroupHNF(basis=((1, 0, 0), (0, 1, 0), (0, 0, 1)), den=1)"),
+    "lattice_index": (7, "1"),
+    "orbit_id": (7, "2"),
+    "knotted": (True, "False"),
+    "constraint": ("2∤n", "'none'"),
+    "genus": (4, "3"),
+    "group_order": (36, "24"),
+    "n": (5, "1"),
+    "m": (1, "None"),
+}
+
+
+@pytest.mark.parametrize("field", ROW_DRIFT)
+def test_replace_refuses_a_field_that_differs_from_its_derived_value(field):
+    value, derived = ROW_DRIFT[field]
+    row = classify_case("P432", "alpha", 8)[0]
+    for build in (lambda: row._replace(**{field: value}), lambda: ClassificationRow._make({**row._asdict(), field: value}.values())):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == f"{field} must be the derived {derived}, got {value!r}"
+
+
+def test_replace_refuses_an_equal_value_of_another_type():
+    # 1 == True, and 1.0 == 1: the field names its type as well as its value
+    row, knotted_row = classify_case("P432", "alpha", 8)[0], classify_case("I432", "beta", 8)[0]
+    equal = [(row, "knotted", 0), (knotted_row, "knotted", 1), (row, "lattice_index", 1.0), (row, "genus", Fraction(3)), (row, "family", tuple(row.family))]
+    for record, field, value in equal:
+        assert value == getattr(record, field)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            record._replace(**{field: value})
+    assert row._replace() == row and row._replace(knotted=False, genus=3) == row
+    # one value too few or too many is refused, not cut to the fields it fills
+    for values in (row[:11], (*row, None)):
+        with pytest.raises(ValueError):
+            ClassificationRow._make(values)
+
+
+def test_a_row_is_rebuilt_from_its_group_edge_and_family():
+    rows = [row for case in CASES for row in classify_case(*case, 512)]
+    assert len(rows) == 125
+    for row in rows:
+        again = ClassificationRow(row.group, row.edge_label, row.family)
+        assert again == row and repr(again) == repr(row)
+        assert ClassificationRow(group=row.group, edge_label=row.edge_label, family=row.family) == row
+        # the family fixes the rest: a new family alone makes a row whose n, the first field it derives anew, differs
+        with pytest.raises(ValueError, match="^n must be the derived"):
+            row._replace(family=row.family._replace(n=row.family.n * 5))
+
+
+def test_copy_and_pickle_round_trip_a_row():
+    for row in (classify_case("I4_132", "beta", 512)[-1], classify_case("P622", "beta", 12)[-1]):
+        assert row.__getnewargs__() == (row.group, row.edge_label, row.family)
+        for other in (copy.copy(row), copy.deepcopy(row), pickle.loads(pickle.dumps(row)), pickle.loads(pickle.dumps(row, 0))):
+            assert type(other) is ClassificationRow and other == row and repr(other) == repr(row)
 
 
 _Z3 = SubgroupHNF(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1)
@@ -579,21 +625,6 @@ CHECKED_RECORDS = [
         "edge index must be at least 2",
         {"link": (4, 2, 3, 2)},
         (2, 2, 3, 4),
-    ),
-    (
-        ClassificationRow("I432", "beta", 3, LatticeFamily("CUBIC_BODY", 1), 1, None, instantiate("CUBIC_BODY", 1), "2∤n", 1, 24, 3, True),
-        {"genus": 1},
-        "genus must exceed one",
-        {"orbit_id": 7},
-        7,
-    ),
-    # I432's body-centred family has the multiplier 1, so the row's n is the family's
-    (
-        ClassificationRow("I432", "beta", 3, LatticeFamily("CUBIC_BODY", 1), 1, None, instantiate("CUBIC_BODY", 1), "2∤n", 1, 24, 3, True),
-        {"n": 3},
-        "n must be the family's n over its multiplier 1",
-        {"orbit_id": 7},
-        7,
     ),
 ]
 # each case is named by its record's type, and by the bad field too when the type comes again
@@ -690,6 +721,34 @@ def test_theorem1_cells_cover_the_nine_columns():
     assert len(four_doubled) == 1 and four_doubled[0].genus_minus_one(1) == 32
 
 
+def test_the_cells_are_derived_from_the_family_table(monkeypatch):
+    # coefficient |P|·i₁/12 and exponent 3 (cubic) or 2 (hexagonal), equal to each claimed pair
+    cells = theorem1_cells()
+    claimed = [(f.claimed_coefficient, f.claimed_exponent) for claim in THEOREM_1.values() for f in claim.families]
+    assert [(c.coefficient, c.exponent) for c in cells] == claimed
+    for c, f in zip(cells, (f for claim in THEOREM_1.values() for f in claim.families)):
+        G = make_group(c.group)
+        (i1,) = [i1 for tag, _, _, _, i1 in _least_instances(G.T0, G.frame.name) if tag == f.tag]
+        assert (c.coefficient, c.exponent) == (G.point_order * i1 // 12, 2 if f.tag.startswith("HEX") else 3)
+    # a false claimed pair moves no cell
+    _wrong_genus_form(monkeypatch)
+    assert theorem1_cells() == cells
+
+
+def test_an_index_off_the_family_table_fails_verify(monkeypatch):
+    # a row's index, its genus and its cell's form come from the family table, and `verify_tables` reads each
+    # row's index off its lattice's HNF as well: read wrong, it fails every case at index 8 by one claim line,
+    # and the claims alone still pass
+    monkeypatch.setattr(classify, "index", lambda sub, sup: 2 * index(sub, sup))
+    assert verify_claims().ok
+    errors = verify_tables(8).table_errors
+    assert [err.split(":")[0] for err in errors] == [f"{group} {edge}" for group, edge in CASES]
+    assert errors[0] == (
+        "P432 alpha: the family table's index is not the lattice's at "
+        "[('CUBIC_PRIMITIVE', 1), ('CUBIC_FACE', 1), ('CUBIC_BODY', 1), ('CUBIC_PRIMITIVE', 2)]"
+    )
+
+
 def test_census_rejects_tiny_bound():
     with pytest.raises(ValueError):
         theorem1_table(1)
@@ -769,7 +828,7 @@ def _claim(mp, case, **changes):
 
 def _wrong_genus_form(mp):
     first, *rest = THEOREM_1[("P432", "alpha")].families
-    _claim(mp, ("P432", "alpha"), families=(first._replace(coefficient=3), *rest))
+    _claim(mp, ("P432", "alpha"), families=(first._replace(claimed_coefficient=3), *rest))
 
 
 CLAIM_MUTANTS = {
@@ -786,7 +845,10 @@ CLAIM_MUTANTS = {
         lambda mp: _claim(mp, ("P432", "alpha"), families=THEOREM_1[("P432", "alpha")].families[:2]),
         "claim: P432 alpha: survivors",
     ),
-    "genus-form": (_wrong_genus_form, "claim: P432 alpha: genus does not fit the census form for CUBIC_PRIMITIVE at n = [1, 2]"),
+    "genus-form": (
+        _wrong_genus_form,
+        "claim: P432 alpha: CUBIC_PRIMITIVE claims genus − 1 = 3·n^3, the family table (c, e) = (2, 3)",
+    ),
     "knotted": (
         lambda mp: _claim(mp, ("I432", "beta"), knotted=False),
         "claim: I432 beta: claimed unknotted",

@@ -100,7 +100,8 @@ ORBIT_GRAPHS = "cdbe26378f8da5abb14b2019a1ecbef8d4130f9ae80af6b165ddcdcbbb53865f
 
 # SHA-256 of the repr of one instance of every record, recorded while the records were dataclasses:
 # the field names, their order, the values and the repr without `SpaceGroup.maps` stay as they were,
-# except `_Case`, re-recorded when its constraint words became exponents (`WORDED_CASE_REPRS`)
+# except `_Case`, re-recorded when its constraint words became exponents (`WORDED_CASE_REPRS`), and
+# `_CaseClaim`, re-recorded when its families' census pair became claim-only (`UNCLAIMED_FORM_REPR`)
 RECORD_REPRS = (
     ("Frame", "f2111879a75fd474c20faeb43b68cd60d90045d7d871806239edc4c458339b87"),
     ("SpaceGroup", "69f2b9ec1cfeca506e7ca812b92094c6e7b3d0a6519649b17478ade2bf3aff63"),
@@ -114,7 +115,7 @@ RECORD_REPRS = (
     ("Theorem1Cell", "1d567b203b4753bca799bdf2d731b619f3f4e4b6104dd78f5ed2c20db2b0c226"),
     ("ClaimCheck", "ff3b4462b93a06a09bec04a2e57540eaf4d077035dce4358019e264a4e6f5dec"),
     ("VerificationReport", "3390a7214559dd333a2d7c630aa9b1b9edc0e2c2386ac9aacd030eccc6339540"),
-    ("_CaseClaim", "f1443e1f2ef8d2c20b91348a9519b91c0eea2021ba7c3d542bae2f4c395eca06"),
+    ("_CaseClaim", "94e75255da4f0a8c5a1cc0acb18c85c6bd7d8e6e720f7d1b63fc95fe9ff5c411"),
     ("_Case", "a9d14ae6b11d5cf99b117ecc246074a0ef40158dbda7289a0c86eea8b3526b87"),
     ("_SingularData", "62faa4f1e4222f7fee9f1b5f71f6be2dd75a6d931919758e1219897d1584a0dc"),
 )
@@ -142,6 +143,11 @@ WORDED_CASE_REPRS = (
     ("P4_232", "99e0116feb7acb30880dfe3e29e7d593b8236983d8623ac88188b550d9a9513a"),
     ("P622", "0796770980bbd8b39a5a778d49b01fe97735d6953b9ce1460f57de798a3d65ca"),
 )
+
+# SHA-256 of the repr above of `_CaseClaim` as it was recorded while each family's census pair was named
+# `coefficient` and `exponent`: the claim rebuilt that way
+_FormFamily = namedtuple("_ClaimedFamily", "tag claimed_constraint form coefficient exponent")
+UNCLAIMED_FORM_REPR = "f1443e1f2ef8d2c20b91348a9519b91c0eea2021ba7c3d542bae2f4c395eca06"
 
 # SHA-256 of the repr of normal_translation_subgroups(G, 256), records and all
 SURVEY_256_REPRS = (
@@ -257,6 +263,12 @@ def test_the_cases_render_to_the_records_of_constraint_words(name, digest):
         mults, cases = _cases(make_group(name))
         record = (mults, {label: _worded(case) for label, case in cases.items()})
     assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
+
+
+def test_the_claim_renames_only_its_census_pair():
+    claim = THEOREM_1["P4_232", "beta"]
+    record = claim._replace(families=tuple(_FormFamily(*f) for f in claim.families))
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == UNCLAIMED_FORM_REPR
 
 
 @pytest.mark.parametrize("name, digest", SURVEY_256_REPRS, ids=[n for n, _ in SURVEY_256_REPRS])
