@@ -20,7 +20,7 @@ from .periodic_graphs import (
     marked_edges,
 )
 from .spacegroups import GROUP_NAMES, SpaceGroup, make_group
-from .sublattices import HEX_TAGS, LatticeFamily, _check_index, _least_instances, _walked_rows, instantiate, normal_translation_subgroups
+from .sublattices import HEX_TAGS, LatticeFamily, _check_index, _family_table, _walked_rows, instantiate, normal_translation_subgroups
 
 __all__ = [
     "CASES", "SCHEMA_VERSION", "ClassificationRow", "ClaimCheck", "GenusEntry", "Theorem1Cell", "VerificationReport",
@@ -116,6 +116,10 @@ def _word(e: int | None) -> str | None:
     return None if e is None else _WORDS[e and math.gcd(e, 6)]
 
 
+# the family-table entry (u, v, L₁, i₁) of a tag outside the table: no multiplier, and index 0, under every bound
+_OUTSIDE = (None, None, None, 0)
+
+
 def _accepts(e: int | None, n: int, m: int | None) -> bool:
     """Theorem 1's verdict on the instance (n, m) of a family of exponent e: L₁ + I = T0 and gcd(k, e) = 1, k = m if e = 0, else n."""
     return e is not None and math.gcd(n if e else m, e) == 1
@@ -132,14 +136,14 @@ class ClassificationRow(checked_record("ClassificationRow", "group edge_label or
         if type(family) is not LatticeFamily:
             raise ValueError(f"family must be a LatticeFamily, got {family!r}")
         G = make_group(group)
-        mult, case = _cases(G)[0].get(family.tag), _case(G, edge_label)
+        case = _case(G, edge_label)
+        mult, v, _, i1 = _family_table(G.T0, G.frame.name).get(family.tag, _OUTSIDE)
         if mult is None or family.n % mult:
             raise ValueError(f"{group}: {family.tag} parameter {family.n} is not a multiple of its multiplier {mult!r}")
         n, m, e = family.n // mult, family.m, case.exponents[family.tag]
         if not _accepts(e, n, m):
             raise ValueError(f"{group} {edge_label} rejects {family.tag} n={n}, m={m}")
         # [T0 : instance] off the family table, as the survey reads it; `verify_tables` checks it against `index`
-        ((i1, v),) = [(i1, v) for tag, _, v, _, i1 in _least_instances(G.T0, G.frame.name) if tag == family.tag]
         d = i1 * n**3 if v is None else i1 * n * n * (m // v)
         pi1, knotted = G.point_order * d, THEOREM_1[(group, edge_label)].knotted
         return tuple.__new__(cls, (group, edge_label, case.edge.orbit_id, family, n, m, family.instantiate(), _word(e), d, pi1, pi1 // _ORDER_PER_GENUS + 1, knotted))
@@ -153,9 +157,6 @@ class ClassificationRow(checked_record("ClassificationRow", "group edge_label or
             if type(given) is not type(derived) or given != derived:
                 raise ValueError(f"{field} must be the derived {derived!r}, got {given!r}")
         return row
-
-    def __getnewargs__(self) -> tuple[str, str, LatticeFamily]:
-        return self.group, self.edge_label, self.family
 
     @property
     def lattice_label(self) -> str:
@@ -252,27 +253,18 @@ class _Case(NamedTuple):
 
 def labeled_marked_edges(name: str) -> dict[str, SingularEdge]:
     """The group's marked edge orbits keyed by label (the rule is in `_cases`), in label order, as a new dict per call."""
-    return {label: case.edge for label, case in _cases(make_group(name))[1].items()}
+    return {label: case.edge for label, case in _cases(make_group(name)).items()}
 
 
 @lru_cache(maxsize=None)
-def _cases(G: SpaceGroup) -> tuple[dict[str, int], dict[str, _Case]]:
-    """The family multipliers of G in report order, and its marked edge orbits as cases by label, in label order.
-
-    The multiplier is the least u with instance(u) ⊆ T0, with m = v, the
-    least m with m·e₃ ∈ T0, for the hexagonal ones (`_least_instances`).
-    The families are reported by ascending [T0 : instance(mult)]; a tie
-    raises InvariantViolation.
+def _cases(G: SpaceGroup) -> dict[str, _Case]:
+    """G's marked edge orbits as cases by label, in label order, each case's exponents in the family table's report order.
 
     Alpha is the orbit whose cycle image I is all of T0.  The others take
     beta, then gamma, by ascending [T0 : I], a rank-2 I counting as
     infinite.  A tie, or more orbits than labels, raises InvariantViolation.
     """
-    # the tags differ, so no two lattices are compared
-    keyed = sorted((i1, tag, u, L1) for tag, u, _, L1, i1 in _least_instances(G.T0, G.frame.name))
-    if len({k[0] for k in keyed}) != len(keyed):
-        raise InvariantViolation(f"{G.name}: families of equal index {[k[0] for k in keyed]} in T0")
-    mults = {tag: u for _, tag, u, _ in keyed}
+    table = _family_table(G.T0, G.frame.name)
     orbits = []
     for e in marked_edges(G):
         g = edge_orbit_graph(G, e)
@@ -282,11 +274,10 @@ def _cases(G: SpaceGroup) -> tuple[dict[str, int], dict[str, _Case]]:
     first = 0 if orbits and orbits[0][0] == 1 else 1
     if len({o[0] for o in orbits}) != len(orbits) or first + len(orbits) > len(EDGE_LABELS):
         raise InvariantViolation(f"{G.name}: marked orbits of [T0 : I] {[o[0] for o in orbits]} take no labels")
-    cases = {
-        label: _Case(e, g, I, {tag: _derived_exponent(I, G.T0, tag, L1) for _, tag, _, L1 in keyed})
+    return {
+        label: _Case(e, g, I, {tag: _derived_exponent(I, G.T0, tag, L1) for tag, (_, _, L1, _) in table.items()})
         for label, (_, _, e, g, I) in zip(EDGE_LABELS[first:], orbits)
     }
-    return mults, cases
 
 
 def _derived_exponent(I: SubgroupHNF, T0: SubgroupHNF, tag: str, L1: SubgroupHNF) -> int | None:
@@ -340,7 +331,7 @@ def _fills_t0(L: SubgroupHNF, I: SubgroupHNF, T0: SubgroupHNF) -> bool:
 
 def _case(G: SpaceGroup, edge: str) -> _Case:
     """G's case for a marked edge label: a ValueError if G has no such edge, an InvariantViolation if `CASES` names it."""
-    cases = _cases(G)[1]
+    cases = _cases(G)
     if edge not in cases:
         fault = InvariantViolation if (G.name, edge) in CASES else ValueError
         raise fault(f"{G.name} has no edge {edge}; choose from {sorted(cases)}")
@@ -360,12 +351,12 @@ def classify_case(group: str, edge: str, max_index: int) -> list[ClassificationR
 
 def _classify(G: SpaceGroup, edge: str, max_index: int) -> list[ClassificationRow]:
     """`classify_case` on the record G; each accepted row is built from G's name, the edge and its family, and derives the rest from the named group."""
-    mults, case = _cases(G)[0], _case(G, edge)
-    order = list(mults)
+    case, table = _case(G, edge), _family_table(G.T0, G.frame.name)
+    order = list(table)
 
     rows = []
     for L, fam, _ in normal_translation_subgroups(G, max_index):
-        mult = mults.get(fam.tag)
+        mult = table.get(fam.tag, _OUTSIDE)[0]
         if mult is None or fam.n % mult:
             raise InvariantViolation(f"{G.name}: {fam.tag} parameter {fam.n} is not a multiple of its multiplier {mult}")
         n, m, e = fam.n // mult, fam.m, case.exponents[fam.tag]
@@ -386,7 +377,7 @@ def _classify(G: SpaceGroup, edge: str, max_index: int) -> list[ClassificationRo
 
 def _genus_forms(G: SpaceGroup) -> dict[str, tuple[int, int]]:
     """genus − 1 = c·k^e per family tag of G: an instance has index i₁·k³ in T0, or i₁·k² at m = v, so c = |P|·i₁/12 and e = 3 or 2."""
-    return {tag: (G.point_order * i1 // _ORDER_PER_GENUS, 3 if v is None else 2) for tag, _, v, _, i1 in _least_instances(G.T0, G.frame.name)}
+    return {tag: (G.point_order * i1 // _ORDER_PER_GENUS, 3 if v is None else 2) for tag, (_, v, _, i1) in _family_table(G.T0, G.frame.name).items()}
 
 
 def theorem1_cells() -> tuple[Theorem1Cell, ...]:
@@ -502,9 +493,9 @@ def verify_tables(max_index: int) -> VerificationReport:
         # a family shows up once its first instance (n = 1, and m = 1 for the
         # hexagonal ones) fits under the index bound; one outside the frame is never found
         G = make_group(group)
-        least = {tag: i1 for tag, _, _, _, i1 in _least_instances(G.T0, G.frame.name)}
+        table = _family_table(G.T0, G.frame.name)
         families = THEOREM_1[(group, edge)].families
-        expected = [(f.tag, f.claimed_constraint) for f in families if least.get(f.tag, 0) <= max_index]
+        expected = [(f.tag, f.claimed_constraint) for f in families if table.get(f.tag, _OUTSIDE)[3] <= max_index]
         if found != expected:
             errors.append(f"{group} {edge}: survivors {found} do not match {expected}")
         # each row's index, read off the family table as its genus and its cell's form are, against its lattice's HNF

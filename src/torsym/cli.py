@@ -109,7 +109,7 @@ _COMMANDS = {
     "edges": (
         "marked edge orbits with quotient-graph data", (_GROUP,),
         # the case map lists the labels in label order, which is also their sorted order
-        lambda args: (args.group, _cases(make_group(args.group))[1]),
+        lambda args: (args.group, _cases(make_group(args.group))),
         {"text": lambda r: "\n".join([f"{r[0]}: {len(r[1])} marked edge orbit(s)", *(_marked_line(*m) for m in r[1].items())]),
          "json": lambda r: {"group": r[0], "edges": [_marked_record(*m) for m in r[1].items()]}},
     ),

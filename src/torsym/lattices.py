@@ -140,9 +140,13 @@ def rotation_axis(rot: IntMat) -> IntVec:
 
 
 def checked_record(name: str, fields: str) -> type:
-    """A namedtuple base whose `_make`, and so `_replace`, builds through the subclass's `__new__` and its checks."""
+    """A namedtuple base whose `_make`, and so `_replace`, `copy` and every pickle protocol, builds through the subclass's `__new__` and its checks."""
+
+    def _make(cls, values):  # named, as a pickle finds the bound classmethod by its name
+        return cls(*values)
+
     base = namedtuple(name, fields)
-    base._make = classmethod(lambda cls, values: cls(*values))
+    base._make, base.__reduce__ = classmethod(_make), lambda self: (type(self)._make, (tuple(self),))
     return base
 
 

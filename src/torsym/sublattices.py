@@ -65,7 +65,7 @@ class LatticeFamily(checked_record("LatticeFamily", "tag n m")):
         return tuple.__new__(cls, (tag, n, m))
 
     def instantiate(self) -> SubgroupHNF:
-        return instantiate(self.tag, self.n, self.m)
+        return SubgroupHNF(*_instance_basis(self.tag, self.n, self.m))
 
     def to_json(self) -> dict:
         return {"tag": self.tag, "n": self.n, **({} if self.m is None else {"m": self.m})}
@@ -73,11 +73,10 @@ class LatticeFamily(checked_record("LatticeFamily", "tag n m")):
 
 def instantiate(tag: str, n: int, m: int | None = None) -> SubgroupHNF:
     """Canonical subgroup for a family tag and parameters; ValueError where LatticeFamily rejects them."""
-    LatticeFamily(tag, n, m)
-    return SubgroupHNF(*_instance_basis(tag, n, m))
+    return LatticeFamily(tag, n, m).instantiate()
 
 
-# the family table: the unit (n = 1, m = 1) lattice of each family, integer generators over a den
+# the unit table: the unit (n = 1, m = 1) lattice of each family, integer generators over a den
 _UNITS = {tag: SubgroupHNF(hnf_columns(gens), den) for tag, gens, den in (
     ("CUBIC_PRIMITIVE", IDENTITY, 1),
     ("CUBIC_FACE", ((2, 0, 0), (1, 1, 0), (1, 0, 1)), 1),
@@ -441,33 +440,37 @@ def _rotation_generators(G: SpaceGroup) -> tuple[IntMat, ...]:
 
 
 @lru_cache(maxsize=None)
-def _least_instances(T0: SubgroupHNF, frame_name: str) -> tuple[tuple[str, int, int | None, SubgroupHNF, int], ...]:
-    """The family table of T0 in a frame, derived once: (tag, u, v, L₁ = instance(tag, u, v), [T0 : L₁]) per family, L₁ its least instance in T0.
+def _family_table(T0: SubgroupHNF, frame_name: str) -> dict[str, tuple[int, int | None, SubgroupHNF, int]]:
+    """The family table of T0 in a frame, derived once: tag → (u, v, L₁ = instance(tag, u, v), i₁ = [T0 : L₁]), L₁ its least instance in T0.
 
     u is the least n with n·B ⊆ T0 for B the unit instance's (planar) columns, and v the least
     m with m·e₃ ∈ T0 (None if cubic): lcms of denominators in T0-coordinates, as {n : n·B ⊆ T0} is closed under gcd.
-    T0 must itself be an instance, as the per-index route's row of index 1 needs, and it is one iff some family has
-    i₁ = 1: for T0 = instance(tag, n, m), u | n and v | m give L₁ ⊇ T0, so L₁ = T0.  Otherwise the table raises
+    The families are in report order, by ascending i₁, and a tie raises InvariantViolation.  T0 must itself be an
+    instance, as the per-index route's row of index 1 needs, and it is one iff some family has i₁ = 1: for
+    T0 = instance(tag, n, m), u | n and v | m give L₁ ⊇ T0, so L₁ = T0.  Otherwise the table raises
     UnmatchedLattice, as `match_family` would.
     """
     tags, H0, q0 = _frame(frame_name)[0], _rank3_basis(T0), T0.den
     det = H0[0][0] * H0[1][1] * H0[2][2]  # lower triangular
-    out = []
+    table = {}
     for tag in tags:
         H, q = _UNITS[tag]
         # h/q has the T0-coordinates y/(det·q) for the integer y with H0·y = det·q0·h, since det·H0⁻¹ = adj(H0)
         dens = [det * q // math.gcd(det * q, *hnf_solve(H0, [det * q0 * x for x in h])) for h in H]
         u, v = (math.lcm(*dens), None) if tag in CUBIC_TAGS else (math.lcm(*dens[:2]), dens[2])
-        out.append((tag, u, v, L1 := instantiate(tag, u, v), index(L1, T0)))
-    if all(i1 != 1 for *_, i1 in out):
+        table[tag] = (u, v, L1 := instantiate(tag, u, v), index(L1, T0))
+    indices = sorted(i1 for *_, i1 in table.values())
+    if indices[0] != 1:
         raise UnmatchedLattice(f"no closed-form family matches covolume {covolume(T0)}")
-    return tuple(out)
+    if len(set(indices)) != len(indices):
+        raise InvariantViolation(f"families of equal index {indices} in T0 of covolume {covolume(T0)}")
+    return dict(sorted(table.items(), key=lambda item: item[1][3]))
 
 
 def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, LatticeFamily, int]]:
     """The survey rows to `bound` of a record whose point group is its frame's whole rotation group, read off the family table.
 
-    For L₁ = instance(tag, u, v) of index i₁ (`_least_instances`) they are
+    For L₁ = instance(tag, u, v) of index i₁ (`_family_table`) they are
     instance(tag, u·k) of index i₁·k³ and instance(tag, u·k, v·j) of index
     i₁·k²·j, counted first (`_row_count`) and sorted by (total index, −D, basis)
     into a new list on every call, which the caller alone holds.  They are
@@ -480,11 +483,11 @@ def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, Latt
     (½, ½, ½)) and each unit lattice holds e₁, e₁ + e₂ or 2e₁ + e₂, so
     r ∈ ℤ, and u | r, v | s iff L ⊆ T0.
     """
-    least = _least_instances(G.T0, G.frame.name)
-    if (counted := _row_count(least, bound)) > _ROW_LIMIT:
+    table = _family_table(G.T0, G.frame.name)
+    if (counted := _row_count(table, bound)) > _ROW_LIMIT:
         raise TorsymError(f"{G.name}: the survey to index {bound} counts at least {counted} rows, past the limit of {_ROW_LIMIT} rows")
     rows = []  # (index, −D, basis, family): distinct lattices, which sort as the per-index route's rows do
-    for tag, u, v, L1, i1 in least:
+    for tag, (u, v, L1, i1) in table.items():
         for k in range(1, _root(bound // i1, 3 if v is None else 2) + 1):
             if v is None:
                 basis, den = _instance_basis(tag, u * k, None)
@@ -507,12 +510,12 @@ def _root(b: int, e: int) -> int:
     return k
 
 
-def _row_count(least: tuple, bound: int) -> int:
+def _row_count(table: dict, bound: int) -> int:
     """The rows `_closed_form_rows` builds to `bound`, counted in integers: exactly, or as some number past
     `_ROW_LIMIT` that they reach.  As in the rows, a family's k runs to the integer root of b = ⌊bound/i₁⌋
     (`_root`), with one row per k for a cubic family and ⌊b/k²⌋ for a hexagonal one, in O(√_ROW_LIMIT)."""
     total = 0
-    for _, _, v, _, i1 in least:
+    for _, v, _, i1 in table.values():
         b = bound // i1  # the family's rows are L₁'s to the index ⌊bound/i₁⌋ in L₁
         if v is None:
             total += _root(b, 3)

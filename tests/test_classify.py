@@ -48,7 +48,7 @@ from torsym.periodic_graphs import (
     lift_connected_bruteforce,
 )
 from torsym.spacegroups import CUBIC_FRAME, GROUP_NAMES, ROT_XYZ, Isometry, SpaceGroup, _closure, make_group
-from torsym.sublattices import FAMILY_TAGS, LatticeFamily, _least_instances, instantiate, normal_translation_subgroups
+from torsym.sublattices import FAMILY_TAGS, LatticeFamily, _family_table, instantiate, normal_translation_subgroups
 
 from oracles import constraint_holds
 
@@ -135,29 +135,32 @@ def test_a_tie_in_the_image_index_raises_an_internal_error(monkeypatch, capsys):
 
 def test_a_renamed_record_keeps_its_own_cases():
     # I432's record under the name P432 has I432's labels and orbits, not P432's alpha on orbit 2
-    cases = _cases(make_group("I432")._replace(name="P432"))[1]
+    cases = _cases(make_group("I432")._replace(name="P432"))
     assert {label: c.edge.orbit_id for label, c in cases.items()} == {"beta": 1, "gamma": 4}
-    assert {label: c.edge.orbit_id for label, c in _cases(make_group("P432"))[1].items()} == {"alpha": 2}
+    assert {label: c.edge.orbit_id for label, c in _cases(make_group("P432")).items()} == {"alpha": 2}
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
 def test_multipliers_are_the_least_parameter_inside_t0(name):
-    T0 = make_group(name).T0
+    G = make_group(name)
+    T0 = G.T0
     hexagonal = name == "P622"
     tags = [tag for tag in FAMILY_TAGS if tag.startswith("HEX") == hexagonal]
     least = {
         tag: next(u for u in range(1, 13) if is_subgroup(instantiate(tag, u, 1 if hexagonal else None), T0))
         for tag in tags
     }
-    derived = _cases(make_group(name))[0]
+    derived = {tag: u for tag, (u, *_) in _family_table(T0, G.frame.name).items()}
     assert derived == least
     indices = [index(instantiate(tag, u, 1 if hexagonal else None), T0) for tag, u in derived.items()]
     assert indices == sorted(set(indices))
 
 
 def test_a_parameter_off_the_multiplier_is_an_internal_error(monkeypatch, capsys):
-    cases = _cases(make_group("P432"))[1]
-    monkeypatch.setattr(classify, "_cases", lambda G: ({"CUBIC_PRIMITIVE": 2, "CUBIC_FACE": 1, "CUBIC_BODY": 2}, cases))
+    G = make_group("P432")
+    table = dict(_family_table(G.T0, G.frame.name))
+    table["CUBIC_PRIMITIVE"] = (2, *table["CUBIC_PRIMITIVE"][1:])
+    monkeypatch.setattr(classify, "_family_table", lambda T0, frame_name: table)
     with pytest.raises(InvariantViolation, match="not a multiple"):
         classify_case("P432", "alpha", 8)
     assert cli.main(["classify", "P432", "alpha", "--max-index", "8"]) == 3
@@ -276,10 +279,10 @@ def test_derived_constraints_agree_with_bruteforce_lifts(case):
     group, edge = case
     G = make_group(group)
     T0 = G.T0
-    mults, cases = _cases(G)
+    cases = _cases(G)
     g = cases[edge].graph
     checked_ns = set()
-    for tag, mult in mults.items():
+    for tag, (mult, *_) in _family_table(T0, G.frame.name).items():
         e = cases[edge].exponents[tag]
         for n in AGREEMENT_NS:
             for m in (1, 2, 3) if tag.startswith("HEX") else (None,):
@@ -327,9 +330,10 @@ def test_derived_exponent_rejects_an_index_without_a_listed_word(k, u, expected,
 def test_the_verdict_matches_the_constraint_words_on_every_surveyed_row():
     # the surveyed rows of each case to index 512, accepted or not, against the word route of the oracle
     for group, edge in CASES:
-        mults, cases = _cases(make_group(group))
-        for _, fam, _ in normal_translation_subgroups(make_group(group), 512):
-            n, e = fam.n // mults[fam.tag], cases[edge].exponents[fam.tag]
+        G = make_group(group)
+        table, cases = _family_table(G.T0, G.frame.name), _cases(G)
+        for _, fam, _ in normal_translation_subgroups(G, 512):
+            n, e = fam.n // table[fam.tag][0], cases[edge].exponents[fam.tag]
             words = e is not None and constraint_holds(_word(e), n, fam.m)
             assert _accepts(e, n, fam.m) == words, (group, edge, fam)
 
@@ -347,27 +351,27 @@ def test_the_verdict_matches_its_rendered_word(e, n, m):
 
 def test_classify_case_raises_when_a_lift_contradicts_the_constraint(monkeypatch):
     # I432 beta rejects some lattices up to index 8, so e = 1 for every family, "none", cannot hold
-    mults, cases = _cases(make_group("I432"))
+    cases = _cases(make_group("I432"))
     forced = {label: c._replace(exponents=dict.fromkeys(c.exponents, 1)) for label, c in cases.items()}
-    monkeypatch.setattr(classify, "_cases", lambda G: (mults, forced))
+    monkeypatch.setattr(classify, "_cases", lambda G: forced)
     with pytest.raises(InvariantViolation, match="disagrees with the derived constraint"):
         classify_case("I432", "beta", 8)
 
 
 def test_classify_case_raises_when_i432_gamma_takes_the_exponent_one(monkeypatch):
     # the accepted family of I432 gamma has e = 2; with e = 1 its n = 2 instance, which the lift rejects, would pass
-    mults, cases = _cases(make_group("I432"))
+    cases = _cases(make_group("I432"))
     gamma = cases["gamma"]
     assert gamma.exponents == {"CUBIC_BODY": 2, "CUBIC_PRIMITIVE": None, "CUBIC_FACE": None}
     forced = dict(cases, gamma=gamma._replace(exponents={tag: e and 1 for tag, e in gamma.exponents.items()}))
-    monkeypatch.setattr(classify, "_cases", lambda G: (mults, forced))
+    monkeypatch.setattr(classify, "_cases", lambda G: forced)
     with pytest.raises(InvariantViolation, match="CUBIC_BODY n=2, m=None disagrees with the derived constraint 'none'"):
         classify_case("I432", "gamma", 8)
 
 
 def test_the_cases_build_with_every_join_refused(monkeypatch):
     # the derived exponents decide L₁ + I = T0 by the 3×3 minors; only the lift route joins
-    want = {name: {label: c.exponents for label, c in _cases(make_group(name))[1].items()} for name in GROUP_NAMES}
+    want = {name: {label: c.exponents for label, c in _cases(make_group(name)).items()} for name in GROUP_NAMES}
 
     def refuse(*_):
         raise AssertionError("the constraint route called join")
@@ -377,7 +381,7 @@ def test_the_cases_build_with_every_join_refused(monkeypatch):
     for module in modules:
         monkeypatch.setattr(module, "join", refuse)
     for name in GROUP_NAMES:
-        _, cases = _cases.__wrapped__(make_group(name))
+        cases = _cases.__wrapped__(make_group(name))
         assert {label: c.exponents for label, c in cases.items()} == want[name]
 
 
@@ -413,7 +417,7 @@ def test_each_verdict_is_both_lift_routes_on_the_case_graph(case):
     # and the coset-copy search never forms it
     group, edge = case
     G = make_group(group)
-    graph = _cases(G)[1][edge].graph
+    graph = _cases(G)[edge].graph
     accepted = {row.lattice for row in _classify(G, edge, 256)}
     for L, _, _ in normal_translation_subgroups(G, 256):
         assert (L in accepted) == lift_connected(graph, L) == lift_connected_bruteforce(graph, L), L
@@ -447,8 +451,8 @@ def test_each_verdict_has_the_period_of_its_exponent(case):
     # (P622 β) it acts on m alone
     group, edge = case
     G = make_group(group)
-    c = _cases(G)[1][edge]
-    least = {tag: (u, v) for tag, u, v, _, _ in _least_instances(G.T0, G.frame.name)}
+    c = _cases(G)[edge]
+    table = _family_table(G.T0, G.frame.name)
     (e,) = {x for x in c.exponents.values() if x is not None}
     if c.image.rank == 3:
         assert _t0_times_in(e, G.T0, c.image)
@@ -456,7 +460,7 @@ def test_each_verdict_has_the_period_of_its_exponent(case):
     else:
         assert e == 0
     for tag in (tag for tag, x in c.exponents.items() if x is not None):
-        u, v = least[tag]
+        u, v, _, _ = table[tag]
         for k in range(1, 2 * e + 1):
             verdict = lift_connected_bruteforce(c.graph, instantiate(tag, u * k))
             assert verdict == _accepts(e, k, None) == _accepts(e, k + e, None), (tag, k)
@@ -491,7 +495,7 @@ def test_an_origin_shift_keeps_every_row_but_its_orbit_id(case, c):
     cosets, T0, maps = _closure(gens)
     H = SpaceGroup(group, G.frame, gens, T0, len(cosets), tuple(cosets), maps)
     # H's verdicts come from H's own case graph, which sits at the shifted vertices
-    assert _cases(H)[1][edge].graph.vertices != _cases(G)[1][edge].graph.vertices
+    assert _cases(H)[edge].graph.vertices != _cases(G)[edge].graph.vertices
     # each row derives its columns from the group's name, so it carries the named group's orbit id too
     rows = _classify(H, edge, 256)
     assert rows and rows == classify_case(group, edge, 256)
@@ -594,8 +598,7 @@ def test_a_row_is_rebuilt_from_its_group_edge_and_family():
 
 def test_copy_and_pickle_round_trip_a_row():
     for row in (classify_case("I4_132", "beta", 512)[-1], classify_case("P622", "beta", 12)[-1]):
-        assert row.__getnewargs__() == (row.group, row.edge_label, row.family)
-        for other in (copy.copy(row), copy.deepcopy(row), pickle.loads(pickle.dumps(row)), pickle.loads(pickle.dumps(row, 0))):
+        for other in (copy.copy(row), copy.deepcopy(row), *(pickle.loads(pickle.dumps(row, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1))):
             assert type(other) is ClassificationRow and other == row and repr(other) == repr(row)
 
 
@@ -728,7 +731,7 @@ def test_the_cells_are_derived_from_the_family_table(monkeypatch):
     assert [(c.coefficient, c.exponent) for c in cells] == claimed
     for c, f in zip(cells, (f for claim in THEOREM_1.values() for f in claim.families)):
         G = make_group(c.group)
-        (i1,) = [i1 for tag, _, _, _, i1 in _least_instances(G.T0, G.frame.name) if tag == f.tag]
+        i1 = _family_table(G.T0, G.frame.name)[f.tag][3]
         assert (c.coefficient, c.exponent) == (G.point_order * i1 // 12, 2 if f.tag.startswith("HEX") else 3)
     # a false claimed pair moves no cell
     _wrong_genus_form(monkeypatch)
@@ -1020,8 +1023,7 @@ def test_a_claimed_case_the_record_does_not_derive_is_an_internal_error(monkeypa
     derived = classify._cases
 
     def without_p432_alpha(G):
-        mults, cases = derived(G)
-        return mults, {label: c for label, c in cases.items() if (G.name, label) != ("P432", "alpha")}
+        return {label: c for label, c in derived(G).items() if (G.name, label) != ("P432", "alpha")}
 
     monkeypatch.setattr(classify, "_cases", without_p432_alpha)
     with pytest.raises(InvariantViolation, match="P432 has no edge alpha"):
@@ -1112,9 +1114,38 @@ def test_cold_census_builds_each_case_graph_once(monkeypatch):
 def test_cold_census_derives_each_family_table_once():
     # the cases, the surveys and the claim checks read one memoised family table per (T0, frame name):
     # five for the six groups, as P432 and P4_232 share T0 = ℤ³
-    for f in (*vars(classify).values(), sublattices._least_instances):
+    for f in (*vars(classify).values(), sublattices._family_table):
         if hasattr(f, "cache_clear"):
             f.cache_clear()
     theorem1_table(101)
     tables = {(G.T0, G.frame.name) for G in map(make_group, GROUP_NAMES)}
-    assert sublattices._least_instances.cache_info().misses == len(tables) == 5
+    assert sublattices._family_table.cache_info().misses == len(tables) == 5
+
+
+def test_every_reader_refuses_a_tie_in_family_index(monkeypatch, capsys):
+    # the face-centred unit set to the primitive one: two P432 families of index 1 in T0 = ℤ³, whose survey
+    # would repeat a lattice under two tags; the family table refuses the tie, and so does each of its readers
+    G, tie = make_group("P432"), r"^families of equal index \[1, 1, 4\] in T0 of covolume 1$"
+    _cases(G)  # warm, so that classify_case and the row reach their own lookups of the table
+    monkeypatch.setitem(sublattices._UNITS, "CUBIC_FACE", sublattices._UNITS["CUBIC_PRIMITIVE"])
+    readers = {
+        "survey": lambda: normal_translation_subgroups(G, 8),
+        "cases": lambda: _cases.__wrapped__(G),
+        "classify_case": lambda: classify_case("P432", "alpha", 8),
+        "ClassificationRow": lambda: ClassificationRow("P432", "alpha", LatticeFamily("CUBIC_PRIMITIVE", 1)),
+        "cli": lambda: cli.main(["classify", "P432", "alpha", "--max-index", "8"]),
+    }
+    try:
+        for name, read in readers.items():
+            # each reader derives the table anew, so none is answered by one derived before the edit
+            sublattices._family_table.cache_clear()
+            if name == "cli":
+                assert read() == 3
+                assert capsys.readouterr().err == "internal error: families of equal index [1, 1, 4] in T0 of covolume 1\n"
+            else:
+                with pytest.raises(InvariantViolation, match=tie):
+                    read()
+    finally:
+        monkeypatch.undo()
+        sublattices._family_table.cache_clear()
+        classify._cases.cache_clear()

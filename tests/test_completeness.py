@@ -20,7 +20,7 @@ import pytest
 from torsym import sublattices
 from torsym.lattices import hnf_columns, invariant_coords_matrix, relative_coordinates, smith_form
 from torsym.spacegroups import GROUP_NAMES, make_group
-from torsym.sublattices import _least_instances, instantiate
+from torsym.sublattices import _family_table, instantiate
 
 # the Smith invariants of Λ in ℤ⁹, per group; the last one is the conductor f
 SMITH = {
@@ -72,9 +72,9 @@ def _invariant_normalised(G, f: int) -> set:
     return out
 
 
-def _least_in_t0(G, least) -> set:
+def _least_in_t0(G, table) -> set:
     """The families' least instances L₁ as column HNFs in T0-coordinates."""
-    return {hnf_columns(relative_coordinates(L1, G.T0)) for _, _, _, L1, _ in least}
+    return {hnf_columns(relative_coordinates(L1, G.T0)) for _, _, L1, _ in table.values()}
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
@@ -102,7 +102,7 @@ def test_the_normalised_invariant_lattices_are_the_least_family_instances(name):
     f = SMITH[name][-1]
     found = _invariant_normalised(G, f)
     assert len(found) == (2 if name == "P622" else 3)
-    assert found == _least_in_t0(G, _least_instances(G.T0, G.frame.name))
+    assert found == _least_in_t0(G, _family_table(G.T0, G.frame.name))
 
 
 def test_a_unit_table_without_hex_rot_is_incomplete(monkeypatch):
@@ -111,9 +111,9 @@ def test_a_unit_table_without_hex_rot_is_incomplete(monkeypatch):
     hex_rot = hnf_columns(relative_coordinates(instantiate("HEX_ROT", 1, 1), G.T0))
     monkeypatch.setattr(sublattices, "HEX_TAGS", ("HEX_PRIMITIVE",))
     monkeypatch.setattr(sublattices, "_UNITS", {k: v for k, v in sublattices._UNITS.items() if k != "HEX_ROT"})
-    least = _least_instances.__wrapped__(G.T0, G.frame.name)
-    assert [row[0] for row in least] == ["HEX_PRIMITIVE"]
-    assert _invariant_normalised(G, 3) - _least_in_t0(G, least) == {hex_rot}
+    table = _family_table.__wrapped__(G.T0, G.frame.name)
+    assert list(table) == ["HEX_PRIMITIVE"]
+    assert _invariant_normalised(G, 3) - _least_in_t0(G, table) == {hex_rot}
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
@@ -121,4 +121,4 @@ def test_the_smallest_smith_invariant_is_no_conductor(name):
     # f = 1 leaves T0 alone, and so misses every family but the one of index 1
     G = make_group(name)
     found = _invariant_normalised(G, SMITH[name][0])
-    assert found == {((1, 0, 0), (0, 1, 0), (0, 0, 1))} and found < _least_in_t0(G, _least_instances(G.T0, G.frame.name))
+    assert found == {((1, 0, 0), (0, 1, 0), (0, 0, 1))} and found < _least_in_t0(G, _family_table(G.T0, G.frame.name))

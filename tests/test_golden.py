@@ -12,10 +12,12 @@ are pinned the same way.
 """
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -28,7 +30,7 @@ from torsym import cli, classify_case, instantiate, labeled_marked_edges, theore
 from torsym.classify import THEOREM_1, _cases, _word
 from torsym.periodic_graphs import _normalizer_solutions, _singular_data, edge_orbit_graph
 from torsym.spacegroups import GROUP_NAMES, make_group
-from torsym.sublattices import LatticeFamily, _walked_rows, normal_translation_subgroups
+from torsym.sublattices import LatticeFamily, _family_table, _walked_rows, normal_translation_subgroups
 
 from test_sublattices import _SCALED_RECORDS
 
@@ -121,7 +123,8 @@ RECORD_REPRS = (
 )
 
 # SHA-256 of the repr of _singular_data(G), _normalizer_solutions(G) and _cases(G) per group: the internal
-# records that the cold case layer builds and every table reads; `_cases` re-recorded with `_Case` above
+# records that the cold case layer builds and every table reads; `_cases` re-recorded with `_Case` above, while it
+# returned the family multipliers beside the case map (`_multipliers_and_cases` rebuilds that pair)
 CASE_LAYER_REPRS = (
     ("P432", "e4e79bab47b60fda1d629de17d50019cadff06389bbe83351e4cabc3e9bf22a3", "05c9b53e9bdae61583eac54cf4cf3e414f593ad0d5c1005553f22c392893d0f1", "90409a04e3b55b5dd2ff02cb0ce68d720e7f813f303d6470ed9c77db24b37068"),
     ("F4_132", "776bf6c697a659b21bdb0db4bc5c76bf8db84fefa8a401c8b9e115012d89731a", "8843237b169d59e9cf022a14430c396120451ec34f8bdc8ce77f793580e7bf6d", "a7b6718124c22a5f7c6e3d982d5f84136b6f12a51db7e0092b8592889e5036b4"),
@@ -233,7 +236,7 @@ def _record_instances() -> dict:
         "ClaimCheck": report.checks[0],
         "VerificationReport": report,
         "_CaseClaim": THEOREM_1["P4_232", "beta"],
-        "_Case": _cases(make_group("P4_232"))[1]["gamma"],
+        "_Case": _cases(make_group("P4_232"))["gamma"],
         "_SingularData": _singular_data(G),
     }
 
@@ -243,10 +246,44 @@ def test_every_record_repr_is_pinned():
     assert reprs == dict(RECORD_REPRS)
 
 
+# the records built by `lattices.checked_record`, whose one `__reduce__` rebuilds them through their checks
+CHECKED_RECORD_NAMES = ("Isometry", "SubgroupHNF", "LatticeFamily", "SingularEdge", "PeriodicGraph", "ClassificationRow")
+
+
+def test_every_checked_record_round_trips_through_its_checks():
+    records = _record_instances()
+    checked = [name for name, record in records.items() if type(record).__reduce__ is not tuple.__reduce__]
+    assert checked == list(CHECKED_RECORD_NAMES)
+    for name in checked:
+        record = records[name]
+        copies = [copy.copy(record), copy.deepcopy(record)]
+        copies += [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is type(record) and other == record and repr(other) == repr(record), name
+
+
+def test_an_edited_pickle_is_refused_by_the_record_checks():
+    # protocol 0 writes each int as I<digits>: a row's orbit id, then a basis pivot, edited in the bytes
+    row = classify_case("P432", "alpha", 8)[0]
+    data = pickle.dumps(row, 0)
+    assert row.orbit_id == 2 and data.count(b"I2\n") == 1
+    with pytest.raises(ValueError, match="^orbit_id must be the derived 2, got 7$"):
+        pickle.loads(data.replace(b"I2\n", b"I7\n"))
+    data = pickle.dumps(instantiate("CUBIC_PRIMITIVE", 1), 0)
+    assert data.count(b"(I1\nI0\nI0\n") == 1
+    with pytest.raises(ValueError, match="column HNF"):
+        pickle.loads(data.replace(b"(I1\nI0\nI0\n", b"(I0\nI0\nI0\n"))
+
+
+def _multipliers_and_cases(G) -> tuple[dict, dict]:
+    """The pair `_cases(G)` was recorded as: each family's multiplier u off the family table, in its report order, and the case map."""
+    return {tag: u for tag, (u, *_) in _family_table(G.T0, G.frame.name).items()}, _cases(G)
+
+
 @pytest.mark.parametrize("name, singular, normalizer, cases", CASE_LAYER_REPRS, ids=[n for n, *_ in CASE_LAYER_REPRS])
 def test_the_case_layer_records_are_pinned_by_repr(name, singular, normalizer, cases):
     G = make_group(name)
-    reprs = [hashlib.sha256(repr(f(G)).encode()).hexdigest() for f in (_singular_data, _normalizer_solutions, _cases)]
+    reprs = [hashlib.sha256(repr(f(G)).encode()).hexdigest() for f in (_singular_data, _normalizer_solutions, _multipliers_and_cases)]
     assert reprs == [singular, normalizer, cases]
 
 
@@ -258,9 +295,9 @@ def _worded(case) -> _WordedCase:
 def test_the_cases_render_to_the_records_of_constraint_words(name, digest):
     # the exponents carry exactly what the words did: rendered, each case repr is the one pinned before
     if name == "_Case":
-        record = _worded(_cases(make_group("P4_232"))[1]["gamma"])
+        record = _worded(_cases(make_group("P4_232"))["gamma"])
     else:
-        mults, cases = _cases(make_group(name))
+        mults, cases = _multipliers_and_cases(make_group(name))
         record = (mults, {label: _worded(case) for label, case in cases.items()})
     assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
 

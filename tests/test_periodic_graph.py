@@ -1351,7 +1351,7 @@ def t0_hnfs(draw, top=6):
 def test_lift_routes_agree_on_random_t0_hnfs(case, basis):
     # every full-rank sublattice of T0 with pivots ≤ 6, not only the family instances:
     # the join criterion against the search over coset copies
-    g = _cases(make_group(case[0]))[1][case[1]].graph
+    g = _cases(make_group(case[0]))[case[1]].graph
     T = _from_t0_hnfs(g.T0, (basis,))[0]
     assert index(T, g.T0) == basis[0][0] * basis[1][1] * basis[2][2]
     assert lift_connected(g, T) == lift_connected_bruteforce(g, T)

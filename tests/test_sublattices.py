@@ -63,7 +63,7 @@ from torsym.sublattices import (
     LatticeFamily,
     _coord_rotations,
     _coprime_meet,
-    _least_instances,
+    _family_table,
     _prime_power_parts,
     _rotation_generators,
     _closed_form_rows,
@@ -617,7 +617,7 @@ def test_an_unknown_frame_name_is_refused():
     with pytest.raises(ValueError, match="^unknown frame 'cubic'"):
         match_family(Z3, frame)
     with pytest.raises(ValueError, match="^unknown frame 'cubic'"):
-        _least_instances(Z3, "cubic")
+        _family_table(Z3, "cubic")
     with pytest.raises(ValueError, match="^unknown frame 'cubic'"):
         normal_translation_subgroups(make_group("P432")._replace(frame=frame), 8)
 
@@ -950,7 +950,7 @@ def test_the_row_count_equals_the_rows_built(name, bound):
     # the count read off the family table before any row is built, against the rows themselves
     assume(name != "P622" or bound <= 10**4)
     G = make_group(name)
-    assert sublattices._row_count(_least_instances(G.T0, G.frame.name), bound) == len(_closed_form_rows(G, bound))
+    assert sublattices._row_count(_family_table(G.T0, G.frame.name), bound) == len(_closed_form_rows(G, bound))
 
 
 @given(st.integers(0, 10**6) | st.integers(0, 10**40), st.sampled_from((2, 3)))
@@ -1022,9 +1022,12 @@ def test_closed_form_equals_the_walk_on_scaled_lattices(G):
 @pytest.mark.parametrize("G", [*map(make_group, GROUP_NAMES), *_SCALED_RECORDS], ids=lambda G: G.name)
 def test_each_least_instance_is_its_unit_lattice_scaled(G):
     # L₁ is read off the family's unit lattice; the oracle builds it from the family's generators
-    least = _least_instances(G.T0, G.frame.name)
-    assert [tag for tag, *_ in least] == list(CUBIC_TAGS if G.frame.name == "CUBIC" else HEX_TAGS)
-    for tag, u, v, L1, i1 in least:
+    table = _family_table(G.T0, G.frame.name)
+    assert sorted(table) == sorted(CUBIC_TAGS if G.frame.name == "CUBIC" else HEX_TAGS)
+    # in report order: the indices ascend strictly
+    indices = [i1 for *_, i1 in table.values()]
+    assert indices == sorted(set(indices))
+    for tag, (u, v, L1, i1) in table.items():
         assert L1 == instantiate_by_generators(tag, u, v)
         assert i1 == index(L1, G.T0)
 
