@@ -3,7 +3,8 @@
 import math
 from functools import lru_cache
 from itertools import accumulate, combinations
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import Disconnected, InvariantViolation, TorsymError
 from .lattices import SubgroupHNF, checked_record, covolume, hnf, index, mat_det, relative_coordinates, smith_form
@@ -248,7 +249,7 @@ class _Case(NamedTuple):
     edge: SingularEdge
     graph: PeriodicGraph
     image: SubgroupHNF
-    exponents: dict[str, int | None]
+    exponents: Mapping[str, int | None]
 
 
 def labeled_marked_edges(name: str) -> dict[str, SingularEdge]:
@@ -257,12 +258,13 @@ def labeled_marked_edges(name: str) -> dict[str, SingularEdge]:
 
 
 @lru_cache(maxsize=None)
-def _cases(G: SpaceGroup) -> dict[str, _Case]:
+def _cases(G: SpaceGroup) -> Mapping[str, _Case]:
     """G's marked edge orbits as cases by label, in label order, each case's exponents in the family table's report order.
 
     Alpha is the orbit whose cycle image I is all of T0.  The others take
     beta, then gamma, by ascending [T0 : I], a rank-2 I counting as
     infinite.  A tie, or more orbits than labels, raises InvariantViolation.
+    The map and each case's exponents are read-only, as every call shares them.
     """
     table = _family_table(G.T0, G.frame.name)
     orbits = []
@@ -274,10 +276,10 @@ def _cases(G: SpaceGroup) -> dict[str, _Case]:
     first = 0 if orbits and orbits[0][0] == 1 else 1
     if len({o[0] for o in orbits}) != len(orbits) or first + len(orbits) > len(EDGE_LABELS):
         raise InvariantViolation(f"{G.name}: marked orbits of [T0 : I] {[o[0] for o in orbits]} take no labels")
-    return {
-        label: _Case(e, g, I, {tag: _derived_exponent(I, G.T0, tag, L1) for tag, (_, _, L1, _) in table.items()})
+    return MappingProxyType({
+        label: _Case(e, g, I, MappingProxyType({tag: _derived_exponent(I, G.T0, tag, L1) for tag, (_, _, L1, _) in table.items()}))
         for label, (_, _, e, g, I) in zip(EDGE_LABELS[first:], orbits)
-    }
+    })
 
 
 def _derived_exponent(I: SubgroupHNF, T0: SubgroupHNF, tag: str, L1: SubgroupHNF) -> int | None:

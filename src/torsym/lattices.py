@@ -38,8 +38,6 @@ def _over_common_denominator(v: Sequence) -> tuple[tuple[int, ...], int]:
     """Integer numerators and their least positive common denominator for a rational 3-vector; ValueError naming any other."""
     if len(v) != 3:
         raise ValueError(f"expected a 3-vector, got {v!r}")
-    if all(type(x) is int for x in v):
-        return tuple(v), 1
     # an int carries numerator and denominator too, so only other types are converted
     fr = [x if type(x) is int else as_fraction(x) for x in v]
     den = math.lcm(*(f.denominator for f in fr))
@@ -272,16 +270,14 @@ def hnf_columns(cols: Iterable[Sequence[int]]) -> tuple[tuple[int, int, int], ..
 
 
 def hnf(generators: Iterable[Sequence]) -> SubgroupHNF:
-    """Canonical form of the subgroup generated by rational (or integer) 3-vectors."""
-    generators = list(generators)
-    if all(type(x) is int for g in generators for x in g):
-        return SubgroupHNF(hnf_columns(generators), 1)
-    gens = [tuple(map(as_fraction, g)) for g in generators]
-    gens = [g for g in gens if any(g)]
-    if not gens:
-        return TRIVIAL_SUBGROUP
+    """Canonical form of the subgroup generated by rational 3-vectors; ValueError naming any other."""
+    gens = []
+    for g in generators:
+        if len(g) != 3:
+            raise ValueError(f"expected a 3-vector, got {g!r}")
+        gens.append(tuple(map(as_fraction, g)))
     # minimal D clearing denominators: every generator lies in the subgroup,
-    # so no smaller D can make the whole subgroup integral
+    # so no smaller D can make the whole subgroup integral (a zero one has denominator 1)
     d = math.lcm(*(x.denominator for g in gens for x in g))
     return SubgroupHNF(hnf_columns([[int(x * d) for x in g] for g in gens]), d)
 
@@ -310,10 +306,9 @@ def _in_lattice(nums: Sequence[int], den: int, sup: SubgroupHNF) -> bool:
     x0, x1, x2 = nums
     q = sup.den
     w0, w1, w2 = q * x0, q * x1, q * x2
-    if den != 1:
-        if w0 % den or w1 % den or w2 % den:
-            return False
-        w0, w1, w2 = w0 // den, w1 // den, w2 // den
+    if w0 % den or w1 % den or w2 % den:
+        return False
+    w0, w1, w2 = w0 // den, w1 // den, w2 // den
     return not any(hnf_reduce((w0, w1, w2), sup.basis))
 
 
@@ -447,13 +442,9 @@ def _from_t0_hnfs(T0: SubgroupHNF, bases: Iterable[tuple[tuple[int, int, int], .
     """The subgroups ⟨H·M⟩/q of T0 = H/q for integer column HNFs M in T0-coordinates, sorted by (−D, basis).
 
     `hnf_product` gives the column HNF of H·M; divided by g = gcd(q, its
-    content), over D = q/g, it is canonical.  When T0 = ℤ³ its HNF is the
-    identity, each M is its own canonical basis over D = 1, and the tuples
-    sort as they are.
+    content), over D = q/g, it is canonical.
     """
     basis, q = _rank3_basis(T0), T0.den
-    if q == 1 and basis == IDENTITY:
-        return [SubgroupHNF(M, 1) for M in sorted(bases)]
     out = []
     for M in bases:
         cols = hnf_product(basis, M)

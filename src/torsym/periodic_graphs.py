@@ -7,7 +7,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import Disconnected, InvariantViolation, NotASubgroup
 from .lattices import (
@@ -356,15 +357,16 @@ class _SingularData(NamedTuple):
     hold points in the same numerators: a point's cell and its
     representative in [0,1)³ are one divmod by den per coordinate.  The
     rotation axes are not kept: every segment lies on an axis through a
-    vertex, and an axis through none adds no edge.
+    vertex, and an axis through none adds no edge.  The fields are tuples
+    and a read-only view, as every later call shares them.
     """
 
     den: int
-    moves: list[tuple[IntMat, IntVec]]
-    normalizer: list[tuple[IntMat, IntVec]]
-    vertex_classes: list[IntVec]
-    orbit_of: dict[ScaledSegment, int]
-    orbits: list[list[ScaledSegment]]
+    moves: tuple[tuple[IntMat, IntVec], ...]
+    normalizer: tuple[tuple[IntMat, IntVec], ...]
+    vertex_classes: tuple[IntVec, ...]
+    orbit_of: Mapping[ScaledSegment, int]
+    orbits: tuple[tuple[ScaledSegment, ...], ...]
     edges: tuple[SingularEdge, ...]
 
 
@@ -380,12 +382,12 @@ def _singular_data(G: SpaceGroup) -> _SingularData:
     maps = _normalizer_solutions(G)
     cosets, cden = G.maps
     den = math.lcm(*(top for _, top in corners), cden, *(top // math.gcd(top, *y) for _, y, top in maps))
-    moves = [(a, tuple(x * (den // cden) for x in t)) for a, t in cosets]
-    normalizer = [(a, tuple(x * (den // top) for x in y)) for a, y, top in maps]
-    verts = _vertices_mod_t0(den, moves, corners)
+    moves = tuple((a, tuple(x * (den // cden) for x in t)) for a, t in cosets)
+    normalizer = tuple((a, tuple(x * (den // top) for x in y)) for a, y, top in maps)
+    verts = tuple(_vertices_mod_t0(den, moves, corners))
     germs = {v: _germ_orbits(tuple(moves[k][0] for k in fixing_cosets(moves, den, v) if moves[k][0] != IDENTITY)) for v in verts}
-    orbits = _segment_orbits(den, moves, _axis_segments(den, germs))
-    orbit_of = {seg: oid for oid, members in enumerate(orbits) for seg in members}
+    orbits = tuple(map(tuple, _segment_orbits(den, moves, _axis_segments(den, germs))))
+    orbit_of = MappingProxyType({seg: oid for oid, members in enumerate(orbits) for seg in members})
     edges = []
     for oid, members in enumerate(orbits):
         edge_index, link = _edge_data(den, members[0], germs)

@@ -38,6 +38,8 @@ __all__ = ["GROUP_NAMES", "Isometry", "SpaceGroup", "canonical_group_name", "mak
 # the cosets (R, t) of a group as maps y ↦ A·y + τ in the basis B of T0, and den: A = B⁻¹RB and τ the
 # integer numerators of B⁻¹t over den, the least common denominator of every B⁻¹t (built by `_closure`)
 CosetMaps = tuple[tuple[tuple[IntMat, IntVec], ...], int]
+# `_closure` refuses more cosets than this, twice 48, the order of the largest finite subgroup of GL₃(ℤ)
+_MAX_COSETS = 96
 
 # ============================================================
 # frames
@@ -178,14 +180,14 @@ def canonical_group_name(name: str) -> str:
     return _ALIASES[key]
 
 
-def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isometry], SubgroupHNF, CosetMaps]:
+def _closure(generators: Sequence[Isometry]) -> tuple[list[Isometry], SubgroupHNF, CosetMaps]:
     """Coset representatives, translation lattice T0 and coset maps of the group the isometries generate.
 
     Returns (cosets, T0, maps): one representative per rotation, its
     translation reduced into the fundamental cell of T0 by pivot-ordered
     triangular reduction, sorted by rotation, and the same cosets as
     `CosetMaps`.  The pure translations among the generators must span
-    rank 3.  More than `cap` cosets raises ClosureOverflow.
+    rank 3.  More than `_MAX_COSETS` cosets raises ClosureOverflow.
 
     One breadth-first pass multiplies each representative, as it is found, by
     each generator once, and keeps the first product found in each coset as
@@ -224,8 +226,8 @@ def _closure(generators: Sequence[Isometry], cap: int = 96) -> tuple[list[Isomet
             if have is not None:
                 schreier.add((trans[0] - have[0], trans[1] - have[1], trans[2] - have[2]))
                 continue
-            if len(reps) >= cap:
-                raise ClosureOverflow(f"more than {cap} cosets")
+            if len(reps) >= _MAX_COSETS:
+                raise ClosureOverflow(f"more than {_MAX_COSETS} cosets")
             reps[rot] = trans
             found.append(rot)
     mcols = hnf_columns(schreier)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
-from types import SimpleNamespace
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvariantViolation, RankDeficient, TorsymError, UnmatchedLattice
 from .lattices import (
@@ -238,7 +238,7 @@ def _scaled(M: tuple, c: int) -> tuple:
 def _primitive(M: tuple) -> tuple[int, tuple]:
     """(c, M₀) with M = c·M₀ for c the content of M's basis."""
     c = math.gcd(*M[0], *M[1], *M[2])
-    return c, M if c == 1 else tuple(tuple(x // c for x in col) for col in M)
+    return c, tuple(tuple(x // c for x in col) for col in M)
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +282,7 @@ def _descent_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
     for step in range(1, min(k, 3) + 1):
         for c, M0 in map(_primitive, _descent_p_power(coord_rots, p, k - step) if k > step else (IDENTITY,)):
             found = [N for s, N in _maximal_steps(coord_rots, p, M0) if s == step]
-            out.update(found if c == 1 else (_scaled(N, c) for N in found))
+            out.update(_scaled(N, c) for N in found)
     return tuple(out)  # most primes give none, and () is shared
 
 
@@ -290,9 +290,11 @@ def _descent_p_power(coord_rots: tuple, p: int, k: int) -> tuple:
 # invariant sublattices of index prime to |P|: the closed form
 # ============================================================
 
+_Split = NamedTuple("_Split", [("order", int), ("norm", int), ("parts", tuple), ("step", int)])
+
 
 @lru_cache(maxsize=None)
-def _split(coord_rots: tuple) -> SimpleNamespace:
+def _split(coord_rots: tuple) -> _Split:
     """|P| for the finite group P the rotations generate, ⟨χ, χ⟩ = Σ_g tr(g)²/|P|, and the split of ℚ³ where known.
 
     `parts` holds (dim V, basis of ℤ³ ∩ V) per component V, and `step` the
@@ -316,7 +318,7 @@ def _split(coord_rots: tuple) -> SimpleNamespace:
         if any(int_matvec(r, v) not in (v, tuple(-x for x in v)) or int_matvec(tuple(zip(*r)), n) not in (n, tuple(-x for x in n)) for r in coord_rots):
             raise InvariantViolation("a component of the rational split of ℚ³ is not invariant")
         parts = ((1, (v,)), (2, hnf_columns([(0, n[2], -n[1]), (-n[2], 0, n[0]), (n[1], -n[0], 0)])))
-    return SimpleNamespace(order=len(group), norm=norm, parts=parts, step=math.gcd(*(dim for dim, _ in parts)))
+    return _Split(len(group), norm, parts, math.gcd(*(dim for dim, _ in parts)))
 
 
 @lru_cache(maxsize=None)
@@ -440,7 +442,7 @@ def _rotation_generators(G: SpaceGroup) -> tuple[IntMat, ...]:
 
 
 @lru_cache(maxsize=None)
-def _family_table(T0: SubgroupHNF, frame_name: str) -> dict[str, tuple[int, int | None, SubgroupHNF, int]]:
+def _family_table(T0: SubgroupHNF, frame_name: str) -> Mapping[str, tuple[int, int | None, SubgroupHNF, int]]:
     """The family table of T0 in a frame, derived once: tag → (u, v, L₁ = instance(tag, u, v), i₁ = [T0 : L₁]), L₁ its least instance in T0.
 
     u is the least n with n·B ⊆ T0 for B the unit instance's (planar) columns, and v the least
@@ -448,7 +450,7 @@ def _family_table(T0: SubgroupHNF, frame_name: str) -> dict[str, tuple[int, int 
     The families are in report order, by ascending i₁, and a tie raises InvariantViolation.  T0 must itself be an
     instance, as the per-index route's row of index 1 needs, and it is one iff some family has i₁ = 1: for
     T0 = instance(tag, n, m), u | n and v | m give L₁ ⊇ T0, so L₁ = T0.  Otherwise the table raises
-    UnmatchedLattice, as `match_family` would.
+    UnmatchedLattice, as `match_family` would.  The table is a read-only view, as every later call shares it.
     """
     tags, H0, q0 = _frame(frame_name)[0], _rank3_basis(T0), T0.den
     det = H0[0][0] * H0[1][1] * H0[2][2]  # lower triangular
@@ -464,7 +466,7 @@ def _family_table(T0: SubgroupHNF, frame_name: str) -> dict[str, tuple[int, int 
         raise UnmatchedLattice(f"no closed-form family matches covolume {covolume(T0)}")
     if len(set(indices)) != len(indices):
         raise InvariantViolation(f"families of equal index {indices} in T0 of covolume {covolume(T0)}")
-    return dict(sorted(table.items(), key=lambda item: item[1][3]))
+    return MappingProxyType(dict(sorted(table.items(), key=lambda item: item[1][3])))
 
 
 def _closed_form_rows(G: SpaceGroup, bound: int) -> list[tuple[SubgroupHNF, LatticeFamily, int]]:

@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from torsym.classify import CASES, classify_case, labeled_marked_edges, theorem1_table
 from torsym.lattices import covolume, hnf
 from torsym.periodic_graphs import (
@@ -145,6 +147,7 @@ def _generator_rotations(name: str):
     return tuple(g.rot for g in make_group(name).generators if g.rot != _IDENTITY)
 
 
+@pytest.mark.numpy
 def test_acceptance_03_invariant_sublattice_bruteforce():
     started = time.perf_counter()
     z3 = hnf([(1, 0, 0), (0, 1, 0), (0, 0, 1)])

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import operator
 import pickle
 import sys
 import weakref
@@ -138,6 +139,33 @@ def test_a_renamed_record_keeps_its_own_cases():
     cases = _cases(make_group("I432")._replace(name="P432"))
     assert {label: c.edge.orbit_id for label, c in cases.items()} == {"beta": 1, "gamma": 4}
     assert {label: c.edge.orbit_id for label, c in _cases(make_group("P432")).items()} == {"alpha": 2}
+
+
+def test_the_memoised_tables_refuse_every_edit():
+    # every later call shares these values, so an edit in place would change every later answer
+    P432, I432 = make_group("P432"), make_group("I432")
+    table, cases = _family_table(P432.T0, P432.frame.name), _cases(I432)
+    data, split = periodic_graphs._singular_data(P432), sublattices._split(sublattices._coord_rotations(P432.T0, (ROT_XYZ,)))
+    # a read-only view has no pop, so the edit that once dropped a family or a case now fails at once
+    for view, key in ((table, "CUBIC_FACE"), (cases, "beta")):
+        with pytest.raises(AttributeError):
+            view.pop(key)
+        with pytest.raises(TypeError):
+            operator.delitem(view, key)
+    edits = [
+        (operator.setitem, cases["beta"].exponents, "CUBIC_BODY", 1),
+        (operator.delitem, data.orbit_of, next(iter(data.orbit_of))),
+        (operator.setitem, data.orbits[0], 0, data.orbits[0][-1]),
+        (operator.setitem, data.vertex_classes, 0, (1, 1, 1)),
+        (operator.setitem, data.moves, 0, data.moves[-1]),
+    ]
+    for edit, target, *args in edits:
+        with pytest.raises(TypeError):
+            edit(target, *args)
+    with pytest.raises(AttributeError):
+        split.order = 1
+    assert len(classify_case("P432", "alpha", 64)) == 9
+    assert len(classify_case("I432", "beta", 8)) > 0
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)

@@ -103,7 +103,8 @@ ORBIT_GRAPHS = "cdbe26378f8da5abb14b2019a1ecbef8d4130f9ae80af6b165ddcdcbbb53865f
 # SHA-256 of the repr of one instance of every record, recorded while the records were dataclasses:
 # the field names, their order, the values and the repr without `SpaceGroup.maps` stay as they were,
 # except `_Case`, re-recorded when its constraint words became exponents (`WORDED_CASE_REPRS`), and
-# `_CaseClaim`, re-recorded when its families' census pair became claim-only (`UNCLAIMED_FORM_REPR`)
+# `_CaseClaim`, re-recorded when its families' census pair became claim-only (`UNCLAIMED_FORM_REPR`); `_Case`
+# and `_SingularData` hold tuples and read-only views now, and are compared rebuilt with the lists and dicts they held
 RECORD_REPRS = (
     ("Frame", "f2111879a75fd474c20faeb43b68cd60d90045d7d871806239edc4c458339b87"),
     ("SpaceGroup", "69f2b9ec1cfeca506e7ca812b92094c6e7b3d0a6519649b17478ade2bf3aff63"),
@@ -124,7 +125,8 @@ RECORD_REPRS = (
 
 # SHA-256 of the repr of _singular_data(G), _normalizer_solutions(G) and _cases(G) per group: the internal
 # records that the cold case layer builds and every table reads; `_cases` re-recorded with `_Case` above, while it
-# returned the family multipliers beside the case map (`_multipliers_and_cases` rebuilds that pair)
+# returned the family multipliers beside the case map (`_multipliers_and_cases` rebuilds that pair); both compared
+# rebuilt with plain lists and dicts, as `RECORD_REPRS` compares them
 CASE_LAYER_REPRS = (
     ("P432", "e4e79bab47b60fda1d629de17d50019cadff06389bbe83351e4cabc3e9bf22a3", "05c9b53e9bdae61583eac54cf4cf3e414f593ad0d5c1005553f22c392893d0f1", "90409a04e3b55b5dd2ff02cb0ce68d720e7f813f303d6470ed9c77db24b37068"),
     ("F4_132", "776bf6c697a659b21bdb0db4bc5c76bf8db84fefa8a401c8b9e115012d89731a", "8843237b169d59e9cf022a14430c396120451ec34f8bdc8ce77f793580e7bf6d", "a7b6718124c22a5f7c6e3d982d5f84136b6f12a51db7e0092b8592889e5036b4"),
@@ -218,6 +220,19 @@ def test_every_edge_orbit_graph_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == ORBIT_GRAPHS
 
 
+def _as_recorded_case(case):
+    """A case as its repr was recorded, while its exponents were a plain dict rather than a read-only view."""
+    return case._replace(exponents=dict(case.exponents))
+
+
+def _as_recorded_singular_data(data):
+    """The singular data as its repr was recorded, while its fields were lists and a plain dict rather than tuples and a view."""
+    return data._replace(
+        moves=list(data.moves), normalizer=list(data.normalizer), vertex_classes=list(data.vertex_classes),
+        orbit_of=dict(data.orbit_of), orbits=[list(members) for members in data.orbits],
+    )
+
+
 def _record_instances() -> dict:
     G = make_group("I4_132")
     edge = labeled_marked_edges("I4_132")["beta"]
@@ -236,8 +251,8 @@ def _record_instances() -> dict:
         "ClaimCheck": report.checks[0],
         "VerificationReport": report,
         "_CaseClaim": THEOREM_1["P4_232", "beta"],
-        "_Case": _cases(make_group("P4_232"))["gamma"],
-        "_SingularData": _singular_data(G),
+        "_Case": _as_recorded_case(_cases(make_group("P4_232"))["gamma"]),
+        "_SingularData": _as_recorded_singular_data(_singular_data(G)),
     }
 
 
@@ -276,14 +291,18 @@ def test_an_edited_pickle_is_refused_by_the_record_checks():
 
 
 def _multipliers_and_cases(G) -> tuple[dict, dict]:
-    """The pair `_cases(G)` was recorded as: each family's multiplier u off the family table, in its report order, and the case map."""
-    return {tag: u for tag, (u, *_) in _family_table(G.T0, G.frame.name).items()}, _cases(G)
+    """The pair `_cases(G)` was recorded as: each family's multiplier u off the family table, in its report order, and the case map,
+    as plain dicts."""
+    return {tag: u for tag, (u, *_) in _family_table(G.T0, G.frame.name).items()}, {
+        label: _as_recorded_case(case) for label, case in _cases(G).items()
+    }
 
 
 @pytest.mark.parametrize("name, singular, normalizer, cases", CASE_LAYER_REPRS, ids=[n for n, *_ in CASE_LAYER_REPRS])
 def test_the_case_layer_records_are_pinned_by_repr(name, singular, normalizer, cases):
     G = make_group(name)
-    reprs = [hashlib.sha256(repr(f(G)).encode()).hexdigest() for f in (_singular_data, _normalizer_solutions, _multipliers_and_cases)]
+    records = (_as_recorded_singular_data(_singular_data(G)), _normalizer_solutions(G), _multipliers_and_cases(G))
+    reprs = [hashlib.sha256(repr(record).encode()).hexdigest() for record in records]
     assert reprs == [singular, normalizer, cases]
 
 

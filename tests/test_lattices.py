@@ -875,10 +875,12 @@ _POINT_READERS = {
     "coord_numerators": (lambda v, G: coord_numerators(v, G.T0), tuple),
     "stabilizer": (stabilizer, lambda v: tuple(map(Fraction, v))),
     "stabilizer_order": (stabilizer_order, tuple),
+    "hnf": (lambda v, G: hnf([(1, 0, 0), v]), tuple),
 }
 
 
-@pytest.mark.parametrize("v", [(), (1, 2), (1, Fraction(1, 2), 0, 1)], ids=["length-0", "length-2", "length-4"])
+# (0, 0, 0, 5) would pass for the zero vector if only its first three entries were read
+@pytest.mark.parametrize("v", [(), (1, 2), (1, Fraction(1, 2), 0, 1), (0, 0, 0, 5)], ids=["length-0", "length-2", "length-4", "zero-length-4"])
 @pytest.mark.parametrize("call, read", _POINT_READERS.values(), ids=_POINT_READERS.keys())
 def test_a_point_of_any_length_but_three_is_named_in_its_value_error(v, call, read):
     # the boundary names the point rather than failing to unpack it

@@ -289,7 +289,7 @@ def test_axis_and_vertex_classes_match_one_solve_per_coset(name):
     lines, corners = fixed_points_per_coset(make_group(name))
     assert all(data.den % top == 0 for top in [t for *_, t in lines] + [t for _, t in corners])
     assert segment_lines(data) == {ax[:3]: ax[3] for ax in axis_classes(data, lines)}
-    assert data.vertex_classes == vertex_classes(data.den, corners)
+    assert data.vertex_classes == tuple(vertex_classes(data.den, corners))
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -564,6 +564,7 @@ def test_axis_segments_match_window_oracle(name):
 
 
 @pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.numpy
 def test_normalizer_maps_match_grid_oracle(name):
     # the maps are a transversal of G in its normalizer: one per coset of G
     G = make_group(name)
@@ -573,6 +574,7 @@ def test_normalizer_maps_match_grid_oracle(name):
 
 
 @pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.numpy
 def test_marked_edges_match_the_whole_grid_normalizer(name):
     # the full oracle map set is a group modulo T0, so the class of an orbit
     # is the set of its images: no union-find and no transversal needed
@@ -943,7 +945,7 @@ def test_a_record_whose_axes_carry_no_vertex_has_an_empty_singular_graph():
     cosets, T0, maps = _closure(gens)
     G = SpaceGroup("P2_13", CUBIC_FRAME, tuple(gens), T0, len(cosets), tuple(cosets), maps)
     assert G.point_order == 12
-    assert _singular_data(G).vertex_classes == []
+    assert _singular_data(G).vertex_classes == ()
     assert singular_graph(G) == []
     assert marked_edges(G) == []
     assert singular_circles(G) == singular_axes(G)

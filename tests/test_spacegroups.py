@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsym.errors import ClosureOverflow, UnknownGroup
-from torsym.lattices import hnf, member
+from torsym.lattices import IDENTITY, hnf, member
 from torsym.spacegroups import (
     CUBIC_FRAME,
     GROUP_NAMES,
@@ -351,10 +351,13 @@ def test_t0_normal_under_cosets():
 
 
 def test_closure_beyond_its_cap_raises_closure_overflow():
-    # a finite point group never reaches the default cap of 96, so lower it below 24
-    with pytest.raises(ClosureOverflow):
-        _closure(make_group("I432").generators, cap=23)
-    assert len(_closure(make_group("I432").generators, cap=24)[0]) == 24
+    # the cubic 3-fold and the hexagonal 6-fold, each in its own frame, generate an infinite group of
+    # integer matrices, so with the unit translations the closure passes the cap of 96 cosets
+    units = [Isometry(CUBIC_FRAME, IDENTITY, t) for t in IDENTITY]
+    rots = [Isometry(CUBIC_FRAME, ROT_XYZ, (0, 0, 0)), Isometry(HEX_FRAME, ROT_OMEGA, (0, 0, 0))]
+    with pytest.raises(ClosureOverflow, match="^more than 96 cosets$"):
+        _closure(units + rots)
+    assert len(_closure(make_group("I432").generators)[0]) == 24
 
 
 def test_hashing_a_group_record_hashes_no_fraction(monkeypatch):

@@ -259,6 +259,7 @@ def test_is_invariant_requires_containment():
         is_invariant(Z3, f4132)
 
 
+@pytest.mark.numpy
 def test_filtering_matches_literal_is_invariant():
     g = make_group("P432")
     for d in range(1, 17):
@@ -270,6 +271,7 @@ def test_filtering_matches_literal_is_invariant():
         assert got == expected
 
 
+@pytest.mark.numpy
 def test_primary_recombination_matches_literal():
     # 64..128 take the descent below T0: to a simple M/pM at M = 3·T0 and 5·T0
     # (cubic), and to lines in no invariant plane, whose 2-dimensional
@@ -302,6 +304,7 @@ ROT_6 = ((1, -1, 0), (1, 0, 0), (0, 0, 1))  # 6-fold about z, hexagonal frame
 ROT_2_DIAG = ((0, -1, 0), (-1, 0, 0), (0, 0, -1))  # half-turn about (1, -1, 0), cubic frame
 
 
+@pytest.mark.numpy
 def test_descent_matches_literal_at_large_primes():
     # at p ≥ 53 every group acts semisimply mod p; p² ∈ {121, 169, 289} also
     # reaches the lines of F_p³ and the lattices with quotient ℤ/p²
@@ -319,6 +322,7 @@ def test_descent_matches_literal_at_large_primes():
         (ROT_6, [7, 13, 61, 67], [5, 11, 59, 71]),  # 6-fold: eigenvalues −ω, −ω² iff p ≡ 1 (mod 3)
     ],
 )
+@pytest.mark.numpy
 def test_descent_matches_literal_for_one_rotation(rot, split, whole):
     # index p counts the invariant planes: the sums of two of three eigenlines
     # when all eigenvalues lie in F_p, else only the complement of the axis
@@ -332,6 +336,7 @@ def test_descent_matches_literal_for_one_rotation(rot, split, whole):
                 assert invariant_sublattices(Z3, (rot,), p * p) == lit, (rot, p * p)
 
 
+@pytest.mark.numpy
 def test_descent_needs_every_rotation():
     # the two half-turns of D2 each leave invariant planes the other moves, so a
     # descent that skipped either one would keep p + 1 planes through an axis
@@ -489,6 +494,7 @@ def test_invariant_rejects_infinite_order_rotation():
             route(Z3, (((1, 0, 0), (0, 1, 0), (0, 0, 0)),), 5)
 
 
+@pytest.mark.numpy
 def test_cubic_survivors_match_families_to_32():
     expected = set()
     for u in range(1, 4):
@@ -506,6 +512,7 @@ def test_cubic_survivors_match_families_to_32():
     assert got == expected
 
 
+@pytest.mark.numpy
 def test_hex_survivors_match_families_to_16():
     expected = set()
     for n in range(1, 5):
@@ -1216,6 +1223,7 @@ def _times(c, M):
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
+@pytest.mark.numpy
 def test_descent_of_a_multiple_is_the_scaled_descent(name):
     # the rotations act on c·M as on M, so the steps run from c·M itself are c times those from M:
     # a descent that steps from every lattice as it is gives the one that steps from primitive ones
@@ -1312,6 +1320,7 @@ def test_the_rotation_generators_are_distinct_without_the_identity_in_the_genera
 
 
 @pytest.mark.parametrize("rots, listings", [((), 1), ((ROT_Y, ROT_Z), 1)], ids=["scalar", "D2"])
+@pytest.mark.numpy
 def test_a_step_lists_the_lines_only_where_one_can_be_maximal(monkeypatch, rots, listings):
     # two normals give two invariant planes meeting in an invariant line L₀, and any other invariant
     # line L lies in the invariant plane L + L₀: a scalar action lists only the normals, p² + p + 1
